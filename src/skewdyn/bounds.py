@@ -23,13 +23,13 @@ Statement tags:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import mc
 from .binding import binding_time, mu_constants
-from .core import OrbitTrace, SkewProductMap, find_attracting_cycles, iterate_block
+from .core import OrbitTrace, SkewProductMap, _Orbits, find_attracting_cycles, iterate_block
 from .errors import (
     AttractingCyclePresent,
     EmptyGrid,
@@ -54,7 +54,6 @@ class BoundAudit:
     min_ratio_location: dict | None
     violations: int
     passed: bool
-    per_start_min: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def to_json(self) -> dict:
         return {
@@ -81,24 +80,29 @@ class _Acc:
         self.violations = 0
         self.min_log = math.inf
         self.loc: dict | None = None
-        self.start_mins: list[float] = []
 
-    def add(self, start_idx: int, ns: np.ndarray, ratio_logs: np.ndarray) -> None:
+    def add(self, start_idx: int, ns: np.ndarray, ratio_logs: np.ndarray,
+            sel: np.ndarray | None = None) -> None:
+        """Ratios at steps ns of start start_idx or, in 2-D, of the starts
+        start_idx + column; sel marks the admitted pairs.  Ties go to the
+        earliest start, then the earliest n."""
+        if ratio_logs.ndim == 1:
+            ratio_logs = ratio_logs[:, None]
         # exact critical hits make both sides vanish; drop those pairs
         ok = np.isfinite(ratio_logs) | np.isposinf(ratio_logs)
-        if not np.all(ok):
-            ns, ratio_logs = ns[ok], ratio_logs[ok]
-        if len(ns) == 0:
+        if sel is not None:
+            ok &= sel
+        count = int(np.count_nonzero(ok))
+        if count == 0:
             return
-        self.count += len(ns)
-        i = int(np.argmin(ratio_logs))
-        lo = float(ratio_logs[i])
-        self.start_mins.append(lo)
-        if lo < self.min_log:
-            self.min_log = lo
-            self.loc = {"start": start_idx, "n": int(ns[i])}
+        self.count += count
+        masked = np.where(ok, ratio_logs, np.inf)
+        c, r = divmod(int(np.argmin(masked.T)), masked.shape[0])  # start-major
+        if masked[r, c] < self.min_log:
+            self.min_log = float(masked[r, c])
+            self.loc = {"start": start_idx + c, "n": int(ns[r])}
         if self.constant_one:
-            self.violations += int(np.count_nonzero(ratio_logs < _LOG_FLOOR))
+            self.violations += int(np.count_nonzero(masked < _LOG_FLOOR))
 
     def to_audit(self) -> BoundAudit:
         fitted = math.exp(self.min_log) if self.count else math.nan
@@ -112,7 +116,6 @@ class _Acc:
             min_ratio_location=self.loc,
             violations=self.violations,
             passed=passed,
-            per_start_min=np.exp(np.array(self.start_mins)),
         )
 
 
@@ -149,7 +152,6 @@ def audit_onedim(
         raise AttractingCyclePresent("fiber polynomial has an attracting cycle")
 
     w0 = np.asarray(samples, dtype=complex).ravel()
-    m = len(w0)
     d = f0.degree
     log_l0 = math.log(lambda0)
     log_delta = math.log(delta)
@@ -160,60 +162,44 @@ def audit_onedim(
         "prop21ii": _Acc("prop21ii", lambda0, delta, constant_one=True),
         "prop21iii": _Acc("prop21iii", lambda0, delta),
     }
-
-    # orbit histories: log |w_j| and cumulative log |Df0^j|
-    logw = np.full((n_max + 1, m), np.nan)
-    logd = np.full((n_max + 1, m), np.nan)
-    alive = np.zeros((n_max + 1, m), dtype=bool)
-    cur = w0.copy()
-    with np.errstate(divide="ignore"):
-        logw[0] = np.log(np.abs(cur))
-    logd[0] = 0.0
-    alive[0] = True
-    live = np.isfinite(cur) & (np.abs(cur) <= _ABS_CAP)
-    for j in range(n_max):
-        dv = f0.deriv(cur[live])
+    for first in range(0, len(w0), mc.BLOCK_SIZE):
+        # per block: log |w_n| and log |Df0^n| in row n, until the working cap
+        block = w0[first:first + mc.BLOCK_SIZE]
+        logw = np.full((n_max + 1, len(block)), np.nan)
+        logd = np.full((n_max + 1, len(block)), np.nan)
+        lengths = np.ones(len(block), dtype=int)
+        orbits = _Orbits(f0, None, block, bound=_ABS_CAP, factors=True)
+        orbits.retire(~(orbits.absw <= _ABS_CAP))
         with np.errstate(divide="ignore"):
-            step_log = np.log(np.abs(dv))
-        logd[j + 1, live] = logd[j, live] + step_log
-        cur[live] = f0(cur[live])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logw[j + 1, live] = np.log(np.abs(cur[live]))
-        live = live & np.isfinite(cur) & (np.abs(cur) <= _ABS_CAP)
-        alive[j + 1] = live
-
-    # prefix minima of log|w_j| over j < n (and over 1 <= j < n)
-    prefmin0 = np.minimum.accumulate(logw, axis=0)
-    prefmin1 = np.full_like(logw, np.inf)
-    if n_max >= 1:
-        prefmin1[1:] = np.minimum.accumulate(
-            np.where(np.isnan(logw[1:]), np.inf, logw[1:]), axis=0
-        )
-
-    for idx in range(m):
-        ns_alive = np.nonzero(alive[1:, idx])[0] + 1
-        if len(ns_alive) == 0:
+            logw[0] = np.log(np.abs(block))
+            logd[0] = 0.0
+            for n in orbits.steps(n_max):
+                idx = orbits.idx
+                logd[n, idx] = logd[n - 1, idx] + np.log(np.abs(orbits.factor))
+                logw[n, idx] = np.log(orbits.absw)
+                lengths[idx] = n + 1
+        rows = int(lengths.max())
+        if rows < 2:
             continue
-        ns = ns_alive
-        ld = logd[ns, idx]
-        lw_n = logw[ns, idx]
-        pm0 = prefmin0[ns - 1, idx]  # min over j < n
-        base = ld - ns * log_l0
-
-        accs["eq_1dim_der"].add(idx, ns, base - (d - 1) * pm0)
-
-        sel = pm0 >= log_delta
-        accs["prop21i"].add(idx, ns[sel], base[sel])
-
-        sel = pm0 >= lw_n
-        accs["prop21iii"].add(idx, ns[sel], base[sel])
-
-        # dip-and-return: |w| < delta, middles > delta, |f0^n(w)| <= delta
-        if logw[0, idx] < log_delta:
-            mids = np.where(ns > 1, prefmin1[ns - 1, idx], np.inf)
-            sel = (lw_n <= log_delta) & (mids > log_delta)
-            clamp = (d - 1) * np.minimum(0.0, logw[0, idx] - lw_n[sel])
-            accs["prop21ii"].add(idx, ns[sel], base[sel] - clamp)
+        # one reduction per block: row r is n = r + 1, column c is start
+        # first + c, and a start's pairs are its steps before the cap
+        logw, logd = logw[:rows], logd[:rows]
+        ns = np.arange(1, rows)
+        alive = ns[:, None] < lengths
+        lw_n = logw[1:]
+        pm0 = np.minimum.accumulate(logw[:-1], axis=0)  # min over j < n
+        mids = np.full_like(lw_n, np.inf)  # min over 0 < j < n
+        mids[1:] = np.minimum.accumulate(logw[1:-1], axis=0)
+        with np.errstate(invalid="ignore"):
+            base = logd[1:] - ns[:, None] * log_l0
+            accs["eq_1dim_der"].add(first, ns, base - (d - 1) * pm0, alive)
+            accs["prop21i"].add(first, ns, base, alive & (pm0 >= log_delta))
+            accs["prop21iii"].add(first, ns, base, alive & (pm0 >= lw_n))
+            # dip-and-return: |w| < delta, middles > delta, |f0^n(w)| <= delta
+            clamp = (d - 1) * np.minimum(0.0, logw[0] - lw_n)
+            accs["prop21ii"].add(
+                first, ns, base - clamp,
+                alive & (logw[0] < log_delta) & (lw_n <= log_delta) & (mids > log_delta))
 
     return {k: a.to_audit() for k, a in accs.items()}
 
@@ -399,7 +385,6 @@ def audit_critical_value_departure(
         if found is None:
             acc.count += 1
             acc.violations += 1
-            acc.start_mins.append(-math.inf)
         else:
             acc.add(idx, np.array([found[0]]), np.array([found[1]]))
     return acc.to_audit()
@@ -451,17 +436,12 @@ def przytycki_return(
     w0s = np.array([w for _, w in sel])
 
     first = np.full(len(sel), -1, dtype=int)
-    z, w = z0s.copy(), w0s.copy()
-    active = np.ones(len(sel), dtype=bool)
-    for n in range(1, horizon + 1):
-        if not active.any():
-            break
-        w[active] = map.fiber_value(z[active], w[active])
-        z[active] = map.lam * z[active]
-        hit = active & (np.abs(w) <= epsilon)
-        first[hit] = n
-        active &= ~hit
-        active &= np.abs(w) <= max(map.escape_radius * 10.0, 100.0)
+    orbits = _Orbits(map, z0s, w0s, bound=max(map.escape_radius * 10.0, 100.0),
+                     lam_left=True)
+    for n in orbits.steps(horizon):
+        hit = orbits.absw <= epsilon
+        first[orbits.idx[hit]] = n
+        orbits.retire(hit)
 
     hits = first[first > 0]
     if len(hits) == 0:
@@ -545,5 +525,4 @@ def merge_audits(a: BoundAudit, b: BoundAudit) -> BoundAudit:
         min_ratio_location=keep.min_ratio_location,
         violations=a.violations + b.violations,
         passed=samples > 0 and math.isfinite(fitted) and fitted > 0,
-        per_start_min=np.concatenate([a.per_start_min, b.per_start_min]),
     )

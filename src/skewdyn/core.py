@@ -354,6 +354,63 @@ def find_attracting_cycles(map: SkewProductMap, max_period: int = 12,
 # -- vectorized block iteration ---------------------------------------------------
 
 
+class _Orbits:
+    """The live orbits of a batch, stepped together in compacted arrays.
+
+    idx holds their batch positions, z and w their coordinates (z is None
+    for a FiberMap) and absw = |w|.  `steps` drops the orbits whose |w| is
+    not within bound after each step, `retire` those a caller is done with,
+    each with its columns (last axis) of the carry arrays.  With factors,
+    factor is the vertical derivative factor of the latest step at its
+    start.  numpy's elementwise results do not depend on array position,
+    so compaction changes no value; its complex products are not bitwise
+    commutative, though, so lam_left keeps a caller's lam * z from z * lam.
+    """
+
+    def __init__(self, map, z, w, bound: float | None = None, carry=None,
+                 factors: bool = False, lam_left: bool = False):
+        self.map = map
+        self.bound = bound
+        self.factors = factors
+        self.lam_left = lam_left
+        self.z = None if z is None else np.asarray(z, dtype=complex)
+        self.w = np.asarray(w, dtype=complex)
+        self.idx = np.arange(len(self.w))
+        self.absw = np.abs(self.w)
+        self.carry = carry or {}
+        self.factor = None
+
+    def steps(self, count: int):
+        """Step up to count times, yielding the step number after each;
+        stops early once no orbit is live."""
+        m = self.map
+        for n in range(1, count + 1):
+            if not len(self.idx):
+                return
+            z, w = self.z, self.w
+            if self.factors:
+                self.factor = m.deriv(w) if z is None else m.dfdw(z, w)
+            self.w = m(w) if z is None else m.fiber_value(z, w)
+            if z is not None:
+                self.z = m.lam * z if self.lam_left else z * m.lam
+            self.absw = np.abs(self.w)
+            if self.bound is not None:
+                self.retire(~(self.absw <= self.bound))
+            yield n
+
+    def retire(self, done: np.ndarray) -> None:
+        """Drop the live orbits flagged in done (aligned with idx)."""
+        if not done.any():
+            return
+        keep = ~done
+        self.idx, self.w, self.absw = self.idx[keep], self.w[keep], self.absw[keep]
+        if self.z is not None:
+            self.z = self.z[keep]
+        if self.factor is not None:
+            self.factor = self.factor[keep]
+        self.carry = {k: a[..., keep] for k, a in self.carry.items()}
+
+
 @dataclass
 class TraceBlock:
     """Struct-of-arrays orbit batch: row n, column j is step n of orbit j.
@@ -365,6 +422,7 @@ class TraceBlock:
     z0s: np.ndarray
     ws: np.ndarray  # (n+1, m) complex, NaN past escape
     log_vder: np.ndarray  # (n+1, m) float, NaN past escape
+    vder_phase: np.ndarray  # (n+1, m) float, NaN past escape
     tame: np.ndarray  # (n+1, m) bool
     lengths: np.ndarray  # (m,) int
     escaped: np.ndarray  # (m,) bool
@@ -387,14 +445,14 @@ class TraceBlock:
                 zs=zs,
                 ws=self.ws[:ln, j].copy(),
                 log_vder=self.log_vder[:ln, j].copy(),
-                vder_phase=np.zeros(ln),
+                vder_phase=self.vder_phase[:ln, j].copy(),
                 tame_flags=self.tame[:ln, j].copy(),
                 escape_step=(ln - 1) if self.escaped[j] else None,
             )
 
 
 def iterate_block(map: SkewProductMap, z0s, w0s, n: int) -> TraceBlock:
-    """Vectorized iterate for a batch of starts; cocycle in log magnitude only."""
+    """Vectorized iterate for a batch of starts; steps only unescaped orbits."""
     z0s = np.asarray(z0s, dtype=complex)
     w0s = np.asarray(w0s, dtype=complex)
     if np.any(np.abs(z0s) >= map.r0):
@@ -402,38 +460,31 @@ def iterate_block(map: SkewProductMap, z0s, w0s, n: int) -> TraceBlock:
     m = len(w0s)
     ws = np.full((n + 1, m), np.nan, dtype=complex)
     logs = np.full((n + 1, m), np.nan)
+    phases = np.full((n + 1, m), np.nan)
     tame = np.zeros((n + 1, m), dtype=bool)
     lengths = np.ones(m, dtype=int)
-    escaped = np.zeros(m, dtype=bool)
-
-    z = z0s.copy()
-    w = w0s.copy()
-    ws[0] = w
+    ws[0] = w0s
     logs[0] = 0.0
-    tame[0] = np.abs(z0s) ** map.k <= np.abs(w) ** map.degree
-    active = np.ones(m, dtype=bool)
-    for i in range(n):
-        just_escaped = active & (np.abs(w) > map.escape_radius)
-        escaped |= just_escaped
-        active &= ~just_escaped
-        if not active.any():
-            break
-        factor = map.dfdw(z[active], w[active])
+    phases[0] = 0.0
+    tame[0] = np.abs(z0s) ** map.k <= np.abs(w0s) ** map.degree
+
+    orbits = _Orbits(map, z0s, w0s, factors=True)
+    orbits.retire(orbits.absw > map.escape_radius)
+    for i in orbits.steps(n):
+        idx, factor = orbits.idx, orbits.factor
         mag = np.abs(factor)
         with np.errstate(divide="ignore"):
-            logs[i + 1, active] = logs[i, active] + np.log(mag)
-        wn = map.fiber_value(z[active], w[active])
-        w[active] = wn
-        z = z * map.lam
-        ws[i + 1, active] = wn
-        tame[i + 1, active] = np.abs(z[active]) ** map.k <= np.abs(wn) ** map.degree
-        lengths[active] = i + 2
-    else:
-        still = active & (np.abs(w) > map.escape_radius)
-        escaped |= still
-
+            logs[i, idx] = logs[i - 1, idx] + np.log(mag)
+        phases[i, idx] = phases[i - 1, idx] + np.where(mag > 0, np.angle(factor), 0.0)
+        ws[i, idx] = orbits.w
+        tame[i, idx] = np.abs(orbits.z) ** map.k <= orbits.absw ** map.degree
+        lengths[idx] = i + 1
+        orbits.retire(orbits.absw > map.escape_radius)
+    # an orbit escaped iff its last recorded point lies past the radius
+    escaped = np.abs(ws[lengths - 1, np.arange(m)]) > map.escape_radius
     return TraceBlock(
-        z0s=z0s, ws=ws, log_vder=logs, tame=tame, lengths=lengths, escaped=escaped, lam=map.lam
+        z0s=z0s, ws=ws, log_vder=logs, vder_phase=phases, tame=tame,
+        lengths=lengths, escaped=escaped, lam=map.lam,
     )
 
 

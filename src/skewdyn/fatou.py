@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SkewProductMap, find_attracting_cycles
+from .core import SkewProductMap, _Orbits, find_attracting_cycles
 from .errors import (
     BaseOutsideDomain,
     PreconditionViolated,
@@ -48,38 +48,35 @@ def _cycle_candidates(map: SkewProductMap) -> tuple[list[str], list[Cycle]]:
     return labels, cycles
 
 
-def _classify_block(map: SkewProductMap, z0s, w0s, horizon: int,
-                    labels: list[str], cycles: list[Cycle]):
+def _classify_block(map: SkewProductMap, z0s, w0s, horizon: int, cycles: list[Cycle]):
     """Vector classification; returns (codes, escape_steps).
 
     Code 0 = undecided, 1 = escaping, 2+j = basin of cycles[j].
     """
-    z = np.asarray(z0s, dtype=complex).ravel().copy()
-    w = np.asarray(w0s, dtype=complex).ravel().copy()
+    w = np.asarray(w0s, dtype=complex).ravel()
     m = len(w)
     codes = np.zeros(m, dtype=np.int16)
     esc = np.full(m, -1, dtype=np.int32)
-    runs = np.zeros((len(cycles), m), dtype=np.int32)
-    active = np.ones(m, dtype=bool)
+    orbits = _Orbits(map, np.asarray(z0s, dtype=complex).ravel(), w, lam_left=True,
+                     carry={"runs": np.zeros((len(cycles), m), dtype=np.int32)})
     pts = [np.array(c.points, dtype=complex) for c in cycles]
-    for n in range(horizon + 1):
-        with np.errstate(invalid="ignore"):
-            aw = np.abs(w)
-        out = active & ~(aw <= map.escape_radius)  # catches NaN too
-        codes[out] = 1
-        esc[out] = n
-        active &= ~out
+
+    def settle(n: int) -> None:
+        out = ~(orbits.absw <= map.escape_radius)  # catches NaN too
+        codes[orbits.idx[out]] = 1
+        esc[orbits.idx[out]] = n
+        orbits.retire(out)
         for j, p in enumerate(pts):
-            dmin = np.min(np.abs(w[:, None] - p[None, :]), axis=1)
-            near = dmin < CYCLE_TOL
-            runs[j] = np.where(near, runs[j] + 1, 0)
-            done = active & (runs[j] >= CYCLE_RUN)
-            codes[done] = 2 + j
-            active &= ~done
-        if n == horizon or not active.any():
-            break
-        w[active] = map.fiber_value(z[active], w[active])
-        z[active] = map.lam * z[active]
+            dmin = np.min(np.abs(orbits.w[:, None] - p[None, :]), axis=1)
+            runs = orbits.carry["runs"]
+            runs[j] = np.where(dmin < CYCLE_TOL, runs[j] + 1, 0)
+            done = runs[j] >= CYCLE_RUN
+            codes[orbits.idx[done]] = 2 + j
+            orbits.retire(done)
+
+    settle(0)
+    for n in orbits.steps(horizon):
+        settle(n)
     return codes, esc
 
 
@@ -90,7 +87,7 @@ def classify_point(map: SkewProductMap, x, horizon: int = 1000) -> str:
     if abs(z0) >= map.r0:
         raise BaseOutsideDomain(f"|z0| = {abs(z0):.6g} >= r0 = {map.r0:.6g}")
     labels, cycles = _cycle_candidates(map)
-    codes, _ = _classify_block(map, [z0], [w0], horizon, labels, cycles)
+    codes, _ = _classify_block(map, [z0], [w0], horizon, cycles)
     code = int(codes[0])
     if code == 0:
         return "undecided"
@@ -156,7 +153,7 @@ def render_slice(map: SkewProductMap, spec: SliceSpec, horizon: int = 1000) -> R
         ws = np.full(res * res, spec.at, dtype=complex)
 
     cyc_labels, cycles = _cycle_candidates(map)
-    codes, esc = _classify_block(map, zs, ws, horizon, cyc_labels, cycles)
+    codes, esc = _classify_block(map, zs, ws, horizon, cycles)
     return RasterSlice(
         spec=spec,
         horizon=horizon,

@@ -7,7 +7,6 @@ that one-dimensional map; the two-dimensional wrappers live in core.py.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,11 +63,6 @@ class FiberMap:
         for i in range(d - 1, 1, -1):
             acc = acc * w + i * (i - 1) * self.coeffs[i]
         return acc
-
-    def iterate(self, w: complex, n: int) -> complex:
-        for _ in range(n):
-            w = self(w)
-        return w
 
     def orbit(self, w: complex, n: int) -> list[complex]:
         out = [w]
@@ -177,7 +171,3 @@ class FiberMap:
         # Minimal period: the orbit may close up earlier than the probed period.
         points = tuple(pts)
         return Cycle(points=points, multiplier=self.cycle_multiplier(points))
-
-
-def unit_phase(theta: float) -> complex:
-    return cmath.exp(1j * theta)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SkewProductMap
+from .core import SkewProductMap, _Orbits
 from .errors import (
     BaseOutsideDomain,
     CriticalHit,
@@ -131,23 +131,15 @@ def slow_approach_stats(map: SkewProductMap, alpha: float, burn_in: int,
         return np.stack([z, w], axis=1)
 
     pts = draw_blocks(seed, "slow", samples, draw, threads)
-    z = pts[:, 0].copy()
-    w = pts[:, 1].copy()
-    escaped = np.zeros(samples, dtype=bool)
+    orbits = _Orbits(map, pts[:, 0], pts[:, 1], bound=map.escape_radius)
     ok = np.ones(samples, dtype=bool)
-    for n in range(1, horizon + 1):
-        active = ~escaped
-        w[active] = map.fiber_value(z[active], w[active])
-        z = z * map.lam
-        escaped |= np.abs(w) > map.escape_radius
+    for n in orbits.steps(horizon):
         if n >= burn_in:
-            bad = ~escaped & (np.abs(w) < math.exp(-alpha * n))
-            ok &= ~bad
-    retained = ~escaped
-    kept = int(np.sum(retained))
+            ok[orbits.idx[orbits.absw < math.exp(-alpha * n)]] = False
+    kept = len(orbits.idx)
     if kept == 0:
         raise EmptySample("every sampled orbit escaped within the horizon")
-    frac = float(np.mean(ok[retained]))
+    frac = float(np.mean(ok[orbits.idx]))
     return EstimateReport(
         quantity="slow_fraction",
         parameters={"alpha": alpha, "burn_in": burn_in, "horizon": horizon,
@@ -192,21 +184,17 @@ def e_set_area(map: SkewProductMap, z: complex, alpha: float, ns,
     def draw(gen: np.random.Generator, count: int) -> np.ndarray:
         return uniform_disk(gen, count, map.escape_radius)
 
-    w = draw_blocks(seed, "eset", samples, draw, threads).copy()
-    zc = np.full(samples, z, dtype=complex)
-    escaped = np.zeros(samples, dtype=bool)
-    grid_set = set(grid)
-    fractions: dict[int, float] = {}
+    w = draw_blocks(seed, "eset", samples, draw, threads)
+    orbits = _Orbits(map, np.full(samples, z, dtype=complex), w,
+                     bound=map.escape_radius)
+    # cells past the last live orbit stay empty
+    fractions = dict.fromkeys(grid, 0.0)
     if grid[0] == 0:
-        fractions[0] = float(np.mean(np.abs(w) < 1.0))
-    for n in range(1, grid[-1] + 1):
-        active = ~escaped
-        w[active] = map.fiber_value(zc[active], w[active])
-        zc = zc * map.lam
-        escaped |= np.abs(w) > map.escape_radius
-        if n in grid_set:
-            hit = ~escaped & (np.abs(w) < math.exp(-alpha * n))
-            fractions[n] = float(np.mean(hit))
+        fractions[0] = float(np.mean(orbits.absw < 1.0))
+    for n in orbits.steps(grid[-1]):
+        if n in fractions:
+            hit = np.count_nonzero(orbits.absw < math.exp(-alpha * n))
+            fractions[n] = hit / samples
 
     reports = []
     for n in grid:
@@ -285,21 +273,14 @@ def exclusion_area(map: SkewProductMap, alpha: float, m: int, l_values,
         return uniform_annulus(gen, count, r_inner, r_outer)
 
     z0 = draw_blocks(seed, "exclusion", samples, draw, threads)
-    thr0 = np.abs(z0) ** (map.k / map.degree)
-    w = np.zeros(samples, dtype=complex)
-    zc = z0.copy()
+    orbits = _Orbits(map, z0, np.zeros(samples, dtype=complex),
+                     bound=map.escape_radius,
+                     carry={"thr": np.abs(z0) ** (map.k / map.degree)})
     first_fail = np.zeros(samples, dtype=np.int64)  # 0 = never failed
-    dead = np.zeros(samples, dtype=bool)
-    for l in range(1, horizon + 1):
-        active = ~dead
-        if not np.any(active):
-            break
-        w[active] = map.fiber_value(zc[active], w[active])
-        zc = zc * map.lam
-        fail = active & (np.abs(w) <= thr0 * math.exp(-alpha * l))
-        first_fail[fail] = l
-        dead |= fail
-        dead |= active & (np.abs(w) > map.escape_radius)
+    for l in orbits.steps(horizon):
+        fail = orbits.absw <= orbits.carry["thr"] * math.exp(-alpha * l)
+        first_fail[orbits.idx[fail]] = l
+        orbits.retire(fail)
 
     counts = np.bincount(first_fail, minlength=horizon + 1)
     never_fraction = counts[0] / samples

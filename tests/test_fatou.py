@@ -290,7 +290,7 @@ class TestDiskImageContainsBall:
 
     def test_chebyshev_direct_n5(self):
         cheb = chebyshev_map()
-        center = cheb.f0().iterate(0.3, 5)
+        center = cheb.f0().orbit(0.3, 5)[-1]
         # radius 0.664 * 0.9^5 * 1e-3 from the fitted constant of the
         # expansion fixture; the curve needs one refinement doubling
         chk = disk_image_contains_ball(
@@ -302,7 +302,7 @@ class TestDiskImageContainsBall:
         cheb = chebyshev_map()
         f0 = cheb.f0()
         for n in (0, 1, 2):
-            center = f0.iterate(0.3, n)
+            center = f0.orbit(0.3, n)[-1]
             radius = 0.6 * 0.9**n * 1e-3
             chk = disk_image_contains_ball(cheb, 5e-13, 0.3, 1e-3, n, center, radius)
             assert chk.verdict
@@ -313,7 +313,7 @@ class TestDiskImageContainsBall:
         # blob has collapsed onto the cycle and the target center with it,
         # so neither the winding nor the distance test can certify anything
         bas = basilica_map()
-        center = bas.f0().iterate(0.3, 20)
+        center = bas.f0().orbit(0.3, 20)[-1]
         chk = disk_image_contains_ball(bas, 1e-12, 0.3, 1e-3, 20, center, 2.5e-10)
         assert not chk.verdict
         assert chk.winding_min == 0
@@ -323,7 +323,7 @@ class TestDiskImageContainsBall:
         # any complex neighborhood of a Julia point contains escaping points,
         # so the boundary curve is astronomically folded by n=20
         cheb = chebyshev_map()
-        center = cheb.f0().iterate(0.3, 20)
+        center = cheb.f0().orbit(0.3, 20)[-1]
         with pytest.raises(SamplingCapExceeded):
             disk_image_contains_ball(cheb, 5e-13, 0.3, 1e-3, 20, center, 1e-5)
 
