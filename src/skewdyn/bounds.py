@@ -502,27 +502,3 @@ def sample_traces(
     cols = mc.draw_blocks(seed, "trace_starts", count, draw, threads=threads)
     block = iterate_block(map, cols[:, 0], cols[:, 1], n)
     return list(block.to_traces(map))
-
-
-def merge_audits(a: BoundAudit, b: BoundAudit) -> BoundAudit:
-    """Componentwise merge: same statement, minimum fitted constant."""
-    if a.statement != b.statement:
-        raise ValueError(f"cannot merge {a.statement} with {b.statement}")
-    if a.samples == 0:
-        keep, other = b, a
-    elif b.samples == 0:
-        keep, other = a, b
-    else:
-        keep, other = (a, b) if a.fitted_constant <= b.fitted_constant else (b, a)
-    fitted = keep.fitted_constant
-    samples = a.samples + b.samples
-    return BoundAudit(
-        statement=a.statement,
-        lambda0=a.lambda0,
-        delta=a.delta,
-        samples=samples,
-        fitted_constant=fitted,
-        min_ratio_location=keep.min_ratio_location,
-        violations=a.violations + b.violations,
-        passed=samples > 0 and math.isfinite(fitted) and fitted > 0,
-    )

@@ -38,7 +38,6 @@ from .bounds import (
     sample_traces,
 )
 from .core import (
-    SkewProductMap,
     iterate,
     iterate_block,
     map_from_config,

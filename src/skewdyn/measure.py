@@ -13,6 +13,7 @@ depend only on (seed, samples), never on thread count.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SkewProductMap, _Orbits
+from .core import SkewProductMap, _Orbits, _poly_deriv, _poly_eval
 from .errors import (
     BaseOutsideDomain,
     CriticalHit,
@@ -366,71 +367,28 @@ class BaseDerivativeReport:
         }
 
 
-def _fd_doubles(map: SkewProductMap, z0: complex, l: int, h: float) -> complex:
-    def xi(z):
-        w = 0.0 + 0.0j
-        zc = z
-        for _ in range(l):
-            w = w**map.degree + map.c0_at(zc)
-            zc = zc * map.lam
-        return w
-
-    return (xi(z0 + h) - xi(z0 - h)) / (2.0 * h)
-
-
-def _recursion_doubles(map: SkewProductMap, z0: complex, l: int):
+def _recursion(map: SkewProductMap, z0: complex, l: int, num):
+    """Orbit, recursion, denominator, and sum form in the number type num
+    (complex, or mpmath.mpc at the active precision); also tracks the
+    largest intermediate derivative product, which sets the
+    finite-difference step."""
+    coeffs = tuple(num(c) for c in map.fiber_coeffs[0])
+    dcoeffs = _poly_deriv(coeffs)
+    lam = num(map.lam)
     d = map.degree
-    xi = 0.0 + 0.0j
-    x = 0.0 + 0.0j
-    denom = 1.0 + 0.0j
-    sum_form = 0.0 + 0.0j
-    lam_pow = 1.0 + 0.0j
-    max_denom = 1.0
+    xi = num(0)
+    x = num(0)
+    denom = num(1)
+    sum_form = num(0)
+    lam_pow = num(1)
+    max_denom = abs(num(1))
+    z0 = num(z0)
     for j in range(l):
         zj = lam_pow * z0
-        sum_form += lam_pow * map.coeff_deriv_at(0, zj) / denom
-        x = d * xi ** (d - 1) * x + lam_pow * map.coeff_deriv_at(0, zj)
-        xi = xi**d + map.c0_at(zj)
-        lam_pow *= map.lam
-        if j < l - 1:
-            factor = d * xi ** (d - 1)
-            if factor == 0:
-                raise CriticalHit(j + 1)
-            denom *= factor
-            max_denom = max(max_denom, abs(denom))
-    return x, denom, sum_form, max_denom
-
-
-def _mp_recursion(map: SkewProductMap, z0: complex, l: int):
-    """Orbit, recursion, denominator, and sum form at the active mpmath
-    precision; also tracks the largest intermediate derivative product,
-    which sets the finite-difference step."""
-    from mpmath import mpc
-
-    coeffs = [mpc(c) for c in map.fiber_coeffs[0]]
-    dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]
-    lam = mpc(map.lam)
-    d = map.degree
-
-    def horner(cs, z):
-        acc = mpc(0)
-        for c in reversed(cs):
-            acc = acc * z + c
-        return acc
-
-    xi = mpc(0)
-    x = mpc(0)
-    denom = mpc(1)
-    sum_form = mpc(0)
-    lam_pow = mpc(1)
-    max_denom = abs(mpc(1))
-    z0m = mpc(z0)
-    for j in range(l):
-        zj = lam_pow * z0m
-        cp = horner(dcoeffs, zj)
+        cp = _poly_eval(dcoeffs, zj)
         sum_form += lam_pow * cp / denom
         x = d * xi ** (d - 1) * x + lam_pow * cp
-        xi = xi**d + horner(coeffs, zj)
+        xi = xi**d + _poly_eval(coeffs, zj)
         lam_pow *= lam
         if j < l - 1:
             factor = d * xi ** (d - 1)
@@ -441,29 +399,21 @@ def _mp_recursion(map: SkewProductMap, z0: complex, l: int):
     return x, denom, sum_form, max_denom
 
 
-def _fd_mpmath(map: SkewProductMap, z0: complex, l: int, h: float) -> complex:
-    from mpmath import mpc
-
-    coeffs = [mpc(c) for c in map.fiber_coeffs[0]]
-    lam = mpc(map.lam)
+def _fd(map: SkewProductMap, z0: complex, l: int, h: float, num) -> complex:
+    """Centered difference of xi_l at z0 with step h, in the number type num."""
+    coeffs = tuple(num(c) for c in map.fiber_coeffs[0])
+    lam = num(map.lam)
     d = map.degree
 
-    def c0(z):
-        acc = mpc(0)
-        for c in reversed(coeffs):
-            acc = acc * z + c
-        return acc
-
     def xi(z):
-        w = mpc(0)
-        zc = z
+        w = num(0)
         for _ in range(l):
-            w = w**d + c0(zc)
-            zc = zc * lam
+            w = w**d + _poly_eval(coeffs, z)
+            z = z * lam
         return w
 
-    hm = mpc(h)
-    return complex((xi(mpc(z0) + hm) - xi(mpc(z0) - hm)) / (2 * hm))
+    z0, h = num(z0), num(h)
+    return complex((xi(z0 + h) - xi(z0 - h)) / (2 * h))
 
 
 def fiber_base_derivative(map: SkewProductMap, z0: complex, l: int,
@@ -474,12 +424,13 @@ def fiber_base_derivative(map: SkewProductMap, z0: complex, l: int,
     The recursion X_j = d xi_{j-1}^{d-1} X_{j-1} + lambda^{j-1} c'(lambda^{j-1} z0)
     starts from X_0 = 0 (the fiber start is constant in z).  The ratio
     divides by the vertical derivative accumulated over steps 1..l-1, which
-    must not vanish.  For l <= 8 everything runs in doubles with the
-    centered-difference step 1e-9 |z0|.  Deeper l is not double-computable:
-    orbits brushing the critical point amplify rounding by the ratio of the
-    largest to the smallest intermediate derivative product, so recursion,
-    sum form, and finite difference all run in extended precision, with the
-    step scaled down by the largest intermediate product.
+    must not vanish.  One recursion and one finite difference run in either
+    number type.  For l <= 8 they run in doubles with the centered-difference
+    step 1e-9 |z0|.  Deeper l is not double-computable: orbits brushing the
+    critical point amplify rounding by the ratio of the largest to the
+    smallest intermediate derivative product, so recursion, sum form, and
+    finite difference all run in mpmath at extended precision, with the step
+    scaled down by the largest intermediate product.
     """
     if map.mode != "unicritical":
         raise PreconditionViolated(
@@ -491,31 +442,32 @@ def fiber_base_derivative(map: SkewProductMap, z0: complex, l: int,
         raise BaseOutsideDomain(f"|z0| = {abs(z0):.6g} >= r0 = {map.r0:.6g}")
     if l < 1:
         raise PreconditionViolated(f"need l >= 1, got {l}")
+    # X0's cycle gate goes first: on a fiber with an attracting cycle the
+    # denominator can underflow to zero before the ratio is taken
+    x0 = x0_constant(map, x0_terms).value
 
     if l <= 8:
-        x, denom, sum_form, _ = _recursion_doubles(map, z0, l)
-        h = 1e-9 * abs(z0)
-        fd = _fd_doubles(map, z0, l, h)
-        dps = 0
-        x_c, denom_c, sum_c = x, denom, sum_form
+        num, h, dps = complex, 1e-9 * abs(z0), 0
+        precision = contextlib.nullcontext()
     else:
-        from mpmath import mp
+        from mpmath import mp, mpc
 
+        num = mpc
         with mp.workdps(60):
-            _, _, _, max_denom = _mp_recursion(map, z0, l)
+            max_denom = _recursion(map, z0, l, num)[3]
             max_denom_f = float(min(max_denom, mp.mpf("1e300")))
         h = abs(z0) * min(1e-9, 1e-3 / max(1.0, max_denom_f))
         dps = max(60, int(math.ceil(25.0 - math.log10(h / abs(z0)))))
-        with mp.workdps(dps):
-            x, denom, sum_form, _ = _mp_recursion(map, z0, l)
-            fd = _fd_mpmath(map, z0, l, h)
-            x_c, denom_c, sum_c = complex(x), complex(denom), complex(sum_form)
+        precision = mp.workdps(dps)
+    with precision:
+        x, denom, sum_form, _ = _recursion(map, z0, l, num)
+        fd = _fd(map, z0, l, h, num)
+        x_c, denom_c, sum_c = complex(x), complex(denom), complex(sum_form)
 
     ratio = x_c / denom_c
     sum_rel = abs(ratio - sum_c) / max(abs(ratio), abs(sum_c), 1e-300)
     fd_rel = abs(fd - x_c) / max(abs(x_c), 1e-300)
 
-    x0 = x0_constant(map, x0_terms).value
     target = map.k * x0 * z0 ** (map.k - 1)
     deviation = abs(ratio - target)
     bound = 0.5 * map.k * abs(x0) * abs(z0) ** (map.k - 1)

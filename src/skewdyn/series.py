@@ -10,16 +10,14 @@ tail, so the margin is scale-free.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
-from .core import SkewProductMap, find_attracting_cycles
+from .core import SkewProductMap, _poly_eval, find_attracting_cycles
 from .errors import (
     AttractingCyclePresent,
     CriticalOrbitDegenerate,
     PreconditionViolated,
-    RootFindingFailed,
 )
 from .fatou import classify_point
 from .fiber import FiberMap
@@ -235,81 +233,6 @@ def lyapunov_lower(f0: FiberMap, c: complex, horizon: int = 400) -> SeriesEvalua
 # multicritical nondegeneracy
 
 
-def _poly_eval(coeffs, w):
-    acc = 0.0 + 0.0j
-    for c in reversed(coeffs):
-        acc = acc * w + c
-    return acc
-
-
-def _poly_deriv(coeffs):
-    return [i * c for i, c in enumerate(coeffs)][1:]
-
-
-def _newton_root(coeffs, start, iters=80):
-    der = _poly_deriv(coeffs)
-    w = complex(start)
-    for _ in range(iters):
-        pv = _poly_eval(coeffs, w)
-        dv = _poly_eval(der, w)
-        if dv == 0:
-            return None
-        step = pv / dv
-        w -= step
-        if abs(step) < 1e-15 * max(1.0, abs(w)):
-            break
-    return w
-
-
-def _deflate(coeffs, root):
-    # synthetic division by (w - root); coeffs low-to-high
-    out = [0.0j] * (len(coeffs) - 1)
-    carry = coeffs[-1]
-    for i in range(len(coeffs) - 2, -1, -1):
-        out[i] = carry
-        carry = coeffs[i] + carry * root
-    return out
-
-
-def _roots_by_deflation(coeffs) -> list[complex]:
-    """All roots of the low-to-high polynomial by Newton plus deflation,
-    each polished on the undeflated polynomial to 1e-12 residual."""
-    work = [complex(c) for c in coeffs]
-    while len(work) > 1 and work[-1] == 0:
-        work.pop()
-    scale = max(abs(c) for c in work)
-    if scale == 0 or len(work) <= 1:
-        return []
-    roots = []
-    current = list(work)
-    while len(current) > 1:
-        found = None
-        for attempt in range(64):
-            # deterministic spiral of starts
-            radius = 0.3 * 1.25 ** (attempt // 8)
-            angle = 2.0 * math.pi * (attempt * 0.381966)
-            cand = _newton_root(current, radius * cmath.exp(1j * angle))
-            if cand is None:
-                continue
-            if abs(_poly_eval(current, cand)) < 1e-10 * max(abs(c) for c in current):
-                found = cand
-                break
-        if found is None:
-            raise RootFindingFailed(
-                "Newton with deflation stalled on the critical polynomial")
-        roots.append(found)
-        current = _deflate(current, found)
-    polished = []
-    for r in roots:
-        p = _newton_root(work, r)
-        r = p if p is not None else r
-        if abs(_poly_eval(work, r)) > 1e-12 * scale * max(1.0, abs(r)) ** (len(work) - 1):
-            raise RootFindingFailed(
-                f"root polish left residual {abs(_poly_eval(work, r)):.3e} at {r!r}")
-        polished.append(r)
-    return polished
-
-
 def nondegeneracy(map: SkewProductMap, n_terms: int = DEFAULT_TERMS,
                   horizon: int = 1000) -> list[SeriesEvaluation]:
     """Per-critical-value series G(c) + sum_i lambda^i G(f0^i(c))/(f0^i)'(c),
@@ -325,22 +248,14 @@ def nondegeneracy(map: SkewProductMap, n_terms: int = DEFAULT_TERMS,
     """
     if map.mode != "general":
         raise PreconditionViolated("nondegeneracy runs on general-mode maps")
-    d = map.degree
     f0 = map.f0()
-    # dF/dw(0, w), low to high in w
-    dfdw = [complex(i) * f0.coeffs[i] for i in range(1, d)] + [complex(d)]
-    crit_pts = _roots_by_deflation(dfdw)
-    second = _poly_deriv(dfdw)
-    g_coeffs = [map.coeff_deriv_at(i, 0.0 + 0.0j) for i in range(d)]
+    g_coeffs = tuple(map.coeff_deriv_at(i, 0.0 + 0.0j) for i in range(map.degree))
     g_zero = all(c == 0 for c in g_coeffs)
 
-    def g(w):
-        return _poly_eval(g_coeffs, w)
-
     out: list[SeriesEvaluation] = []
-    for root in crit_pts:
+    for root in f0.critical_points():
         cval = f0(root)
-        margin = abs(_poly_eval(second, root))
+        margin = abs(f0.second_deriv(root))
         label = classify_point(map, (0.0, cval), horizon=horizon)
         record = [{
             "root_re": root.real, "root_im": root.imag,
@@ -354,7 +269,7 @@ def nondegeneracy(map: SkewProductMap, n_terms: int = DEFAULT_TERMS,
                 tail_estimate=math.inf, verdict="not_on_julia",
                 per_point=record))
             continue
-        sums = [g(cval)]
+        sums = [_poly_eval(g_coeffs, cval)]
         logs: list[float] = []
         w = complex(cval)
         inv = 1.0 + 0.0j
@@ -367,7 +282,7 @@ def nondegeneracy(map: SkewProductMap, n_terms: int = DEFAULT_TERMS,
             inv /= der
             log_inv -= math.log(abs(der))
             w = f0(w)
-            gval = g(w)
+            gval = _poly_eval(g_coeffs, w)
             term = map.lam**i * gval * inv
             sums.append(sums[-1] + term)
             mag = abs(map.lam) ** i * abs(gval)

@@ -7,14 +7,11 @@ precision finite differences (no cocycle product shared with the package
 code path).
 """
 
-import math
-
 import mpmath as mp
 import numpy as np
 import pytest
 
 from skewdyn import binding as B
-from skewdyn.core import build_map
 from skewdyn.errors import (
     BaseOutsideDomain,
     CriticalHit,

@@ -308,6 +308,19 @@ class TestMeasureCommands:
         assert report["report"]["within_bound"] is True
         assert report["report"]["fd_rel_deviation"] <= 1e-5
 
+    @pytest.mark.parametrize("z0, l", [([1e-5, 0.0], 60), ([0.01, 0.003], 200),
+                                       ([1e-5, 0.0], 5)],
+                             ids=["tiny-l60", "l200", "l5"])
+    def test_xl_attracting_cycle_exits_two(self, tmp_path, capsys, z0, l):
+        # the basilica fiber's superattracting denominators underflow in
+        # doubles, so the cycle gate has to stop the run before the ratio
+        basilica = dict(CHEB, fiber_coeffs=[[[-1.0, 0.0], [1.0, 0.0]]])
+        code, out = run(tmp_path, "xl", {"map": basilica,
+                                         "params": {"z0": z0, "l": l}})
+        assert code == 2
+        assert "AttractingCyclePresent" in capsys.readouterr().err
+        assert not (out / "xl.json").exists()
+
 
 class TestRender:
     def test_p5_artifact_and_rerun_identical(self, tmp_path):

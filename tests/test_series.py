@@ -274,6 +274,20 @@ class TestNondegeneracy:
                 acc += t
                 assert abs(e.partial_sums[i] - acc) <= 1e-12 * abs(acc)
 
+    def test_quartic_roots_are_fiber_critical_points(self):
+        # f0 = w^4 - 2.6 w^2 + 0.3 w + 1: three simple critical points with
+        # distinct critical values, all left undecided on the invariant line
+        m = build_map(0.5, 4, [[1.0, 1.0], [0.3], [-2.6], [0.0]], mode="general")
+        f0 = m.f0()
+        evals = nondegeneracy(m, 40)
+        roots = [complex(e.per_point[0]["root_re"], e.per_point[0]["root_im"])
+                 for e in evals]
+        assert roots == f0.critical_points()
+        assert all(abs(f0.deriv(r)) <= 1e-12 for r in roots)
+        values = [f0(r) for r in roots]
+        assert len({round(v.real, 6) for v in values}) == 3
+        assert [e.verdict for e in evals] == ["nonzero"] * 3
+
     def test_unicritical_mode_raises(self):
         with pytest.raises(PreconditionViolated):
             nondegeneracy(chebyshev_map(0.5))
