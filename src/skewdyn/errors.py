@@ -61,6 +61,10 @@ class ZeroBase(SkewdynError):
     """Base point must be nonzero for this computation."""
 
 
+class OrbitOverflow(SkewdynError):
+    """An orbit left double-precision range before the computation finished."""
+
+
 class SamplingCapExceeded(SkewdynError):
     """Adaptive boundary refinement hit the sample cap before resolving."""
 

@@ -257,11 +257,21 @@ def disk_image_contains_ball(
     """Verify B(center, radius) inside the n-step image of {z0} x B(w0, delta).
 
     Maps the disk boundary, refines until consecutive image gaps drop below
-    radius/10, then requires (a) winding number >= 1 about the target center
-    and 16 probes on the target circle, and (b) the image curve to stay
-    farther than `radius` from the center.  Either test failing gives a
-    False verdict; an unresolvable curve raises SamplingCapExceeded rather
-    than ever returning a false positive.
+    radius/10, then requires (a) the sampled image curve to stay farther
+    than `radius` from the center and (b) winding number >= 1 about every
+    point of the target disk.  Either test failing gives a False verdict;
+    an unresolvable curve raises SamplingCapExceeded rather than ever
+    returning a false positive.
+
+    Every edge of the closed sample polygon is at most max_gap long, so
+    every point of it lies within max_gap/2 of a sample.  When the nearest
+    sample is farther than radius + max_gap/2 from the center, the closed
+    target disk misses the polygon, the polygon's winding number is
+    constant on it, and the winding about the center decides (b).  Only in
+    the band radius < dmin <= radius + max_gap/2 is (b) checked as the
+    minimum over the center and WINDING_PROBES points on the target circle.
+    When (a) fails the verdict is False and `winding_min` is the winding
+    about the center alone.
     """
     if boundary_samples < MIN_BOUNDARY_SAMPLES:
         raise PreconditionViolated(
@@ -295,11 +305,13 @@ def disk_image_contains_ball(
 
     dmin = float(np.min(np.abs(curve - center)))
     distance_ok = dmin > radius
-    probes = [center] + [
-        center + radius * complex(math.cos(a), math.sin(a))
-        for a in np.linspace(0.0, 2.0 * math.pi, WINDING_PROBES, endpoint=False)
-    ]
-    winding_min = min(_winding_number(curve, p) for p in probes)
+    winding_min = _winding_number(curve, center)
+    if distance_ok and dmin - 0.5 * max_gap <= radius:
+        # the polygon may cross the target disk: probe its boundary circle
+        probes = [center + radius * complex(math.cos(a), math.sin(a))
+                  for a in np.linspace(0.0, 2.0 * math.pi, WINDING_PROBES,
+                                       endpoint=False)]
+        winding_min = min(winding_min, *(_winding_number(curve, p) for p in probes))
     return WindingCheck(
         verdict=bool(distance_ok and winding_min >= 1),
         winding_min=winding_min,

@@ -13,6 +13,7 @@ depend only on (seed, samples), never on thread count.
 
 from __future__ import annotations
 
+import cmath
 import contextlib
 import csv
 import io
@@ -27,6 +28,7 @@ from .errors import (
     BaseOutsideDomain,
     CriticalHit,
     EmptySample,
+    OrbitOverflow,
     OriginPeriodic,
     PreconditionViolated,
     RateTooLarge,
@@ -367,6 +369,13 @@ class BaseDerivativeReport:
         }
 
 
+def _overflow(step: int) -> OrbitOverflow:
+    # only doubles overflow: mpmath's exponent range is unbounded
+    return OrbitOverflow(
+        f"the fiber orbit of (z0, 0) leaves double range at step {step}; "
+        "X_l is not double-computable here")
+
+
 def _recursion(map: SkewProductMap, z0: complex, l: int, num):
     """Orbit, recursion, denominator, and sum form in the number type num
     (complex, or mpmath.mpc at the active precision); also tracks the
@@ -383,19 +392,24 @@ def _recursion(map: SkewProductMap, z0: complex, l: int, num):
     lam_pow = num(1)
     max_denom = abs(num(1))
     z0 = num(z0)
-    for j in range(l):
-        zj = lam_pow * z0
-        cp = _poly_eval(dcoeffs, zj)
-        sum_form += lam_pow * cp / denom
-        x = d * xi ** (d - 1) * x + lam_pow * cp
-        xi = xi**d + _poly_eval(coeffs, zj)
-        lam_pow *= lam
-        if j < l - 1:
-            factor = d * xi ** (d - 1)
-            if factor == 0:
-                raise CriticalHit(j + 1)
-            denom *= factor
-            max_denom = max(max_denom, abs(denom))
+    try:
+        for j in range(l):
+            zj = lam_pow * z0
+            cp = _poly_eval(dcoeffs, zj)
+            sum_form += lam_pow * cp / denom
+            x = d * xi ** (d - 1) * x + lam_pow * cp
+            xi = xi**d + _poly_eval(coeffs, zj)
+            lam_pow *= lam
+            if j < l - 1:
+                factor = d * xi ** (d - 1)
+                if factor == 0:
+                    raise CriticalHit(j + 1)
+                denom *= factor
+                max_denom = max(max_denom, abs(denom))
+            if num is complex and not all(cmath.isfinite(v) for v in (xi, x, denom)):
+                raise OverflowError  # products overflow silently, powers raise
+    except OverflowError:
+        raise _overflow(j + 1) from None
     return x, denom, sum_form, max_denom
 
 
@@ -407,9 +421,14 @@ def _fd(map: SkewProductMap, z0: complex, l: int, h: float, num) -> complex:
 
     def xi(z):
         w = num(0)
-        for _ in range(l):
-            w = w**d + _poly_eval(coeffs, z)
-            z = z * lam
+        try:
+            for j in range(l):
+                w = w**d + _poly_eval(coeffs, z)
+                z = z * lam
+                if num is complex and not cmath.isfinite(w):
+                    raise OverflowError
+        except OverflowError:
+            raise _overflow(j + 1) from None
         return w
 
     z0, h = num(z0), num(h)

@@ -10,6 +10,7 @@ tail, so the margin is scale-free.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -86,7 +87,9 @@ def _reciprocal_derivative_terms(f0: FiberMap, c: complex, n_terms: int,
     """Terms weight^n / (f0^n)'(c) for n = 1..n_terms, with log magnitudes.
 
     Raises CriticalOrbitDegenerate when the orbit of c runs through a zero
-    of f0' (the reciprocal is undefined from that step on).
+    of f0' (the reciprocal is undefined from that step on).  Once the orbit
+    escapes past double range the step derivative is no longer finite, and
+    every term from that step on is exactly 0 with log magnitude -inf.
     """
     terms: list[complex] = []
     logs: list[float] = []
@@ -99,6 +102,11 @@ def _reciprocal_derivative_terms(f0: FiberMap, c: complex, n_terms: int,
         if der == 0:
             raise CriticalOrbitDegenerate(
                 f"(f0^{n})'({c!r}) vanishes: orbit step {n - 1} is critical")
+        if not cmath.isfinite(der):
+            escaped = n_terms - n + 1
+            terms.extend([0.0 + 0.0j] * escaped)
+            logs.extend([-math.inf] * escaped)
+            break
         inv /= der
         log_mag -= math.log(abs(der))
         w = f0(w)

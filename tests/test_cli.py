@@ -6,6 +6,7 @@ one subprocess test exercises the installed entry point path.
 
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -322,6 +323,30 @@ class TestMeasureCommands:
         assert not (out / "xl.json").exists()
 
 
+    def test_xl_escaping_critical_orbit_writes_finite_report(self, tmp_path):
+        # X0's step derivative overflows on the escaping critical orbit of
+        # w^3 + 1.2i; the report must still carry finite numbers
+        cubic = {"lambda": [0.6, -0.1], "degree": 3, "mode": "unicritical",
+                 "fiber_coeffs": [[[0.0, 1.2], [1.0, 0.0]]]}
+        code, out = run(tmp_path, "xl", {"map": cubic,
+                                         "params": {"z0": [0.01, 0.0], "l": 8}})
+        assert code == 0
+        report = json.loads((out / "xl.json").read_text())["report"]
+        assert report["within_bound"] is True
+        assert all(math.isfinite(v) for v in report.values())
+
+    def test_xl_double_overflow_exits_two(self, tmp_path, capsys):
+        cubic = {"lambda": [0.6, -0.1], "degree": 3, "mode": "unicritical",
+                 "fiber_coeffs": [[[0.0, 1.2], [1.0, 0.0], [0.0, 0.3]]]}
+        code, out = run(tmp_path, "xl", {"map": cubic,
+                                         "params": {"z0": [-0.17517, 0.46736],
+                                                    "l": 8}})
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "OrbitOverflow" in err and "step" in err
+        assert not (out / "xl.json").exists()
+
+
 class TestRender:
     def test_p5_artifact_and_rerun_identical(self, tmp_path):
         cfg = {"map": dict(CHEB, fiber_coeffs=[[[-1.0, 0.0], [1.0, 0.0]]]),
@@ -350,6 +375,16 @@ class TestExpand:
         assert code == 0
         report = json.loads((out / "expand.json").read_text())
         assert all(s["verified"] for s in report["report"]["steps"])
+
+    def test_shipped_config_artifact_digest(self, tmp_path):
+        # sha256 recorded on x86-64, numpy 2.4, before the verifier certified
+        # with one winding; the boundary samples come from numpy's exp
+        out = tmp_path / "out"
+        assert main(["expand", "--config", str(CONFIG_DIR / "expand.json"),
+                     "--out", str(out)]) == 0
+        assert tree_digest(out) == {
+            "expand.json":
+                "fa463f8bb8fe6222d79c341790eb55386e017a5861349fb3d4014d43eb0d77ab"}
 
 
 class TestSeries:

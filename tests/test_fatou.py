@@ -6,12 +6,16 @@ check for ball-in-image verdicts.  Expected values quoted in the tests were
 produced by those oracles or by closed-form geometry.
 """
 
+import cmath
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from skewdyn import fatou
 from skewdyn.core import build_map, find_attracting_cycles
 from skewdyn.errors import (
     BaseOutsideDomain,
@@ -29,6 +33,9 @@ from skewdyn.fatou import (
     write_p5,
 )
 from skewdyn.gallery import basilica_map, chebyshev_map, siegel_map
+
+
+GENERAL3 = build_map(0.5, 3, [[-0.5, 1.0], [-1.2, 0.3], [0.2j]], mode="general")
 
 
 def parabolic_map(lam=0.5):
@@ -89,6 +96,60 @@ def lattice_covers(map, z0, w0, delta, n, center, radius):
         for a in np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
     ]
     return all(float(np.min(np.abs(img - p))) < radius / 5.0 for p in probes)
+
+
+def probe_min_check(map, z0, w0, delta, n, center, radius,
+                    samples=fatou.MIN_BOUNDARY_SAMPLES):
+    """The circle-probe test the gap bound replaced: refine the boundary
+    image exactly as the verifier does, then take the minimum winding over
+    the center and WINDING_PROBES points on the target circle, whatever the
+    distance test says."""
+    gap_target = radius * fatou.GAP_FRACTION
+    while True:
+        theta = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
+        curve = fatou._fiber_push(map, z0, w0 + delta * np.exp(1j * theta), n)
+        if not np.all(np.isfinite(curve)):
+            raise SamplingCapExceeded("boundary image leaves double range")
+        max_gap = float(np.abs(curve - np.roll(curve, 1)).max())
+        if max_gap < gap_target:
+            break
+        if samples * max_gap / gap_target > fatou.SAMPLE_CAP:
+            raise SamplingCapExceeded("projected past the cap")
+        samples *= 2
+        if samples > fatou.SAMPLE_CAP:
+            raise SamplingCapExceeded("cap reached")
+    dmin = float(np.min(np.abs(curve - center)))
+    probes = [center] + [
+        center + radius * complex(math.cos(a), math.sin(a))
+        for a in np.linspace(0.0, 2.0 * math.pi, fatou.WINDING_PROBES, endpoint=False)
+    ]
+    winding_min = min(fatou._winding_number(curve, p) for p in probes)
+    return fatou.WindingCheck(
+        verdict=bool(dmin > radius and winding_min >= 1),
+        winding_min=winding_min,
+        distance_margin=dmin / radius - 1.0,
+        samples=samples,
+        max_gap=max_gap,
+    )
+
+
+def outcome(check, *args):
+    try:
+        return check(*args)
+    except SamplingCapExceeded:
+        return None
+
+
+def assert_same_as_probe_min(chk, ref):
+    assert (chk is None) == (ref is None)
+    if chk is None:
+        return
+    assert chk.verdict == ref.verdict
+    assert chk.distance_margin == ref.distance_margin
+    assert chk.samples == ref.samples
+    assert chk.max_gap == ref.max_gap
+    if chk.distance_margin > 0:
+        assert chk.winding_min == ref.winding_min
 
 
 # --------------------------------------------------------------------------
@@ -288,6 +349,55 @@ class TestDiskImageContainsBall:
         assert not chk.verdict
         assert chk.distance_margin < 0
 
+    def test_distance_rejected_reports_center_winding(self):
+        # the probes on the 2e-3 circle lie outside the image circle and
+        # wind 0; a rejected check reports the center's winding alone
+        cheb = chebyshev_map()
+        chk = disk_image_contains_ball(cheb, 0.0, 0.3, 1e-3, 0, 0.3, 2e-3)
+        ref = probe_min_check(cheb, 0.0, 0.3, 1e-3, 0, 0.3, 2e-3)
+        assert chk.winding_min == 1
+        assert ref.winding_min == 0
+        assert_same_as_probe_min(chk, ref)
+
+    def test_fallback_band_probe_overrules_center(self):
+        # 4100 boundary samples put an edge midpoint of the image polygon
+        # at angle pi/4 from w0, where probe 2 of the target circle points.
+        # The target circle touches the image circle from inside there, past
+        # the polygon edge: every sample is farther than the radius, by less
+        # than half a gap, and the center winds once, but probe 2 lies
+        # outside the polygon and winds 0, so the verdict must be False
+        cheb = chebyshev_map()
+        delta, radius, samples = 1e-3, 5e-4, 4100
+        rho = delta * (1.0 - 1.5e-7)  # between the polygon edge and the circle
+        center = 0.3 + (rho - radius) * cmath.exp(0.25j * math.pi)
+        args = (cheb, 0.0, 0.3, delta, 0, center, radius)
+        chk = disk_image_contains_ball(*args, boundary_samples=samples)
+        dmin = (chk.distance_margin + 1.0) * radius
+        assert radius < dmin <= radius + 0.5 * chk.max_gap
+        assert not chk.verdict
+        assert chk.winding_min == 0
+        assert_same_as_probe_min(chk, probe_min_check(*args, samples=samples))
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(which=st.sampled_from(["chebyshev", "basilica", "general3"]),
+           n=st.integers(0, 8), z0=st.sampled_from([0.0, 5e-13]),
+           log_delta=st.floats(-6.0, -3.0),
+           log_scale=st.floats(-3.0, 0.3) | st.floats(-4e-4, 0.0))
+    def test_gap_bound_matches_probe_minimum(self, which, n, z0, log_delta, log_scale):
+        map = {"chebyshev": chebyshev_map(), "basilica": basilica_map(),
+               "general3": GENERAL3}[which]
+        f0 = map.f0()
+        orbit = f0.orbit(0.3, n)
+        # radius log-uniform around the size of the linearized image disk,
+        # half the draws within the gap band just inside its edge
+        stretch = math.prod(abs(f0.deriv(w)) for w in orbit[:-1])
+        delta = 10.0**log_delta
+        radius = max(delta * stretch, 1e-12) * 10.0**log_scale
+        args = (map, z0, 0.3, delta, n, orbit[-1], radius)
+        assert_same_as_probe_min(outcome(disk_image_contains_ball, *args),
+                                 outcome(probe_min_check, *args))
+
     def test_chebyshev_direct_n5(self):
         cheb = chebyshev_map()
         center = cheb.f0().orbit(0.3, 5)[-1]
@@ -340,7 +450,67 @@ class TestDiskImageContainsBall:
             disk_image_contains_ball(cheb, 0.0, 0.3, 1e-3, 1, 0.3, -1e-4)
 
 
+# verify_radius_proposition(chebyshev_map(), z0, 0.3, 1e-3, 0.9, 12, fit_n=4)
+# before the verifier certified with one winding: fitted constant, then per
+# step (radius, distance_margin, link_source); every step was verified with
+# winding margin 1 on 4096 samples, centered on the f0-orbit of 0.3
+EXPAND_CENTERS = [
+    -1.91, 1.6481, 0.7162336099999997, -1.4870094159063683,
+    0.21119700299419852, -1.9553958259262685, 1.8235728360498737,
+    1.3254178883789796, -0.243267421165007, -1.9408209617997272,
+    1.766786005761218, 1.1215327901536782,
+]
+EXPAND_REPORTS = {
+    0.0: (664.0, [
+        (0.0005976, 0.002342704149960184, 0),
+        (0.00053784, 3.22256484562278, 1),
+        (0.000484056, 2.643540583282488, 2),
+        (0.00043565039999999997, 0.5831396181766979, 3),
+        (0.00039208536, 2.287463814295556, 4),
+        (0.00035287682400000003, 0.5381861995062471, 4),
+        (0.0003175891416, 3.3232092630183443, 6),
+        (0.00028583022744000004, 3.031772802831804, 7),
+        (0.000257247204696, 1.9303317986695148, 8),
+        (0.00023152248422640004, 0.5820050927410854, 8),
+        (0.00020837023580376002, 3.291116112145832, 10),
+        (0.00018753321222338408, 2.9063309552442074, 11),
+    ]),
+    5e-13: (0.6640624999999999, [
+        (0.0005976562499999999, 0.0022483651764235724, 0),
+        (0.000537890625, 3.222564783281328, 1),
+        (0.0004841015625, 2.64354052733573, 2),
+        (0.00043569140624999994, 0.5831395679131084, 3),
+        (0.000392122265625, 2.2874637691080832, 4),
+        (0.0003529100390625, 0.5381857352123107, 4),
+        (0.00031761903515625003, 3.3232092264547806, 6),
+        (0.00028585713164062503, 3.031772769934869, 7),
+        (0.00025727141847656254, 1.9303317690663704, 8),
+        (0.00023154427662890628, 0.5820048775701725, 8),
+        (0.0002083898489660156, 3.2911160881740065, 10),
+        (0.0001875508640694141, 2.9063309336684218, 11),
+    ]),
+}
+
+
 class TestVerifyRadiusProposition:
+    @pytest.mark.parametrize("z0", sorted(EXPAND_REPORTS), ids=["one_dim", "skew"])
+    def test_reports_exact(self, z0):
+        rep = verify_radius_proposition(chebyshev_map(), z0, 0.3, 1e-3, 0.9, 12,
+                                        fit_n=4)
+        fitted, rows = EXPAND_REPORTS[z0]
+        assert rep.fitted_constant == fitted
+        assert rep.one_dimensional == (z0 == 0.0)
+        assert len(rep.steps) == len(rows)
+        for n, (step, (radius, margin, link)) in enumerate(zip(rep.steps, rows), 1):
+            assert step.n == n
+            assert step.center == EXPAND_CENTERS[n - 1]
+            assert step.radius == radius
+            assert step.verified is True
+            assert step.winding_margin == 1
+            assert step.distance_margin == margin
+            assert step.link_source == link
+            assert step.samples == 4096
+
     def test_expansion_fixture_prefix(self):
         # w0 = 0.3, delta = 1e-3, z0 = 0.5 delta^(2d), lambda0 = 0.9: the
         # first 30 steps of the full fixture, fitted constant frozen from

@@ -20,6 +20,7 @@ from skewdyn.errors import (
     BaseOutsideDomain,
     CriticalHit,
     EmptySample,
+    OrbitOverflow,
     OriginPeriodic,
     PreconditionViolated,
     RateTooLarge,
@@ -374,6 +375,13 @@ class TestFiberBaseDerivative:
         with pytest.raises(CriticalHit) as exc:
             fiber_base_derivative(m, -0.3, 3)
         assert exc.value.index == 1
+
+    def test_double_overflow_names_the_step(self):
+        # the fiber orbit of (z0, 0) escapes fast enough that doubles
+        # overflow within l = 8 steps, where the mpmath regime does not run
+        m = build_map(0.6 - 0.1j, 3, [[1.2j, 1.0, 0.3j]])
+        with pytest.raises(OrbitOverflow, match=r"at step \d"):
+            fiber_base_derivative(m, -0.17517 + 0.46736j, 8)
 
     def test_gates(self):
         m = chebyshev_map(0.5)

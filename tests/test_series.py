@@ -6,6 +6,7 @@ the fixed point 2 after one step, the derivative along that orbit is exactly
 tests pin down at tight tolerances.
 """
 
+import cmath
 import json
 import math
 
@@ -164,6 +165,31 @@ class TestX0Constant:
         for i, t in enumerate(raw_reciprocal_terms(f0, f0(0.0), 50, m.lam**m.k), start=1):
             acc += t
             assert abs(ev.partial_sums[i] - acc) <= 1e-12 * abs(acc)
+
+    def test_escaping_critical_orbit_keeps_the_finite_sum(self):
+        # the critical orbit of w^3 + 1.2i escapes: (f0^n)'(c) overflows to
+        # inf within the 120 terms, and every term from there on is 0
+        m = build_map(0.6 - 0.1j, 3, [[1.2j, 1.0]])
+        ev = x0_constant(m, 120)
+        cut = ev.term_logs.index(-math.inf)
+        assert 5 < cut < 120
+        assert all(t == -math.inf for t in ev.term_logs[cut:])
+        assert cmath.isfinite(ev.value)
+        assert all(s == ev.value for s in ev.partial_sums[cut:])
+        assert ev.tail_estimate == 0.0
+        assert ev.verdict == "nonzero"
+        assert abs(ev.value - x0_constant(m, 5).value) < 1e-8
+
+    def test_finite_orbits_unchanged_bitwise(self):
+        # recorded before escaping orbits were cut off
+        for m, value, tail in [
+            (chebyshev_map(0.5), 0.8571428571428572, 6.082799771439049e-110),
+            (build_map(0.5, 2, [[-2.0, 0.0, 1.0]]), 0.9333333333333333,
+             2.1355553015281697e-146),
+        ]:
+            ev = x0_constant(m, 120)
+            assert ev.value == value
+            assert ev.tail_estimate == tail
 
     def test_general_mode_raises(self):
         m = build_map(0.5, 2, [[-2.0, 1.0], [0.0]], mode="general")
