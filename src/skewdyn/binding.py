@@ -7,11 +7,19 @@ mu * min(|xi_n(x)|, |xi_n(y)|) / (n+1)^2.  While bound, the vertical
 derivatives along the two orbits are comparable, and the derivative along
 one orbit is bounded below by the separation divided by an accumulated
 coefficient-difference sum W.  Both facts are audited numerically here.
+
+Every pair runs through one batch kernel, `_bind`, which steps all pairs
+of a batch together.  It reproduces CPython's scalar complex arithmetic
+bit for bit: numpy's complex products, np.abs, np.angle and np.exp round
+differently from CPython's complex type and math module, so the kernel
+keeps real and imaginary parts in separate float64 arrays, multiplies
+them op for op as CPython's c_prod and c_powu do, takes moduli with
+np.hypot (which abs() calls) and sends log, atan2 and exp through the
+math module.
 """
 
 from __future__ import annotations
 
-import cmath
 import csv
 import io
 import math
@@ -113,6 +121,295 @@ class BindingAudit:
     skipped: bool = False
 
 
+# ---------------------------------------------------------------------------
+# CPython's complex arithmetic on split float64 arrays
+
+
+def _mul(ar, ai, br, bi):
+    """CPython's c_prod."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _pow(re, im, n: int):
+    """CPython's complex ** n for 0 <= n <= 100: c_powu, squaring from
+    1 + 0j, and its OverflowError when a part of the result is infinite."""
+    rr, ri = 1.0, 0.0
+    mask = 1
+    while n >= mask:
+        if n & mask:
+            rr, ri = _mul(rr, ri, re, im)
+        mask <<= 1
+        if n >= mask:
+            re, im = _mul(re, im, re, im)
+    if np.isinf(rr).any() or np.isinf(ri).any():
+        raise OverflowError("complex exponentiation")
+    return rr, ri
+
+
+def _poly(coeffs: tuple[complex, ...], zr, zi):
+    """core._poly_eval's Horner scheme, starting from z * 0 + c[-1]."""
+    ar, ai = _mul(zr, zi, 0.0, 0.0)
+    ar, ai = ar + coeffs[-1].real, ai + coeffs[-1].imag
+    for c in reversed(coeffs[:-1]):
+        ar, ai = _mul(ar, ai, zr, zi)
+        ar, ai = ar + c.real, ai + c.imag
+    return ar, ai
+
+
+def _apply(fn, *arrays) -> np.ndarray:
+    """A math-module function on each element, with CPython's rounding
+    and its exceptions."""
+    return np.array(list(map(fn, *(a.tolist() for a in arrays))), dtype=float)
+
+
+def _complex(re, im) -> np.ndarray:
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _pymin(a, b):
+    """Python's min(a, b) elementwise: b only where b < a (NaN-aware)."""
+    return np.where(b < a, b, a)
+
+
+class _Lanes:
+    """Orbits stepped together: z, w in split parts, |w|, and the
+    accumulated log-modulus and phase of the vertical derivative.  The
+    kernel keeps the x orbits of its live pairs first, then the y orbits,
+    so both sides of a pair advance in the same array operations."""
+
+    _ARRAYS = ("zr", "zi", "wr", "wi", "absw", "lv", "ph")
+
+    def __init__(self, z: np.ndarray, w: np.ndarray):
+        self.zr, self.zi = z.real.copy(), z.imag.copy()
+        self.wr, self.wi = w.real.copy(), w.imag.copy()
+        self.absw = np.hypot(self.wr, self.wi)
+        self.lv = np.zeros(len(w))
+        self.ph = np.zeros(len(w))
+
+    def keep(self, mask: np.ndarray) -> None:
+        for name in self._ARRAYS:
+            setattr(self, name, getattr(self, name)[mask])
+
+    @np.errstate(all="ignore")  # inf and NaN propagate as in scalar code
+    def step(self, map: SkewProductMap):
+        """Advance one step as SkewProductMap.dfdw, fiber_value and z * lam
+        do on scalars.  Returns |dF/dw| and, for unicritical maps, c0 at
+        the point the step started from."""
+        d, zr, zi, wr, wi = map.degree, self.zr, self.zi, self.wr, self.wi
+        # an int operand enters CPython's complex arithmetic as int + 0j; the
+        # products with 0.0 and the + 0.0 keep its signed zeros
+        fr, fi = _mul(float(d), 0.0, *_pow(wr, wi, d - 1))
+        if map.mode == "unicritical":
+            c0 = _poly(map.fiber_coeffs[0], zr, zi)
+            pr, pi = _pow(wr, wi, d)
+            self.wr, self.wi = pr + c0[0], pi + c0[1]
+        else:
+            c0 = None
+            cs = [_poly(c, zr, zi) for c in map.fiber_coeffs]
+            for i in range(1, d):
+                tr, ti = _mul(*_mul(float(i), 0.0, *cs[i]), *_pow(wr, wi, i - 1))
+                fr, fi = fr + tr, fi + ti
+            ar, ai = _mul(wr, wi, 0.0, 0.0)
+            ar, ai = ar + 1.0, ai + 0.0
+            for cr, ci in reversed(cs):
+                ar, ai = _mul(ar, ai, wr, wi)
+                ar, ai = ar + cr, ai + ci
+            self.wr, self.wi = ar, ai
+        mag = np.hypot(fr, fi)
+        pos = mag > 0
+        dlog = np.full(len(mag), -np.inf)
+        dphase = np.zeros(len(mag))
+        dlog[pos] = _apply(math.log, mag[pos])
+        dphase[pos] = _apply(math.atan2, fi[pos], fr[pos])
+        self.lv = self.lv + dlog
+        self.ph = self.ph + dphase
+        self.zr, self.zi = _mul(zr, zi, map.lam.real, map.lam.imag)
+        self.absw = np.hypot(self.wr, self.wi)
+        return mag, c0
+
+
+# ---------------------------------------------------------------------------
+# the batch kernel
+
+_FIELDS = ("xi_x", "xi_y", "separations", "thresholds", "log_vder_x",
+           "log_vder_y", "phase_x", "phase_y", "w_history")
+
+
+@dataclass
+class _Histories:
+    """A bound batch, pair-major: step n of pair j sits at start[j] + n of
+    every array in data.  data["w_history"][start[j] + n] is W(n) for
+    1 <= n <= w_len[j]; w_len is -1 where a map keeps no W."""
+
+    start: np.ndarray
+    binding: np.ndarray  # binding time, -1 if censored
+    shadowing: np.ndarray
+    overflow: np.ndarray
+    critical_hit_at: np.ndarray  # -1 if none
+    w_len: np.ndarray
+    data: dict
+
+    @property
+    def last(self) -> np.ndarray:
+        return np.diff(self.start) - 1
+
+    def record(self, j: int, x, y, mu: float, horizon: int) -> BindingRecord:
+        lo, hi = int(self.start[j]), int(self.start[j + 1])
+        b, crit, w_len = (int(self.binding[j]), int(self.critical_hit_at[j]),
+                          int(self.w_len[j]))
+        arrays = {f: self.data[f][lo:hi].copy() for f in _FIELDS[:-1]}
+        if w_len < 0:
+            w_history = None
+        elif w_len == 0:
+            w_history = np.zeros(0)
+        else:
+            w_history = self.data["w_history"][lo + 1:lo + 1 + w_len].copy()
+        return BindingRecord(
+            x=x, y=y, mu=mu, horizon=horizon,
+            binding_time=None if b < 0 else b, censored=b < 0,
+            shadowing=bool(self.shadowing[j]), overflow=bool(self.overflow[j]),
+            critical_hit_at=None if crit < 0 else crit,
+            w_history=w_history,
+            **arrays,
+        )
+
+    @classmethod
+    def of_record(cls, rec: BindingRecord) -> _Histories:
+        w = np.full(rec.n_last + 1, np.nan)
+        w_len = -1 if rec.w_history is None else len(rec.w_history)
+        if w_len > 0:
+            w[1:1 + w_len] = rec.w_history
+        data = {f: getattr(rec, f) for f in _FIELDS[:-1]}
+        data["w_history"] = w
+        return cls(
+            start=np.array([0, rec.n_last + 1]),
+            binding=np.array([-1 if rec.binding_time is None else rec.binding_time]),
+            shadowing=np.array([rec.shadowing]),
+            overflow=np.array([rec.overflow]),
+            critical_hit_at=np.array([-1 if rec.critical_hit_at is None
+                                      else rec.critical_hit_at]),
+            w_len=np.array([w_len]), data=data,
+        )
+
+
+def _ranges(lo: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges lo[j], ..., lo[j] + counts[j] - 1, concatenated."""
+    first = np.cumsum(counts) - counts
+    return np.repeat(lo - first, counts) + np.arange(int(counts.sum()))
+
+
+def _check_pairs(map, zx, zy, mu: float, horizon: int) -> None:
+    if horizon <= 0:
+        raise HorizonNonPositive(f"horizon must be positive, got {horizon}")
+    mu0, _ = mu_constants(map.degree)
+    if not 0.0 < mu <= mu0 + 1e-15:
+        raise PreconditionViolated(f"mu must lie in (0, {mu0}], got {mu}")
+    out_x = np.hypot(zx.real, zx.imag) >= map.r0
+    out_y = np.broadcast_to(np.hypot(zy.real, zy.imag) >= map.r0, out_x.shape)
+    bad = np.flatnonzero(out_x | out_y)
+    if len(bad):
+        j = bad[0]
+        z = complex(zx[j] if out_x[j] else zy[j if len(zy) > 1 else 0])
+        raise BaseOutsideDomain(f"|z|={abs(z)} outside base disk of radius {map.r0}")
+
+
+@np.errstate(all="ignore")
+def _bind(map: SkewProductMap, zx, wx, zy, wy, mu: float, horizon: int,
+          fields: tuple[str, ...] = _FIELDS) -> _Histories:
+    """Bind every pair ((zx, wx), (zy, wy)) of a batch in one pass.
+
+    The pairs step together in compacted live arrays: a pair leaves when
+    it binds, at the horizon, or once max(|wx|, |wy|) passes the overflow
+    guard, and identical points leave at once as shadowing.  zy and wy may
+    have length 1: one y orbit shared by every pair.  Histories are kept
+    for the names in fields only.
+    """
+    m = len(wx)
+    if m:
+        _check_pairs(map, zx, zy, mu, horizon)
+    shared = len(wy) != m
+    uni = map.mode == "unicritical"
+    if not uni:
+        fields = tuple(f for f in fields if f != "w_history")
+    last = np.zeros(m, dtype=int)
+    binding = np.full(m, -1)
+    crit_at = np.full(m, -1)
+    overflow = np.zeros(m, dtype=bool)
+    shadowing = (zx == zy) & (wx == wy)
+
+    lanes = _Lanes(np.concatenate([zx, zy]), np.concatenate([wx, wy]))
+    idx = np.arange(m)
+    crit = np.zeros(m, dtype=bool)
+    wsum = 2.0 * np.hypot(wx.real - wy.real, wx.imag - wy.imag)
+    steps: list[np.ndarray] = []
+    hist: dict[str, list] = {f: [] for f in fields}
+    n = 0
+    while len(idx):
+        # lanes[:k] are the x orbits of the live pairs, lanes[k:] their y
+        # orbits (one shared lane when shared)
+        k = len(idx)
+        wr, wi, absw = lanes.wr, lanes.wi, lanes.absw
+        sep = np.hypot(wr[:k] - wr[k:], wi[:k] - wi[k:])
+        thr = mu * _pymin(absw[:k], absw[k:]) / (n + 1) ** 2
+        steps.append(idx)
+        now = {"separations": sep, "thresholds": thr, "w_history": wsum,
+               "log_vder_x": lanes.lv[:k], "log_vder_y": lanes.lv[k:],
+               "phase_x": lanes.ph[:k], "phase_y": lanes.ph[k:]}
+        for f in fields:
+            hist[f].append(_complex(wr[:k], wi[:k]) if f == "xi_x" else
+                           _complex(wr[k:], wi[k:]) if f == "xi_y" else now[f])
+        bound = sep >= thr
+        stop = bound | (n >= horizon)
+        if n == 0:
+            bound &= ~shadowing
+            stop |= shadowing
+        # Python's max(|wx|, |wy|), whose NaN handling decides the guard
+        over = ~stop & (np.where(absw[k:] > absw[:k], absw[k:], absw[:k])
+                        > OVERFLOW_GUARD)
+        stop |= over
+        if stop.any():
+            last[idx[stop]] = n
+            binding[idx[bound]] = n
+            overflow[idx[over]] = True
+            keep = ~stop
+            idx, crit, wsum = idx[keep], crit[keep], wsum[keep]
+            lanes.keep(np.concatenate([keep, [True] if shared else keep]))
+            k = len(idx)
+            if not k:
+                break
+        mag, c0 = lanes.step(map)
+        hit = (mag[:k] == 0) & ~crit
+        crit_at[idx[hit]] = n
+        crit = crit | hit
+        n += 1
+        if uni:
+            dc = np.hypot(c0[0][:k] - c0[0][k:], c0[1][:k] - c0[1][k:])
+            scale = np.zeros(k)
+            scale[~crit] = _apply(math.exp, -lanes.lv[:k][~crit])
+            wsum = wsum + 2.0 * dc * scale
+
+    start = np.zeros(m + 1, dtype=int)
+    np.cumsum(last + 1, out=start[1:])
+    data = {}
+    if steps:
+        pos = np.concatenate([start[i] + s for s, i in enumerate(steps)])
+        for f, vals in hist.items():
+            flat = np.empty(start[-1], dtype=vals[0].dtype)
+            flat[pos] = np.concatenate(
+                [v if len(v) == len(i) else np.repeat(v, len(i))  # shared y
+                 for v, i in zip(vals, steps)])
+            data[f] = flat
+    if uni:
+        w_len = np.where(shadowing, 0, np.where(crit_at >= 0, crit_at, last))
+    else:
+        w_len = np.where(shadowing, 0, -1)
+    return _Histories(start=start, binding=binding, shadowing=shadowing,
+                      overflow=overflow, critical_hit_at=crit_at, w_len=w_len,
+                      data=data)
+
+
 def binding_time(
     map: SkewProductMap,
     x: tuple[complex, complex],
@@ -124,88 +421,14 @@ def binding_time(
 
     Equality counts as crossed.  If no step up to `horizon` crosses, the
     record is horizon-censored.  Identical starting points short-circuit
-    to a censored "shadowing" record instead of looping.
+    to a censored "shadowing" record instead of looping.  The pair runs
+    through the batch kernel as a batch of one.
     """
-    if horizon <= 0:
-        raise HorizonNonPositive(f"horizon must be positive, got {horizon}")
-    mu0, _ = mu_constants(map.degree)
-    if not 0.0 < mu <= mu0 + 1e-15:
-        raise PreconditionViolated(f"mu must lie in (0, {mu0}], got {mu}")
-    zx, wx = complex(x[0]), complex(x[1])
-    zy, wy = complex(y[0]), complex(y[1])
-    for z in (zx, zy):
-        if abs(z) >= map.r0:
-            raise BaseOutsideDomain(f"|z|={abs(z)} outside base disk of radius {map.r0}")
-
-    if zx == zy and wx == wy:
-        rec = BindingRecord(
-            x=(zx, wx), y=(zy, wy), mu=mu, horizon=horizon,
-            binding_time=None, censored=True, shadowing=True,
-        )
-        rec.xi_x = np.array([wx]); rec.xi_y = np.array([wy])
-        rec.separations = np.array([0.0])
-        rec.thresholds = np.array([mu * abs(wx)])
-        rec.log_vder_x = np.array([0.0]); rec.log_vder_y = np.array([0.0])
-        rec.phase_x = np.array([0.0]); rec.phase_y = np.array([0.0])
-        rec.w_history = np.zeros(0)
-        return rec
-
-    unicritical = map.mode == "unicritical"
-    xs = [wx]; ys = [wy]
-    seps = [abs(wx - wy)]
-    thrs = [mu * min(abs(wx), abs(wy))]
-    lvx = [0.0]; lvy = [0.0]; phx = [0.0]; phy = [0.0]
-    w_hist: list[float] = []
-    w_sum = 2.0 * abs(wx - wy)
-    crit_at: int | None = None
-    b: int | None = None
-    overflow = False
-
-    n = 0
-    while True:
-        if seps[-1] >= thrs[-1]:
-            b = n
-            break
-        if n >= horizon:
-            break
-        if max(abs(wx), abs(wy)) > OVERFLOW_GUARD:
-            overflow = True
-            break
-        # advance both orbits one step, accumulating derivative cocycles
-        fx = map.dfdw(zx, wx)
-        fy = map.dfdw(zy, wy)
-        mag_x, mag_y = abs(fx), abs(fy)
-        lvx.append(lvx[-1] + (math.log(mag_x) if mag_x > 0 else -math.inf))
-        lvy.append(lvy[-1] + (math.log(mag_y) if mag_y > 0 else -math.inf))
-        phx.append(phx[-1] + (cmath.phase(fx) if mag_x > 0 else 0.0))
-        phy.append(phy[-1] + (cmath.phase(fy) if mag_y > 0 else 0.0))
-        if mag_x == 0 and crit_at is None:
-            crit_at = n
-        wx = map.fiber_value(zx, wx)
-        wy = map.fiber_value(zy, wy)
-        n += 1
-        if unicritical and crit_at is None:
-            dc = abs(map.c0_at(zx) - map.c0_at(zy))
-            w_sum += 2.0 * dc * math.exp(-lvx[-1])
-            w_hist.append(w_sum)
-        zx *= map.lam
-        zy *= map.lam
-        xs.append(wx); ys.append(wy)
-        seps.append(abs(wx - wy))
-        thrs.append(mu * min(abs(wx), abs(wy)) / (n + 1) ** 2)
-
-    rec = BindingRecord(
-        x=(complex(x[0]), complex(x[1])), y=(complex(y[0]), complex(y[1])),
-        mu=mu, horizon=horizon,
-        binding_time=b, censored=b is None,
-        overflow=overflow, critical_hit_at=crit_at,
-    )
-    rec.xi_x = np.array(xs); rec.xi_y = np.array(ys)
-    rec.separations = np.array(seps); rec.thresholds = np.array(thrs)
-    rec.log_vder_x = np.array(lvx); rec.log_vder_y = np.array(lvy)
-    rec.phase_x = np.array(phx); rec.phase_y = np.array(phy)
-    rec.w_history = np.array(w_hist) if unicritical else None
-    return rec
+    x = (complex(x[0]), complex(x[1]))
+    y = (complex(y[0]), complex(y[1]))
+    pts = np.array([x + y], dtype=complex)
+    h = _bind(map, pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3], mu, horizon)
+    return h.record(0, x, y, mu, horizon)
 
 
 def w_accumulator(
@@ -215,7 +438,8 @@ def w_accumulator(
 
     W = 2|w0 - w| + sum_{i=1}^n 2|c(lam^{i-1} z0) - c(lam^{i-1} z)| / |Df^i(x)(v)|,
     evaluated with log-scale derivative magnitudes.  Unicritical maps only:
-    the sum compares the single varying fiber coefficient.
+    the sum compares the single varying fiber coefficient.  The pair steps
+    as a batch of one, so W agrees bitwise with a binding record's history.
     """
     if n < 1:
         raise HorizonNonPositive(f"n must be at least 1, got {n}")
@@ -225,52 +449,108 @@ def w_accumulator(
     zy, wy = complex(y[0]), complex(y[1])
     if zx == zy and wx == wy:
         return 0.0
+    X = _Lanes(np.array([zx]), np.array([wx]))
+    yr, yi = np.array([zy.real]), np.array([zy.imag])
     total = 2.0 * abs(wx - wy)
-    log_d = 0.0
-    z, w = zx, wx
     for i in range(1, n + 1):
-        factor = map.dfdw(z, w)
-        mag = abs(factor)
-        if mag == 0:
+        mag, (cr, ci) = X.step(map)
+        if mag[0] == 0:
             raise CriticalHit(i - 1)
-        log_d += math.log(mag)
-        dc = abs(map.c0_at(zx * map.lam ** (i - 1)) - map.c0_at(zy * map.lam ** (i - 1)))
-        total += 2.0 * dc * math.exp(-log_d)
-        z, w = map.step(z, w)
-    return total
+        dr, di = _poly(map.fiber_coeffs[0], yr, yi)
+        total += 2.0 * np.hypot(cr - dr, ci - di)[0] * math.exp(-X.lv[0])
+        yr, yi = _mul(yr, yi, map.lam.real, map.lam.imag)
+    return float(total)
+
+
+# ---------------------------------------------------------------------------
+# the two audits, over every pair of a batch at once
+
+
+def _ratio_audits(h: _Histories) -> list[BindingAudit]:
+    """|Df^m(x)(v) / Df^m(y)(v) - 1| < 1/2 for m = 1..n_last of each pair."""
+    counts = np.where(h.shadowing, 0, h.last)
+    pos = _ranges(h.start[:-1] + 1, counts)
+    d = h.data
+    log_ratio = d["log_vder_x"][pos] - d["log_vder_y"][pos]
+    phase = d["phase_x"][pos] - d["phase_y"][pos]
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = np.exp(log_ratio) * np.exp(1j * phase)
+        dev = np.abs(ratio - 1.0)
+    dev = np.where(np.isfinite(dev), dev, np.inf)
+    margins = 0.5 - dev
+    first = np.cumsum(counts) - counts
+    seg = first[counts > 0]
+    max_dev = np.maximum.reduceat(dev, seg) if len(seg) else dev
+    min_margin = np.minimum.reduceat(margins, seg) if len(seg) else margins
+    out, k = [], 0
+    for c, f in zip(counts.tolist(), first.tolist()):
+        if c == 0:
+            out.append(BindingAudit(
+                kind="derivative_ratio", n_checked=0, max_deviation=0.0,
+                min_margin=0.5, margins=np.zeros(0), passed=True, skipped=True))
+            continue
+        mx = float(max_dev[k])
+        out.append(BindingAudit(
+            kind="derivative_ratio", n_checked=c, max_deviation=mx,
+            min_margin=float(min_margin[k]), margins=margins[f:f + c],
+            passed=mx < 0.5))
+        k += 1
+    return out
+
+
+def _expansion_audits(h: _Histories, mu: float, rel_slack: float = 1e-9) -> list[BindingAudit]:
+    """|Df^n(x)(v)| >= sep_n / W(n) at each bound step n, and at a finite
+    binding time b also |Df^b(x)(v)| >= mu |xi_b(x)| / (2 (b+1)^2 W(b));
+    margins are relative slacks (lhs/rhs - 1)."""
+    n_lim = np.where(h.shadowing, 0, np.maximum(np.minimum(h.last, h.w_len), 0))
+    pos = _ranges(h.start[:-1] + 1, n_lim)
+    d = h.data
+    w = d.get("w_history", np.zeros(0))  # absent for general maps: all skipped
+    seps = d["separations"][pos]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rhs_log = np.log(seps) - np.log(w[pos])
+        main = np.expm1(d["log_vder_x"][pos] - rhs_log)
+    # vacuous steps (zero separation): infinite slack
+    main = np.where(seps > 0, main, np.inf)
+
+    b = h.binding
+    extra_at = np.flatnonzero((b >= 1) & (b <= n_lim))
+    at = h.start[extra_at] + b[extra_at]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        xi = d["xi_x"][at]
+        rhs2 = mu * np.hypot(xi.real, xi.imag) / (2.0 * (b[extra_at] + 1) ** 2 * w[at])
+    kept = rhs2 > 0
+    extra_at, at = extra_at[kept], at[kept]
+    extra = _apply(math.expm1, d["log_vder_x"][at] - _apply(math.log, rhs2[kept]))
+
+    has_extra = np.zeros(len(n_lim), dtype=int)
+    has_extra[extra_at] = 1
+    counts = n_lim + has_extra
+    first = np.cumsum(counts) - counts
+    margins = np.empty(int(counts.sum()))
+    margins[_ranges(first, n_lim)] = main
+    margins[first[extra_at] + n_lim[extra_at]] = extra
+    seg = first[counts > 0]
+    min_margin = np.minimum.reduceat(margins, seg) if len(seg) else margins
+    out, k = [], 0
+    for nl, c, f in zip(n_lim.tolist(), counts.tolist(), first.tolist()):
+        if nl == 0:
+            out.append(BindingAudit(
+                kind="derivative_expansion", n_checked=0, max_deviation=0.0,
+                min_margin=math.inf, margins=np.zeros(0), passed=True, skipped=True))
+            continue
+        mm = float(min_margin[k])
+        out.append(BindingAudit(
+            kind="derivative_expansion", n_checked=nl,
+            max_deviation=float(-min(mm, 0.0)), min_margin=mm,
+            margins=margins[f:f + c], passed=mm >= -rel_slack))
+        k += 1
+    return out
 
 
 def audit_lemma_ratio(record: BindingRecord) -> BindingAudit:
     """Check |Df^m(x)(v) / Df^m(y)(v) - 1| < 1/2 for every m while bound."""
-    if record.shadowing:
-        return BindingAudit(
-            kind="derivative_ratio", n_checked=0, max_deviation=0.0,
-            min_margin=0.5, margins=np.zeros(0), passed=True, skipped=True,
-        )
-    n_limit = record.n_last if record.binding_time is None else record.binding_time
-    if n_limit < 1:
-        return BindingAudit(
-            kind="derivative_ratio", n_checked=0, max_deviation=0.0,
-            min_margin=0.5, margins=np.zeros(0), passed=True, skipped=True,
-        )
-    m = np.arange(1, n_limit + 1)
-    log_ratio = record.log_vder_x[m] - record.log_vder_y[m]
-    phase = record.phase_x[m] - record.phase_y[m]
-    with np.errstate(over="ignore", invalid="ignore"):
-        ratio = np.exp(log_ratio) * np.exp(1j * phase)
-        dev = np.abs(ratio - 1.0)
-    ok = np.isfinite(dev)
-    dev = np.where(ok, dev, np.inf)
-    margins = 0.5 - dev
-    max_dev = float(dev.max()) if len(dev) else 0.0
-    return BindingAudit(
-        kind="derivative_ratio",
-        n_checked=int(len(m)),
-        max_deviation=max_dev,
-        min_margin=float(margins.min()) if len(margins) else 0.5,
-        margins=margins,
-        passed=bool(max_dev < 0.5),
-    )
+    return _ratio_audits(_Histories.of_record(record))[0]
 
 
 def audit_lemma_expansion(record: BindingRecord, rel_slack: float = 1e-9) -> BindingAudit:
@@ -281,44 +561,7 @@ def audit_lemma_expansion(record: BindingRecord, rel_slack: float = 1e-9) -> Bin
     |Df^b(x)(v)| >= mu |xi_b(x)| / (2 (b+1)^2 W(b)).
     Margins are relative slacks (lhs/rhs - 1).
     """
-    if record.shadowing or record.w_history is None:
-        return BindingAudit(
-            kind="derivative_expansion", n_checked=0, max_deviation=0.0,
-            min_margin=math.inf, margins=np.zeros(0), passed=True, skipped=True,
-        )
-    n_limit = record.n_last if record.binding_time is None else record.binding_time
-    n_limit = min(n_limit, len(record.w_history))
-    if n_limit < 1:
-        return BindingAudit(
-            kind="derivative_expansion", n_checked=0, max_deviation=0.0,
-            min_margin=math.inf, margins=np.zeros(0), passed=True, skipped=True,
-        )
-    ns = np.arange(1, n_limit + 1)
-    w_vals = record.w_history[ns - 1]
-    seps = record.separations[ns]
-    lhs_log = record.log_vder_x[ns]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rhs_log = np.log(seps) - np.log(w_vals)
-        margins = np.expm1(lhs_log - rhs_log)
-    # vacuous steps (zero separation): infinite slack
-    margins = np.where(seps > 0, margins, np.inf)
-
-    extra = []
-    b = record.binding_time
-    if b is not None and 1 <= b <= n_limit:
-        rhs2 = record.mu * abs(record.xi_x[b]) / (2.0 * (b + 1) ** 2 * w_vals[b - 1])
-        if rhs2 > 0:
-            extra.append(math.expm1(record.log_vder_x[b] - math.log(rhs2)))
-    all_margins = np.concatenate([margins, np.array(extra)]) if extra else margins
-    min_margin = float(all_margins.min()) if len(all_margins) else math.inf
-    return BindingAudit(
-        kind="derivative_expansion",
-        n_checked=int(n_limit),
-        max_deviation=float(-min(min_margin, 0.0)),
-        min_margin=min_margin,
-        margins=all_margins,
-        passed=bool(min_margin >= -rel_slack),
-    )
+    return _expansion_audits(_Histories.of_record(record), record.mu, rel_slack)[0]
 
 
 def sample_bound_pairs(
@@ -358,27 +601,35 @@ def audit_pair_batch(
     horizon: int = DEFAULT_HORIZON,
     threads: int = 1,
 ) -> list[dict]:
-    """Bind and audit each pair; rows keep the input order."""
+    """Bind and audit every pair in one batch; rows keep the input order.
 
-    def work(item):
-        idx, (x, y) = item
-        rec = binding_time(map, x, y, mu, horizon)
-        ratio = audit_lemma_ratio(rec)
-        expansion = audit_lemma_expansion(rec)
-        return {
-            "pair_id": idx,
+    threads is accepted as a hint and changes nothing: the batch kernel
+    steps all pairs at once in one thread, since worker threads stepping
+    pairs in Python would only contend for the interpreter lock.
+    """
+    pts = np.array([(x[0], x[1], y[0], y[1]) for x, y in pairs],
+                   dtype=complex).reshape(-1, 4)
+    if not len(pts):
+        return []
+    h = _bind(map, pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3], mu, horizon)
+    ratios = _ratio_audits(h)
+    expansions = _expansion_audits(h, mu)
+    w = h.data.get("w_history")
+    rows = []
+    for j, (ratio, expansion) in enumerate(zip(ratios, expansions)):
+        b, w_len = int(h.binding[j]), int(h.w_len[j])
+        rows.append({
+            "pair_id": j,
             "mu": mu,
-            "binding_time": rec.binding_time,
-            "censored": rec.censored,
-            "W_final": rec.w_final,
+            "binding_time": None if b < 0 else b,
+            "censored": b < 0,
+            "W_final": float(w[h.start[j] + w_len]) if w_len > 0 else math.nan,
             "min_margin_lemma23": ratio.min_margin if not ratio.skipped else math.nan,
             "min_margin_lemma24": expansion.min_margin if not expansion.skipped else math.nan,
-            "record": rec,
             "ratio_audit": ratio,
             "expansion_audit": expansion,
-        }
-
-    return mc.map_blocks(list(enumerate(pairs)), work, threads=threads)
+        })
+    return rows
 
 
 CSV_COLUMNS = [

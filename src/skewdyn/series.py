@@ -18,6 +18,7 @@ from .core import SkewProductMap, _poly_eval, find_attracting_cycles
 from .errors import (
     AttractingCyclePresent,
     CriticalOrbitDegenerate,
+    OrbitOverflow,
     PreconditionViolated,
 )
 from .fatou import classify_point
@@ -205,7 +206,8 @@ def lyapunov_lower(f0: FiberMap, c: complex, horizon: int = 400) -> SeriesEvalua
     (1/n) log |(f0^n)'(c)|.
 
     No cycle gate: the estimate is meaningful (and honestly negative or
-    drifting) for parabolic or attracting fibers too.
+    drifting) for parabolic or attracting fibers too.  An escaping orbit
+    raises OrbitOverflow at the first non-finite step derivative.
     """
     if horizon < 2:
         raise PreconditionViolated(f"need horizon >= 2, got {horizon}")
@@ -218,6 +220,10 @@ def lyapunov_lower(f0: FiberMap, c: complex, horizon: int = 400) -> SeriesEvalua
         if der == 0:
             raise CriticalOrbitDegenerate(
                 f"(f0^{n})'({c!r}) vanishes: orbit step {n - 1} is critical")
+        if not cmath.isfinite(der):
+            raise OrbitOverflow(
+                f"(f0^{n})'({c!r}) is not finite: the orbit left double range "
+                f"by step {n - 1}")
         step = math.log(abs(der))
         step_logs.append(step)
         log_der += step

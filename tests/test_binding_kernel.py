@@ -1,0 +1,386 @@
+"""The batched binding kernel against the scalar loop it replaced.
+
+`reference_binding_time`, the two reference audits and
+`reference_departure` are copies of the per-pair scalar code that ran
+before the batch kernel.  The kernel must reproduce them bit for bit:
+every BindingRecord field, every audit field and the departure audit's
+BoundAudit.  Arrays are compared by their bytes, so signed zeros and NaN
+payloads count.
+"""
+
+import cmath
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from skewdyn import binding as B
+from skewdyn import bounds as BD
+from skewdyn import mc
+from skewdyn.core import build_map
+from skewdyn.gallery import basilica_map, chebyshev_map
+
+CHEBYSHEV = chebyshev_map()
+BASILICA = basilica_map()
+COMPLEX_LAMBDA = build_map(0.6 - 0.1j, 2, [[-0.12 + 0.75j, 1.0, 0.3j]])
+GENERAL3 = build_map(0.5 + 0.2j, 3, [[0.1, 1.0], [0.2j, 0.3], [-0.4]], mode="general")
+MAPS = {"chebyshev": CHEBYSHEV, "basilica": BASILICA,
+        "complex_lambda": COMPLEX_LAMBDA, "general3": GENERAL3}
+
+
+# ---------------------------------------------------------------------------
+# the scalar code the kernel replaced
+
+
+def reference_binding_time(map, x, y, mu, horizon=B.DEFAULT_HORIZON):
+    zx, wx = complex(x[0]), complex(x[1])
+    zy, wy = complex(y[0]), complex(y[1])
+    if zx == zy and wx == wy:
+        rec = B.BindingRecord(
+            x=(zx, wx), y=(zy, wy), mu=mu, horizon=horizon,
+            binding_time=None, censored=True, shadowing=True,
+        )
+        rec.xi_x = np.array([wx]); rec.xi_y = np.array([wy])
+        rec.separations = np.array([0.0])
+        rec.thresholds = np.array([mu * abs(wx)])
+        rec.log_vder_x = np.array([0.0]); rec.log_vder_y = np.array([0.0])
+        rec.phase_x = np.array([0.0]); rec.phase_y = np.array([0.0])
+        rec.w_history = np.zeros(0)
+        return rec
+
+    unicritical = map.mode == "unicritical"
+    xs = [wx]; ys = [wy]
+    seps = [abs(wx - wy)]
+    thrs = [mu * min(abs(wx), abs(wy))]
+    lvx = [0.0]; lvy = [0.0]; phx = [0.0]; phy = [0.0]
+    w_hist = []
+    w_sum = 2.0 * abs(wx - wy)
+    crit_at = None
+    b = None
+    overflow = False
+
+    n = 0
+    while True:
+        if seps[-1] >= thrs[-1]:
+            b = n
+            break
+        if n >= horizon:
+            break
+        if max(abs(wx), abs(wy)) > B.OVERFLOW_GUARD:
+            overflow = True
+            break
+        fx = map.dfdw(zx, wx)
+        fy = map.dfdw(zy, wy)
+        mag_x, mag_y = abs(fx), abs(fy)
+        lvx.append(lvx[-1] + (math.log(mag_x) if mag_x > 0 else -math.inf))
+        lvy.append(lvy[-1] + (math.log(mag_y) if mag_y > 0 else -math.inf))
+        phx.append(phx[-1] + (cmath.phase(fx) if mag_x > 0 else 0.0))
+        phy.append(phy[-1] + (cmath.phase(fy) if mag_y > 0 else 0.0))
+        if mag_x == 0 and crit_at is None:
+            crit_at = n
+        wx = map.fiber_value(zx, wx)
+        wy = map.fiber_value(zy, wy)
+        n += 1
+        if unicritical and crit_at is None:
+            dc = abs(map.c0_at(zx) - map.c0_at(zy))
+            w_sum += 2.0 * dc * math.exp(-lvx[-1])
+            w_hist.append(w_sum)
+        zx *= map.lam
+        zy *= map.lam
+        xs.append(wx); ys.append(wy)
+        seps.append(abs(wx - wy))
+        thrs.append(mu * min(abs(wx), abs(wy)) / (n + 1) ** 2)
+
+    rec = B.BindingRecord(
+        x=(complex(x[0]), complex(x[1])), y=(complex(y[0]), complex(y[1])),
+        mu=mu, horizon=horizon,
+        binding_time=b, censored=b is None,
+        overflow=overflow, critical_hit_at=crit_at,
+    )
+    rec.xi_x = np.array(xs); rec.xi_y = np.array(ys)
+    rec.separations = np.array(seps); rec.thresholds = np.array(thrs)
+    rec.log_vder_x = np.array(lvx); rec.log_vder_y = np.array(lvy)
+    rec.phase_x = np.array(phx); rec.phase_y = np.array(phy)
+    rec.w_history = np.array(w_hist) if unicritical else None
+    return rec
+
+
+def reference_audit_ratio(record):
+    skipped = B.BindingAudit(
+        kind="derivative_ratio", n_checked=0, max_deviation=0.0,
+        min_margin=0.5, margins=np.zeros(0), passed=True, skipped=True)
+    if record.shadowing:
+        return skipped
+    n_limit = record.n_last if record.binding_time is None else record.binding_time
+    if n_limit < 1:
+        return skipped
+    m = np.arange(1, n_limit + 1)
+    log_ratio = record.log_vder_x[m] - record.log_vder_y[m]
+    phase = record.phase_x[m] - record.phase_y[m]
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = np.exp(log_ratio) * np.exp(1j * phase)
+        dev = np.abs(ratio - 1.0)
+    ok = np.isfinite(dev)
+    dev = np.where(ok, dev, np.inf)
+    margins = 0.5 - dev
+    max_dev = float(dev.max()) if len(dev) else 0.0
+    return B.BindingAudit(
+        kind="derivative_ratio", n_checked=int(len(m)), max_deviation=max_dev,
+        min_margin=float(margins.min()) if len(margins) else 0.5,
+        margins=margins, passed=bool(max_dev < 0.5))
+
+
+def reference_audit_expansion(record, rel_slack=1e-9):
+    skipped = B.BindingAudit(
+        kind="derivative_expansion", n_checked=0, max_deviation=0.0,
+        min_margin=math.inf, margins=np.zeros(0), passed=True, skipped=True)
+    if record.shadowing or record.w_history is None:
+        return skipped
+    n_limit = record.n_last if record.binding_time is None else record.binding_time
+    n_limit = min(n_limit, len(record.w_history))
+    if n_limit < 1:
+        return skipped
+    ns = np.arange(1, n_limit + 1)
+    w_vals = record.w_history[ns - 1]
+    seps = record.separations[ns]
+    lhs_log = record.log_vder_x[ns]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rhs_log = np.log(seps) - np.log(w_vals)
+        margins = np.expm1(lhs_log - rhs_log)
+    margins = np.where(seps > 0, margins, np.inf)
+    extra = []
+    b = record.binding_time
+    if b is not None and 1 <= b <= n_limit:
+        rhs2 = record.mu * abs(record.xi_x[b]) / (2.0 * (b + 1) ** 2 * w_vals[b - 1])
+        if rhs2 > 0:
+            extra.append(math.expm1(record.log_vder_x[b] - math.log(rhs2)))
+    all_margins = np.concatenate([margins, np.array(extra)]) if extra else margins
+    min_margin = float(all_margins.min()) if len(all_margins) else math.inf
+    return B.BindingAudit(
+        kind="derivative_expansion", n_checked=int(n_limit),
+        max_deviation=float(-min(min_margin, 0.0)), min_margin=min_margin,
+        margins=all_margins, passed=bool(min_margin >= -rel_slack))
+
+
+def reference_departure(map, starts, lambda0, mu=None, horizon=1000):
+    if mu is None:
+        mu = B.mu_constants(map.degree)[0]
+    c0 = map.c0_origin
+    d = map.degree
+    log_l0 = math.log(lambda0)
+    acc = BD._Acc("lem25", lambda0, 0.05, constant_one=True)
+    for idx, (z1, w1) in enumerate(starts):
+        z1, w1 = complex(z1), complex(w1)
+        delta = max(abs(w1 - c0), abs(z1) ** map.k) ** (1.0 / d)
+        if delta == 0.0 or delta >= 0.05:
+            continue
+        rec = reference_binding_time(map, (z1, w1), (0.0, c0), mu, horizon=horizon)
+        n_hi = rec.n_last if rec.binding_time is None else rec.binding_time
+        found = None
+        for n in range(1, min(n_hi, len(rec.log_vder_x) - 1) + 1):
+            ratio_log = rec.log_vder_x[n] - n * log_l0 + (d - 1) * math.log(delta)
+            if ratio_log >= BD._LOG_FLOOR:
+                found = (n, ratio_log)
+                break
+        if found is None:
+            acc.count += 1
+            acc.violations += 1
+        else:
+            acc.add(idx, np.array([found[0]]), np.array([found[1]]))
+    return acc.to_audit()
+
+
+# ---------------------------------------------------------------------------
+# bitwise comparison
+
+
+RECORD_FIELDS = ("x", "y", "mu", "horizon", "binding_time", "censored",
+                 "shadowing", "overflow", "critical_hit_at", "xi_x", "xi_y",
+                 "separations", "thresholds", "log_vder_x", "log_vder_y",
+                 "phase_x", "phase_y", "w_history")
+AUDIT_FIELDS = ("kind", "n_checked", "max_deviation", "min_margin", "margins",
+                "passed", "skipped")
+
+
+def assert_bitwise(got, want, fields):
+    for name in fields:
+        a, b = getattr(got, name), getattr(want, name)
+        if isinstance(b, np.ndarray):
+            assert isinstance(a, np.ndarray), name
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            assert a.tobytes() == b.tobytes(), name
+        elif isinstance(b, float):
+            assert type(a) is float and np.float64(a).tobytes() == np.float64(b).tobytes(), name
+        elif isinstance(b, tuple):
+            assert a == b and all(type(u) is type(v) for u, v in zip(a, b)), name
+            assert all(np.complex128(u).tobytes() == np.complex128(v).tobytes()
+                       for u, v in zip(a, b)), name
+        else:
+            assert a == b and type(a) is type(b), name
+
+
+def assert_same_pair(map, x, y, mu, horizon):
+    try:
+        want = reference_binding_time(map, x, y, mu, horizon)
+    except OverflowError:  # math.exp or complex ** past double range
+        with pytest.raises(OverflowError):
+            B.binding_time(map, x, y, mu, horizon)
+        return None
+    got = B.binding_time(map, x, y, mu, horizon)
+    assert_bitwise(got, want, RECORD_FIELDS)
+    assert_bitwise(B.audit_lemma_ratio(got), reference_audit_ratio(want), AUDIT_FIELDS)
+    assert_bitwise(B.audit_lemma_expansion(got), reference_audit_expansion(want),
+                   AUDIT_FIELDS)
+    return got
+
+
+def _polar(radius):
+    return st.builds(lambda r, t: radius * r * cmath.exp(2j * math.pi * t),
+                     st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_record_matches_scalar_loop(data):
+    map = MAPS[data.draw(st.sampled_from(sorted(MAPS)))]
+    mu = B.mu_constants(map.degree)[0] * data.draw(st.sampled_from([1.0, 0.25]))
+    z = data.draw(_polar(0.9 * map.r0))
+    w = data.draw(_polar(0.6 * map.escape_radius))
+    rel = 10.0 ** data.draw(st.floats(-15.0, 0.0))
+    dz = data.draw(st.sampled_from([0.0, 0.05 * rel * map.r0])) * cmath.exp(
+        2j * math.pi * data.draw(st.floats(0.0, 1.0)))
+    dw = rel * abs(w) * cmath.exp(2j * math.pi * data.draw(st.floats(0.0, 1.0)))
+    horizon = data.draw(st.sampled_from([1, 5, 40, 200]))
+    assert_same_pair(map, (z, w), (z + dz, w + dw), mu, horizon)
+
+
+@pytest.mark.parametrize("name", sorted(MAPS))
+def test_batch_rows_match_scalar_loop(name):
+    map = MAPS[name]
+    mu = B.mu_constants(map.degree)[0]
+    pairs = B.sample_bound_pairs(map, 300, seed=3, mu=mu, w_radius=0.6 * map.escape_radius)
+    rows = B.audit_pair_batch(map, pairs, mu, horizon=300)
+    assert [r["pair_id"] for r in rows] == list(range(len(pairs)))
+    for (x, y), row in zip(pairs, rows):
+        rec = reference_binding_time(map, x, y, mu, 300)
+        assert row["binding_time"] == rec.binding_time
+        assert row["censored"] == rec.censored
+        assert np.float64(row["W_final"]).tobytes() == np.float64(rec.w_final).tobytes()
+        assert_bitwise(row["ratio_audit"], reference_audit_ratio(rec), AUDIT_FIELDS)
+        assert_bitwise(row["expansion_audit"], reference_audit_expansion(rec), AUDIT_FIELDS)
+        assert "record" not in row
+
+
+class TestExplicitCases:
+    mu0 = B.mu_constants(2)[0]
+
+    def test_shadowing(self):
+        for map in (BASILICA, GENERAL3):
+            mu = B.mu_constants(map.degree)[0]
+            rec = assert_same_pair(map, (0.01, 0.3), (0.01, 0.3), mu, 50)
+            assert rec.shadowing and rec.censored and rec.w_history is not None
+
+    def test_bound_at_zero(self):
+        rec = assert_same_pair(BASILICA, (0.0, 0.3), (0.0, 0.9), self.mu0, 50)
+        assert rec.binding_time == 0
+
+    def test_threshold_tie(self):
+        rec = assert_same_pair(BASILICA, (0.0, 1.0), (0.0, 1.03125), 0.03125, 50)
+        assert rec.binding_time == 0 and rec.separations[0] == rec.thresholds[0]
+
+    def test_horizon_censoring(self):
+        full = assert_same_pair(BASILICA, (0.001, 0.3), (0.0, 0.3), self.mu0, 300)
+        short = assert_same_pair(BASILICA, (0.001, 0.3), (0.0, 0.3), self.mu0,
+                                 full.binding_time - 1)
+        assert short.censored and not short.overflow
+        assert short.n_last == full.binding_time - 1
+
+    def test_overflow(self):
+        rec = assert_same_pair(CHEBYSHEV, (0.0, 3.0), (0.0, 3.0 + 1e-12), self.mu0, 100)
+        assert rec.overflow and rec.censored and rec.binding_time is None
+
+    def test_critical_hit_unicritical(self):
+        # 3 w^2 underflows to zero at w = 1e-170: the derivative vanishes
+        # at step 0 while the pair is still bound, and W stops there
+        map = build_map(0.5, 3, [[0.3, 1.0]])
+        mu = B.mu_constants(3)[0]
+        rec = assert_same_pair(map, (0.0, 1e-170), (0.0, 1e-170 * (1 + 1e-12)), mu, 50)
+        assert rec.critical_hit_at == 0 and rec.n_last >= 1
+        assert len(rec.w_history) == 0
+
+    def test_signed_zeros(self):
+        # real orbits started at imaginary part -0.0: the zero's sign must
+        # survive into xi, and phases of negative real factors are +-pi
+        map = build_map(0.5, 2, [[-0.9, 1.0], [0.3]], mode="general")
+        w = complex(-0.5, -0.0)
+        rec = assert_same_pair(map, (0j, w), (0j, w - 1e-9), self.mu0, 50)
+        assert rec.n_last >= 2
+        uni = assert_same_pair(BASILICA, (0j, w), (0j, w - 1e-9), self.mu0, 50)
+        assert uni.n_last >= 2
+
+    def test_critical_hit_general(self):
+        # f(w) = w^2 - w + 1/2 sends 1 to its critical point 1/2 exactly
+        map = build_map(0.5, 2, [[0.5, 1.0], [-1.0]], mode="general")
+        rec = assert_same_pair(map, (0.0, 1.0), (0.0, 1.0 + 1e-9), self.mu0, 50)
+        assert rec.critical_hit_at == 1 and rec.w_history is None
+
+
+def test_w_accumulator_is_the_record_history():
+    rec = B.binding_time(COMPLEX_LAMBDA, (1e-6 + 2e-6j, 0.3), (0.0, 0.3 + 1e-9j),
+                         B.mu_constants(2)[0], horizon=30)
+    assert rec.binding_time == len(rec.w_history) == 15
+    for n in range(1, 16):
+        assert B.w_accumulator(COMPLEX_LAMBDA, rec.x, rec.y, n) == rec.w_history[n - 1]
+
+
+def _departure_starts(map, count, seed):
+    d, c0 = map.degree, map.c0_origin
+
+    def draw(gen, m):
+        dw = 10.0 ** gen.uniform(-4.0, -2.0, m)
+        dz = 10.0 ** gen.uniform(-4.0, -2.0, m)
+        pw = np.exp(2j * np.pi * gen.random(m))
+        pz = np.exp(2j * np.pi * gen.random(m))
+        return np.column_stack([dz**d * pz, c0 + dw**d * pw])
+
+    rows = mc.draw_blocks(seed, "bounds_departure", count, draw)
+    return [(row[0], row[1]) for row in rows]
+
+
+@pytest.mark.parametrize("seed", [7, 13])
+def test_departure_matches_per_start_loop(seed):
+    starts = _departure_starts(CHEBYSHEV, 1500, seed)
+    # excluded starts (delta = 0 and delta >= 0.05) ride along
+    starts += [(0.0, CHEBYSHEV.c0_origin), (0.0, CHEBYSHEV.c0_origin + 0.1)]
+    got = BD.audit_critical_value_departure(CHEBYSHEV, starts, 0.8)
+    want = reference_departure(CHEBYSHEV, starts, 0.8)
+    assert got == want
+    assert got.samples == 1500 and got.min_ratio_location is not None
+
+
+def test_departure_on_complex_lambda_map():
+    map = build_map(0.6 - 0.1j, 2, [[-0.1 + 0.65j, 1.0, 0.2]])
+    starts = _departure_starts(map, 300, 5)
+    assert (BD.audit_critical_value_departure(map, starts, 0.8, horizon=60)
+            == reference_departure(map, starts, 0.8, horizon=60))
+
+
+def test_long_binding_regime():
+    # real starts on the Chebyshev Julia interval with separations from
+    # 1e-15 to 1e-6 bind far later than the sampler's pairs (at most ~9)
+    gen = np.random.default_rng(5)
+    count = 400
+    z = gen.uniform(-0.9 * CHEBYSHEV.r0, 0.9 * CHEBYSHEV.r0, count)
+    w = gen.uniform(-2.0, 2.0, count)
+    sep = 10.0 ** gen.uniform(-15.0, -6.0, count)
+    dw = sep * np.abs(w) * np.exp(2j * np.pi * gen.random(count))
+    dz = sep * CHEBYSHEV.r0 * np.exp(2j * np.pi * gen.random(count))
+    pairs = [((a, b), (a + c, b + e)) for a, b, c, e in zip(z, w, dz, dw)]
+    rows = B.audit_pair_batch(CHEBYSHEV, pairs, B.mu_constants(2)[0], horizon=2000)
+    assert all(r["ratio_audit"].passed and r["expansion_audit"].passed for r in rows)
+    checked = [r for r in rows if not r["expansion_audit"].skipped]
+    assert len(checked) > count // 2
+    times = [r["binding_time"] for r in rows if r["binding_time"] is not None]
+    assert max(times) > 20

@@ -177,6 +177,18 @@ class TestBinding:
         assert report["min_margin_lemma23"] > 0
         assert report["mu_constants"]["series_ok"] is True
 
+    def test_shipped_config_artifact_digests(self, tmp_path):
+        # sha256 recorded on x86-64, numpy 2.4, with the per-pair scalar
+        # binding loop that the batch kernel replaced
+        out = tmp_path / "out"
+        assert main(["binding", "--config", str(CONFIG_DIR / "binding.json"),
+                     "--out", str(out)]) == 0
+        assert tree_digest(out) == {
+            "binding.csv":
+                "d24428e6abe584a01394d660729d30ceb4bf3830881ee6a3403b4ca4cc294a40",
+            "binding.json":
+                "33e2a37b1ff0a25cfae727fa2581ab16d8513b16807cc3e03414a69e05956fd8"}
+
 
 class TestAuditBounds:
     def test_tame_suite(self, tmp_path):
@@ -254,6 +266,20 @@ class TestAuditBounds:
         report = json.loads((out / "bounds_departure.json").read_text())
         assert report["audits"]["lem25"]["samples"] == 100
         assert report["audits"]["lem25"]["violations"] == 0
+
+    def test_departure_artifact_digest(self, tmp_path):
+        # sha256 recorded on x86-64, numpy 2.4, with the per-start scalar
+        # loop that the batch kernel replaced; one start misses the bound
+        code, out = run(tmp_path, "audit-bounds",
+                        {"map": CHEB, "seed": 7,
+                         "params": {"suite": "departure", "count": 2000,
+                                    "lambda0": 0.8}})
+        assert code == 0
+        assert json.loads((out / "bounds_departure.json").read_text())[
+            "audits"]["lem25"]["violations"] == 1
+        assert tree_digest(out) == {
+            "bounds_departure.json":
+                "6bc80370d809394f00a722de8fa0d330d7117610bb66f8fe6c785e78409e9c9a"}
 
     def test_przytycki_suite_needs_no_seed(self, tmp_path):
         code, out = run(tmp_path, "audit-bounds",
@@ -418,6 +444,15 @@ class TestSeries:
         code, _ = run(tmp_path, "series",
                       {"map": CHEB, "params": {"which": "levin"}})
         assert code == 2
+
+    def test_lyapunov_escaping_critical_orbit_exits_two(self, tmp_path, capsys):
+        escaping = {"lambda": [0.6, -0.1], "degree": 3, "mode": "unicritical",
+                    "fiber_coeffs": [[[0.0, 1.2], [1.0, 0.0]]]}
+        code, out = run(tmp_path, "series",
+                        {"map": escaping, "params": {"which": "lyapunov"}})
+        assert code == 2
+        assert "OrbitOverflow" in capsys.readouterr().err
+        assert not (out / "series.json").exists()
 
 
 class TestDeterminism:

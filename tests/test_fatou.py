@@ -378,8 +378,7 @@ class TestDiskImageContainsBall:
         assert chk.winding_min == 0
         assert_same_as_probe_min(chk, probe_min_check(*args, samples=samples))
 
-    @settings(max_examples=80, deadline=None, derandomize=True, database=None,
-              suppress_health_check=[HealthCheck.too_slow])
+    @settings(max_examples=80, suppress_health_check=[HealthCheck.too_slow])
     @given(which=st.sampled_from(["chebyshev", "basilica", "general3"]),
            n=st.integers(0, 8), z0=st.sampled_from([0.0, 5e-13]),
            log_delta=st.floats(-6.0, -3.0),

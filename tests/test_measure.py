@@ -422,7 +422,7 @@ EPS = 2.0**-52
 
 
 @pytest.mark.parametrize("map", AGREEMENT_MAPS, ids=["cheb", "k2", "misiurewicz", "cubic"])
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80)
 @given(radius=st.floats(1e-3, 0.999), turn=st.floats(0.0, 1.0), l=st.integers(1, 8))
 def test_recursion_and_difference_agree_across_number_types(map, radius, turn, l):
     # doubles against mpmath at 60 digits; the worst deviation seen on

@@ -16,6 +16,7 @@ from skewdyn.core import build_map
 from skewdyn.errors import (
     AttractingCyclePresent,
     CriticalOrbitDegenerate,
+    OrbitOverflow,
     PreconditionViolated,
 )
 from skewdyn.gallery import basilica_map, chebyshev_map, general_embedding, nearfixed_map
@@ -241,6 +242,20 @@ class TestLyapunovLower:
     def test_short_horizon_raises(self):
         with pytest.raises(PreconditionViolated):
             lyapunov_lower(chebyshev_map(0.5).f0(), -2.0, 1)
+
+    def test_escaping_orbit_raises_overflow(self):
+        # the critical orbit of w^3 + 1.2i leaves double range at step 10;
+        # the estimate used to come back NaN with verdict "nonpositive"
+        f0 = build_map(0.6 - 0.1j, 3, [[1.2j, 1.0]]).f0()
+        with pytest.raises(OrbitOverflow, match="by step 10"):
+            lyapunov_lower(f0, f0(0))
+
+    def test_finite_orbit_value_unchanged(self):
+        # w^2 + i: value recorded before escaping orbits raised
+        f0 = build_map(0.5, 2, [[1j, 1.0]]).f0()
+        ev = lyapunov_lower(f0, 1j, 400)
+        assert ev.value == complex(0.865571852341028)
+        assert ev.verdict == "positive"
 
 
 class TestNondegeneracy:

@@ -49,8 +49,7 @@ def _polar(radius):
 
 
 @pytest.mark.parametrize("map", [UNICRITICAL, GENERAL], ids=["unicritical", "general3"])
-@settings(max_examples=60, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_block_agrees_with_scalar_iterate(map, data):
     count = data.draw(st.integers(1, 6))
