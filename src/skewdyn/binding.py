@@ -40,6 +40,12 @@ OVERFLOW_GUARD = 1e100
 DEFAULT_HORIZON = 10_000
 
 
+def _overflow_guard(degree: int) -> float:
+    """The |w| past which a pair stops as overflow: OVERFLOW_GUARD, lowered
+    for degree >= 4 so that the next step's w**d stays below 1e300."""
+    return min(OVERFLOW_GUARD, 10.0 ** (300.0 / degree))
+
+
 def mu_constants(degree: int) -> tuple[float, float]:
     """Closeness constants (mu0, mu1) used for binding thresholds.
 
@@ -166,6 +172,14 @@ def _complex(re, im) -> np.ndarray:
     out = np.empty(np.shape(re), dtype=complex)
     out.real, out.imag = re, im
     return out
+
+
+def _exp(x: float) -> float:
+    """math.exp, with inf in place of its OverflowError."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def _pymin(a, b):
@@ -322,9 +336,12 @@ def _bind(map: SkewProductMap, zx, wx, zy, wy, mu: float, horizon: int,
 
     The pairs step together in compacted live arrays: a pair leaves when
     it binds, at the horizon, or once max(|wx|, |wy|) passes the overflow
-    guard, and identical points leave at once as shadowing.  zy and wy may
-    have length 1: one y orbit shared by every pair.  Histories are kept
-    for the names in fields only.
+    guard, and identical points leave at once as shadowing.  On unicritical
+    maps a pair also leaves as overflow when |Df^n(x)| falls below e^-709,
+    where the W term 1/|Df^n(x)| leaves double range; its record ends at
+    step n - 1, the last one with a finite W.  zy and wy may have length 1:
+    one y orbit shared by every pair.  Histories are kept for the names in
+    fields only.
     """
     m = len(wx)
     if m:
@@ -338,6 +355,7 @@ def _bind(map: SkewProductMap, zx, wx, zy, wy, mu: float, horizon: int,
     crit_at = np.full(m, -1)
     overflow = np.zeros(m, dtype=bool)
     shadowing = (zx == zy) & (wx == wy)
+    guard = _overflow_guard(map.degree)
 
     lanes = _Lanes(np.concatenate([zx, zy]), np.concatenate([wx, wy]))
     idx = np.arange(m)
@@ -367,7 +385,7 @@ def _bind(map: SkewProductMap, zx, wx, zy, wy, mu: float, horizon: int,
             stop |= shadowing
         # Python's max(|wx|, |wy|), whose NaN handling decides the guard
         over = ~stop & (np.where(absw[k:] > absw[:k], absw[k:], absw[:k])
-                        > OVERFLOW_GUARD)
+                        > guard)
         stop |= over
         if stop.any():
             last[idx[stop]] = n
@@ -387,7 +405,15 @@ def _bind(map: SkewProductMap, zx, wx, zy, wy, mu: float, horizon: int,
         if uni:
             dc = np.hypot(c0[0][:k] - c0[0][k:], c0[1][:k] - c0[1][k:])
             scale = np.zeros(k)
-            scale[~crit] = _apply(math.exp, -lanes.lv[:k][~crit])
+            scale[~crit] = _apply(_exp, -lanes.lv[:k][~crit])
+            lost = np.isinf(scale) & np.isfinite(lanes.lv[:k])
+            if lost.any():
+                last[idx[lost]] = n - 1
+                overflow[idx[lost]] = True
+                keep = ~lost
+                idx, crit, wsum, dc, scale = (
+                    idx[keep], crit[keep], wsum[keep], dc[keep], scale[keep])
+                lanes.keep(np.concatenate([keep, [True] if shared else keep]))
             wsum = wsum + 2.0 * dc * scale
 
     start = np.zeros(m + 1, dtype=int)

@@ -361,7 +361,13 @@ def audit_critical_value_departure(
     delta = max(|w1 - c(0)|, |z1|^k)^{1/d}; starts with delta = 0 or
     delta >= 0.05 are excluded.  A sample fails only if no n up to its
     binding time against the critical value reaches ratio >= 1 - 1e-9.
+    Unicritical maps only: the starts bind against c(0), which is the
+    critical value of f_0 only in unicritical mode.
     """
+    if map.mode != "unicritical":
+        raise PreconditionViolated(
+            "the departure audit binds against c(0), the critical value of a "
+            "unicritical map; general-mode maps are not supported")
     _check_lambda0(lambda0, map.lam)
     if mu is None:
         mu = mu_constants(map.degree)[0]

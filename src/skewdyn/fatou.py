@@ -8,6 +8,16 @@ image of a vertical disk.  Direct boundary mapping only works while the
 image curve is short; past that the verifier chains: each step's ball is
 verified inside the image of a nearby earlier certified ball, so every
 boundary curve that needs resolving spans only a few map applications.
+
+Each check refines its boundary by doubling the sample count until the
+image gaps are small.  The doublings nest (every level's angles are the
+even-indexed angles of the next), so a boundary ladder keeps the finest
+image curve of one disk and step count and pushes only the new odd angles
+when it refines; coarser levels are strided views of it.  The proposition's
+verifier owns one ladder for all its checks, so the bisection over radii
+at one step pushes each boundary point once.  A ladder holds one curve,
+at most SAMPLE_CAP points, and every curve is bitwise the one a fresh
+sampling at that level gives.
 """
 
 from __future__ import annotations
@@ -238,10 +248,83 @@ def _winding_number(curve: np.ndarray, p: complex) -> int:
     rel = curve - p
     if float(np.min(np.abs(rel))) == 0.0:
         return 0  # curve touches the probe; no certification possible
+    return _turns(rel)
+
+
+def _turns(rel: np.ndarray) -> int:
+    """Winding number about 0 of the closed polygon rel, which misses 0."""
     # angle of successive ratios lands in (-pi, pi], so increments are exact
     # as long as consecutive points subtend less than a half turn
     inc = np.angle(rel / np.roll(rel, 1))
     return int(round(float(np.sum(inc)) / (2.0 * math.pi)))
+
+
+class _BoundaryLadder:
+    """The nested refinements of one disk boundary's image.
+
+    For the key (map, z0, w0, delta, n, L0), level k is the n-step image
+    of the circle w0 + delta e^{i theta} at the L = L0 2^k angles
+    linspace(0, 2 pi, L, endpoint=False).  Those angles nest: level k's
+    angles are the even-indexed angles of level k + 1, bit for bit, and
+    its odd-indexed ones are arange(1, 2L, 2) * (2 pi / 2L), also bit for
+    bit (both are integer multiples of a step that halves exactly).  The
+    boundary points and the push are elementwise, so a finer level pushes
+    only its new odd angles and interleaves them with the level below, and
+    a coarser level is a strided view of the finest.  Either way every
+    level is bitwise the curve a fresh linspace at that level gives.
+
+    The ladder keeps the finest curve computed so far, and per level its
+    max gap and whether it is finite.  It holds at most one curve: select
+    with a new key drops it.  Its memory is that one curve, at most
+    SAMPLE_CAP complex points (16 MiB).
+    """
+
+    def __init__(self):
+        self.map = self.key = self.finest = None
+        self.levels: list[tuple[float, bool]] = []  # (max_gap, finite)
+
+    def select(self, map: SkewProductMap, z0: complex, w0: complex, delta: float,
+               n: int, samples: int) -> None:
+        """Point the ladder at a boundary; a changed key starts it afresh."""
+        key = (z0, w0, delta, n, samples)
+        if map is not self.map or key != self.key:
+            self.map, self.key = map, key
+            self.finest, self.levels = None, []
+
+    def samples(self, k: int) -> int:
+        return self.key[-1] << k
+
+    def level(self, k: int) -> tuple[float, bool]:
+        """(max_gap, finite) of level k, refining up to it."""
+        while len(self.levels) <= k:
+            self._refine()
+        return self.levels[k]
+
+    def curve(self, k: int) -> np.ndarray:
+        return self.finest[::len(self.finest) // self.samples(k)]
+
+    def _refine(self) -> None:
+        z0, w0, delta, n, samples = self.key
+        prev = self.finest
+        if prev is None:
+            theta = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
+        else:
+            theta = np.arange(1, 2 * len(prev), 2) * (2.0 * math.pi / (2 * len(prev)))
+        new = _fiber_push(self.map, z0, w0 + delta * np.exp(1j * theta), n)
+        if prev is None:
+            curve = new
+            edges = [(new, np.roll(new, 1))]
+        else:
+            curve = np.empty(2 * len(new), dtype=complex)
+            curve[0::2], curve[1::2] = prev, new
+            # the polygon's edges run prev[k] -> new[k] -> prev[k + 1]
+            edges = [(new, prev), (prev, np.roll(new, 1))]
+        finite = ((not self.levels or self.levels[-1][1])
+                  and bool(np.all(np.isfinite(new))))
+        max_gap = (max(float(np.abs(a - b).max()) for a, b in edges) if finite
+                   else math.nan)
+        self.finest = curve
+        self.levels.append((max_gap, finite))
 
 
 def disk_image_contains_ball(
@@ -253,6 +336,8 @@ def disk_image_contains_ball(
     center: complex,
     radius: float,
     boundary_samples: int = MIN_BOUNDARY_SAMPLES,
+    *,
+    _ladder: _BoundaryLadder | None = None,
 ) -> WindingCheck:
     """Verify B(center, radius) inside the n-step image of {z0} x B(w0, delta).
 
@@ -262,6 +347,14 @@ def disk_image_contains_ball(
     point of the target disk.  Either test failing gives a False verdict;
     an unresolvable curve raises SamplingCapExceeded rather than ever
     returning a false positive.
+
+    Each refinement doubles the sample count.  The curves come from a
+    boundary ladder (`_BoundaryLadder`), so a doubling pushes only the new
+    half of the points; a caller checking several balls against one disk
+    and n (verify_radius_proposition) passes its own ladder as `_ladder`,
+    and the later checks reuse every level already pushed.  Without one,
+    each call starts a fresh ladder.  Results are bitwise the same either
+    way.
 
     Every edge of the closed sample polygon is at most max_gap long, so
     every point of it lies within max_gap/2 of a sample.  When the nearest
@@ -279,17 +372,17 @@ def disk_image_contains_ball(
     if delta <= 0 or radius <= 0:
         raise PreconditionViolated("delta and radius must be positive")
     z0, w0, center = complex(z0), complex(w0), complex(center)
+    ladder = _BoundaryLadder() if _ladder is None else _ladder
+    ladder.select(map, z0, w0, delta, n, int(boundary_samples))
 
-    samples = int(boundary_samples)
     gap_target = radius * GAP_FRACTION
+    k = 0
     while True:
-        theta = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
-        curve = _fiber_push(map, z0, w0 + delta * np.exp(1j * theta), n)
-        if not np.all(np.isfinite(curve)):
+        samples = ladder.samples(k)
+        max_gap, finite = ladder.level(k)
+        if not finite:
             raise SamplingCapExceeded(
                 "boundary image leaves double precision range")
-        gaps = np.abs(curve - np.roll(curve, 1))
-        max_gap = float(gaps.max())
         if max_gap < gap_target:
             break
         # gaps shrink linearly in the sample count; bail early when the
@@ -299,13 +392,15 @@ def disk_image_contains_ball(
             raise SamplingCapExceeded(
                 f"resolving gaps {max_gap:.3g} below {gap_target:.3g} needs "
                 f"about {projected:.3g} samples (cap {SAMPLE_CAP})")
-        samples *= 2
-        if samples > SAMPLE_CAP:
+        if 2 * samples > SAMPLE_CAP:
             raise SamplingCapExceeded(f"sample cap {SAMPLE_CAP} reached")
+        k += 1
 
-    dmin = float(np.min(np.abs(curve - center)))
+    curve = ladder.curve(k)
+    rel = curve - center
+    dmin = float(np.min(np.abs(rel)))
     distance_ok = dmin > radius
-    winding_min = _winding_number(curve, center)
+    winding_min = 0 if dmin == 0.0 else _turns(rel)
     if distance_ok and dmin - 0.5 * max_gap <= radius:
         # the polygon may cross the target disk: probe its boundary circle
         probes = [center + radius * complex(math.cos(a), math.sin(a))
@@ -378,13 +473,13 @@ class DiskExpansionReport:
         }
 
 
-def _link(map, z0, m, src_c, src_r, j, center, radius, samples):
+def _link(map, z0, m, src_c, src_r, j, center, radius, samples, ladder):
     """One chain link: target ball inside the j-step image of the source
     disk over base lam^m z0.  Returns a WindingCheck or None on cap."""
     try:
         return disk_image_contains_ball(
             map, z0 * map.lam**m, src_c, src_r, j, center, radius,
-            boundary_samples=samples)
+            boundary_samples=samples, _ladder=ladder)
     except SamplingCapExceeded:
         return None
 
@@ -409,6 +504,11 @@ def verify_radius_proposition(
     test chained from the nearest earlier certified ball (the original disk
     for early n); a step with no verifiable link is recorded unverified and
     later steps chain around it.
+
+    Every check goes through one boundary ladder owned by this call: the
+    fit's bisection over radii at one step n reuses the refinements of
+    that step's boundary image, and a check on another disk or n replaces
+    them, so at most one image curve is held at a time.
     """
     z0, w0 = complex(z0), complex(w0)
     d = map.degree
@@ -436,6 +536,7 @@ def verify_radius_proposition(
     pow_delta = delta**d if one_dim else delta
     f0 = map.f0()
     targets = f0.orbit(w0, n_max)  # centers are the unperturbed fiber orbit
+    ladder = _BoundaryLadder()
 
     def status(n: int, radius: float) -> str:
         """"pass" / "fail" (geometry rejects) / "small" (the gap rule needs
@@ -443,7 +544,7 @@ def verify_radius_proposition(
         try:
             chk = disk_image_contains_ball(
                 map, z0, w0, delta, n, targets[n], radius,
-                boundary_samples=boundary_samples)
+                boundary_samples=boundary_samples, _ladder=ladder)
         except SamplingCapExceeded:
             return "small"
         return "pass" if chk.verdict else "fail"
@@ -494,7 +595,7 @@ def verify_radius_proposition(
             src_r = certified[m] if m == 0 else certified[m] * src_shade
             src_c = w0 if m == 0 else targets[m]
             chk = _link(map, z0, m, src_c, src_r, n - m, targets[n], radius,
-                        boundary_samples)
+                        boundary_samples, ladder)
             if chk is None:
                 continue
             if chk.verdict:

@@ -222,13 +222,19 @@ def assert_bitwise(got, want, fields):
 
 
 def assert_same_pair(map, x, y, mu, horizon):
+    got = B.binding_time(map, x, y, mu, horizon)
     try:
         want = reference_binding_time(map, x, y, mu, horizon)
-    except OverflowError:  # math.exp or complex ** past double range
-        with pytest.raises(OverflowError):
-            B.binding_time(map, x, y, mu, horizon)
-        return None
-    got = B.binding_time(map, x, y, mu, horizon)
+    except OverflowError:
+        # the reference's W term math.exp(-log|Df^n|) left double range at
+        # step n_last + 1; the kernel ends the pair as overflow at n_last,
+        # with the record the reference keeps when cut at that horizon
+        with pytest.raises(OverflowError, match="math range error"):
+            reference_binding_time(map, x, y, mu, got.n_last + 1)
+        assert got.overflow and got.censored
+        want = reference_binding_time(map, x, y, mu, got.n_last)
+        assert not want.overflow
+        want.overflow, want.horizon = True, horizon
     assert_bitwise(got, want, RECORD_FIELDS)
     assert_bitwise(B.audit_lemma_ratio(got), reference_audit_ratio(want), AUDIT_FIELDS)
     assert_bitwise(B.audit_lemma_expansion(got), reference_audit_expansion(want),
@@ -319,6 +325,27 @@ class TestExplicitCases:
         assert rec.n_last >= 2
         uni = assert_same_pair(BASILICA, (0j, w), (0j, w - 1e-9), self.mu0, 50)
         assert uni.n_last >= 2
+
+    def test_w_sum_leaves_double_range(self):
+        # both orbits fall into the attracting cycle: |Df^762(x)| < e^-709,
+        # so W(762) leaves double range and the record ends at step 761
+        c0 = COMPLEX_LAMBDA.c0_origin
+        rec = assert_same_pair(COMPLEX_LAMBDA, (0.0, c0 + 1e-5), (0.0, c0), self.mu0,
+                               B.DEFAULT_HORIZON)
+        assert rec.overflow and rec.censored and rec.n_last == 761
+        assert len(rec.w_history) == 761 and np.isfinite(rec.w_history).all()
+
+    def test_overflow_guard_scales_with_degree(self):
+        assert B._overflow_guard(2) == B._overflow_guard(3) == B.OVERFLOW_GUARD
+        # w**4 overflows near |w| = 1e77, below the degree-3 guard of 1e100
+        map = build_map(0.5, 4, [[-1.0, 1.0]])
+        mu = B.mu_constants(4)[0]
+        rec = B.binding_time(map, (0, 1e80), (0, 1e80 * (1 + 1e-14)), mu)
+        assert rec.overflow and rec.censored and rec.n_last == 0
+        for d, w in ((4, 1e74), (5, 1e59), (7, 1e42)):
+            map = build_map(0.5, d, [[-1.0, 1.0]])
+            rec = B.binding_time(map, (0, w), (0, w * (1 + 1e-14)), B.mu_constants(d)[0])
+            assert rec.overflow and rec.n_last == 1
 
     def test_critical_hit_general(self):
         # f(w) = w^2 - w + 1/2 sends 1 to its critical point 1/2 exactly

@@ -15,7 +15,7 @@ import pytest
 
 from skewdyn import bounds as BD
 from skewdyn.binding import mu_constants
-from skewdyn.core import OrbitTrace, iterate, iterate_block
+from skewdyn.core import OrbitTrace, build_map, iterate, iterate_block
 from skewdyn.errors import (
     AttractingCyclePresent,
     EmptyGrid,
@@ -449,6 +449,12 @@ class TestCriticalValueDeparture:
                 break
         assert a.min_ratio_location["n"] == hit[0]
         assert a.fitted_constant == pytest.approx(hit[1], rel=1e-12)
+
+    def test_general_mode_rejected(self):
+        # c(0) is not the critical value of a general-mode fiber map
+        gen = build_map(0.5 + 0.2j, 3, [[0.1, 1.0], [0.2j, 0.3], [-0.4]], mode="general")
+        with pytest.raises(PreconditionViolated, match="general-mode"):
+            BD.audit_critical_value_departure(gen, [(0.0, gen.c0_origin + 1e-4)], 0.8)
 
     def test_default_mu_is_the_standard_constant(self, cheb):
         starts = [(1e-9, cheb.c0_origin + 1e-6)]

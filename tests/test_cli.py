@@ -281,6 +281,37 @@ class TestAuditBounds:
             "bounds_departure.json":
                 "6bc80370d809394f00a722de8fa0d330d7117610bb66f8fe6c785e78409e9c9a"}
 
+    def test_departure_on_attracting_cycle_map(self, tmp_path, capsys):
+        # bound pairs fall into the attracting cycle until |Df^n| < e^-709,
+        # where the W sum leaves double range: those records end as overflow
+        # instead of the run crashing
+        code, out = run(tmp_path, "audit-bounds",
+                        {"map": {"lambda": [0.6, -0.1], "degree": 2,
+                                 "mode": "unicritical",
+                                 "fiber_coeffs": [[[-0.12, 0.75], [1.0, 0.0],
+                                                   [0.0, 0.3]]]},
+                         "seed": 0,
+                         "params": {"suite": "departure", "count": 5000,
+                                    "lambda0": 0.8}})
+        assert code in (0, 3)
+        assert "Traceback" not in capsys.readouterr().err
+        report = json.loads((out / "bounds_departure.json").read_text())
+        assert report["audits"]["lem25"]["samples"] == 5000
+
+    def test_departure_rejects_general_mode(self, tmp_path, capsys):
+        code, out = run(tmp_path, "audit-bounds",
+                        {"map": {"lambda": [0.5, 0.2], "degree": 3,
+                                 "mode": "general",
+                                 "fiber_coeffs": [[[0.1, 0.0], [1.0, 0.0]],
+                                                  [[0.0, 0.2], [0.3, 0.0]],
+                                                  [[-0.4, 0.0]]]},
+                         "seed": 0,
+                         "params": {"suite": "departure", "count": 2000,
+                                    "lambda0": 0.8}})
+        assert code == 2
+        assert "PreconditionViolated" in capsys.readouterr().err
+        assert not (out / "bounds_departure.json").exists()
+
     def test_przytycki_suite_needs_no_seed(self, tmp_path):
         code, out = run(tmp_path, "audit-bounds",
                         {"map": CHEB,

@@ -101,23 +101,27 @@ def lattice_covers(map, z0, w0, delta, n, center, radius):
 def probe_min_check(map, z0, w0, delta, n, center, radius,
                     samples=fatou.MIN_BOUNDARY_SAMPLES):
     """The circle-probe test the gap bound replaced: refine the boundary
-    image exactly as the verifier does, then take the minimum winding over
-    the center and WINDING_PROBES points on the target circle, whatever the
-    distance test says."""
+    image as the verifier did before its boundary ladder, from a fresh
+    linspace at every doubling, with its SamplingCapExceeded messages, then
+    take the minimum winding over the center and WINDING_PROBES points on
+    the target circle, whatever the distance test says."""
     gap_target = radius * fatou.GAP_FRACTION
     while True:
         theta = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
         curve = fatou._fiber_push(map, z0, w0 + delta * np.exp(1j * theta), n)
         if not np.all(np.isfinite(curve)):
-            raise SamplingCapExceeded("boundary image leaves double range")
+            raise SamplingCapExceeded("boundary image leaves double precision range")
         max_gap = float(np.abs(curve - np.roll(curve, 1)).max())
         if max_gap < gap_target:
             break
-        if samples * max_gap / gap_target > fatou.SAMPLE_CAP:
-            raise SamplingCapExceeded("projected past the cap")
+        projected = samples * max_gap / gap_target
+        if projected > fatou.SAMPLE_CAP:
+            raise SamplingCapExceeded(
+                f"resolving gaps {max_gap:.3g} below {gap_target:.3g} needs "
+                f"about {projected:.3g} samples (cap {fatou.SAMPLE_CAP})")
         samples *= 2
         if samples > fatou.SAMPLE_CAP:
-            raise SamplingCapExceeded("cap reached")
+            raise SamplingCapExceeded(f"sample cap {fatou.SAMPLE_CAP} reached")
     dmin = float(np.min(np.abs(curve - center)))
     probes = [center] + [
         center + radius * complex(math.cos(a), math.sin(a))
@@ -133,11 +137,26 @@ def probe_min_check(map, z0, w0, delta, n, center, radius,
     )
 
 
-def outcome(check, *args):
+def outcome(check, *args, **kwargs):
     try:
-        return check(*args)
+        return check(*args, **kwargs)
     except SamplingCapExceeded:
         return None
+
+
+def pushes_and_error(monkeypatch, check, *args, **kwargs):
+    """Run a check; return the point counts it pushed and its cap message."""
+    sizes, push = [], fatou._fiber_push
+
+    def counting(map, z0, pts, n):
+        sizes.append(len(pts))
+        return push(map, z0, pts, n)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(fatou, "_fiber_push", counting)
+        with pytest.raises(SamplingCapExceeded) as exc:
+            check(*args, **kwargs)
+    return sizes, str(exc.value)
 
 
 def assert_same_as_probe_min(chk, ref):
@@ -490,6 +509,84 @@ EXPAND_REPORTS = {
     ]),
 }
 
+
+
+class TestBoundaryLadder:
+    """One ladder shared by several checks against the pre-ladder verifier:
+    every WindingCheck field, and every cap raise with its message and at
+    the same refinement level."""
+
+    @pytest.mark.parametrize("samples", [4096, 4100])
+    def test_reused_over_ascending_and_descending_radii(self, samples):
+        # at n = 3 these radii stop at levels 0..7, fail the distance test,
+        # or raise on the projected sample count
+        cheb = chebyshev_map()
+        center = cheb.f0().orbit(0.3, 3)[-1]
+        radii = [10.0**e for e in (-6.5, -6.0, -5.0, -4.5, -4.0, -3.0, -2.0, -1.5)]
+        ladder = fatou._BoundaryLadder()
+        seen = set()
+        for radius in radii + radii[::-1]:
+            args = (cheb, 5e-13, 0.3, 1e-3, 3, center, radius, samples)
+            chk = outcome(disk_image_contains_ball, *args, _ladder=ladder)
+            assert_same_as_probe_min(chk, outcome(probe_min_check, *args))
+            assert chk == outcome(disk_image_contains_ball, *args)
+            seen.add("cap" if chk is None else (chk.verdict, chk.samples))
+        assert "cap" in seen and (False, samples) in seen
+        assert {s for v, s in seen - {"cap"} if v} == {samples << k for k in (0, 1, 2, 4, 7)}
+
+    def test_ladder_follows_key_changes(self):
+        # the chain's pattern: a new disk or n replaces the ladder's curve
+        bas = basilica_map()
+        ladder = fatou._BoundaryLadder()
+        orbit = bas.f0().orbit(0.3, 8)
+        for n, delta, radius in ((3, 1e-3, 1e-6), (5, 1e-3, 1e-7), (3, 1e-3, 1e-7),
+                                 (3, 2e-3, 1e-6), (8, 1e-3, 1e-8)):
+            args = (bas, 5e-13, 0.3, delta, n, orbit[n], radius, 4100)
+            chk = disk_image_contains_ball(*args, _ladder=ladder)
+            assert chk == disk_image_contains_ball(*args)
+            assert_same_as_probe_min(chk, probe_min_check(*args[:-1], samples=4100))
+            assert len(ladder.finest) == chk.samples
+
+    @pytest.mark.parametrize("samples, exponent, message", [
+        (4096, -6.5, "resolving gaps"),
+        (4100, -5.5, "sample cap 1048576 reached"),
+    ])
+    def test_cap_raised_at_the_same_level(self, monkeypatch, samples, exponent, message):
+        cheb = chebyshev_map()
+        center = cheb.f0().orbit(0.3, 5)[-1]
+        args = (cheb, 5e-13, 0.3, 1e-3, 5, center, 10.0**exponent)
+        ref_sizes, ref_msg = pushes_and_error(monkeypatch, probe_min_check, *args,
+                                              samples=samples)
+        sizes, msg = pushes_and_error(monkeypatch, disk_image_contains_ball, *args,
+                                      boundary_samples=samples)
+        assert msg == ref_msg and msg.startswith(message)
+        # the ladder pushes each level's new points once: the points of the
+        # level where the reference raised
+        assert sum(sizes) == ref_sizes[-1]
+        assert sizes == ref_sizes[:1] + [s // 2 for s in ref_sizes[1:]]
+        # a ladder refined further by a larger ball raises from its stored
+        # levels with the same message
+        ladder = fatou._BoundaryLadder()
+        disk_image_contains_ball(*args[:-1], 10.0**(exponent + 1.0), samples,
+                                 _ladder=ladder)
+        _, msg = pushes_and_error(monkeypatch, disk_image_contains_ball, *args,
+                                  samples, _ladder=ladder)
+        assert msg == ref_msg
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_non_finite_raised_at_the_same_level(self, monkeypatch):
+        # the escaping boundary image peaks in modulus at the angle pi/4096,
+        # which level 1 samples and level 0 does not.  |w0| sits inside the
+        # window (4.2506396984294 to 4.2506396984356) where only points near
+        # that peak overflow, so level 0 is finite and level 1 is not; level
+        # 0's gaps of about 4e303 ask for one doubling at radius 1e303
+        cheb = chebyshev_map()
+        w0 = 4.2506396984325 * cmath.exp(1j * math.pi / 4096)
+        args = (cheb, 0.0, w0, 1e-4, 9, w0, 1e303)
+        ref_sizes, ref_msg = pushes_and_error(monkeypatch, probe_min_check, *args)
+        sizes, msg = pushes_and_error(monkeypatch, disk_image_contains_ball, *args)
+        assert ref_sizes == [4096, 8192] and sizes == [4096, 4096]
+        assert msg == ref_msg == "boundary image leaves double precision range"
 
 class TestVerifyRadiusProposition:
     @pytest.mark.parametrize("z0", sorted(EXPAND_REPORTS), ids=["one_dim", "skew"])
