@@ -33,6 +33,7 @@ from .errors import (
     BaseOutsideDomain,
     CriticalHit,
     HorizonNonPositive,
+    OrbitOverflow,
     PreconditionViolated,
 )
 
@@ -466,6 +467,8 @@ def w_accumulator(
     evaluated with log-scale derivative magnitudes.  Unicritical maps only:
     the sum compares the single varying fiber coefficient.  The pair steps
     as a batch of one, so W agrees bitwise with a binding record's history.
+    Raises OrbitOverflow at the step whose term 1/|Df^i(x)(v)| leaves double
+    range, where a binding record of the pair ends as overflow.
     """
     if n < 1:
         raise HorizonNonPositive(f"n must be at least 1, got {n}")
@@ -482,8 +485,14 @@ def w_accumulator(
         mag, (cr, ci) = X.step(map)
         if mag[0] == 0:
             raise CriticalHit(i - 1)
+        try:
+            scale = math.exp(-X.lv[0])
+        except OverflowError:
+            raise OrbitOverflow(
+                f"W leaves double range at step {i}: 1/|Df^{i}(x)(v)| "
+                "overflows") from None
         dr, di = _poly(map.fiber_coeffs[0], yr, yi)
-        total += 2.0 * np.hypot(cr - dr, ci - di)[0] * math.exp(-X.lv[0])
+        total += 2.0 * np.hypot(cr - dr, ci - di)[0] * scale
         yr, yi = _mul(yr, yi, map.lam.real, map.lam.imag)
     return float(total)
 

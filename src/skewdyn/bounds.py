@@ -6,6 +6,13 @@ observed derivative, and reports the minimum leftover ratio as the fitted
 constant.  Statements asserting constant 1 additionally count how often
 the ratio dips below 1 (allowing 1e-9 relative rounding slack).
 
+Every orbit statement runs on one prefix scan (`_prefix_scan`) over a block
+of log |w_j| rows, one column per start: the one-dimensional audits over
+fiber orbits stepped one block of starts at a time, the tame, return and
+side audits over the columns of a `TraceBlock` from `iterate_block`, each
+start cut at the end of its maximal tame prefix.  A block's minimum is
+taken start-major, so ties go to the earliest start, then the earliest n.
+
 Statement tags:
   eq_1dim_der  |Df0^n(w)| >= C lam0^n min_{j<n} |f0^j(w)|^{d-1}
   prop21i      orbit stays >= delta through n  -> kappa lam0^n
@@ -29,7 +36,7 @@ import numpy as np
 
 from . import mc
 from .binding import _bind, _ranges, mu_constants
-from .core import OrbitTrace, SkewProductMap, _Orbits, find_attracting_cycles, iterate_block
+from .core import SkewProductMap, TraceBlock, _Orbits, find_attracting_cycles, iterate_block
 from .errors import (
     AttractingCyclePresent,
     EmptyGrid,
@@ -82,16 +89,12 @@ class _Acc:
         self.loc: dict | None = None
 
     def add(self, start_idx: int, ns: np.ndarray, ratio_logs: np.ndarray,
-            sel: np.ndarray | None = None) -> None:
-        """Ratios at steps ns of start start_idx or, in 2-D, of the starts
-        start_idx + column; sel marks the admitted pairs.  Ties go to the
-        earliest start, then the earliest n."""
-        if ratio_logs.ndim == 1:
-            ratio_logs = ratio_logs[:, None]
+            sel: np.ndarray) -> None:
+        """Ratios at steps ns (rows) of the starts start_idx + column; sel
+        marks the admitted pairs.  Ties go to the earliest start, then the
+        earliest n."""
         # exact critical hits make both sides vanish; drop those pairs
-        ok = np.isfinite(ratio_logs) | np.isposinf(ratio_logs)
-        if sel is not None:
-            ok &= sel
+        ok = sel & (np.isfinite(ratio_logs) | np.isposinf(ratio_logs))
         count = int(np.count_nonzero(ok))
         if count == 0:
             return
@@ -126,6 +129,28 @@ def _check_lambda0(lambda0: float, lam: complex | None = None) -> None:
         raise PreconditionViolated(
             f"need |lambda| < lambda0, got |lambda|={abs(lam)} vs lambda0={lambda0}"
         )
+
+
+# ---------------------------------------------------------------------------
+# the prefix scan shared by every orbit statement
+
+
+def _prefix_scan(logw: np.ndarray, n_hi: np.ndarray):
+    """One reduction over a block of log |w_j| rows, column c one start.
+
+    A start's pairs are its steps n = 1..n_hi[c].  Returns ns (row r of
+    each result is n = r + 1), the alive mask n <= n_hi, min_{j<n} log|w_j|
+    and min_{0<j<n} log|w_j| (inf at n = 1); rows past the largest n_hi
+    are dropped.
+    """
+    rows = int(n_hi.max(initial=0)) + 1
+    logw = logw[:rows]
+    ns = np.arange(1, rows)
+    alive = ns[:, None] <= n_hi
+    pm0 = np.minimum.accumulate(logw[:-1], axis=0)
+    mids = np.full_like(pm0, np.inf)
+    mids[1:] = np.minimum.accumulate(logw[1:-1], axis=0)
+    return ns, alive, pm0, mids
 
 
 # ---------------------------------------------------------------------------
@@ -178,20 +203,11 @@ def audit_onedim(
                 logd[n, idx] = logd[n - 1, idx] + np.log(np.abs(orbits.factor))
                 logw[n, idx] = np.log(orbits.absw)
                 lengths[idx] = n + 1
-        rows = int(lengths.max())
-        if rows < 2:
-            continue
-        # one reduction per block: row r is n = r + 1, column c is start
-        # first + c, and a start's pairs are its steps before the cap
-        logw, logd = logw[:rows], logd[:rows]
-        ns = np.arange(1, rows)
-        alive = ns[:, None] < lengths
-        lw_n = logw[1:]
-        pm0 = np.minimum.accumulate(logw[:-1], axis=0)  # min over j < n
-        mids = np.full_like(lw_n, np.inf)  # min over 0 < j < n
-        mids[1:] = np.minimum.accumulate(logw[1:-1], axis=0)
+        # a start's pairs are its steps before the cap
+        ns, alive, pm0, mids = _prefix_scan(logw, lengths - 1)
+        lw_n = logw[1:len(ns) + 1]
         with np.errstate(invalid="ignore"):
-            base = logd[1:] - ns[:, None] * log_l0
+            base = logd[1:len(ns) + 1] - ns[:, None] * log_l0
             accs["eq_1dim_der"].add(first, ns, base - (d - 1) * pm0, alive)
             accs["prop21i"].add(first, ns, base, alive & (pm0 >= log_delta))
             accs["prop21iii"].add(first, ns, base, alive & (pm0 >= lw_n))
@@ -200,28 +216,37 @@ def audit_onedim(
             accs["prop21ii"].add(
                 first, ns, base - clamp,
                 alive & (logw[0] < log_delta) & (lw_n <= log_delta) & (mids > log_delta))
+        # free this block's arrays before the next block allocates its own
+        del logw, logd, ns, alive, pm0, mids, lw_n, base, clamp
 
     return {k: a.to_audit() for k, a in accs.items()}
 
 
 # ---------------------------------------------------------------------------
-# trace scans (two-dimensional statements)
+# trace-block audits (two-dimensional statements)
 
 
-def _trace_arrays(trace: OrbitTrace):
-    """Per-trace log data and the tame prefix length."""
+def _tame_scan(traces: TraceBlock, log_l0: float):
+    """The prefix scan over each start's maximal tame prefix.
+
+    A start's pairs are its steps n = 1..min(tame prefix, last step); the
+    audits narrow alive further by their base filters.  Returns the scan's
+    (ns, alive, pm0, mids) plus log |w_n| and log |Df^n| - n log lam0 for
+    n in ns, and log |w_0|.
+    """
     with np.errstate(divide="ignore"):
-        logw = np.log(np.abs(trace.ws))
-    logd = trace.log_vder
-    flags = np.asarray(trace.tame_flags, dtype=bool)
-    not_tame = np.nonzero(~flags)[0]
-    tame_len = int(not_tame[0]) if len(not_tame) else len(flags)
-    return logw, logd, tame_len
+        logw = np.log(np.abs(traces.ws))
+    prefix = np.logical_and.accumulate(traces.tame, axis=0).sum(axis=0)
+    n_hi = np.minimum(prefix, traces.lengths - 1)
+    ns, alive, pm0, mids = _prefix_scan(logw, n_hi)
+    rows = slice(1, len(ns) + 1)
+    base = traces.log_vder[rows] - ns[:, None] * log_l0
+    return ns, alive, pm0, mids, logw[rows], base, logw[0]
 
 
 def audit_tame(
     map: SkewProductMap,
-    traces,
+    traces: TraceBlock,
     lambda0: float,
 ) -> tuple[BoundAudit, BoundAudit]:
     """Audit the two tame-orbit lower bounds over maximal tame prefixes.
@@ -233,29 +258,20 @@ def audit_tame(
     _check_lambda0(lambda0, map.lam)
     if find_attracting_cycles(map):
         raise AttractingCyclePresent("fiber polynomial has an attracting cycle")
-    log_l0 = math.log(lambda0)
     d = map.degree
     main = _Acc("thm12_main", lambda0, None)
     amin = _Acc("thm12_min", lambda0, None)
-    for idx, trace in enumerate(traces):
-        if abs(trace.z0) >= map.r0:
-            continue
-        logw, logd, tame_len = _trace_arrays(trace)
-        if tame_len < 1 or len(trace) < 2:
-            continue
-        n_hi = min(tame_len, len(trace) - 1)
-        ns = np.arange(1, n_hi + 1)
-        pm0 = np.minimum.accumulate(logw)[ns - 1]
-        base = logd[ns] - ns * log_l0
-        main.add(idx, ns, base - (d - 1) * pm0)
-        sel = logw[ns] <= pm0
-        amin.add(idx, ns[sel], base[sel])
+    ns, alive, pm0, _, lw_n, base, _ = _tame_scan(traces, math.log(lambda0))
+    alive &= ~(np.abs(traces.z0s) >= map.r0)
+    with np.errstate(invalid="ignore"):
+        main.add(0, ns, base - (d - 1) * pm0, alive)
+        amin.add(0, ns, base, alive & (lw_n <= pm0))
     return main.to_audit(), amin.to_audit()
 
 
 def audit_return(
     map: SkewProductMap,
-    traces,
+    traces: TraceBlock,
     lambda0: float,
     delta0: float,
     eta0: float | None = None,
@@ -270,34 +286,20 @@ def audit_return(
         raise PreconditionViolated(f"delta0 must be positive, got {delta0}")
     if eta0 is None:
         eta0 = map.r0 / 10.0
-    log_l0 = math.log(lambda0)
     log_d0 = math.log(delta0)
     d = map.degree
     acc = _Acc("lem34", lambda0, delta0, constant_one=True)
-    for idx, trace in enumerate(traces):
-        if abs(trace.z0) >= eta0:
-            continue
-        logw, logd, tame_len = _trace_arrays(trace)
-        if logw[0] > log_d0 or tame_len < 1 or len(trace) < 2:
-            continue
-        n_hi = min(tame_len, len(trace) - 1)
-        ns = np.arange(1, n_hi + 1)
-        lw_n = logw[ns]
-        mids = np.full(len(ns), np.inf)
-        if len(ns) > 1:
-            mids[1:] = np.minimum.accumulate(logw[1:n_hi])
-        sel = (lw_n <= log_d0) & (mids >= lw_n)
-        if not np.any(sel):
-            continue
-        base = logd[ns[sel]] - ns[sel] * log_l0
-        clamp = (d - 1) * np.minimum(0.0, logw[0] - lw_n[sel])
-        acc.add(idx, ns[sel], base - clamp)
+    ns, alive, _, mids, lw_n, base, lw_0 = _tame_scan(traces, math.log(lambda0))
+    alive &= ~(np.abs(traces.z0s) >= eta0) & ~(lw_0 > log_d0)
+    with np.errstate(invalid="ignore"):
+        clamp = (d - 1) * np.minimum(0.0, lw_0 - lw_n)
+        acc.add(0, ns, base - clamp, alive & (lw_n <= log_d0) & (mids >= lw_n))
     return acc.to_audit()
 
 
 def audit_side_lemmas(
     map: SkewProductMap,
-    traces,
+    traces: TraceBlock,
     lambda0: float,
     delta: float,
     eta: float | None = None,
@@ -314,33 +316,22 @@ def audit_side_lemmas(
         raise PreconditionViolated(f"delta must be positive, got {delta}")
     if eta is None:
         eta = map.r0 / 10.0
-    log_l0 = math.log(lambda0)
     log_delta = math.log(delta)
     d = map.degree
     a31 = _Acc("lem31", lambda0, delta)
     a32 = _Acc("lem32", lambda0, delta)
     a33 = _Acc("lem33", lambda0, delta, constant_one=True)
-    for idx, trace in enumerate(traces):
-        logw, logd, tame_len = _trace_arrays(trace)
-        if tame_len < 1 or len(trace) < 2:
-            continue
-        n_hi = min(tame_len, len(trace) - 1)
-        ns = np.arange(1, n_hi + 1)
-        pm0 = np.minimum.accumulate(logw)[ns - 1]
-        lw_n = logw[ns]
-        base = logd[ns] - ns * log_l0
-        if abs(trace.z0) < eta:
-            sel = pm0 >= log_delta
-            a31.add(idx, ns[sel], base[sel])
-            sel2 = sel & (lw_n <= log_delta)
-            a32.add(idx, ns[sel2], base[sel2])
-        if trace.z0 == 0 and logw[0] < log_delta + math.log(2.0):
-            mids = np.full(len(ns), np.inf)
-            if len(ns) > 1:
-                mids[1:] = np.minimum.accumulate(logw[1:n_hi])
-            sel = (lw_n < log_delta + math.log(2.0)) & (mids > log_delta - math.log(2.0))
-            clamp = (d - 1) * np.minimum(0.0, logw[0] - lw_n[sel])
-            a33.add(idx, ns[sel], base[sel] - clamp)
+    ns, alive, pm0, mids, lw_n, base, lw_0 = _tame_scan(traces, math.log(lambda0))
+    near = alive & (np.abs(traces.z0s) < eta)
+    line = alive & (traces.z0s == 0) & (lw_0 < log_delta + math.log(2.0))
+    with np.errstate(invalid="ignore"):
+        floor = near & (pm0 >= log_delta)
+        a31.add(0, ns, base, floor)
+        a32.add(0, ns, base, floor & (lw_n <= log_delta))
+        clamp = (d - 1) * np.minimum(0.0, lw_0 - lw_n)
+        a33.add(0, ns, base - clamp,
+                line & (lw_n < log_delta + math.log(2.0))
+                & (mids > log_delta - math.log(2.0)))
     return {a.statement: a.to_audit() for a in (a31, a32, a33)}
 
 
@@ -362,13 +353,17 @@ def audit_critical_value_departure(
     delta >= 0.05 are excluded.  A sample fails only if no n up to its
     binding time against the critical value reaches ratio >= 1 - 1e-9.
     Unicritical maps only: the starts bind against c(0), which is the
-    critical value of f_0 only in unicritical mode.
+    critical value of f_0 only in unicritical mode.  Like the other orbit
+    audits it rejects a fiber map with an attracting cycle, where bound
+    pairs fall into the cycle and the derivative never recovers.
     """
     if map.mode != "unicritical":
         raise PreconditionViolated(
             "the departure audit binds against c(0), the critical value of a "
             "unicritical map; general-mode maps are not supported")
     _check_lambda0(lambda0, map.lam)
+    if find_attracting_cycles(map):
+        raise AttractingCyclePresent("fiber polynomial has an attracting cycle")
     if mu is None:
         mu = mu_constants(map.degree)[0]
     c0 = map.c0_origin
@@ -504,8 +499,8 @@ def sample_traces(
     z_radius: float | None = None,
     w_radius: float | None = None,
     threads: int = 1,
-) -> list[OrbitTrace]:
-    """Deterministic random starts iterated to depth n, as traces."""
+) -> TraceBlock:
+    """Deterministic random starts iterated to depth n, as one block."""
     if z_radius is None:
         z_radius = 0.9 * map.r0
     if w_radius is None:
@@ -518,5 +513,4 @@ def sample_traces(
         ])
 
     cols = mc.draw_blocks(seed, "trace_starts", count, draw, threads=threads)
-    block = iterate_block(map, cols[:, 0], cols[:, 1], n)
-    return list(block.to_traces(map))
+    return iterate_block(map, cols[:, 0], cols[:, 1], n)

@@ -38,6 +38,7 @@ from .bounds import (
     sample_traces,
 )
 from .core import (
+    TraceBlock,
     iterate,
     iterate_block,
     map_from_config,
@@ -161,7 +162,7 @@ def _parse_block(block: dict, schema: dict, label: str) -> dict:
 _SCHEMAS = {
     "orbit": {
         "z0": (True, "complex"), "w0": (True, "complex"),
-        "n": (True, "int"), "alpha": (False, "float"),
+        "n": (True, "int"),
     },
     "binding": {
         "count": (True, "int"), "mu": (False, "float"), "horizon": (False, "int"),
@@ -310,7 +311,7 @@ def _echo(params: dict) -> dict:
 
 def _cmd_orbit(run: _Run) -> int:
     p = run.params
-    trace = iterate(run.map, (p["z0"], p["w0"]), p["n"], p.get("alpha"))
+    trace = iterate(run.map, (p["z0"], p["w0"]), p["n"])
     run.emit_csv("orbit.csv", trace_to_csv(trace))
     last = len(trace) - 1
     run.emit_json("orbit.json", {
@@ -398,8 +399,8 @@ def _bounds_departure(run: _Run, p: dict):
     return {"lem25": audit}
 
 
-def _suite_traces(run: _Run, p: dict) -> list:
-    """Sampled orbit traces; real-interval draws can target hypothesis
+def _suite_traces(run: _Run, p: dict) -> TraceBlock:
+    """Sampled orbits as one block; real-interval draws can target hypothesis
     sets that carry no area (returns and on-line floors only happen
     along the non-escaping locus)."""
     z_radius = p.get("z_radius", 0.9 * run.map.r0)
@@ -416,9 +417,8 @@ def _suite_traces(run: _Run, p: dict) -> list:
 
     rows = mc.draw_blocks(run.seed, "bounds_real_traces", p["count"], draw,
                           run.threads)
-    block = iterate_block(run.map, rows[:, 0].astype(complex),
-                          rows[:, 1].astype(complex), p["n"])
-    return list(block.to_traces(run.map))
+    return iterate_block(run.map, rows[:, 0].astype(complex),
+                         rows[:, 1].astype(complex), p["n"])
 
 
 def _cmd_audit_bounds(run: _Run) -> int:

@@ -132,7 +132,6 @@ class OrbitTrace:
     vder_phase: np.ndarray
     tame_flags: np.ndarray
     escape_step: int | None
-    slow_flags: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.ws)
@@ -259,12 +258,11 @@ def _search_escape_radius(coeffs, degree: int, r0: float) -> float:
     raise SkewdynError("escape radius search did not terminate")
 
 
-def iterate(map: SkewProductMap, x0, n: int, alpha: float | None = None) -> OrbitTrace:
-    """Forward orbit of x0 = (z0, w0) for n steps with cocycle and flags.
+def iterate(map: SkewProductMap, x0, n: int) -> OrbitTrace:
+    """Forward orbit of x0 = (z0, w0) for n steps with cocycle and tame flags.
 
     Stops early once |w| exceeds the escape radius, recording escape_step;
-    the returned trace is then shorter than requested.  With alpha given,
-    per-step slow-approach flags |w_i| >= exp(-alpha * i) are recorded too.
+    the returned trace is then shorter than requested.
     """
     z0, w0 = complex(x0[0]), complex(x0[1])
     if n < 0:
@@ -297,9 +295,6 @@ def iterate(map: SkewProductMap, x0, n: int, alpha: float | None = None) -> Orbi
     ws_arr = np.array(ws, dtype=complex)
     with np.errstate(divide="ignore"):
         tame = np.abs(zs_arr) ** map.k <= np.abs(ws_arr) ** map.degree
-    slow = None
-    if alpha is not None:
-        slow = np.abs(ws_arr) >= np.exp(-alpha * np.arange(len(ws_arr)))
     return OrbitTrace(
         z0=z0,
         w0=w0,
@@ -309,7 +304,6 @@ def iterate(map: SkewProductMap, x0, n: int, alpha: float | None = None) -> Orbi
         vder_phase=np.array(phases),
         tame_flags=tame,
         escape_step=escape_step,
-        slow_flags=slow,
     )
 
 
@@ -416,7 +410,8 @@ class TraceBlock:
     """Struct-of-arrays orbit batch: row n, column j is step n of orbit j.
 
     Columns stop being updated once they escape; entries past an orbit's
-    escape step hold NaN.  lengths[j] = number of valid rows of column j.
+    escape step hold NaN (tame: False).  lengths[j] = number of valid rows
+    of column j; len(block) is the number of orbits.
     """
 
     z0s: np.ndarray
@@ -428,27 +423,11 @@ class TraceBlock:
     escaped: np.ndarray  # (m,) bool
     lam: complex
 
-    @property
-    def n_orbits(self) -> int:
+    def __len__(self) -> int:
         return self.ws.shape[1]
 
     def zs_at(self, n: int) -> np.ndarray:
         return self.z0s * self.lam**n
-
-    def to_traces(self, map: SkewProductMap):
-        for j in range(self.n_orbits):
-            ln = int(self.lengths[j])
-            zs = self.z0s[j] * map.lam ** np.arange(ln)
-            yield OrbitTrace(
-                z0=complex(self.z0s[j]),
-                w0=complex(self.ws[0, j]),
-                zs=zs,
-                ws=self.ws[:ln, j].copy(),
-                log_vder=self.log_vder[:ln, j].copy(),
-                vder_phase=self.vder_phase[:ln, j].copy(),
-                tame_flags=self.tame[:ln, j].copy(),
-                escape_step=(ln - 1) if self.escaped[j] else None,
-            )
 
 
 def iterate_block(map: SkewProductMap, z0s, w0s, n: int) -> TraceBlock:

@@ -389,9 +389,12 @@ def disk_image_contains_ball(
         # projected need exceeds the cap instead of doubling all the way
         projected = samples * max_gap / gap_target
         if projected > SAMPLE_CAP:
+            # past double range the projection carries no count to report
+            need = (f"about {projected:.3g} samples" if math.isfinite(projected)
+                    else "a sample count past double range")
             raise SamplingCapExceeded(
                 f"resolving gaps {max_gap:.3g} below {gap_target:.3g} needs "
-                f"about {projected:.3g} samples (cap {SAMPLE_CAP})")
+                f"{need} (cap {SAMPLE_CAP})")
         if 2 * samples > SAMPLE_CAP:
             raise SamplingCapExceeded(f"sample cap {SAMPLE_CAP} reached")
         k += 1

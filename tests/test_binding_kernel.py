@@ -20,6 +20,7 @@ from skewdyn import binding as B
 from skewdyn import bounds as BD
 from skewdyn import mc
 from skewdyn.core import build_map
+from skewdyn.errors import OrbitOverflow
 from skewdyn.gallery import basilica_map, chebyshev_map
 
 CHEBYSHEV = chebyshev_map()
@@ -188,7 +189,8 @@ def reference_departure(map, starts, lambda0, mu=None, horizon=1000):
             acc.count += 1
             acc.violations += 1
         else:
-            acc.add(idx, np.array([found[0]]), np.array([found[1]]))
+            acc.add(idx, np.array([found[0]]), np.array([[found[1]]]),
+                    np.ones((1, 1), dtype=bool))
     return acc.to_audit()
 
 
@@ -360,6 +362,18 @@ def test_w_accumulator_is_the_record_history():
     assert rec.binding_time == len(rec.w_history) == 15
     for n in range(1, 16):
         assert B.w_accumulator(COMPLEX_LAMBDA, rec.x, rec.y, n) == rec.w_history[n - 1]
+
+
+def test_w_accumulator_overflow_is_typed():
+    # the pair of test_w_sum_leaves_double_range: W(761) is the record's last
+    # history entry, and W(762) leaves double range as a typed error
+    c0 = COMPLEX_LAMBDA.c0_origin
+    x, y = (0.0, c0 + 1e-5), (0.0, c0)
+    rec = B.binding_time(COMPLEX_LAMBDA, x, y, B.mu_constants(2)[0])
+    assert B.w_accumulator(COMPLEX_LAMBDA, x, y, 761) == 1.9999999999992246e-05
+    assert B.w_accumulator(COMPLEX_LAMBDA, x, y, 761) == rec.w_history[760]
+    with pytest.raises(OrbitOverflow, match="step 762"):
+        B.w_accumulator(COMPLEX_LAMBDA, x, y, 762)
 
 
 def _departure_starts(map, count, seed):

@@ -15,7 +15,7 @@ import pytest
 
 from skewdyn import bounds as BD
 from skewdyn.binding import mu_constants
-from skewdyn.core import OrbitTrace, build_map, iterate, iterate_block
+from skewdyn.core import OrbitTrace, TraceBlock, build_map, iterate, iterate_block
 from skewdyn.errors import (
     AttractingCyclePresent,
     EmptyGrid,
@@ -128,6 +128,150 @@ def make_trace(map, z0, ws, logd):
         tame_flags=np.ones(n + 1, dtype=bool),
         escape_step=None,
     )
+
+
+def stack(map, traces):
+    """OrbitTraces stacked into one TraceBlock, NaN (tame False) past each
+    trace's end, as iterate_block lays out its columns."""
+    m = len(traces)
+    rows = max((len(t) for t in traces), default=1)
+    ws = np.full((rows, m), np.nan, dtype=complex)
+    logs = np.full((rows, m), np.nan)
+    phases = np.full((rows, m), np.nan)
+    tame = np.zeros((rows, m), dtype=bool)
+    for j, t in enumerate(traces):
+        ws[:len(t), j] = t.ws
+        logs[:len(t), j] = t.log_vder
+        phases[:len(t), j] = t.vder_phase
+        tame[:len(t), j] = t.tame_flags
+    return TraceBlock(
+        z0s=np.array([t.z0 for t in traces], dtype=complex), ws=ws,
+        log_vder=logs, vder_phase=phases, tame=tame,
+        lengths=np.array([len(t) for t in traces], dtype=int),
+        escaped=np.array([t.escape_step is not None for t in traces], dtype=bool),
+        lam=map.lam)
+
+
+def columns(block, map):
+    """The block's columns as OrbitTraces (the former TraceBlock.to_traces)."""
+    for j in range(len(block)):
+        ln = int(block.lengths[j])
+        yield OrbitTrace(
+            z0=complex(block.z0s[j]),
+            w0=complex(block.ws[0, j]),
+            zs=block.z0s[j] * map.lam ** np.arange(ln),
+            ws=block.ws[:ln, j].copy(),
+            log_vder=block.log_vder[:ln, j].copy(),
+            vder_phase=block.vder_phase[:ln, j].copy(),
+            tame_flags=block.tame[:ln, j].copy(),
+            escape_step=(ln - 1) if block.escaped[j] else None,
+        )
+
+
+def traces_of(map, starts, n):
+    """Scalar orbits of (z0, w0) starts, stacked into one block."""
+    return stack(map, [iterate(map, x, n) for x in starts])
+
+
+# ---------------------------------------------------------------------------
+# reference copy of the per-trace audits the block scan replaced
+
+
+def _ref_add(acc, start_idx, ns, ratio_logs):
+    """The per-trace path's accumulator step: one start, ratios at ns."""
+    acc.add(start_idx, ns, ratio_logs[:, None], np.ones((len(ns), 1), dtype=bool))
+
+
+def _ref_trace_arrays(trace):
+    with np.errstate(divide="ignore"):
+        logw = np.log(np.abs(trace.ws))
+    logd = trace.log_vder
+    flags = np.asarray(trace.tame_flags, dtype=bool)
+    not_tame = np.nonzero(~flags)[0]
+    tame_len = int(not_tame[0]) if len(not_tame) else len(flags)
+    return logw, logd, tame_len
+
+
+def ref_audit_tame(map, traces, lambda0):
+    log_l0 = math.log(lambda0)
+    d = map.degree
+    main = BD._Acc("thm12_main", lambda0, None)
+    amin = BD._Acc("thm12_min", lambda0, None)
+    for idx, trace in enumerate(traces):
+        if abs(trace.z0) >= map.r0:
+            continue
+        logw, logd, tame_len = _ref_trace_arrays(trace)
+        if tame_len < 1 or len(trace) < 2:
+            continue
+        n_hi = min(tame_len, len(trace) - 1)
+        ns = np.arange(1, n_hi + 1)
+        pm0 = np.minimum.accumulate(logw)[ns - 1]
+        base = logd[ns] - ns * log_l0
+        _ref_add(main, idx, ns, base - (d - 1) * pm0)
+        sel = logw[ns] <= pm0
+        _ref_add(amin, idx, ns[sel], base[sel])
+    return main.to_audit(), amin.to_audit()
+
+
+def ref_audit_return(map, traces, lambda0, delta0, eta0=None):
+    if eta0 is None:
+        eta0 = map.r0 / 10.0
+    log_l0 = math.log(lambda0)
+    log_d0 = math.log(delta0)
+    d = map.degree
+    acc = BD._Acc("lem34", lambda0, delta0, constant_one=True)
+    for idx, trace in enumerate(traces):
+        if abs(trace.z0) >= eta0:
+            continue
+        logw, logd, tame_len = _ref_trace_arrays(trace)
+        if logw[0] > log_d0 or tame_len < 1 or len(trace) < 2:
+            continue
+        n_hi = min(tame_len, len(trace) - 1)
+        ns = np.arange(1, n_hi + 1)
+        lw_n = logw[ns]
+        mids = np.full(len(ns), np.inf)
+        if len(ns) > 1:
+            mids[1:] = np.minimum.accumulate(logw[1:n_hi])
+        sel = (lw_n <= log_d0) & (mids >= lw_n)
+        if not np.any(sel):
+            continue
+        base = logd[ns[sel]] - ns[sel] * log_l0
+        clamp = (d - 1) * np.minimum(0.0, logw[0] - lw_n[sel])
+        _ref_add(acc, idx, ns[sel], base - clamp)
+    return acc.to_audit()
+
+
+def ref_audit_side_lemmas(map, traces, lambda0, delta, eta=None):
+    if eta is None:
+        eta = map.r0 / 10.0
+    log_l0 = math.log(lambda0)
+    log_delta = math.log(delta)
+    d = map.degree
+    a31 = BD._Acc("lem31", lambda0, delta)
+    a32 = BD._Acc("lem32", lambda0, delta)
+    a33 = BD._Acc("lem33", lambda0, delta, constant_one=True)
+    for idx, trace in enumerate(traces):
+        logw, logd, tame_len = _ref_trace_arrays(trace)
+        if tame_len < 1 or len(trace) < 2:
+            continue
+        n_hi = min(tame_len, len(trace) - 1)
+        ns = np.arange(1, n_hi + 1)
+        pm0 = np.minimum.accumulate(logw)[ns - 1]
+        lw_n = logw[ns]
+        base = logd[ns] - ns * log_l0
+        if abs(trace.z0) < eta:
+            sel = pm0 >= log_delta
+            _ref_add(a31, idx, ns[sel], base[sel])
+            sel2 = sel & (lw_n <= log_delta)
+            _ref_add(a32, idx, ns[sel2], base[sel2])
+        if trace.z0 == 0 and logw[0] < log_delta + math.log(2.0):
+            mids = np.full(len(ns), np.inf)
+            if len(ns) > 1:
+                mids[1:] = np.minimum.accumulate(logw[1:n_hi])
+            sel = (lw_n < log_delta + math.log(2.0)) & (mids > log_delta - math.log(2.0))
+            clamp = (d - 1) * np.minimum(0.0, logw[0] - lw_n[sel])
+            _ref_add(a33, idx, ns[sel], base[sel] - clamp)
+    return {a.statement: a.to_audit() for a in (a31, a32, a33)}
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +387,7 @@ class TestTame:
     def test_invariant_line_agrees_with_onedim(self, cheb):
         rng = np.random.default_rng(3)
         ws = rng.uniform(-2.0, 2.0, 100)
-        traces = [iterate(cheb, (0.0, w), 50) for w in ws]
+        traces = traces_of(cheb, [(0.0, w) for w in ws], 50)
         main, _ = BD.audit_tame(cheb, traces, 0.9)
         oned = BD.audit_onedim(cheb.f0(), ws, n_max=50, lambda0=0.9, delta=0.5)
         eq = oned["eq_1dim_der"]
@@ -252,7 +396,7 @@ class TestTame:
 
     def test_min_variant_is_a_restriction(self, cheb):
         rng = np.random.default_rng(3)
-        traces = [iterate(cheb, (0.0, w), 50) for w in rng.uniform(-2.0, 2.0, 100)]
+        traces = traces_of(cheb, [(0.0, w) for w in rng.uniform(-2.0, 2.0, 100)], 50)
         main, amin = BD.audit_tame(cheb, traces, 0.9)
         assert 0 < amin.samples < main.samples
         assert amin.passed and main.passed
@@ -260,33 +404,116 @@ class TestTame:
     def test_base_outside_r0_skipped(self, cheb):
         # traces built elsewhere may carry a base outside B(0, r0)
         tr = make_trace(cheb, 0.9, [0.3, 1.91, 1.6481], [0.0, 1.0, 2.0])
-        main, amin = BD.audit_tame(cheb, [tr], 0.9)
+        main, amin = BD.audit_tame(cheb, stack(cheb, [tr]), 0.9)
         assert main.samples == 0 and amin.samples == 0
 
     def test_untame_start_skipped(self, cheb):
         # |z0| > |w0|^d from step 0, so there is no tame prefix at all
         tr = iterate(cheb, (0.4, 1e-3), 20)
         assert not tr.tame_flags[0]
-        main, amin = BD.audit_tame(cheb, [tr], 0.9)
+        main, amin = BD.audit_tame(cheb, stack(cheb, [tr]), 0.9)
         assert main.samples == 0 and amin.samples == 0
 
     def test_lambda0_must_dominate_lam(self, cheb):
         with pytest.raises(PreconditionViolated):
-            BD.audit_tame(cheb, [], 0.4)
+            BD.audit_tame(cheb, stack(cheb, []), 0.4)
 
     def test_attracting_cycle_rejected(self):
         with pytest.raises(AttractingCyclePresent):
-            BD.audit_tame(basilica_map(), [], 0.9)
+            BD.audit_tame(basilica_map(), stack(basilica_map(), []), 0.9)
 
     def test_perturbed_batch_positive_constants(self, cheb):
         rng = np.random.default_rng(17)
         z0 = (0.1 * np.sqrt(rng.uniform(0, 1, 300))
               * np.exp(2j * np.pi * rng.uniform(0, 1, 300)))
         w0 = rng.uniform(-2.0, 2.0, 300).astype(complex)
-        traces = list(iterate_block(cheb, z0, w0, 200).to_traces(cheb))
+        traces = iterate_block(cheb, z0, w0, 200)
         main, amin = BD.audit_tame(cheb, traces, 0.8)
         assert main.passed and main.fitted_constant > 0
         assert amin.passed and amin.fitted_constant > 0
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestBlockScanMatchesPerTrace:
+    """The block scan against the per-trace reference, field by field; the
+    reference warns where w0 = 0 gives -inf - (-inf)."""
+
+    MAPS = {
+        "chebyshev": chebyshev_map(),
+        "chebyshev_complex_lam": chebyshev_map(0.4 + 0.3j),
+        "complex_unicritical": build_map(0.5 + 0.2j, 2, [[-1.3 + 0.1j, 1.0, 0.3]]),
+        "cubic_general": build_map(0.6, 3, [[1.0 + 0.5j, 1.0], [-0.5, 0.4j], [0.3]],
+                                   mode="general"),
+    }
+
+    @staticmethod
+    def random_block(map, seed, count=400, n=60):
+        """Starts mixing the line, untame bases, escapes and w0 = 0."""
+        rng = np.random.default_rng(seed)
+        z0 = (0.9 * map.r0 * np.sqrt(rng.uniform(0, 1, count))
+              * np.exp(2j * np.pi * rng.uniform(0, 1, count)))
+        w0 = (1.3 * map.escape_radius * np.sqrt(rng.uniform(0, 1, count))
+              * np.exp(2j * np.pi * rng.uniform(0, 1, count)))
+        z0[::5] = 0.0  # on the invariant line
+        w0[1::7] *= 1e-3  # |z0|^k > |w0|^d: untame from the start
+        w0[2::11] = 0.0
+        w0[3::13] = 1.5 * map.escape_radius  # escaped before the first step
+        w0[4::9] = rng.uniform(-0.1, 0.1, len(w0[4::9]))  # small returns
+        return iterate_block(map, z0, w0, n)
+
+    @staticmethod
+    def assert_same(block, map, lambda0, delta):
+        traces = list(columns(block, map))
+        for eta in (None, 0.0, 0.5 * map.r0):
+            got = BD.audit_return(map, block, lambda0, delta, eta)
+            assert got == ref_audit_return(map, traces, lambda0, delta, eta)
+            got = BD.audit_side_lemmas(map, block, lambda0, delta, eta)
+            assert got == ref_audit_side_lemmas(map, traces, lambda0, delta, eta)
+        if not BD.find_attracting_cycles(map):
+            assert BD.audit_tame(map, block, lambda0) == ref_audit_tame(map, traces, lambda0)
+
+    @pytest.mark.parametrize("name", sorted(MAPS))
+    def test_random_blocks(self, name):
+        m = self.MAPS[name]
+        lambda0 = max(0.8, abs(m.lam) + 0.05)
+        samples = 0
+        for seed in range(3):
+            block = self.random_block(m, seed)
+            for delta in (0.05, 0.5):
+                self.assert_same(block, m, lambda0, delta)
+            samples += BD.audit_tame(m, block, lambda0)[0].samples
+        assert samples > 0
+
+    def test_attracting_cycle_map_return_and_side(self):
+        # the return audit runs (and fails) on maps the tame audit rejects
+        m = basilica_map()
+        block = self.random_block(m, 7)
+        self.assert_same(block, m, 0.8, 0.05)
+        assert BD.audit_return(m, block, 0.8, 0.05).violations > 0
+
+    def test_sampled_tame_input(self, cheb):
+        block = BD.sample_traces(cheb, 2000, 100, seed=3)
+        assert BD.audit_tame(cheb, block, 0.8) == ref_audit_tame(
+            cheb, list(columns(block, cheb)), 0.8)
+
+    def test_ties_go_to_the_earliest_start_then_n(self, cheb):
+        # |Df^n| = lam0^n: every admitted pair of every column has ratio 1
+        tr = make_trace(cheb, 0.0, [0.04, 0.2, 0.04, 0.2, 0.04],
+                        [k * math.log(0.8) for k in range(5)])
+        block = stack(cheb, [tr, tr, tr])
+        a = BD.audit_return(cheb, block, 0.8, 0.05)
+        assert a == ref_audit_return(cheb, [tr, tr, tr], 0.8, 0.05)
+        assert a.samples == 6 and a.fitted_constant == 1.0
+        assert a.min_ratio_location == {"start": 0, "n": 2}
+        side = BD.audit_side_lemmas(cheb, block, 0.8, 0.05)
+        assert side == ref_audit_side_lemmas(cheb, [tr, tr, tr], 0.8, 0.05)
+        assert side["lem33"].samples > 0
+
+    def test_empty_block(self, cheb):
+        block = stack(cheb, [])
+        assert BD.audit_tame(cheb, block, 0.8) == ref_audit_tame(cheb, [], 0.8)
+        assert BD.audit_return(cheb, block, 0.8, 0.05).samples == 0
+        assert BD.audit_side_lemmas(cheb, block, 0.8, 0.05)["lem31"].samples == 0
 
 
 class TestLambdaMonotonicity:
@@ -307,7 +534,7 @@ class TestReturnSynthetic:
 
     def test_equal_endpoints_pure_exponential(self, cheb):
         tr = make_trace(cheb, 1e-3, [0.04, 0.2, 0.04], [0, 0, 0])
-        a = BD.audit_return(cheb, [tr], 0.8, 0.05)
+        a = BD.audit_return(cheb, stack(cheb, [tr]), 0.8, 0.05)
         # RHS = lam0^2 * min(1, 1): ratio = 1 / 0.64
         assert a.samples == 1
         assert a.fitted_constant == pytest.approx(1 / 0.64, rel=1e-12)
@@ -316,38 +543,38 @@ class TestReturnSynthetic:
 
     def test_deep_return_relaxes_the_floor(self, cheb):
         tr = make_trace(cheb, 1e-3, [0.01, 0.2, 0.04], [0, 0, 0])
-        a = BD.audit_return(cheb, [tr], 0.8, 0.05)
+        a = BD.audit_return(cheb, stack(cheb, [tr]), 0.8, 0.05)
         # (|w0|/|w_n|)^(d-1) = 1/4: ratio = 1 / (0.64 * 0.25)
         assert a.fitted_constant == pytest.approx(6.25, rel=1e-12)
 
     def test_shallow_endpoint_clamps_at_one(self, cheb):
         tr = make_trace(cheb, 1e-3, [0.04, 0.2, 0.01], [0, 0, 0])
-        a = BD.audit_return(cheb, [tr], 0.8, 0.05)
+        a = BD.audit_return(cheb, stack(cheb, [tr]), 0.8, 0.05)
         assert a.fitted_constant == pytest.approx(1 / 0.64, rel=1e-12)
 
     def test_middle_dip_below_endpoint_excluded(self, cheb):
         # n=2 fails the "middles stay above |w_n|" hypothesis; n=1 survives
         tr = make_trace(cheb, 1e-3, [0.04, 0.001, 0.04], [0, 0, 0])
-        a = BD.audit_return(cheb, [tr], 0.8, 0.05)
+        a = BD.audit_return(cheb, stack(cheb, [tr]), 0.8, 0.05)
         assert a.samples == 1
         assert a.min_ratio_location == {"start": 0, "n": 1}
         assert a.fitted_constant == pytest.approx(1.25, rel=1e-12)
 
     def test_violation_counted(self, cheb):
         tr = make_trace(cheb, 1e-3, [0.04, 0.2, 0.04], [0, 0, math.log(0.5)])
-        a = BD.audit_return(cheb, [tr], 0.8, 0.05)
+        a = BD.audit_return(cheb, stack(cheb, [tr]), 0.8, 0.05)
         assert a.violations == 1
         assert a.fitted_constant == pytest.approx(0.5 / 0.64, rel=1e-12)
 
     def test_base_radius_filter(self, cheb):
         # default eta0 = r0/10 = 0.05; a base at 0.06 is out of range
         tr = make_trace(cheb, 0.06, [0.04, 0.2, 0.04], [0, 0, 0])
-        a = BD.audit_return(cheb, [tr], 0.8, 0.05)
+        a = BD.audit_return(cheb, stack(cheb, [tr]), 0.8, 0.05)
         assert a.samples == 0
 
     def test_delta0_positive(self, cheb):
         with pytest.raises(PreconditionViolated):
-            BD.audit_return(cheb, [], 0.8, 0.0)
+            BD.audit_return(cheb, stack(cheb, []), 0.8, 0.0)
 
 
 class TestReturnOnOrbits:
@@ -355,7 +582,7 @@ class TestReturnOnOrbits:
         rng = np.random.default_rng(23)
         z0 = rng.uniform(1e-9, 1e-7, 400).astype(complex)
         w0 = rng.uniform(-0.05, 0.05, 400).astype(complex)
-        traces = list(iterate_block(cheb, z0, w0, 250).to_traces(cheb))
+        traces = iterate_block(cheb, z0, w0, 250)
         a = BD.audit_return(cheb, traces, 0.8, 0.05)
         assert a.samples > 100
         assert a.violations == 0
@@ -366,7 +593,7 @@ class TestReturnOnOrbits:
         # faster than any uniform return floor; the audit must say so
         m = basilica_map()
         tr = iterate(m, (1e-6, 0.04), 10)
-        a = BD.audit_return(m, [tr], 0.8, 0.05)
+        a = BD.audit_return(m, stack(m, [tr]), 0.8, 0.05)
         assert a.samples >= 2
         assert a.violations == a.samples
         assert a.fitted_constant < 0.3
@@ -377,7 +604,7 @@ class TestSideLemmas:
         rng = np.random.default_rng(31)
         z0 = rng.uniform(-0.04, 0.04, 300).astype(complex)
         w0 = rng.uniform(-2.0, 2.0, 300).astype(complex)
-        traces = list(iterate_block(cheb, z0, w0, 60).to_traces(cheb))
+        traces = iterate_block(cheb, z0, w0, 60)
         side = BD.audit_side_lemmas(cheb, traces, 0.8, 0.5)
         assert side["lem31"].passed and side["lem31"].fitted_constant > 0
         assert side["lem32"].passed and side["lem32"].fitted_constant > 0
@@ -387,7 +614,7 @@ class TestSideLemmas:
 
     def test_small_return_variant_on_the_line(self, cheb):
         rng = np.random.default_rng(37)
-        traces = [iterate(cheb, (0.0, w), 60) for w in rng.uniform(-0.9, 0.9, 200)]
+        traces = traces_of(cheb, [(0.0, w) for w in rng.uniform(-0.9, 0.9, 200)], 60)
         side = BD.audit_side_lemmas(cheb, traces, 0.8, 0.5)
         assert side["lem33"].samples > 0
         assert side["lem33"].violations == 0
@@ -397,14 +624,14 @@ class TestSideLemmas:
         rng = np.random.default_rng(31)
         z0 = rng.uniform(0.01, 0.04, 50).astype(complex)
         w0 = rng.uniform(-2.0, 2.0, 50).astype(complex)
-        traces = list(iterate_block(cheb, z0, w0, 30).to_traces(cheb))
+        traces = iterate_block(cheb, z0, w0, 30)
         side = BD.audit_side_lemmas(cheb, traces, 0.8, 0.5, eta=0.0)
         assert side["lem31"].samples == 0
         assert side["lem32"].samples == 0
 
     def test_delta_positive(self, cheb):
         with pytest.raises(PreconditionViolated):
-            BD.audit_side_lemmas(cheb, [], 0.8, -1.0)
+            BD.audit_side_lemmas(cheb, stack(cheb, []), 0.8, -1.0)
 
 
 class TestCriticalValueDeparture:
@@ -521,8 +748,8 @@ class TestAssembly:
         a = BD.sample_traces(cheb, 300, 20, seed=99, threads=1)
         b = BD.sample_traces(cheb, 300, 20, seed=99, threads=4)
         assert len(a) == len(b) == 300
-        assert [t.z0 for t in a] == [t.z0 for t in b]
-        assert [t.w0 for t in a] == [t.w0 for t in b]
+        assert np.array_equal(a.z0s, b.z0s)
+        assert np.array_equal(a.ws[0], b.ws[0])
 
     def test_merge_equals_union(self, cheb):
         # splitting the starts adds samples and violations, and the whole

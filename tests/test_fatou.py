@@ -588,6 +588,18 @@ class TestBoundaryLadder:
         assert ref_sizes == [4096, 8192] and sizes == [4096, 4096]
         assert msg == ref_msg == "boundary image leaves double precision range"
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_projection_past_double_range_names_no_count(self):
+        # level 0 is finite with gaps near 8e305, so samples * max_gap
+        # overflows: the raise stands, the message quotes no made-up count
+        cheb = chebyshev_map()
+        with pytest.raises(SamplingCapExceeded) as exc:
+            disk_image_contains_ball(cheb, 0.0, 15.5, 0.5, 8, 0.0, 1.0)
+        msg = str(exc.value)
+        assert msg.startswith("resolving gaps 8.13e+305 below")
+        assert msg.endswith("needs a sample count past double range (cap 1048576)")
+        assert "inf" not in msg
+
 class TestVerifyRadiusProposition:
     @pytest.mark.parametrize("z0", sorted(EXPAND_REPORTS), ids=["one_dim", "skew"])
     def test_reports_exact(self, z0):

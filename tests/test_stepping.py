@@ -1,7 +1,7 @@
 """The compacted orbit-stepping kernel and the callers built on it.
 
 Two kinds of check.  A differential test drives the vector path
-(iterate_block, then to_traces) and the scalar path (core.iterate) from the
+(iterate_block, read column by column) and the scalar path (core.iterate) from the
 same random starts and requires equal lengths and escape steps and tightly
 agreeing values.  Exactness tests pin every caller of the kernel to the
 outputs the masked full-length loops produced before it existed; those
@@ -43,6 +43,19 @@ UNICRITICAL = build_map(0.5 + 0.2j, 2, [[-1.3 + 0.1j, 1.0, 0.3]])
 GENERAL = build_map(0.6, 3, [[0.2 + 0.1j, 1.0], [-0.5, 0.4j], [0.3]], mode="general")
 
 
+def _column(block, map, j):
+    """Column j of a block, cut to its valid rows, in OrbitTrace's fields."""
+    ln = int(block.lengths[j])
+    return {
+        "zs": block.z0s[j] * map.lam ** np.arange(ln),
+        "ws": block.ws[:ln, j],
+        "log_vder": block.log_vder[:ln, j],
+        "vder_phase": block.vder_phase[:ln, j],
+        "tame_flags": block.tame[:ln, j],
+        "escape_step": (ln - 1) if block.escaped[j] else None,
+    }
+
+
 def _polar(radius):
     return st.builds(lambda r, t: radius * r * np.exp(2j * np.pi * t),
                      st.floats(0.0, 1.0), st.floats(0.0, 1.0))
@@ -57,15 +70,17 @@ def test_block_agrees_with_scalar_iterate(map, data):
     z0s = [data.draw(_polar(0.999 * map.r0)) for _ in range(count)]
     w0s = [data.draw(_polar(1.2 * map.escape_radius)) for _ in range(count)]
     block = iterate_block(map, z0s, w0s, n)
-    for j, tr in enumerate(block.to_traces(map)):
+    assert len(block) == count
+    for j in range(count):
+        col = _column(block, map, j)
         ref = iterate(map, (z0s[j], w0s[j]), n)
-        assert len(tr) == len(ref)
-        assert tr.escape_step == ref.escape_step
-        np.testing.assert_allclose(tr.zs, ref.zs, rtol=1e-12, atol=1e-300)
-        np.testing.assert_allclose(tr.ws, ref.ws, rtol=1e-9, atol=1e-12)
-        np.testing.assert_allclose(tr.log_vder, ref.log_vder, rtol=1e-9, atol=1e-9)
-        np.testing.assert_allclose(tr.vder_phase, ref.vder_phase, rtol=1e-9, atol=1e-9)
-        assert np.array_equal(tr.tame_flags, ref.tame_flags)
+        assert len(col["ws"]) == len(ref)
+        assert col["escape_step"] == ref.escape_step
+        np.testing.assert_allclose(col["zs"], ref.zs, rtol=1e-12, atol=1e-300)
+        np.testing.assert_allclose(col["ws"], ref.ws, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(col["log_vder"], ref.log_vder, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(col["vder_phase"], ref.vder_phase, rtol=1e-9, atol=1e-9)
+        assert np.array_equal(col["tame_flags"], ref.tame_flags)
 
 
 def test_block_phase_matches_scalar_on_escaping_and_bounded_orbits():
@@ -73,10 +88,11 @@ def test_block_phase_matches_scalar_on_escaping_and_bounded_orbits():
     z0s = [0.0, 0.02 + 0.01j, 0.01j]
     w0s = [0.3, 0.9 + 0.1j, 2.0]
     block = iterate_block(m, z0s, w0s, 40)
-    for j, tr in enumerate(block.to_traces(m)):
+    for j in range(len(block)):
+        phase = _column(block, m, j)["vder_phase"]
         ref = iterate(m, (z0s[j], w0s[j]), 40)
-        assert np.any(tr.vder_phase != 0.0)
-        np.testing.assert_allclose(tr.vder_phase, ref.vder_phase, rtol=1e-9, atol=1e-9)
+        assert np.any(phase != 0.0)
+        np.testing.assert_allclose(phase, ref.vder_phase, rtol=1e-9, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
