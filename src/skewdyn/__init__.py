@@ -11,7 +11,6 @@ from .core import (
     map_from_config,
     map_to_config,
     trace_to_csv,
-    vertical_derivative,
 )
 from .errors import SkewdynError
 from .fiber import Cycle, FiberMap
@@ -27,7 +26,6 @@ __all__ = [
     "map_from_config",
     "map_to_config",
     "trace_to_csv",
-    "vertical_derivative",
     "SkewdynError",
     "Cycle",
     "FiberMap",

@@ -10,9 +10,7 @@ escape radius for the fiber.
 from __future__ import annotations
 
 import cmath
-import csv
 import functools
-import io
 import math
 from dataclasses import dataclass
 
@@ -20,7 +18,6 @@ import numpy as np
 
 from .errors import (
     BaseOutsideDomain,
-    CriticalHit,
     DegenerateFiber,
     DegreeTooLow,
     HorizonNonPositive,
@@ -120,8 +117,7 @@ class OrbitTrace:
 
     log_vder[n] = log |Df^n(x0)(v)| for the vertical unit vector v; the
     companion phase is the accumulated argument of the derivative factors.
-    A factor that is exactly zero is recorded as -inf (vertical_derivative
-    raises CriticalHit instead).
+    A factor that is exactly zero is recorded as -inf, with phase 0.
     """
 
     z0: complex
@@ -275,20 +271,36 @@ def iterate(map: SkewProductMap, x0, n: int) -> OrbitTrace:
     logs = [0.0]
     phases = [0.0]
     escape_step = None
+    radius, lam, d = map.escape_radius, map.lam, map.degree
+    unicritical = map.mode == "unicritical"
+    c0 = map.fiber_coeffs[0]
+    c0_top, c0_rest = c0[-1], c0[-2::-1]
+    log, phase, dfdw, step = math.log, cmath.phase, map.dfdw, map.step
+    log_acc = phase_acc = 0.0
     z, w = z0, w0
     for i in range(n):
-        if abs(w) > map.escape_radius:
+        if abs(w) > radius:
             escape_step = i
             break
-        factor = map.dfdw(z, w)
+        if unicritical:
+            # map.dfdw and map.step inlined, with their operations in order
+            factor = d * w ** (d - 1)
+            c = z * 0 + c0_top
+            for a in c0_rest:
+                c = c * z + a
+            z, w = lam * z, w**d + c
+        else:
+            factor = dfdw(z, w)
+            z, w = step(z, w)
         mag = abs(factor)
-        logs.append(logs[-1] + (math.log(mag) if mag > 0 else -math.inf))
-        phases.append(phases[-1] + (cmath.phase(factor) if mag > 0 else 0.0))
-        z, w = map.step(z, w)
+        log_acc += log(mag) if mag > 0 else -math.inf
+        phase_acc += phase(factor) if mag > 0 else 0.0
+        logs.append(log_acc)
+        phases.append(phase_acc)
         zs.append(z)
         ws.append(w)
     else:
-        if abs(w) > map.escape_radius:
+        if abs(w) > radius:
             escape_step = n
 
     zs_arr = np.array(zs, dtype=complex)
@@ -305,24 +317,6 @@ def iterate(map: SkewProductMap, x0, n: int) -> OrbitTrace:
         tame_flags=tame,
         escape_step=escape_step,
     )
-
-
-def vertical_derivative(map: SkewProductMap, trace: OrbitTrace):
-    """Recompute the cocycle logs and phases from the trace points.
-
-    Raises CriticalHit with the offending index if any derivative factor is
-    exactly zero.
-    """
-    n = len(trace) - 1
-    logs = np.zeros(n + 1)
-    phases = np.zeros(n + 1)
-    for i in range(n):
-        factor = map.dfdw(trace.zs[i], trace.ws[i])
-        if factor == 0:
-            raise CriticalHit(i)
-        logs[i + 1] = logs[i] + math.log(abs(factor))
-        phases[i + 1] = phases[i] + cmath.phase(factor)
-    return logs, phases
 
 
 @functools.lru_cache(maxsize=256)
@@ -352,13 +346,18 @@ class _Orbits:
     """The live orbits of a batch, stepped together in compacted arrays.
 
     idx holds their batch positions, z and w their coordinates (z is None
-    for a FiberMap) and absw = |w|.  `steps` drops the orbits whose |w| is
-    not within bound after each step, `retire` those a caller is done with,
-    each with its columns (last axis) of the carry arrays.  With factors,
-    factor is the vertical derivative factor of the latest step at its
-    start.  numpy's elementwise results do not depend on array position,
-    so compaction changes no value; its complex products are not bitwise
-    commutative, though, so lam_left keeps a caller's lam * z from z * lam.
+    for a FiberMap) and absw = |w|.  A z of length 1 is a shared base
+    orbit: it stands for every orbit of the batch (all starts on one
+    fiber), is stepped once per step, and its c_i(z) terms broadcast
+    against the live w; retire leaves it alone.  Otherwise z holds one
+    base point per orbit.  `steps` drops the orbits whose |w| is not within
+    bound after each step, `retire` those a caller is done with, each with
+    its columns (last axis) of the carry arrays.  With factors, factor is
+    the vertical derivative factor of the latest step at its start.
+    numpy's elementwise results do not depend on array position, so
+    neither compaction nor the shared base changes a value; its complex
+    products are not bitwise commutative, though, so lam_left keeps a
+    caller's lam * z from z * lam.
     """
 
     def __init__(self, map, z, w, bound: float | None = None, carry=None,
@@ -373,6 +372,7 @@ class _Orbits:
         self.absw = np.abs(self.w)
         self.carry = carry or {}
         self.factor = None
+        self.shared = self.z is not None and len(self.z) == 1
 
     def steps(self, count: int):
         """Step up to count times, yielding the step number after each;
@@ -398,7 +398,7 @@ class _Orbits:
             return
         keep = ~done
         self.idx, self.w, self.absw = self.idx[keep], self.w[keep], self.absw[keep]
-        if self.z is not None:
+        if self.z is not None and not self.shared:
             self.z = self.z[keep]
         if self.factor is not None:
             self.factor = self.factor[keep]
@@ -512,23 +512,21 @@ def map_from_config(cfg: dict) -> SkewProductMap:
     return build_map(complex(lam_pair[0], lam_pair[1]), degree, polys, mode)
 
 
+_CSV_CHUNK = 4096  # rows formatted per join; bounds the transient row strings
+
+
 def trace_to_csv(trace: OrbitTrace) -> str:
     """Orbit trace as CSV with 17-significant-digit floats."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "z_re", "z_im", "w_re", "w_im", "log_vder", "tame", "escaped"])
-    for i in range(len(trace)):
-        esc = 1 if trace.escape_step is not None and i == trace.escape_step else 0
-        writer.writerow(
-            [
-                i,
-                f"{trace.zs[i].real:.17g}",
-                f"{trace.zs[i].imag:.17g}",
-                f"{trace.ws[i].real:.17g}",
-                f"{trace.ws[i].imag:.17g}",
-                f"{trace.log_vder[i]:.17g}",
-                int(bool(trace.tame_flags[i])),
-                esc,
-            ]
-        )
-    return buf.getvalue()
+    escaped = [0] * len(trace)
+    if trace.escape_step is not None and trace.escape_step < len(trace):
+        escaped[trace.escape_step] = 1
+    row = "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%d,%d\n"
+    parts = ["n,z_re,z_im,w_re,w_im,log_vder,tame,escaped\n"]
+    for lo in range(0, len(trace), _CSV_CHUNK):
+        hi = lo + _CSV_CHUNK
+        zs, ws = trace.zs[lo:hi], trace.ws[lo:hi]
+        rows = zip(range(lo, lo + len(zs)), zs.real.tolist(), zs.imag.tolist(),
+                   ws.real.tolist(), ws.imag.tolist(), trace.log_vder[lo:hi].tolist(),
+                   trace.tame_flags[lo:hi].tolist(), escaped[lo:hi])
+        parts.append("".join([row % r for r in rows]))
+    return "".join(parts)

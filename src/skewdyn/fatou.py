@@ -61,7 +61,8 @@ def _cycle_candidates(map: SkewProductMap) -> tuple[list[str], list[Cycle]]:
 def _classify_block(map: SkewProductMap, z0s, w0s, horizon: int, cycles: list[Cycle]):
     """Vector classification; returns (codes, escape_steps).
 
-    Code 0 = undecided, 1 = escaping, 2+j = basin of cycles[j].
+    Code 0 = undecided, 1 = escaping, 2+j = basin of cycles[j].  A single
+    z0 is a shared base point for every start (see _Orbits).
     """
     w = np.asarray(w0s, dtype=complex).ravel()
     m = len(w)
@@ -73,16 +74,23 @@ def _classify_block(map: SkewProductMap, z0s, w0s, horizon: int, cycles: list[Cy
 
     def settle(n: int) -> None:
         out = ~(orbits.absw <= map.escape_radius)  # catches NaN too
-        codes[orbits.idx[out]] = 1
-        esc[orbits.idx[out]] = n
-        orbits.retire(out)
+        if out.any():
+            codes[orbits.idx[out]] = 1
+            esc[orbits.idx[out]] = n
+            orbits.retire(out)
         for j, p in enumerate(pts):
-            dmin = np.min(np.abs(orbits.w[:, None] - p[None, :]), axis=1)
+            # near some point of the cycle: the OR of the per-point tests
+            # is the test on their minimum distance, NaN failing both
+            near = np.abs(orbits.w - p[0]) < CYCLE_TOL
+            for pk in p[1:]:
+                near |= np.abs(orbits.w - pk) < CYCLE_TOL
             runs = orbits.carry["runs"]
-            runs[j] = np.where(dmin < CYCLE_TOL, runs[j] + 1, 0)
+            runs[j] += 1
+            runs[j] *= near
             done = runs[j] >= CYCLE_RUN
-            codes[orbits.idx[done]] = 2 + j
-            orbits.retire(done)
+            if done.any():
+                codes[orbits.idx[done]] = 2 + j
+                orbits.retire(done)
 
     settle(0)
     for n in orbits.steps(horizon):
@@ -154,7 +162,7 @@ def render_slice(map: SkewProductMap, spec: SliceSpec, horizon: int = 1000) -> R
     im = spec.center.imag + offs[::-1]
     grid = re[None, :] + 1j * im[:, None]
     if spec.plane == "fiber":
-        zs = np.full(res * res, spec.at, dtype=complex)
+        zs = np.array([spec.at], dtype=complex)  # one base orbit for the slice
         ws = grid.ravel()
     else:
         zs = grid.ravel()

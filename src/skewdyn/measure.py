@@ -188,8 +188,7 @@ def e_set_area(map: SkewProductMap, z: complex, alpha: float, ns,
         return uniform_disk(gen, count, map.escape_radius)
 
     w = draw_blocks(seed, "eset", samples, draw, threads)
-    orbits = _Orbits(map, np.full(samples, z, dtype=complex), w,
-                     bound=map.escape_radius)
+    orbits = _Orbits(map, np.array([z]), w, bound=map.escape_radius)
     # cells past the last live orbit stay empty
     fractions = dict.fromkeys(grid, 0.0)
     if grid[0] == 0:

@@ -162,6 +162,30 @@ class TestOrbit:
         assert (out / "orbit.json").exists()
 
 
+    def test_shipped_config_artifact_digests(self, tmp_path):
+        # sha256 recorded on x86-64, numpy 2.4, before iterate inlined the
+        # unicritical step and trace_to_csv formatted rows in chunks
+        out = tmp_path / "out"
+        assert main(["orbit", "--config", str(CONFIG_DIR / "orbit.json"),
+                     "--out", str(out)]) == 0
+        assert tree_digest(out) == {
+            "orbit.csv":
+                "5c6228c1d115d6c620830ada2e80ed6af5b19debd4c45359ec1dc59844d0a5a5",
+            "orbit.json":
+                "59f121f6fdb7e62c7a0b352d7e2344496a28806efcf0b781a9b89642ea59a81b"}
+
+    def test_long_orbit_csv_digest(self, tmp_path):
+        # 20001 rows, not a multiple of the 4096-row chunk; recorded as above
+        code, out = run(tmp_path, "orbit",
+                        {"map": CHEB,
+                         "params": {"z0": [0.0, 0.0], "w0": [0.3, 0.0], "n": 20000}})
+        assert code == 0
+        blob = (out / "orbit.csv").read_bytes()
+        assert len(blob) == 1081863
+        assert blob.count(b"\n") == 20002
+        assert hashlib.sha256(blob).hexdigest() == (
+            "ce8468ddfaeeff2fd712919c590b2dfd93af85e1a5b7b6a494ff379a4a9562be")
+
 class TestBinding:
     def test_chebyshev_batch_passes(self, tmp_path):
         code, out = run(tmp_path, "binding",
@@ -421,6 +445,33 @@ class TestRender:
         assert code == 0
         assert tree_digest(out) == first
 
+
+    def test_shipped_config_artifact_digests(self, tmp_path):
+        # sha256 recorded on x86-64, numpy 2.4, when render stepped one z
+        # per pixel
+        out = tmp_path / "out"
+        assert main(["render", "--config", str(CONFIG_DIR / "render.json"),
+                     "--out", str(out)]) == 0
+        assert tree_digest(out) == {
+            "slice.p5":
+                "b8955fcb8be5f7fc7bf16facb65e08d6b9146f706a5263d061f6f5a88958ab3e",
+            "slice.p5.json":
+                "d6d87d23818aab455d336777b6ac50aa779116663dbd891b092d7a835721f171"}
+
+    def test_bounded_parabolic_digests(self, tmp_path):
+        # c = 1/4 around its parabolic basin over a complex base point: most
+        # pixels stay live to the horizon; recorded as above
+        cfg = {"map": dict(CHEB, fiber_coeffs=[[[0.25, 0.0], [1.0, 0.0]]]),
+               "params": {"plane": "fiber", "center": [0.0, 0.0],
+                          "extent": 1.0, "resolution": 32, "at": [0.001, 0.0002],
+                          "horizon": 400}}
+        code, out = run(tmp_path, "render", cfg)
+        assert code == 0
+        assert tree_digest(out) == {
+            "slice.p5":
+                "43b32ee400626b785727efbb666c67eb4874e00fe683a025f6ef80addd83bcbc",
+            "slice.p5.json":
+                "1f713363bcdf63fdadd19aa001b914702fcf8117f39008bab97b2fc372c78658"}
 
 class TestExpand:
     def test_verified_run(self, tmp_path):

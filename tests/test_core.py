@@ -6,12 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from conftest import assert_bitwise
 from skewdyn.core import (
     build_map,
     find_attracting_cycles,
     iterate,
     iterate_block,
-    vertical_derivative,
 )
 from skewdyn.errors import (
     BaseOutsideDomain,
@@ -78,6 +78,54 @@ class TestBuildMap:
             assert abs(m.fiber_value(0.1, w)) > abs(w)
 
 
+def reference_iterate(map, x0, n):
+    """The scalar orbit loop through map.dfdw and map.step, before iterate
+    inlined the unicritical step; returns (zs, ws, logs, phases,
+    escape_step) as lists."""
+    z0, w0 = complex(x0[0]), complex(x0[1])
+    zs, ws, logs, phases = [z0], [w0], [0.0], [0.0]
+    escape_step = None
+    z, w = z0, w0
+    for i in range(n):
+        if abs(w) > map.escape_radius:
+            escape_step = i
+            break
+        factor = map.dfdw(z, w)
+        mag = abs(factor)
+        logs.append(logs[-1] + (math.log(mag) if mag > 0 else -math.inf))
+        phases.append(phases[-1] + (cmath.phase(factor) if mag > 0 else 0.0))
+        z, w = map.step(z, w)
+        zs.append(z)
+        ws.append(w)
+    else:
+        if abs(w) > map.escape_radius:
+            escape_step = n
+    return zs, ws, logs, phases, escape_step
+
+
+REFERENCE_MAPS = {
+    "chebyshev": chebyshev_map(),
+    "complex_quadratic": build_map(0.4 + 0.3j, 2, [[-0.8 + 0.2j, 1.0, 0.5 - 0.3j]]),
+    "cubic": build_map(0.5, 3, [[0.3j, 1.0]]),
+    "general3": build_map(0.6, 3, [[0.2 + 0.1j, 1.0], [-0.5, 0.4j], [0.3]],
+                          mode="general"),
+}
+
+
+def _reference_starts(m):
+    """Random starts up to past the escape radius, plus exact zeros of
+    both signs (a zero factor at the first step) and non-finite w."""
+    rng = np.random.default_rng(11)
+    z0 = 0.99 * m.r0 * np.sqrt(rng.random(40)) * np.exp(2j * np.pi * rng.random(40))
+    w0 = 1.2 * m.escape_radius * np.sqrt(rng.random(40)) * np.exp(2j * np.pi * rng.random(40))
+    starts = [(complex(z), complex(w)) for z, w in zip(z0, w0)]
+    signed = [complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+    starts += [(z, w) for z in signed for w in signed]
+    starts += [(0.01 + 0.02j, complex(math.nan, 0.0)), (0.0, complex(math.inf, 0.0)),
+               (-0.0, -3.0 + 0.5j), (0.1 - 0.1j, 1e200)]
+    return starts
+
+
 class TestIterate:
     def test_validation(self):
         m = chebyshev_map()
@@ -109,12 +157,27 @@ class TestIterate:
         expect = np.abs(tr.zs) ** m.k <= np.abs(tr.ws) ** m.degree
         assert np.array_equal(tr.tame_flags, expect)
 
-    def test_vertical_derivative_matches_trace(self):
-        m = chebyshev_map()
-        tr = iterate(m, (0.1, 0.7), 12)
-        logs, phases = vertical_derivative(m, tr)
-        assert np.allclose(logs, tr.log_vder)
-        assert np.allclose(phases, tr.vder_phase)
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("name", sorted(REFERENCE_MAPS))
+    def test_matches_reference_loop(self, name):
+        m = REFERENCE_MAPS[name]
+        for x0 in _reference_starts(m):
+            got = iterate(m, x0, 60)
+            zs, ws, logs, phases, escape_step = reference_iterate(m, x0, 60)
+            assert got.escape_step == escape_step, x0
+            assert_bitwise(got.zs, np.array(zs, dtype=complex), f"zs {x0}")
+            assert_bitwise(got.ws, np.array(ws, dtype=complex), f"ws {x0}")
+            assert_bitwise(got.log_vder, np.array(logs), f"log_vder {x0}")
+            assert_bitwise(got.vder_phase, np.array(phases), f"vder_phase {x0}")
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_reference_starts_reach_the_edge_cases(self):
+        # the starts above must include escapes and exact zero factors
+        m = REFERENCE_MAPS["complex_quadratic"]
+        traces = [iterate(m, x0, 60) for x0 in _reference_starts(m)]
+        assert any(t.escape_step is not None for t in traces)
+        assert any(t.escape_step is None for t in traces)
+        assert any(np.isneginf(t.log_vder).any() for t in traces)
 
     def test_block_matches_scalar(self):
         m = chebyshev_map()

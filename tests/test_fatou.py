@@ -15,8 +15,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_bitwise
 from skewdyn import fatou
-from skewdyn.core import build_map, find_attracting_cycles
+from skewdyn.core import _Orbits, build_map, find_attracting_cycles
 from skewdyn.errors import (
     BaseOutsideDomain,
     PreconditionViolated,
@@ -32,7 +33,7 @@ from skewdyn.fatou import (
     verify_radius_proposition,
     write_p5,
 )
-from skewdyn.gallery import basilica_map, chebyshev_map, siegel_map
+from skewdyn.gallery import basilica_map, chebyshev_map, nearfixed_map, siegel_map
 
 
 GENERAL3 = build_map(0.5, 3, [[-0.5, 1.0], [-1.2, 0.3], [0.2j]], mode="general")
@@ -169,6 +170,48 @@ def assert_same_as_probe_min(chk, ref):
     assert chk.max_gap == ref.max_gap
     if chk.distance_margin > 0:
         assert chk.winding_min == ref.winding_min
+
+
+def reference_classify_block(map, z0s, w0s, horizon, cycles):
+    """_classify_block as it was before the shared base orbit: one z per
+    start, and settle takes each cycle's minimum distance over an
+    (orbits x points) array."""
+    w = np.asarray(w0s, dtype=complex).ravel()
+    m = len(w)
+    codes = np.zeros(m, dtype=np.int16)
+    esc = np.full(m, -1, dtype=np.int32)
+    orbits = _Orbits(map, np.asarray(z0s, dtype=complex).ravel(), w, lam_left=True,
+                     carry={"runs": np.zeros((len(cycles), m), dtype=np.int32)})
+    pts = [np.array(c.points, dtype=complex) for c in cycles]
+
+    def settle(n):
+        out = ~(orbits.absw <= map.escape_radius)
+        codes[orbits.idx[out]] = 1
+        esc[orbits.idx[out]] = n
+        orbits.retire(out)
+        for j, p in enumerate(pts):
+            dmin = np.min(np.abs(orbits.w[:, None] - p[None, :]), axis=1)
+            runs = orbits.carry["runs"]
+            runs[j] = np.where(dmin < fatou.CYCLE_TOL, runs[j] + 1, 0)
+            done = runs[j] >= fatou.CYCLE_RUN
+            codes[orbits.idx[done]] = 2 + j
+            orbits.retire(done)
+
+    settle(0)
+    for n in orbits.steps(horizon):
+        settle(n)
+    return codes, esc
+
+
+def slice_starts(spec):
+    """Per-pixel (z, w) starts of a slice, one z per pixel in either plane."""
+    res = spec.resolution
+    offs = (2.0 * np.arange(res) + 1.0 - res) / res * spec.extent
+    grid = (spec.center.real + offs)[None, :] + 1j * (spec.center.imag + offs[::-1])[:, None]
+    frozen = np.full(res * res, spec.at, dtype=complex)
+    if spec.plane == "fiber":
+        return frozen, grid.ravel()
+    return grid.ravel(), frozen
 
 
 # --------------------------------------------------------------------------
@@ -323,6 +366,55 @@ class TestRenderSlice:
                 blobs.append(fh.read())
         assert blobs[0] == blobs[1]
         assert len(blobs[0]) == len(b"P5\n512 512\n255\n") + 512 * 512
+
+
+RABBIT = build_map(0.5 + 0.1j, 2, [[-0.1226 + 0.7449j, 1.0]])  # attracting 3-cycle
+
+# name -> (map, spec, horizon, codes that must appear); odd resolutions,
+# complex and signed-zero frozen coordinates, and horizons short enough to
+# leave pixels undecided
+REFERENCE_SLICES = {
+    "nearfixed_period1": (nearfixed_map(), SliceSpec("fiber", 0j, 1.2, 33, 0.01 + 0.02j),
+                          74, {0, 1, 2}),
+    "basilica_period2": (basilica_map(), SliceSpec("fiber", 0j, 1.6, 33, complex(-0.0, -0.0)),
+                         60, {0, 1, 2}),
+    "rabbit_period3": (RABBIT, SliceSpec("fiber", 0j, 1.4, 31, 0.003 - 0.001j), 74, {0, 1, 2}),
+    "general3_period2": (GENERAL3, SliceSpec("fiber", 0j, 1.5, 31, 0.02j), 350, {0, 1, 2}),
+    "parabolic": (parabolic_map(), SliceSpec("fiber", 0.4 + 0j, 0.2, 31, complex(-0.0, 0.0)),
+                  400, {0, 1}),
+    "parabolic_edge": (parabolic_map(), SliceSpec("fiber", 0j, 1.0, 31, 1e-3 + 2e-4j),
+                       400, {0, 1}),
+    "siegel": (siegel_map(), SliceSpec("fiber", 0j, 1.0, 31, 0.001), 300, {0, 1}),
+    "basilica_base": (basilica_map(0.4 + 0.3j), SliceSpec("base", 0j, 0.1, 17, 1.2),
+                      70, {0, 1, 2}),
+    "nearfixed_base": (nearfixed_map(), SliceSpec("base", 0j, 0.2, 15, 0.3 + 0.1j),
+                       74, {0, 2}),
+}
+
+
+class TestSharedBase:
+    """render_slice steps one shared base orbit per fiber slice and settles
+    with per-point tests; the reference steps one z per pixel and takes
+    minimum distances.  Codes and escape steps must agree exactly."""
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_SLICES))
+    def test_render_matches_reference(self, name):
+        m, spec, horizon, expected_codes = REFERENCE_SLICES[name]
+        _, cycles = fatou._cycle_candidates(m)
+        zs, ws = slice_starts(spec)
+        codes, esc = reference_classify_block(m, zs, ws, horizon, cycles)
+        ras = render_slice(m, spec, horizon=horizon)
+        assert_bitwise(ras.codes.ravel(), codes, "codes")
+        assert_bitwise(ras.escape_steps.ravel(), esc, "escape steps")
+        assert set(np.unique(codes).tolist()) == expected_codes
+
+    def test_classify_point_matches_reference(self):
+        _, cycles = fatou._cycle_candidates(RABBIT)
+        starts = [(0.003 - 0.001j, w) for w in (0.1 + 0.2j, -0.5 + 0.6j, 1.3, -0.0)]
+        for z0, w0 in starts:
+            codes, _ = reference_classify_block(RABBIT, [z0], [w0], 200, cycles)
+            label = ["undecided", "escaping", "cycle_0"][int(codes[0])]
+            assert classify_point(RABBIT, (z0, w0), horizon=200) == label
 
 
 class TestP5:

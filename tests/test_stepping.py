@@ -8,7 +8,9 @@ outputs the masked full-length loops produced before it existed; those
 values are compared with ==, because stepping only the live orbits changes
 no per-element arithmetic.  Complex multipliers and nonzero base points
 appear on purpose: numpy's complex products are not bitwise commutative,
-so they catch a change in the order of lam * z.
+so they catch a change in the order of lam * z.  A third check steps a
+shared base orbit (a z of length 1) beside one z per orbit and requires
+every array to agree byte for byte at every step.
 """
 
 import hashlib
@@ -18,8 +20,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_bitwise
 from skewdyn import bounds as BD
-from skewdyn.core import build_map, iterate, iterate_block
+from skewdyn.core import _Orbits, build_map, iterate, iterate_block
 from skewdyn.errors import EmptySample
 from skewdyn.fatou import SliceSpec, classify_point, render_slice
 from skewdyn.gallery import basilica_map, chebyshev_map, nearfixed_map, siegel_map
@@ -93,6 +96,57 @@ def test_block_phase_matches_scalar_on_escaping_and_bounded_orbits():
         ref = iterate(m, (z0s[j], w0s[j]), 40)
         assert np.any(phase != 0.0)
         np.testing.assert_allclose(phase, ref.vder_phase, rtol=1e-9, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# a shared base orbit against one z per orbit
+
+
+SHARED_MAPS = {
+    "chebyshev": chebyshev_map(),
+    "complex_quadratic": build_map(LAM, 2, [[-0.8 + 0.2j, 1.0, 0.5 - 0.3j]]),
+    "cubic": build_map(0.5, 3, [[0.3j, 1.0]]),
+    "general3": GENERAL,
+}
+
+
+def _shared_starts(m, count=1025):
+    # an odd count runs numpy's SIMD tails; the radius reaches past escape,
+    # so with bound None orbits overflow to inf and NaN
+    rng = np.random.default_rng(17)
+    w = 1.3 * m.escape_radius * np.sqrt(rng.random(count)) * np.exp(2j * np.pi * rng.random(count))
+    w[:4] = [0.0, complex(-0.0, -0.0), 1e200, complex(np.nan, 0.0)]
+    return w
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bounded", [False, True], ids=["bound_none", "bound_radius"])
+@pytest.mark.parametrize("name", sorted(SHARED_MAPS))
+def test_shared_base_steps_bitwise(name, bounded):
+    m = SHARED_MAPS[name]
+    w = _shared_starts(m)
+    bound = m.escape_radius if bounded else None
+    for at in (0j, complex(-0.0, -0.0), 1e-3 + 2e-4j, -0.05j, 0.9 * m.r0):
+        for lam_left in (False, True):
+            carry = {"tag": np.arange(len(w))}
+            shared = _Orbits(m, np.array([at]), w, bound=bound, factors=True,
+                             lam_left=lam_left, carry=dict(carry))
+            full = _Orbits(m, np.full(len(w), at), w, bound=bound, factors=True,
+                           lam_left=lam_left, carry=dict(carry))
+            shared_steps, full_steps = shared.steps(120), full.steps(120)
+            for n in full_steps:
+                assert next(shared_steps) == n
+                where = f"{name} at={at!r} lam_left={lam_left} n={n}"
+                assert_bitwise(shared.idx, full.idx, where)
+                assert_bitwise(shared.w, full.w, where)
+                assert_bitwise(shared.absw, full.absw, where)
+                assert_bitwise(shared.factor, full.factor, where)
+                assert shared.z.shape == (1,)
+                assert_bitwise(np.broadcast_to(shared.z, full.z.shape), full.z, where)
+                assert_bitwise(shared.carry["tag"], full.carry["tag"], where)
+            assert next(shared_steps, None) is None
+            if bounded:
+                assert len(full.idx) < len(w)
 
 
 # ---------------------------------------------------------------------------
