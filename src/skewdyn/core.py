@@ -271,10 +271,7 @@ def iterate(map: SkewProductMap, x0, n: int) -> OrbitTrace:
     logs = [0.0]
     phases = [0.0]
     escape_step = None
-    radius, lam, d = map.escape_radius, map.lam, map.degree
-    unicritical = map.mode == "unicritical"
-    c0 = map.fiber_coeffs[0]
-    c0_top, c0_rest = c0[-1], c0[-2::-1]
+    radius = map.escape_radius
     log, phase, dfdw, step = math.log, cmath.phase, map.dfdw, map.step
     log_acc = phase_acc = 0.0
     z, w = z0, w0
@@ -282,16 +279,8 @@ def iterate(map: SkewProductMap, x0, n: int) -> OrbitTrace:
         if abs(w) > radius:
             escape_step = i
             break
-        if unicritical:
-            # map.dfdw and map.step inlined, with their operations in order
-            factor = d * w ** (d - 1)
-            c = z * 0 + c0_top
-            for a in c0_rest:
-                c = c * z + a
-            z, w = lam * z, w**d + c
-        else:
-            factor = dfdw(z, w)
-            z, w = step(z, w)
+        factor = dfdw(z, w)
+        z, w = step(z, w)
         mag = abs(factor)
         log_acc += log(mag) if mag > 0 else -math.inf
         phase_acc += phase(factor) if mag > 0 else 0.0

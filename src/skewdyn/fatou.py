@@ -74,10 +74,9 @@ def _classify_block(map: SkewProductMap, z0s, w0s, horizon: int, cycles: list[Cy
 
     def settle(n: int) -> None:
         out = ~(orbits.absw <= map.escape_radius)  # catches NaN too
-        if out.any():
-            codes[orbits.idx[out]] = 1
-            esc[orbits.idx[out]] = n
-            orbits.retire(out)
+        codes[orbits.idx[out]] = 1
+        esc[orbits.idx[out]] = n
+        orbits.retire(out)
         for j, p in enumerate(pts):
             # near some point of the cycle: the OR of the per-point tests
             # is the test on their minimum distance, NaN failing both
@@ -88,9 +87,8 @@ def _classify_block(map: SkewProductMap, z0s, w0s, horizon: int, cycles: list[Cy
             runs[j] += 1
             runs[j] *= near
             done = runs[j] >= CYCLE_RUN
-            if done.any():
-                codes[orbits.idx[done]] = 2 + j
-                orbits.retire(done)
+            codes[orbits.idx[done]] = 2 + j
+            orbits.retire(done)
 
     settle(0)
     for n in orbits.steps(horizon):

@@ -163,8 +163,8 @@ class TestOrbit:
 
 
     def test_shipped_config_artifact_digests(self, tmp_path):
-        # sha256 recorded on x86-64, numpy 2.4, before iterate inlined the
-        # unicritical step and trace_to_csv formatted rows in chunks
+        # sha256 recorded on x86-64, numpy 2.4, before trace_to_csv
+        # formatted rows in chunks
         out = tmp_path / "out"
         assert main(["orbit", "--config", str(CONFIG_DIR / "orbit.json"),
                      "--out", str(out)]) == 0

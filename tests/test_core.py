@@ -79,8 +79,8 @@ class TestBuildMap:
 
 
 def reference_iterate(map, x0, n):
-    """The scalar orbit loop through map.dfdw and map.step, before iterate
-    inlined the unicritical step; returns (zs, ws, logs, phases,
+    """The scalar orbit loop through map.dfdw and map.step, summing each log
+    and phase onto the list's last entry; returns (zs, ws, logs, phases,
     escape_step) as lists."""
     z0, w0 = complex(x0[0]), complex(x0[1])
     zs, ws, logs, phases = [z0], [w0], [0.0], [0.0]
