@@ -605,7 +605,6 @@ def sample_bound_pairs(
     seed: int,
     mu: float | None = None,
     w_radius: float | None = None,
-    threads: int = 1,
 ) -> list[tuple[tuple[complex, complex], tuple[complex, complex]]]:
     """Random nearby pairs whose initial separation sits below the threshold.
 
@@ -625,7 +624,7 @@ def sample_bound_pairs(
         dz = 0.05 * map.r0 * 10.0 ** (-3.0 * gen.random(m)) * np.exp(2j * np.pi * gen.random(m))
         return np.column_stack([z, w, z + dz, w + dw])
 
-    cols = mc.draw_blocks(seed, "binding_pairs", count, draw, threads=threads)
+    cols = mc.draw_blocks(seed, "binding_pairs", count, draw)
     return [((row[0], row[1]), (row[2], row[3])) for row in cols]
 
 
@@ -634,13 +633,10 @@ def audit_pair_batch(
     pairs,
     mu: float,
     horizon: int = DEFAULT_HORIZON,
-    threads: int = 1,
 ) -> list[dict]:
     """Bind and audit every pair in one batch; rows keep the input order.
 
-    threads is accepted as a hint and changes nothing: the batch kernel
-    steps all pairs at once in one thread, since worker threads stepping
-    pairs in Python would only contend for the interpreter lock.
+    The batch kernel steps all pairs together in one thread.
     """
     pts = np.array([(x[0], x[1], y[0], y[1]) for x, y in pairs],
                    dtype=complex).reshape(-1, 4)

@@ -481,6 +481,8 @@ def critical_ball_grid(map: SkewProductMap, epsilon: float, per_axis: int = 100)
     before re-entering the critical ball), so a real grid probes the
     minimal return time far more efficiently than a complex cloud.
     """
+    if per_axis < 1:
+        raise PreconditionViolated(f"need per_axis >= 1, got {per_axis}")
     rz = epsilon ** (1.0 / map.k)
     zs = np.linspace(-rz, rz, per_axis)
     ws = np.linspace(-epsilon, epsilon, per_axis)
@@ -498,7 +500,6 @@ def sample_traces(
     seed: int,
     z_radius: float | None = None,
     w_radius: float | None = None,
-    threads: int = 1,
 ) -> TraceBlock:
     """Deterministic random starts iterated to depth n, as one block."""
     if z_radius is None:
@@ -512,5 +513,5 @@ def sample_traces(
             mc.uniform_disk(gen, m, w_radius),
         ])
 
-    cols = mc.draw_blocks(seed, "trace_starts", count, draw, threads=threads)
+    cols = mc.draw_blocks(seed, "trace_starts", count, draw)
     return iterate_block(map, cols[:, 0], cols[:, 1], n)

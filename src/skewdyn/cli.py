@@ -1,10 +1,12 @@
 """Command-line front end: JSON-configured runs with artifacts on disk.
 
 A run is a (map, command, parameters, seed) bundle read from a strict
-JSON config; --seed, --threads, and --out override the file.  Parsing is
-strict because a silently ignored parameter changes what is being
-tested.  For a fixed config and seed the written artifacts are
-byte-identical across reruns and worker counts.
+JSON config; --seed and --out override the file.  Parsing is strict
+because a silently ignored parameter changes what is being tested.
+Everything runs in one thread; --threads and the config field "threads"
+are still parsed and validated (a positive integer) for compatibility,
+then ignored.  For a fixed config and seed the written artifacts are
+byte-identical across reruns.
 
 Exit codes partition outcomes: 0 success, 2 configuration or
 precondition error, 3 when an audited property fails.
@@ -267,17 +269,15 @@ def _write(outdir: str, name: str, text: str) -> str:
 class _Run:
     """Resolved inputs for one command invocation."""
 
-    def __init__(self, command, map, params, seed, threads, outdir, fmt):
+    def __init__(self, command, map, params, seed, outdir, fmt):
         self.command = command
         self.map = map
         self.params = params
         self.seed = seed
-        self.threads = threads
         self.outdir = outdir
         self.fmt = fmt
 
     def header(self) -> dict:
-        # threads deliberately excluded: artifacts must not depend on it
         head = {"command": self.command, "params": _echo(self.params)}
         if self.map is not None:
             head["map"] = map_to_config(self.map)
@@ -331,9 +331,8 @@ def _cmd_binding(run: _Run) -> int:
     p = run.params
     mu = p.get("mu", mu_constants(run.map.degree)[0])
     horizon = p.get("horizon", DEFAULT_HORIZON)
-    pairs = sample_bound_pairs(run.map, p["count"], run.seed, mu,
-                               threads=run.threads)
-    rows = audit_pair_batch(run.map, pairs, mu, horizon, threads=run.threads)
+    pairs = sample_bound_pairs(run.map, p["count"], run.seed, mu)
+    rows = audit_pair_batch(run.map, pairs, mu, horizon)
     run.emit_csv("binding.csv", binding_rows_to_csv(rows))
 
     ratio_fail = [r["pair_id"] for r in rows
@@ -372,7 +371,7 @@ def _bounds_onedim(run: _Run, p: dict):
         def draw(gen: np.random.Generator, m: int) -> np.ndarray:
             return mc.uniform_disk(gen, m, radius)
 
-    ws = mc.draw_blocks(run.seed, "bounds_onedim", p["count"], draw, run.threads)
+    ws = mc.draw_blocks(run.seed, "bounds_onedim", p["count"], draw)
     return audit_onedim(run.map.f0(), ws, n_max=p["n_max"],
                         lambda0=p["lambda0"], delta=p["delta"])
 
@@ -390,8 +389,7 @@ def _bounds_departure(run: _Run, p: dict):
         pz = np.exp(2j * np.pi * gen.random(m))
         return np.column_stack([dz**d * pz, c0 + dw**d * pw])
 
-    rows = mc.draw_blocks(run.seed, "bounds_departure", p["count"], draw,
-                          run.threads)
+    rows = mc.draw_blocks(run.seed, "bounds_departure", p["count"], draw)
     starts = [(row[0], row[1]) for row in rows]
     audit = audit_critical_value_departure(run.map, starts, p["lambda0"],
                                            mu=p.get("mu"),
@@ -407,16 +405,14 @@ def _suite_traces(run: _Run, p: dict) -> TraceBlock:
     w_radius = p.get("w_radius", 0.9 * run.map.escape_radius)
     if not p.get("real", False):
         return sample_traces(run.map, p["count"], p["n"], run.seed,
-                             z_radius=z_radius, w_radius=w_radius,
-                             threads=run.threads)
+                             z_radius=z_radius, w_radius=w_radius)
 
     def draw(gen: np.random.Generator, m: int) -> np.ndarray:
         z = gen.uniform(-z_radius, z_radius, m)
         w = gen.uniform(-w_radius, w_radius, m)
         return np.column_stack([z, w])
 
-    rows = mc.draw_blocks(run.seed, "bounds_real_traces", p["count"], draw,
-                          run.threads)
+    rows = mc.draw_blocks(run.seed, "bounds_real_traces", p["count"], draw)
     return iterate_block(run.map, rows[:, 0].astype(complex),
                          rows[:, 1].astype(complex), p["n"])
 
@@ -473,7 +469,7 @@ def _cmd_audit_bounds(run: _Run) -> int:
 def _cmd_slow(run: _Run) -> int:
     p = run.params
     rep = slow_approach_stats(run.map, p["alpha"], p["burn_in"], p["horizon"],
-                              p["samples"], run.seed, threads=run.threads)
+                              p["samples"], run.seed)
     run.emit_csv("slow.csv", reports_to_csv([rep]))
     run.emit_json("slow.json", {"report": rep.to_json()})
     print(f"slow: fraction {rep.estimate:.6g} +- {rep.std_error:.2g} "
@@ -483,9 +479,7 @@ def _cmd_slow(run: _Run) -> int:
 
 def _cmd_exclusion(run: _Run) -> int:
     p = run.params
-    kwargs = {"threads": run.threads}
-    if "horizon" in p:
-        kwargs["horizon"] = p["horizon"]
+    kwargs = {"horizon": p["horizon"]} if "horizon" in p else {}
     reps = exclusion_area(run.map, p["alpha"], p["m"], p["l_grid"],
                           p["samples"], run.seed, **kwargs)
     run.emit_csv("exclusion.csv", reports_to_csv(reps))
@@ -718,16 +712,16 @@ def _run(args) -> int:
             f"{command} is stochastic and requires a seed "
             "(config field or --seed)")
 
+    # validated for compatibility, then ignored: everything runs in one thread
     threads = args.threads if args.threads is not None else cfg.get("threads", 1)
-    threads = _as_int("threads", threads)
-    if threads < 1:
+    if _as_int("threads", threads) < 1:
         raise ConfigInvalid(f"threads must be positive, got {threads}")
 
     outdir = args.out if args.out is not None else cfg.get("output_dir", ".")
     if not isinstance(outdir, str):
         raise ConfigInvalid("output_dir must be a string")
 
-    run = _Run(command, map, params, seed, threads, outdir, _resolve_format(cfg))
+    run = _Run(command, map, params, seed, outdir, _resolve_format(cfg))
     return _HANDLERS[command](run)
 
 
@@ -744,7 +738,8 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None,
                        help="RNG seed; overrides the config")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker cap; never changes outputs")
+                       help="accepted and validated for compatibility; "
+                            "everything runs in one thread")
         p.add_argument("--out", default=None, metavar="DIR",
                        help="artifact directory; overrides the config")
     args = parser.parse_args(argv)

@@ -1,19 +1,19 @@
-"""Deterministic Monte Carlo plumbing.
+"""Block-keyed Monte Carlo draws.
 
 Sampling is organised in fixed-size blocks keyed by (seed, tag, block index)
-through a counter-based generator, so the stream consumed by block i never
-depends on how many workers execute the batch or in which order blocks
-finish.  Results are always assembled in block order; reductions over them
-are therefore bit-identical across worker counts.
+through a counter-based generator, so the stream consumed by block i
+depends only on (seed, tag, i).  Blocks run in order in one thread and are
+concatenated in block order.
 """
 
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .errors import EmptySample
 
 BLOCK_SIZE = 4096
 
@@ -36,7 +36,7 @@ def block_generator(seed: int, tag: str, block_index: int) -> np.random.Generato
 
 def block_counts(total: int, block_size: int = BLOCK_SIZE) -> list[int]:
     if total < 0:
-        raise ValueError("total must be nonnegative")
+        raise EmptySample(f"sample count must be nonnegative, got {total}")
     full, rem = divmod(total, block_size)
     counts = [block_size] * full
     if rem:
@@ -53,36 +53,24 @@ def draw_blocks(
 ) -> np.ndarray:
     """Run `draw(gen, count)` over fixed blocks; concatenate in block order.
 
-    The block split depends only on `total`, never on `threads`, which is a
-    pure execution hint.
+    `threads` is ignored: everything runs in one thread.  The keyword stays
+    only because perfbench's `threads_speedup` probe passes it.
     """
     counts = block_counts(total)
     if not counts:
-        raise ValueError("total must be positive")
-
-    def run(idx_count: tuple[int, int]) -> np.ndarray:
-        idx, count = idx_count
-        return np.asarray(draw(block_generator(seed, tag, idx), count))
-
-    jobs = list(enumerate(counts))
-    if threads <= 1 or len(jobs) == 1:
-        parts = [run(j) for j in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, jobs))
-    return np.concatenate(parts, axis=0)
+        raise EmptySample(f"sample count must be positive, got {total}")
+    return np.concatenate(
+        [np.asarray(draw(block_generator(seed, tag, idx), count))
+         for idx, count in enumerate(counts)], axis=0)
 
 
-def map_blocks(
-    items: Sequence,
-    work: Callable,
-    threads: int = 1,
-) -> list:
-    """Apply `work` to each item, preserving input order in the result."""
-    if threads <= 1 or len(items) <= 1:
-        return [work(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(work, items))
+def map_blocks(items: Sequence, work: Callable, threads: int = 1) -> list:
+    """Apply `work` to each item, preserving input order in the result.
+
+    `threads` is ignored; this function and its keyword stay only because
+    perfbench's `threads_speedup` probe calls them.
+    """
+    return [work(it) for it in items]
 
 
 def uniform_disk(gen: np.random.Generator, count: int, radius: float) -> np.ndarray:

@@ -8,7 +8,7 @@ over the populated cells.  A separate deterministic report compares the
 base derivative of the fiber coordinate against its expected leading term.
 
 All sampling runs through the block-keyed generator in `mc`, so estimates
-depend only on (seed, samples), never on thread count.
+depend only on (seed, samples).
 """
 
 from __future__ import annotations
@@ -95,6 +95,26 @@ def _fit_decay(xs, log_ys):
     return -float(slope), r2, se
 
 
+def _decay_fit_row(populated, params: dict, samples: int,
+                   seed: int) -> EstimateReport:
+    """Decay-fit row over the populated (index, fraction) cells; with fewer
+    than two of them fitted_exponent and r_squared are None."""
+    params = {**params, "nonzero_cells": len(populated), "r_squared": None}
+    fitted, fit_se = None, 0.0
+    if len(populated) >= 2:
+        fitted, params["r_squared"], fit_se = _fit_decay(
+            [x for x, _ in populated], [math.log(f) for _, f in populated])
+    return EstimateReport(
+        quantity="decay_fit",
+        parameters=params,
+        samples=samples,
+        estimate=fitted if fitted is not None else 0.0,
+        std_error=fit_se,
+        fitted_exponent=fitted,
+        seed=seed,
+    )
+
+
 def _origin_periodic(map: SkewProductMap) -> bool:
     # the base coordinate of (0,0) stays 0, so return means |w_n| small
     w = 0.0 + 0.0j
@@ -108,8 +128,7 @@ def _origin_periodic(map: SkewProductMap) -> bool:
 
 
 def slow_approach_stats(map: SkewProductMap, alpha: float, burn_in: int,
-                        horizon: int, samples: int, seed: int,
-                        threads: int = 1) -> EstimateReport:
+                        horizon: int, samples: int, seed: int) -> EstimateReport:
     """Fraction of non-escaping starts with |w_n| >= e^(-alpha*n) for every
     n in [burn_in, horizon].
 
@@ -133,7 +152,7 @@ def slow_approach_stats(map: SkewProductMap, alpha: float, burn_in: int,
         w = uniform_disk(gen, count, map.escape_radius)
         return np.stack([z, w], axis=1)
 
-    pts = draw_blocks(seed, "slow", samples, draw, threads)
+    pts = draw_blocks(seed, "slow", samples, draw)
     orbits = _Orbits(map, pts[:, 0], pts[:, 1], bound=map.escape_radius)
     ok = np.ones(samples, dtype=bool)
     for n in orbits.steps(horizon):
@@ -167,7 +186,7 @@ def _normalize_grid(ns, name: str, minimum: int) -> list[int]:
 
 
 def e_set_area(map: SkewProductMap, z: complex, alpha: float, ns,
-               samples: int, seed: int, threads: int = 1) -> list[EstimateReport]:
+               samples: int, seed: int) -> list[EstimateReport]:
     """Area fraction of {w in B(0,R) : |xi_n(z,w)| < e^(-alpha*n)} for each
     n on the grid, plus a trailing decay-fit row.
 
@@ -187,7 +206,7 @@ def e_set_area(map: SkewProductMap, z: complex, alpha: float, ns,
     def draw(gen: np.random.Generator, count: int) -> np.ndarray:
         return uniform_disk(gen, count, map.escape_radius)
 
-    w = draw_blocks(seed, "eset", samples, draw, threads)
+    w = draw_blocks(seed, "eset", samples, draw)
     orbits = _Orbits(map, np.array([z]), w, bound=map.escape_radius)
     # cells past the last live orbit stay empty
     fractions = dict.fromkeys(grid, 0.0)
@@ -211,25 +230,9 @@ def e_set_area(map: SkewProductMap, z: complex, alpha: float, ns,
             seed=seed,
         ))
     populated = [(n, fractions[n]) for n in grid if fractions[n] > 0]
-    fit_params = {"alpha": alpha, "z_re": z.real, "z_im": z.imag,
-                  "cells": len(grid), "nonzero_cells": len(populated)}
-    if len(populated) >= 2:
-        gamma, r2, se = _fit_decay([n for n, _ in populated],
-                                   [math.log(f) for _, f in populated])
-        fit_params["r_squared"] = r2
-        fitted, fit_se = gamma, se
-    else:
-        fit_params["r_squared"] = None
-        fitted, fit_se = None, 0.0
-    reports.append(EstimateReport(
-        quantity="decay_fit",
-        parameters=fit_params,
-        samples=samples,
-        estimate=fitted if fitted is not None else 0.0,
-        std_error=fit_se,
-        fitted_exponent=fitted,
-        seed=seed,
-    ))
+    reports.append(_decay_fit_row(
+        populated, {"alpha": alpha, "z_re": z.real, "z_im": z.imag,
+                    "cells": len(grid)}, samples, seed))
     return reports
 
 
@@ -239,8 +242,8 @@ def exclusion_rate(map: SkewProductMap, alpha: float) -> float:
 
 
 def exclusion_area(map: SkewProductMap, alpha: float, m: int, l_values,
-                   samples: int, seed: int, horizon: int = MEMBERSHIP_HORIZON,
-                   threads: int = 1) -> list[EstimateReport]:
+                   samples: int, seed: int,
+                   horizon: int = MEMBERSHIP_HORIZON) -> list[EstimateReport]:
     """First-failure statistics on the annulus |lambda|^(m+1) r0 <= |z| <
     |lambda|^m r0.
 
@@ -274,7 +277,7 @@ def exclusion_area(map: SkewProductMap, alpha: float, m: int, l_values,
     def draw(gen: np.random.Generator, count: int) -> np.ndarray:
         return uniform_annulus(gen, count, r_inner, r_outer)
 
-    z0 = draw_blocks(seed, "exclusion", samples, draw, threads)
+    z0 = draw_blocks(seed, "exclusion", samples, draw)
     orbits = _Orbits(map, z0, np.zeros(samples, dtype=complex),
                      bound=map.escape_radius,
                      carry={"thr": np.abs(z0) ** (map.k / map.degree)})
@@ -300,27 +303,11 @@ def exclusion_area(map: SkewProductMap, alpha: float, m: int, l_values,
             seed=seed,
         ))
     populated = [(l, counts[l] / samples) for l in grid if counts[l] > 0]
-    fit_params = {"alpha": alpha, "m": m, "l_min": grid[0], "l_max": grid[-1],
-                  "cells": len(grid), "nonzero_cells": len(populated),
-                  "never_failing_fraction": float(never_fraction),
-                  "horizon": horizon}
-    if len(populated) >= 2:
-        gamma, r2, se = _fit_decay([l for l, _ in populated],
-                                   [math.log(f) for _, f in populated])
-        fit_params["r_squared"] = r2
-        fitted, fit_se = gamma, se
-    else:
-        fit_params["r_squared"] = None
-        fitted, fit_se = None, 0.0
-    reports.append(EstimateReport(
-        quantity="decay_fit",
-        parameters=fit_params,
-        samples=samples,
-        estimate=fitted if fitted is not None else 0.0,
-        std_error=fit_se,
-        fitted_exponent=fitted,
-        seed=seed,
-    ))
+    reports.append(_decay_fit_row(
+        populated, {"alpha": alpha, "m": m, "l_min": grid[0],
+                    "l_max": grid[-1], "cells": len(grid),
+                    "never_failing_fraction": float(never_fraction),
+                    "horizon": horizon}, samples, seed))
     return reports
 
 

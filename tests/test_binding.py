@@ -361,14 +361,6 @@ class TestBatchAndCsv:
         assert len(lines) == 11
         assert [int(l.split(",")[0]) for l in lines[1:]] == list(range(10))
 
-    def test_deterministic_across_threads(self):
-        pairs1 = B.sample_bound_pairs(self.map, 300, seed=41, threads=1)
-        pairs2 = B.sample_bound_pairs(self.map, 300, seed=41, threads=4)
-        assert pairs1 == pairs2
-        csv1 = B.binding_rows_to_csv(B.audit_pair_batch(self.map, pairs1, self.mu0, 200, threads=1))
-        csv2 = B.binding_rows_to_csv(B.audit_pair_batch(self.map, pairs2, self.mu0, 200, threads=8))
-        assert csv1 == csv2
-
     def test_seed_changes_pairs(self):
         a = B.sample_bound_pairs(self.map, 50, seed=1)
         b = B.sample_bound_pairs(self.map, 50, seed=2)

@@ -744,13 +744,6 @@ class TestPrzytyckiReturn:
 
 
 class TestAssembly:
-    def test_sample_traces_worker_independent(self, cheb):
-        a = BD.sample_traces(cheb, 300, 20, seed=99, threads=1)
-        b = BD.sample_traces(cheb, 300, 20, seed=99, threads=4)
-        assert len(a) == len(b) == 300
-        assert np.array_equal(a.z0s, b.z0s)
-        assert np.array_equal(a.ws[0], b.ws[0])
-
     def test_merge_equals_union(self, cheb):
         # splitting the starts adds samples and violations, and the whole
         # batch's fitted constant is the smaller of the halves' constants

@@ -137,6 +137,44 @@ class TestValidation:
         assert main(["orbit", "--config", str(path)]) == 2
         assert "JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,field", [
+        ("0", None), (None, True), (None, -1)])
+    def test_invalid_threads(self, tmp_path, capsys, flag, field):
+        # --threads is ignored but still validated
+        cfg = {"map": CHEB, "params": {"z0": [0, 0], "w0": [0, 0], "n": 5}}
+        if field is not None:
+            cfg["threads"] = field
+        extra = () if flag is None else ("--threads", flag)
+        code, out = run(tmp_path, "orbit", cfg, *extra)
+        assert code == 2
+        assert "ConfigInvalid" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,params", [
+        ("binding", {"count": 0}),
+        ("audit-bounds", {"suite": "tame", "count": -3, "n": 10,
+                          "lambda0": 0.8}),
+        ("audit-bounds", {"suite": "onedim", "count": 0, "n_max": 10,
+                          "lambda0": 0.8, "delta": 0.5}),
+        ("audit-bounds", {"suite": "departure", "count": 0, "lambda0": 0.8}),
+    ])
+    def test_nonpositive_count(self, tmp_path, capsys, command, params):
+        code, out = run(tmp_path, command,
+                        {"map": CHEB, "seed": 1, "params": params})
+        assert code == 2
+        assert "EmptySample" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("per_axis", [-2, 0])
+    def test_przytycki_nonpositive_per_axis(self, tmp_path, capsys, per_axis):
+        code, out = run(tmp_path, "audit-bounds",
+                        {"map": CHEB, "params": {"suite": "przytycki",
+                                                 "epsilons": [0.05],
+                                                 "per_axis": per_axis}})
+        assert code == 2
+        assert "PreconditionViolated" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestOrbit:
     def test_artifacts_and_roundtrip(self, tmp_path):

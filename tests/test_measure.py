@@ -55,7 +55,7 @@ def oracle_slow_fraction(map, alpha, burn_in, horizon, samples, seed):
         w = uniform_disk(gen, count, map.escape_radius)
         return np.stack([z, w], axis=1)
 
-    pts = draw_blocks(seed, "slow", samples, draw, 1)
+    pts = draw_blocks(seed, "slow", samples, draw)
     kept = 0
     good = 0
     for z0, w0 in pts:
@@ -84,7 +84,7 @@ def oracle_first_failures(map, alpha, m, samples, seed, horizon):
     def draw(gen, count):
         return uniform_annulus(gen, count, r_inner, r_outer)
 
-    z0s = draw_blocks(seed, "exclusion", samples, draw, 1)
+    z0s = draw_blocks(seed, "exclusion", samples, draw)
     out = []
     for z0 in z0s:
         thr0 = abs(z0) ** (map.k / map.degree)
@@ -154,12 +154,6 @@ class TestSlowApproach:
         with pytest.raises(PreconditionViolated):
             slow_approach_stats(m, 0.1, 100, 100, 10, seed=1)
 
-    def test_thread_count_is_invisible(self):
-        m = nearfixed_map(0.5)
-        a = slow_approach_stats(m, 0.05, 20, 100, 5000, seed=9, threads=1)
-        b = slow_approach_stats(m, 0.05, 20, 100, 5000, seed=9, threads=8)
-        assert a == b
-
     def test_report_json(self):
         rep = slow_approach_stats(nearfixed_map(0.5), 0.05, 10, 50, 200, seed=5)
         js = rep.to_json()
@@ -210,7 +204,7 @@ class TestESetArea:
         def draw(gen, count):
             return uniform_disk(gen, count, map.escape_radius)
 
-        ws = draw_blocks(seed, "eset", samples, draw, 1)
+        ws = draw_blocks(seed, "eset", samples, draw)
         hits = 0
         for w0 in ws:
             z, w = 0.01 + 0.0j, complex(w0)
@@ -294,14 +288,6 @@ class TestExclusionArea:
             exclusion_area(m, 0.1, 2, [50], 100, seed=1, horizon=40)
         with pytest.raises(EmptySample):
             exclusion_area(m, 0.1, 2, [5], 0, seed=1)
-
-    def test_thread_count_is_invisible(self):
-        a = exclusion_area(exclusion_fixture(), 0.1, 8, [12, 15, 18], 20_000,
-                           seed=3, threads=1)
-        b = exclusion_area(exclusion_fixture(), 0.1, 8, [12, 15, 18], 20_000,
-                           seed=3, threads=8)
-        assert a == b
-        assert reports_to_csv(a) == reports_to_csv(b)
 
 
 # BaseDerivativeReport fields after (z0, l, k), recorded when doubles and
