@@ -436,9 +436,12 @@ def przytycki_return(
     horizon: int = 1000,
 ) -> ReturnReport:
     """Scan starts with |z0|^k <= eps, |w0| <= eps for the earliest n >= 1
-    with |xi_n| <= eps; fitted constant is n_min / log(1/eps)."""
+    with |xi_n| <= eps; fitted constant is n_min / log(1/eps).  n_min is
+    None when no admitted start returns within the horizon."""
     if not 0.0 < epsilon <= 0.1:
         raise PreconditionViolated(f"epsilon must lie in (0, 0.1], got {epsilon}")
+    if horizon < 1:
+        raise PreconditionViolated(f"need horizon >= 1, got {horizon}")
     if find_attracting_cycles(map):
         raise AttractingCyclePresent("fiber polynomial has an attracting cycle")
     pts = [(complex(z), complex(w)) for z, w in grid]

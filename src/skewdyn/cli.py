@@ -20,25 +20,6 @@ import sys
 
 import numpy as np
 
-from . import mc
-from .binding import (
-    DEFAULT_HORIZON,
-    audit_pair_batch,
-    binding_rows_to_csv,
-    check_mu_constants,
-    mu_constants,
-    sample_bound_pairs,
-)
-from .bounds import (
-    audit_critical_value_departure,
-    audit_onedim,
-    audit_return,
-    audit_side_lemmas,
-    audit_tame,
-    critical_ball_grid,
-    przytycki_return,
-    sample_traces,
-)
 from .core import (
     TraceBlock,
     iterate,
@@ -48,15 +29,10 @@ from .core import (
     trace_to_csv,
 )
 from .errors import ConfigInvalid, SkewdynError
-from .fatou import SliceSpec, render_slice, verify_radius_proposition, write_p5
-from .measure import (
-    decay_cells_csv,
-    exclusion_area,
-    fiber_base_derivative,
-    reports_to_csv,
-    slow_approach_stats,
-)
-from .series import levin_series, lyapunov_lower, nondegeneracy, x0_constant
+
+# Each handler imports the layers it runs (binding, bounds, fatou, measure,
+# series, mc) when it runs: a process that runs one subcommand compiles and
+# loads only those.
 
 _STOCHASTIC = {"binding", "slow", "exclusion"}  # audit-bounds decides per suite
 
@@ -328,6 +304,15 @@ def _cmd_orbit(run: _Run) -> int:
 
 
 def _cmd_binding(run: _Run) -> int:
+    from .binding import (
+        DEFAULT_HORIZON,
+        audit_pair_batch,
+        binding_rows_to_csv,
+        check_mu_constants,
+        mu_constants,
+        sample_bound_pairs,
+    )
+
     p = run.params
     mu = p.get("mu", mu_constants(run.map.degree)[0])
     horizon = p.get("horizon", DEFAULT_HORIZON)
@@ -362,6 +347,9 @@ def _cmd_binding(run: _Run) -> int:
 
 
 def _bounds_onedim(run: _Run, p: dict):
+    from . import mc
+    from .bounds import audit_onedim
+
     radius = p.get("w_radius", 0.9 * run.map.escape_radius)
 
     if p.get("real", False):
@@ -377,6 +365,9 @@ def _bounds_onedim(run: _Run, p: dict):
 
 
 def _bounds_departure(run: _Run, p: dict):
+    from . import mc
+    from .bounds import audit_critical_value_departure
+
     d = run.map.degree
     c0 = run.map.c0_origin
 
@@ -401,6 +392,9 @@ def _suite_traces(run: _Run, p: dict) -> TraceBlock:
     """Sampled orbits as one block; real-interval draws can target hypothesis
     sets that carry no area (returns and on-line floors only happen
     along the non-escaping locus)."""
+    from . import mc
+    from .bounds import sample_traces
+
     z_radius = p.get("z_radius", 0.9 * run.map.r0)
     w_radius = p.get("w_radius", 0.9 * run.map.escape_radius)
     if not p.get("real", False):
@@ -418,6 +412,14 @@ def _suite_traces(run: _Run, p: dict) -> TraceBlock:
 
 
 def _cmd_audit_bounds(run: _Run) -> int:
+    from .bounds import (
+        audit_return,
+        audit_side_lemmas,
+        audit_tame,
+        critical_ball_grid,
+        przytycki_return,
+    )
+
     suite = run.params["suite"]
     p = run.params["suite_params"]
 
@@ -434,7 +436,8 @@ def _cmd_audit_bounds(run: _Run) -> int:
                      else f"{rep.fitted_constant:.4g}")
             print(f"przytycki eps={rep.epsilon:g}: n_min={rep.n_min} "
                   f"constant={const}")
-        return 0
+        # a scale with no return within the horizon measured nothing
+        return 3 if any(rep.n_min is None for rep in reports) else 0
 
     if suite == "onedim":
         audits = _bounds_onedim(run, p)
@@ -467,6 +470,8 @@ def _cmd_audit_bounds(run: _Run) -> int:
 
 
 def _cmd_slow(run: _Run) -> int:
+    from .measure import reports_to_csv, slow_approach_stats
+
     p = run.params
     rep = slow_approach_stats(run.map, p["alpha"], p["burn_in"], p["horizon"],
                               p["samples"], run.seed)
@@ -478,6 +483,8 @@ def _cmd_slow(run: _Run) -> int:
 
 
 def _cmd_exclusion(run: _Run) -> int:
+    from .measure import decay_cells_csv, exclusion_area, reports_to_csv
+
     p = run.params
     kwargs = {"horizon": p["horizon"]} if "horizon" in p else {}
     reps = exclusion_area(run.map, p["alpha"], p["m"], p["l_grid"],
@@ -494,6 +501,8 @@ def _cmd_exclusion(run: _Run) -> int:
 
 
 def _cmd_xl(run: _Run) -> int:
+    from .measure import fiber_base_derivative
+
     p = run.params
     kwargs = {"x0_terms": p["x0_terms"]} if "x0_terms" in p else {}
     rep = fiber_base_derivative(run.map, p["z0"], p["l"], **kwargs)
@@ -505,6 +514,8 @@ def _cmd_xl(run: _Run) -> int:
 
 
 def _cmd_render(run: _Run) -> int:
+    from .fatou import SliceSpec, render_slice, write_p5
+
     p = run.params
     spec = SliceSpec(plane=p["plane"], center=p["center"], extent=p["extent"],
                      resolution=p["resolution"], at=p["at"])
@@ -520,6 +531,8 @@ def _cmd_render(run: _Run) -> int:
 
 
 def _cmd_expand(run: _Run) -> int:
+    from .fatou import verify_radius_proposition
+
     p = run.params
     kwargs = {}
     for field in ("rho", "fit_n", "link_max", "boundary_samples"):
@@ -535,6 +548,8 @@ def _cmd_expand(run: _Run) -> int:
 
 
 def _cmd_series(run: _Run) -> int:
+    from .series import levin_series, lyapunov_lower, nondegeneracy, x0_constant
+
     which = run.params["which"]
     p = run.params["kind_params"]
     if which == "levin":

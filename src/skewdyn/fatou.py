@@ -17,7 +17,8 @@ when it refines; coarser levels are strided views of it.  The proposition's
 verifier owns one ladder for all its checks, so the bisection over radii
 at one step pushes each boundary point once.  A ladder holds one curve,
 at most SAMPLE_CAP points, and every curve is bitwise the one a fresh
-sampling at that level gives.
+sampling at that level gives.  The unit-circle points of each level are
+evaluated once per process and shared by every ladder.
 """
 
 from __future__ import annotations
@@ -241,8 +242,10 @@ class WindingCheck:
 
 
 def _fiber_push(map: SkewProductMap, z0: complex, pts: np.ndarray, n: int) -> np.ndarray:
-    """Map fiber points over base z0 through n steps of the skew product."""
-    w = pts.copy()
+    """Map fiber points over base z0 through n steps of the skew product.
+
+    pts is not written to, but for n = 0 it is returned as is."""
+    w = pts
     z = complex(z0)
     for _ in range(n):
         w = map.fiber_value(z, w)
@@ -260,9 +263,48 @@ def _winding_number(curve: np.ndarray, p: complex) -> int:
 def _turns(rel: np.ndarray) -> int:
     """Winding number about 0 of the closed polygon rel, which misses 0."""
     # angle of successive ratios lands in (-pi, pi], so increments are exact
-    # as long as consecutive points subtend less than a half turn
-    inc = np.angle(rel / np.roll(rel, 1))
-    return int(round(float(np.sum(inc)) / (2.0 * math.pi)))
+    # as long as consecutive points subtend less than a half turn; ratio[k]
+    # is rel[k] / rel[k - 1], the wrap-around one first, through the same
+    # ufunc on one-element slices so every increment is bitwise a roll's
+    ratio = np.empty_like(rel)
+    np.divide(rel[:1], rel[-1:], out=ratio[:1])
+    np.divide(rel[1:], rel[:-1], out=ratio[1:])
+    return int(round(float(np.sum(np.angle(ratio))) / (2.0 * math.pi)))
+
+
+class _UnitCircle:
+    """The unit-circle points that each boundary ladder level adds.
+
+    Level 0 is exp(1j linspace(0, 2 pi, L0, endpoint=False)) and level
+    k >= 1 is exp(1j arange(1, 2L, 2) (2 pi / 2L)) with L = L0 2^(k-1), the
+    odd angles that double level k - 1.  None of it depends on the disk, so
+    one instance serves every ladder of the process and evaluates each level
+    once per L0, not once per (disk, n) key.  It holds the levels of one L0:
+    a new L0 drops them.  Ladders refine no level past SAMPLE_CAP points in
+    all, so neither does this cache: at most SAMPLE_CAP complex points.
+    """
+
+    def __init__(self):
+        self.samples = None
+        self.levels: list[np.ndarray] = []
+
+    def points(self, samples: int, k: int) -> np.ndarray:
+        """Level k's new points for L0 = samples, as a read-only array."""
+        if samples != self.samples:
+            self.samples, self.levels = samples, []
+        while len(self.levels) <= k:
+            if not self.levels:
+                theta = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
+            else:
+                half = samples << (len(self.levels) - 1)  # points so far
+                theta = np.arange(1, 2 * half, 2) * (2.0 * math.pi / (2 * half))
+            pts = np.exp(1j * theta)
+            pts.flags.writeable = False
+            self.levels.append(pts)
+        return self.levels[k]
+
+
+_UNIT_CIRCLE = _UnitCircle()
 
 
 class _BoundaryLadder:
@@ -281,8 +323,10 @@ class _BoundaryLadder:
 
     The ladder keeps the finest curve computed so far, and per level its
     max gap and whether it is finite.  It holds at most one curve: select
-    with a new key drops it.  Its memory is that one curve, at most
-    SAMPLE_CAP complex points (16 MiB).
+    with a new key drops it.  It takes each level's new points on the unit
+    circle from the process's shared _UnitCircle.  Its memory is that one
+    curve plus the shared circle, each at most SAMPLE_CAP complex points
+    (16 MiB).
     """
 
     def __init__(self):
@@ -312,19 +356,17 @@ class _BoundaryLadder:
     def _refine(self) -> None:
         z0, w0, delta, n, samples = self.key
         prev = self.finest
-        if prev is None:
-            theta = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
-        else:
-            theta = np.arange(1, 2 * len(prev), 2) * (2.0 * math.pi / (2 * len(prev)))
-        new = _fiber_push(self.map, z0, w0 + delta * np.exp(1j * theta), n)
+        unit = _UNIT_CIRCLE.points(samples, len(self.levels))
+        new = _fiber_push(self.map, z0, w0 + delta * unit, n)
+        # the closed polygon's edges, the wrap-around one split off
         if prev is None:
             curve = new
-            edges = [(new, np.roll(new, 1))]
+            edges = [(new[1:], new[:-1]), (new[:1], new[-1:])]
         else:
             curve = np.empty(2 * len(new), dtype=complex)
             curve[0::2], curve[1::2] = prev, new
-            # the polygon's edges run prev[k] -> new[k] -> prev[k + 1]
-            edges = [(new, prev), (prev, np.roll(new, 1))]
+            # prev[k] -> new[k] -> prev[k + 1]
+            edges = [(new, prev), (prev[1:], new[:-1]), (prev[:1], new[-1:])]
         finite = ((not self.levels or self.levels[-1][1])
                   and bool(np.all(np.isfinite(new))))
         max_gap = (max(float(np.abs(a - b).max()) for a, b in edges) if finite
@@ -359,8 +401,11 @@ def disk_image_contains_ball(
     half of the points; a caller checking several balls against one disk
     and n (verify_radius_proposition) passes its own ladder as `_ladder`,
     and the later checks reuse every level already pushed.  Without one,
-    each call starts a fresh ladder.  Results are bitwise the same either
-    way.
+    each call starts a fresh ladder.  Every ladder takes its unit-circle
+    points from one per-process cache (`_UnitCircle`), so a new disk or n
+    evaluates no exponential.  Results are bitwise the same either way.
+    Memory: one image curve and the shared circle, each at most
+    SAMPLE_CAP complex points, so boundary_samples may not exceed it.
 
     Every edge of the closed sample polygon is at most max_gap long, so
     every point of it lies within max_gap/2 of a sample.  When the nearest
@@ -372,9 +417,10 @@ def disk_image_contains_ball(
     When (a) fails the verdict is False and `winding_min` is the winding
     about the center alone.
     """
-    if boundary_samples < MIN_BOUNDARY_SAMPLES:
+    if not MIN_BOUNDARY_SAMPLES <= boundary_samples <= SAMPLE_CAP:
         raise PreconditionViolated(
-            f"need boundary_samples >= {MIN_BOUNDARY_SAMPLES}, got {boundary_samples}")
+            f"need {MIN_BOUNDARY_SAMPLES} <= boundary_samples <= {SAMPLE_CAP}, "
+            f"got {boundary_samples}")
     if delta <= 0 or radius <= 0:
         raise PreconditionViolated("delta and radius must be positive")
     z0, w0, center = complex(z0), complex(w0), complex(center)

@@ -83,6 +83,12 @@ def _require_unicritical_fiber(f0: FiberMap) -> None:
             "this series needs the unicritical fiber normal form w^d + c")
 
 
+def _require_terms(n_terms: int) -> None:
+    # an empty series has a zero tail, so its verdict would check nothing
+    if n_terms < 1:
+        raise PreconditionViolated(f"need n_terms >= 1, got {n_terms}")
+
+
 def _reciprocal_derivative_terms(f0: FiberMap, c: complex, n_terms: int,
                                  weight: complex):
     """Terms weight^n / (f0^n)'(c) for n = 1..n_terms, with log magnitudes.
@@ -128,6 +134,7 @@ def levin_series(f0: FiberMap, points, n_terms: int = DEFAULT_TERMS) -> SeriesEv
     only, with a tenfold tail margin.
     """
     _require_unicritical_fiber(f0)
+    _require_terms(n_terms)
     if f0.attracting_cycles():
         raise AttractingCyclePresent(
             "fiber map has an attracting cycle; the series has no unit "
@@ -176,6 +183,7 @@ def x0_constant(map: SkewProductMap, n_terms: int = DEFAULT_TERMS) -> SeriesEval
     """X0 = sum_i (lambda^k)^i / (f0^i)'(c(0)), the i = 0 term being 1."""
     if map.mode != "unicritical":
         raise PreconditionViolated("X0 is defined for unicritical maps")
+    _require_terms(n_terms)
     if find_attracting_cycles(map):
         raise AttractingCyclePresent(
             "fiber map has an attracting cycle; X0 presupposes a cycle-free "
@@ -262,6 +270,7 @@ def nondegeneracy(map: SkewProductMap, n_terms: int = DEFAULT_TERMS,
     """
     if map.mode != "general":
         raise PreconditionViolated("nondegeneracy runs on general-mode maps")
+    _require_terms(n_terms)
     f0 = map.f0()
     g_coeffs = tuple(map.coeff_deriv_at(i, 0.0 + 0.0j) for i in range(map.degree))
     g_zero = all(c == 0 for c in g_coeffs)

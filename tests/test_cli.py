@@ -22,6 +22,9 @@ CHEB = {"lambda": [0.5, 0.0], "degree": 2, "mode": "unicritical",
         "fiber_coeffs": [[[-2.0, 0.0], [1.0, 0.0]]]}
 NEARFIXED = {"lambda": [0.5, 0.0], "degree": 2, "mode": "unicritical",
              "fiber_coeffs": [[[0.2, 0.0], [1.0, 0.0]]]}
+GENERAL3 = {"lambda": [0.5, 0.0], "degree": 3, "mode": "general",
+            "fiber_coeffs": [[[-0.5, 0.0], [1.0, 0.0]], [[-1.2, 0.0], [0.3, 0.0]],
+                             [[0.0, 0.2]]]}
 AIRPLANEISH = {"lambda": [0.65, 0.0], "degree": 2, "mode": "unicritical",
                "fiber_coeffs": [[[-1.749, 0.0], [1.0, 0.0]]]}
 
@@ -384,6 +387,32 @@ class TestAuditBounds:
         n_mins = [r["min_ratio_location"]["n"] for r in report["reports"]]
         assert n_mins[0] < n_mins[1]  # smaller ball, later first return
 
+    @pytest.mark.parametrize("horizon", [0, -1])
+    def test_przytycki_horizon_below_one(self, tmp_path, capsys, horizon):
+        code, out = run(tmp_path, "audit-bounds",
+                        {"map": CHEB, "params": {"suite": "przytycki",
+                                                 "epsilons": [0.05],
+                                                 "per_axis": 3,
+                                                 "horizon": horizon}})
+        assert code == 2
+        assert "PreconditionViolated" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_przytycki_no_return_exits_three(self, tmp_path, capsys):
+        # within 20 steps the 3 x 3 grid returns to the 0.1-ball (at n = 5)
+        # but not to the 0.05-ball: that scale measured nothing
+        code, out = run(tmp_path, "audit-bounds",
+                        {"map": CHEB, "params": {"suite": "przytycki",
+                                                 "epsilons": [0.1, 0.05],
+                                                 "per_axis": 3,
+                                                 "horizon": 20}})
+        assert code == 3
+        assert "eps=0.05: n_min=None constant=none" in capsys.readouterr().out
+        reports = json.loads((out / "bounds_przytycki.json").read_text())["reports"]
+        assert reports[0]["min_ratio_location"]["n"] == 5
+        assert reports[1]["min_ratio_location"] is None
+        assert reports[1]["fitted_constant"] is None
+
     def test_unknown_suite(self, tmp_path, capsys):
         code, _ = run(tmp_path, "audit-bounds",
                       {"map": CHEB, "seed": 1, "params": {"suite": "nope"}})
@@ -572,6 +601,28 @@ class TestSeries:
         assert code == 2
         assert "OrbitOverflow" in capsys.readouterr().err
         assert not (out / "series.json").exists()
+
+    @pytest.mark.parametrize("map_cfg, params", [
+        (CHEB, {"which": "x0", "n_terms": 0}),
+        (CHEB, {"which": "levin", "points": [[0.5, 0.0]], "n_terms": 0}),
+        (CHEB, {"which": "levin", "points": [[0.5, 0.0]], "n_terms": -4}),
+        (GENERAL3, {"which": "nondegeneracy", "n_terms": 0}),
+    ], ids=["x0", "levin", "levin-negative", "nondegeneracy"])
+    def test_empty_series_exits_two(self, tmp_path, capsys, map_cfg, params):
+        # an empty series has a zero tail, so its verdict would check nothing
+        code, out = run(tmp_path, "series", {"map": map_cfg, "params": params})
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "PreconditionViolated" in err and "n_terms >= 1" in err
+        assert not out.exists()
+
+    def test_xl_empty_x0_series_exits_two(self, tmp_path, capsys):
+        code, out = run(tmp_path, "xl",
+                        {"map": CHEB, "params": {"z0": [0.001, 0.0], "l": 3,
+                                                 "x0_terms": 0}})
+        assert code == 2
+        assert "n_terms >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDeterminism:

@@ -552,6 +552,12 @@ class TestDiskImageContainsBall:
             disk_image_contains_ball(chebyshev_map(), 0.0, 0.3, 1e-3, 0, 0.3, 1e-4,
                                      boundary_samples=1024)
 
+    def test_boundary_samples_cap(self):
+        # the ladder's curve and the shared unit circle stay within the cap
+        with pytest.raises(PreconditionViolated):
+            disk_image_contains_ball(chebyshev_map(), 0.0, 0.3, 1e-3, 0, 0.3, 1e-4,
+                                     boundary_samples=fatou.SAMPLE_CAP + 1)
+
     def test_nonpositive_geometry(self):
         cheb = chebyshev_map()
         with pytest.raises(PreconditionViolated):
@@ -691,6 +697,193 @@ class TestBoundaryLadder:
         assert msg.startswith("resolving gaps 8.13e+305 below")
         assert msg.endswith("needs a sample count past double range (cap 1048576)")
         assert "inf" not in msg
+
+
+# the verifier's layer before the shared unit circle, kept verbatim as the
+# reference: a fresh linspace/exp per key, roll-based edges and winding
+
+
+def copying_fiber_push(map, z0, pts, n):
+    w = pts.copy()
+    z = complex(z0)
+    for _ in range(n):
+        w = map.fiber_value(z, w)
+        z = map.lam * z
+    return w
+
+
+def roll_turns(rel):
+    inc = np.angle(rel / np.roll(rel, 1))
+    return int(round(float(np.sum(inc)) / (2.0 * math.pi)))
+
+
+class FreshCircleLadder(fatou._BoundaryLadder):
+    def _refine(self):
+        z0, w0, delta, n, samples = self.key
+        prev = self.finest
+        if prev is None:
+            theta = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
+        else:
+            theta = np.arange(1, 2 * len(prev), 2) * (2.0 * math.pi / (2 * len(prev)))
+        new = copying_fiber_push(self.map, z0, w0 + delta * np.exp(1j * theta), n)
+        if prev is None:
+            curve = new
+            edges = [(new, np.roll(new, 1))]
+        else:
+            curve = np.empty(2 * len(new), dtype=complex)
+            curve[0::2], curve[1::2] = prev, new
+            edges = [(new, prev), (prev, np.roll(new, 1))]
+        finite = ((not self.levels or self.levels[-1][1])
+                  and bool(np.all(np.isfinite(new))))
+        max_gap = (max(float(np.abs(a - b).max()) for a, b in edges) if finite
+                   else math.nan)
+        self.finest = curve
+        self.levels.append((max_gap, finite))
+
+
+def check_both(monkeypatch, ladder, ref_ladder, *args, samples=fatou.MIN_BOUNDARY_SAMPLES):
+    """One check through each ladder, the reference with the roll-based winding;
+    returns both outcomes as WindingCheck or the SamplingCapExceeded text."""
+    def run(check_ladder):
+        try:
+            return disk_image_contains_ball(*args, boundary_samples=samples,
+                                            _ladder=check_ladder)
+        except SamplingCapExceeded as exc:
+            return str(exc)
+
+    got = run(ladder)
+    with monkeypatch.context() as mp:
+        mp.setattr(fatou, "_turns", roll_turns)
+        want = run(ref_ladder)
+    assert_circle_bounded()
+    return got, want
+
+
+def assert_same_ladder(ladder, ref):
+    assert ladder.key == ref.key
+    assert len(ladder.levels) == len(ref.levels)
+    for k, (got, want) in enumerate(zip(ladder.levels, ref.levels)):
+        assert_bitwise(ladder.curve(k), ref.curve(k), f"curve {k}")
+        assert_bitwise(np.float64(got[0]), np.float64(want[0]), f"max_gap {k}")
+        assert got[1] is want[1]
+
+
+def assert_circle_bounded():
+    held = sum(len(a) for a in fatou._UNIT_CIRCLE.levels)
+    assert held <= fatou.SAMPLE_CAP
+
+
+class TestSharedUnitCircle:
+    """The ladder on the process's unit circle, with split edges and the
+    buffered winding, against the layer they replaced: per-level curves, max
+    gaps and finite flags bitwise, every WindingCheck field equal."""
+
+    def test_interleaved_keys(self, monkeypatch):
+        # two ladders and two maps take turns; every switch of key or ladder
+        # reads the circle levels another key filled
+        cheb = chebyshev_map()
+        keys = [(cheb, 5e-13, 0.3, 1e-3, 3), (GENERAL3, 0.0, 0.3, 1e-3, 4),
+                (cheb, 0.0, 0.3, 2e-3, 2), (cheb, 5e-13, 0.3, 1e-3, 5)]
+        ladders = [(fatou._BoundaryLadder(), FreshCircleLadder()) for _ in range(2)]
+        seen = set()
+        for i in range(12):
+            map, z0, w0, delta, n = keys[i % len(keys)]
+            ladder, ref = ladders[i % 2]
+            center = map.f0().orbit(w0, n)[-1]
+            for exponent in (-5.0, -6.0, -3.0):
+                got, want = check_both(monkeypatch, ladder, ref, map, z0, w0, delta, n,
+                                       center, 10.0**exponent)
+                assert got == want
+                seen.add(got if isinstance(got, str) else (got.verdict, got.samples))
+            assert_same_ladder(ladder, ref)
+        assert len(seen) > 4  # verdicts, refinement levels and cap raises
+
+    @pytest.mark.parametrize("samples", [4096, 4097, 5000, 6144])
+    def test_initial_sample_counts(self, monkeypatch, samples):
+        cheb = chebyshev_map()
+        center = cheb.f0().orbit(0.3, 3)[-1]
+        args = (cheb, 5e-13, 0.3, 1e-3, 3)
+        ladder, ref = fatou._BoundaryLadder(), FreshCircleLadder()
+        for exponent in (-4.0, -6.0, -5.0, -6.5):
+            got, want = check_both(monkeypatch, ladder, ref, *args, center,
+                                   10.0**exponent, samples=samples)
+            assert got == want
+        # every level the cap admits, up to 2^20 points for 4096
+        top = (fatou.SAMPLE_CAP // samples).bit_length() - 1
+        ladder.level(top), ref.level(top)
+        assert_same_ladder(ladder, ref)
+        assert_circle_bounded()
+        if samples == 4096:
+            assert len(ladder.curve(top)) == fatou.SAMPLE_CAP
+            assert sum(len(a) for a in fatou._UNIT_CIRCLE.levels) == fatou.SAMPLE_CAP
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_push_leaving_double_range(self, monkeypatch):
+        # level 0 stays finite and level 1 overflows near the angle pi/4096
+        # (see test_non_finite_raised_at_the_same_level)
+        cheb = chebyshev_map()
+        w0 = 4.2506396984325 * cmath.exp(1j * math.pi / 4096)
+        ladder, ref = fatou._BoundaryLadder(), FreshCircleLadder()
+        got, want = check_both(monkeypatch, ladder, ref, cheb, 0.0, w0, 1e-4, 9,
+                               w0, 1e303)
+        assert got == want == "boundary image leaves double precision range"
+        ladder.level(2), ref.level(2)
+        assert [f for _, f in ladder.levels] == [True, False, False]
+        assert_same_ladder(ladder, ref)
+
+    def test_n_zero(self, monkeypatch):
+        # the curve is the sampled circle itself, a fresh array each time
+        cheb = chebyshev_map()
+        ladder, ref = fatou._BoundaryLadder(), FreshCircleLadder()
+        for radius in (5e-4, 2e-3, 1e-6):
+            got, want = check_both(monkeypatch, ladder, ref, cheb, 0.0, 0.3, 1e-3, 0,
+                                   0.3, radius)
+            assert got == want
+        assert_same_ladder(ladder, ref)
+        for pts in fatou._UNIT_CIRCLE.levels:
+            assert not np.shares_memory(ladder.finest, pts)
+            with pytest.raises(ValueError):
+                pts[0] = 0.0
+
+    def test_new_sample_count_drops_cached_levels(self, monkeypatch):
+        cheb = chebyshev_map()
+        circle = fatou._UnitCircle()  # no levels left by earlier tests
+        monkeypatch.setattr(fatou, "_UNIT_CIRCLE", circle)
+        ladder, ref = fatou._BoundaryLadder(), FreshCircleLadder()
+        ladder.select(cheb, 0.0, 0.3, 1e-3, 2, 4096)
+        ref.select(cheb, 0.0, 0.3, 1e-3, 2, 4096)
+        ladder.level(3), ref.level(3)
+        assert circle.samples == 4096
+        assert [len(a) for a in circle.levels] == [4096, 4096, 8192, 16384]
+        kept = [a.copy() for a in circle.levels]
+        center = cheb.f0().orbit(0.3, 2)[-1]
+        got, want = check_both(monkeypatch, ladder, ref, cheb, 0.0, 0.3, 1e-3, 2,
+                               center, 1e-5, samples=5000)
+        assert got == want
+        assert circle.samples == 5000
+        assert sum(len(a) for a in circle.levels) == got.samples
+        # back at 4096 the levels are evaluated again, bit for bit
+        ladder.select(cheb, 0.0, 0.3, 1e-3, 2, 4096)
+        ref.select(cheb, 0.0, 0.3, 1e-3, 2, 4096)
+        ladder.level(3), ref.level(3)
+        assert_same_ladder(ladder, ref)
+        for k, pts in enumerate(kept):
+            assert_bitwise(circle.levels[k], pts, f"circle level {k}")
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4096, 5001])
+    def test_turns_matches_roll(self, size):
+        # closed curves that wind -3..3 times with a wobbling radius, and
+        # random point clouds, whose winding sums need not be near integers
+        rng = np.random.default_rng(size)
+        t = np.linspace(0.0, 2.0 * math.pi, size, endpoint=False)
+        for m in range(-3, 4):
+            radius = 1.0 + 0.5 * rng.uniform(-1.0, 1.0, size)
+            rel = radius * np.exp(1j * m * t) + 1e-3 * rng.normal(size=size)
+            assert fatou._turns(rel) == roll_turns(rel)
+            cloud = rng.normal(size=size) + 1j * rng.normal(size=size)
+            assert fatou._turns(cloud) == roll_turns(cloud)
+
 
 class TestVerifyRadiusProposition:
     @pytest.mark.parametrize("z0", sorted(EXPAND_REPORTS), ids=["one_dim", "skew"])

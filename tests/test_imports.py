@@ -1,4 +1,5 @@
-"""Every import in the package and in the tests is used.
+"""Every import in the package and in the tests is used, and the command
+line loads a layer only for the subcommand that runs it.
 
 No linter ships with the project, so this walks each module's syntax tree:
 a name bound by an import must be read somewhere in the same file, or be
@@ -6,6 +7,10 @@ re-exported through __all__.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -43,3 +48,19 @@ def test_no_unused_imports():
     found = {str(p.relative_to(ROOT)): unused_imports(p.read_text())
              for p in SOURCES}
     assert {path: names for path, names in found.items() if names} == {}
+
+
+def test_cli_import_loads_no_subcommand_layer():
+    # a fresh interpreter, so modules other tests imported do not count
+    code = ("import json, sys\n"
+            "import skewdyn.cli\n"
+            "print(json.dumps(sorted(m for m in sys.modules"
+            " if m.startswith('skewdyn.'))))\n")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    loaded = set(json.loads(out))
+    assert "skewdyn.cli" in loaded
+    lazy = {f"skewdyn.{m}" for m in ("binding", "bounds", "fatou", "measure",
+                                     "series", "mc", "acceptance")}
+    assert loaded & lazy == set()
