@@ -15,10 +15,15 @@ even-indexed angles of the next), so a boundary ladder keeps the finest
 image curve of one disk and step count and pushes only the new odd angles
 when it refines; coarser levels are strided views of it.  The proposition's
 verifier owns one ladder for all its checks, so the bisection over radii
-at one step pushes each boundary point once.  A ladder holds one curve,
-at most SAMPLE_CAP points, and every curve is bitwise the one a fresh
-sampling at that level gives.  The unit-circle points of each level are
-evaluated once per process and shared by every ladder.
+at one step pushes each boundary point once.  Every curve is bitwise the
+one a fresh sampling at that level gives.  The unit-circle points of each
+level are evaluated once per process and shared by every ladder.
+
+Every pass over a boundary curve (push, gaps, distance, winding) runs in
+blocks of BLOCK points.  Memory per ladder is one curve buffer of
+SAMPLE_CAP complex points and one angle array of SAMPLE_CAP doubles, plus
+the shared unit circle and block-sized scratch; no pass makes a
+temporary the length of the curve.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ MIN_BOUNDARY_SAMPLES = 4096
 SAMPLE_CAP = 2**20
 GAP_FRACTION = 0.1  # consecutive image gaps must drop below radius/10
 WINDING_PROBES = 16
+BLOCK = 2**15  # points per block in every pass over a boundary curve
 
 
 def _cycle_candidates(map: SkewProductMap) -> tuple[list[str], list[Cycle]]:
@@ -150,6 +156,8 @@ def render_slice(map: SkewProductMap, spec: SliceSpec, horizon: int = 1000) -> R
         raise PreconditionViolated(f"unknown slice plane {spec.plane!r}")
     if spec.resolution < 1 or spec.extent <= 0:
         raise PreconditionViolated("resolution must be >= 1 and extent positive")
+    if horizon < 1:
+        raise PreconditionViolated(f"need horizon >= 1, got {horizon}")
     res = spec.resolution
     if spec.plane == "fiber" and abs(spec.at) >= map.r0:
         raise BaseOutsideDomain(
@@ -182,14 +190,12 @@ def render_slice(map: SkewProductMap, spec: SliceSpec, horizon: int = 1000) -> R
 
 def raster_to_pixels(raster: RasterSlice) -> np.ndarray:
     """8-bit encoding: undecided 0, escaping 1..254 by scaled escape time,
-    any cycle basin 255."""
+    any cycle basin 255.  The horizon is at least 1, as render_slice
+    requires."""
     res = raster.spec.resolution
     px = np.zeros((res, res), dtype=np.uint8)
     escaping = raster.codes == 1
-    if raster.horizon > 0:
-        scaled = 1 + (253 * raster.escape_steps) // raster.horizon
-    else:
-        scaled = np.ones_like(raster.escape_steps)
+    scaled = 1 + (253 * raster.escape_steps) // raster.horizon
     px[escaping] = np.clip(scaled[escaping], 1, 254).astype(np.uint8)
     px[raster.codes >= 2] = 255
     return px
@@ -253,23 +259,32 @@ def _fiber_push(map: SkewProductMap, z0: complex, pts: np.ndarray, n: int) -> np
     return w
 
 
-def _winding_number(curve: np.ndarray, p: complex) -> int:
-    rel = curve - p
-    if float(np.min(np.abs(rel))) == 0.0:
-        return 0  # curve touches the probe; no certification possible
-    return _turns(rel)
+def _ring(curve: np.ndarray, p: complex, angles: np.ndarray) -> tuple[float, int]:
+    """(min |curve - p|, winding number about p of the closed polygon curve).
 
-
-def _turns(rel: np.ndarray) -> int:
-    """Winding number about 0 of the closed polygon rel, which misses 0."""
-    # angle of successive ratios lands in (-pi, pi], so increments are exact
-    # as long as consecutive points subtend less than a half turn; ratio[k]
-    # is rel[k] / rel[k - 1], the wrap-around one first, through the same
-    # ufunc on one-element slices so every increment is bitwise a roll's
-    ratio = np.empty_like(rel)
-    np.divide(rel[:1], rel[-1:], out=ratio[:1])
-    np.divide(rel[1:], rel[:-1], out=ratio[1:])
-    return int(round(float(np.sum(np.angle(ratio))) / (2.0 * math.pi)))
+    The winding is 0 when the curve touches p: no certification possible.
+    One pass in blocks of BLOCK points; each block's rel = curve - p starts
+    with its predecessor, the wrap-around one for the first block.  The
+    angle of rel[k] / rel[k - 1] lands in (-pi, pi], so the increments are
+    exact as long as consecutive points subtend less than a half turn.  They
+    go to angles[:len(curve)], the wrap-around one first, and one np.sum
+    adds them, so the sum is bitwise np.sum(np.angle(rel / np.roll(rel, 1))).
+    """
+    m = len(curve)
+    mins = []
+    for lo in range(0, m, BLOCK):
+        hi = min(lo + BLOCK, m)
+        rel = np.empty(hi - lo + 1, dtype=complex)
+        np.subtract(curve[lo - 1:lo] if lo else curve[-1:], p, out=rel[:1])
+        np.subtract(curve[lo:hi], p, out=rel[1:])
+        mins.append(np.abs(rel).min())
+        if mins[-1] != 0.0:  # else a zero divisor; the winding is 0 anyway
+            ratio = rel[1:] / rel[:-1]
+            np.arctan2(ratio.imag, ratio.real, out=angles[lo:hi])
+    dmin = float(np.min(mins))
+    if dmin == 0.0:
+        return dmin, 0
+    return dmin, int(round(float(np.sum(angles[:m])) / (2.0 * math.pi)))
 
 
 class _UnitCircle:
@@ -281,7 +296,8 @@ class _UnitCircle:
     one instance serves every ladder of the process and evaluates each level
     once per L0, not once per (disk, n) key.  It holds the levels of one L0:
     a new L0 drops them.  Ladders refine no level past SAMPLE_CAP points in
-    all, so neither does this cache: at most SAMPLE_CAP complex points.
+    all, so neither does this cache: at most SAMPLE_CAP complex points.  A
+    level k >= 1 is evaluated in blocks of BLOCK angles.
     """
 
     def __init__(self):
@@ -295,10 +311,14 @@ class _UnitCircle:
         while len(self.levels) <= k:
             if not self.levels:
                 theta = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
+                pts = np.exp(1j * theta)
             else:
                 half = samples << (len(self.levels) - 1)  # points so far
-                theta = np.arange(1, 2 * half, 2) * (2.0 * math.pi / (2 * half))
-            pts = np.exp(1j * theta)
+                pts = np.empty(half, dtype=complex)
+                for lo in range(0, half, BLOCK):
+                    hi = min(lo + BLOCK, half)
+                    theta = np.arange(2 * lo + 1, 2 * hi, 2) * (2.0 * math.pi / (2 * half))
+                    np.exp(1j * theta, out=pts[lo:hi])
             pts.flags.writeable = False
             self.levels.append(pts)
         return self.levels[k]
@@ -322,16 +342,22 @@ class _BoundaryLadder:
     level is bitwise the curve a fresh linspace at that level gives.
 
     The ladder keeps the finest curve computed so far, and per level its
-    max gap and whether it is finite.  It holds at most one curve: select
-    with a new key drops it.  It takes each level's new points on the unit
-    circle from the process's shared _UnitCircle.  Its memory is that one
-    curve plus the shared circle, each at most SAMPLE_CAP complex points
-    (16 MiB).
+    max gap and whether it is finite.  The curve lives in one buffer of
+    SAMPLE_CAP complex points, allocated once with np.empty so its pages
+    are touched only as levels fill, and reused across refinements and
+    keys: select with a new key drops the levels, not the buffer.  A
+    refinement spreads the curve to the even slots in place and pushes the
+    new points into the odd ones, both in blocks of BLOCK points.  The
+    ladder also owns the angle array of the winding (see _ring).  Its
+    memory is those two arrays (16 and 8 MiB) plus the process's shared
+    _UnitCircle and block-sized scratch.
     """
 
     def __init__(self):
         self.map = self.key = self.finest = None
         self.levels: list[tuple[float, bool]] = []  # (max_gap, finite)
+        self.buf = np.empty(SAMPLE_CAP, dtype=complex)
+        self.angles = np.empty(SAMPLE_CAP)
 
     def select(self, map: SkewProductMap, z0: complex, w0: complex, delta: float,
                n: int, samples: int) -> None:
@@ -351,28 +377,44 @@ class _BoundaryLadder:
         return self.levels[k]
 
     def curve(self, k: int) -> np.ndarray:
+        """Level k as a view of the buffer, valid until the next refine or
+        select overwrites it."""
         return self.finest[::len(self.finest) // self.samples(k)]
 
     def _refine(self) -> None:
         z0, w0, delta, n, samples = self.key
-        prev = self.finest
-        unit = _UNIT_CIRCLE.points(samples, len(self.levels))
-        new = _fiber_push(self.map, z0, w0 + delta * unit, n)
-        # the closed polygon's edges, the wrap-around one split off
-        if prev is None:
-            curve = new
-            edges = [(new[1:], new[:-1]), (new[:1], new[-1:])]
-        else:
-            curve = np.empty(2 * len(new), dtype=complex)
-            curve[0::2], curve[1::2] = prev, new
-            # prev[k] -> new[k] -> prev[k + 1]
-            edges = [(new, prev), (prev[1:], new[:-1]), (prev[:1], new[-1:])]
-        finite = ((not self.levels or self.levels[-1][1])
-                  and bool(np.all(np.isfinite(new))))
-        max_gap = (max(float(np.abs(a - b).max()) for a, b in edges) if finite
-                   else math.nan)
-        self.finest = curve
-        self.levels.append((max_gap, finite))
+        k = len(self.levels)
+        unit = _UNIT_CIRCLE.points(samples, k)
+        m, buf = len(unit), self.buf
+        # new point j goes to slot first + step j
+        first, step = (1, 2) if k else (0, 1)
+        if k:
+            # level k - 1 moves to the even slots, last block first so no
+            # source is overwritten before it is read.  numpy misses the
+            # overlap of buf[2lo:2hi:2] with buf[lo:hi] when 2 lo < hi, so
+            # such a block is copied first
+            for lo in reversed(range(0, m, BLOCK)):
+                hi = min(lo + BLOCK, m)
+                src = buf[lo:hi]
+                buf[2 * lo:2 * hi:2] = src.copy() if 2 * lo < hi else src
+        size = step * m
+        finite = not self.levels or self.levels[-1][1]
+        max_gap = -math.inf
+        for lo in range(0, m, BLOCK):
+            hi = min(lo + BLOCK, m)
+            new = _fiber_push(self.map, z0, w0 + delta * unit[lo:hi], n)
+            buf[first + step * lo:first + step * hi:step] = new
+            finite = finite and bool(np.all(np.isfinite(new)))
+            if finite:
+                # the polygon's edges from the slot before the block's first
+                # new point to its last; the wrap-around edge comes last
+                seg = buf[max(first + step * lo - 1, 0):first + step * (hi - 1) + 1]
+                max_gap = max(max_gap, float(np.abs(seg[1:] - seg[:-1]).max()))
+        if finite:
+            wrap = float(np.abs(buf[:1] - buf[size - 1:size])[0])
+            max_gap = max(max_gap, wrap)
+        self.finest = buf[:size]
+        self.levels.append((max_gap if finite else math.nan, finite))
 
 
 def disk_image_contains_ball(
@@ -404,8 +446,10 @@ def disk_image_contains_ball(
     each call starts a fresh ladder.  Every ladder takes its unit-circle
     points from one per-process cache (`_UnitCircle`), so a new disk or n
     evaluates no exponential.  Results are bitwise the same either way.
-    Memory: one image curve and the shared circle, each at most
-    SAMPLE_CAP complex points, so boundary_samples may not exceed it.
+    Memory: the ladder's curve buffer and angle array and the shared
+    circle, each of SAMPLE_CAP points, plus block-sized scratch; the
+    distance and winding passes run in blocks of BLOCK points, so
+    boundary_samples may not exceed SAMPLE_CAP.
 
     Every edge of the closed sample polygon is at most max_gap long, so
     every point of it lies within max_gap/2 of a sample.  When the nearest
@@ -452,16 +496,15 @@ def disk_image_contains_ball(
         k += 1
 
     curve = ladder.curve(k)
-    rel = curve - center
-    dmin = float(np.min(np.abs(rel)))
+    dmin, winding_min = _ring(curve, center, ladder.angles)
     distance_ok = dmin > radius
-    winding_min = 0 if dmin == 0.0 else _turns(rel)
     if distance_ok and dmin - 0.5 * max_gap <= radius:
         # the polygon may cross the target disk: probe its boundary circle
         probes = [center + radius * complex(math.cos(a), math.sin(a))
                   for a in np.linspace(0.0, 2.0 * math.pi, WINDING_PROBES,
                                        endpoint=False)]
-        winding_min = min(winding_min, *(_winding_number(curve, p) for p in probes))
+        winding_min = min(winding_min,
+                          *(_ring(curve, p, ladder.angles)[1] for p in probes))
     return WindingCheck(
         verdict=bool(distance_ok and winding_min >= 1),
         winding_min=winding_min,
@@ -563,12 +606,15 @@ def verify_radius_proposition(
     Every check goes through one boundary ladder owned by this call: the
     fit's bisection over radii at one step n reuses the refinements of
     that step's boundary image, and a check on another disk or n replaces
-    them, so at most one image curve is held at a time.
+    them in the same buffer, so at most one image curve is held at a time.
     """
     z0, w0 = complex(z0), complex(w0)
     d = map.degree
     if n_max < 1:
         raise PreconditionViolated(f"need n_max >= 1, got {n_max}")
+    if fit_n < 1 or link_max < 1:
+        raise PreconditionViolated(
+            f"need fit_n >= 1 and link_max >= 1, got {fit_n} and {link_max}")
     if not 0.0 < delta < rho:
         raise PreconditionViolated(
             f"need 0 < delta < rho = {rho}, got delta = {delta}")

@@ -540,7 +540,34 @@ class TestRender:
             "slice.p5.json":
                 "1f713363bcdf63fdadd19aa001b914702fcf8117f39008bab97b2fc372c78658"}
 
+    @pytest.mark.parametrize("horizon", [0, -5])
+    def test_horizon_below_one_exits_two(self, tmp_path, capsys, horizon):
+        # a slice that steps nothing is no result: exit 2, nothing written
+        code, out = run(tmp_path, "render",
+                        {"map": CHEB,
+                         "params": {"plane": "fiber", "center": [0.0, 0.0],
+                                    "extent": 1.0, "resolution": 8, "at": [0.0, 0.0],
+                                    "horizon": horizon}})
+        assert code == 2
+        assert "PreconditionViolated" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestExpand:
+    @pytest.mark.parametrize("field", ["fit_n", "link_max"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_fit_or_link_below_one_exits_two(self, tmp_path, capsys, field, value):
+        # fit_n 0 took min([]) and crashed; link_max 0 tried no link and
+        # reported every step unverified
+        code, out = run(tmp_path, "expand",
+                        {"map": CHEB,
+                         "params": {"z0": [0.0, 0.0], "w0": [0.3, 0.0],
+                                    "delta": 1e-3, "lambda0": 0.9, "n_max": 3,
+                                    field: value}})
+        assert code == 2
+        assert "PreconditionViolated" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_verified_run(self, tmp_path):
         code, out = run(tmp_path, "expand",
                         {"map": CHEB,

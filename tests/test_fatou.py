@@ -9,6 +9,7 @@ produced by those oracles or by closed-form geometry.
 import cmath
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,7 +129,7 @@ def probe_min_check(map, z0, w0, delta, n, center, radius,
         center + radius * complex(math.cos(a), math.sin(a))
         for a in np.linspace(0.0, 2.0 * math.pi, fatou.WINDING_PROBES, endpoint=False)
     ]
-    winding_min = min(fatou._winding_number(curve, p) for p in probes)
+    winding_min = min(roll_ring(curve, p, None)[1] for p in probes)
     return fatou.WindingCheck(
         verdict=bool(dmin > radius and winding_min >= 1),
         winding_min=winding_min,
@@ -136,6 +137,19 @@ def probe_min_check(map, z0, w0, delta, n, center, radius,
         samples=samples,
         max_gap=max_gap,
     )
+
+
+def roll_turns(rel):
+    inc = np.angle(rel / np.roll(rel, 1))
+    return int(round(float(np.sum(inc)) / (2.0 * math.pi)))
+
+
+def roll_ring(curve, p, angles):
+    """fatou._ring on whole-curve temporaries: min distance and winding,
+    0 where the curve touches p; angles is not used."""
+    rel = curve - p
+    dmin = float(np.min(np.abs(rel)))
+    return dmin, 0 if dmin == 0.0 else roll_turns(rel)
 
 
 def outcome(check, *args, **kwargs):
@@ -146,15 +160,29 @@ def outcome(check, *args, **kwargs):
 
 
 def pushes_and_error(monkeypatch, check, *args, **kwargs):
-    """Run a check; return the point counts it pushed and its cap message."""
-    sizes, push = [], fatou._fiber_push
+    """Run a check; return the point counts it pushed per refinement level
+    and its cap message.  A level is one _fiber_push call outside a ladder
+    and the block pushes of one _refine inside one."""
+    sizes, push, refine = [], fatou._fiber_push, fatou._BoundaryLadder._refine
+    level = []  # points pushed so far by the open _refine
 
     def counting(map, z0, pts, n):
-        sizes.append(len(pts))
+        if level:
+            level[0] += len(pts)
+        else:
+            sizes.append(len(pts))
         return push(map, z0, pts, n)
+
+    def refining(ladder):
+        level.append(0)
+        try:
+            refine(ladder)
+        finally:
+            sizes.append(level.pop())
 
     with monkeypatch.context() as mp:
         mp.setattr(fatou, "_fiber_push", counting)
+        mp.setattr(fatou._BoundaryLadder, "_refine", refining)
         with pytest.raises(SamplingCapExceeded) as exc:
             check(*args, **kwargs)
     return sizes, str(exc.value)
@@ -558,6 +586,25 @@ class TestDiskImageContainsBall:
             disk_image_contains_ball(chebyshev_map(), 0.0, 0.3, 1e-3, 0, 0.3, 1e-4,
                                      boundary_samples=fatou.SAMPLE_CAP + 1)
 
+    def test_full_cap_check_memory(self, monkeypatch):
+        # a 2^20-point check on a warm circle holds the ladder's curve
+        # buffer (16 MiB) and angle array (8 MiB) plus block scratch; the
+        # whole-curve temporaries of the distance and winding passes took
+        # the peak to 56 MiB
+        circle = fatou._UnitCircle()
+        monkeypatch.setattr(fatou, "_UNIT_CIRCLE", circle)
+        circle.points(4096, 8)
+        cheb = chebyshev_map()
+        center = cheb.f0().orbit(0.3, 3)[-1]
+        tracemalloc.start()
+        try:
+            chk = disk_image_contains_ball(cheb, 5e-13, 0.3, 1e-3, 3, center, 7.29e-7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert chk.samples == fatou.SAMPLE_CAP
+        assert peak < 28 * 2**20
+
     def test_nonpositive_geometry(self):
         cheb = chebyshev_map()
         with pytest.raises(PreconditionViolated):
@@ -701,6 +748,7 @@ class TestBoundaryLadder:
 
 # the verifier's layer before the shared unit circle, kept verbatim as the
 # reference: a fresh linspace/exp per key, roll-based edges and winding
+# (roll_ring above), every pass over the whole curve at once
 
 
 def copying_fiber_push(map, z0, pts, n):
@@ -710,11 +758,6 @@ def copying_fiber_push(map, z0, pts, n):
         w = map.fiber_value(z, w)
         z = map.lam * z
     return w
-
-
-def roll_turns(rel):
-    inc = np.angle(rel / np.roll(rel, 1))
-    return int(round(float(np.sum(inc)) / (2.0 * math.pi)))
 
 
 class FreshCircleLadder(fatou._BoundaryLadder):
@@ -742,8 +785,9 @@ class FreshCircleLadder(fatou._BoundaryLadder):
 
 
 def check_both(monkeypatch, ladder, ref_ladder, *args, samples=fatou.MIN_BOUNDARY_SAMPLES):
-    """One check through each ladder, the reference with the roll-based winding;
-    returns both outcomes as WindingCheck or the SamplingCapExceeded text."""
+    """One check through each ladder, the reference with the roll-based
+    distance and winding; returns both outcomes as WindingCheck or the
+    SamplingCapExceeded text."""
     def run(check_ladder):
         try:
             return disk_image_contains_ball(*args, boundary_samples=samples,
@@ -753,7 +797,7 @@ def check_both(monkeypatch, ladder, ref_ladder, *args, samples=fatou.MIN_BOUNDAR
 
     got = run(ladder)
     with monkeypatch.context() as mp:
-        mp.setattr(fatou, "_turns", roll_turns)
+        mp.setattr(fatou, "_ring", roll_ring)
         want = run(ref_ladder)
     assert_circle_bounded()
     return got, want
@@ -877,12 +921,52 @@ class TestSharedUnitCircle:
         # random point clouds, whose winding sums need not be near integers
         rng = np.random.default_rng(size)
         t = np.linspace(0.0, 2.0 * math.pi, size, endpoint=False)
+        angles = np.empty(size)
         for m in range(-3, 4):
             radius = 1.0 + 0.5 * rng.uniform(-1.0, 1.0, size)
             rel = radius * np.exp(1j * m * t) + 1e-3 * rng.normal(size=size)
-            assert fatou._turns(rel) == roll_turns(rel)
+            assert fatou._ring(rel, 0j, angles) == roll_ring(rel, 0j, None)
             cloud = rng.normal(size=size) + 1j * rng.normal(size=size)
-            assert fatou._turns(cloud) == roll_turns(cloud)
+            assert fatou._ring(cloud, 0j, angles) == roll_ring(cloud, 0j, None)
+            # the curve through p winds 0 about it
+            p = complex(cloud[size // 2])
+            assert fatou._ring(cloud, p, angles) == roll_ring(cloud, p, None) == (0.0, 0)
+
+
+class SmallBlocks:
+    """Rerun a test class with blocks of 1000 and 4099 points: most curves
+    then span several blocks and end in a short one (one point for 4100
+    samples at 4099, and for 5001 points at 1000)."""
+
+    @pytest.fixture(autouse=True, params=[1000, 4099])
+    def small_blocks(self, request, monkeypatch):
+        monkeypatch.setattr(fatou, "BLOCK", request.param)
+
+
+class TestBoundaryLadderSmallBlocks(SmallBlocks, TestBoundaryLadder):
+    pass
+
+
+class TestSharedUnitCircleSmallBlocks(SmallBlocks, TestSharedUnitCircle):
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_push_leaving_double_range_in_a_middle_block(self, monkeypatch):
+        # w0 of test_push_leaving_double_range turned by a half turn: the
+        # fiber map is even, so level 0 stays finite and level 1 overflows
+        # near the angle pi + pi/4096, its new point 2048 of 4096
+        cheb = chebyshev_map()
+        w0 = -4.2506396984325 * cmath.exp(1j * math.pi / 4096)
+        ladder, ref = fatou._BoundaryLadder(), FreshCircleLadder()
+        got, want = check_both(monkeypatch, ladder, ref, cheb, 0.0, w0, 1e-4, 9,
+                               w0, 1e303)
+        assert got == want == "boundary image leaves double precision range"
+        ladder.level(2), ref.level(2)
+        assert [f for _, f in ladder.levels] == [True, False, False]
+        bad = np.flatnonzero(~np.isfinite(ladder.curve(1)))
+        assert len(bad) and set(bad % 2) == {1}  # only new points overflow
+        if fatou.BLOCK < 4096:
+            assert 0 < bad.min() // 2 // fatou.BLOCK < 4096 // fatou.BLOCK
+        assert_same_ladder(ladder, ref)
 
 
 class TestVerifyRadiusProposition:
