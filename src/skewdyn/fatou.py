@@ -347,7 +347,8 @@ class _BoundaryLadder:
     are touched only as levels fill, and reused across refinements and
     keys: select with a new key drops the levels, not the buffer.  A
     refinement spreads the curve to the even slots in place and pushes the
-    new points into the odd ones, both in blocks of BLOCK points.  The
+    new points into the odd ones, then takes the max gap over every edge of
+    the new curve in its own pass, all in blocks of BLOCK points.  The
     ladder also owns the angle array of the winding (see _ring).  Its
     memory is those two arrays (16 and 8 MiB) plus the process's shared
     _UnitCircle and block-sized scratch.
@@ -397,24 +398,23 @@ class _BoundaryLadder:
                 hi = min(lo + BLOCK, m)
                 src = buf[lo:hi]
                 buf[2 * lo:2 * hi:2] = src.copy() if 2 * lo < hi else src
-        size = step * m
         finite = not self.levels or self.levels[-1][1]
-        max_gap = -math.inf
         for lo in range(0, m, BLOCK):
             hi = min(lo + BLOCK, m)
             new = _fiber_push(self.map, z0, w0 + delta * unit[lo:hi], n)
             buf[first + step * lo:first + step * hi:step] = new
             finite = finite and bool(np.all(np.isfinite(new)))
-            if finite:
-                # the polygon's edges from the slot before the block's first
-                # new point to its last; the wrap-around edge comes last
-                seg = buf[max(first + step * lo - 1, 0):first + step * (hi - 1) + 1]
-                max_gap = max(max_gap, float(np.abs(seg[1:] - seg[:-1]).max()))
+        size = step * m
+        self.finest = curve = buf[:size]
+        max_gap = math.nan
         if finite:
-            wrap = float(np.abs(buf[:1] - buf[size - 1:size])[0])
-            max_gap = max(max_gap, wrap)
-        self.finest = buf[:size]
-        self.levels.append((max_gap if finite else math.nan, finite))
+            # every edge of the closed polygon: the wrap-around one, then
+            # per block the edges into its points from their predecessors
+            max_gap = float(np.abs(curve[:1] - curve[-1:])[0])
+            for lo in range(0, size, BLOCK):
+                seg = curve[max(lo - 1, 0):lo + BLOCK]
+                max_gap = max(max_gap, float(np.abs(seg[1:] - seg[:-1]).max()))
+        self.levels.append((max_gap, finite))
 
 
 def disk_image_contains_ball(

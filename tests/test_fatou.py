@@ -810,6 +810,13 @@ def assert_same_ladder(ladder, ref):
         assert_bitwise(ladder.curve(k), ref.curve(k), f"curve {k}")
         assert_bitwise(np.float64(got[0]), np.float64(want[0]), f"max_gap {k}")
         assert got[1] is want[1]
+        if got[1]:
+            assert got[0] == polygon_max_gap(ladder.curve(k)), f"max_gap {k}"
+
+
+def polygon_max_gap(curve):
+    """The longest edge of the closed polygon through curve."""
+    return float(np.abs(np.diff(np.r_[curve, curve[:1]])).max())
 
 
 def assert_circle_bounded():
@@ -966,6 +973,41 @@ class TestSharedUnitCircleSmallBlocks(SmallBlocks, TestSharedUnitCircle):
         assert len(bad) and set(bad % 2) == {1}  # only new points overflow
         if fatou.BLOCK < 4096:
             assert 0 < bad.min() // 2 // fatou.BLOCK < 4096 // fatou.BLOCK
+        assert_same_ladder(ladder, ref)
+
+    def test_longest_edge_leaves_a_block(self, monkeypatch):
+        # at the first level with more than BLOCK new points, new point
+        # BLOCK - 1 (the last of block 0) is moved back along the curve so
+        # that the edge from it to the next block's first slot is the
+        # polygon's longest, a little longer than the edge into it
+        cheb = chebyshev_map()
+        args = (cheb, 5e-13, 0.3, 1e-3, 3)
+        k = 1
+        while 4096 << max(k - 1, 0) <= fatou.BLOCK:
+            k += 1
+        plain = fatou._BoundaryLadder()
+        plain.select(*args, 4096)
+        plain.level(k - 1)
+        prev = plain.curve(k - 1)
+        a, b = complex(prev[fatou.BLOCK - 1]), complex(prev[fatou.BLOCK])
+        target = 0.3 + 1e-3 * fatou._UNIT_CIRCLE.points(4096, k)[fatou.BLOCK - 1]
+
+        def moving(push):
+            def moved(map, z0, pts, n):
+                out = push(map, z0, pts, n).copy()
+                out[pts == target] += 100.0 * (a - b)
+                return out
+            return moved
+
+        monkeypatch.setattr(fatou, "_fiber_push", moving(fatou._fiber_push))
+        monkeypatch.setitem(globals(), "copying_fiber_push", moving(copying_fiber_push))
+        ladder, ref = fatou._BoundaryLadder(), FreshCircleLadder()
+        ladder.select(*args, 4096), ref.select(*args, 4096)
+        ladder.level(k + 1), ref.level(k + 1)
+        curve = ladder.curve(k)
+        edges = np.abs(np.diff(np.r_[curve, curve[:1]]))
+        assert int(np.argmax(edges)) == 2 * fatou.BLOCK - 1
+        assert ladder.levels[k][0] == edges.max() > 99.0 * abs(a - b)
         assert_same_ladder(ladder, ref)
 
 
