@@ -171,6 +171,8 @@ def audit_onedim(
     their ratios grow without bound and never attain the minimum.
     """
     _check_lambda0(lambda0)
+    if n_max < 1:
+        raise PreconditionViolated(f"need n_max >= 1, got {n_max}")
     if delta <= 0:
         raise PreconditionViolated(f"delta must be positive, got {delta}")
     if f0.attracting_cycles():
@@ -232,8 +234,13 @@ def _tame_scan(traces: TraceBlock, log_l0: float):
     A start's pairs are its steps n = 1..min(tame prefix, last step); the
     audits narrow alive further by their base filters.  Returns the scan's
     (ns, alive, pm0, mids) plus log |w_n| and log |Df^n| - n log lam0 for
-    n in ns, and log |w_0|.
+    n in ns, and log |w_0|.  Starts traced for no step have no pairs, so
+    their audits would fail on nothing: such a block is rejected.  A block
+    of no starts stays legal; its audits report zero samples.
     """
+    if len(traces) and traces.ws.shape[0] < 2:
+        raise PreconditionViolated(
+            f"need a trace horizon n >= 1, got {traces.ws.shape[0] - 1}")
     with np.errstate(divide="ignore"):
         logw = np.log(np.abs(traces.ws))
     prefix = np.logical_and.accumulate(traces.tame, axis=0).sum(axis=0)

@@ -421,6 +421,8 @@ class TraceBlock:
 
 def iterate_block(map: SkewProductMap, z0s, w0s, n: int) -> TraceBlock:
     """Vectorized iterate for a batch of starts; steps only unescaped orbits."""
+    if n < 0:
+        raise HorizonNonPositive(f"step count must be >= 0, got {n}")
     z0s = np.asarray(z0s, dtype=complex)
     w0s = np.asarray(w0s, dtype=complex)
     if np.any(np.abs(z0s) >= map.r0):

@@ -362,7 +362,12 @@ class _BoundaryLadder:
 
     def select(self, map: SkewProductMap, z0: complex, w0: complex, delta: float,
                n: int, samples: int) -> None:
-        """Point the ladder at a boundary; a changed key starts it afresh."""
+        """Point the ladder at a boundary; a changed key starts it afresh.
+        Level 0 must fit the buffer and carry at least MIN_BOUNDARY_SAMPLES."""
+        if not MIN_BOUNDARY_SAMPLES <= samples <= SAMPLE_CAP:
+            raise PreconditionViolated(
+                f"need {MIN_BOUNDARY_SAMPLES} <= boundary_samples <= {SAMPLE_CAP}, "
+                f"got {samples}")
         key = (z0, w0, delta, n, samples)
         if map is not self.map or key != self.key:
             self.map, self.key = map, key
@@ -435,8 +440,12 @@ def disk_image_contains_ball(
     radius/10, then requires (a) the sampled image curve to stay farther
     than `radius` from the center and (b) winding number >= 1 about every
     point of the target disk.  Either test failing gives a False verdict;
-    an unresolvable curve raises SamplingCapExceeded rather than ever
-    returning a false positive.
+    a curve the cap cannot resolve raises SamplingCapExceeded instead of
+    giving a verdict.  A True verdict certifies the closed polygon through
+    the samples, not the image curve between them: the gap rule makes the
+    polygon's edges short, but nothing here bounds how far the curve
+    strays from an edge, so a curve that bulges into the target disk
+    between two samples is not caught.
 
     Each refinement doubles the sample count.  The curves come from a
     boundary ladder (`_BoundaryLadder`), so a doubling pushes only the new
@@ -461,10 +470,6 @@ def disk_image_contains_ball(
     When (a) fails the verdict is False and `winding_min` is the winding
     about the center alone.
     """
-    if not MIN_BOUNDARY_SAMPLES <= boundary_samples <= SAMPLE_CAP:
-        raise PreconditionViolated(
-            f"need {MIN_BOUNDARY_SAMPLES} <= boundary_samples <= {SAMPLE_CAP}, "
-            f"got {boundary_samples}")
     if delta <= 0 or radius <= 0:
         raise PreconditionViolated("delta and radius must be positive")
     z0, w0, center = complex(z0), complex(w0), complex(center)
@@ -582,6 +587,47 @@ def _link(map, z0, m, src_c, src_r, j, center, radius, samples, ladder):
         return None
 
 
+def _fit_radius(status, n: int, r: float, max_gap0: float) -> float:
+    """The fit's search at step n for a largest radius that passes.
+
+    status(n, radius) is "pass", "fail" or "small" (see
+    verify_radius_proposition).  The search runs on the grid r 2^j (j >= 0,
+    r the radius law at step n, doublings exact in binary floating point)
+    and starts at its first radius that level 0 of the step's boundary
+    ladder resolves: radius * GAP_FRACTION > max_gap0, level 0's max gap
+    (or radius >= 1e6).  From there it halves while the check fails,
+    doubles while it passes, and bisects the last bracket 8 times.
+
+    Rule: the answer is the one a search starting at r gives whenever every
+    skipped grid radius that the cap can resolve passes, as on every
+    configuration measured: both then test the same radii from the first
+    failing doubling on.  Were the verdicts ever not monotone in the radius, the answer is
+    still a passing radius just below a failing one.  A level 0 that is not
+    finite has max_gap0 NaN, so the search starts at r, whose check reports
+    "small", and raises PreconditionViolated.
+    """
+    while r * GAP_FRACTION <= max_gap0 and r < 1e6:
+        r *= 2.0
+    st = status(n, r)
+    while st == "fail" and r > 1e-300:
+        r *= 0.5
+        st = status(n, r)
+    if st != "pass":
+        raise PreconditionViolated(
+            f"no radius at step {n} passes the direct winding check; "
+            "delta is not small enough for this base point")
+    lo, hi = r, 2.0 * r
+    while status(n, hi) == "pass":
+        lo, hi = hi, 2.0 * hi
+    for _ in range(8):
+        mid = 0.5 * (lo + hi)
+        if status(n, mid) == "pass":
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def verify_radius_proposition(
     map: SkewProductMap,
     z0: complex,
@@ -602,6 +648,15 @@ def verify_radius_proposition(
     test chained from the nearest earlier certified ball (the original disk
     for early n); a step with no verifiable link is recorded unverified and
     later steps chain around it.
+
+    The fit searches each step n <= fit_n for a largest radius passing the
+    direct check, on the doubling grid of the radius law, and takes the
+    worst ratio to the law.  Each search starts at the grid's first radius
+    that level 0 (boundary_samples points) of the step's boundary image
+    resolves under the gap rule, not at the law's radius, which can need
+    up to SAMPLE_CAP points for a ball far below the radii that decide the
+    answer.  The answer is the same whenever the grid radii skipped below
+    the start pass the check (see _fit_radius for the rule).
 
     Every check goes through one boundary ladder owned by this call: the
     fit's bisection over radii at one step n reuses the refinements of
@@ -651,32 +706,15 @@ def verify_radius_proposition(
         return "pass" if chk.verdict else "fail"
 
     # fit: largest radius passing the direct check at each early step, then
-    # take the worst ratio to the radius law across those steps
+    # take the worst ratio to the radius law across those steps.  The first
+    # check of a step pushes its level 0 anyway; reading it first lets the
+    # search start where level 0 resolves
     fit_upper = min(fit_n, n_max)
     c_values = []
     for n in range(1, fit_upper + 1):
+        ladder.select(map, z0, w0, delta, n, int(boundary_samples))
         r = lambda0**n * pow_delta
-        st = status(n, r)
-        while st == "small" and r < 1e6:
-            r *= 2.0
-            st = status(n, r)
-        while st == "fail" and r > 1e-300:
-            r *= 0.5
-            st = status(n, r)
-        if st != "pass":
-            raise PreconditionViolated(
-                f"no radius at step {n} passes the direct winding check; "
-                "delta is not small enough for this base point")
-        lo, hi = r, 2.0 * r
-        while status(n, hi) == "pass":
-            lo, hi = hi, 2.0 * hi
-        for _ in range(8):
-            mid = 0.5 * (lo + hi)
-            if status(n, mid) == "pass":
-                lo = mid
-            else:
-                hi = mid
-        c_values.append(lo / (lambda0**n * pow_delta))
+        c_values.append(_fit_radius(status, n, r, ladder.level(0)[0]) / r)
     fitted = min(c_values)
 
     report = DiskExpansionReport(

@@ -178,6 +178,26 @@ class TestValidation:
         assert "PreconditionViolated" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("suite, params", [
+        ("onedim", {"n_max": 0, "delta": 0.1}),
+        ("onedim", {"n_max": -2, "delta": 0.1}),
+        ("tame", {"n": 0}),
+        ("tame", {"n": -1}),
+        ("return", {"n": 0, "delta0": 0.1}),
+        ("side", {"n": 0, "delta": 0.1}),
+    ])
+    def test_horizon_below_one_exits_two(self, tmp_path, capsys, suite, params):
+        # a horizon of 0 scanned no (start, n) pair and exited 3 as if an
+        # audit had failed; a negative one crashed the trace allocation
+        code, out = run(tmp_path, "audit-bounds",
+                        {"map": CHEB, "seed": 1,
+                         "params": {"suite": suite, "count": 50, "lambda0": 0.9,
+                                    **params}})
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "PreconditionViolated" in err or "HorizonNonPositive" in err
+        assert not out.exists()
+
 
 class TestOrbit:
     def test_artifacts_and_roundtrip(self, tmp_path):
@@ -586,6 +606,22 @@ class TestExpand:
         assert tree_digest(out) == {
             "expand.json":
                 "fa463f8bb8fe6222d79c341790eb55386e017a5861349fb3d4014d43eb0d77ab"}
+
+    @pytest.mark.parametrize("z0, extra, digest", [
+        ([0.0, 0.0], {"fit_n": 4, "n_max": 60},
+         "765267346e57b6f80f1a9cad4f9cad7f21f15f370d2808a561b636e28b118e95"),
+        ([5e-13, 0.0], {"n_max": 100},
+         "73c35d51dc06ee7cadabb37a888ef576be5862e446f0357c87758420cc7596ea"),
+    ], ids=["expand_onedim", "expand_skew"])
+    def test_benchmark_config_digests(self, tmp_path, z0, extra, digest):
+        # the disk_certify benchmark's two runs; sha256 recorded on x86-64,
+        # numpy 2.4, while the fit's search still started at the radius law
+        code, out = run(tmp_path, "expand",
+                        {"command": "expand", "map": CHEB,
+                         "params": {"z0": z0, "w0": [0.3, 0.0], "delta": 0.001,
+                                    "lambda0": 0.9, **extra}})
+        assert code == 0
+        assert tree_digest(out) == {"expand.json": digest}
 
 
 class TestSeries:

@@ -1011,6 +1011,130 @@ class TestSharedUnitCircleSmallBlocks(SmallBlocks, TestSharedUnitCircle):
         assert_same_ladder(ladder, ref)
 
 
+# the fit's search before it started at the first radius level 0 resolves,
+# kept verbatim as the reference: it starts at the radius law's r and
+# doubles while the check cannot resolve the boundary within the cap
+
+
+def law_start_fit_radius(status, n, r, max_gap0):
+    st = status(n, r)
+    while st == "small" and r < 1e6:
+        r *= 2.0
+        st = status(n, r)
+    while st == "fail" and r > 1e-300:
+        r *= 0.5
+        st = status(n, r)
+    if st != "pass":
+        raise PreconditionViolated(
+            f"no radius at step {n} passes the direct winding check; "
+            "delta is not small enough for this base point")
+    lo, hi = r, 2.0 * r
+    while status(n, hi) == "pass":
+        lo, hi = hi, 2.0 * hi
+    for _ in range(8):
+        mid = 0.5 * (lo + hi)
+        if status(n, mid) == "pass":
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def fit_outcome(map, z0, w0, delta, lambda0):
+    try:
+        return verify_radius_proposition(map, z0, w0, delta, lambda0, 15, fit_n=5)
+    except PreconditionViolated as exc:
+        return str(exc)
+
+
+def unicritical(lam, c):
+    return build_map(lam, 2, [[c, 1.0]])
+
+
+class TestFitStart:
+    """The fit started at level 0's first resolvable radius against the
+    search from the radius law's radius: whole reports equal, or the same
+    precondition message.  A wrapper logs, per fit step, the start's grid
+    index above the law's radius, the first check's status and whether
+    level 0 was finite, to show which paths each case ran."""
+
+    @pytest.mark.parametrize("args, expect", [
+        # the start skips 3-10 doublings at every step
+        ((unicritical(0.5, 0.3), 0.0, 0.3, 1e-3, 0.95), "skips"),
+        ((unicritical(0.5, 0.25), 0.0, 0.3, 1e-3, 0.9), "skips"),
+        ((unicritical(0.8, -2.0), 0.0, 0.3, 1e-3, 0.95), "skips"),
+        # level 0 already resolves the skew law's radii lam0^n delta
+        ((unicritical(0.5, -1.9), 5e-13, -0.7, 1e-3, 0.9), "no skips"),
+        # w0 just past delta / 2: the disk holds the critical point 0 and
+        # its image barely covers the center, so at steps 3 and 4 the start
+        # fails and the search halves through radii it skipped
+        ((chebyshev_map(), 0.0, 0.51e-3, 1e-3, 0.9), "halves"),
+        # f0(w0) overflows: level 0 of step 1 is not finite
+        ((unicritical(0.5, 0.25), 0.0, 1e160, 1e-3, 0.9), "non-finite"),
+    ], ids=["c0.3", "c0.25", "cheb-lam0.8", "skew-c-1.9", "cheb-critical", "overflow"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_report_matches_law_start(self, monkeypatch, args, expect):
+        steps = []
+        fit = fatou._fit_radius
+
+        def logged(status, n, r, max_gap0):
+            first = []
+
+            def logging_status(n, radius):
+                if not first:
+                    first.extend([math.log2(radius / r), status(n, radius)])
+                    return first[1]
+                return status(n, radius)
+
+            try:
+                return fit(logging_status, n, r, max_gap0)
+            finally:
+                steps.append((*first, math.isfinite(max_gap0)))
+
+        monkeypatch.setattr(fatou, "_fit_radius", logged)
+        got = fit_outcome(*args)
+        monkeypatch.setattr(fatou, "_fit_radius", law_start_fit_radius)
+        want = fit_outcome(*args)
+        assert got == want
+        if expect == "non-finite":
+            assert steps == [(0.0, "small", False)]
+            assert got.startswith("no radius at step 1 passes")
+            return
+        assert len(steps) == 5 and all(finite for *_, finite in steps)
+        assert any(j > 0 for j, _, _ in steps) == (expect != "no skips")
+        halving = [j for j, st, _ in steps if st == "fail" and j > 0]
+        assert bool(halving) == (expect == "halves")
+
+    @pytest.mark.parametrize("z0", sorted(EXPAND_REPORTS), ids=["one_dim", "skew"])
+    def test_fit_checks_stay_at_level_zero(self, monkeypatch, z0):
+        # every fit check decides on the level 0 that the fit reads before
+        # its search, so the search itself pushes nothing; the search from
+        # the law's radius pushed 2482176 points at z0 = 0, up to 2^20 per
+        # step
+        pushes, in_fit = [], []
+        push, fit = fatou._fiber_push, fatou._fit_radius
+
+        def counting(map, z0, pts, n):
+            pushes.append((bool(in_fit), n, len(pts)))
+            return push(map, z0, pts, n)
+
+        def fitting(*args):
+            in_fit.append(True)
+            try:
+                return fit(*args)
+            finally:
+                in_fit.pop()
+
+        monkeypatch.setattr(fatou, "_fiber_push", counting)
+        monkeypatch.setattr(fatou, "_fit_radius", fitting)
+        verify_radius_proposition(chebyshev_map(), z0, 0.3, 1e-3, 0.9, 12, fit_n=4)
+        assert not any(during_fit for during_fit, _, _ in pushes)
+        assert pushes[:4] == [(False, n, fatou.MIN_BOUNDARY_SAMPLES) for n in (1, 2, 3, 4)]
+        assert [size for _, _, size in pushes] == [fatou.MIN_BOUNDARY_SAMPLES] * 18
+        assert sum(size for _, _, size in pushes) == 73728
+
+
 class TestVerifyRadiusProposition:
     @pytest.mark.parametrize("z0", sorted(EXPAND_REPORTS), ids=["one_dim", "skew"])
     def test_reports_exact(self, z0):
