@@ -20,7 +20,13 @@ import numpy as np
 
 from . import mc
 from .binding import audit_pair_batch, mu_constants, sample_bound_pairs
-from .bounds import audit_tame, critical_ball_grid, przytycki_return, sample_traces
+from .bounds import (
+    audit_tame,
+    critical_ball_grid,
+    przytycki_return,
+    sample_traces,
+    trace_starts,
+)
 from .core import build_map, iterate_block
 from .errors import PreconditionViolated
 from .fatou import verify_radius_proposition
@@ -140,7 +146,7 @@ def criterion_3() -> CriterionResult:
     traces = sample_traces(map, 10_000, 200, seed=77)
     main_full, min_full = audit_tame(map, traces, 0.8)
     # orbits are independent: the first 5000 starts, iterated alone
-    half = iterate_block(map, traces.z0s[:5000], traces.ws[0, :5000], 200)
+    half = trace_starts(map, traces.z0s[:5000], traces.w0s[:5000], 200)
     main_half, min_half = audit_tame(map, half, 0.8)
     stable = all(
         full.fitted_constant > 0 and half.fitted_constant > 0

@@ -6,12 +6,18 @@ observed derivative, and reports the minimum leftover ratio as the fitted
 constant.  Statements asserting constant 1 additionally count how often
 the ratio dips below 1 (allowing 1e-9 relative rounding slack).
 
-Every orbit statement runs on one prefix scan (`_prefix_scan`) over a block
-of log |w_j| rows, one column per start: the one-dimensional audits over
-fiber orbits stepped one block of starts at a time, the tame, return and
-side audits over the columns of a `TraceBlock` from `iterate_block`, each
-start cut at the end of its maximal tame prefix.  A block's minimum is
-taken start-major, so ties go to the earliest start, then the earliest n.
+Every orbit statement runs on one row-streamed prefix scan (`_scan`).  It
+folds the orbits of a batch into the statements one step n at a time,
+keeping only carry arrays over the live orbits: log |Df^n|, the running
+minima of log |w_j| over j < n and over 0 < j < n, and log |w_0|.  No
+(n+1) x count history is stored.  The rows come from stepping the starts
+in `core._Orbits` (a `TraceStarts` batch, or the fiber starts of the
+one-dimensional audits), or from the stored columns of a `TraceBlock`.
+An orbit leaves the carry once it has no further pairs: a trace at the
+end of its maximal tame prefix or past the escape radius, a fiber orbit
+past the working cap.  Each accumulator keeps the least (ratio, start, n)
+in lexicographic order, so ties go to the earliest start, then the
+earliest n.
 
 Statement tags:
   eq_1dim_der  |Df0^n(w)| >= C lam0^n min_{j<n} |f0^j(w)|^{d-1}
@@ -36,10 +42,12 @@ import numpy as np
 
 from . import mc
 from .binding import _bind, _ranges, mu_constants
-from .core import SkewProductMap, TraceBlock, _Orbits, find_attracting_cycles, iterate_block
+from .core import SkewProductMap, TraceBlock, _Orbits, find_attracting_cycles
 from .errors import (
     AttractingCyclePresent,
+    BaseOutsideDomain,
     EmptyGrid,
+    HorizonNonPositive,
     PreconditionViolated,
 )
 from .fiber import FiberMap
@@ -88,22 +96,27 @@ class _Acc:
         self.min_log = math.inf
         self.loc: dict | None = None
 
-    def add(self, start_idx: int, ns: np.ndarray, ratio_logs: np.ndarray,
-            sel: np.ndarray) -> None:
-        """Ratios at steps ns (rows) of the starts start_idx + column; sel
-        marks the admitted pairs.  Ties go to the earliest start, then the
-        earliest n."""
+    def add(self, starts: np.ndarray, n: int, ratio_logs: np.ndarray,
+            sel: np.ndarray | None = None) -> None:
+        """Ratios at step n of the given starts (batch positions, ascending);
+        sel marks the admitted pairs (all when None).  The minimum is the
+        least (ratio, start, n) in lexicographic order."""
         # exact critical hits make both sides vanish; drop those pairs
-        ok = sel & (np.isfinite(ratio_logs) | np.isposinf(ratio_logs))
+        ok = ratio_logs > -np.inf
+        if sel is not None:
+            ok &= sel
         count = int(np.count_nonzero(ok))
         if count == 0:
             return
         self.count += count
         masked = np.where(ok, ratio_logs, np.inf)
-        c, r = divmod(int(np.argmin(masked.T)), masked.shape[0])  # start-major
-        if masked[r, c] < self.min_log:
-            self.min_log = float(masked[r, c])
-            self.loc = {"start": start_idx + c, "n": int(ns[r])}
+        c = int(np.argmin(masked))  # the first minimum: the earliest start
+        value, start = float(masked[c]), int(starts[c])
+        if value < self.min_log or (
+                value == self.min_log and self.loc is not None
+                and (start, n) < (self.loc["start"], self.loc["n"])):
+            self.min_log = value
+            self.loc = {"start": start, "n": int(n)}
         if self.constant_one:
             self.violations += int(np.count_nonzero(masked < _LOG_FLOOR))
 
@@ -132,25 +145,129 @@ def _check_lambda0(lambda0: float, lam: complex | None = None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# the prefix scan shared by every orbit statement
+# the row-streamed prefix scan shared by every orbit statement
 
 
-def _prefix_scan(logw: np.ndarray, n_hi: np.ndarray):
-    """One reduction over a block of log |w_j| rows, column c one start.
+@dataclass(frozen=True)
+class TraceStarts:
+    """A batch of starts (z0, w0) and the horizon n the audits step them to.
 
-    A start's pairs are its steps n = 1..n_hi[c].  Returns ns (row r of
-    each result is n = r + 1), the alive mask n <= n_hi, min_{j<n} log|w_j|
-    and min_{0<j<n} log|w_j| (inf at n = 1); rows past the largest n_hi
-    are dropped.
+    The tame, return and side audits step these themselves, one row at a
+    time, so no history is stored; `iterate_block` would build the same
+    orbits as an (n+1) x count `TraceBlock`.  len() is the number of starts.
     """
-    rows = int(n_hi.max(initial=0)) + 1
-    logw = logw[:rows]
-    ns = np.arange(1, rows)
-    alive = ns[:, None] <= n_hi
-    pm0 = np.minimum.accumulate(logw[:-1], axis=0)
-    mids = np.full_like(pm0, np.inf)
-    mids[1:] = np.minimum.accumulate(logw[1:-1], axis=0)
-    return ns, alive, pm0, mids
+
+    z0s: np.ndarray
+    w0s: np.ndarray
+    n: int
+
+    def __len__(self) -> int:
+        return len(self.w0s)
+
+
+def trace_starts(map: SkewProductMap, z0s, w0s, n: int) -> TraceStarts:
+    """Starts checked as `iterate_block` checks them."""
+    if n < 0:
+        raise HorizonNonPositive(f"step count must be >= 0, got {n}")
+    z0s = np.asarray(z0s, dtype=complex)
+    w0s = np.asarray(w0s, dtype=complex)
+    if np.any(np.abs(z0s) >= map.r0):
+        raise BaseOutsideDomain("a batch start has |z0| >= r0")
+    return TraceStarts(z0s, w0s, n)
+
+
+class _Columns:
+    """The live columns of a stored `TraceBlock` and their carry arrays,
+    compacted together (what `core._Orbits` keeps for stepped orbits)."""
+
+    def __init__(self, count: int):
+        self.idx = np.arange(count)
+        self.carry: dict[str, np.ndarray] = {}
+
+    def retire(self, done: np.ndarray) -> None:
+        keep = ~done
+        self.idx = self.idx[keep]
+        self.carry = {k: a[keep] for k, a in self.carry.items()}
+
+
+def _fiber_rows(f0: FiberMap, w0: np.ndarray, n_max: int):
+    """Rows of fiber orbits, each until it passes the working cap."""
+    orbits = _Orbits(f0, None, w0, bound=_ABS_CAP, factors=True,
+                     carry={"logd": np.zeros(len(w0))})
+    orbits.retire(~(orbits.absw <= _ABS_CAP))
+    yield 0, orbits, np.log(orbits.absw), None
+    for n in orbits.steps(n_max):
+        logd = orbits.carry["logd"] = (orbits.carry["logd"]
+                                       + np.log(np.abs(orbits.factor)))
+        yield n, orbits, np.log(orbits.absw), logd
+
+
+def _trace_rows(map: SkewProductMap, traces: TraceStarts | TraceBlock):
+    """Rows of a trace batch, each start cut at the end of its maximal tame
+    prefix: a pair at n needs steps 0..n-1 tame, and a start's last pair
+    is at its first untame step or at its escape.  Starts traced for no
+    step have no pairs, so their audits would fail on nothing: such a
+    batch is rejected.  A batch of no starts stays legal; its audits
+    report zero samples."""
+    if isinstance(traces, TraceBlock):
+        horizon = traces.ws.shape[0] - 1
+        rows = _block_rows(traces)
+    else:
+        horizon = traces.n
+        rows = _stepped_rows(map, traces)
+    if len(traces) and horizon < 1:
+        raise PreconditionViolated(f"need a trace horizon n >= 1, got {horizon}")
+    return rows
+
+
+def _stepped_rows(map: SkewProductMap, starts: TraceStarts):
+    orbits = _Orbits(map, starts.z0s, starts.w0s, factors=True,
+                     carry={"logd": np.zeros(len(starts))})
+
+    def cut():
+        tame = np.abs(orbits.z) ** map.k <= orbits.absw ** map.degree
+        orbits.retire(~tame | (orbits.absw > map.escape_radius))
+
+    cut()
+    yield 0, orbits, np.log(orbits.absw), None
+    for n in orbits.steps(starts.n):
+        logd = orbits.carry["logd"] = (orbits.carry["logd"]
+                                       + np.log(np.abs(orbits.factor)))
+        yield n, orbits, np.log(orbits.absw), logd
+        cut()
+
+
+def _block_rows(traces: TraceBlock):
+    live = _Columns(len(traces))
+    live.retire(~traces.tame[0] | (traces.lengths < 2))
+    yield 0, live, np.log(np.abs(traces.ws[0, live.idx])), None
+    for n in range(1, traces.ws.shape[0]):
+        idx = live.idx
+        if not len(idx):
+            return
+        yield n, live, np.log(np.abs(traces.ws[n, idx])), traces.log_vder[n, idx]
+        live.retire(~traces.tame[n, idx] | (traces.lengths[idx] <= n + 1))
+
+
+def _scan(rows, log_l0: float):
+    """The prefix scan over rows (n, live, log|w_n|, log|Df^n|), n = 0, 1, ...
+
+    live.idx holds the starts with a pair at n (ascending), live.carry
+    arrays aligned with them; a source drops a start from both once its
+    pairs end.  Yields, for each n >= 1, (n, starts, log|w_n|,
+    log|Df^n| - n log lam0, min_{j<n} log|w_j|, min_{0<j<n} log|w_j| (inf
+    at n = 1), log|w_0|).  The sources take logs of zero, so run it under
+    np.errstate(divide="ignore").
+    """
+    for n, live, logw, logd in rows:
+        c = live.carry
+        if n == 0:
+            c["lw0"] = c["pm0"] = logw
+            c["mids"] = np.full(len(logw), np.inf)
+            continue
+        yield n, live.idx, logw, logd - n * log_l0, c["pm0"], c["mids"], c["lw0"]
+        c["pm0"] = np.minimum(c["pm0"], logw)
+        c["mids"] = np.minimum(c["mids"], logw)
 
 
 # ---------------------------------------------------------------------------
@@ -180,80 +297,32 @@ def audit_onedim(
 
     w0 = np.asarray(samples, dtype=complex).ravel()
     d = f0.degree
-    log_l0 = math.log(lambda0)
     log_delta = math.log(delta)
 
-    accs = {
-        "eq_1dim_der": _Acc("eq_1dim_der", lambda0, None),
-        "prop21i": _Acc("prop21i", lambda0, delta),
-        "prop21ii": _Acc("prop21ii", lambda0, delta, constant_one=True),
-        "prop21iii": _Acc("prop21iii", lambda0, delta),
-    }
-    for first in range(0, len(w0), mc.BLOCK_SIZE):
-        # per block: log |w_n| and log |Df0^n| in row n, until the working cap
-        block = w0[first:first + mc.BLOCK_SIZE]
-        logw = np.full((n_max + 1, len(block)), np.nan)
-        logd = np.full((n_max + 1, len(block)), np.nan)
-        lengths = np.ones(len(block), dtype=int)
-        orbits = _Orbits(f0, None, block, bound=_ABS_CAP, factors=True)
-        orbits.retire(~(orbits.absw <= _ABS_CAP))
-        with np.errstate(divide="ignore"):
-            logw[0] = np.log(np.abs(block))
-            logd[0] = 0.0
-            for n in orbits.steps(n_max):
-                idx = orbits.idx
-                logd[n, idx] = logd[n - 1, idx] + np.log(np.abs(orbits.factor))
-                logw[n, idx] = np.log(orbits.absw)
-                lengths[idx] = n + 1
-        # a start's pairs are its steps before the cap
-        ns, alive, pm0, mids = _prefix_scan(logw, lengths - 1)
-        lw_n = logw[1:len(ns) + 1]
-        with np.errstate(invalid="ignore"):
-            base = logd[1:len(ns) + 1] - ns[:, None] * log_l0
-            accs["eq_1dim_der"].add(first, ns, base - (d - 1) * pm0, alive)
-            accs["prop21i"].add(first, ns, base, alive & (pm0 >= log_delta))
-            accs["prop21iii"].add(first, ns, base, alive & (pm0 >= lw_n))
+    eq = _Acc("eq_1dim_der", lambda0, None)
+    a21i = _Acc("prop21i", lambda0, delta)
+    a21ii = _Acc("prop21ii", lambda0, delta, constant_one=True)
+    a21iii = _Acc("prop21iii", lambda0, delta)
+    rows = _fiber_rows(f0, w0, n_max)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for n, idx, lw_n, base, pm0, mids, lw_0 in _scan(rows, math.log(lambda0)):
+            eq.add(idx, n, base - (d - 1) * pm0)
+            a21i.add(idx, n, base, pm0 >= log_delta)
+            a21iii.add(idx, n, base, pm0 >= lw_n)
             # dip-and-return: |w| < delta, middles > delta, |f0^n(w)| <= delta
-            clamp = (d - 1) * np.minimum(0.0, logw[0] - lw_n)
-            accs["prop21ii"].add(
-                first, ns, base - clamp,
-                alive & (logw[0] < log_delta) & (lw_n <= log_delta) & (mids > log_delta))
-        # free this block's arrays before the next block allocates its own
-        del logw, logd, ns, alive, pm0, mids, lw_n, base, clamp
-
-    return {k: a.to_audit() for k, a in accs.items()}
+            clamp = (d - 1) * np.minimum(0.0, lw_0 - lw_n)
+            a21ii.add(idx, n, base - clamp,
+                      (lw_0 < log_delta) & (lw_n <= log_delta) & (mids > log_delta))
+    return {a.statement: a.to_audit() for a in (eq, a21i, a21ii, a21iii)}
 
 
 # ---------------------------------------------------------------------------
-# trace-block audits (two-dimensional statements)
-
-
-def _tame_scan(traces: TraceBlock, log_l0: float):
-    """The prefix scan over each start's maximal tame prefix.
-
-    A start's pairs are its steps n = 1..min(tame prefix, last step); the
-    audits narrow alive further by their base filters.  Returns the scan's
-    (ns, alive, pm0, mids) plus log |w_n| and log |Df^n| - n log lam0 for
-    n in ns, and log |w_0|.  Starts traced for no step have no pairs, so
-    their audits would fail on nothing: such a block is rejected.  A block
-    of no starts stays legal; its audits report zero samples.
-    """
-    if len(traces) and traces.ws.shape[0] < 2:
-        raise PreconditionViolated(
-            f"need a trace horizon n >= 1, got {traces.ws.shape[0] - 1}")
-    with np.errstate(divide="ignore"):
-        logw = np.log(np.abs(traces.ws))
-    prefix = np.logical_and.accumulate(traces.tame, axis=0).sum(axis=0)
-    n_hi = np.minimum(prefix, traces.lengths - 1)
-    ns, alive, pm0, mids = _prefix_scan(logw, n_hi)
-    rows = slice(1, len(ns) + 1)
-    base = traces.log_vder[rows] - ns[:, None] * log_l0
-    return ns, alive, pm0, mids, logw[rows], base, logw[0]
+# trace audits (two-dimensional statements)
 
 
 def audit_tame(
     map: SkewProductMap,
-    traces: TraceBlock,
+    traces: TraceStarts | TraceBlock,
     lambda0: float,
 ) -> tuple[BoundAudit, BoundAudit]:
     """Audit the two tame-orbit lower bounds over maximal tame prefixes.
@@ -268,17 +337,19 @@ def audit_tame(
     d = map.degree
     main = _Acc("thm12_main", lambda0, None)
     amin = _Acc("thm12_min", lambda0, None)
-    ns, alive, pm0, _, lw_n, base, _ = _tame_scan(traces, math.log(lambda0))
-    alive &= ~(np.abs(traces.z0s) >= map.r0)
-    with np.errstate(invalid="ignore"):
-        main.add(0, ns, base - (d - 1) * pm0, alive)
-        amin.add(0, ns, base, alive & (lw_n <= pm0))
+    inside = ~(np.abs(traces.z0s) >= map.r0)
+    rows = _trace_rows(map, traces)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for n, idx, lw_n, base, pm0, _, _ in _scan(rows, math.log(lambda0)):
+            sel = inside[idx]
+            main.add(idx, n, base - (d - 1) * pm0, sel)
+            amin.add(idx, n, base, sel & (lw_n <= pm0))
     return main.to_audit(), amin.to_audit()
 
 
 def audit_return(
     map: SkewProductMap,
-    traces: TraceBlock,
+    traces: TraceStarts | TraceBlock,
     lambda0: float,
     delta0: float,
     eta0: float | None = None,
@@ -296,17 +367,19 @@ def audit_return(
     log_d0 = math.log(delta0)
     d = map.degree
     acc = _Acc("lem34", lambda0, delta0, constant_one=True)
-    ns, alive, _, mids, lw_n, base, lw_0 = _tame_scan(traces, math.log(lambda0))
-    alive &= ~(np.abs(traces.z0s) >= eta0) & ~(lw_0 > log_d0)
-    with np.errstate(invalid="ignore"):
-        clamp = (d - 1) * np.minimum(0.0, lw_0 - lw_n)
-        acc.add(0, ns, base - clamp, alive & (lw_n <= log_d0) & (mids >= lw_n))
+    near = ~(np.abs(traces.z0s) >= eta0)
+    rows = _trace_rows(map, traces)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for n, idx, lw_n, base, _, mids, lw_0 in _scan(rows, math.log(lambda0)):
+            clamp = (d - 1) * np.minimum(0.0, lw_0 - lw_n)
+            acc.add(idx, n, base - clamp,
+                    near[idx] & ~(lw_0 > log_d0) & (lw_n <= log_d0) & (mids >= lw_n))
     return acc.to_audit()
 
 
 def audit_side_lemmas(
     map: SkewProductMap,
-    traces: TraceBlock,
+    traces: TraceStarts | TraceBlock,
     lambda0: float,
     delta: float,
     eta: float | None = None,
@@ -324,21 +397,23 @@ def audit_side_lemmas(
     if eta is None:
         eta = map.r0 / 10.0
     log_delta = math.log(delta)
+    log_half, log_twice = log_delta - math.log(2.0), log_delta + math.log(2.0)
     d = map.degree
     a31 = _Acc("lem31", lambda0, delta)
     a32 = _Acc("lem32", lambda0, delta)
     a33 = _Acc("lem33", lambda0, delta, constant_one=True)
-    ns, alive, pm0, mids, lw_n, base, lw_0 = _tame_scan(traces, math.log(lambda0))
-    near = alive & (np.abs(traces.z0s) < eta)
-    line = alive & (traces.z0s == 0) & (lw_0 < log_delta + math.log(2.0))
-    with np.errstate(invalid="ignore"):
-        floor = near & (pm0 >= log_delta)
-        a31.add(0, ns, base, floor)
-        a32.add(0, ns, base, floor & (lw_n <= log_delta))
-        clamp = (d - 1) * np.minimum(0.0, lw_0 - lw_n)
-        a33.add(0, ns, base - clamp,
-                line & (lw_n < log_delta + math.log(2.0))
-                & (mids > log_delta - math.log(2.0)))
+    near = np.abs(traces.z0s) < eta
+    on_line = traces.z0s == 0
+    rows = _trace_rows(map, traces)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for n, idx, lw_n, base, pm0, mids, lw_0 in _scan(rows, math.log(lambda0)):
+            floor = near[idx] & (pm0 >= log_delta)
+            a31.add(idx, n, base, floor)
+            a32.add(idx, n, base, floor & (lw_n <= log_delta))
+            line = on_line[idx] & (lw_0 < log_twice)
+            clamp = (d - 1) * np.minimum(0.0, lw_0 - lw_n)
+            a33.add(idx, n, base - clamp,
+                    line & (lw_n < log_twice) & (mids > log_half))
     return {a.statement: a.to_audit() for a in (a31, a32, a33)}
 
 
@@ -510,8 +585,9 @@ def sample_traces(
     seed: int,
     z_radius: float | None = None,
     w_radius: float | None = None,
-) -> TraceBlock:
-    """Deterministic random starts iterated to depth n, as one block."""
+) -> TraceStarts:
+    """Deterministic random starts for depth n, handed over unstepped: the
+    audits step them in their own scan."""
     if z_radius is None:
         z_radius = 0.9 * map.r0
     if w_radius is None:
@@ -524,4 +600,4 @@ def sample_traces(
         ])
 
     cols = mc.draw_blocks(seed, "trace_starts", count, draw)
-    return iterate_block(map, cols[:, 0], cols[:, 1], n)
+    return trace_starts(map, cols[:, 0], cols[:, 1], n)

@@ -21,9 +21,7 @@ import sys
 import numpy as np
 
 from .core import (
-    TraceBlock,
     iterate,
-    iterate_block,
     map_from_config,
     map_to_config,
     trace_to_csv,
@@ -388,15 +386,23 @@ def _bounds_departure(run: _Run, p: dict):
     return {"lem25": audit}
 
 
-def _suite_traces(run: _Run, p: dict) -> TraceBlock:
-    """Sampled orbits as one block; real-interval draws can target hypothesis
-    sets that carry no area (returns and on-line floors only happen
-    along the non-escaping locus)."""
+def _suite_traces(run: _Run, p: dict):
+    """Sampled starts and the horizon n, stepped later by the audit's own
+    scan; real-interval draws can target hypothesis sets that carry no area
+    (returns and on-line floors only happen along the non-escaping locus).
+    Without explicit radii, `return` draws from its admissible region
+    |z0| < eta0 (capped at 0.9 r0), |w0| < delta0; the other suites draw
+    over 0.9 r0 x 0.9 R."""
     from . import mc
-    from .bounds import sample_traces
+    from .bounds import sample_traces, trace_starts
 
-    z_radius = p.get("z_radius", 0.9 * run.map.r0)
-    w_radius = p.get("w_radius", 0.9 * run.map.escape_radius)
+    if run.params["suite"] == "return":
+        eta0 = p.get("eta0", run.map.r0 / 10.0)
+        z_default, w_default = min(eta0, 0.9 * run.map.r0), p["delta0"]
+    else:
+        z_default, w_default = 0.9 * run.map.r0, 0.9 * run.map.escape_radius
+    z_radius = p.get("z_radius", z_default)
+    w_radius = p.get("w_radius", w_default)
     if not p.get("real", False):
         return sample_traces(run.map, p["count"], p["n"], run.seed,
                              z_radius=z_radius, w_radius=w_radius)
@@ -407,8 +413,8 @@ def _suite_traces(run: _Run, p: dict) -> TraceBlock:
         return np.column_stack([z, w])
 
     rows = mc.draw_blocks(run.seed, "bounds_real_traces", p["count"], draw)
-    return iterate_block(run.map, rows[:, 0].astype(complex),
-                         rows[:, 1].astype(complex), p["n"])
+    return trace_starts(run.map, rows[:, 0].astype(complex),
+                        rows[:, 1].astype(complex), p["n"])
 
 
 def _cmd_audit_bounds(run: _Run) -> int:

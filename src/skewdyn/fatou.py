@@ -647,7 +647,8 @@ def verify_radius_proposition(
     C lam0^n delta^d instead.  Each step's ball is verified by a winding
     test chained from the nearest earlier certified ball (the original disk
     for early n); a step with no verifiable link is recorded unverified and
-    later steps chain around it.
+    later steps chain around it.  A w0 in a fiber cycle basin, or whose
+    fiber orbit escapes, is rejected.
 
     The fit searches each step n <= fit_n for a largest radius passing the
     direct check, on the doubling grid of the radius law, and takes the
@@ -687,6 +688,9 @@ def verify_radius_proposition(
     if start_label.startswith(("cycle", "parabolic")):
         raise PreconditionViolated(
             f"w0 lies in a fiber cycle basin ({start_label})")
+    if start_label == "escaping":
+        # the centers f0^n(w0) would leave double range and turn NaN
+        raise PreconditionViolated("the fiber orbit of w0 escapes")
 
     one_dim = z0 == 0
     pow_delta = delta**d if one_dim else delta

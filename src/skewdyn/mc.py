@@ -50,9 +50,12 @@ def draw_blocks(
     total: int,
     draw: Callable[[np.random.Generator, int], np.ndarray],
     threads: int = 1,
+    first_block: int = 0,
 ) -> np.ndarray:
     """Run `draw(gen, count)` over fixed blocks; concatenate in block order.
 
+    The draws fill blocks first_block, first_block + 1, ..., so a batch of
+    whole blocks drawn on its own equals its slice of one full draw.
     `threads` is ignored: everything runs in one thread.  The keyword stays
     only because perfbench's `threads_speedup` probe passes it.
     """
@@ -60,7 +63,7 @@ def draw_blocks(
     if not counts:
         raise EmptySample(f"sample count must be positive, got {total}")
     return np.concatenate(
-        [np.asarray(draw(block_generator(seed, tag, idx), count))
+        [np.asarray(draw(block_generator(seed, tag, first_block + idx), count))
          for idx, count in enumerate(counts)], axis=0)
 
 

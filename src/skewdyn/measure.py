@@ -34,12 +34,13 @@ from .errors import (
     RateTooLarge,
     ZeroBase,
 )
-from .mc import draw_blocks, uniform_annulus, uniform_disk
+from .mc import BLOCK_SIZE, draw_blocks, uniform_annulus, uniform_disk
 from .series import x0_constant
 
 MEMBERSHIP_HORIZON = 1000  # first-failure search cap; later failures count as none
 _PERIODIC_STEPS = 1000
 _PERIODIC_TOL = 1e-10
+_SLOW_BATCH = 8 * BLOCK_SIZE  # slow-approach starts drawn and stepped at once
 
 
 @dataclass
@@ -134,6 +135,8 @@ def slow_approach_stats(map: SkewProductMap, alpha: float, burn_in: int,
 
     Starts are uniform in B(0, r0) x B(0, escape_radius); orbits that
     escape within the horizon are discarded before the fraction is taken.
+    Starts are drawn and stepped in batches of `_SLOW_BATCH` (whole draw
+    blocks), so the working arrays stay that size whatever `samples` is.
     """
     if alpha <= 0:
         raise PreconditionViolated(f"need alpha > 0, got {alpha}")
@@ -152,16 +155,22 @@ def slow_approach_stats(map: SkewProductMap, alpha: float, burn_in: int,
         w = uniform_disk(gen, count, map.escape_radius)
         return np.stack([z, w], axis=1)
 
-    pts = draw_blocks(seed, "slow", samples, draw)
-    orbits = _Orbits(map, pts[:, 0], pts[:, 1], bound=map.escape_radius)
-    ok = np.ones(samples, dtype=bool)
-    for n in orbits.steps(horizon):
-        if n >= burn_in:
-            ok[orbits.idx[orbits.absw < math.exp(-alpha * n)]] = False
-    kept = len(orbits.idx)
+    # batches of whole draw blocks: the same starts as one full draw
+    kept = hits = 0
+    for first in range(0, samples, _SLOW_BATCH):
+        count = min(_SLOW_BATCH, samples - first)
+        pts = draw_blocks(seed, "slow", count, draw,
+                          first_block=first // BLOCK_SIZE)
+        orbits = _Orbits(map, pts[:, 0], pts[:, 1], bound=map.escape_radius)
+        ok = np.ones(count, dtype=bool)
+        for n in orbits.steps(horizon):
+            if n >= burn_in:
+                ok[orbits.idx[orbits.absw < math.exp(-alpha * n)]] = False
+        kept += len(orbits.idx)
+        hits += int(np.count_nonzero(ok[orbits.idx]))
     if kept == 0:
         raise EmptySample("every sampled orbit escaped within the horizon")
-    frac = float(np.mean(ok[orbits.idx]))
+    frac = hits / kept
     return EstimateReport(
         quantity="slow_fraction",
         parameters={"alpha": alpha, "burn_in": burn_in, "horizon": horizon,
@@ -245,7 +254,8 @@ def exclusion_area(map: SkewProductMap, alpha: float, m: int, l_values,
                    samples: int, seed: int,
                    horizon: int = MEMBERSHIP_HORIZON) -> list[EstimateReport]:
     """First-failure statistics on the annulus |lambda|^(m+1) r0 <= |z| <
-    |lambda|^m r0.
+    |lambda|^m r0.  Any m >= 0 is legal: m = 0 is the outermost annulus
+    |lambda| r0 <= |z| < r0 of the base domain.
 
     Each z starts at (z, 0); its first-failure index is the minimal l with
     |xi_l| <= |z|^(k/d) e^(-alpha*l), or none within the horizon (such z,

@@ -189,8 +189,7 @@ def reference_departure(map, starts, lambda0, mu=None, horizon=1000):
             acc.count += 1
             acc.violations += 1
         else:
-            acc.add(idx, np.array([found[0]]), np.array([[found[1]]]),
-                    np.ones((1, 1), dtype=bool))
+            acc.add(np.array([idx]), found[0], np.array([found[1]]))
     return acc.to_audit()
 
 

@@ -8,14 +8,17 @@ starts.  Closed-form cases pin exact fitted constants at the Chebyshev
 fixed point w = 2, where |Df0^n| = 4^n and every orbit magnitude is 2.
 """
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from skewdyn import bounds as BD
+from skewdyn import mc
 from skewdyn.binding import mu_constants
-from skewdyn.core import OrbitTrace, TraceBlock, build_map, iterate, iterate_block
+from skewdyn.core import OrbitTrace, TraceBlock, _Orbits, build_map, iterate, iterate_block
 from skewdyn.errors import (
     AttractingCyclePresent,
     EmptyGrid,
@@ -174,6 +177,144 @@ def traces_of(map, starts, n):
 
 
 # ---------------------------------------------------------------------------
+# reference copy of the block scan the row-streamed scan replaced: its
+# accumulator step, prefix scan, tame scan and one-dimensional block loop
+
+
+class RefAcc(BD._Acc):
+    """The accumulator with the block scan's step: a block of rows ns by
+    columns start_idx + c, minimum taken start-major."""
+
+    def add(self, start_idx, ns, ratio_logs, sel):
+        # exact critical hits make both sides vanish; drop those pairs
+        ok = sel & (np.isfinite(ratio_logs) | np.isposinf(ratio_logs))
+        count = int(np.count_nonzero(ok))
+        if count == 0:
+            return
+        self.count += count
+        masked = np.where(ok, ratio_logs, np.inf)
+        c, r = divmod(int(np.argmin(masked.T)), masked.shape[0])  # start-major
+        if masked[r, c] < self.min_log:
+            self.min_log = float(masked[r, c])
+            self.loc = {"start": start_idx + c, "n": int(ns[r])}
+        if self.constant_one:
+            self.violations += int(np.count_nonzero(masked < BD._LOG_FLOOR))
+
+
+def ref_prefix_scan(logw, n_hi):
+    rows = int(n_hi.max(initial=0)) + 1
+    logw = logw[:rows]
+    ns = np.arange(1, rows)
+    alive = ns[:, None] <= n_hi
+    pm0 = np.minimum.accumulate(logw[:-1], axis=0)
+    mids = np.full_like(pm0, np.inf)
+    mids[1:] = np.minimum.accumulate(logw[1:-1], axis=0)
+    return ns, alive, pm0, mids
+
+
+def ref_tame_scan(traces, log_l0):
+    if len(traces) and traces.ws.shape[0] < 2:
+        raise PreconditionViolated(
+            f"need a trace horizon n >= 1, got {traces.ws.shape[0] - 1}")
+    with np.errstate(divide="ignore"):
+        logw = np.log(np.abs(traces.ws))
+    prefix = np.logical_and.accumulate(traces.tame, axis=0).sum(axis=0)
+    n_hi = np.minimum(prefix, traces.lengths - 1)
+    ns, alive, pm0, mids = ref_prefix_scan(logw, n_hi)
+    rows = slice(1, len(ns) + 1)
+    base = traces.log_vder[rows] - ns[:, None] * log_l0
+    return ns, alive, pm0, mids, logw[rows], base, logw[0]
+
+
+def ref_block_onedim(f0, samples, n_max, lambda0, delta):
+    w0 = np.asarray(samples, dtype=complex).ravel()
+    d = f0.degree
+    log_l0 = math.log(lambda0)
+    log_delta = math.log(delta)
+    accs = {
+        "eq_1dim_der": RefAcc("eq_1dim_der", lambda0, None),
+        "prop21i": RefAcc("prop21i", lambda0, delta),
+        "prop21ii": RefAcc("prop21ii", lambda0, delta, constant_one=True),
+        "prop21iii": RefAcc("prop21iii", lambda0, delta),
+    }
+    for first in range(0, len(w0), mc.BLOCK_SIZE):
+        block = w0[first:first + mc.BLOCK_SIZE]
+        logw = np.full((n_max + 1, len(block)), np.nan)
+        logd = np.full((n_max + 1, len(block)), np.nan)
+        lengths = np.ones(len(block), dtype=int)
+        orbits = _Orbits(f0, None, block, bound=CAP, factors=True)
+        orbits.retire(~(orbits.absw <= CAP))
+        with np.errstate(divide="ignore"):
+            logw[0] = np.log(np.abs(block))
+            logd[0] = 0.0
+            for n in orbits.steps(n_max):
+                idx = orbits.idx
+                logd[n, idx] = logd[n - 1, idx] + np.log(np.abs(orbits.factor))
+                logw[n, idx] = np.log(orbits.absw)
+                lengths[idx] = n + 1
+        ns, alive, pm0, mids = ref_prefix_scan(logw, lengths - 1)
+        lw_n = logw[1:len(ns) + 1]
+        with np.errstate(invalid="ignore"):
+            base = logd[1:len(ns) + 1] - ns[:, None] * log_l0
+            accs["eq_1dim_der"].add(first, ns, base - (d - 1) * pm0, alive)
+            accs["prop21i"].add(first, ns, base, alive & (pm0 >= log_delta))
+            accs["prop21iii"].add(first, ns, base, alive & (pm0 >= lw_n))
+            clamp = (d - 1) * np.minimum(0.0, logw[0] - lw_n)
+            accs["prop21ii"].add(
+                first, ns, base - clamp,
+                alive & (logw[0] < log_delta) & (lw_n <= log_delta) & (mids > log_delta))
+    return {k: a.to_audit() for k, a in accs.items()}
+
+
+def ref_block_tame(map, traces, lambda0):
+    d = map.degree
+    main = RefAcc("thm12_main", lambda0, None)
+    amin = RefAcc("thm12_min", lambda0, None)
+    ns, alive, pm0, _, lw_n, base, _ = ref_tame_scan(traces, math.log(lambda0))
+    alive &= ~(np.abs(traces.z0s) >= map.r0)
+    with np.errstate(invalid="ignore"):
+        main.add(0, ns, base - (d - 1) * pm0, alive)
+        amin.add(0, ns, base, alive & (lw_n <= pm0))
+    return main.to_audit(), amin.to_audit()
+
+
+def ref_block_return(map, traces, lambda0, delta0, eta0=None):
+    if eta0 is None:
+        eta0 = map.r0 / 10.0
+    log_d0 = math.log(delta0)
+    d = map.degree
+    acc = RefAcc("lem34", lambda0, delta0, constant_one=True)
+    ns, alive, _, mids, lw_n, base, lw_0 = ref_tame_scan(traces, math.log(lambda0))
+    alive &= ~(np.abs(traces.z0s) >= eta0) & ~(lw_0 > log_d0)
+    with np.errstate(invalid="ignore"):
+        clamp = (d - 1) * np.minimum(0.0, lw_0 - lw_n)
+        acc.add(0, ns, base - clamp, alive & (lw_n <= log_d0) & (mids >= lw_n))
+    return acc.to_audit()
+
+
+def ref_block_side(map, traces, lambda0, delta, eta=None):
+    if eta is None:
+        eta = map.r0 / 10.0
+    log_delta = math.log(delta)
+    d = map.degree
+    a31 = RefAcc("lem31", lambda0, delta)
+    a32 = RefAcc("lem32", lambda0, delta)
+    a33 = RefAcc("lem33", lambda0, delta, constant_one=True)
+    ns, alive, pm0, mids, lw_n, base, lw_0 = ref_tame_scan(traces, math.log(lambda0))
+    near = alive & (np.abs(traces.z0s) < eta)
+    line = alive & (traces.z0s == 0) & (lw_0 < log_delta + math.log(2.0))
+    with np.errstate(invalid="ignore"):
+        floor = near & (pm0 >= log_delta)
+        a31.add(0, ns, base, floor)
+        a32.add(0, ns, base, floor & (lw_n <= log_delta))
+        clamp = (d - 1) * np.minimum(0.0, lw_0 - lw_n)
+        a33.add(0, ns, base - clamp,
+                line & (lw_n < log_delta + math.log(2.0))
+                & (mids > log_delta - math.log(2.0)))
+    return {a.statement: a.to_audit() for a in (a31, a32, a33)}
+
+
+# ---------------------------------------------------------------------------
 # reference copy of the per-trace audits the block scan replaced
 
 
@@ -195,8 +336,8 @@ def _ref_trace_arrays(trace):
 def ref_audit_tame(map, traces, lambda0):
     log_l0 = math.log(lambda0)
     d = map.degree
-    main = BD._Acc("thm12_main", lambda0, None)
-    amin = BD._Acc("thm12_min", lambda0, None)
+    main = RefAcc("thm12_main", lambda0, None)
+    amin = RefAcc("thm12_min", lambda0, None)
     for idx, trace in enumerate(traces):
         if abs(trace.z0) >= map.r0:
             continue
@@ -219,7 +360,7 @@ def ref_audit_return(map, traces, lambda0, delta0, eta0=None):
     log_l0 = math.log(lambda0)
     log_d0 = math.log(delta0)
     d = map.degree
-    acc = BD._Acc("lem34", lambda0, delta0, constant_one=True)
+    acc = RefAcc("lem34", lambda0, delta0, constant_one=True)
     for idx, trace in enumerate(traces):
         if abs(trace.z0) >= eta0:
             continue
@@ -247,9 +388,9 @@ def ref_audit_side_lemmas(map, traces, lambda0, delta, eta=None):
     log_l0 = math.log(lambda0)
     log_delta = math.log(delta)
     d = map.degree
-    a31 = BD._Acc("lem31", lambda0, delta)
-    a32 = BD._Acc("lem32", lambda0, delta)
-    a33 = BD._Acc("lem33", lambda0, delta, constant_one=True)
+    a31 = RefAcc("lem31", lambda0, delta)
+    a32 = RefAcc("lem32", lambda0, delta)
+    a33 = RefAcc("lem33", lambda0, delta, constant_one=True)
     for idx, trace in enumerate(traces):
         logw, logd, tame_len = _ref_trace_arrays(trace)
         if tame_len < 1 or len(trace) < 2:
@@ -492,8 +633,9 @@ class TestBlockScanMatchesPerTrace:
         assert BD.audit_return(m, block, 0.8, 0.05).violations > 0
 
     def test_sampled_tame_input(self, cheb):
-        block = BD.sample_traces(cheb, 2000, 100, seed=3)
-        assert BD.audit_tame(cheb, block, 0.8) == ref_audit_tame(
+        starts = BD.sample_traces(cheb, 2000, 100, seed=3)
+        block = iterate_block(cheb, starts.z0s, starts.w0s, starts.n)
+        assert BD.audit_tame(cheb, starts, 0.8) == ref_audit_tame(
             cheb, list(columns(block, cheb)), 0.8)
 
     def test_ties_go_to_the_earliest_start_then_n(self, cheb):
@@ -514,6 +656,187 @@ class TestBlockScanMatchesPerTrace:
         assert BD.audit_tame(cheb, block, 0.8) == ref_audit_tame(cheb, [], 0.8)
         assert BD.audit_return(cheb, block, 0.8, 0.05).samples == 0
         assert BD.audit_side_lemmas(cheb, block, 0.8, 0.05)["lem31"].samples == 0
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestStreamMatchesBlockScan:
+    """The row-streamed scan against the block scan it replaced, whole
+    BoundAudits compared with ==, over both row sources: stepped starts
+    (TraceStarts) and the stored columns of a TraceBlock."""
+
+    MAPS = TestBlockScanMatchesPerTrace.MAPS
+
+    @staticmethod
+    def random_starts(map, seed, count=600):
+        """Starts mixing the line, untame bases, escapes, exact critical
+        hits (w0 = 0) and small returns."""
+        rng = np.random.default_rng(seed)
+        z0 = (0.9 * map.r0 * np.sqrt(rng.uniform(0, 1, count))
+              * np.exp(2j * np.pi * rng.uniform(0, 1, count)))
+        w0 = (1.3 * map.escape_radius * np.sqrt(rng.uniform(0, 1, count))
+              * np.exp(2j * np.pi * rng.uniform(0, 1, count)))
+        z0[::5] = 0.0
+        w0[1::7] *= 1e-3  # |z0|^k > |w0|^d: not tame at step 0
+        w0[2::11] = 0.0  # a critical point: log|Df^n| = -inf from n = 1
+        w0[3::13] = 1.5 * map.escape_radius
+        w0[4::9] = rng.uniform(-0.1, 0.1, len(w0[4::9]))
+        z0[6::17] = rng.uniform(-1e-6, 1e-6, len(z0[6::17]))
+        return z0, w0
+
+    @staticmethod
+    def assert_same(map, z0, w0, n, lambda0, delta, etas=(None, 0.0, 0.5)):
+        """Both row sources against the block scan on iterate_block's block,
+        at eta = None or a multiple of r0.  Starts at |z0| >= r0 cannot be
+        iterated, so they are swapped into the block's z0s afterwards; at
+        eta < r0 every audit must filter them out."""
+        block = iterate_block(map, np.where(np.abs(z0) >= map.r0, 0.0, z0), w0, n)
+        block = dataclasses.replace(block, z0s=np.asarray(z0, dtype=complex))
+        sources = (block, BD.TraceStarts(block.z0s, np.asarray(w0, dtype=complex), n))
+        for eta in (None if e is None else e * map.r0 for e in etas):
+            want_ret = ref_block_return(map, block, lambda0, delta, eta)
+            want_side = ref_block_side(map, block, lambda0, delta, eta)
+            for src in sources:
+                assert BD.audit_return(map, src, lambda0, delta, eta) == want_ret
+                assert BD.audit_side_lemmas(map, src, lambda0, delta, eta) == want_side
+        if not BD.find_attracting_cycles(map):
+            want = ref_block_tame(map, block, lambda0)
+            for src in sources:
+                assert BD.audit_tame(map, src, lambda0) == want
+            return want[0].samples
+        return 0
+
+    @pytest.mark.parametrize("name", sorted(MAPS))
+    def test_random_batches(self, name):
+        m = self.MAPS[name]
+        lambda0 = max(0.8, abs(m.lam) + 0.05)
+        samples = 0
+        for seed in range(3):
+            z0, w0 = self.random_starts(m, 100 + seed)
+            for delta in (0.05, 0.5):
+                samples += self.assert_same(m, z0, w0, 60, lambda0, delta,
+                                            (None, 0.0, 0.5, 2.0))
+            z0[7::19] = 1.2 * m.r0 * np.exp(1j * seed)  # outside B(0, r0)
+            self.assert_same(m, z0, w0, 60, lambda0, 0.5)
+        assert samples > 0
+
+    def test_block_lengths_end_columns(self, cheb):
+        # a block's lengths end its columns even where finite rows follow
+        z0, w0 = self.random_starts(cheb, 11)
+        ok = np.abs(z0) < cheb.r0
+        block = iterate_block(cheb, z0[ok], w0[ok], 50)
+        cut = np.random.default_rng(11).integers(1, 50, len(block))
+        block = dataclasses.replace(block, lengths=np.minimum(block.lengths, cut))
+        want = ref_block_tame(cheb, block, 0.8)
+        assert BD.audit_tame(cheb, block, 0.8) == want
+        assert want != ref_block_tame(cheb, iterate_block(cheb, z0[ok], w0[ok], 50), 0.8)
+        for eta in (None, 0.5 * cheb.r0):
+            assert (BD.audit_side_lemmas(cheb, block, 0.8, 0.5, eta)
+                    == ref_block_side(cheb, block, 0.8, 0.5, eta))
+
+    def test_attracting_cycle_map(self):
+        m = basilica_map()
+        z0, w0 = self.random_starts(m, 9)
+        self.assert_same(m, z0, w0, 40, 0.8, 0.05)
+
+    def test_horizon_one(self, cheb):
+        z0, w0 = self.random_starts(cheb, 4)
+        self.assert_same(cheb, z0, w0, 1, 0.8, 0.5)
+
+    def test_empty_batch(self, cheb):
+        self.assert_same(cheb, np.zeros(0), np.zeros(0), 5, 0.8, 0.05)
+        empty = BD.TraceStarts(np.zeros(0, dtype=complex), np.zeros(0, dtype=complex), 0)
+        assert BD.audit_tame(cheb, empty, 0.8)[0].samples == 0
+
+    def test_ties_across_the_scan(self, cheb):
+        # one start copied to both sides of position 4096 and earlier:
+        # the least ratio goes to its earliest copy, then its earliest n
+        z0, w0 = self.random_starts(cheb, 5, count=4200)
+        ok = np.abs(z0) < cheb.r0
+        z0, w0 = z0[ok], w0[ok]
+        block = iterate_block(cheb, z0, w0, 40)
+        main, _ = ref_block_tame(cheb, block, 0.8)
+        s = main.min_ratio_location["start"]
+        for at in (4095, 4096, 4150):
+            z0[at], w0[at] = z0[s], w0[s]
+        block = iterate_block(cheb, z0, w0, 40)
+        want = ref_block_tame(cheb, block, 0.8)
+        assert want[0].min_ratio_location["start"] == min(s, 4095)
+        assert BD.audit_tame(cheb, BD.TraceStarts(z0, w0, 40), 0.8) == want
+        assert BD.audit_tame(cheb, block, 0.8) == want
+
+    def test_tie_at_a_later_row_goes_to_the_earlier_start(self, cheb):
+        # ratio 1 at (start 1, n 1) and at (start 0, n 2): the streamed scan
+        # meets start 1 first, yet the least (ratio, start, n) is start 0
+        l8 = math.log(0.8)
+        a = make_trace(cheb, 0.0, [1.0, 1.0, 1.0], [0.0, 5.0, 2 * l8])
+        b = make_trace(cheb, 0.0, [1.0, 1.0, 1.0], [0.0, l8, 10.0])
+        block = stack(cheb, [a, b])
+        want = ref_block_tame(cheb, block, 0.8)
+        assert want[0].min_ratio_location == {"start": 0, "n": 2}
+        assert want[0].fitted_constant == 1.0
+        assert BD.audit_tame(cheb, block, 0.8) == want
+
+    @staticmethod
+    def onedim_starts(seed, count):
+        rng = np.random.default_rng(seed)
+        w0 = 2.3 * np.sqrt(rng.uniform(0, 1, count)) * np.exp(2j * np.pi * rng.uniform(0, 1, count))
+        w0[::6] = rng.uniform(-2.0, 2.0, len(w0[::6]))  # bounded real orbits
+        w0[1::97] = 0.0  # exact critical hit
+        w0[2::89] = 1e30  # past the cap after one step
+        w0[3::83] = 1e60  # past the cap at step 0
+        w0[4::79] = 3.0  # past the cap after a few steps
+        return w0
+
+    @pytest.mark.parametrize("n_max", [1, 7, 60])
+    def test_onedim_random_batches(self, cheb, n_max):
+        for f0 in (cheb.f0(), self.MAPS["cubic_general"].f0()):
+            for seed in range(2):
+                w0 = self.onedim_starts(seed, 4500)
+                for delta in (0.05, 1.0):
+                    want = ref_block_onedim(f0, w0, n_max, 0.8, delta)
+                    assert BD.audit_onedim(f0, w0, n_max, 0.8, delta) == want
+
+    def test_onedim_ties_across_a_block_boundary(self, cheb):
+        # the block scan kept the earlier block's minimum on a tie, so a
+        # start copied into the next block must not take the location
+        f0 = cheb.f0()
+        w0 = self.onedim_starts(3, 8300)
+        eq = ref_block_onedim(f0, w0, 30, 0.8, 0.5)["prop21iii"]
+        s = eq.min_ratio_location["start"]
+        for at in (4095, 4096, 8192, 8299):
+            w0[at] = w0[s]
+        want = ref_block_onedim(f0, w0, 30, 0.8, 0.5)
+        assert want["prop21iii"].min_ratio_location["start"] == min(s, 4095)
+        assert BD.audit_onedim(f0, w0, 30, 0.8, 0.5) == want
+
+    def test_onedim_empty_and_capped(self, cheb):
+        f0 = cheb.f0()
+        for w0 in ([], [1e60], [0.0], [1e30, 0.0, 2.0]):
+            assert BD.audit_onedim(f0, w0, 5, 0.9, 0.5) == ref_block_onedim(f0, w0, 5, 0.9, 0.5)
+
+
+class TestScanMemory:
+    """tracemalloc peaks at the benchmark's sizes; the block scan held
+    (n+1) x count histories: 17.9 MiB (onedim) and 23.8 MiB (tame)."""
+
+    @staticmethod
+    def peak_mib(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    def test_onedim_20000_by_200(self, cheb):
+        ws = mc.draw_blocks(3, "bounds_onedim", 20000,
+                            lambda g, m: mc.uniform_disk(g, m, 0.9 * cheb.escape_radius))
+        assert self.peak_mib(lambda: BD.audit_onedim(cheb.f0(), ws, 200, 0.8, 1.0)) < 8.0
+
+    def test_tame_5000_by_100(self, cheb):
+        peak = self.peak_mib(
+            lambda: BD.audit_tame(cheb, BD.sample_traces(cheb, 5000, 100, 3), 0.8))
+        assert peak < 4.0
 
 
 class TestLambdaMonotonicity:

@@ -330,6 +330,55 @@ class TestAuditBounds:
         assert report["passed"] is False
         assert report["audits"]["lem33"]["samples"] == 0
 
+    @pytest.mark.parametrize("params, digest", [
+        ({"suite": "tame", "count": 5000, "n": 100, "lambda0": 0.8},
+         "ae91b45240cbb002ad0ba6cd34a7bef14732a5186605e6f61f9f9580adb5b31a"),
+        ({"suite": "onedim", "count": 20000, "n_max": 200, "lambda0": 0.8,
+          "delta": 1.0},
+         "bd56531fef9bd3b09ae2a6658433fd1f0ce2de960530f75436f56d62ac9ddfc9"),
+    ], ids=["tame", "onedim"])
+    def test_benchmark_config_digests(self, tmp_path, params, digest):
+        # the escape_sweep benchmark's audits at input seed 3; sha256
+        # recorded on x86-64, numpy 2.4, while the audits scanned stored
+        # (n+1) x count histories
+        code, out = run(tmp_path, "audit-bounds",
+                        {"map": CHEB, "seed": 3, "params": params})
+        assert code == 0
+        assert tree_digest(out) == {f"bounds_{params['suite']}.json": digest}
+
+    @pytest.mark.parametrize("seed, params, code, digest", [
+        (5, {"suite": "return", "count": 400, "n": 250, "lambda0": 0.8,
+             "delta0": 0.05, "z_radius": 1e-7, "w_radius": 0.05, "real": True},
+         0, "d5381eee11e98980d1ba29f9f5eb9434787fe5dc3fd5cbb35288c6cd48bece8f"),
+        (7, {"suite": "return", "count": 3000, "n": 80, "lambda0": 0.8,
+             "delta0": 0.05, "z_radius": 0.005, "w_radius": 0.05},
+         0, "c27b1fb1ef0462e8ad5b1ad937c451b01756a72a350fec5313b8cd7872ba7d64"),
+        (5, {"suite": "side", "count": 200, "n": 60, "lambda0": 0.8,
+             "delta": 0.5, "z_radius": 0.0, "w_radius": 0.9, "real": True},
+         0, "a1c536902d395908c82058582bfd37566615efcd55a6a39c52a9d06d69e19506"),
+        (5, {"suite": "side", "count": 3000, "n": 60, "lambda0": 0.8,
+             "delta": 0.5, "z_radius": 0.01, "w_radius": 1.0},
+         3, "a7725acc4be88420e9b693ae000e502c7f77b63a9d5617318e95f72382f4ad09"),
+    ], ids=["return_real", "return_disk", "side_line", "side_disk"])
+    def test_explicit_radii_digests(self, tmp_path, seed, params, code, digest):
+        # sha256 recorded on x86-64, numpy 2.4, while the audits scanned the
+        # stored TraceBlock; explicit radii keep the draws off the defaults
+        got, out = run(tmp_path, "audit-bounds",
+                       {"map": CHEB, "seed": seed, "params": params})
+        assert got == code
+        assert tree_digest(out) == {f"bounds_{params['suite']}.json": digest}
+
+    def test_return_draws_its_admissible_region_by_default(self, tmp_path):
+        # over 0.9 r0 x 0.9 R (the draws before) lem34 admitted no pair here
+        code, out = run(tmp_path, "audit-bounds",
+                        {"map": CHEB, "seed": 3,
+                         "params": {"suite": "return", "count": 3000, "n": 80,
+                                    "lambda0": 0.8, "delta0": 0.05,
+                                    "real": True}})
+        assert code == 0
+        lem34 = json.loads((out / "bounds_return.json").read_text())["audits"]["lem34"]
+        assert lem34["samples"] > 0 and lem34["violations"] == 0
+
     def test_onedim_suite_real_window(self, tmp_path):
         code, out = run(tmp_path, "audit-bounds",
                         {"map": CHEB, "seed": 5,
@@ -453,6 +502,31 @@ class TestMeasureCommands:
         assert report["report"]["estimate"] >= 0.99
         lines = (out / "slow.csv").read_text().splitlines()
         assert lines[0].startswith("quantity,samples,estimate")
+
+    def test_slow_benchmark_digests(self, tmp_path):
+        # the escape_sweep benchmark's slow run at input seed 3; sha256
+        # recorded on x86-64, numpy 2.4, while every start was stepped in one batch
+        code, out = run(tmp_path, "slow",
+                        {"map": NEARFIXED, "seed": 3,
+                         "params": {"alpha": 0.05, "burn_in": 50,
+                                    "horizon": 500, "samples": 100000}})
+        assert code == 0
+        assert tree_digest(out) == {
+            "slow.csv": "66194e24cab58c7861c11703e73b6f36167933c6b99bd663c828bbbdac84c0bf",
+            "slow.json": "b9954868f23351db3891abba6de06f79584845707f4a53b383a5146455ab24f7",
+        }
+
+    def test_exclusion_outermost_annulus(self, tmp_path):
+        # m = 0 is the annulus |lambda| r0 <= |z| < r0, a legal cell
+        code, out = run(tmp_path, "exclusion",
+                        {"map": AIRPLANEISH, "seed": 21,
+                         "params": {"alpha": 0.1, "m": 0,
+                                    "l_grid": {"start": 3, "stop": 30, "step": 3},
+                                    "samples": 4000}})
+        assert code == 0
+        reports = json.loads((out / "exclusion.json").read_text())["reports"]
+        assert {r["parameters"]["m"] for r in reports} == {0}
+        assert reports[-1]["quantity"] == "decay_fit"
 
     def test_exclusion(self, tmp_path):
         code, out = run(tmp_path, "exclusion",
@@ -586,6 +660,18 @@ class TestExpand:
                                     field: value}})
         assert code == 2
         assert "PreconditionViolated" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_escaping_start_exits_two(self, tmp_path, capsys):
+        # c = i: the fiber orbit of 0.3 escapes, and its centers overflowed
+        # into NaN and -Infinity in expand.json
+        cfg = {"map": {"lambda": [0.5, 0.0], "degree": 2, "mode": "unicritical",
+                       "fiber_coeffs": [[[0.0, 1.0], [1.0, 0.0]]]},
+               "params": {"z0": [0.0, 0.0], "w0": [0.3, 0.0], "delta": 1e-3,
+                          "lambda0": 0.9, "n_max": 15, "fit_n": 5}}
+        code, out = run(tmp_path, "expand", cfg)
+        assert code == 2
+        assert "escapes" in capsys.readouterr().err
         assert not out.exists()
 
     def test_verified_run(self, tmp_path):

@@ -1075,6 +1075,11 @@ class TestFitStart:
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_report_matches_law_start(self, monkeypatch, args, expect):
+        if classify_point(args[0], (0.0, args[2])) == "escaping":
+            # c0.3 and overflow: expand rejects a start whose fiber orbit
+            # escapes; behind that gate the fit must still agree on them
+            assert fit_outcome(*args) == "the fiber orbit of w0 escapes"
+            monkeypatch.setattr(fatou, "classify_point", lambda *a, **k: "undecided")
         steps = []
         fit = fatou._fit_radius
 

@@ -1,5 +1,6 @@
-"""Block-keyed draws: typed errors on empty counts, and the `threads`
-keyword that perfbench's threads_speedup probe still passes."""
+"""Block-keyed draws: typed errors on empty counts, the `threads`
+keyword that perfbench's threads_speedup probe still passes, and batches
+drawn from a first block."""
 
 import numpy as np
 import pytest
@@ -39,3 +40,13 @@ def test_map_blocks_is_single_thread_result():
 
     assert_bitwise(mc.map_blocks(items, work, threads=4),
                    [work(a) for a in items])
+
+
+def test_batches_of_whole_blocks_equal_one_draw():
+    total = 5 * mc.BLOCK_SIZE + 17
+    whole = mc.draw_blocks(3, "probe", total, draw)
+    step = 2 * mc.BLOCK_SIZE
+    batches = [mc.draw_blocks(3, "probe", min(step, total - first), draw,
+                              first_block=first // mc.BLOCK_SIZE)
+               for first in range(0, total, step)]
+    assert_bitwise(np.concatenate(batches), whole)

@@ -8,6 +8,7 @@ rather than the sampling plumbing.
 import cmath
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc
 
-from skewdyn.core import build_map
+from skewdyn.core import _Orbits, build_map
 from skewdyn.errors import (
     BaseOutsideDomain,
     CriticalHit,
@@ -32,6 +33,7 @@ from skewdyn.measure import (
     BaseDerivativeReport,
     EstimateReport,
     _fd,
+    _indicator_se,
     _recursion,
     decay_cells_csv,
     e_set_area,
@@ -102,6 +104,23 @@ def oracle_first_failures(map, alpha, m, samples, seed, horizon):
     return out
 
 
+def ref_slow_one_batch(map, alpha, burn_in, horizon, samples, seed):
+    """The sampler as it stepped every start in one batch: (kept, frac)."""
+
+    def draw(gen, count):
+        z = uniform_disk(gen, count, map.r0)
+        w = uniform_disk(gen, count, map.escape_radius)
+        return np.stack([z, w], axis=1)
+
+    pts = draw_blocks(seed, "slow", samples, draw)
+    orbits = _Orbits(map, pts[:, 0], pts[:, 1], bound=map.escape_radius)
+    ok = np.ones(samples, dtype=bool)
+    for n in orbits.steps(horizon):
+        if n >= burn_in:
+            ok[orbits.idx[orbits.absw < math.exp(-alpha * n)]] = False
+    return len(orbits.idx), float(np.mean(ok[orbits.idx]))
+
+
 class TestSlowApproach:
     def test_nearfixed_fraction_at_scale(self):
         rep = slow_approach_stats(nearfixed_map(0.5), 0.05, 50, 500, 10_000, seed=11)
@@ -121,6 +140,28 @@ class TestSlowApproach:
         kept, frac = oracle_slow_fraction(map, 0.05, 10, 60, 500, 29)
         assert rep.samples == kept
         assert rep.estimate == pytest.approx(frac, abs=1e-15)
+
+    @pytest.mark.parametrize("samples", [1000, 32768, 70001])
+    def test_batches_match_one_batch(self, samples):
+        # kept and hit counts summed over batches of 2^15 starts give the
+        # fraction of one batch; the Siegel fraction lies strictly inside (0, 1)
+        map = siegel_map(0.5)
+        rep = slow_approach_stats(map, 0.05, 50, 100, samples, seed=6)
+        kept, frac = ref_slow_one_batch(map, 0.05, 50, 100, samples, 6)
+        assert 0.0 < frac < 1.0
+        assert (rep.samples, rep.estimate) == (kept, frac)
+        assert rep.std_error == _indicator_se(frac * kept, kept)
+
+    def test_memory_at_benchmark_size(self):
+        # one batch of 100k starts peaked at 9.3 MiB under tracemalloc
+        map = nearfixed_map(0.5)
+        tracemalloc.start()
+        try:
+            slow_approach_stats(map, 0.05, 50, 500, 100_000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.0
 
     def test_fraction_nondecreasing_in_alpha(self):
         fracs = [slow_approach_stats(nearfixed_map(0.5), a, 20, 200, 3000, seed=4).estimate
