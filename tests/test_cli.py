@@ -774,6 +774,87 @@ class TestSeries:
         assert not out.exists()
 
 
+class TestDefaultPins:
+    """Artifacts of runs that leave optional fields out, so each one takes
+    the library's default; sha256 recorded on x86-64, numpy 2.4, while the
+    CLI still restated those defaults itself."""
+
+    BASILICA = dict(CHEB, fiber_coeffs=[[[-1.0, 0.0], [1.0, 0.0]]])
+    CHEB_GENERAL = dict(CHEB, mode="general")
+
+    @pytest.mark.parametrize("command, map_cfg, seed, params, code, digests", [
+        ("exclusion", AIRPLANEISH, 21,
+         {"alpha": 0.1, "m": 8, "l_grid": {"start": 12, "stop": 42, "step": 3},
+          "samples": 4000}, 0,
+         {"exclusion.csv":
+              "a189768a9e28e845d774485dd4c1fa1c53ef47fe2d645795a0168a003c756abd",
+          "exclusion.json":
+              "a6253d62496cc5915a78f453e0ae30bf608bf22c69e919b51763778b44ce3603",
+          "exclusion_decay.csv":
+              "6849005a151e860902d7b789e213dedc7f32369962ea16455c616b70fe2a624d"}),
+        ("xl", CHEB, None, {"z0": [0.001, 0.0], "l": 40}, 0,
+         {"xl.json": "b68a14d8cc2bfcdecb86172ef77fa26ed1911fc79ad97f5de1544a6d1ca07c49"}),
+        ("series", CHEB, None, {"which": "levin", "points": [[0.5, 0.0], [0.2, 0.1]]}, 0,
+         {"series.json":
+              "9847e0e5a32ce319c9e471beaab0a2add105bfba743c8b2bd028c0316b24d4be"}),
+        ("series", CHEB, None, {"which": "x0"}, 0,
+         {"series.json":
+              "a51d837509c12a398a48085b779fa59e0cf1128847d394f8be18784e74a9259c"}),
+        ("series", CHEB, None, {"which": "lyapunov"}, 0,
+         {"series.json":
+              "c449cf96d5ee2bbe2be9825e643d22389fd0acfb80b2191ddf0457d0be95363a"}),
+        ("series", CHEB_GENERAL, None, {"which": "nondegeneracy"}, 0,
+         {"series.json":
+              "722018dcccb5a8c005c466c95131f25a8025e4112357f21f39dcb9a544fd8f46"}),
+        ("series", GENERAL3, None, {"which": "nondegeneracy"}, 0,
+         {"series.json":
+              "376ab921df69276c47fe87bee87cb537794786489624fcca6146edba50f8ec5a"}),
+        ("audit-bounds", CHEB, 3,
+         {"suite": "return", "count": 3000, "n": 80, "lambda0": 0.8,
+          "delta0": 0.05, "real": True}, 0,
+         {"bounds_return.json":
+              "5477a703306a56cd30a1101a6523983f35bab738959627d884231913ba5984b0"}),
+        ("audit-bounds", CHEB, 3,
+         {"suite": "return", "count": 3000, "n": 80, "lambda0": 0.8,
+          "delta0": 0.3}, 0,
+         {"bounds_return.json":
+              "494ffdd87cd001bf4a193d97657e5127d69d4e06b70582b3e5436d23a5ddda9d"}),
+        ("audit-bounds", CHEB, 3,
+         {"suite": "return", "count": 3000, "n": 80, "lambda0": 0.8,
+          "delta0": 0.3, "eta0": 0.01, "real": True}, 0,
+         {"bounds_return.json":
+              "60b43431fbce622ca0d03b6daa406fbc70974ef5558466e1c18bfe17348d4813"}),
+        ("audit-bounds", CHEB, 5,
+         {"suite": "side", "count": 3000, "n": 60, "lambda0": 0.8, "delta": 0.5}, 3,
+         {"bounds_side.json":
+              "fdf5f930f5f5d9b05053a6cda2ffeabca8ece1c961ea3949b9de37471d6266f1"}),
+        ("audit-bounds", CHEB, 5,
+         {"suite": "side", "count": 3000, "n": 60, "lambda0": 0.8, "delta": 0.5,
+          "real": True}, 3,
+         {"bounds_side.json":
+              "7f248de57a8a23d8673f5d6ab9935e44b389d94865f37a159f511ea1ab2d7ce1"}),
+        ("render", BASILICA, None,
+         {"plane": "fiber", "center": [0.0, 0.0], "extent": 1.6, "resolution": 32,
+          "at": [0.0, 0.0]}, 0,
+         {"slice.p5":
+              "46da72e16cf554f7731586d9ebe2c81b8451a8d70226283327f1bcc0c3a92bf2",
+          "slice.p5.json":
+              "a61fd78c23a07df63a6633bc1cb1512a107627d22f806df10226e70c4d7cf53a"}),
+        ("audit-bounds", CHEB, None, {"suite": "przytycki", "epsilons": [0.05]}, 0,
+         {"bounds_przytycki.json":
+              "9015820046586b7f9bb32269f0852d1230ec5fd2ba9373c6fed6dda66661e47c"}),
+    ], ids=["exclusion", "xl", "levin", "x0", "lyapunov", "nondegeneracy",
+            "nondegeneracy_basins", "return_real", "return_disk", "return_eta0",
+            "side_disk", "side_real", "render", "przytycki"])
+    def test_digests(self, tmp_path, command, map_cfg, seed, params, code, digests):
+        cfg = {"map": map_cfg, "params": params}
+        if seed is not None:
+            cfg["seed"] = seed
+        got, out = run(tmp_path, command, cfg)
+        assert got == code
+        assert tree_digest(out) == digests
+
+
 class TestDeterminism:
     def test_stochastic_artifacts_thread_invariant(self, tmp_path):
         cfg = {"map": NEARFIXED, "seed": 9,
