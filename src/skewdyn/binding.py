@@ -31,9 +31,7 @@ from . import mc
 from .core import SkewProductMap
 from .errors import (
     BaseOutsideDomain,
-    CriticalHit,
     HorizonNonPositive,
-    OrbitOverflow,
     PreconditionViolated,
 )
 
@@ -456,45 +454,6 @@ def binding_time(
     pts = np.array([x + y], dtype=complex)
     h = _bind(map, pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3], mu, horizon)
     return h.record(0, x, y, mu, horizon)
-
-
-def w_accumulator(
-    map: SkewProductMap, x: tuple[complex, complex], y: tuple[complex, complex], n: int
-) -> float:
-    """Accumulated difference sum W(x, y, n).
-
-    W = 2|w0 - w| + sum_{i=1}^n 2|c(lam^{i-1} z0) - c(lam^{i-1} z)| / |Df^i(x)(v)|,
-    evaluated with log-scale derivative magnitudes.  Unicritical maps only:
-    the sum compares the single varying fiber coefficient.  The pair steps
-    as a batch of one, so W agrees bitwise with a binding record's history.
-    Raises OrbitOverflow at the step whose term 1/|Df^i(x)(v)| leaves double
-    range, where a binding record of the pair ends as overflow.
-    """
-    if n < 1:
-        raise HorizonNonPositive(f"n must be at least 1, got {n}")
-    if map.mode != "unicritical":
-        raise PreconditionViolated("w accumulator requires a unicritical map")
-    zx, wx = complex(x[0]), complex(x[1])
-    zy, wy = complex(y[0]), complex(y[1])
-    if zx == zy and wx == wy:
-        return 0.0
-    X = _Lanes(np.array([zx]), np.array([wx]))
-    yr, yi = np.array([zy.real]), np.array([zy.imag])
-    total = 2.0 * abs(wx - wy)
-    for i in range(1, n + 1):
-        mag, (cr, ci) = X.step(map)
-        if mag[0] == 0:
-            raise CriticalHit(i - 1)
-        try:
-            scale = math.exp(-X.lv[0])
-        except OverflowError:
-            raise OrbitOverflow(
-                f"W leaves double range at step {i}: 1/|Df^{i}(x)(v)| "
-                "overflows") from None
-        dr, di = _poly(map.fiber_coeffs[0], yr, yi)
-        total += 2.0 * np.hypot(cr - dr, ci - di)[0] * scale
-        yr, yi = _mul(yr, yi, map.lam.real, map.lam.imag)
-    return float(total)
 
 
 # ---------------------------------------------------------------------------

@@ -320,6 +320,11 @@ def audit_onedim(
 # trace audits (two-dimensional statements)
 
 
+def _eta(map: SkewProductMap, eta: float | None) -> float:
+    """The |z0| cut of the small-return statements: r0/10 unless given."""
+    return map.r0 / 10.0 if eta is None else eta
+
+
 def audit_tame(
     map: SkewProductMap,
     traces: TraceStarts | TraceBlock,
@@ -362,8 +367,7 @@ def audit_return(
     _check_lambda0(lambda0, map.lam)
     if delta0 <= 0:
         raise PreconditionViolated(f"delta0 must be positive, got {delta0}")
-    if eta0 is None:
-        eta0 = map.r0 / 10.0
+    eta0 = _eta(map, eta0)
     log_d0 = math.log(delta0)
     d = map.degree
     acc = _Acc("lem34", lambda0, delta0, constant_one=True)
@@ -394,8 +398,7 @@ def audit_side_lemmas(
     _check_lambda0(lambda0, map.lam)
     if delta <= 0:
         raise PreconditionViolated(f"delta must be positive, got {delta}")
-    if eta is None:
-        eta = map.r0 / 10.0
+    eta = _eta(map, eta)
     log_delta = math.log(delta)
     log_half, log_twice = log_delta - math.log(2.0), log_delta + math.log(2.0)
     d = map.degree
@@ -578,6 +581,43 @@ def critical_ball_grid(map: SkewProductMap, epsilon: float, per_axis: int = 100)
 # assembly helpers
 
 
+def _draw_starts(seed: int, tag: str, count: int, real: bool,
+                 w_radius: float, z_radius: float | None = None) -> np.ndarray:
+    """Uniform starts, one row each: (z0, w0), or w0 alone without z_radius.
+
+    Complex draws fill the disks |z0| < z_radius, |w0| < w_radius; real
+    draws fill the intervals of the same half-widths.  z_radius 0 puts every
+    start on the invariant line; a w_radius of 0 would put every start on
+    the critical point.
+    """
+    if z_radius is not None and not z_radius >= 0:
+        raise PreconditionViolated(f"z_radius must be >= 0, got {z_radius}")
+    if not w_radius > 0:
+        raise PreconditionViolated(f"w_radius must be positive, got {w_radius}")
+    radii = [w_radius] if z_radius is None else [z_radius, w_radius]
+
+    def draw(gen: np.random.Generator, m: int) -> np.ndarray:
+        if real:
+            return np.column_stack([gen.uniform(-r, r, m) for r in radii])
+        return np.column_stack([mc.uniform_disk(gen, m, r) for r in radii])
+
+    return mc.draw_blocks(seed, tag, count, draw).astype(complex, copy=False)
+
+
+def sample_fiber_starts(
+    map: SkewProductMap,
+    count: int,
+    seed: int,
+    w_radius: float | None = None,
+    real: bool = False,
+) -> np.ndarray:
+    """Deterministic random fiber starts for `audit_onedim`, uniform over
+    |w0| < w_radius (default 0.9 R) or, with real=True, the real interval."""
+    if w_radius is None:
+        w_radius = 0.9 * map.escape_radius
+    return _draw_starts(seed, "bounds_onedim", count, real, w_radius)[:, 0]
+
+
 def sample_traces(
     map: SkewProductMap,
     count: int,
@@ -585,19 +625,26 @@ def sample_traces(
     seed: int,
     z_radius: float | None = None,
     w_radius: float | None = None,
+    real: bool = False,
+    delta0: float | None = None,
+    eta0: float | None = None,
 ) -> TraceStarts:
     """Deterministic random starts for depth n, handed over unstepped: the
-    audits step them in their own scan."""
+    audits step them in their own scan.
+
+    Starts are uniform over |z0| < z_radius, |w0| < w_radius, or with
+    real=True over the real intervals: the hypothesis sets of returns and
+    on-line floors carry no area and are only hit along the real locus.
+    The radii default to 0.9 r0 and 0.9 R.  Given delta0, they default to
+    the admissible region of `audit_return` instead: |z0| < eta0 (default
+    r0/10) capped at 0.9 r0, and |w0| < delta0.
+    """
     if z_radius is None:
         z_radius = 0.9 * map.r0
+        if delta0 is not None:
+            z_radius = min(_eta(map, eta0), z_radius)
     if w_radius is None:
-        w_radius = 0.9 * map.escape_radius
-
-    def draw(gen: np.random.Generator, m: int) -> np.ndarray:
-        return np.column_stack([
-            mc.uniform_disk(gen, m, z_radius),
-            mc.uniform_disk(gen, m, w_radius),
-        ])
-
-    cols = mc.draw_blocks(seed, "trace_starts", count, draw)
+        w_radius = 0.9 * map.escape_radius if delta0 is None else delta0
+    tag = "bounds_real_traces" if real else "trace_starts"
+    cols = _draw_starts(seed, tag, count, real, w_radius, z_radius)
     return trace_starts(map, cols[:, 0], cols[:, 1], n)

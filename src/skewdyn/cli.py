@@ -8,6 +8,11 @@ are still parsed and validated (a positive integer) for compatibility,
 then ignored.  For a fixed config and seed the written artifacts are
 byte-identical across reruns.
 
+Every subcommand, audit-bounds suite and series kind is declared once,
+in the command table `_COMMANDS`: its fields, seed rule and handler.  A
+handler passes only the fields the config gives to the library, so an
+omitted field takes the library function's default.
+
 Exit codes partition outcomes: 0 success, 2 configuration or
 precondition error, 3 when an audited property fails.
 """
@@ -17,6 +22,7 @@ import json
 import math
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,13 +33,6 @@ from .core import (
     trace_to_csv,
 )
 from .errors import ConfigInvalid, SkewdynError
-
-# Each handler imports the layers it runs (binding, bounds, fatou, measure,
-# series, mc) when it runs: a process that runs one subcommand compiles and
-# loads only those.
-
-_STOCHASTIC = {"binding", "slow", "exclusion"}  # audit-bounds decides per suite
-
 
 # ---------------------------------------------------------------------------
 # strict config parsing
@@ -126,89 +125,12 @@ def _parse_block(block: dict, schema: dict, label: str) -> dict:
     if unknown:
         raise ConfigInvalid(f"unknown {label} fields: {sorted(unknown)}")
     out = {}
-    for field, (required, kind) in schema.items():
-        if field not in block:
-            if required:
-                raise ConfigInvalid(f"missing {label} field: {field}")
-            continue
-        out[field] = _CASTERS[kind](field, block[field])
+    for field, kind in schema.items():
+        if field in block:
+            out[field] = _CASTERS[kind.rstrip("?")](field, block[field])
+        elif not kind.endswith("?"):
+            raise ConfigInvalid(f"missing {label} field: {field}")
     return out
-
-
-_SCHEMAS = {
-    "orbit": {
-        "z0": (True, "complex"), "w0": (True, "complex"),
-        "n": (True, "int"),
-    },
-    "binding": {
-        "count": (True, "int"), "mu": (False, "float"), "horizon": (False, "int"),
-    },
-    "audit-bounds": None,  # suite-dependent, handled below
-    "slow": {
-        "alpha": (True, "float"), "burn_in": (True, "int"),
-        "horizon": (True, "int"), "samples": (True, "int"),
-    },
-    "exclusion": {
-        "alpha": (True, "float"), "m": (True, "int"), "l_grid": (True, "grid"),
-        "samples": (True, "int"), "horizon": (False, "int"),
-    },
-    "xl": {
-        "z0": (True, "complex"), "l": (True, "int"), "x0_terms": (False, "int"),
-    },
-    "render": {
-        "plane": (True, "str"), "center": (True, "complex"),
-        "extent": (True, "float"), "resolution": (True, "int"),
-        "at": (True, "complex"), "horizon": (False, "int"),
-    },
-    "expand": {
-        "z0": (True, "complex"), "w0": (True, "complex"), "delta": (True, "float"),
-        "lambda0": (True, "float"), "n_max": (True, "int"), "rho": (False, "float"),
-        "fit_n": (False, "int"), "link_max": (False, "int"),
-        "boundary_samples": (False, "int"),
-    },
-    "series": None,  # depends on the evaluation kind
-    "selftest": {"criteria": (False, "ints")},
-}
-
-_BOUNDS_SUITES = {
-    "onedim": {
-        "count": (True, "int"), "n_max": (True, "int"),
-        "lambda0": (True, "float"), "delta": (True, "float"),
-        "w_radius": (False, "float"), "real": (False, "bool"),
-    },
-    "tame": {
-        "count": (True, "int"), "n": (True, "int"), "lambda0": (True, "float"),
-        "z_radius": (False, "float"), "w_radius": (False, "float"),
-        "real": (False, "bool"),
-    },
-    "return": {
-        "count": (True, "int"), "n": (True, "int"), "lambda0": (True, "float"),
-        "delta0": (True, "float"), "eta0": (False, "float"),
-        "z_radius": (False, "float"), "w_radius": (False, "float"),
-        "real": (False, "bool"),
-    },
-    "side": {
-        "count": (True, "int"), "n": (True, "int"), "lambda0": (True, "float"),
-        "delta": (True, "float"), "eta": (False, "float"),
-        "z_radius": (False, "float"), "w_radius": (False, "float"),
-        "real": (False, "bool"),
-    },
-    "departure": {
-        "count": (True, "int"), "lambda0": (True, "float"),
-        "mu": (False, "float"), "horizon": (False, "int"),
-    },
-    "przytycki": {
-        "epsilons": (True, "floats"), "per_axis": (False, "int"),
-        "horizon": (False, "int"),
-    },
-}
-
-_SERIES_KINDS = {
-    "levin": {"points": (True, "points"), "n_terms": (False, "int")},
-    "x0": {"n_terms": (False, "int")},
-    "lyapunov": {"c": (False, "complex"), "horizon": (False, "int")},
-    "nondegeneracy": {"n_terms": (False, "int"), "horizon": (False, "int")},
-}
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +174,7 @@ class _Run:
         self.fmt = fmt
 
     def header(self) -> dict:
-        head = {"command": self.command, "params": _echo(self.params)}
+        head = {"command": self.command, "params": self.params}
         if self.map is not None:
             head["map"] = map_to_config(self.map)
         if self.seed is not None:
@@ -268,24 +190,20 @@ class _Run:
             _write(self.outdir, name, text)
 
 
-def _echo(params: dict) -> dict:
-    out = {}
-    for key, val in params.items():
-        if isinstance(val, complex):
-            out[key] = [val.real, val.imag]
-        elif isinstance(val, list) and val and isinstance(val[0], complex):
-            out[key] = [[p.real, p.imag] for p in val]
-        else:
-            out[key] = val
-    return out
-
-
 # ---------------------------------------------------------------------------
-# command handlers; each returns the exit code
+# command handlers: each takes the run and the given fields, keyed by the
+# library's keyword names, and returns the exit code.  A field left out of
+# the config is left out of the call, so the library's default applies.
+# Each handler imports the layers it runs (binding, bounds, fatou, measure,
+# series, mc) when it runs: a process that runs one subcommand compiles and
+# loads only those.
 
-def _cmd_orbit(run: _Run) -> int:
-    p = run.params
-    trace = iterate(run.map, (p["z0"], p["w0"]), p["n"])
+def _pick(kw: dict, *names: str) -> dict:
+    return {name: kw[name] for name in names if name in kw}
+
+
+def _cmd_orbit(run: _Run, kw: dict) -> int:
+    trace = iterate(run.map, (kw["z0"], kw["w0"]), kw["n"])
     run.emit_csv("orbit.csv", trace_to_csv(trace))
     last = len(trace) - 1
     run.emit_json("orbit.json", {
@@ -301,7 +219,7 @@ def _cmd_orbit(run: _Run) -> int:
     return 0
 
 
-def _cmd_binding(run: _Run) -> int:
+def _cmd_binding(run: _Run, kw: dict) -> int:
     from .binding import (
         DEFAULT_HORIZON,
         audit_pair_batch,
@@ -311,10 +229,10 @@ def _cmd_binding(run: _Run) -> int:
         sample_bound_pairs,
     )
 
-    p = run.params
-    mu = p.get("mu", mu_constants(run.map.degree)[0])
-    horizon = p.get("horizon", DEFAULT_HORIZON)
-    pairs = sample_bound_pairs(run.map, p["count"], run.seed, mu)
+    # resolved here because binding.json reports the values used
+    mu = kw.get("mu", mu_constants(run.map.degree)[0])
+    horizon = kw.get("horizon", DEFAULT_HORIZON)
+    pairs = sample_bound_pairs(run.map, kw["count"], run.seed, mu)
     rows = audit_pair_batch(run.map, pairs, mu, horizon)
     run.emit_csv("binding.csv", binding_rows_to_csv(rows))
 
@@ -344,25 +262,61 @@ def _cmd_binding(run: _Run) -> int:
     return 3 if failed else 0
 
 
-def _bounds_onedim(run: _Run, p: dict):
-    from . import mc
-    from .bounds import audit_onedim
-
-    radius = p.get("w_radius", 0.9 * run.map.escape_radius)
-
-    if p.get("real", False):
-        def draw(gen: np.random.Generator, m: int) -> np.ndarray:
-            return gen.uniform(-radius, radius, m).astype(complex)
-    else:
-        def draw(gen: np.random.Generator, m: int) -> np.ndarray:
-            return mc.uniform_disk(gen, m, radius)
-
-    ws = mc.draw_blocks(run.seed, "bounds_onedim", p["count"], draw)
-    return audit_onedim(run.map.f0(), ws, n_max=p["n_max"],
-                        lambda0=p["lambda0"], delta=p["delta"])
+def _emit_audits(run: _Run, audits: dict) -> int:
+    suite = run.params["suite"]
+    run.emit_json(f"bounds_{suite}.json", {
+        "suite": suite,
+        "audits": {name: a.to_json() for name, a in audits.items()},
+        "passed": all(a.passed for a in audits.values()),
+    })
+    for name, a in sorted(audits.items()):
+        status = "ok" if a.passed else (
+            "FAILED (no admissible samples)" if a.samples == 0 else "FAILED")
+        print(f"{name}: {status} samples={a.samples} violations={a.violations} "
+              f"constant={a.fitted_constant:.4g}")
+    return 0 if all(a.passed for a in audits.values()) else 3
 
 
-def _bounds_departure(run: _Run, p: dict):
+def _suite_onedim(run: _Run, kw: dict) -> int:
+    from .bounds import audit_onedim, sample_fiber_starts
+
+    ws = sample_fiber_starts(run.map, seed=run.seed,
+                             **_pick(kw, "count", "w_radius", "real"))
+    return _emit_audits(run, audit_onedim(
+        run.map.f0(), ws, **_pick(kw, "n_max", "lambda0", "delta")))
+
+
+def _traces(run: _Run, kw: dict):
+    # tame, return and side; delta0 and eta0 set `return`'s default region
+    from .bounds import sample_traces
+
+    return sample_traces(run.map, seed=run.seed, **_pick(
+        kw, "count", "n", *_TRACE_RADII, "delta0", "eta0"))
+
+
+def _suite_tame(run: _Run, kw: dict) -> int:
+    from .bounds import audit_tame
+
+    audits = audit_tame(run.map, _traces(run, kw), kw["lambda0"])
+    return _emit_audits(run, {a.statement: a for a in audits})
+
+
+def _suite_return(run: _Run, kw: dict) -> int:
+    from .bounds import audit_return
+
+    audit = audit_return(run.map, _traces(run, kw),
+                         **_pick(kw, "lambda0", "delta0", "eta0"))
+    return _emit_audits(run, {audit.statement: audit})
+
+
+def _suite_side(run: _Run, kw: dict) -> int:
+    from .bounds import audit_side_lemmas
+
+    return _emit_audits(run, audit_side_lemmas(
+        run.map, _traces(run, kw), **_pick(kw, "lambda0", "delta", "eta")))
+
+
+def _suite_departure(run: _Run, kw: dict) -> int:
     from . import mc
     from .bounds import audit_critical_value_departure
 
@@ -378,109 +332,35 @@ def _bounds_departure(run: _Run, p: dict):
         pz = np.exp(2j * np.pi * gen.random(m))
         return np.column_stack([dz**d * pz, c0 + dw**d * pw])
 
-    rows = mc.draw_blocks(run.seed, "bounds_departure", p["count"], draw)
-    starts = [(row[0], row[1]) for row in rows]
-    audit = audit_critical_value_departure(run.map, starts, p["lambda0"],
-                                           mu=p.get("mu"),
-                                           horizon=p.get("horizon", 1000))
-    return {"lem25": audit}
+    rows = mc.draw_blocks(run.seed, "bounds_departure", kw["count"], draw)
+    audit = audit_critical_value_departure(
+        run.map, [(row[0], row[1]) for row in rows],
+        **_pick(kw, "lambda0", "mu", "horizon"))
+    return _emit_audits(run, {"lem25": audit})
 
 
-def _suite_traces(run: _Run, p: dict):
-    """Sampled starts and the horizon n, stepped later by the audit's own
-    scan; real-interval draws can target hypothesis sets that carry no area
-    (returns and on-line floors only happen along the non-escaping locus).
-    Without explicit radii, `return` draws from its admissible region
-    |z0| < eta0 (capped at 0.9 r0), |w0| < delta0; the other suites draw
-    over 0.9 r0 x 0.9 R."""
-    from . import mc
-    from .bounds import sample_traces, trace_starts
+def _suite_przytycki(run: _Run, kw: dict) -> int:
+    from .bounds import critical_ball_grid, przytycki_return
 
-    if run.params["suite"] == "return":
-        eta0 = p.get("eta0", run.map.r0 / 10.0)
-        z_default, w_default = min(eta0, 0.9 * run.map.r0), p["delta0"]
-    else:
-        z_default, w_default = 0.9 * run.map.r0, 0.9 * run.map.escape_radius
-    z_radius = p.get("z_radius", z_default)
-    w_radius = p.get("w_radius", w_default)
-    if not p.get("real", False):
-        return sample_traces(run.map, p["count"], p["n"], run.seed,
-                             z_radius=z_radius, w_radius=w_radius)
-
-    def draw(gen: np.random.Generator, m: int) -> np.ndarray:
-        z = gen.uniform(-z_radius, z_radius, m)
-        w = gen.uniform(-w_radius, w_radius, m)
-        return np.column_stack([z, w])
-
-    rows = mc.draw_blocks(run.seed, "bounds_real_traces", p["count"], draw)
-    return trace_starts(run.map, rows[:, 0].astype(complex),
-                        rows[:, 1].astype(complex), p["n"])
+    reports = []
+    for eps in kw["epsilons"]:
+        grid = critical_ball_grid(run.map, eps, **_pick(kw, "per_axis"))
+        reports.append(przytycki_return(run.map, eps, grid, **_pick(kw, "horizon")))
+    run.emit_json("bounds_przytycki.json", {
+        "suite": "przytycki", "reports": [r.to_json() for r in reports]})
+    for rep in reports:
+        const = ("none" if rep.fitted_constant is None
+                 else f"{rep.fitted_constant:.4g}")
+        print(f"przytycki eps={rep.epsilon:g}: n_min={rep.n_min} "
+              f"constant={const}")
+    # a scale with no return within the horizon measured nothing
+    return 3 if any(rep.n_min is None for rep in reports) else 0
 
 
-def _cmd_audit_bounds(run: _Run) -> int:
-    from .bounds import (
-        audit_return,
-        audit_side_lemmas,
-        audit_tame,
-        critical_ball_grid,
-        przytycki_return,
-    )
-
-    suite = run.params["suite"]
-    p = run.params["suite_params"]
-
-    if suite == "przytycki":
-        reports = []
-        for eps in p["epsilons"]:
-            grid = critical_ball_grid(run.map, eps, p.get("per_axis", 100))
-            reports.append(przytycki_return(run.map, eps, grid,
-                                            p.get("horizon", 1000)))
-        run.emit_json(f"bounds_{suite}.json",
-                      {"suite": suite, "reports": [r.to_json() for r in reports]})
-        for rep in reports:
-            const = ("none" if rep.fitted_constant is None
-                     else f"{rep.fitted_constant:.4g}")
-            print(f"przytycki eps={rep.epsilon:g}: n_min={rep.n_min} "
-                  f"constant={const}")
-        # a scale with no return within the horizon measured nothing
-        return 3 if any(rep.n_min is None for rep in reports) else 0
-
-    if suite == "onedim":
-        audits = _bounds_onedim(run, p)
-    elif suite == "departure":
-        audits = _bounds_departure(run, p)
-    else:
-        traces = _suite_traces(run, p)
-        if suite == "tame":
-            main, mins = audit_tame(run.map, traces, p["lambda0"])
-            audits = {main.statement: main, mins.statement: mins}
-        elif suite == "return":
-            audit = audit_return(run.map, traces, p["lambda0"], p["delta0"],
-                                 p.get("eta0"))
-            audits = {audit.statement: audit}
-        else:  # side
-            audits = audit_side_lemmas(run.map, traces, p["lambda0"],
-                                       p["delta"], p.get("eta"))
-
-    run.emit_json(f"bounds_{suite}.json", {
-        "suite": suite,
-        "audits": {name: a.to_json() for name, a in audits.items()},
-        "passed": all(a.passed for a in audits.values()),
-    })
-    for name, a in sorted(audits.items()):
-        status = "ok" if a.passed else (
-            "FAILED (no admissible samples)" if a.samples == 0 else "FAILED")
-        print(f"{name}: {status} samples={a.samples} violations={a.violations} "
-              f"constant={a.fitted_constant:.4g}")
-    return 0 if all(a.passed for a in audits.values()) else 3
-
-
-def _cmd_slow(run: _Run) -> int:
+def _cmd_slow(run: _Run, kw: dict) -> int:
     from .measure import reports_to_csv, slow_approach_stats
 
-    p = run.params
-    rep = slow_approach_stats(run.map, p["alpha"], p["burn_in"], p["horizon"],
-                              p["samples"], run.seed)
+    rep = slow_approach_stats(run.map, seed=run.seed, **kw)
     run.emit_csv("slow.csv", reports_to_csv([rep]))
     run.emit_json("slow.json", {"report": rep.to_json()})
     print(f"slow: fraction {rep.estimate:.6g} +- {rep.std_error:.2g} "
@@ -488,13 +368,10 @@ def _cmd_slow(run: _Run) -> int:
     return 0
 
 
-def _cmd_exclusion(run: _Run) -> int:
+def _cmd_exclusion(run: _Run, kw: dict) -> int:
     from .measure import decay_cells_csv, exclusion_area, reports_to_csv
 
-    p = run.params
-    kwargs = {"horizon": p["horizon"]} if "horizon" in p else {}
-    reps = exclusion_area(run.map, p["alpha"], p["m"], p["l_grid"],
-                          p["samples"], run.seed, **kwargs)
+    reps = exclusion_area(run.map, seed=run.seed, **kw)
     run.emit_csv("exclusion.csv", reports_to_csv(reps))
     run.emit_csv("exclusion_decay.csv", decay_cells_csv(reps))
     run.emit_json("exclusion.json", {"reports": [r.to_json() for r in reps]})
@@ -506,12 +383,10 @@ def _cmd_exclusion(run: _Run) -> int:
     return 0
 
 
-def _cmd_xl(run: _Run) -> int:
+def _cmd_xl(run: _Run, kw: dict) -> int:
     from .measure import fiber_base_derivative
 
-    p = run.params
-    kwargs = {"x0_terms": p["x0_terms"]} if "x0_terms" in p else {}
-    rep = fiber_base_derivative(run.map, p["z0"], p["l"], **kwargs)
+    rep = fiber_base_derivative(run.map, **kw)
     run.emit_json("xl.json", {"report": rep.to_json()})
     print(f"xl: l={rep.l} deviation {rep.deviation:.4g} vs bound "
           f"{rep.bound:.4g} ({'within' if rep.within_bound else 'OUTSIDE'}), "
@@ -519,13 +394,11 @@ def _cmd_xl(run: _Run) -> int:
     return 0 if rep.within_bound else 3
 
 
-def _cmd_render(run: _Run) -> int:
+def _cmd_render(run: _Run, kw: dict) -> int:
     from .fatou import SliceSpec, render_slice, write_p5
 
-    p = run.params
-    spec = SliceSpec(plane=p["plane"], center=p["center"], extent=p["extent"],
-                     resolution=p["resolution"], at=p["at"])
-    raster = render_slice(run.map, spec, p.get("horizon", 1000))
+    spec = SliceSpec(**_pick(kw, "plane", "center", "extent", "resolution", "at"))
+    raster = render_slice(run.map, spec, **_pick(kw, "horizon"))
     os.makedirs(run.outdir, exist_ok=True)
     pix_path, side_path = write_p5(raster, os.path.join(run.outdir, "slice.p5"))
     print(f"wrote {pix_path}")
@@ -536,16 +409,10 @@ def _cmd_render(run: _Run) -> int:
     return 0
 
 
-def _cmd_expand(run: _Run) -> int:
+def _cmd_expand(run: _Run, kw: dict) -> int:
     from .fatou import verify_radius_proposition
 
-    p = run.params
-    kwargs = {}
-    for field in ("rho", "fit_n", "link_max", "boundary_samples"):
-        if field in p:
-            kwargs[field] = p[field]
-    report = verify_radius_proposition(run.map, p["z0"], p["w0"], p["delta"],
-                                       p["lambda0"], p["n_max"], **kwargs)
+    report = verify_radius_proposition(run.map, **kw)
     run.emit_json("expand.json", {"report": report.to_json()})
     verified = sum(1 for s in report.steps if s.verified)
     print(f"expand: {verified}/{len(report.steps)} steps verified, "
@@ -553,30 +420,9 @@ def _cmd_expand(run: _Run) -> int:
     return 0 if report.all_verified else 3
 
 
-def _cmd_series(run: _Run) -> int:
-    from .series import levin_series, lyapunov_lower, nondegeneracy, x0_constant
-
-    which = run.params["which"]
-    p = run.params["kind_params"]
-    if which == "levin":
-        evals = [levin_series(run.map.f0(), p["points"],
-                              **({"n_terms": p["n_terms"]} if "n_terms" in p else {}))]
-    elif which == "x0":
-        evals = [x0_constant(run.map,
-                             **({"n_terms": p["n_terms"]} if "n_terms" in p else {}))]
-    elif which == "lyapunov":
-        c = p.get("c", complex(run.map.c0_origin))
-        kwargs = {"horizon": p["horizon"]} if "horizon" in p else {}
-        evals = [lyapunov_lower(run.map.f0(), c, **kwargs)]
-    else:  # nondegeneracy
-        kwargs = {}
-        if "n_terms" in p:
-            kwargs["n_terms"] = p["n_terms"]
-        if "horizon" in p:
-            kwargs["horizon"] = p["horizon"]
-        evals = nondegeneracy(run.map, **kwargs)
-    run.emit_json("series.json",
-                  {"which": which, "evaluations": [e.to_json() for e in evals]})
+def _emit_series(run: _Run, evals: list) -> int:
+    run.emit_json("series.json", {"which": run.params["which"],
+                                  "evaluations": [e.to_json() for e in evals]})
     for ev in evals:
         val = complex(ev.value)
         shown = f"{val.real:.12g}" + (f"{val.imag:+.12g}i" if val.imag else "")
@@ -585,10 +431,34 @@ def _cmd_series(run: _Run) -> int:
     return 0
 
 
-def _cmd_selftest(run: _Run) -> int:
+def _series_levin(run: _Run, kw: dict) -> int:
+    from .series import levin_series
+
+    return _emit_series(run, [levin_series(run.map.f0(), **kw)])
+
+
+def _series_x0(run: _Run, kw: dict) -> int:
+    from .series import x0_constant
+
+    return _emit_series(run, [x0_constant(run.map, **kw)])
+
+
+def _series_lyapunov(run: _Run, kw: dict) -> int:
+    from .series import lyapunov_lower
+
+    return _emit_series(run, [lyapunov_lower(run.map.f0(), **kw)])
+
+
+def _series_nondegeneracy(run: _Run, kw: dict) -> int:
+    from .series import nondegeneracy
+
+    return _emit_series(run, nondegeneracy(run.map, **kw))
+
+
+def _cmd_selftest(run: _Run, kw: dict) -> int:
     from .acceptance import run_all
 
-    results = run_all(run.params.get("criteria"))
+    results = run_all(**kw)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"criterion {r.number:2d} {status}  {r.name}  ({r.elapsed:.1f}s)")
@@ -601,71 +471,121 @@ def _cmd_selftest(run: _Run) -> int:
     return 0 if failed == 0 else 3
 
 
-_HANDLERS = {
-    "orbit": _cmd_orbit,
-    "binding": _cmd_binding,
-    "audit-bounds": _cmd_audit_bounds,
-    "slow": _cmd_slow,
-    "exclusion": _cmd_exclusion,
-    "xl": _cmd_xl,
-    "render": _cmd_render,
-    "expand": _cmd_expand,
-    "series": _cmd_series,
-    "selftest": _cmd_selftest,
+# ---------------------------------------------------------------------------
+# the command table: every subcommand's contract, declared once
+
+
+class _Spec(NamedTuple):
+    """The params of one subcommand, or of one audit-bounds suite or series
+    kind: field -> kind (a trailing "?" marks an optional field), the
+    handler, whether a seed is required, and the library keyword of each
+    field whose config name differs from it."""
+
+    fields: dict
+    handler: Callable
+    seeded: bool = False
+    keywords: dict = {}
+
+
+class _Choice(NamedTuple):
+    """Params whose field `key` picks one of several specs; the parsed
+    params hold the pick under `key` and its own fields under `nest`."""
+
+    key: str
+    nest: str
+    specs: dict
+
+
+_TRACE_RADII = {"z_radius": "float?", "w_radius": "float?", "real": "bool?"}
+
+_COMMANDS = {
+    "orbit": (
+        "iterate one start and write the trace CSV",
+        _Spec({"z0": "complex", "w0": "complex", "n": "int"}, _cmd_orbit)),
+    "binding": (
+        "sample nearby pairs, bind them, audit derivative comparability",
+        _Spec({"count": "int", "mu": "float?", "horizon": "int?"},
+              _cmd_binding, seeded=True)),
+    "audit-bounds": (
+        "run one lower-bound audit suite over sampled orbits",
+        _Choice("suite", "suite_params", {
+            "onedim": _Spec({"count": "int", "n_max": "int", "lambda0": "float",
+                             "delta": "float", "w_radius": "float?",
+                             "real": "bool?"}, _suite_onedim, seeded=True),
+            "tame": _Spec({"count": "int", "n": "int", "lambda0": "float",
+                           **_TRACE_RADII}, _suite_tame, seeded=True),
+            "return": _Spec({"count": "int", "n": "int", "lambda0": "float",
+                             "delta0": "float", "eta0": "float?", **_TRACE_RADII},
+                            _suite_return, seeded=True),
+            "side": _Spec({"count": "int", "n": "int", "lambda0": "float",
+                           "delta": "float", "eta": "float?", **_TRACE_RADII},
+                          _suite_side, seeded=True),
+            "departure": _Spec({"count": "int", "lambda0": "float",
+                                "mu": "float?", "horizon": "int?"},
+                               _suite_departure, seeded=True),
+            "przytycki": _Spec({"epsilons": "floats", "per_axis": "int?",
+                                "horizon": "int?"}, _suite_przytycki),
+        })),
+    "slow": (
+        "Monte Carlo fraction of slowly approaching orbits",
+        _Spec({"alpha": "float", "burn_in": "int", "horizon": "int",
+               "samples": "int"}, _cmd_slow, seeded=True)),
+    "exclusion": (
+        "first-failure area fractions on a base annulus, with decay fit",
+        _Spec({"alpha": "float", "m": "int", "l_grid": "grid", "samples": "int",
+               "horizon": "int?"}, _cmd_exclusion, seeded=True,
+              keywords={"l_grid": "l_values"})),
+    "xl": (
+        "base-direction fiber derivative against its leading-order target",
+        _Spec({"z0": "complex", "l": "int", "x0_terms": "int?"}, _cmd_xl)),
+    "render": (
+        "classify a coordinate slice into a P5 pixmap",
+        _Spec({"plane": "str", "center": "complex", "extent": "float",
+               "resolution": "int", "at": "complex", "horizon": "int?"},
+              _cmd_render)),
+    "expand": (
+        "verify the iterated-disk inner-radius lower bound by winding",
+        _Spec({"z0": "complex", "w0": "complex", "delta": "float",
+               "lambda0": "float", "n_max": "int", "rho": "float?",
+               "fit_n": "int?", "link_max": "int?", "boundary_samples": "int?"},
+              _cmd_expand)),
+    "series": (
+        "evaluate one of the critical-orbit series diagnostics",
+        _Choice("which", "kind_params", {
+            "levin": _Spec({"points": "points", "n_terms": "int?"},
+                           _series_levin),
+            "x0": _Spec({"n_terms": "int?"}, _series_x0),
+            "lyapunov": _Spec({"c": "complex?", "horizon": "int?"},
+                              _series_lyapunov),
+            "nondegeneracy": _Spec({"n_terms": "int?", "horizon": "int?"},
+                                   _series_nondegeneracy),
+        })),
+    "selftest": (
+        "run the acceptance checks and report pass/fail per criterion",
+        _Spec({"criteria": "ints?"}, _cmd_selftest,
+              keywords={"criteria": "numbers"})),
 }
 
-_HELP = {
-    "orbit": "iterate one start and write the trace CSV",
-    "binding": "sample nearby pairs, bind them, audit derivative comparability",
-    "audit-bounds": "run one lower-bound audit suite over sampled orbits",
-    "slow": "Monte Carlo fraction of slowly approaching orbits",
-    "exclusion": "first-failure area fractions on a base annulus, with decay fit",
-    "xl": "base-direction fiber derivative against its leading-order target",
-    "render": "classify a coordinate slice into a P5 pixmap",
-    "expand": "verify the iterated-disk inner-radius lower bound by winding",
-    "series": "evaluate one of the critical-orbit series diagnostics",
-    "selftest": "run the acceptance checks and report pass/fail per criterion",
-}
 
-
-def _parse_params(command: str, block: dict) -> dict:
-    if command == "audit-bounds":
-        if not isinstance(block, dict):
-            raise ConfigInvalid("params must be an object")
-        if "suite" not in block:
-            raise ConfigInvalid("missing params field: suite")
-        suite = _as_str("suite", block["suite"])
-        if suite not in _BOUNDS_SUITES:
-            raise ConfigInvalid(
-                f"unknown suite {suite!r}; expected one of "
-                f"{sorted(_BOUNDS_SUITES)}")
-        rest = {k: v for k, v in block.items() if k != "suite"}
-        return {"suite": suite,
-                "suite_params": _parse_block(rest, _BOUNDS_SUITES[suite],
-                                             f"{suite} params")}
-    if command == "series":
-        if not isinstance(block, dict):
-            raise ConfigInvalid("params must be an object")
-        if "which" not in block:
-            raise ConfigInvalid("missing params field: which")
-        which = _as_str("which", block["which"])
-        if which not in _SERIES_KINDS:
-            raise ConfigInvalid(
-                f"unknown series kind {which!r}; expected one of "
-                f"{sorted(_SERIES_KINDS)}")
-        rest = {k: v for k, v in block.items() if k != "which"}
-        return {"which": which,
-                "kind_params": _parse_block(rest, _SERIES_KINDS[which],
-                                            f"{which} params")}
-    return _parse_block(block, _SCHEMAS[command], "params")
-
-
-def _needs_seed(command: str, params: dict) -> bool:
-    if command in _STOCHASTIC:
-        return True
-    if command == "audit-bounds":
-        return params["suite"] != "przytycki"
-    return False
+def _parse_params(command: str, block) -> tuple[dict, _Spec, dict]:
+    """The params as echoed into artifacts, the spec that runs them, and
+    that spec's own fields."""
+    schema = _COMMANDS[command][1]
+    if isinstance(schema, _Spec):
+        params = _parse_block(block, schema.fields, "params")
+        return params, schema, params
+    if not isinstance(block, dict):
+        raise ConfigInvalid("params must be an object")
+    if schema.key not in block:
+        raise ConfigInvalid(f"missing params field: {schema.key}")
+    name = _as_str(schema.key, block[schema.key])
+    if name not in schema.specs:
+        raise ConfigInvalid(f"unknown {schema.key} {name!r}; expected one of "
+                            f"{sorted(schema.specs)}")
+    spec = schema.specs[name]
+    rest = {k: v for k, v in block.items() if k != schema.key}
+    fields = _parse_block(rest, spec.fields, f"{name} params")
+    return {schema.key: name, schema.nest: fields}, spec, fields
 
 
 def _load_config(path: str) -> dict:
@@ -721,14 +641,14 @@ def _run(args) -> int:
     elif "map" in cfg:
         raise ConfigInvalid("selftest takes no map")
 
-    params = _parse_params(command, cfg.get("params", {}))
+    params, spec, fields = _parse_params(command, cfg.get("params", {}))
 
     seed = args.seed if args.seed is not None else cfg.get("seed")
     if seed is not None:
         seed = _as_int("seed", seed)
         if not 0 <= seed < 2**64:
             raise ConfigInvalid(f"seed must fit in 64 bits, got {seed}")
-    if seed is None and _needs_seed(command, params):
+    if seed is None and spec.seeded:
         raise ConfigInvalid(
             f"{command} is stochastic and requires a seed "
             "(config field or --seed)")
@@ -743,7 +663,7 @@ def _run(args) -> int:
         raise ConfigInvalid("output_dir must be a string")
 
     run = _Run(command, map, params, seed, outdir, _resolve_format(cfg))
-    return _HANDLERS[command](run)
+    return spec.handler(run, {spec.keywords.get(k, k): v for k, v in fields.items()})
 
 
 def main(argv=None) -> int:
@@ -752,8 +672,8 @@ def main(argv=None) -> int:
         description="Numerical experiments on contracting polynomial "
                     "skew products, driven by JSON configs.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _HANDLERS:
-        p = sub.add_parser(name, help=_HELP[name])
+    for name, (text, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
         p.add_argument("--config", default=None, metavar="FILE",
                        help="JSON run configuration")
         p.add_argument("--seed", type=int, default=None,

@@ -106,6 +106,8 @@ def _classify_block(map: SkewProductMap, z0s, w0s, horizon: int, cycles: list[Cy
 def classify_point(map: SkewProductMap, x, horizon: int = 1000) -> str:
     """Label the orbit of x: "escaping", "cycle_j"/"parabolic_j" for the
     basin of the j-th detected fiber cycle, or "undecided"."""
+    if horizon < 1:
+        raise PreconditionViolated(f"need horizon >= 1, got {horizon}")
     z0, w0 = complex(x[0]), complex(x[1])
     if abs(z0) >= map.r0:
         raise BaseOutsideDomain(f"|z0| = {abs(z0):.6g} >= r0 = {map.r0:.6g}")

@@ -209,9 +209,11 @@ def x0_constant(map: SkewProductMap, n_terms: int = DEFAULT_TERMS) -> SeriesEval
     )
 
 
-def lyapunov_lower(f0: FiberMap, c: complex, horizon: int = 400) -> SeriesEvaluation:
+def lyapunov_lower(f0: FiberMap, c: complex | None = None,
+                   horizon: int = 400) -> SeriesEvaluation:
     """Lower Lyapunov estimate at c: min over n in [horizon/2, horizon] of
-    (1/n) log |(f0^n)'(c)|.
+    (1/n) log |(f0^n)'(c)|.  c defaults to f0(0), the critical value of a
+    unicritical fiber.
 
     No cycle gate: the estimate is meaningful (and honestly negative or
     drifting) for parabolic or attracting fibers too.  An escaping orbit
@@ -219,6 +221,8 @@ def lyapunov_lower(f0: FiberMap, c: complex, horizon: int = 400) -> SeriesEvalua
     """
     if horizon < 2:
         raise PreconditionViolated(f"need horizon >= 2, got {horizon}")
+    if c is None:
+        c = f0(0j)
     w = complex(c)
     log_der = 0.0
     step_logs: list[float] = []

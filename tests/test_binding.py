@@ -14,7 +14,6 @@ import pytest
 from skewdyn import binding as B
 from skewdyn.errors import (
     BaseOutsideDomain,
-    CriticalHit,
     HorizonNonPositive,
     PreconditionViolated,
 )
@@ -163,57 +162,70 @@ class TestBindingTime:
 
 
 class TestWAccumulator:
+    """W(x, y, n) for n = 1..b is a binding record's `w_history[n - 1]`."""
+
+    # bound for 50 steps near the repelling fixed point of the basilica
+    X, Y = (0.01, 1.6), (0.01 - 1e-10, 1.6 + 1e-10)
+
     def setup_method(self):
         self.map = basilica_map()
+        self.mu0, _ = B.mu_constants(2)
+
+    def history(self, x, y):
+        return B.binding_time(self.map, x, y, self.mu0, horizon=50).w_history
 
     def test_identical_points(self):
-        assert B.w_accumulator(self.map, (0.01, 0.3), (0.01, 0.3), 5) == 0.0
+        rec = B.binding_time(self.map, (0.01, 0.3), (0.01, 0.3), self.mu0)
+        assert rec.shadowing and len(rec.w_history) == 0
 
     def test_same_base_reduces_to_fiber_gap(self):
+        w = self.history((0.01, 1.5), (0.01, 1.5 + 1e-10))
         for n in (1, 3, 7):
-            w = B.w_accumulator(self.map, (0.01, 0.3), (0.01, 0.41), n)
-            assert w == pytest.approx(2 * abs(0.3 - 0.41), rel=1e-15)
+            assert w[n - 1] == pytest.approx(2 * abs(1.5 - (1.5 + 1e-10)), rel=1e-15)
 
     def test_basilica_pinned_value_vs_fd_oracle(self):
-        got = B.w_accumulator(self.map, (0.01, 0.3), (0.0, 0.31), 10)
-        want = oracle_w_fd(0.5, [-1, 1], 2, ((0.01, 0.3)), ((0.0, 0.31)), 10)
+        got = self.history(self.X, self.Y)[9]
+        want = oracle_w_fd(0.5, [-1, 1], 2, self.X, self.Y, 10)
         assert got == pytest.approx(want, rel=1e-6)
-        assert got == pytest.approx(11.025569922955375, rel=1e-12)
+        assert got == 2.749972982255435e-10
 
     def test_fd_oracle_across_depths(self):
+        w = self.history(self.X, self.Y)
         for n in (1, 2, 5):
-            got = B.w_accumulator(self.map, (0.01, 0.3), (0.0, 0.31), n)
-            want = oracle_w_fd(0.5, [-1, 1], 2, ((0.01, 0.3)), ((0.0, 0.31)), n)
-            assert got == pytest.approx(want, rel=1e-6)
+            want = oracle_w_fd(0.5, [-1, 1], 2, self.X, self.Y, n)
+            assert w[n - 1] == pytest.approx(want, rel=1e-6)
 
     def test_record_history_matches_op(self):
-        mu0, _ = B.mu_constants(2)
-        rec = B.binding_time(self.map, (0.01, 0.3), (0.0, 0.31), mu0, horizon=50)
-        assert rec.binding_time is not None and rec.binding_time >= 1
-        for n in range(1, rec.binding_time + 1):
-            op = B.w_accumulator(self.map, (0.01, 0.3), (0.0, 0.31), n)
-            assert rec.w_history[n - 1] == op
+        # one W per bound step, each the term-by-term sum
+        x, y = (0.01, 0.3), (0.0, 0.31)
+        rec = B.binding_time(self.map, x, y, self.mu0, horizon=50)
+        assert rec.binding_time == len(rec.w_history) == 2
+        for n in (1, 2):
+            want = oracle_w_fd(0.5, [-1, 1], 2, x, y, n)
+            assert rec.w_history[n - 1] == pytest.approx(want, rel=1e-6)
 
     def test_monotone_in_n(self):
         pairs = B.sample_bound_pairs(self.map, 20, seed=7)
         for x, y in pairs:
-            vals = [B.w_accumulator(self.map, x, y, n) for n in range(1, 12)]
+            vals = B.binding_time(self.map, x, y, self.mu0).w_history
             assert all(b >= a for a, b in zip(vals, vals[1:]))
 
     def test_critical_hit(self):
-        with pytest.raises(CriticalHit):
-            B.w_accumulator(self.map, (0.0, 0.0), (0.0, 0.1), 3)
+        # W needs 1/|Df^i(x)(v)|: a start on the critical point has none
+        rec = B.binding_time(self.map, (0.0, 0.0), (0.0, 0.1), self.mu0)
+        assert len(rec.w_history) == 0
 
     def test_general_mode_rejected(self):
+        # W compares the single varying coefficient of a unicritical map
         from skewdyn.gallery import general_embedding
 
         gmap = general_embedding(self.map)
-        with pytest.raises(PreconditionViolated):
-            B.w_accumulator(gmap, (0.01, 0.3), (0.0, 0.31), 3)
+        rec = B.binding_time(gmap, self.X, self.Y, self.mu0, horizon=50)
+        assert rec.binding_time == 50 and rec.w_history is None
 
     def test_n_validation(self):
         with pytest.raises(HorizonNonPositive):
-            B.w_accumulator(self.map, (0.01, 0.3), (0.0, 0.31), 0)
+            B.binding_time(self.map, (0.01, 0.3), (0.0, 0.31), self.mu0, horizon=0)
 
 
 class TestRatioAudit:

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from skewdyn import cli
 from skewdyn.cli import main
 from skewdyn.core import map_from_config
 
@@ -27,6 +28,8 @@ GENERAL3 = {"lambda": [0.5, 0.0], "degree": 3, "mode": "general",
                              [[0.0, 0.2]]]}
 AIRPLANEISH = {"lambda": [0.65, 0.0], "degree": 2, "mode": "unicritical",
                "fiber_coeffs": [[[-1.749, 0.0], [1.0, 0.0]]]}
+BASILICA = dict(CHEB, fiber_coeffs=[[[-1.0, 0.0], [1.0, 0.0]]])
+CHEB_GENERAL = dict(CHEB, mode="general")
 
 
 def write_config(tmp_path, cfg, name="run.json"):
@@ -197,6 +200,206 @@ class TestValidation:
         err = capsys.readouterr().err
         assert "PreconditionViolated" in err or "HorizonNonPositive" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "disk"])
+    @pytest.mark.parametrize("suite, params", [
+        ("onedim", {"n_max": 20, "delta": 0.5, "w_radius": -0.1}),
+        ("onedim", {"n_max": 20, "delta": 0.5, "w_radius": 0.0}),
+        ("tame", {"n": 20, "z_radius": -0.1}),
+        ("tame", {"n": 20, "w_radius": -0.1}),
+        ("tame", {"n": 20, "w_radius": 0.0}),
+        ("return", {"n": 20, "delta0": 0.05, "z_radius": -0.1}),
+        ("side", {"n": 20, "delta": 0.5, "w_radius": 0.0}),
+    ])
+    def test_bad_draw_radius_exits_two(self, tmp_path, capsys, suite, params, real):
+        # real draws crashed on a negative radius (exit 1), disk draws
+        # reflected it (exit 0), and w_radius 0 drew only critical starts
+        code, out = run(tmp_path, "audit-bounds",
+                        {"map": CHEB, "seed": 1,
+                         "params": {"suite": suite, "count": 50, "lambda0": 0.8,
+                                    "real": real, **params}})
+        assert code == 2
+        assert "PreconditionViolated" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("horizon", [0, -3])
+    def test_nondegeneracy_horizon_below_one_exits_two(self, tmp_path, capsys,
+                                                        horizon):
+        # the critical value -0.1 lies in a basin; classified with no step
+        # it was "undecided", and the series reported a near-zero verdict
+        shifted = {"lambda": [0.5, 0.0], "degree": 2, "mode": "general",
+                   "fiber_coeffs": [[[-0.1, 0.0], [1.0, 0.0]]]}
+        code, out = run(tmp_path, "series",
+                        {"map": shifted, "params": {"which": "nondegeneracy",
+                                                    "horizon": horizon}})
+        assert code == 2
+        assert "horizon >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+
+# Every accepted params field of every command, audit-bounds suite and
+# series kind: its kind ("?" when optional) and a valid value.  Each entry
+# runs as given in a fraction of a second and exits 0.
+CONTRACT = {
+    ("orbit", None): (CHEB, None, {
+        "z0": ("complex", [0.01, 0.0]), "w0": ("complex", [0.1, 0.1]),
+        "n": ("int", 20)}),
+    ("binding", None): (CHEB, 1, {
+        "count": ("int", 20), "mu": ("float?", 0.03), "horizon": ("int?", 50)}),
+    ("audit-bounds", "onedim"): (CHEB, 1, {
+        "count": ("int", 50), "n_max": ("int", 20), "lambda0": ("float", 0.8),
+        "delta": ("float", 0.5), "w_radius": ("float?", 1.8),
+        "real": ("bool?", True)}),
+    ("audit-bounds", "tame"): (CHEB, 1, {
+        "count": ("int", 50), "n": ("int", 20), "lambda0": ("float", 0.8),
+        "z_radius": ("float?", 0.1), "w_radius": ("float?", 1.8),
+        "real": ("bool?", True)}),
+    ("audit-bounds", "return"): (CHEB, 5, {
+        "count": ("int", 400), "n": ("int", 60), "lambda0": ("float", 0.8),
+        "delta0": ("float", 0.05), "eta0": ("float?", 0.01),
+        "z_radius": ("float?", 1e-7), "w_radius": ("float?", 0.05),
+        "real": ("bool?", True)}),
+    ("audit-bounds", "side"): (CHEB, 5, {
+        "count": ("int", 200), "n": ("int", 30), "lambda0": ("float", 0.8),
+        "delta": ("float", 0.5), "eta": ("float?", 0.05),
+        "z_radius": ("float?", 0.0), "w_radius": ("float?", 0.9),
+        "real": ("bool?", True)}),
+    ("audit-bounds", "departure"): (CHEB, 1, {
+        "count": ("int", 50), "lambda0": ("float", 0.8), "mu": ("float?", 0.03),
+        "horizon": ("int?", 100)}),
+    ("audit-bounds", "przytycki"): (CHEB, None, {
+        "epsilons": ("floats", [0.1]), "per_axis": ("int?", 5),
+        "horizon": ("int?", 50)}),
+    ("slow", None): (NEARFIXED, 1, {
+        "alpha": ("float", 0.05), "burn_in": ("int", 5), "horizon": ("int", 20),
+        "samples": ("int", 100)}),
+    ("exclusion", None): (AIRPLANEISH, 1, {
+        "alpha": ("float", 0.1), "m": ("int", 2), "l_grid": ("grid", [3, 6, 9]),
+        "samples": ("int", 200), "horizon": ("int?", 50)}),
+    ("xl", None): (CHEB, None, {
+        "z0": ("complex", [0.001, 0.0]), "l": ("int", 10),
+        "x0_terms": ("int?", 40)}),
+    ("render", None): (BASILICA, None, {
+        "plane": ("str", "fiber"), "center": ("complex", [0.0, 0.0]),
+        "extent": ("float", 1.6), "resolution": ("int", 8),
+        "at": ("complex", [0.0, 0.0]), "horizon": ("int?", 50)}),
+    ("expand", None): (CHEB, None, {
+        "z0": ("complex", [0.0, 0.0]), "w0": ("complex", [0.3, 0.0]),
+        "delta": ("float", 1e-3), "lambda0": ("float", 0.9), "n_max": ("int", 5),
+        "rho": ("float?", 1e-2), "fit_n": ("int?", 3), "link_max": ("int?", 12),
+        "boundary_samples": ("int?", 4096)}),
+    ("series", "levin"): (CHEB, None, {
+        "points": ("points", [[0.5, 0.0]]), "n_terms": ("int?", 20)}),
+    ("series", "x0"): (CHEB, None, {"n_terms": ("int?", 20)}),
+    ("series", "lyapunov"): (CHEB, None, {
+        "c": ("complex?", [-2.0, 0.0]), "horizon": ("int?", 50)}),
+    ("series", "nondegeneracy"): (CHEB_GENERAL, None, {
+        "n_terms": ("int?", 20), "horizon": ("int?", 100)}),
+    ("selftest", None): (None, None, {"criteria": ("ints?", [9])}),
+}
+
+WRONG_TYPE = {"int": 1.5, "float": "1", "complex": 1.0, "str": 1, "bool": 1,
+              "ints": [1.5], "floats": ["1"], "points": [1.0], "grid": "1"}
+
+
+def at_value(kind, v):
+    """v as a value of a numeric kind, or None for a non-numeric kind."""
+    return {"int": v, "float": v, "complex": [v, 0.0], "ints": [v],
+            "floats": [v], "points": [[v, 0.0]], "grid": [v]}.get(kind)
+
+
+def table_entries():
+    """(command, variant, spec) for every spec in the command table."""
+    for command, (_, schema) in cli._COMMANDS.items():
+        if isinstance(schema, cli._Spec):
+            yield command, None, schema
+        else:
+            for variant, spec in schema.specs.items():
+                yield command, variant, spec
+
+
+def contract_cases():
+    for (command, variant), (map_cfg, seed, fields) in CONTRACT.items():
+        tag = command if variant is None else f"{command}-{variant}"
+        params = {name: value for name, (_, value) in fields.items()}
+        kinds = {name: kind for name, (kind, _) in fields.items()}
+        if variant is not None:
+            key = cli._COMMANDS[command][1].key
+            params = {key: variant, **params}
+            kinds[key] = "str"
+        yield tag, command, map_cfg, seed, params, kinds
+
+
+def config(map_cfg, seed, params):
+    cfg = {"params": params}
+    if map_cfg is not None:
+        cfg["map"] = map_cfg
+    if seed is not None:
+        cfg["seed"] = seed
+    return cfg
+
+
+def perturbed(case_filter):
+    out = []
+    for tag, command, map_cfg, seed, params, kinds in contract_cases():
+        for field, kind in kinds.items():
+            for label, value in case_filter(field, kind, params):
+                bad = dict(params)
+                if value is None:
+                    del bad[field]
+                else:
+                    bad[field] = value
+                out.append(pytest.param(command, config(map_cfg, seed, bad),
+                                        id=f"{tag}-{field}-{label}"))
+    return out
+
+
+class TestCommandTable:
+    """Checks generated from the command table and CONTRACT above."""
+
+    def test_table_is_the_contract(self):
+        table = {(command, variant): spec.fields
+                 for command, variant, spec in table_entries()}
+        assert table == {key: {name: kind for name, (kind, _) in fields.items()}
+                         for key, (_, _, fields) in CONTRACT.items()}
+
+    @pytest.mark.parametrize("tag, command, map_cfg, seed, params, kinds",
+                             list(contract_cases()),
+                             ids=[c[0] for c in contract_cases()])
+    def test_contract_example_runs(self, tmp_path, tag, command, map_cfg, seed,
+                                   params, kinds):
+        code, out = run(tmp_path, command, config(map_cfg, seed, params))
+        assert code == 0
+        assert out.exists()
+
+    @pytest.mark.parametrize("command, cfg", perturbed(
+        lambda field, kind, params: [("wrong_type", WRONG_TYPE[kind.rstrip("?")])]))
+    def test_wrong_type_exits_two(self, tmp_path, capsys, command, cfg):
+        code, out = run(tmp_path, command, cfg)
+        assert code == 2
+        assert "ConfigInvalid" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, cfg", perturbed(
+        lambda field, kind, params: [] if kind.endswith("?") else [("missing", None)]))
+    def test_missing_required_exits_two(self, tmp_path, capsys, command, cfg):
+        code, out = run(tmp_path, command, cfg)
+        assert code == 2
+        assert "ConfigInvalid" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, cfg", perturbed(
+        lambda field, kind, params: [
+            (label, at_value(kind.rstrip("?"), v))
+            for label, v in (("zero", 0), ("minus_one", -1))
+            if at_value(kind.rstrip("?"), v) is not None]))
+    def test_numeric_edge_is_an_outcome(self, tmp_path, command, cfg):
+        # 0 and -1 either run, fail a gate (2, nothing written) or fail an
+        # audit (3); an uncaught exception fails the test
+        code, out = run(tmp_path, command, cfg)
+        assert code in (0, 2, 3)
+        if code == 2:
+            assert not out.exists()
 
 
 class TestOrbit:
@@ -779,9 +982,6 @@ class TestDefaultPins:
     the library's default; sha256 recorded on x86-64, numpy 2.4, while the
     CLI still restated those defaults itself."""
 
-    BASILICA = dict(CHEB, fiber_coeffs=[[[-1.0, 0.0], [1.0, 0.0]]])
-    CHEB_GENERAL = dict(CHEB, mode="general")
-
     @pytest.mark.parametrize("command, map_cfg, seed, params, code, digests", [
         ("exclusion", AIRPLANEISH, 21,
          {"alpha": 0.1, "m": 8, "l_grid": {"start": 12, "stop": 42, "step": 3},
@@ -901,3 +1101,4 @@ class TestShippedConfigs:
             assert "command" in cfg
             if cfg["command"] != "selftest":
                 map_from_config(cfg["map"])
+            cli._parse_params(cfg["command"], cfg.get("params", {}))

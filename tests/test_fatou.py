@@ -273,6 +273,14 @@ class TestClassifyPoint:
         with pytest.raises(BaseOutsideDomain):
             classify_point(cheb, (cheb.r0 * 1.1, 0.0), horizon=10)
 
+    @pytest.mark.parametrize("horizon", [0, -5])
+    def test_horizon_below_one_rejected(self, horizon):
+        # a point stepped zero times is no evidence: (0, -1) is cycle_0, yet
+        # it came back "undecided" at horizon 0
+        assert classify_point(basilica_map(), (0.0, -1.0), horizon=1000) == "cycle_0"
+        with pytest.raises(PreconditionViolated, match="horizon >= 1"):
+            classify_point(basilica_map(), (0.0, -1.0), horizon=horizon)
+
     def test_siegel_fixed_point_undecided(self):
         sie = siegel_map()
         assert find_attracting_cycles(sie, include_parabolic=True) == []
