@@ -336,7 +336,7 @@ def _suite_departure(run: _Run, kw: dict) -> int:
     audit = audit_critical_value_departure(
         run.map, [(row[0], row[1]) for row in rows],
         **_pick(kw, "lambda0", "mu", "horizon"))
-    return _emit_audits(run, {"lem25": audit})
+    return _emit_audits(run, {audit.statement: audit})
 
 
 def _suite_przytycki(run: _Run, kw: dict) -> int:

@@ -302,10 +302,13 @@ WRONG_TYPE = {"int": 1.5, "float": "1", "complex": 1.0, "str": 1, "bool": 1,
               "ints": [1.5], "floats": ["1"], "points": [1.0], "grid": "1"}
 
 
-def at_value(kind, v):
-    """v as a value of a numeric kind, or None for a non-numeric kind."""
-    return {"int": v, "float": v, "complex": [v, 0.0], "ints": [v],
-            "floats": [v], "points": [[v, 0.0]], "grid": [v]}.get(kind)
+def numeric_edges(kind):
+    """0 and -1 in the shape of a numeric kind; none for other kinds."""
+    shape = {"int": lambda v: v, "float": lambda v: v,
+             "complex": lambda v: [v, 0.0], "ints": lambda v: [v],
+             "floats": lambda v: [v], "points": lambda v: [[v, 0.0]],
+             "grid": lambda v: [v]}.get(kind.rstrip("?"))
+    return [] if shape is None else [("zero", shape(0)), ("minus_one", shape(-1))]
 
 
 def table_entries():
@@ -319,14 +322,18 @@ def table_entries():
 
 
 def contract_cases():
-    for (command, variant), (map_cfg, seed, fields) in CONTRACT.items():
-        tag = command if variant is None else f"{command}-{variant}"
+    """Per table entry: its fields' kinds, with the variant key as one more
+    str field, and the CONTRACT example that runs it."""
+    for command, variant, spec in table_entries():
+        map_cfg, seed, fields = CONTRACT[command, variant]
         params = {name: value for name, (_, value) in fields.items()}
-        kinds = {name: kind for name, (kind, _) in fields.items()}
+        kinds = dict(spec.fields)
+        tag = command
         if variant is not None:
             key = cli._COMMANDS[command][1].key
             params = {key: variant, **params}
             kinds[key] = "str"
+            tag = f"{command}-{variant}"
         yield tag, command, map_cfg, seed, params, kinds
 
 
@@ -339,15 +346,18 @@ def config(map_cfg, seed, params):
     return cfg
 
 
-def perturbed(case_filter):
+MISSING = object()
+
+
+def edited(edits):
+    """Every example with one field changed: edits(kind) lists (label,
+    value) pairs for a field of that kind, and MISSING drops the field."""
     out = []
     for tag, command, map_cfg, seed, params, kinds in contract_cases():
         for field, kind in kinds.items():
-            for label, value in case_filter(field, kind, params):
-                bad = dict(params)
-                if value is None:
-                    del bad[field]
-                else:
+            for label, value in edits(kind):
+                bad = {k: v for k, v in params.items() if k != field}
+                if value is not MISSING:
                     bad[field] = value
                 out.append(pytest.param(command, config(map_cfg, seed, bad),
                                         id=f"{tag}-{field}-{label}"))
@@ -355,7 +365,8 @@ def perturbed(case_filter):
 
 
 class TestCommandTable:
-    """Checks generated from the command table and CONTRACT above."""
+    """Checks generated from the command table, run on the CONTRACT
+    examples."""
 
     def test_table_is_the_contract(self):
         table = {(command, variant): spec.fields
@@ -372,27 +383,23 @@ class TestCommandTable:
         assert code == 0
         assert out.exists()
 
-    @pytest.mark.parametrize("command, cfg", perturbed(
-        lambda field, kind, params: [("wrong_type", WRONG_TYPE[kind.rstrip("?")])]))
+    @pytest.mark.parametrize("command, cfg", edited(
+        lambda kind: [("wrong_type", WRONG_TYPE[kind.rstrip("?")])]))
     def test_wrong_type_exits_two(self, tmp_path, capsys, command, cfg):
         code, out = run(tmp_path, command, cfg)
         assert code == 2
         assert "ConfigInvalid" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command, cfg", perturbed(
-        lambda field, kind, params: [] if kind.endswith("?") else [("missing", None)]))
+    @pytest.mark.parametrize("command, cfg", edited(
+        lambda kind: [] if kind.endswith("?") else [("missing", MISSING)]))
     def test_missing_required_exits_two(self, tmp_path, capsys, command, cfg):
         code, out = run(tmp_path, command, cfg)
         assert code == 2
         assert "ConfigInvalid" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command, cfg", perturbed(
-        lambda field, kind, params: [
-            (label, at_value(kind.rstrip("?"), v))
-            for label, v in (("zero", 0), ("minus_one", -1))
-            if at_value(kind.rstrip("?"), v) is not None]))
+    @pytest.mark.parametrize("command, cfg", edited(numeric_edges))
     def test_numeric_edge_is_an_outcome(self, tmp_path, command, cfg):
         # 0 and -1 either run, fail a gate (2, nothing written) or fail an
         # audit (3); an uncaught exception fails the test
