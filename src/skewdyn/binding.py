@@ -9,7 +9,9 @@ one orbit is bounded below by the separation divided by an accumulated
 coefficient-difference sum W.  Both facts are audited numerically here.
 
 Every pair runs through one batch kernel, `_bind`, which steps all pairs
-of a batch together.  It reproduces CPython's scalar complex arithmetic
+of a batch together; the pair audits (and the departure audit in `bounds`)
+bind BLOCK_PAIRS pairs per batch, so the histories and rows they hold at
+once are bounded by the block, not by the number of pairs.  The kernel reproduces CPython's scalar complex arithmetic
 bit for bit: numpy's complex products, np.abs, np.angle and np.exp round
 differently from CPython's complex type and math module, so the kernel
 keeps real and imaginary parts in separate float64 arrays, multiplies
@@ -24,6 +26,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -37,6 +40,7 @@ from .errors import (
 
 OVERFLOW_GUARD = 1e100
 DEFAULT_HORIZON = 10_000
+BLOCK_PAIRS = 2**11  # pairs bound at once by the batch audits
 
 
 def _overflow_guard(degree: int) -> float:
@@ -558,18 +562,10 @@ def audit_lemma_expansion(record: BindingRecord, rel_slack: float = 1e-9) -> Bin
     return _expansion_audits(_Histories.of_record(record), record.mu, rel_slack)[0]
 
 
-def sample_bound_pairs(
-    map: SkewProductMap,
-    count: int,
-    seed: int,
-    mu: float | None = None,
-    w_radius: float | None = None,
-) -> list[tuple[tuple[complex, complex], tuple[complex, complex]]]:
-    """Random nearby pairs whose initial separation sits below the threshold.
-
-    Separations are drawn log-uniformly over three decades below mu*|w0| so
-    the batch spans a range of binding times.
-    """
+def _draw_bound_pairs(map: SkewProductMap, count: int, seed: int,
+                      mu: float | None = None,
+                      w_radius: float | None = None) -> np.ndarray:
+    """sample_bound_pairs' pairs as a (count, 4) array of zx, wx, zy, wy."""
     if mu is None:
         mu = mu_constants(map.degree)[0]
     if w_radius is None:
@@ -583,43 +579,94 @@ def sample_bound_pairs(
         dz = 0.05 * map.r0 * 10.0 ** (-3.0 * gen.random(m)) * np.exp(2j * np.pi * gen.random(m))
         return np.column_stack([z, w, z + dz, w + dw])
 
-    cols = mc.draw_blocks(seed, "binding_pairs", count, draw)
+    return mc.draw_blocks(seed, "binding_pairs", count, draw)
+
+
+def sample_bound_pairs(
+    map: SkewProductMap,
+    count: int,
+    seed: int,
+    mu: float | None = None,
+    w_radius: float | None = None,
+) -> list[tuple[tuple[complex, complex], tuple[complex, complex]]]:
+    """Random nearby pairs whose initial separation sits below the threshold.
+
+    Separations are drawn log-uniformly over three decades below mu*|w0| so
+    the batch spans a range of binding times.
+    """
+    cols = _draw_bound_pairs(map, count, seed, mu, w_radius)
     return [((row[0], row[1]), (row[2], row[3])) for row in cols]
+
+
+@dataclass
+class PairAudits:
+    """Audited pairs, bound BLOCK_PAIRS at a time.  Iterating yields each
+    block's rows in pair_id order; mu and horizon are the values used."""
+
+    map: SkewProductMap
+    points: np.ndarray  # (pairs, 4): zx, wx, zy, wy
+    mu: float
+    horizon: int
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def __iter__(self) -> Iterator[list[dict]]:
+        for lo in range(0, len(self.points), BLOCK_PAIRS):
+            yield self._rows(lo, self.points[lo:lo + BLOCK_PAIRS])
+
+    def _rows(self, lo: int, pts: np.ndarray) -> list[dict]:
+        mu = self.mu
+        h = _bind(self.map, pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3], mu,
+                  self.horizon)
+        w = h.data.get("w_history")
+        rows = []
+        for j, (ratio, expansion) in enumerate(zip(_ratio_audits(h),
+                                                   _expansion_audits(h, mu))):
+            b, w_len = int(h.binding[j]), int(h.w_len[j])
+            rows.append({
+                "pair_id": lo + j,
+                "mu": mu,
+                "binding_time": None if b < 0 else b,
+                "censored": b < 0,
+                "W_final": float(w[h.start[j] + w_len]) if w_len > 0 else math.nan,
+                "min_margin_lemma23": ratio.min_margin if not ratio.skipped else math.nan,
+                "min_margin_lemma24": expansion.min_margin if not expansion.skipped else math.nan,
+                "ratio_audit": ratio,
+                "expansion_audit": expansion,
+            })
+        return rows
+
+
+def audit_pair_blocks(
+    map: SkewProductMap,
+    pairs,
+    mu: float | None = None,
+    horizon: int = DEFAULT_HORIZON,
+) -> PairAudits:
+    """Bind and audit pairs, one block of BLOCK_PAIRS at a time.
+
+    pairs is a sequence of ((zx, wx), (zy, wy)) or a (count, 4) array; mu
+    defaults to mu0.  Every pair's record depends on its own lanes only,
+    so the rows are bitwise those of one batch, while memory stays bounded
+    by the block.  The inputs are checked here, before any block binds.
+    """
+    if mu is None:
+        mu = mu_constants(map.degree)[0]
+    pts = np.asarray(pairs, dtype=complex).reshape(-1, 4)
+    _check_pairs(map, pts[:, 0], pts[:, 2], mu, horizon)
+    return PairAudits(map, pts, mu, horizon)
 
 
 def audit_pair_batch(
     map: SkewProductMap,
     pairs,
-    mu: float,
+    mu: float | None = None,
     horizon: int = DEFAULT_HORIZON,
 ) -> list[dict]:
-    """Bind and audit every pair in one batch; rows keep the input order.
-
-    The batch kernel steps all pairs together in one thread.
-    """
-    pts = np.array([(x[0], x[1], y[0], y[1]) for x, y in pairs],
-                   dtype=complex).reshape(-1, 4)
-    if not len(pts):
-        return []
-    h = _bind(map, pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3], mu, horizon)
-    ratios = _ratio_audits(h)
-    expansions = _expansion_audits(h, mu)
-    w = h.data.get("w_history")
-    rows = []
-    for j, (ratio, expansion) in enumerate(zip(ratios, expansions)):
-        b, w_len = int(h.binding[j]), int(h.w_len[j])
-        rows.append({
-            "pair_id": j,
-            "mu": mu,
-            "binding_time": None if b < 0 else b,
-            "censored": b < 0,
-            "W_final": float(w[h.start[j] + w_len]) if w_len > 0 else math.nan,
-            "min_margin_lemma23": ratio.min_margin if not ratio.skipped else math.nan,
-            "min_margin_lemma24": expansion.min_margin if not expansion.skipped else math.nan,
-            "ratio_audit": ratio,
-            "expansion_audit": expansion,
-        })
-    return rows
+    """audit_pair_blocks' rows as one list, in input order."""
+    return [row for rows in audit_pair_blocks(map, pairs, mu, horizon)
+            for row in rows]
 
 
 CSV_COLUMNS = [
@@ -628,19 +675,25 @@ CSV_COLUMNS = [
 ]
 
 
+def binding_csv_chunks(blocks: Iterable[list[dict]]) -> Iterator[str]:
+    """The header, then one chunk of CSV text per block of rows."""
+    yield ",".join(CSV_COLUMNS) + "\n"
+    for rows in blocks:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        for row in rows:
+            bt = row["binding_time"]
+            writer.writerow([
+                row["pair_id"],
+                f"{row['mu']:.17g}",
+                "" if bt is None else bt,
+                int(row["censored"]),
+                f"{row['W_final']:.17g}",
+                f"{row['min_margin_lemma23']:.17g}",
+                f"{row['min_margin_lemma24']:.17g}",
+            ])
+        yield buf.getvalue()
+
+
 def binding_rows_to_csv(rows: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        bt = row["binding_time"]
-        writer.writerow([
-            row["pair_id"],
-            f"{row['mu']:.17g}",
-            "" if bt is None else bt,
-            int(row["censored"]),
-            f"{row['W_final']:.17g}",
-            f"{row['min_margin_lemma23']:.17g}",
-            f"{row['min_margin_lemma24']:.17g}",
-        ])
-    return buf.getvalue()
+    return "".join(binding_csv_chunks([rows]))

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mc
-from .binding import _bind, _ranges, mu_constants
+from .binding import BLOCK_PAIRS, _bind, _ranges, mu_constants
 from .core import SkewProductMap, TraceBlock, _Orbits, find_attracting_cycles
 from .errors import (
     AttractingCyclePresent,
@@ -440,7 +440,9 @@ def audit_critical_value_departure(
     Unicritical maps only: the starts bind against c(0), which is the
     critical value of f_0 only in unicritical mode.  Like the other orbit
     audits it rejects a fiber map with an attracting cycle, where bound
-    pairs fall into the cycle and the derivative never recovers.
+    pairs fall into the cycle and the derivative never recovers.  starts
+    is a sequence of (z1, w1) or a (count, 2) array; they bind BLOCK_PAIRS
+    at a time.
     """
     if map.mode != "unicritical":
         raise PreconditionViolated(
@@ -451,20 +453,31 @@ def audit_critical_value_departure(
         raise AttractingCyclePresent("fiber polynomial has an attracting cycle")
     if mu is None:
         mu = mu_constants(map.degree)[0]
+    acc = _Acc("lem25", lambda0, 0.05, constant_one=True)
+    pts = np.asarray(starts, dtype=complex).reshape(-1, 2)
+    for lo in range(0, len(pts), BLOCK_PAIRS):
+        _departure_block(map, pts[lo:lo + BLOCK_PAIRS], lo, lambda0, mu,
+                         horizon, acc)
+    return acc.to_audit()
+
+
+def _departure_block(map: SkewProductMap, pts: np.ndarray, lo: int,
+                     lambda0: float, mu: float, horizon: int, acc: _Acc) -> None:
+    """Fold one block of departure starts, batch positions lo onward, into
+    acc: admitted starts and misses add up, and a block's least ratio
+    replaces the minimum only when strictly smaller, so ties go to the
+    earliest start."""
     c0 = map.c0_origin
     d = map.degree
-    log_l0 = math.log(lambda0)
-    acc = _Acc("lem25", lambda0, 0.05, constant_one=True)
-    pts = np.array([(z, w) for z, w in starts], dtype=complex).reshape(-1, 2)
     z1, w1 = pts[:, 0], pts[:, 1]
     # delta per start with CPython's float ** and max, as stated above
     gaps = np.hypot(w1.real - c0.real, w1.imag - c0.imag).tolist()
     radii = np.hypot(z1.real, z1.imag).tolist()
     deltas = np.array([max(g, r ** map.k) ** (1.0 / d) for g, r in zip(gaps, radii)])
     admitted = np.flatnonzero(~((deltas == 0.0) | (deltas >= 0.05)))
-    acc.count = len(admitted)
+    acc.count += len(admitted)
     if not len(admitted):
-        return acc.to_audit()
+        return
 
     # every start binds against the one critical-value orbit
     h = _bind(map, z1[admitted], w1[admitted], np.zeros(1, dtype=complex),
@@ -474,18 +487,19 @@ def audit_critical_value_departure(
     pair = np.repeat(np.arange(len(admitted)), last)
     ns = pos - h.start[pair]
     log_delta = np.array([math.log(x) for x in deltas[admitted].tolist()])
-    ratio_logs = h.data["log_vder_x"][pos] - ns * log_l0 + (d - 1) * log_delta[pair]
+    ratio_logs = (h.data["log_vder_x"][pos] - ns * math.log(lambda0)
+                  + (d - 1) * log_delta[pair])
     # the first step up to the binding time that reaches the bound
     hits = np.flatnonzero(ratio_logs >= _LOG_FLOOR)
     found, first = np.unique(pair[hits], return_index=True)
-    acc.violations = len(admitted) - len(found)
+    acc.violations += len(admitted) - len(found)
     if len(found):
         vals = ratio_logs[hits[first]]
         k = int(np.argmin(vals))  # ties go to the earliest start
         if vals[k] < acc.min_log:
             acc.min_log = float(vals[k])
-            acc.loc = {"start": int(admitted[found[k]]), "n": int(ns[hits[first[k]]])}
-    return acc.to_audit()
+            acc.loc = {"start": lo + int(admitted[found[k]]),
+                       "n": int(ns[hits[first[k]]])}
 
 
 @dataclass

@@ -22,7 +22,7 @@ import json
 import math
 import os
 import sys
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .core import (
     iterate,
     map_from_config,
     map_to_config,
-    trace_to_csv,
+    trace_csv_chunks,
 )
 from .errors import ConfigInvalid, SkewdynError
 
@@ -46,7 +46,14 @@ def _as_int(name: str, v) -> int:
 def _as_float(name: str, v) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigInvalid(f"{name} must be a number, got {v!r}")
-    return float(v)
+    # json.load parses NaN and Infinity, and an int can exceed float range
+    try:
+        x = float(v)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigInvalid(f"{name} must be finite, got {v!r}")
+    return x
 
 
 def _as_complex(name: str, v) -> complex:
@@ -153,11 +160,13 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, default=_plain) + "\n"
 
 
-def _write(outdir: str, name: str, text: str) -> str:
+def _write(outdir: str, name: str, chunks: Iterable[str]) -> str:
+    """Write an artifact from an iterable of text chunks (a bare str would
+    be written character by character)."""
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, name)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        fh.writelines(chunks)
     print(f"wrote {path}")
     return path
 
@@ -183,11 +192,13 @@ class _Run:
 
     def emit_json(self, name: str, body: dict) -> None:
         if self.fmt["json"]:
-            _write(self.outdir, name, _json_text({**self.header(), **body}))
+            _write(self.outdir, name, [_json_text({**self.header(), **body})])
 
-    def emit_csv(self, name: str, text: str) -> None:
+    def emit_csv(self, name: str, chunks: Iterable[str]) -> None:
+        """Write the CSV text chunks; they are not read when CSV output is
+        off."""
         if self.fmt["csv"]:
-            _write(self.outdir, name, text)
+            _write(self.outdir, name, chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +215,7 @@ def _pick(kw: dict, *names: str) -> dict:
 
 def _cmd_orbit(run: _Run, kw: dict) -> int:
     trace = iterate(run.map, (kw["z0"], kw["w0"]), kw["n"])
-    run.emit_csv("orbit.csv", trace_to_csv(trace))
+    run.emit_csv("orbit.csv", trace_csv_chunks(trace))
     last = len(trace) - 1
     run.emit_json("orbit.json", {
         "steps": last,
@@ -221,44 +232,45 @@ def _cmd_orbit(run: _Run, kw: dict) -> int:
 
 def _cmd_binding(run: _Run, kw: dict) -> int:
     from .binding import (
-        DEFAULT_HORIZON,
-        audit_pair_batch,
-        binding_rows_to_csv,
+        _draw_bound_pairs,
+        audit_pair_blocks,
+        binding_csv_chunks,
         check_mu_constants,
-        mu_constants,
-        sample_bound_pairs,
     )
 
-    # resolved here because binding.json reports the values used
-    mu = kw.get("mu", mu_constants(run.map.degree)[0])
-    horizon = kw.get("horizon", DEFAULT_HORIZON)
-    pairs = sample_bound_pairs(run.map, kw["count"], run.seed, mu)
-    rows = audit_pair_batch(run.map, pairs, mu, horizon)
-    run.emit_csv("binding.csv", binding_rows_to_csv(rows))
+    pairs = _draw_bound_pairs(run.map, kw["count"], run.seed, **_pick(kw, "mu"))
+    audits = audit_pair_blocks(run.map, pairs, **_pick(kw, "mu", "horizon"))
+    summary = {"censored": 0, "ratio_failures": [], "expansion_failures": [],
+               "min_margin_lemma23": None, "min_margin_lemma24": None}
 
-    ratio_fail = [r["pair_id"] for r in rows
-                  if not r["ratio_audit"].skipped and not r["ratio_audit"].passed]
-    expansion_fail = [r["pair_id"] for r in rows
-                      if not r["expansion_audit"].skipped
-                      and not r["expansion_audit"].passed]
+    def fold(rows: list) -> list:
+        # one block's rows into the summary, which keeps no row
+        for r in rows:
+            summary["censored"] += r["censored"]
+            for key, audit in (("ratio_failures", r["ratio_audit"]),
+                               ("expansion_failures", r["expansion_audit"])):
+                if not audit.skipped and not audit.passed:
+                    summary[key].append(r["pair_id"])
+            for col in ("min_margin_lemma23", "min_margin_lemma24"):
+                low = summary[col]
+                if not math.isnan(r[col]) and (low is None or r[col] < low):
+                    summary[col] = r[col]
+        return rows
 
-    def _margin(col: str):
-        vals = [r[col] for r in rows if not math.isnan(r[col])]
-        return min(vals) if vals else None
+    blocks = (fold(rows) for rows in audits)
+    run.emit_csv("binding.csv", binding_csv_chunks(blocks))
+    for _ in blocks:  # with CSV output off, fold the blocks it did not read
+        pass
 
     run.emit_json("binding.json", {
-        "mu": mu,
-        "horizon": horizon,
-        "pairs": len(rows),
-        "censored": sum(1 for r in rows if r["censored"]),
-        "ratio_failures": ratio_fail,
-        "expansion_failures": expansion_fail,
-        "min_margin_lemma23": _margin("min_margin_lemma23"),
-        "min_margin_lemma24": _margin("min_margin_lemma24"),
+        "mu": audits.mu,
+        "horizon": audits.horizon,
+        "pairs": len(audits),
+        **summary,
         "mu_constants": check_mu_constants(run.map.degree),
     })
-    failed = len(ratio_fail) + len(expansion_fail)
-    print(f"binding: {len(rows)} pairs, {failed} audit failures")
+    failed = len(summary["ratio_failures"]) + len(summary["expansion_failures"])
+    print(f"binding: {len(audits)} pairs, {failed} audit failures")
     return 3 if failed else 0
 
 
@@ -334,8 +346,7 @@ def _suite_departure(run: _Run, kw: dict) -> int:
 
     rows = mc.draw_blocks(run.seed, "bounds_departure", kw["count"], draw)
     audit = audit_critical_value_departure(
-        run.map, [(row[0], row[1]) for row in rows],
-        **_pick(kw, "lambda0", "mu", "horizon"))
+        run.map, rows, **_pick(kw, "lambda0", "mu", "horizon"))
     return _emit_audits(run, {audit.statement: audit})
 
 
@@ -361,7 +372,7 @@ def _cmd_slow(run: _Run, kw: dict) -> int:
     from .measure import reports_to_csv, slow_approach_stats
 
     rep = slow_approach_stats(run.map, seed=run.seed, **kw)
-    run.emit_csv("slow.csv", reports_to_csv([rep]))
+    run.emit_csv("slow.csv", [reports_to_csv([rep])])
     run.emit_json("slow.json", {"report": rep.to_json()})
     print(f"slow: fraction {rep.estimate:.6g} +- {rep.std_error:.2g} "
           f"over {rep.samples} retained starts")
@@ -372,8 +383,8 @@ def _cmd_exclusion(run: _Run, kw: dict) -> int:
     from .measure import decay_cells_csv, exclusion_area, reports_to_csv
 
     reps = exclusion_area(run.map, seed=run.seed, **kw)
-    run.emit_csv("exclusion.csv", reports_to_csv(reps))
-    run.emit_csv("exclusion_decay.csv", decay_cells_csv(reps))
+    run.emit_csv("exclusion.csv", [reports_to_csv(reps)])
+    run.emit_csv("exclusion_decay.csv", [decay_cells_csv(reps)])
     run.emit_json("exclusion.json", {"reports": [r.to_json() for r in reps]})
     fit = reps[-1]
     gamma = fit.fitted_exponent

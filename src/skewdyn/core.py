@@ -13,6 +13,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -254,6 +255,25 @@ def _search_escape_radius(coeffs, degree: int, r0: float) -> float:
     raise SkewdynError("escape radius search did not terminate")
 
 
+_CHUNK = 4096  # orbit steps per stored chunk, and rows per CSV chunk
+_ROW_DTYPES = (complex, complex, float, float)  # zs, ws, log_vder, vder_phase
+
+
+def _move_rows(chunks: tuple[list, ...], rows: tuple[list, ...]) -> None:
+    """Append each column's pending rows to its chunks as one array, and
+    empty the pending lists."""
+    for column, values, dtype in zip(chunks, rows, _ROW_DTYPES):
+        column.append(np.array(values, dtype=dtype))
+        values.clear()
+
+
+def _joined(column: list) -> np.ndarray:
+    """One column's chunks as one array; the chunks are released."""
+    out = np.concatenate(column)
+    column.clear()
+    return out
+
+
 def iterate(map: SkewProductMap, x0, n: int) -> OrbitTrace:
     """Forward orbit of x0 = (z0, w0) for n steps with cocycle and tame flags.
 
@@ -266,10 +286,10 @@ def iterate(map: SkewProductMap, x0, n: int) -> OrbitTrace:
     if abs(z0) >= map.r0:
         raise BaseOutsideDomain(f"|z0| = {abs(z0):.6g} >= r0 = {map.r0:.6g}")
 
-    zs = [z0]
-    ws = [w0]
-    logs = [0.0]
-    phases = [0.0]
+    # rows wait in short lists and move into numpy chunks every _CHUNK
+    # steps, so the Python objects alive at once stay bounded whatever n is
+    zs, ws, logs, phases = [z0], [w0], [0.0], [0.0]
+    chunks: tuple[list, ...] = ([], [], [], [])
     escape_step = None
     radius = map.escape_radius
     log, phase, dfdw, step = math.log, cmath.phase, map.dfdw, map.step
@@ -288,12 +308,14 @@ def iterate(map: SkewProductMap, x0, n: int) -> OrbitTrace:
         phases.append(phase_acc)
         zs.append(z)
         ws.append(w)
+        if len(ws) == _CHUNK:
+            _move_rows(chunks, (zs, ws, logs, phases))
     else:
         if abs(w) > radius:
             escape_step = n
 
-    zs_arr = np.array(zs, dtype=complex)
-    ws_arr = np.array(ws, dtype=complex)
+    _move_rows(chunks, (zs, ws, logs, phases))
+    zs_arr, ws_arr, logs_arr, phases_arr = (_joined(c) for c in chunks)
     with np.errstate(divide="ignore"):
         tame = np.abs(zs_arr) ** map.k <= np.abs(ws_arr) ** map.degree
     return OrbitTrace(
@@ -301,8 +323,8 @@ def iterate(map: SkewProductMap, x0, n: int) -> OrbitTrace:
         w0=w0,
         zs=zs_arr,
         ws=ws_arr,
-        log_vder=np.array(logs),
-        vder_phase=np.array(phases),
+        log_vder=logs_arr,
+        vder_phase=phases_arr,
         tame_flags=tame,
         escape_step=escape_step,
     )
@@ -503,21 +525,23 @@ def map_from_config(cfg: dict) -> SkewProductMap:
     return build_map(complex(lam_pair[0], lam_pair[1]), degree, polys, mode)
 
 
-_CSV_CHUNK = 4096  # rows formatted per join; bounds the transient row strings
+def trace_csv_chunks(trace: OrbitTrace) -> Iterator[str]:
+    """Orbit trace as CSV text with 17-significant-digit floats: the header,
+    then one chunk per _CHUNK rows, so no text longer than a chunk is held."""
+    row = "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%d,%d\n"
+    yield "n,z_re,z_im,w_re,w_im,log_vder,tame,escaped\n"
+    for lo in range(0, len(trace), _CHUNK):
+        hi = lo + _CHUNK
+        zs, ws = trace.zs[lo:hi], trace.ws[lo:hi]
+        escaped = [0] * len(zs)
+        if trace.escape_step is not None and lo <= trace.escape_step < lo + len(zs):
+            escaped[trace.escape_step - lo] = 1
+        rows = zip(range(lo, lo + len(zs)), zs.real.tolist(), zs.imag.tolist(),
+                   ws.real.tolist(), ws.imag.tolist(), trace.log_vder[lo:hi].tolist(),
+                   trace.tame_flags[lo:hi].tolist(), escaped)
+        yield "".join([row % r for r in rows])
 
 
 def trace_to_csv(trace: OrbitTrace) -> str:
-    """Orbit trace as CSV with 17-significant-digit floats."""
-    escaped = [0] * len(trace)
-    if trace.escape_step is not None and trace.escape_step < len(trace):
-        escaped[trace.escape_step] = 1
-    row = "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%d,%d\n"
-    parts = ["n,z_re,z_im,w_re,w_im,log_vder,tame,escaped\n"]
-    for lo in range(0, len(trace), _CSV_CHUNK):
-        hi = lo + _CSV_CHUNK
-        zs, ws = trace.zs[lo:hi], trace.ws[lo:hi]
-        rows = zip(range(lo, lo + len(zs)), zs.real.tolist(), zs.imag.tolist(),
-                   ws.real.tolist(), ws.imag.tolist(), trace.log_vder[lo:hi].tolist(),
-                   trace.tame_flags[lo:hi].tolist(), escaped[lo:hi])
-        parts.append("".join([row % r for r in rows]))
-    return "".join(parts)
+    """Orbit trace as one CSV string."""
+    return "".join(trace_csv_chunks(trace))

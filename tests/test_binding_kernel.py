@@ -20,6 +20,7 @@ from skewdyn import binding as B
 from skewdyn import bounds as BD
 from skewdyn import mc
 from skewdyn.core import build_map
+from skewdyn.errors import BaseOutsideDomain, HorizonNonPositive, PreconditionViolated
 from skewdyn.gallery import basilica_map, chebyshev_map
 
 CHEBYSHEV = chebyshev_map()
@@ -422,3 +423,92 @@ def test_long_binding_regime():
     assert len(checked) > count // 2
     times = [r["binding_time"] for r in rows if r["binding_time"] is not None]
     assert max(times) > 20
+
+
+# ---------------------------------------------------------------------------
+# fixed blocks: pair audits and the departure audit bind BLOCK_PAIRS at a time
+
+
+def test_pair_blocks_match_one_batch():
+    # one block and a partial one; every row must be bitwise the row of one
+    # kernel batch over all pairs, with pair_id running on across blocks
+    count, mu = B.BLOCK_PAIRS + 37, B.mu_constants(2)[0]
+    pts = B._draw_bound_pairs(CHEBYSHEV, count, 3)
+    audits = B.audit_pair_blocks(CHEBYSHEV, pts, horizon=300)
+    assert (audits.mu, audits.horizon, len(audits)) == (mu, 300, count)
+    blocks = list(audits)
+    assert [len(rows) for rows in blocks] == [B.BLOCK_PAIRS, 37]
+    rows = [row for rows in blocks for row in rows]
+    assert [row["pair_id"] for row in rows] == list(range(count))
+
+    h = B._bind(CHEBYSHEV, pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3], mu, 300)
+    ratios, expansions = B._ratio_audits(h), B._expansion_audits(h, mu)
+    w = h.data["w_history"]
+    for j, row in enumerate(rows):
+        b, w_len = int(h.binding[j]), int(h.w_len[j])
+        assert row["binding_time"] == (None if b < 0 else b)
+        w_final = float(w[h.start[j] + w_len]) if w_len > 0 else math.nan
+        assert np.float64(row["W_final"]).tobytes() == np.float64(w_final).tobytes()
+        assert_bitwise(row["ratio_audit"], ratios[j], AUDIT_FIELDS)
+        assert_bitwise(row["expansion_audit"], expansions[j], AUDIT_FIELDS)
+    # the list form and the sampled-pairs form give the same rows
+    listed = B.audit_pair_batch(CHEBYSHEV, B.sample_bound_pairs(CHEBYSHEV, count, 3),
+                                mu, horizon=300)
+    assert B.binding_rows_to_csv(listed) == B.binding_rows_to_csv(rows)
+
+
+def test_empty_pair_batches():
+    audits = B.audit_pair_blocks(CHEBYSHEV, [])
+    assert (len(audits), list(audits)) == (0, [])
+    assert (audits.mu, audits.horizon) == (B.mu_constants(2)[0], B.DEFAULT_HORIZON)
+    assert B.audit_pair_batch(CHEBYSHEV, [], 0.01) == []
+    assert B.binding_rows_to_csv([]) == ",".join(B.CSV_COLUMNS) + "\n"
+
+
+def test_pair_blocks_check_inputs_before_binding():
+    pairs = [((0.0, 0.5), (0.0, 0.5 + 1e-6))] * 3
+    with pytest.raises(PreconditionViolated):
+        B.audit_pair_blocks(CHEBYSHEV, pairs, mu=1.0)
+    with pytest.raises(HorizonNonPositive):
+        B.audit_pair_blocks(CHEBYSHEV, pairs, horizon=0)
+    far = pairs + [((0.99 * CHEBYSHEV.r0 + 0.5, 0.5), (0.0, 0.5))]
+    with pytest.raises(BaseOutsideDomain):
+        B.audit_pair_blocks(CHEBYSHEV, far)
+
+
+EXCLUDED = (0.0, CHEBYSHEV.c0_origin)  # delta = 0: not admitted
+
+
+def _around_boundary(first, second):
+    """first at the last position of block 0, second at the first of
+    block 1, excluded starts elsewhere."""
+    return ([EXCLUDED] * (B.BLOCK_PAIRS - 1) + [first, second]
+            + [EXCLUDED] * 3)
+
+
+def test_departure_tie_across_a_block_boundary_goes_to_the_earliest_start():
+    start = _departure_starts(CHEBYSHEV, 1, 7)[0]
+    starts = _around_boundary(start, start)
+    got = BD.audit_critical_value_departure(CHEBYSHEV, starts, 0.8)
+    assert got.samples == 2
+    assert got.min_ratio_location["start"] == B.BLOCK_PAIRS - 1
+    assert got == reference_departure(CHEBYSHEV, starts, 0.8)
+
+
+def test_departure_least_ratio_in_a_later_block_wins():
+    a, b = _departure_starts(CHEBYSHEV, 2, 7)
+    locations = set()
+    for first, second in ((a, b), (b, a)):
+        starts = _around_boundary(first, second)
+        got = BD.audit_critical_value_departure(CHEBYSHEV, starts, 0.8)
+        assert got == reference_departure(CHEBYSHEV, starts, 0.8)
+        locations.add(got.min_ratio_location["start"])
+    assert locations == {B.BLOCK_PAIRS - 1, B.BLOCK_PAIRS}
+
+
+@pytest.mark.parametrize("starts", [[], [EXCLUDED] * (2 * B.BLOCK_PAIRS + 1)],
+                         ids=["empty", "none-admitted"])
+def test_departure_without_admitted_starts(starts):
+    got = BD.audit_critical_value_departure(CHEBYSHEV, starts, 0.8)
+    assert (got.samples, got.violations, got.min_ratio_location) == (0, 0, None)
+    assert got == reference_departure(CHEBYSHEV, starts, 0.8)

@@ -5,10 +5,12 @@ one subprocess test exercises the installed entry point path.
 """
 
 import hashlib
+import importlib
 import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -311,6 +313,17 @@ def numeric_edges(kind):
     return [] if shape is None else [("zero", shape(0)), ("minus_one", shape(-1))]
 
 
+def non_finite(kind):
+    """NaN, Infinity and an integer past float range in the shape of a
+    float or complex kind; none for other kinds."""
+    shape = {"float": lambda v: v, "complex": lambda v: [0.0, v],
+             "floats": lambda v: [v], "points": lambda v: [[v, 0.0]]}.get(
+                 kind.rstrip("?"))
+    return [] if shape is None else [("nan", shape(math.nan)),
+                                     ("inf", shape(math.inf)),
+                                     ("huge_int", shape(10**400))]
+
+
 def table_entries():
     """(command, variant, spec) for every spec in the command table."""
     for command, (_, schema) in cli._COMMANDS.items():
@@ -399,6 +412,15 @@ class TestCommandTable:
         assert "ConfigInvalid" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, cfg", edited(non_finite))
+    def test_non_finite_exits_two(self, tmp_path, capsys, command, cfg):
+        # json.load parses NaN, Infinity and integers of any size; no
+        # number that is not a finite float reaches a handler
+        code, out = run(tmp_path, command, cfg)
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, cfg", edited(numeric_edges))
     def test_numeric_edge_is_an_outcome(self, tmp_path, command, cfg):
         # 0 and -1 either run, fail a gate (2, nothing written) or fail an
@@ -483,6 +505,39 @@ class TestBinding:
                 "d24428e6abe584a01394d660729d30ceb4bf3830881ee6a3403b4ca4cc294a40",
             "binding.json":
                 "33e2a37b1ff0a25cfae727fa2581ab16d8513b16807cc3e03414a69e05956fd8"}
+
+
+    @pytest.mark.parametrize("seed, digests", [
+        (3, {"binding.csv":
+                 "05cf7c0ca048714a97a608bd0718f389e68a7aea5abda8315f9ce21dcc597853",
+             "binding.json":
+                 "98704f8d174a7a902e1ef0c2e55230b18b0685670e811b97846355ecb07cde1a"}),
+        (5, {"binding.csv":
+                 "061ba3df884a18bd98858efd8da832b9e764ec20560f3c0a5ec38ca4eb3b34d7",
+             "binding.json":
+                 "6bb4b2f0d63718422e7f1a283ab2f1fe398bd89fd01a97d926a56a3b8c8a7b08"}),
+    ])
+    def test_several_block_digests(self, tmp_path, seed, digests):
+        # the pair_audits benchmark's run, 5000 pairs over three blocks of
+        # binding.BLOCK_PAIRS; sha256 recorded on x86-64, numpy 2.4, while
+        # every pair was bound in one batch
+        code, out = run(tmp_path, "binding",
+                        {"map": CHEB, "seed": seed, "params": {"count": 5000}})
+        assert code == 0
+        assert tree_digest(out) == digests
+
+    def test_summary_without_csv(self, tmp_path):
+        # with CSV output off the blocks are folded without being written
+        cfg = {"map": CHEB, "seed": 3, "params": {"count": 2 * 2048 + 10}}
+        code, out = run(tmp_path, "binding", cfg)
+        assert code == 0
+        with_csv = (out / "binding.json").read_bytes()
+        (tmp_path / "nocsv").mkdir()
+        code, out = run(tmp_path / "nocsv", "binding",
+                        dict(cfg, format={"csv": False}))
+        assert code == 0
+        assert sorted(p.name for p in out.iterdir()) == ["binding.json"]
+        assert (out / "binding.json").read_bytes() == with_csv
 
 
 class TestAuditBounds:
@@ -624,6 +679,21 @@ class TestAuditBounds:
         assert tree_digest(out) == {
             "bounds_departure.json":
                 "6bc80370d809394f00a722de8fa0d330d7117610bb66f8fe6c785e78409e9c9a"}
+
+    @pytest.mark.parametrize("seed, digest", [
+        (3, "df0914410783aeecf4a394665144626154838ab085e71086026797b86159199e"),
+        (5, "7e99fdad1643ac44bd0a1c361a83bae80b76edc60f49b02c8d27d16bd02096d7"),
+    ])
+    def test_departure_several_block_digests(self, tmp_path, seed, digest):
+        # the pair_audits benchmark's run, 20000 starts over ten blocks;
+        # sha256 recorded on x86-64, numpy 2.4, while every start was bound
+        # in one batch (8 and 13 starts miss the bound)
+        code, out = run(tmp_path, "audit-bounds",
+                        {"map": CHEB, "seed": seed,
+                         "params": {"suite": "departure", "count": 20000,
+                                    "lambda0": 0.8}})
+        assert code == 0
+        assert tree_digest(out) == {"bounds_departure.json": digest}
 
     def test_departure_on_attracting_cycle_map(self, tmp_path, capsys):
         # the fiber map has an attracting cycle, where the departure bound
@@ -1060,6 +1130,41 @@ class TestDefaultPins:
         got, out = run(tmp_path, command, cfg)
         assert got == code
         assert tree_digest(out) == digests
+
+
+class TestPeakMemory:
+    """tracemalloc peaks of the pair_audits benchmark's runs, in process.
+    Holding each whole batch, they peaked at 18.6 MiB (orbit), 14.8 MiB
+    (departure) and 8.3 MiB (binding); in fixed blocks and streamed
+    chunks they measured 6.4, 2.4 and 5.2 MiB (x86-64, numpy 2.4)."""
+
+    @staticmethod
+    def peak_mib(tmp_path, command, cfg):
+        for layer in ("binding", "bounds"):  # module loading is not counted
+            importlib.import_module(f"skewdyn.{layer}")
+        tracemalloc.start()
+        try:
+            code, _ = run(tmp_path, command, cfg)
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        return peak
+
+    def test_orbit_100k_steps(self, tmp_path):
+        assert self.peak_mib(tmp_path, "orbit", {
+            "map": CHEB,
+            "params": {"z0": [0.0, 0.0], "w0": [0.3, 0.0], "n": 100000}}) < 9.0
+
+    def test_departure_20000_starts(self, tmp_path):
+        assert self.peak_mib(tmp_path, "audit-bounds", {
+            "map": CHEB, "seed": 3,
+            "params": {"suite": "departure", "count": 20000,
+                       "lambda0": 0.8}}) < 5.0
+
+    def test_binding_5000_pairs(self, tmp_path):
+        assert self.peak_mib(tmp_path, "binding", {
+            "map": CHEB, "seed": 3, "params": {"count": 5000}}) < 7.0
 
 
 class TestDeterminism:

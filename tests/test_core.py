@@ -8,10 +8,12 @@ import pytest
 
 from conftest import assert_bitwise
 from skewdyn.core import (
+    OrbitTrace,
     build_map,
     find_attracting_cycles,
     iterate,
     iterate_block,
+    trace_csv_chunks,
 )
 from skewdyn.errors import (
     BaseOutsideDomain,
@@ -191,6 +193,88 @@ class TestIterate:
             assert ln == len(ref)
             assert np.allclose(blk.ws[:ln, j], ref.ws)
             assert np.allclose(blk.log_vder[:ln, j], ref.log_vder)
+
+
+
+def list_iterate(map, x0, n: int) -> OrbitTrace:
+    """iterate as it stood before it stored its rows in numpy chunks: four
+    Python lists for the whole orbit, copied into arrays at the end."""
+    z0, w0 = complex(x0[0]), complex(x0[1])
+    zs = [z0]
+    ws = [w0]
+    logs = [0.0]
+    phases = [0.0]
+    escape_step = None
+    radius = map.escape_radius
+    log, phase, dfdw, step = math.log, cmath.phase, map.dfdw, map.step
+    log_acc = phase_acc = 0.0
+    z, w = z0, w0
+    for i in range(n):
+        if abs(w) > radius:
+            escape_step = i
+            break
+        factor = dfdw(z, w)
+        z, w = step(z, w)
+        mag = abs(factor)
+        log_acc += log(mag) if mag > 0 else -math.inf
+        phase_acc += phase(factor) if mag > 0 else 0.0
+        logs.append(log_acc)
+        phases.append(phase_acc)
+        zs.append(z)
+        ws.append(w)
+    else:
+        if abs(w) > radius:
+            escape_step = n
+
+    zs_arr = np.array(zs, dtype=complex)
+    ws_arr = np.array(ws, dtype=complex)
+    with np.errstate(divide="ignore"):
+        tame = np.abs(zs_arr) ** map.k <= np.abs(ws_arr) ** map.degree
+    return OrbitTrace(
+        z0=z0,
+        w0=w0,
+        zs=zs_arr,
+        ws=ws_arr,
+        log_vder=np.array(logs),
+        vder_phase=np.array(phases),
+        tame_flags=tame,
+        escape_step=escape_step,
+    )
+
+
+# c = 1/4 + 3e-7 sits just past the parabolic parameter: the critical orbit
+# creeps through the gate and escapes at step 5734, in the second chunk
+SLOW_ESCAPE = build_map(0.5, 2, [[0.25 + 3e-7, 1.0]])
+
+
+class TestIterateChunks:
+    """iterate moves its rows into numpy chunks of 4096 steps; the trace
+    must be bitwise the one the whole-orbit lists gave."""
+
+    @pytest.mark.parametrize("map, x0, n, escape_step", [
+        (chebyshev_map(), (0.0, 3.0), 10, 0),               # escape at step 0
+        (SLOW_ESCAPE, (0.0, 0.0), 20000, 5734),              # in a later chunk
+        (SLOW_ESCAPE, (0.0, 0.0), 5734, 5734),               # at step n
+        (basilica_map(), (0.01, 0.2), 0, None),              # n = 0
+        (basilica_map(), (0.0, 0.0), 4095, None),            # one full chunk
+        (basilica_map(), (0.0, 0.0), 4096, None),            # one row past it
+        (basilica_map(), (0.01, 0.2 + 0.1j), 10000, None),   # no escape
+    ], ids=["escape-0", "escape-later-chunk", "escape-at-n", "n-0",
+            "n-4095", "n-4096", "no-escape"])
+    def test_matches_list_loop(self, map, x0, n, escape_step):
+        got, ref = iterate(map, x0, n), list_iterate(map, x0, n)
+        assert got.escape_step == ref.escape_step == escape_step
+        for name in ("zs", "ws", "log_vder", "vder_phase", "tame_flags"):
+            assert_bitwise(getattr(got, name), getattr(ref, name), name)
+
+    def test_csv_chunks_flag_the_escape_row(self):
+        tr = iterate(SLOW_ESCAPE, (0.0, 0.0), 20000)
+        chunks = list(trace_csv_chunks(tr))
+        assert len(chunks) == 1 + 2  # header, then 5735 rows in 4096-row chunks
+        rows = "".join(chunks[1:]).splitlines()
+        flagged = [i for i, line in enumerate(rows) if line.endswith(",1")]
+        assert flagged == [5734]
+        assert rows[5734].startswith("5734,")
 
 
 class TestAttractingCycles:
