@@ -534,7 +534,7 @@ def trace_csv_chunks(trace: OrbitTrace) -> Iterator[str]:
         hi = lo + _CHUNK
         zs, ws = trace.zs[lo:hi], trace.ws[lo:hi]
         escaped = [0] * len(zs)
-        if trace.escape_step is not None and lo <= trace.escape_step < lo + len(zs):
+        if trace.escape_step is not None and lo <= trace.escape_step < hi:
             escaped[trace.escape_step - lo] = 1
         rows = zip(range(lo, lo + len(zs)), zs.real.tolist(), zs.imag.tolist(),
                    ws.real.tolist(), ws.imag.tolist(), trace.log_vder[lo:hi].tolist(),
