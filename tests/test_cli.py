@@ -611,6 +611,20 @@ class TestAuditBounds:
         assert code == 0
         assert tree_digest(out) == {f"bounds_{params['suite']}.json": digest}
 
+    @pytest.mark.parametrize("seed, digest", [
+        (3, "bd56531fef9bd3b09ae2a6658433fd1f0ce2de960530f75436f56d62ac9ddfc9"),
+        (5, "88c1fbd5c635ec81678d1c0b0e27375da18a867e9e410786ef8781438fcee410"),
+    ])
+    def test_onedim_several_batch_digests(self, tmp_path, seed, digest):
+        # 20000 starts span three scan batches; sha256 recorded on x86-64,
+        # numpy 2.4, while every start was stepped in one batch
+        code, out = run(tmp_path, "audit-bounds",
+                        {"map": CHEB, "seed": seed,
+                         "params": {"suite": "onedim", "count": 20000,
+                                    "n_max": 200, "lambda0": 0.8, "delta": 1.0}})
+        assert code == 0
+        assert tree_digest(out) == {"bounds_onedim.json": digest}
+
     @pytest.mark.parametrize("seed, params, code, digest", [
         (5, {"suite": "return", "count": 400, "n": 250, "lambda0": 0.8,
              "delta0": 0.05, "z_radius": 1e-7, "w_radius": 0.05, "real": True},
@@ -821,6 +835,25 @@ class TestMeasureCommands:
         decay = (out / "exclusion_decay.csv").read_text().splitlines()
         assert decay[0] == "l,log_fraction"
         assert len(decay) > 3
+
+    @pytest.mark.parametrize("seed, digests", [
+        (3, {"exclusion.csv": "16a3c99c8885d2abc63082e37d497fd7f1289cb29fc46bacfa2f4a9ce7dbb5c6",
+             "exclusion.json": "94939e9e7021a8959f65e0403e381aac7b0c446b2c42f8b555c11c250055f83f",
+             "exclusion_decay.csv": "e240956fb1f1ce703fa6ee733cbe6834f1360607853935397ee5735270ea145f"}),
+        (5, {"exclusion.csv": "e4165ed709060c386baa12c2b91b2db4ab5db4a8d0946073708cb52933b1ed60",
+             "exclusion.json": "1861a0c052053793dfc44ca57b08c78e0351efa07cf9938e2e45bdcfca1d9436",
+             "exclusion_decay.csv": "5687cf149ebcfd097aa4cd073f58bb1c9f01511097f4696c220f82deed447c1e"}),
+    ])
+    def test_exclusion_benchmark_digests(self, tmp_path, seed, digests):
+        # the bounded_sweep benchmark's exclusion run; sha256 recorded on
+        # x86-64, numpy 2.4, while all 50000 starts were stepped in one batch
+        code, out = run(tmp_path, "exclusion",
+                        {"map": AIRPLANEISH, "seed": seed,
+                         "params": {"alpha": 0.1, "m": 8,
+                                    "l_grid": {"start": 12, "stop": 78, "step": 3},
+                                    "samples": 50000}})
+        assert code == 0
+        assert tree_digest(out) == digests
 
     def test_xl_within_bound(self, tmp_path):
         code, out = run(tmp_path, "xl",
