@@ -15,9 +15,11 @@ in `core._Orbits` (a `TraceStarts` batch, or the fiber starts of the
 one-dimensional audits), or from the stored columns of a `TraceBlock`.
 An orbit leaves the carry once it has no further pairs: a trace at the
 end of its maximal tame prefix or past the escape radius, a fiber orbit
-past the working cap.  Each accumulator keeps the least (ratio, start, n)
-in lexicographic order, so ties go to the earliest start, then the
-earliest n.
+past the working cap.  Stepped starts run in slices of mc.BATCH_SIZE, each
+scanned to its end before the next, so the carries stay one slice long.
+Each accumulator keeps the least (ratio, start, n) in lexicographic order,
+over global start positions, so ties go to the earliest start, then the
+earliest n, whatever order the slices and rows come in.
 
 Statement tags:
   eq_1dim_der  |Df0^n(w)| >= C lam0^n min_{j<n} |f0^j(w)|^{d-1}
@@ -98,7 +100,7 @@ class _Acc:
 
     def add(self, starts: np.ndarray, n: int, ratio_logs: np.ndarray,
             sel: np.ndarray | None = None) -> None:
-        """Ratios at step n of the given starts (batch positions, ascending);
+        """Ratios at step n of the given starts (start positions, ascending);
         sel marks the admitted pairs (all when None).  The minimum is the
         least (ratio, start, n) in lexicographic order."""
         # exact critical hits make both sides vanish; drop those pairs
@@ -153,8 +155,9 @@ class TraceStarts:
     """A batch of starts (z0, w0) and the horizon n the audits step them to.
 
     The tame, return and side audits step these themselves, one row at a
-    time, so no history is stored; `iterate_block` would build the same
-    orbits as an (n+1) x count `TraceBlock`.  len() is the number of starts.
+    time and mc.BATCH_SIZE starts at a time, so no history is stored;
+    `iterate_block` would build the same orbits as an (n+1) x count
+    `TraceBlock`.  len() is the number of starts.
     """
 
     z0s: np.ndarray
@@ -191,15 +194,18 @@ class _Columns:
 
 
 def _fiber_rows(f0: FiberMap, w0: np.ndarray, n_max: int):
-    """Rows of fiber orbits, each until it passes the working cap."""
-    orbits = _Orbits(f0, None, w0, bound=_ABS_CAP, factors=True,
-                     carry={"logd": np.zeros(len(w0))})
-    orbits.retire(~(orbits.absw <= _ABS_CAP))
-    yield 0, orbits, np.log(orbits.absw), None
-    for n in orbits.steps(n_max):
-        logd = orbits.carry["logd"] = (orbits.carry["logd"]
-                                       + np.log(np.abs(orbits.factor)))
-        yield n, orbits, np.log(orbits.absw), logd
+    """Rows of fiber orbits, each until it passes the working cap, stepped
+    mc.BATCH_SIZE starts at a time."""
+    for lo in range(0, len(w0), mc.BATCH_SIZE):
+        batch = w0[lo:lo + mc.BATCH_SIZE]
+        orbits = _Orbits(f0, None, batch, bound=_ABS_CAP, factors=True,
+                         carry={"logd": np.zeros(len(batch))}, first=lo)
+        orbits.retire(~(orbits.absw <= _ABS_CAP))
+        yield 0, orbits, np.log(orbits.absw), None
+        for n in orbits.steps(n_max):
+            logd = orbits.carry["logd"] = (orbits.carry["logd"]
+                                           + np.log(np.abs(orbits.factor)))
+            yield n, orbits, np.log(orbits.absw), logd
 
 
 def _trace_rows(map: SkewProductMap, traces: TraceStarts | TraceBlock):
@@ -221,20 +227,23 @@ def _trace_rows(map: SkewProductMap, traces: TraceStarts | TraceBlock):
 
 
 def _stepped_rows(map: SkewProductMap, starts: TraceStarts):
-    orbits = _Orbits(map, starts.z0s, starts.w0s, factors=True,
-                     carry={"logd": np.zeros(len(starts))})
+    """Rows of the starts, stepped mc.BATCH_SIZE at a time."""
 
-    def cut():
+    def cut(orbits):
         tame = np.abs(orbits.z) ** map.k <= orbits.absw ** map.degree
         orbits.retire(~tame | (orbits.absw > map.escape_radius))
 
-    cut()
-    yield 0, orbits, np.log(orbits.absw), None
-    for n in orbits.steps(starts.n):
-        logd = orbits.carry["logd"] = (orbits.carry["logd"]
-                                       + np.log(np.abs(orbits.factor)))
-        yield n, orbits, np.log(orbits.absw), logd
-        cut()
+    for lo in range(0, len(starts), mc.BATCH_SIZE):
+        w0s = starts.w0s[lo:lo + mc.BATCH_SIZE]
+        orbits = _Orbits(map, starts.z0s[lo:lo + mc.BATCH_SIZE], w0s, factors=True,
+                         carry={"logd": np.zeros(len(w0s))}, first=lo)
+        cut(orbits)
+        yield 0, orbits, np.log(orbits.absw), None
+        for n in orbits.steps(starts.n):
+            logd = orbits.carry["logd"] = (orbits.carry["logd"]
+                                           + np.log(np.abs(orbits.factor)))
+            yield n, orbits, np.log(orbits.absw), logd
+            cut(orbits)
 
 
 def _block_rows(traces: TraceBlock):
@@ -254,9 +263,10 @@ def _scan(rows, log_l0: float):
 
     live.idx holds the starts with a pair at n (ascending), live.carry
     arrays aligned with them; a source drops a start from both once its
-    pairs end.  Yields, for each n >= 1, (n, starts, log|w_n|,
-    log|Df^n| - n log lam0, min_{j<n} log|w_j|, min_{0<j<n} log|w_j| (inf
-    at n = 1), log|w_0|).  The sources take logs of zero, so run it under
+    pairs end.  A source that steps its starts in slices starts over at
+    n = 0 with each slice's own live, and the carries start over with it.
+    Yields, for each n >= 1, (n, starts, log|w_n|, log|Df^n| - n log lam0,
+    min_{j<n} log|w_j|, min_{0<j<n} log|w_j| (inf at n = 1), log|w_0|).  The sources take logs of zero, so run it under
     np.errstate(divide="ignore").
     """
     for n, live, logw, logd in rows:
@@ -536,19 +546,19 @@ def przytycki_return(
 ) -> ReturnReport:
     """Scan starts with |z0|^k <= eps, |w0| <= eps for the earliest n >= 1
     with |xi_n| <= eps; fitted constant is n_min / log(1/eps).  n_min is
-    None when no admitted start returns within the horizon."""
+    None when no admitted start returns within the horizon.  grid is a
+    sequence of (z0, w0) pairs or a (count, 2) array."""
     if not 0.0 < epsilon <= 0.1:
         raise PreconditionViolated(f"epsilon must lie in (0, 0.1], got {epsilon}")
     if horizon < 1:
         raise PreconditionViolated(f"need horizon >= 1, got {horizon}")
     if find_attracting_cycles(map):
         raise AttractingCyclePresent("fiber polynomial has an attracting cycle")
-    pts = [(complex(z), complex(w)) for z, w in grid]
-    sel = [(z, w) for z, w in pts if abs(z) ** map.k <= epsilon and abs(w) <= epsilon]
-    if not sel:
+    pts = np.asarray(grid, dtype=complex).reshape(-1, 2)
+    sel = pts[(np.abs(pts[:, 0]) ** map.k <= epsilon) & (np.abs(pts[:, 1]) <= epsilon)]
+    if not len(sel):
         raise EmptyGrid("no grid start satisfies the smallness hypotheses")
-    z0s = np.array([z for z, _ in sel])
-    w0s = np.array([w for _, w in sel])
+    z0s, w0s = np.ascontiguousarray(sel.T)
 
     first = np.full(len(sel), -1, dtype=int)
     orbits = _Orbits(map, z0s, w0s, bound=max(map.escape_radius * 10.0, 100.0),
@@ -577,7 +587,8 @@ def przytycki_return(
 
 
 def critical_ball_grid(map: SkewProductMap, epsilon: float, per_axis: int = 100):
-    """Real lattice inside {|z|^k <= eps} x {|w| <= eps}, centers included.
+    """Real lattice inside {|z|^k <= eps} x {|w| <= eps}, centers included,
+    as a (per_axis^2, 2) array of (z, w) rows, z-major.
 
     Returns stay concentrated near the real locus (off-axis orbits escape
     before re-entering the critical ball), so a real grid probes the
@@ -588,7 +599,7 @@ def critical_ball_grid(map: SkewProductMap, epsilon: float, per_axis: int = 100)
     rz = epsilon ** (1.0 / map.k)
     zs = np.linspace(-rz, rz, per_axis)
     ws = np.linspace(-epsilon, epsilon, per_axis)
-    return [(z, w) for z in zs for w in ws]
+    return np.column_stack([np.repeat(zs, per_axis), np.tile(ws, per_axis)])
 
 
 # ---------------------------------------------------------------------------

@@ -605,8 +605,8 @@ def _load_config(path: str) -> dict:
             cfg = json.load(fh)
     except OSError as exc:
         raise ConfigInvalid(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigInvalid(f"config {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # malformed JSON or an int literal past 4300 digits
+        raise ConfigInvalid(f"config {path} cannot be parsed as JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigInvalid("config must be a JSON object")
     allowed = {"map", "command", "params", "seed", "output_dir", "threads",

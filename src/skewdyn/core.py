@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     BaseOutsideDomain,
+    ConfigInvalid,
     DegenerateFiber,
     DegreeTooLow,
     HorizonNonPositive,
@@ -356,7 +357,8 @@ def find_attracting_cycles(map: SkewProductMap, max_period: int = 12,
 class _Orbits:
     """The live orbits of a batch, stepped together in compacted arrays.
 
-    idx holds their batch positions, z and w their coordinates (z is None
+    idx holds their batch positions, counted from first (a slice of a larger
+    batch keeps its positions in it), z and w their coordinates (z is None
     for a FiberMap) and absw = |w|.  A z of length 1 is a shared base
     orbit: it stands for every orbit of the batch (all starts on one
     fiber), is stepped once per step, and its c_i(z) terms broadcast
@@ -372,14 +374,14 @@ class _Orbits:
     """
 
     def __init__(self, map, z, w, bound: float | None = None, carry=None,
-                 factors: bool = False, lam_left: bool = False):
+                 factors: bool = False, lam_left: bool = False, first: int = 0):
         self.map = map
         self.bound = bound
         self.factors = factors
         self.lam_left = lam_left
         self.z = None if z is None else np.asarray(z, dtype=complex)
         self.w = np.asarray(w, dtype=complex)
-        self.idx = np.arange(len(self.w))
+        self.idx = np.arange(first, first + len(self.w))
         self.absw = np.abs(self.w)
         self.carry = carry or {}
         self.factor = None
@@ -498,8 +500,6 @@ def map_to_config(map: SkewProductMap) -> dict:
 
 def map_from_config(cfg: dict) -> SkewProductMap:
     """Strictly parse the map schema and build the map."""
-    from .errors import ConfigInvalid
-
     required = {"lambda", "degree", "mode", "fiber_coeffs"}
     if not isinstance(cfg, dict):
         raise ConfigInvalid("map config must be an object")
@@ -519,10 +519,24 @@ def map_from_config(cfg: dict) -> SkewProductMap:
     if not isinstance(degree, int):
         raise ConfigInvalid("degree must be an integer")
     try:
-        polys = [[complex(p[0], p[1]) for p in poly] for poly in cfg["fiber_coeffs"]]
+        polys = [[_config_number(f"fiber_coeffs[{i}][{j}]", p) for j, p in enumerate(poly)]
+                 for i, poly in enumerate(cfg["fiber_coeffs"])]
     except (TypeError, IndexError) as exc:
         raise ConfigInvalid(f"fiber_coeffs must be lists of [re, im] pairs: {exc}") from exc
-    return build_map(complex(lam_pair[0], lam_pair[1]), degree, polys, mode)
+    return build_map(_config_number("lambda", lam_pair), degree, polys, mode)
+
+
+def _config_number(name: str, pair) -> complex:
+    """A map config's [re, im] pair as a finite complex number."""
+    try:
+        value = complex(pair[0], pair[1])
+    except (TypeError, IndexError, KeyError) as exc:
+        raise ConfigInvalid(f"{name} must be a [re, im] pair of numbers, got {pair!r}") from exc
+    except OverflowError:  # an int past float range
+        value = complex(math.inf)
+    if not cmath.isfinite(value):
+        raise ConfigInvalid(f"{name} must be finite, got {pair!r}")
+    return value
 
 
 def trace_csv_chunks(trace: OrbitTrace) -> Iterator[str]:

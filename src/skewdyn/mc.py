@@ -3,19 +3,21 @@
 Sampling is organised in fixed-size blocks keyed by (seed, tag, block index)
 through a counter-based generator, so the stream consumed by block i
 depends only on (seed, tag, i).  Blocks run in order in one thread and are
-concatenated in block order.
+concatenated in block order; `draw_batches` hands them out a batch of whole
+blocks at a time, so a sampler's working arrays stay one batch long.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import EmptySample
 
 BLOCK_SIZE = 4096
+BATCH_SIZE = 2 * BLOCK_SIZE  # starts a batched sampler or scan steps at once
 
 
 def _tag_key(tag: str) -> np.uint64:
@@ -65,6 +67,23 @@ def draw_blocks(
     return np.concatenate(
         [np.asarray(draw(block_generator(seed, tag, first_block + idx), count))
          for idx, count in enumerate(counts)], axis=0)
+
+
+def draw_batches(
+    seed: int,
+    tag: str,
+    total: int,
+    draw: Callable[[np.random.Generator, int], np.ndarray],
+    size: int = BATCH_SIZE,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (first, pts) over batches of `size` starts, a multiple of
+    BLOCK_SIZE: pts is the slice first:first + len(pts) of
+    draw_blocks(seed, tag, total, draw), drawn a batch at a time."""
+    if size <= 0 or size % BLOCK_SIZE:
+        raise ValueError(f"batch size must be a positive multiple of {BLOCK_SIZE}, got {size}")
+    for first in range(0, total, size):
+        yield first, draw_blocks(seed, tag, min(size, total - first), draw,
+                                 first_block=first // BLOCK_SIZE)
 
 
 def map_blocks(items: Sequence, work: Callable, threads: int = 1) -> list:

@@ -34,13 +34,19 @@ from .errors import (
     RateTooLarge,
     ZeroBase,
 )
-from .mc import BLOCK_SIZE, draw_blocks, uniform_annulus, uniform_disk
+from .mc import BLOCK_SIZE, draw_batches, uniform_annulus, uniform_disk
 from .series import x0_constant
 
 MEMBERSHIP_HORIZON = 1000  # first-failure search cap; later failures count as none
 _PERIODIC_STEPS = 1000
 _PERIODIC_TOL = 1e-10
-_SLOW_BATCH = 8 * BLOCK_SIZE  # slow-approach starts drawn and stepped at once
+# Slow-approach starts drawn and stepped at once: 8 blocks, not the
+# mc.BATCH_SIZE (2 blocks) of the other samplers.  Its kept orbits stay live
+# to the horizon, so every batch pays the per-step overhead over the whole
+# horizon: at mc.BATCH_SIZE a 100k x 500 call took 0.22-0.23 s against
+# 0.14-0.15 s (x86-64, numpy 2.4).  Exclusion and E-set orbits mostly fail
+# or escape within a few hundred steps, so their smaller batches cost less.
+_SLOW_BATCH = 8 * BLOCK_SIZE
 
 
 @dataclass
@@ -155,14 +161,10 @@ def slow_approach_stats(map: SkewProductMap, alpha: float, burn_in: int,
         w = uniform_disk(gen, count, map.escape_radius)
         return np.stack([z, w], axis=1)
 
-    # batches of whole draw blocks: the same starts as one full draw
     kept = hits = 0
-    for first in range(0, samples, _SLOW_BATCH):
-        count = min(_SLOW_BATCH, samples - first)
-        pts = draw_blocks(seed, "slow", count, draw,
-                          first_block=first // BLOCK_SIZE)
+    for _, pts in draw_batches(seed, "slow", samples, draw, _SLOW_BATCH):
         orbits = _Orbits(map, pts[:, 0], pts[:, 1], bound=map.escape_radius)
-        ok = np.ones(count, dtype=bool)
+        ok = np.ones(len(pts), dtype=bool)
         for n in orbits.steps(horizon):
             if n >= burn_in:
                 ok[orbits.idx[orbits.absw < math.exp(-alpha * n)]] = False
@@ -199,7 +201,9 @@ def e_set_area(map: SkewProductMap, z: complex, alpha: float, ns,
     """Area fraction of {w in B(0,R) : |xi_n(z,w)| < e^(-alpha*n)} for each
     n on the grid, plus a trailing decay-fit row.
 
-    One batch of w-draws is classified at every grid n.  The fit regresses
+    The w-draws are stepped in batches of mc.BATCH_SIZE; each batch adds its
+    hit count at every grid n, and a cell's fraction is its summed count
+    over samples, so the batching changes no value.  The fit regresses
     log-fraction on n over the cells with at least one hit; with fewer than
     two such cells the fit row carries fitted_exponent None.
     """
@@ -215,16 +219,16 @@ def e_set_area(map: SkewProductMap, z: complex, alpha: float, ns,
     def draw(gen: np.random.Generator, count: int) -> np.ndarray:
         return uniform_disk(gen, count, map.escape_radius)
 
-    w = draw_blocks(seed, "eset", samples, draw)
-    orbits = _Orbits(map, np.array([z]), w, bound=map.escape_radius)
     # cells past the last live orbit stay empty
-    fractions = dict.fromkeys(grid, 0.0)
-    if grid[0] == 0:
-        fractions[0] = float(np.mean(orbits.absw < 1.0))
-    for n in orbits.steps(grid[-1]):
-        if n in fractions:
-            hit = np.count_nonzero(orbits.absw < math.exp(-alpha * n))
-            fractions[n] = hit / samples
+    hits = dict.fromkeys(grid, 0)
+    for _, w in draw_batches(seed, "eset", samples, draw):
+        orbits = _Orbits(map, np.array([z]), w, bound=map.escape_radius)
+        if grid[0] == 0:
+            hits[0] += int(np.count_nonzero(orbits.absw < 1.0))
+        for n in orbits.steps(grid[-1]):
+            if n in hits:
+                hits[n] += int(np.count_nonzero(orbits.absw < math.exp(-alpha * n)))
+    fractions = {n: hits[n] / samples for n in grid}
 
     reports = []
     for n in grid:
@@ -259,9 +263,11 @@ def exclusion_area(map: SkewProductMap, alpha: float, m: int, l_values,
 
     Each z starts at (z, 0); its first-failure index is the minimal l with
     |xi_l| <= |z|^(k/d) e^(-alpha*l), or none within the horizon (such z,
-    escaping ones included, count as never-failing).  One shared batch is
-    classified once, so the per-l fractions partition the never-failing
-    complement exactly.  Returns one K_area row per requested l plus a
+    escaping ones included, count as never-failing).  The z are drawn and
+    stepped in batches of mc.BATCH_SIZE, and each batch adds its
+    first-failure counts per l, so every z is counted at exactly one index
+    and the per-l fractions partition the never-failing complement exactly,
+    whatever the batching.  Returns one K_area row per requested l plus a
     trailing decay-fit row whose parameters carry the never-failing
     fraction and the fit's r_squared.
     """
@@ -287,17 +293,17 @@ def exclusion_area(map: SkewProductMap, alpha: float, m: int, l_values,
     def draw(gen: np.random.Generator, count: int) -> np.ndarray:
         return uniform_annulus(gen, count, r_inner, r_outer)
 
-    z0 = draw_blocks(seed, "exclusion", samples, draw)
-    orbits = _Orbits(map, z0, np.zeros(samples, dtype=complex),
-                     bound=map.escape_radius,
-                     carry={"thr": np.abs(z0) ** (map.k / map.degree)})
-    first_fail = np.zeros(samples, dtype=np.int64)  # 0 = never failed
-    for l in orbits.steps(horizon):
-        fail = orbits.absw <= orbits.carry["thr"] * math.exp(-alpha * l)
-        first_fail[orbits.idx[fail]] = l
-        orbits.retire(fail)
-
-    counts = np.bincount(first_fail, minlength=horizon + 1)
+    counts = np.zeros(horizon + 1, dtype=np.int64)  # index 0: never failed
+    for _, z0 in draw_batches(seed, "exclusion", samples, draw):
+        orbits = _Orbits(map, z0, np.zeros(len(z0), dtype=complex),
+                         bound=map.escape_radius,
+                         carry={"thr": np.abs(z0) ** (map.k / map.degree)})
+        first_fail = np.zeros(len(z0), dtype=np.int64)
+        for l in orbits.steps(horizon):
+            fail = orbits.absw <= orbits.carry["thr"] * math.exp(-alpha * l)
+            first_fail[orbits.idx[fail]] = l
+            orbits.retire(fail)
+        counts += np.bincount(first_fail, minlength=horizon + 1)
     never_fraction = counts[0] / samples
 
     reports = []

@@ -10,10 +10,10 @@ fixed point w = 2, where |Df0^n| = 4^n and every orbit magnitude is 2.
 
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import assert_bitwise
 
 from skewdyn import bounds as BD
 from skewdyn import mc
@@ -815,26 +815,95 @@ class TestStreamMatchesBlockScan:
             assert BD.audit_onedim(f0, w0, 5, 0.9, 0.5) == ref_block_onedim(f0, w0, 5, 0.9, 0.5)
 
 
+BATCH_COUNTS = [mc.BATCH_SIZE - 1, mc.BATCH_SIZE, mc.BATCH_SIZE + 1,
+                2 * mc.BATCH_SIZE + 37]
+
+
+class TestBatchedScan:
+    """Stepped starts are scanned in slices of mc.BATCH_SIZE.  Every audit
+    equals, bit for bit, the one-pass scans: the block scan of stored
+    histories, and a TraceBlock's columns, which the scan reads in one
+    pass."""
+
+    @pytest.mark.parametrize("count", BATCH_COUNTS)
+    def test_onedim(self, cheb, count):
+        w0 = TestStreamMatchesBlockScan.onedim_starts(count, count)
+        for delta in (0.05, 1.0):
+            want = ref_block_onedim(cheb.f0(), w0, 30, 0.8, delta)
+            assert want["eq_1dim_der"].samples > count
+            assert BD.audit_onedim(cheb.f0(), w0, 30, 0.8, delta) == want
+
+    @pytest.mark.parametrize("count", BATCH_COUNTS)
+    def test_trace_audits(self, cheb, count):
+        z0, w0 = TestStreamMatchesBlockScan.random_starts(cheb, count, count)
+        samples = 0
+        for delta in (0.05, 0.5):
+            samples += TestStreamMatchesBlockScan.assert_same(
+                cheb, z0, w0, 30, 0.8, delta)
+        assert samples > count
+
+    def test_onedim_tie_across_a_batch_boundary(self, cheb):
+        # the least ratio's start, moved to both sides of the first batch
+        # boundary and into the third batch: the earliest copy wins
+        f0, b = cheb.f0(), mc.BATCH_SIZE
+        w0 = TestStreamMatchesBlockScan.onedim_starts(3, 2 * b + 37)
+        s = BD.audit_onedim(f0, w0, 30, 0.8, 0.5)["prop21iii"].min_ratio_location["start"]
+        moved, w0[s] = w0[s], 1e60  # past the cap at step 0: no pairs
+        for at in (b - 1, b, 2 * b):
+            w0[at] = moved
+        want = ref_block_onedim(f0, w0, 30, 0.8, 0.5)
+        assert want["prop21iii"].min_ratio_location["start"] == b - 1
+        assert BD.audit_onedim(f0, w0, 30, 0.8, 0.5) == want
+
+    def test_tame_tie_across_a_batch_boundary(self, cheb):
+        b = mc.BATCH_SIZE
+        z0, w0 = TestStreamMatchesBlockScan.random_starts(cheb, 6, count=2 * b + 37)
+        z0 = np.where(np.abs(z0) < cheb.r0, z0, 0.0)
+        # thm12_main is d/lambda0 at n = 1 for every start, so take thm12_min
+        amin = BD.audit_tame(cheb, BD.TraceStarts(z0, w0, 40), 0.8)[1]
+        s = amin.min_ratio_location["start"]
+        moved = z0[s], w0[s]
+        w0[s] = 1.5 * cheb.escape_radius  # escaped before the first step
+        for at in (b - 1, b, 2 * b):
+            z0[at], w0[at] = moved
+        want = ref_block_tame(cheb, iterate_block(cheb, z0, w0, 40), 0.8)
+        assert want[1].min_ratio_location["start"] == b - 1
+        assert BD.audit_tame(cheb, BD.TraceStarts(z0, w0, 40), 0.8) == want
+
+    def test_accumulator_ignores_batch_order(self):
+        # three batches of starts with many tied ratios, folded in any
+        # order: the least (ratio, start, n), the count and the violations
+        # come out the same
+        rng = np.random.default_rng(5)
+        calls = [(lo, n, rng.choice([-0.5, -0.25, 0.0, 0.3], 100))
+                 for lo in (0, 100, 200) for n in range(1, 6)]
+
+        def fold(order):
+            acc = BD._Acc("probe", 0.8, None, constant_one=True)
+            for lo in order:
+                for at, n, logs in calls:
+                    if at == lo:
+                        acc.add(np.arange(lo, lo + 100), n, logs)
+            return acc.to_audit()
+
+        least = min((v, lo + c, n) for lo, n, logs in calls for c, v in enumerate(logs))
+        want = fold([0, 100, 200])
+        assert want.min_ratio_location == {"start": least[1], "n": least[2]}
+        assert want.samples == 1500 and want.violations > 0
+        assert fold([200, 100, 0]) == fold([100, 200, 0]) == want
+
+
 class TestScanMemory:
     """tracemalloc peaks at the benchmark's sizes; the block scan held
     (n+1) x count histories: 17.9 MiB (onedim) and 23.8 MiB (tame)."""
 
-    @staticmethod
-    def peak_mib(fn):
-        tracemalloc.start()
-        try:
-            fn()
-            return tracemalloc.get_traced_memory()[1] / 2**20
-        finally:
-            tracemalloc.stop()
-
-    def test_onedim_20000_by_200(self, cheb):
+    def test_onedim_20000_by_200(self, cheb, peak_mib):
         ws = mc.draw_blocks(3, "bounds_onedim", 20000,
                             lambda g, m: mc.uniform_disk(g, m, 0.9 * cheb.escape_radius))
-        assert self.peak_mib(lambda: BD.audit_onedim(cheb.f0(), ws, 200, 0.8, 1.0)) < 8.0
+        assert peak_mib(lambda: BD.audit_onedim(cheb.f0(), ws, 200, 0.8, 1.0)) < 8.0
 
-    def test_tame_5000_by_100(self, cheb):
-        peak = self.peak_mib(
+    def test_tame_5000_by_100(self, cheb, peak_mib):
+        peak = peak_mib(
             lambda: BD.audit_tame(cheb, BD.sample_traces(cheb, 5000, 100, 3), 0.8))
         assert peak < 4.0
 
@@ -1015,7 +1084,40 @@ class TestCriticalValueDeparture:
         assert a.min_ratio_location == b.min_ratio_location
 
 
+def ref_przytycki_lists(map, epsilon, per_axis, horizon=1000):
+    """critical_ball_grid and przytycki_return as they built the lattice and
+    the admitted starts as lists of pairs: the report's fields."""
+    rz = epsilon ** (1.0 / map.k)
+    grid = [(z, w) for z in np.linspace(-rz, rz, per_axis)
+            for w in np.linspace(-epsilon, epsilon, per_axis)]
+    pts = [(complex(z), complex(w)) for z, w in grid]
+    sel = [(z, w) for z, w in pts if abs(z) ** map.k <= epsilon and abs(w) <= epsilon]
+    first = np.full(len(sel), -1, dtype=int)
+    orbits = _Orbits(map, np.array([z for z, _ in sel]), np.array([w for _, w in sel]),
+                     bound=max(map.escape_radius * 10.0, 100.0), lam_left=True)
+    for n in orbits.steps(horizon):
+        hit = orbits.absw <= epsilon
+        first[orbits.idx[hit]] = n
+        orbits.retire(hit)
+    n_min = int(first[first > 0].min())
+    return grid, (len(pts), len(sel), n_min,
+                  {"start": int(np.nonzero(first == n_min)[0][0]), "n": n_min})
+
+
 class TestPrzytyckiReturn:
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("per_axis", [15, 20, 100])
+    def test_arrays_match_the_list_version(self, k, per_axis):
+        m = build_map(0.5, 2, [[-2.0, 1.0] if k == 1 else [-2.0, 0.0, 1.0]])
+        assert m.k == k
+        for eps in (0.1, 0.05, 0.02, 1e-3):
+            grid, want = ref_przytycki_lists(m, eps, per_axis)
+            got_grid = BD.critical_ball_grid(m, eps, per_axis)
+            assert_bitwise(got_grid, np.array(grid))
+            for g in (got_grid, grid):
+                rep = BD.przytycki_return(m, eps, g)
+                assert (rep.grid_size, rep.admitted, rep.n_min, rep.location) == want
+
     def test_matches_scalar_first_hit_scan(self, cheb):
         grid = BD.critical_ball_grid(cheb, 1e-2, per_axis=20)
         rep = BD.przytycki_return(cheb, 1e-2, grid, horizon=200)

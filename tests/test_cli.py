@@ -5,12 +5,10 @@ one subprocess test exercises the installed entry point path.
 """
 
 import hashlib
-import importlib
 import json
 import math
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -236,6 +234,43 @@ class TestValidation:
                                                     "horizon": horizon}})
         assert code == 2
         assert "horizon >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_over_long_int_literal_exits_two(self, tmp_path, capsys):
+        # json.load raises a plain ValueError past 4300 digits
+        path = tmp_path / "run.json"
+        path.write_text('{"map": %s, "params": {"z0": [0, 0], "w0": [0.3, 0], '
+                        '"n": %s}}' % (json.dumps(CHEB), "1" * 5000))
+        out = tmp_path / "out"
+        assert main(["orbit", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "ConfigInvalid" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("map_cfg, field", [
+        (dict(CHEB, fiber_coeffs=[[[math.nan, 0.0], [1.0, 0.0]]]), "fiber_coeffs[0][0]"),
+        (dict(CHEB, fiber_coeffs=[[[-2.0, 0.0], [math.inf, 0.0]]]), "fiber_coeffs[0][1]"),
+        (dict(CHEB_GENERAL, fiber_coeffs=[[[-2.0, 0.0], [1.0, 0.0]], [[math.nan, 0.0]]]),
+         "fiber_coeffs[1][0]"),
+        (dict(CHEB, **{"lambda": [0.5, -math.inf]}), "lambda"),
+        (dict(CHEB, fiber_coeffs=[[[-2 * 10**400, 0.0], [1.0, 0.0]]]), "fiber_coeffs[0][0]"),
+    ], ids=["nan-constant", "inf-linear", "general-nan-c1", "inf-lambda", "int-past-float"])
+    def test_non_finite_map_number_exits_two(self, tmp_path, capsys, map_cfg, field):
+        # these reached build_map, which failed with DegenerateFiber, an
+        # escape radius search that did not terminate, or an OverflowError
+        code, out = run(tmp_path, "orbit",
+                        {"map": map_cfg, "params": {"z0": [0, 0], "w0": [0.3, 0], "n": 5}})
+        assert code == 2
+        assert f"ConfigInvalid: {field} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_string_lambda_exits_two(self, tmp_path, capsys):
+        # complex("0.5", 0) raised an uncaught TypeError (exit 1)
+        code, out = run(tmp_path, "orbit",
+                        {"map": dict(CHEB, **{"lambda": ["0.5", 0.0]}),
+                         "params": {"z0": [0, 0], "w0": [0.3, 0], "n": 5}})
+        assert code == 2
+        assert "ConfigInvalid: lambda must be a [re, im] pair" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -1166,38 +1201,46 @@ class TestDefaultPins:
 
 
 class TestPeakMemory:
-    """tracemalloc peaks of the pair_audits benchmark's runs, in process.
-    Holding each whole batch, they peaked at 18.6 MiB (orbit), 14.8 MiB
-    (departure) and 8.3 MiB (binding); in fixed blocks and streamed
-    chunks they measured 6.4, 2.4 and 5.2 MiB (x86-64, numpy 2.4)."""
+    """tracemalloc peaks of benchmark runs, in process.  Holding each whole
+    batch, they peaked at 18.6 MiB (orbit), 14.8 MiB (departure), 8.3 MiB
+    (binding), 7.3 MiB (exclusion) and 3.7 MiB (onedim); in fixed blocks,
+    batches and streamed chunks they measured 6.4, 2.4, 5.2, 2.0 and
+    1.7 MiB (x86-64, numpy 2.4)."""
 
     @staticmethod
-    def peak_mib(tmp_path, command, cfg):
-        for layer in ("binding", "bounds"):  # module loading is not counted
-            importlib.import_module(f"skewdyn.{layer}")
-        tracemalloc.start()
-        try:
-            code, _ = run(tmp_path, command, cfg)
-            peak = tracemalloc.get_traced_memory()[1] / 2**20
-        finally:
-            tracemalloc.stop()
-        assert code == 0
+    def cli_peak(peak_mib, tmp_path, command, cfg):
+        codes = []
+        peak = peak_mib(lambda: codes.append(run(tmp_path, command, cfg)[0]))
+        assert codes == [0]
         return peak
 
-    def test_orbit_100k_steps(self, tmp_path):
-        assert self.peak_mib(tmp_path, "orbit", {
+    def test_orbit_100k_steps(self, tmp_path, peak_mib):
+        assert self.cli_peak(peak_mib, tmp_path, "orbit", {
             "map": CHEB,
             "params": {"z0": [0.0, 0.0], "w0": [0.3, 0.0], "n": 100000}}) < 9.0
 
-    def test_departure_20000_starts(self, tmp_path):
-        assert self.peak_mib(tmp_path, "audit-bounds", {
+    def test_departure_20000_starts(self, tmp_path, peak_mib):
+        assert self.cli_peak(peak_mib, tmp_path, "audit-bounds", {
             "map": CHEB, "seed": 3,
             "params": {"suite": "departure", "count": 20000,
                        "lambda0": 0.8}}) < 5.0
 
-    def test_binding_5000_pairs(self, tmp_path):
-        assert self.peak_mib(tmp_path, "binding", {
+    def test_binding_5000_pairs(self, tmp_path, peak_mib):
+        assert self.cli_peak(peak_mib, tmp_path, "binding", {
             "map": CHEB, "seed": 3, "params": {"count": 5000}}) < 7.0
+
+    def test_exclusion_50000_starts(self, tmp_path, peak_mib):
+        assert self.cli_peak(peak_mib, tmp_path, "exclusion", {
+            "map": AIRPLANEISH, "seed": 3,
+            "params": {"alpha": 0.1, "m": 8,
+                       "l_grid": {"start": 12, "stop": 78, "step": 3},
+                       "samples": 50000}}) < 4.0
+
+    def test_onedim_20000_starts(self, tmp_path, peak_mib):
+        assert self.cli_peak(peak_mib, tmp_path, "audit-bounds", {
+            "map": CHEB, "seed": 3,
+            "params": {"suite": "onedim", "count": 20000, "n_max": 200,
+                       "lambda0": 0.8, "delta": 1.0}}) < 2.5
 
 
 class TestDeterminism:

@@ -1,6 +1,6 @@
 """Block-keyed draws: typed errors on empty counts, the `threads`
-keyword that perfbench's threads_speedup probe still passes, and batches
-drawn from a first block."""
+keyword that perfbench's threads_speedup probe still passes, batches
+drawn from a first block, and the batch driver over whole blocks."""
 
 import numpy as np
 import pytest
@@ -50,3 +50,24 @@ def test_batches_of_whole_blocks_equal_one_draw():
                               first_block=first // mc.BLOCK_SIZE)
                for first in range(0, total, step)]
     assert_bitwise(np.concatenate(batches), whole)
+
+
+@pytest.mark.parametrize("total", [1, mc.BATCH_SIZE - 1, mc.BATCH_SIZE,
+                                   mc.BATCH_SIZE + 1, 2 * mc.BATCH_SIZE + 37])
+@pytest.mark.parametrize("size", [mc.BLOCK_SIZE, mc.BATCH_SIZE])
+def test_draw_batches_slice_one_draw(total, size):
+    whole = mc.draw_blocks(3, "probe", total, draw)
+    batches = list(mc.draw_batches(3, "probe", total, draw, size))
+    assert [first for first, _ in batches] == list(range(0, total, size))
+    for first, pts in batches:
+        assert_bitwise(pts, whole[first:first + size])
+
+
+def test_batch_sizes_are_whole_blocks():
+    from skewdyn.measure import _SLOW_BATCH
+
+    for size in (mc.BATCH_SIZE, _SLOW_BATCH):
+        assert size > 0 and size % mc.BLOCK_SIZE == 0
+    for size in (0, -mc.BLOCK_SIZE, mc.BLOCK_SIZE + 1):
+        with pytest.raises(ValueError):
+            next(mc.draw_batches(3, "probe", 10, draw, size))

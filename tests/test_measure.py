@@ -8,10 +8,10 @@ rather than the sampling plumbing.
 import cmath
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import assert_bitwise
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc
@@ -28,7 +28,7 @@ from skewdyn.errors import (
     ZeroBase,
 )
 from skewdyn.gallery import basilica_map, chebyshev_map, nearfixed_map, siegel_map
-from skewdyn.mc import draw_blocks, uniform_annulus, uniform_disk
+from skewdyn.mc import BATCH_SIZE, draw_blocks, uniform_annulus, uniform_disk
 from skewdyn.measure import (
     BaseDerivativeReport,
     EstimateReport,
@@ -121,6 +121,42 @@ def ref_slow_one_batch(map, alpha, burn_in, horizon, samples, seed):
     return len(orbits.idx), float(np.mean(ok[orbits.idx]))
 
 
+def ref_first_fail_counts(map, alpha, m, samples, seed, horizon):
+    """exclusion_area's counts per first-failure index (0: never) as it
+    stepped every start in one batch."""
+    r_outer = abs(map.lam) ** m * map.r0
+    r_inner = abs(map.lam) * r_outer
+    z0 = draw_blocks(seed, "exclusion", samples,
+                     lambda gen, count: uniform_annulus(gen, count, r_inner, r_outer))
+    orbits = _Orbits(map, z0, np.zeros(samples, dtype=complex),
+                     bound=map.escape_radius,
+                     carry={"thr": np.abs(z0) ** (map.k / map.degree)})
+    first_fail = np.zeros(samples, dtype=np.int64)
+    for l in orbits.steps(horizon):
+        fail = orbits.absw <= orbits.carry["thr"] * math.exp(-alpha * l)
+        first_fail[orbits.idx[fail]] = l
+        orbits.retire(fail)
+    return np.bincount(first_fail, minlength=horizon + 1)
+
+
+def ref_e_set_one_batch(map, z, alpha, grid, samples, seed):
+    """e_set_area's fraction per grid n as it stepped every draw in one batch."""
+    w = draw_blocks(seed, "eset", samples,
+                    lambda gen, count: uniform_disk(gen, count, map.escape_radius))
+    orbits = _Orbits(map, np.array([complex(z)]), w, bound=map.escape_radius)
+    fractions = dict.fromkeys(grid, 0.0)
+    if grid[0] == 0:
+        fractions[0] = float(np.mean(orbits.absw < 1.0))
+    for n in orbits.steps(grid[-1]):
+        if n in fractions:
+            hit = np.count_nonzero(orbits.absw < math.exp(-alpha * n))
+            fractions[n] = hit / samples
+    return [fractions[n] for n in grid]
+
+
+BATCH_COUNTS = [BATCH_SIZE - 1, BATCH_SIZE, BATCH_SIZE + 1, 2 * BATCH_SIZE + 37]
+
+
 class TestSlowApproach:
     def test_nearfixed_fraction_at_scale(self):
         rep = slow_approach_stats(nearfixed_map(0.5), 0.05, 50, 500, 10_000, seed=11)
@@ -152,16 +188,10 @@ class TestSlowApproach:
         assert (rep.samples, rep.estimate) == (kept, frac)
         assert rep.std_error == _indicator_se(frac * kept, kept)
 
-    def test_memory_at_benchmark_size(self):
+    def test_memory_at_benchmark_size(self, peak_mib):
         # one batch of 100k starts peaked at 9.3 MiB under tracemalloc
         map = nearfixed_map(0.5)
-        tracemalloc.start()
-        try:
-            slow_approach_stats(map, 0.05, 50, 500, 100_000, seed=3)
-            peak = tracemalloc.get_traced_memory()[1] / 2**20
-        finally:
-            tracemalloc.stop()
-        assert peak < 6.0
+        assert peak_mib(lambda: slow_approach_stats(map, 0.05, 50, 500, 100_000, seed=3)) < 6.0
 
     def test_fraction_nondecreasing_in_alpha(self):
         fracs = [slow_approach_stats(nearfixed_map(0.5), a, 20, 200, 3000, seed=4).estimate
@@ -264,6 +294,16 @@ class TestESetArea:
         for r in reps[:-1]:
             assert 0.0 <= r.estimate <= 1.0
 
+    @pytest.mark.parametrize("samples", BATCH_COUNTS)
+    def test_batches_match_one_batch(self, samples):
+        # hit counts summed over batches of mc.BATCH_SIZE draws give the
+        # fractions of one batch bit for bit, the n = 0 cell included
+        map, grid = siegel_map(0.5), [0, 1, 5, 20, 60, 120]
+        reps = e_set_area(map, 0.01, 0.02, grid, samples, seed=8)
+        want = ref_e_set_one_batch(map, 0.01, 0.02, grid, samples, 8)
+        assert all(0.0 < f < 1.0 for f in want)
+        assert_bitwise([r.estimate for r in reps[:-1]], want)
+
     def test_gates(self):
         m = chebyshev_map(0.5)
         with pytest.raises(BaseOutsideDomain):
@@ -316,6 +356,19 @@ class TestExclusionArea:
         for l in range(1, 101):
             expect = sum(1 for f in firsts if f == l) / 300
             assert fracs[l] == pytest.approx(expect, abs=1e-15)
+
+    @pytest.mark.parametrize("samples", BATCH_COUNTS)
+    def test_batches_match_one_batch(self, samples):
+        # first-failure counts summed over batches of mc.BATCH_SIZE starts
+        # give every cell and the never-failing fraction of one batch
+        map, horizon = exclusion_fixture(), 120
+        counts = ref_first_fail_counts(map, 0.1, 8, samples, 4, horizon)
+        reps = exclusion_area(map, 0.1, 8, range(1, horizon + 1), samples, seed=4,
+                              horizon=horizon)
+        assert 0 < counts[0] < samples and np.count_nonzero(counts[1:]) > 5
+        assert_bitwise([r.estimate for r in reps[:-1]], counts[1:] / samples)
+        assert_bitwise(reps[-1].parameters["never_failing_fraction"],
+                       counts[0] / samples)
 
     def test_rate_too_large_raises(self):
         with pytest.raises(RateTooLarge):
