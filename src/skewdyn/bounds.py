@@ -266,7 +266,8 @@ def _scan(rows, log_l0: float):
     pairs end.  A source that steps its starts in slices starts over at
     n = 0 with each slice's own live, and the carries start over with it.
     Yields, for each n >= 1, (n, starts, log|w_n|, log|Df^n| - n log lam0,
-    min_{j<n} log|w_j|, min_{0<j<n} log|w_j| (inf at n = 1), log|w_0|).  The sources take logs of zero, so run it under
+    min_{j<n} log|w_j|, min_{0<j<n} log|w_j| (inf at n = 1), log|w_0|).
+    The sources take logs of zero, so run it under
     np.errstate(divide="ignore").
     """
     for n, live, logw, logd in rows:
