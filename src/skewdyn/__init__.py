@@ -3,11 +3,9 @@
 from .core import (
     OrbitTrace,
     SkewProductMap,
-    TraceBlock,
     build_map,
     find_attracting_cycles,
     iterate,
-    iterate_block,
     map_from_config,
     map_to_config,
     trace_to_csv,
@@ -18,11 +16,9 @@ from .fiber import Cycle, FiberMap
 __all__ = [
     "OrbitTrace",
     "SkewProductMap",
-    "TraceBlock",
     "build_map",
     "find_attracting_cycles",
     "iterate",
-    "iterate_block",
     "map_from_config",
     "map_to_config",
     "trace_to_csv",

@@ -27,7 +27,7 @@ from .bounds import (
     sample_traces,
     trace_starts,
 )
-from .core import build_map, iterate_block
+from .core import build_map, iterate
 from .errors import PreconditionViolated
 from .fatou import verify_radius_proposition
 from .gallery import chebyshev_map, general_embedding, nearfixed_map, siegel_map
@@ -59,7 +59,13 @@ def _finish(number, name, t0, budget, ok, details) -> CriterionResult:
 
 
 def criterion_1() -> CriterionResult:
-    """Log-derivative additivity across every orbit split."""
+    """Log-derivative additivity across every orbit split.
+
+    The cocycle is `core.iterate`'s log_vder, the column `orbit` writes.
+    Along each orbit, log|Df^m| - log|Df^s| must equal the one-step factors
+    log|dF/dw| summed afresh from every split s, and the log_vder of an
+    orbit restarted by `iterate` from the state at s.
+    """
     t0 = time.perf_counter()
     map = build_map(0.5, 2, [[-1.0, 1.0]])
     n, count, tol = 200, 1000, 1e-9
@@ -69,42 +75,33 @@ def criterion_1() -> CriterionResult:
         w = mc.uniform_disk(gen, m, 0.9 * map.escape_radius)
         return np.stack([z, w], axis=1)
 
-    pts = mc.draw_blocks(42, "cocycle", count, draw, 1)
-    block = iterate_block(map, pts[:, 0], pts[:, 1], n)
-    rows = block.ws.shape[0]
-    lengths = block.lengths
+    pts = mc.draw_blocks(42, "cocycle", count, draw)
+    traces = [iterate(map, x, n) for x in pts]
 
-    # raw one-step factors, summed fresh from each split point
-    steps = np.full((rows - 1, count), np.nan)
-    for i in range(rows - 1):
-        alive = i + 1 < lengths
-        if not alive.any():
-            break
-        steps[i, alive] = np.log(np.abs(
-            map.dfdw(block.zs_at(i)[alive], block.ws[i, alive])))
-    L = block.log_vder
-    valid = np.arange(rows)[:, None] < lengths[None, :]
+    # raw one-step factors and the cocycle, one column per orbit, NaN past
+    # its end, so every split is summed afresh over all orbits at once
+    steps = np.full((n, count), np.nan)
+    L = np.full((n + 1, count), np.nan)
+    for j, t in enumerate(traces):
+        steps[:len(t) - 1, j] = np.log(np.abs(map.dfdw(t.zs[:-1], t.ws[:-1])))
+        L[:len(t), j] = t.log_vder
     worst_split = 0.0
-    for split in range(rows - 1):
+    for split in range(n):
         tail = np.nancumsum(steps[split:], axis=0)
         dev = np.abs((L[split + 1:] - L[split]) - tail)
-        dev = np.where(valid[split + 1:], dev, 0.0)
-        worst_split = max(worst_split, float(np.nanmax(dev)))
+        worst_split = max(worst_split, float(np.nanmax(dev, initial=0.0)))
 
     # independent restarts: iterate afresh from mid-orbit states
     worst_restart = 0.0
     for split in range(25, n, 25):
-        alive = lengths > split + 1
-        if not alive.any():
-            continue
-        restart = iterate_block(map, block.zs_at(split)[alive],
-                                block.ws[split, alive], n - split)
-        for jr, jf in enumerate(np.nonzero(alive)[0]):
-            upto = min(int(lengths[jf]) - split, int(restart.lengths[jr]))
-            dev = np.abs(restart.log_vder[1:upto, jr]
-                         - (L[split + 1:split + upto, jf] - L[split, jf]))
-            if dev.size:
-                worst_restart = max(worst_restart, float(dev.max()))
+        for t in traces:
+            if len(t) <= split + 1:
+                continue
+            restart = iterate(map, (t.zs[split], t.ws[split]), n - split)
+            upto = min(len(t) - split, len(restart))
+            dev = np.abs(restart.log_vder[1:upto]
+                         - (t.log_vder[split + 1:split + upto] - t.log_vder[split]))
+            worst_restart = max(worst_restart, float(dev.max(initial=0.0)))
 
     worst = max(worst_split, worst_restart)
     return _finish(1, "cocycle_additivity", t0, 10.0, worst <= tol, {

@@ -323,8 +323,8 @@ def _check_pairs(map, zx, zy, mu: float, horizon: int) -> None:
     mu0, _ = mu_constants(map.degree)
     if not 0.0 < mu <= mu0 + 1e-15:
         raise PreconditionViolated(f"mu must lie in (0, {mu0}], got {mu}")
-    out_x = np.hypot(zx.real, zx.imag) >= map.r0
-    out_y = np.broadcast_to(np.hypot(zy.real, zy.imag) >= map.r0, out_x.shape)
+    out_x = ~(np.hypot(zx.real, zx.imag) < map.r0)  # NaN is outside too
+    out_y = np.broadcast_to(~(np.hypot(zy.real, zy.imag) < map.r0), out_x.shape)
     bad = np.flatnonzero(out_x | out_y)
     if len(bad):
         j = bad[0]

@@ -11,11 +11,11 @@ folds the orbits of a batch into the statements one step n at a time,
 keeping only carry arrays over the live orbits: log |Df^n|, the running
 minima of log |w_j| over j < n and over 0 < j < n, and log |w_0|.  No
 (n+1) x count history is stored.  The rows come from stepping the starts
-in `core._Orbits` (a `TraceStarts` batch, or the fiber starts of the
-one-dimensional audits), or from the stored columns of a `TraceBlock`.
+in `core._Orbits`: the starts of a `TraceStarts` batch for the tame,
+return and side audits, the fiber starts for the one-dimensional ones.
 An orbit leaves the carry once it has no further pairs: a trace at the
 end of its maximal tame prefix or past the escape radius, a fiber orbit
-past the working cap.  Stepped starts run in slices of mc.BATCH_SIZE, each
+past the working cap.  Starts run in slices of mc.BATCH_SIZE, each
 scanned to its end before the next, so the carries stay one slice long.
 Each accumulator keeps the least (ratio, start, n) in lexicographic order,
 over global start positions, so ties go to the earliest start, then the
@@ -44,7 +44,7 @@ import numpy as np
 
 from . import mc
 from .binding import BLOCK_PAIRS, _bind, _ranges, mu_constants
-from .core import SkewProductMap, TraceBlock, _Orbits, find_attracting_cycles
+from .core import SkewProductMap, _Orbits, find_attracting_cycles
 from .errors import (
     AttractingCyclePresent,
     BaseOutsideDomain,
@@ -155,9 +155,8 @@ class TraceStarts:
     """A batch of starts (z0, w0) and the horizon n the audits step them to.
 
     The tame, return and side audits step these themselves, one row at a
-    time and mc.BATCH_SIZE starts at a time, so no history is stored;
-    `iterate_block` would build the same orbits as an (n+1) x count
-    `TraceBlock`.  len() is the number of starts.
+    time and mc.BATCH_SIZE starts at a time, so no orbit history is
+    stored.  len() is the number of starts.
     """
 
     z0s: np.ndarray
@@ -169,28 +168,15 @@ class TraceStarts:
 
 
 def trace_starts(map: SkewProductMap, z0s, w0s, n: int) -> TraceStarts:
-    """Starts checked as `iterate_block` checks them."""
+    """Starts checked as `core.iterate` checks one start: n >= 0 and every
+    |z0| < r0 (a NaN z0 is outside)."""
     if n < 0:
         raise HorizonNonPositive(f"step count must be >= 0, got {n}")
     z0s = np.asarray(z0s, dtype=complex)
     w0s = np.asarray(w0s, dtype=complex)
-    if np.any(np.abs(z0s) >= map.r0):
+    if np.any(~(np.abs(z0s) < map.r0)):
         raise BaseOutsideDomain("a batch start has |z0| >= r0")
     return TraceStarts(z0s, w0s, n)
-
-
-class _Columns:
-    """The live columns of a stored `TraceBlock` and their carry arrays,
-    compacted together (what `core._Orbits` keeps for stepped orbits)."""
-
-    def __init__(self, count: int):
-        self.idx = np.arange(count)
-        self.carry: dict[str, np.ndarray] = {}
-
-    def retire(self, done: np.ndarray) -> None:
-        keep = ~done
-        self.idx = self.idx[keep]
-        self.carry = {k: a[keep] for k, a in self.carry.items()}
 
 
 def _fiber_rows(f0: FiberMap, w0: np.ndarray, n_max: int):
@@ -208,26 +194,15 @@ def _fiber_rows(f0: FiberMap, w0: np.ndarray, n_max: int):
             yield n, orbits, np.log(orbits.absw), logd
 
 
-def _trace_rows(map: SkewProductMap, traces: TraceStarts | TraceBlock):
-    """Rows of a trace batch, each start cut at the end of its maximal tame
-    prefix: a pair at n needs steps 0..n-1 tame, and a start's last pair
-    is at its first untame step or at its escape.  Starts traced for no
-    step have no pairs, so their audits would fail on nothing: such a
-    batch is rejected.  A batch of no starts stays legal; its audits
-    report zero samples."""
-    if isinstance(traces, TraceBlock):
-        horizon = traces.ws.shape[0] - 1
-        rows = _block_rows(traces)
-    else:
-        horizon = traces.n
-        rows = _stepped_rows(map, traces)
-    if len(traces) and horizon < 1:
-        raise PreconditionViolated(f"need a trace horizon n >= 1, got {horizon}")
-    return rows
-
-
-def _stepped_rows(map: SkewProductMap, starts: TraceStarts):
-    """Rows of the starts, stepped mc.BATCH_SIZE at a time."""
+def _trace_rows(map: SkewProductMap, starts: TraceStarts):
+    """Rows of the starts, stepped mc.BATCH_SIZE at a time, each start cut
+    at the end of its maximal tame prefix: a pair at n needs steps 0..n-1
+    tame, and a start's last pair is at its first untame step or at its
+    escape.  Starts traced for no step have no pairs, so their audits would
+    fail on nothing: such a batch is rejected.  A batch of no starts stays
+    legal; its audits report zero samples."""
+    if len(starts) and starts.n < 1:
+        raise PreconditionViolated(f"need a trace horizon n >= 1, got {starts.n}")
 
     def cut(orbits):
         tame = np.abs(orbits.z) ** map.k <= orbits.absw ** map.degree
@@ -246,24 +221,12 @@ def _stepped_rows(map: SkewProductMap, starts: TraceStarts):
             cut(orbits)
 
 
-def _block_rows(traces: TraceBlock):
-    live = _Columns(len(traces))
-    live.retire(~traces.tame[0] | (traces.lengths < 2))
-    yield 0, live, np.log(np.abs(traces.ws[0, live.idx])), None
-    for n in range(1, traces.ws.shape[0]):
-        idx = live.idx
-        if not len(idx):
-            return
-        yield n, live, np.log(np.abs(traces.ws[n, idx])), traces.log_vder[n, idx]
-        live.retire(~traces.tame[n, idx] | (traces.lengths[idx] <= n + 1))
-
-
 def _scan(rows, log_l0: float):
     """The prefix scan over rows (n, live, log|w_n|, log|Df^n|), n = 0, 1, ...
 
     live.idx holds the starts with a pair at n (ascending), live.carry
     arrays aligned with them; a source drops a start from both once its
-    pairs end.  A source that steps its starts in slices starts over at
+    pairs end.  The sources step their starts in slices, starting over at
     n = 0 with each slice's own live, and the carries start over with it.
     Yields, for each n >= 1, (n, starts, log|w_n|, log|Df^n| - n log lam0,
     min_{j<n} log|w_j|, min_{0<j<n} log|w_j| (inf at n = 1), log|w_0|).
@@ -338,7 +301,7 @@ def _eta(map: SkewProductMap, eta: float | None) -> float:
 
 def audit_tame(
     map: SkewProductMap,
-    traces: TraceStarts | TraceBlock,
+    traces: TraceStarts,
     lambda0: float,
 ) -> tuple[BoundAudit, BoundAudit]:
     """Audit the two tame-orbit lower bounds over maximal tame prefixes.
@@ -365,7 +328,7 @@ def audit_tame(
 
 def audit_return(
     map: SkewProductMap,
-    traces: TraceStarts | TraceBlock,
+    traces: TraceStarts,
     lambda0: float,
     delta0: float,
     eta0: float | None = None,
@@ -394,7 +357,7 @@ def audit_return(
 
 def audit_side_lemmas(
     map: SkewProductMap,
-    traces: TraceStarts | TraceBlock,
+    traces: TraceStarts,
     lambda0: float,
     delta: float,
     eta: float | None = None,

@@ -174,13 +174,12 @@ def _write(outdir: str, name: str, chunks: Iterable[str]) -> str:
 class _Run:
     """Resolved inputs for one command invocation."""
 
-    def __init__(self, command, map, params, seed, outdir, fmt):
+    def __init__(self, command, map, params, seed, outdir):
         self.command = command
         self.map = map
         self.params = params
         self.seed = seed
         self.outdir = outdir
-        self.fmt = fmt
 
     def header(self) -> dict:
         head = {"command": self.command, "params": self.params}
@@ -191,14 +190,10 @@ class _Run:
         return head
 
     def emit_json(self, name: str, body: dict) -> None:
-        if self.fmt["json"]:
-            _write(self.outdir, name, [_json_text({**self.header(), **body})])
+        _write(self.outdir, name, [_json_text({**self.header(), **body})])
 
     def emit_csv(self, name: str, chunks: Iterable[str]) -> None:
-        """Write the CSV text chunks; they are not read when CSV output is
-        off."""
-        if self.fmt["csv"]:
-            _write(self.outdir, name, chunks)
+        _write(self.outdir, name, chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +252,8 @@ def _cmd_binding(run: _Run, kw: dict) -> int:
                     summary[col] = r[col]
         return rows
 
-    blocks = (fold(rows) for rows in audits)
-    run.emit_csv("binding.csv", binding_csv_chunks(blocks))
-    for _ in blocks:  # with CSV output off, fold the blocks it did not read
-        pass
+    # writing the CSV folds every block into the summary
+    run.emit_csv("binding.csv", binding_csv_chunks(fold(rows) for rows in audits))
 
     run.emit_json("binding.json", {
         "mu": audits.mu,
@@ -609,26 +602,11 @@ def _load_config(path: str) -> dict:
         raise ConfigInvalid(f"config {path} cannot be parsed as JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigInvalid("config must be a JSON object")
-    allowed = {"map", "command", "params", "seed", "output_dir", "threads",
-               "format"}
+    allowed = {"map", "command", "params", "seed", "output_dir", "threads"}
     unknown = set(cfg) - allowed
     if unknown:
         raise ConfigInvalid(f"unknown config fields: {sorted(unknown)}")
     return cfg
-
-
-def _resolve_format(cfg: dict) -> dict:
-    fmt = {"csv": True, "json": True}
-    if "format" in cfg:
-        block = cfg["format"]
-        if not isinstance(block, dict):
-            raise ConfigInvalid("format must be an object")
-        unknown = set(block) - set(fmt)
-        if unknown:
-            raise ConfigInvalid(f"unknown format fields: {sorted(unknown)}")
-        for key, val in block.items():
-            fmt[key] = _as_bool(f"format.{key}", val)
-    return fmt
 
 
 def _run(args) -> int:
@@ -673,7 +651,7 @@ def _run(args) -> int:
     if not isinstance(outdir, str):
         raise ConfigInvalid("output_dir must be a string")
 
-    run = _Run(command, map, params, seed, outdir, _resolve_format(cfg))
+    run = _Run(command, map, params, seed, outdir)
     return spec.handler(run, {spec.keywords.get(k, k): v for k, v in fields.items()})
 
 

@@ -284,7 +284,7 @@ def iterate(map: SkewProductMap, x0, n: int) -> OrbitTrace:
     z0, w0 = complex(x0[0]), complex(x0[1])
     if n < 0:
         raise HorizonNonPositive(f"step count must be >= 0, got {n}")
-    if abs(z0) >= map.r0:
+    if not abs(z0) < map.r0:  # NaN fails too
         raise BaseOutsideDomain(f"|z0| = {abs(z0):.6g} >= r0 = {map.r0:.6g}")
 
     # rows wait in short lists and move into numpy chunks every _CHUNK
@@ -416,70 +416,6 @@ class _Orbits:
         if self.factor is not None:
             self.factor = self.factor[keep]
         self.carry = {k: a[..., keep] for k, a in self.carry.items()}
-
-
-@dataclass
-class TraceBlock:
-    """Struct-of-arrays orbit batch: row n, column j is step n of orbit j.
-
-    Columns stop being updated once they escape; entries past an orbit's
-    escape step hold NaN (tame: False).  lengths[j] = number of valid rows
-    of column j; len(block) is the number of orbits.
-    """
-
-    z0s: np.ndarray
-    ws: np.ndarray  # (n+1, m) complex, NaN past escape
-    log_vder: np.ndarray  # (n+1, m) float, NaN past escape
-    vder_phase: np.ndarray  # (n+1, m) float, NaN past escape
-    tame: np.ndarray  # (n+1, m) bool
-    lengths: np.ndarray  # (m,) int
-    escaped: np.ndarray  # (m,) bool
-    lam: complex
-
-    def __len__(self) -> int:
-        return self.ws.shape[1]
-
-    def zs_at(self, n: int) -> np.ndarray:
-        return self.z0s * self.lam**n
-
-
-def iterate_block(map: SkewProductMap, z0s, w0s, n: int) -> TraceBlock:
-    """Vectorized iterate for a batch of starts; steps only unescaped orbits."""
-    if n < 0:
-        raise HorizonNonPositive(f"step count must be >= 0, got {n}")
-    z0s = np.asarray(z0s, dtype=complex)
-    w0s = np.asarray(w0s, dtype=complex)
-    if np.any(np.abs(z0s) >= map.r0):
-        raise BaseOutsideDomain("a batch start has |z0| >= r0")
-    m = len(w0s)
-    ws = np.full((n + 1, m), np.nan, dtype=complex)
-    logs = np.full((n + 1, m), np.nan)
-    phases = np.full((n + 1, m), np.nan)
-    tame = np.zeros((n + 1, m), dtype=bool)
-    lengths = np.ones(m, dtype=int)
-    ws[0] = w0s
-    logs[0] = 0.0
-    phases[0] = 0.0
-    tame[0] = np.abs(z0s) ** map.k <= np.abs(w0s) ** map.degree
-
-    orbits = _Orbits(map, z0s, w0s, factors=True)
-    orbits.retire(orbits.absw > map.escape_radius)
-    for i in orbits.steps(n):
-        idx, factor = orbits.idx, orbits.factor
-        mag = np.abs(factor)
-        with np.errstate(divide="ignore"):
-            logs[i, idx] = logs[i - 1, idx] + np.log(mag)
-        phases[i, idx] = phases[i - 1, idx] + np.where(mag > 0, np.angle(factor), 0.0)
-        ws[i, idx] = orbits.w
-        tame[i, idx] = np.abs(orbits.z) ** map.k <= orbits.absw ** map.degree
-        lengths[idx] = i + 1
-        orbits.retire(orbits.absw > map.escape_radius)
-    # an orbit escaped iff its last recorded point lies past the radius
-    escaped = np.abs(ws[lengths - 1, np.arange(m)]) > map.escape_radius
-    return TraceBlock(
-        z0s=z0s, ws=ws, log_vder=logs, vder_phase=phases, tame=tame,
-        lengths=lengths, escaped=escaped, lam=map.lam,
-    )
 
 
 # -- external formats --------------------------------------------------------------

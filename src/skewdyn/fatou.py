@@ -109,7 +109,7 @@ def classify_point(map: SkewProductMap, x, horizon: int = 1000) -> str:
     if horizon < 1:
         raise PreconditionViolated(f"need horizon >= 1, got {horizon}")
     z0, w0 = complex(x[0]), complex(x[1])
-    if abs(z0) >= map.r0:
+    if not abs(z0) < map.r0:  # NaN fails too
         raise BaseOutsideDomain(f"|z0| = {abs(z0):.6g} >= r0 = {map.r0:.6g}")
     labels, cycles = _cycle_candidates(map)
     codes, _ = _classify_block(map, [z0], [w0], horizon, cycles)
@@ -161,7 +161,7 @@ def render_slice(map: SkewProductMap, spec: SliceSpec, horizon: int = 1000) -> R
     if horizon < 1:
         raise PreconditionViolated(f"need horizon >= 1, got {horizon}")
     res = spec.resolution
-    if spec.plane == "fiber" and abs(spec.at) >= map.r0:
+    if spec.plane == "fiber" and not abs(spec.at) < map.r0:
         raise BaseOutsideDomain(
             f"|z0| = {abs(spec.at):.6g} >= r0 = {map.r0:.6g}")
 
@@ -175,7 +175,7 @@ def render_slice(map: SkewProductMap, spec: SliceSpec, horizon: int = 1000) -> R
         ws = grid.ravel()
     else:
         zs = grid.ravel()
-        if np.any(np.abs(zs) >= map.r0):
+        if np.any(~(np.abs(zs) < map.r0)):
             raise BaseOutsideDomain("base-plane window reaches outside B(0, r0)")
         ws = np.full(res * res, spec.at, dtype=complex)
 

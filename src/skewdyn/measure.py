@@ -208,7 +208,7 @@ def e_set_area(map: SkewProductMap, z: complex, alpha: float, ns,
     two such cells the fit row carries fitted_exponent None.
     """
     z = complex(z)
-    if abs(z) >= map.r0:
+    if not abs(z) < map.r0:  # NaN fails too
         raise BaseOutsideDomain(f"|z| = {abs(z):.6g} >= r0 = {map.r0:.6g}")
     if alpha < 0:
         raise PreconditionViolated(f"need alpha >= 0, got {alpha}")
@@ -459,7 +459,7 @@ def fiber_base_derivative(map: SkewProductMap, z0: complex, l: int,
     z0 = complex(z0)
     if z0 == 0:
         raise ZeroBase("z0 must be nonzero")
-    if abs(z0) >= map.r0:
+    if not abs(z0) < map.r0:
         raise BaseOutsideDomain(f"|z0| = {abs(z0):.6g} >= r0 = {map.r0:.6g}")
     if l < 1:
         raise PreconditionViolated(f"need l >= 1, got {l}")

@@ -10,14 +10,22 @@ zeros count; test modules import it with `from conftest import
 assert_bitwise`.
 
 The peak_mib fixture is the one tracemalloc harness of the memory tests.
+
+iterate_block is the reference for the stepped orbit scans: the stored
+(n+1) x count orbit batch the package built before its audits stepped
+their starts themselves, copied here unchanged apart from its input checks
+and phase column.  test_stepping pins its outputs by sha256.
 """
 
 import importlib
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import settings
+
+from skewdyn.core import _Orbits
 
 settings.register_profile("skewdyn", deadline=None, derandomize=True, database=None)
 settings.load_profile("skewdyn")
@@ -53,3 +61,52 @@ def peak_mib():
             tracemalloc.stop()
 
     return measure
+
+
+@dataclass
+class TraceBlock:
+    """Struct-of-arrays orbit batch: row n, column j is step n of orbit j.
+
+    Entries past an orbit's escape step hold NaN (tame: False).
+    lengths[j] = number of valid rows of column j; len(block) is the
+    number of orbits.
+    """
+
+    z0s: np.ndarray
+    ws: np.ndarray  # (n+1, m) complex
+    log_vder: np.ndarray  # (n+1, m) float
+    tame: np.ndarray  # (n+1, m) bool
+    lengths: np.ndarray  # (m,) int
+    escaped: np.ndarray  # (m,) bool
+
+    def __len__(self) -> int:
+        return self.ws.shape[1]
+
+
+def iterate_block(map, z0s, w0s, n: int) -> TraceBlock:
+    """The starts stepped n times together; an orbit stops at its escape."""
+    z0s = np.asarray(z0s, dtype=complex)
+    w0s = np.asarray(w0s, dtype=complex)
+    m = len(w0s)
+    ws = np.full((n + 1, m), np.nan, dtype=complex)
+    logs = np.full((n + 1, m), np.nan)
+    tame = np.zeros((n + 1, m), dtype=bool)
+    lengths = np.ones(m, dtype=int)
+    ws[0] = w0s
+    logs[0] = 0.0
+    tame[0] = np.abs(z0s) ** map.k <= np.abs(w0s) ** map.degree
+
+    orbits = _Orbits(map, z0s, w0s, factors=True)
+    orbits.retire(orbits.absw > map.escape_radius)
+    for i in orbits.steps(n):
+        idx = orbits.idx
+        with np.errstate(divide="ignore"):
+            logs[i, idx] = logs[i - 1, idx] + np.log(np.abs(orbits.factor))
+        ws[i, idx] = orbits.w
+        tame[i, idx] = np.abs(orbits.z) ** map.k <= orbits.absw ** map.degree
+        lengths[idx] = i + 1
+        orbits.retire(orbits.absw > map.escape_radius)
+    # an orbit escaped iff its last recorded point lies past the radius
+    escaped = np.abs(ws[lengths - 1, np.arange(m)]) > map.escape_radius
+    return TraceBlock(z0s=z0s, ws=ws, log_vder=logs, tame=tame,
+                      lengths=lengths, escaped=escaped)

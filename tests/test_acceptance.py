@@ -36,6 +36,23 @@ def test_criterion(number):
     assert result.details["within_budget"]
 
 
+def test_criterion_1_fails_on_a_drifting_cocycle(monkeypatch):
+    # step 5's factor drifts by 1e-6 in log scale in every orbit the
+    # criterion iterates, so each sum across step 5 misses by 1e-6
+    iterate = acceptance.iterate
+
+    def drifting(map, x0, n):
+        trace = iterate(map, x0, n)
+        trace.log_vder[6:] += 1e-6
+        return trace
+
+    monkeypatch.setattr(acceptance, "iterate", drifting)
+    result = acceptance.criterion_1()
+    assert not result.passed
+    assert result.details["worst_split_deviation"] > result.details["tolerance"]
+    assert result.details["worst_restart_deviation"] > result.details["tolerance"]
+
+
 class TestRunner:
     def test_subset_in_numeric_order(self):
         results = acceptance.run_all([9, 2])

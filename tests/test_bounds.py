@@ -13,12 +13,12 @@ import math
 
 import numpy as np
 import pytest
-from conftest import assert_bitwise
+from conftest import TraceBlock, assert_bitwise, iterate_block
 
 from skewdyn import bounds as BD
 from skewdyn import mc
 from skewdyn.binding import mu_constants
-from skewdyn.core import OrbitTrace, TraceBlock, _Orbits, build_map, iterate, iterate_block
+from skewdyn.core import OrbitTrace, _Orbits, build_map, iterate
 from skewdyn.errors import (
     AttractingCyclePresent,
     EmptyGrid,
@@ -133,30 +133,63 @@ def make_trace(map, z0, ws, logd):
     )
 
 
-def stack(map, traces):
+def stack(traces):
     """OrbitTraces stacked into one TraceBlock, NaN (tame False) past each
     trace's end, as iterate_block lays out its columns."""
     m = len(traces)
     rows = max((len(t) for t in traces), default=1)
     ws = np.full((rows, m), np.nan, dtype=complex)
     logs = np.full((rows, m), np.nan)
-    phases = np.full((rows, m), np.nan)
     tame = np.zeros((rows, m), dtype=bool)
     for j, t in enumerate(traces):
         ws[:len(t), j] = t.ws
         logs[:len(t), j] = t.log_vder
-        phases[:len(t), j] = t.vder_phase
         tame[:len(t), j] = t.tame_flags
     return TraceBlock(
         z0s=np.array([t.z0 for t in traces], dtype=complex), ws=ws,
-        log_vder=logs, vder_phase=phases, tame=tame,
+        log_vder=logs, tame=tame,
         lengths=np.array([len(t) for t in traces], dtype=int),
-        escaped=np.array([t.escape_step is not None for t in traces], dtype=bool),
-        lam=map.lam)
+        escaped=np.array([t.escape_step is not None for t in traces], dtype=bool))
+
+
+def block_rows(block):
+    """A TraceBlock's stored columns as the scan's rows, each column cut at
+    the end of its maximal tame prefix: the row source the trace audits
+    read before they stepped every batch themselves."""
+    live = _Columns(len(block))
+    live.retire(~block.tame[0] | (block.lengths < 2))
+    yield 0, live, np.log(np.abs(block.ws[0, live.idx])), None
+    for n in range(1, block.ws.shape[0]):
+        idx = live.idx
+        if not len(idx):
+            return
+        yield n, live, np.log(np.abs(block.ws[n, idx])), block.log_vder[n, idx]
+        live.retire(~block.tame[n, idx] | (block.lengths[idx] <= n + 1))
+
+
+class _Columns:
+    """The live columns of a stored block and their carry arrays,
+    compacted together (what `core._Orbits` keeps for stepped orbits)."""
+
+    def __init__(self, count):
+        self.idx = np.arange(count)
+        self.carry = {}
+
+    def retire(self, done):
+        keep = ~done
+        self.idx = self.idx[keep]
+        self.carry = {k: a[keep] for k, a in self.carry.items()}
+
+
+@pytest.fixture
+def stored(monkeypatch):
+    """Hand-built traces reach the trace audits: passed a TraceBlock, they
+    read its stored columns instead of stepping starts."""
+    monkeypatch.setattr(BD, "_trace_rows", lambda map, block: block_rows(block))
 
 
 def columns(block, map):
-    """The block's columns as OrbitTraces (the former TraceBlock.to_traces)."""
+    """The block's columns as OrbitTraces (phase left at 0)."""
     for j in range(len(block)):
         ln = int(block.lengths[j])
         yield OrbitTrace(
@@ -165,15 +198,16 @@ def columns(block, map):
             zs=block.z0s[j] * map.lam ** np.arange(ln),
             ws=block.ws[:ln, j].copy(),
             log_vder=block.log_vder[:ln, j].copy(),
-            vder_phase=block.vder_phase[:ln, j].copy(),
+            vder_phase=np.zeros(ln),
             tame_flags=block.tame[:ln, j].copy(),
             escape_step=(ln - 1) if block.escaped[j] else None,
         )
 
 
 def traces_of(map, starts, n):
-    """Scalar orbits of (z0, w0) starts, stacked into one block."""
-    return stack(map, [iterate(map, x, n) for x in starts])
+    """The (z0, w0) starts, checked, for the audits to step to depth n."""
+    pts = np.asarray(starts, dtype=complex).reshape(-1, 2)
+    return BD.trace_starts(map, pts[:, 0], pts[:, 1], n)
 
 
 # ---------------------------------------------------------------------------
@@ -542,33 +576,32 @@ class TestTame:
         assert 0 < amin.samples < main.samples
         assert amin.passed and main.passed
 
-    def test_base_outside_r0_skipped(self, cheb):
+    def test_base_outside_r0_skipped(self, cheb, stored):
         # traces built elsewhere may carry a base outside B(0, r0)
         tr = make_trace(cheb, 0.9, [0.3, 1.91, 1.6481], [0.0, 1.0, 2.0])
-        main, amin = BD.audit_tame(cheb, stack(cheb, [tr]), 0.9)
+        main, amin = BD.audit_tame(cheb, stack([tr]), 0.9)
         assert main.samples == 0 and amin.samples == 0
 
     def test_untame_start_skipped(self, cheb):
         # |z0| > |w0|^d from step 0, so there is no tame prefix at all
-        tr = iterate(cheb, (0.4, 1e-3), 20)
-        assert not tr.tame_flags[0]
-        main, amin = BD.audit_tame(cheb, stack(cheb, [tr]), 0.9)
+        assert not iterate(cheb, (0.4, 1e-3), 20).tame_flags[0]
+        main, amin = BD.audit_tame(cheb, traces_of(cheb, [(0.4, 1e-3)], 20), 0.9)
         assert main.samples == 0 and amin.samples == 0
 
     def test_lambda0_must_dominate_lam(self, cheb):
         with pytest.raises(PreconditionViolated):
-            BD.audit_tame(cheb, stack(cheb, []), 0.4)
+            BD.audit_tame(cheb, traces_of(cheb, [], 1), 0.4)
 
     def test_attracting_cycle_rejected(self):
         with pytest.raises(AttractingCyclePresent):
-            BD.audit_tame(basilica_map(), stack(basilica_map(), []), 0.9)
+            BD.audit_tame(basilica_map(), traces_of(basilica_map(), [], 1), 0.9)
 
     def test_perturbed_batch_positive_constants(self, cheb):
         rng = np.random.default_rng(17)
         z0 = (0.1 * np.sqrt(rng.uniform(0, 1, 300))
               * np.exp(2j * np.pi * rng.uniform(0, 1, 300)))
         w0 = rng.uniform(-2.0, 2.0, 300).astype(complex)
-        traces = iterate_block(cheb, z0, w0, 200)
+        traces = BD.trace_starts(cheb, z0, w0, 200)
         main, amin = BD.audit_tame(cheb, traces, 0.8)
         assert main.passed and main.fitted_constant > 0
         assert amin.passed and amin.fitted_constant > 0
@@ -576,8 +609,9 @@ class TestTame:
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 class TestBlockScanMatchesPerTrace:
-    """The block scan against the per-trace reference, field by field; the
-    reference warns where w0 = 0 gives -inf - (-inf)."""
+    """The scan of stepped starts against the per-trace reference on
+    iterate_block's columns, field by field; the reference warns where
+    w0 = 0 gives -inf - (-inf)."""
 
     MAPS = {
         "chebyshev": chebyshev_map(),
@@ -603,15 +637,20 @@ class TestBlockScanMatchesPerTrace:
         return iterate_block(map, z0, w0, n)
 
     @staticmethod
-    def assert_same(block, map, lambda0, delta):
+    def starts_of(block):
+        """The block's starts and horizon, for the audits to step."""
+        return BD.TraceStarts(block.z0s, block.ws[0], block.ws.shape[0] - 1)
+
+    def assert_same(self, block, map, lambda0, delta):
         traces = list(columns(block, map))
+        starts = self.starts_of(block)
         for eta in (None, 0.0, 0.5 * map.r0):
-            got = BD.audit_return(map, block, lambda0, delta, eta)
+            got = BD.audit_return(map, starts, lambda0, delta, eta)
             assert got == ref_audit_return(map, traces, lambda0, delta, eta)
-            got = BD.audit_side_lemmas(map, block, lambda0, delta, eta)
+            got = BD.audit_side_lemmas(map, starts, lambda0, delta, eta)
             assert got == ref_audit_side_lemmas(map, traces, lambda0, delta, eta)
         if not BD.find_attracting_cycles(map):
-            assert BD.audit_tame(map, block, lambda0) == ref_audit_tame(map, traces, lambda0)
+            assert BD.audit_tame(map, starts, lambda0) == ref_audit_tame(map, traces, lambda0)
 
     @pytest.mark.parametrize("name", sorted(MAPS))
     def test_random_blocks(self, name):
@@ -622,7 +661,7 @@ class TestBlockScanMatchesPerTrace:
             block = self.random_block(m, seed)
             for delta in (0.05, 0.5):
                 self.assert_same(block, m, lambda0, delta)
-            samples += BD.audit_tame(m, block, lambda0)[0].samples
+            samples += BD.audit_tame(m, self.starts_of(block), lambda0)[0].samples
         assert samples > 0
 
     def test_attracting_cycle_map_return_and_side(self):
@@ -630,7 +669,7 @@ class TestBlockScanMatchesPerTrace:
         m = basilica_map()
         block = self.random_block(m, 7)
         self.assert_same(block, m, 0.8, 0.05)
-        assert BD.audit_return(m, block, 0.8, 0.05).violations > 0
+        assert BD.audit_return(m, self.starts_of(block), 0.8, 0.05).violations > 0
 
     def test_sampled_tame_input(self, cheb):
         starts = BD.sample_traces(cheb, 2000, 100, seed=3)
@@ -638,11 +677,11 @@ class TestBlockScanMatchesPerTrace:
         assert BD.audit_tame(cheb, starts, 0.8) == ref_audit_tame(
             cheb, list(columns(block, cheb)), 0.8)
 
-    def test_ties_go_to_the_earliest_start_then_n(self, cheb):
+    def test_ties_go_to_the_earliest_start_then_n(self, cheb, stored):
         # |Df^n| = lam0^n: every admitted pair of every column has ratio 1
         tr = make_trace(cheb, 0.0, [0.04, 0.2, 0.04, 0.2, 0.04],
                         [k * math.log(0.8) for k in range(5)])
-        block = stack(cheb, [tr, tr, tr])
+        block = stack([tr, tr, tr])
         a = BD.audit_return(cheb, block, 0.8, 0.05)
         assert a == ref_audit_return(cheb, [tr, tr, tr], 0.8, 0.05)
         assert a.samples == 6 and a.fitted_constant == 1.0
@@ -652,7 +691,7 @@ class TestBlockScanMatchesPerTrace:
         assert side["lem33"].samples > 0
 
     def test_empty_block(self, cheb):
-        block = stack(cheb, [])
+        block = traces_of(cheb, [], 5)
         assert BD.audit_tame(cheb, block, 0.8) == ref_audit_tame(cheb, [], 0.8)
         assert BD.audit_return(cheb, block, 0.8, 0.05).samples == 0
         assert BD.audit_side_lemmas(cheb, block, 0.8, 0.05)["lem31"].samples == 0
@@ -660,9 +699,8 @@ class TestBlockScanMatchesPerTrace:
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 class TestStreamMatchesBlockScan:
-    """The row-streamed scan against the block scan it replaced, whole
-    BoundAudits compared with ==, over both row sources: stepped starts
-    (TraceStarts) and the stored columns of a TraceBlock."""
+    """The row-streamed scan of stepped starts (TraceStarts) against the
+    block scan it replaced, whole BoundAudits compared with ==."""
 
     MAPS = TestBlockScanMatchesPerTrace.MAPS
 
@@ -685,23 +723,21 @@ class TestStreamMatchesBlockScan:
 
     @staticmethod
     def assert_same(map, z0, w0, n, lambda0, delta, etas=(None, 0.0, 0.5)):
-        """Both row sources against the block scan on iterate_block's block,
-        at eta = None or a multiple of r0.  Starts at |z0| >= r0 cannot be
-        iterated, so they are swapped into the block's z0s afterwards; at
-        eta < r0 every audit must filter them out."""
+        """The stepped starts against the block scan on iterate_block's
+        block, at eta = None or a multiple of r0.  Starts at |z0| >= r0 are
+        stepped from z0 = 0 in the block and swapped into its z0s
+        afterwards; at eta < r0 every audit must filter them out."""
         block = iterate_block(map, np.where(np.abs(z0) >= map.r0, 0.0, z0), w0, n)
         block = dataclasses.replace(block, z0s=np.asarray(z0, dtype=complex))
-        sources = (block, BD.TraceStarts(block.z0s, np.asarray(w0, dtype=complex), n))
+        starts = BD.TraceStarts(block.z0s, np.asarray(w0, dtype=complex), n)
         for eta in (None if e is None else e * map.r0 for e in etas):
-            want_ret = ref_block_return(map, block, lambda0, delta, eta)
-            want_side = ref_block_side(map, block, lambda0, delta, eta)
-            for src in sources:
-                assert BD.audit_return(map, src, lambda0, delta, eta) == want_ret
-                assert BD.audit_side_lemmas(map, src, lambda0, delta, eta) == want_side
+            assert (BD.audit_return(map, starts, lambda0, delta, eta)
+                    == ref_block_return(map, block, lambda0, delta, eta))
+            assert (BD.audit_side_lemmas(map, starts, lambda0, delta, eta)
+                    == ref_block_side(map, block, lambda0, delta, eta))
         if not BD.find_attracting_cycles(map):
             want = ref_block_tame(map, block, lambda0)
-            for src in sources:
-                assert BD.audit_tame(map, src, lambda0) == want
+            assert BD.audit_tame(map, starts, lambda0) == want
             return want[0].samples
         return 0
 
@@ -718,20 +754,6 @@ class TestStreamMatchesBlockScan:
             z0[7::19] = 1.2 * m.r0 * np.exp(1j * seed)  # outside B(0, r0)
             self.assert_same(m, z0, w0, 60, lambda0, 0.5)
         assert samples > 0
-
-    def test_block_lengths_end_columns(self, cheb):
-        # a block's lengths end its columns even where finite rows follow
-        z0, w0 = self.random_starts(cheb, 11)
-        ok = np.abs(z0) < cheb.r0
-        block = iterate_block(cheb, z0[ok], w0[ok], 50)
-        cut = np.random.default_rng(11).integers(1, 50, len(block))
-        block = dataclasses.replace(block, lengths=np.minimum(block.lengths, cut))
-        want = ref_block_tame(cheb, block, 0.8)
-        assert BD.audit_tame(cheb, block, 0.8) == want
-        assert want != ref_block_tame(cheb, iterate_block(cheb, z0[ok], w0[ok], 50), 0.8)
-        for eta in (None, 0.5 * cheb.r0):
-            assert (BD.audit_side_lemmas(cheb, block, 0.8, 0.5, eta)
-                    == ref_block_side(cheb, block, 0.8, 0.5, eta))
 
     def test_attracting_cycle_map(self):
         m = basilica_map()
@@ -762,15 +784,14 @@ class TestStreamMatchesBlockScan:
         want = ref_block_tame(cheb, block, 0.8)
         assert want[0].min_ratio_location["start"] == min(s, 4095)
         assert BD.audit_tame(cheb, BD.TraceStarts(z0, w0, 40), 0.8) == want
-        assert BD.audit_tame(cheb, block, 0.8) == want
 
-    def test_tie_at_a_later_row_goes_to_the_earlier_start(self, cheb):
+    def test_tie_at_a_later_row_goes_to_the_earlier_start(self, cheb, stored):
         # ratio 1 at (start 1, n 1) and at (start 0, n 2): the streamed scan
         # meets start 1 first, yet the least (ratio, start, n) is start 0
         l8 = math.log(0.8)
         a = make_trace(cheb, 0.0, [1.0, 1.0, 1.0], [0.0, 5.0, 2 * l8])
         b = make_trace(cheb, 0.0, [1.0, 1.0, 1.0], [0.0, l8, 10.0])
-        block = stack(cheb, [a, b])
+        block = stack([a, b])
         want = ref_block_tame(cheb, block, 0.8)
         assert want[0].min_ratio_location == {"start": 0, "n": 2}
         assert want[0].fitted_constant == 1.0
@@ -821,9 +842,7 @@ BATCH_COUNTS = [mc.BATCH_SIZE - 1, mc.BATCH_SIZE, mc.BATCH_SIZE + 1,
 
 class TestBatchedScan:
     """Stepped starts are scanned in slices of mc.BATCH_SIZE.  Every audit
-    equals, bit for bit, the one-pass scans: the block scan of stored
-    histories, and a TraceBlock's columns, which the scan reads in one
-    pass."""
+    equals, bit for bit, the one-pass block scan of stored histories."""
 
     @pytest.mark.parametrize("count", BATCH_COUNTS)
     def test_onedim(self, cheb, count):
@@ -921,12 +940,13 @@ class TestLambdaMonotonicity:
             assert fits[0.9][tag] <= fits[0.8][tag] <= fits[0.7][tag]
 
 
+@pytest.mark.usefixtures("stored")
 class TestReturnSynthetic:
     """Hand-built traces with unit derivative pin the right-hand side."""
 
     def test_equal_endpoints_pure_exponential(self, cheb):
         tr = make_trace(cheb, 1e-3, [0.04, 0.2, 0.04], [0, 0, 0])
-        a = BD.audit_return(cheb, stack(cheb, [tr]), 0.8, 0.05)
+        a = BD.audit_return(cheb, stack([tr]), 0.8, 0.05)
         # RHS = lam0^2 * min(1, 1): ratio = 1 / 0.64
         assert a.samples == 1
         assert a.fitted_constant == pytest.approx(1 / 0.64, rel=1e-12)
@@ -935,38 +955,38 @@ class TestReturnSynthetic:
 
     def test_deep_return_relaxes_the_floor(self, cheb):
         tr = make_trace(cheb, 1e-3, [0.01, 0.2, 0.04], [0, 0, 0])
-        a = BD.audit_return(cheb, stack(cheb, [tr]), 0.8, 0.05)
+        a = BD.audit_return(cheb, stack([tr]), 0.8, 0.05)
         # (|w0|/|w_n|)^(d-1) = 1/4: ratio = 1 / (0.64 * 0.25)
         assert a.fitted_constant == pytest.approx(6.25, rel=1e-12)
 
     def test_shallow_endpoint_clamps_at_one(self, cheb):
         tr = make_trace(cheb, 1e-3, [0.04, 0.2, 0.01], [0, 0, 0])
-        a = BD.audit_return(cheb, stack(cheb, [tr]), 0.8, 0.05)
+        a = BD.audit_return(cheb, stack([tr]), 0.8, 0.05)
         assert a.fitted_constant == pytest.approx(1 / 0.64, rel=1e-12)
 
     def test_middle_dip_below_endpoint_excluded(self, cheb):
         # n=2 fails the "middles stay above |w_n|" hypothesis; n=1 survives
         tr = make_trace(cheb, 1e-3, [0.04, 0.001, 0.04], [0, 0, 0])
-        a = BD.audit_return(cheb, stack(cheb, [tr]), 0.8, 0.05)
+        a = BD.audit_return(cheb, stack([tr]), 0.8, 0.05)
         assert a.samples == 1
         assert a.min_ratio_location == {"start": 0, "n": 1}
         assert a.fitted_constant == pytest.approx(1.25, rel=1e-12)
 
     def test_violation_counted(self, cheb):
         tr = make_trace(cheb, 1e-3, [0.04, 0.2, 0.04], [0, 0, math.log(0.5)])
-        a = BD.audit_return(cheb, stack(cheb, [tr]), 0.8, 0.05)
+        a = BD.audit_return(cheb, stack([tr]), 0.8, 0.05)
         assert a.violations == 1
         assert a.fitted_constant == pytest.approx(0.5 / 0.64, rel=1e-12)
 
     def test_base_radius_filter(self, cheb):
         # default eta0 = r0/10 = 0.05; a base at 0.06 is out of range
         tr = make_trace(cheb, 0.06, [0.04, 0.2, 0.04], [0, 0, 0])
-        a = BD.audit_return(cheb, stack(cheb, [tr]), 0.8, 0.05)
+        a = BD.audit_return(cheb, stack([tr]), 0.8, 0.05)
         assert a.samples == 0
 
     def test_delta0_positive(self, cheb):
         with pytest.raises(PreconditionViolated):
-            BD.audit_return(cheb, stack(cheb, []), 0.8, 0.0)
+            BD.audit_return(cheb, stack([]), 0.8, 0.0)
 
 
 class TestReturnOnOrbits:
@@ -974,7 +994,7 @@ class TestReturnOnOrbits:
         rng = np.random.default_rng(23)
         z0 = rng.uniform(1e-9, 1e-7, 400).astype(complex)
         w0 = rng.uniform(-0.05, 0.05, 400).astype(complex)
-        traces = iterate_block(cheb, z0, w0, 250)
+        traces = BD.trace_starts(cheb, z0, w0, 250)
         a = BD.audit_return(cheb, traces, 0.8, 0.05)
         assert a.samples > 100
         assert a.violations == 0
@@ -984,8 +1004,7 @@ class TestReturnOnOrbits:
         # the fiber cycle of w^2 - 1 collapses derivatives through w = 0
         # faster than any uniform return floor; the audit must say so
         m = basilica_map()
-        tr = iterate(m, (1e-6, 0.04), 10)
-        a = BD.audit_return(m, stack(m, [tr]), 0.8, 0.05)
+        a = BD.audit_return(m, traces_of(m, [(1e-6, 0.04)], 10), 0.8, 0.05)
         assert a.samples >= 2
         assert a.violations == a.samples
         assert a.fitted_constant < 0.3
@@ -996,7 +1015,7 @@ class TestSideLemmas:
         rng = np.random.default_rng(31)
         z0 = rng.uniform(-0.04, 0.04, 300).astype(complex)
         w0 = rng.uniform(-2.0, 2.0, 300).astype(complex)
-        traces = iterate_block(cheb, z0, w0, 60)
+        traces = BD.trace_starts(cheb, z0, w0, 60)
         side = BD.audit_side_lemmas(cheb, traces, 0.8, 0.5)
         assert side["lem31"].passed and side["lem31"].fitted_constant > 0
         assert side["lem32"].passed and side["lem32"].fitted_constant > 0
@@ -1016,14 +1035,14 @@ class TestSideLemmas:
         rng = np.random.default_rng(31)
         z0 = rng.uniform(0.01, 0.04, 50).astype(complex)
         w0 = rng.uniform(-2.0, 2.0, 50).astype(complex)
-        traces = iterate_block(cheb, z0, w0, 30)
+        traces = BD.trace_starts(cheb, z0, w0, 30)
         side = BD.audit_side_lemmas(cheb, traces, 0.8, 0.5, eta=0.0)
         assert side["lem31"].samples == 0
         assert side["lem32"].samples == 0
 
     def test_delta_positive(self, cheb):
         with pytest.raises(PreconditionViolated):
-            BD.audit_side_lemmas(cheb, stack(cheb, []), 0.8, -1.0)
+            BD.audit_side_lemmas(cheb, traces_of(cheb, [], 1), 0.8, -1.0)
 
 
 class TestCriticalValueDeparture:

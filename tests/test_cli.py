@@ -127,11 +127,15 @@ class TestValidation:
                                   "samples": 10}})
         assert code == 2
 
-    def test_unknown_format_flag(self, tmp_path):
-        code, _ = run(tmp_path, "orbit",
-                      {"map": CHEB, "format": {"xml": True},
-                       "params": {"z0": [0, 0], "w0": [0, 0], "n": 5}})
-        assert code == 2
+    def test_unknown_format_flag(self, tmp_path, capsys):
+        # there is no format block: any one is an unknown config field
+        for block in ({"xml": True}, {"csv": False}):
+            code, out = run(tmp_path, "orbit",
+                            {"map": CHEB, "format": block,
+                             "params": {"z0": [0, 0], "w0": [0, 0], "n": 5}})
+            assert code == 2
+            assert "unknown config fields: ['format']" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_unknown_subcommand_rejected(self):
         with pytest.raises(SystemExit):
@@ -481,15 +485,6 @@ class TestOrbit:
         assert rebuilt.degree == 2
         assert report["escape_step"] == len(csv_lines) - 2
 
-    def test_format_flags_suppress_csv(self, tmp_path):
-        code, out = run(tmp_path, "orbit",
-                        {"map": CHEB, "format": {"csv": False},
-                         "params": {"z0": [0.0, 0.0], "w0": [0.1, 0.0], "n": 5}})
-        assert code == 0
-        assert not (out / "orbit.csv").exists()
-        assert (out / "orbit.json").exists()
-
-
     def test_shipped_config_artifact_digests(self, tmp_path):
         # sha256 recorded on x86-64, numpy 2.4, before trace_to_csv
         # formatted rows in chunks
@@ -560,19 +555,6 @@ class TestBinding:
                         {"map": CHEB, "seed": seed, "params": {"count": 5000}})
         assert code == 0
         assert tree_digest(out) == digests
-
-    def test_summary_without_csv(self, tmp_path):
-        # with CSV output off the blocks are folded without being written
-        cfg = {"map": CHEB, "seed": 3, "params": {"count": 2 * 2048 + 10}}
-        code, out = run(tmp_path, "binding", cfg)
-        assert code == 0
-        with_csv = (out / "binding.json").read_bytes()
-        (tmp_path / "nocsv").mkdir()
-        code, out = run(tmp_path / "nocsv", "binding",
-                        dict(cfg, format={"csv": False}))
-        assert code == 0
-        assert sorted(p.name for p in out.iterdir()) == ["binding.json"]
-        assert (out / "binding.json").read_bytes() == with_csv
 
 
 class TestAuditBounds:

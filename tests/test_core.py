@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from conftest import assert_bitwise
+from skewdyn.binding import audit_pair_blocks, binding_time, mu_constants
+from skewdyn.bounds import trace_starts
 from skewdyn.core import (
     OrbitTrace,
     build_map,
     find_attracting_cycles,
     iterate,
-    iterate_block,
     trace_csv_chunks,
 )
 from skewdyn.errors import (
@@ -23,6 +24,7 @@ from skewdyn.errors import (
     MultiplierNotContracting,
     SkewdynError,
 )
+from skewdyn.fatou import SliceSpec, classify_point, render_slice
 from skewdyn.gallery import (
     basilica_map,
     chebyshev_map,
@@ -30,6 +32,7 @@ from skewdyn.gallery import (
     nearfixed_map,
     siegel_map,
 )
+from skewdyn.measure import e_set_area, fiber_base_derivative
 
 
 class TestBuildMap:
@@ -181,19 +184,30 @@ class TestIterate:
         assert any(t.escape_step is None for t in traces)
         assert any(np.isneginf(t.log_vder).any() for t in traces)
 
-    def test_block_matches_scalar(self):
-        m = chebyshev_map()
-        z0s = [0.1, 0.05 + 0.02j, 0.0]
-        w0s = [0.3, -1.1, 0.9 + 0.1j]
-        blk = iterate_block(m, z0s, w0s, 15)
-        assert len(blk) == 3
-        for j in range(len(blk)):
-            ref = iterate(m, (z0s[j], w0s[j]), 15)
-            ln = blk.lengths[j]
-            assert ln == len(ref)
-            assert np.allclose(blk.ws[:ln, j], ref.ws)
-            assert np.allclose(blk.log_vder[:ln, j], ref.log_vder)
 
+NAN = complex(math.nan, 0.0)
+
+# every entry point that checks a base point against B(0, r0), given NaN
+NAN_BASE = {
+    "iterate": lambda m: iterate(m, (NAN, 0.3), 5),
+    "trace_starts": lambda m: trace_starts(m, [0.0, NAN], [0.3, 0.3], 5),
+    "binding_time_x": lambda m: binding_time(m, (NAN, 0.3), (0.0, 0.31),
+                                             mu_constants(m.degree)[0]),
+    "binding_time_y": lambda m: binding_time(m, (0.0, 0.3), (NAN, 0.31),
+                                             mu_constants(m.degree)[0]),
+    "audit_pair_blocks": lambda m: audit_pair_blocks(m, [(0.0, 0.3, NAN, 0.31)]),
+    "classify_point": lambda m: classify_point(m, (NAN, 0.3)),
+    "render_slice_fiber": lambda m: render_slice(m, SliceSpec("fiber", 0j, 1.0, 4, NAN)),
+    "render_slice_base": lambda m: render_slice(m, SliceSpec("base", NAN, 0.1, 4, 0.3)),
+    "e_set_area": lambda m: e_set_area(m, NAN, 0.05, [0, 10], 100, seed=1),
+    "fiber_base_derivative": lambda m: fiber_base_derivative(m, NAN, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAN_BASE))
+def test_nan_base_is_outside_the_domain(name):
+    with pytest.raises(BaseOutsideDomain):
+        NAN_BASE[name](chebyshev_map())
 
 
 def list_iterate(map, x0, n: int) -> OrbitTrace:

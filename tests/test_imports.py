@@ -1,9 +1,12 @@
-"""Every import in the package and in the tests is used, and the command
+"""Every import in the package and in the tests is used, every private
+module-level name of the package is read by the package, and the command
 line loads a layer only for the subcommand that runs it.
 
 No linter ships with the project, so this walks each module's syntax tree:
 a name bound by an import must be read somewhere in the same file, or be
-re-exported through __all__.
+re-exported through __all__; a function, class or constant whose name has
+one leading underscore must be read somewhere in src outside its own
+definition, so no private helper survives for the tests alone.
 """
 
 import ast
@@ -14,7 +17,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted([*ROOT.glob("src/skewdyn/*.py"), *ROOT.glob("tests/*.py")])
+PACKAGE = sorted(ROOT.glob("src/skewdyn/*.py"))
+SOURCES = sorted([*PACKAGE, *ROOT.glob("tests/*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -48,6 +52,53 @@ def test_no_unused_imports():
     found = {str(p.relative_to(ROOT)): unused_imports(p.read_text())
              for p in SOURCES}
     assert {path: names for path, names in found.items() if names} == {}
+
+
+def _reads(node: ast.AST) -> set[str]:
+    """Names read under node: loaded names and attribute names."""
+    return ({n.id for n in ast.walk(node)
+             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """module:name for each module-level private function, class or
+    constant of the sources that no source reads outside its definition."""
+    defined = []  # (module, name, defining statement)
+    readers = {}  # name -> the top-level statements that read it
+    for module, text in sources.items():
+        for stmt in ast.parse(text).body:
+            for name in _reads(stmt):
+                readers.setdefault(name, []).append(stmt)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, ast.Assign):
+                names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+            elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                names = [stmt.target.id]
+            else:
+                names = []
+            defined += [(module, name, stmt) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+    return sorted(f"{module}:{name}" for module, name, stmt in defined
+                  if all(r is stmt for r in readers.get(name, [])))
+
+
+def test_private_checker_flags_unread():
+    sources = {
+        "a": ("_LIMIT = 3\n_unused = 1\n"
+              "def _rec(n):\n    return _rec(n - 1)\n"
+              "class _Box:\n    pass\n"
+              "def _helper():\n    pass\n"
+              "def public():\n    return _LIMIT\n"),
+        "b": "from a import _Box\nimport a\nbox = _Box()\nhelp = a._helper\n",
+    }
+    assert unread_private_names(sources) == ["a:_rec", "a:_unused"]
+
+
+def test_every_private_name_is_read_in_the_package():
+    sources = {p.stem: p.read_text() for p in PACKAGE}
+    assert unread_private_names(sources) == []
 
 
 def test_cli_import_loads_no_subcommand_layer():

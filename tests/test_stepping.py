@@ -1,12 +1,12 @@
 """The compacted orbit-stepping kernel and the callers built on it.
 
-Two kinds of check.  A differential test drives the vector path
-(iterate_block, read column by column) and the scalar path (core.iterate) from the
-same random starts and requires equal lengths and escape steps and tightly
-agreeing values.  Exactness tests pin every caller of the kernel to the
-outputs the masked full-length loops produced before it existed; those
-values are compared with ==, because stepping only the live orbits changes
-no per-element arithmetic.  Complex multipliers and nonzero base points
+Two kinds of check.  A differential test drives the vector kernel
+(core._Orbits with factors, its log |factor| summed per orbit) and the
+scalar path (core.iterate) from the same random starts and requires equal
+lengths and escape steps and tightly agreeing values.  Exactness tests pin
+every caller of the kernel to the outputs the masked full-length loops
+produced before it existed; those values are compared with ==, because
+stepping only the live orbits changes no per-element arithmetic.  Complex multipliers and nonzero base points
 appear on purpose: numpy's complex products are not bitwise commutative,
 so they catch a change in the order of lam * z.  A third check steps a
 shared base orbit (a z of length 1) beside one z per orbit and requires
@@ -20,9 +20,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_bitwise
+from conftest import assert_bitwise, iterate_block
 from skewdyn import bounds as BD
-from skewdyn.core import _Orbits, build_map, iterate, iterate_block
+from skewdyn.core import _Orbits, build_map, iterate
 from skewdyn.errors import EmptySample
 from skewdyn.fatou import SliceSpec, classify_point, render_slice
 from skewdyn.gallery import basilica_map, chebyshev_map, nearfixed_map, siegel_map
@@ -39,24 +39,11 @@ def _digest(*arrays) -> str:
 
 
 # ---------------------------------------------------------------------------
-# differential test: vector block against the scalar orbit
+# differential test: the vector kernel against the scalar orbit
 
 
 UNICRITICAL = build_map(0.5 + 0.2j, 2, [[-1.3 + 0.1j, 1.0, 0.3]])
 GENERAL = build_map(0.6, 3, [[0.2 + 0.1j, 1.0], [-0.5, 0.4j], [0.3]], mode="general")
-
-
-def _column(block, map, j):
-    """Column j of a block, cut to its valid rows, in OrbitTrace's fields."""
-    ln = int(block.lengths[j])
-    return {
-        "zs": block.z0s[j] * map.lam ** np.arange(ln),
-        "ws": block.ws[:ln, j],
-        "log_vder": block.log_vder[:ln, j],
-        "vder_phase": block.vder_phase[:ln, j],
-        "tame_flags": block.tame[:ln, j],
-        "escape_step": (ln - 1) if block.escaped[j] else None,
-    }
 
 
 def _polar(radius):
@@ -72,30 +59,28 @@ def test_block_agrees_with_scalar_iterate(map, data):
     n = data.draw(st.integers(0, 12))
     z0s = [data.draw(_polar(0.999 * map.r0)) for _ in range(count)]
     w0s = [data.draw(_polar(1.2 * map.escape_radius)) for _ in range(count)]
-    block = iterate_block(map, z0s, w0s, n)
-    assert len(block) == count
-    for j in range(count):
-        col = _column(block, map, j)
+    # the kernel's rows per orbit, cut at the escape radius as iterate cuts
+    rows = [([z], [w], [0.0]) for z, w in zip(z0s, w0s)]
+    orbits = _Orbits(map, z0s, w0s, factors=True, carry={"logd": np.zeros(count)})
+    orbits.retire(orbits.absw > map.escape_radius)
+    with np.errstate(divide="ignore"):
+        for _ in orbits.steps(n):
+            logd = orbits.carry["logd"] = (orbits.carry["logd"]
+                                           + np.log(np.abs(orbits.factor)))
+            for j, z, w, l in zip(orbits.idx, orbits.z, orbits.w, logd):
+                for col, v in zip(rows[j], (z, w, l)):
+                    col.append(v)
+            orbits.retire(orbits.absw > map.escape_radius)
+    for j, (zs, ws, logs) in enumerate(rows):
         ref = iterate(map, (z0s[j], w0s[j]), n)
-        assert len(col["ws"]) == len(ref)
-        assert col["escape_step"] == ref.escape_step
-        np.testing.assert_allclose(col["zs"], ref.zs, rtol=1e-12, atol=1e-300)
-        np.testing.assert_allclose(col["ws"], ref.ws, rtol=1e-9, atol=1e-12)
-        np.testing.assert_allclose(col["log_vder"], ref.log_vder, rtol=1e-9, atol=1e-9)
-        np.testing.assert_allclose(col["vder_phase"], ref.vder_phase, rtol=1e-9, atol=1e-9)
-        assert np.array_equal(col["tame_flags"], ref.tame_flags)
-
-
-def test_block_phase_matches_scalar_on_escaping_and_bounded_orbits():
-    m = chebyshev_map(LAM)
-    z0s = [0.0, 0.02 + 0.01j, 0.01j]
-    w0s = [0.3, 0.9 + 0.1j, 2.0]
-    block = iterate_block(m, z0s, w0s, 40)
-    for j in range(len(block)):
-        phase = _column(block, m, j)["vder_phase"]
-        ref = iterate(m, (z0s[j], w0s[j]), 40)
-        assert np.any(phase != 0.0)
-        np.testing.assert_allclose(phase, ref.vder_phase, rtol=1e-9, atol=1e-9)
+        assert len(ws) == len(ref)
+        escaped = abs(ws[-1]) > map.escape_radius
+        assert (len(ws) - 1 if escaped else None) == ref.escape_step
+        np.testing.assert_allclose(zs, ref.zs, rtol=1e-12, atol=1e-300)
+        np.testing.assert_allclose(ws, ref.ws, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(logs, ref.log_vder, rtol=1e-9, atol=1e-9)
+        tame = np.abs(zs) ** map.k <= np.abs(ws) ** map.degree
+        assert np.array_equal(tame, ref.tame_flags)
 
 
 # ---------------------------------------------------------------------------
