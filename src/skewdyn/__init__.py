@@ -1,5 +1,14 @@
 """Numerical toolkit for polynomial skew products with an attracting invariant line."""
 
+import os
+
+# Everything here computes in one thread, but when numpy loads, OpenBLAS
+# starts a worker thread for every further core, and on a 2-core host that
+# worker spins for about 0.13 s of CPU before it sleeps.  The only BLAS calls
+# (np.roots, np.polyfit) are on tiny matrices, so ask for one BLAS thread
+# before the first numpy import.  A value the caller has set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .core import (
     OrbitTrace,
     SkewProductMap,

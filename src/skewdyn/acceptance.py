@@ -12,6 +12,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
@@ -316,11 +318,33 @@ def _digest_tree(path: str) -> dict:
     return out
 
 
+# fresh `python -m skewdyn.cli` processes: one BLAS thread by the package's
+# default, and two where the caller asks for them (np.polyfit in exclusion,
+# np.roots in render are the BLAS users)
+_CHILD_RUNS = {"child_openblas_unset": None, "child_openblas_2": "2"}
+
+
+def _child_env(openblas_threads) -> dict:
+    src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    return env
+
+
 def criterion_10() -> CriterionResult:
-    """Byte-identical artifacts across reruns and worker counts."""
+    """Byte-identical artifacts across reruns and fresh processes.
+
+    Each command runs twice in process, then once in each of two fresh CLI
+    processes: one with OPENBLAS_NUM_THREADS unset, so the package's one
+    BLAS thread, and one with it set to 2.
+    """
     from .cli import main as cli_main
 
     t0 = time.perf_counter()
+    runs = ["in_process_1", "in_process_2", *_CHILD_RUNS]
     mismatches = []
     commands = []
     with tempfile.TemporaryDirectory() as root:
@@ -328,25 +352,29 @@ def criterion_10() -> CriterionResult:
             cfg_path = os.path.join(root, f"{command}.json")
             with open(cfg_path, "w") as fh:
                 json.dump(cfg, fh)
-            digests = []
-            # workers 1 (twice, for rerun idempotence), then 2 and 8
-            for tag, workers in (("a1", 1), ("b1", 1), ("w2", 2), ("w8", 8)):
+            digests = {}
+            for tag in runs:
                 outdir = os.path.join(root, f"{command}-{tag}")
-                argv = [command, "--config", cfg_path, "--out", outdir,
-                        "--threads", str(workers)]
-                with contextlib.redirect_stdout(io.StringIO()):
-                    code = cli_main(argv)
+                argv = [command, "--config", cfg_path, "--out", outdir]
+                if tag in _CHILD_RUNS:
+                    code = subprocess.run(
+                        [sys.executable, "-m", "skewdyn.cli", *argv],
+                        env=_child_env(_CHILD_RUNS[tag]),
+                        capture_output=True).returncode
+                else:
+                    with contextlib.redirect_stdout(io.StringIO()):
+                        code = cli_main(argv)
                 if code != 0:
-                    mismatches.append(f"{command}: exit {code}")
+                    mismatches.append(f"{command} {tag}: exit {code}")
                     break
-                digests.append(_digest_tree(outdir))
+                digests[tag] = _digest_tree(outdir)
             else:
-                if not all(d == digests[0] for d in digests[1:]):
-                    mismatches.append(f"{command}: artifacts differ")
+                first = digests[runs[0]]
+                mismatches += [f"{command} {tag}: artifacts differ"
+                               for tag, d in digests.items() if d != first]
             commands.append(command)
     return _finish(10, "determinism", t0, 120.0, not mismatches, {
-        "commands": commands, "worker_counts": [1, 1, 2, 8],
-        "mismatches": mismatches,
+        "commands": commands, "runs": runs, "mismatches": mismatches,
     })
 
 

@@ -26,7 +26,7 @@ from .errors import (
     MultiplierNotContracting,
     SkewdynError,
 )
-from .fiber import Cycle, FiberMap
+from .fiber import Cycle, FiberMap, _select_cycles
 
 _COEFF_ZERO_REL = 1e-13
 _R0_START = 0.5
@@ -332,11 +332,11 @@ def iterate(map: SkewProductMap, x0, n: int) -> OrbitTrace:
 
 
 @functools.lru_cache(maxsize=256)
-def _cached_cycles(map: SkewProductMap, max_period: int,
-                   include_parabolic: bool) -> tuple[Cycle, ...]:
+def _cached_cycles(map: SkewProductMap, max_period: int) -> tuple[tuple[Cycle, ...], ...]:
+    # one scan serves both variants: the parabolic candidates only change
+    # which of its cycles each critical point contributes
     bound = max(1e6, map.escape_radius * 100.0)
-    return tuple(map.f0().attracting_cycles(
-        max_period, escape_radius=bound, include_parabolic=include_parabolic))
+    return map.f0().cycle_scan(max_period, escape_radius=bound)
 
 
 def find_attracting_cycles(map: SkewProductMap, max_period: int = 12,
@@ -348,7 +348,7 @@ def find_attracting_cycles(map: SkewProductMap, max_period: int = 12,
     """
     if not 1 <= max_period <= 12:
         raise ValueError(f"max_period must be in 1..12, got {max_period}")
-    return list(_cached_cycles(map, max_period, include_parabolic))
+    return _select_cycles(_cached_cycles(map, max_period), include_parabolic)
 
 
 # -- vectorized block iteration ---------------------------------------------------

@@ -114,7 +114,20 @@ class FiberMap:
         at that residual, so such cycles count as parabolic candidates and
         appear only when include_parabolic is set.
         """
-        cycles: list[Cycle] = []
+        return _select_cycles(self.cycle_scan(max_period, escape_radius),
+                              include_parabolic)
+
+    def cycle_scan(self, max_period: int = 12,
+                   escape_radius: float = 1e6) -> tuple[tuple[Cycle, ...], ...]:
+        """The search both variants of attracting_cycles select from.
+
+        One entry per critical point whose orbit stays within escape_radius
+        for 10^4 steps: the cycles refined from its orbit tail, in period
+        order, that are attracting or parabolic candidates.  The entry ends
+        at the first attracting cycle that is not a parabolic candidate,
+        where the search without parabolic candidates stops.
+        """
+        scan = []
         for w0 in self.critical_points():
             w = w0
             escaped = False
@@ -126,25 +139,20 @@ class FiberMap:
             if escaped:
                 continue
             tail = self.orbit(w, max_period)
+            found = []
             for p in range(1, max_period + 1):
                 if abs(tail[p] - tail[0]) > _DETECT_TOL:
                     continue
                 cyc = self._refine_cycle(tail[0], p)
                 if cyc is None:
                     continue
-                # at refinement tolerance a multiplier within 1e-3 of 1 cannot
-                # be distinguished from exactly parabolic; keep the candidate
-                # class separate from certified attracting cycles
-                if abs(cyc.multiplier - 1.0) < 1e-3:
-                    if not include_parabolic:
-                        continue
-                elif not cyc.attracting:
-                    continue
-                if any(existing.distance(cyc.points[0]) < 1e-8 for existing in cycles):
+                if _parabolic(cyc):
+                    found.append(cyc)
+                elif cyc.attracting:
+                    found.append(cyc)
                     break
-                cycles.append(cyc)
-                break
-        return cycles
+            scan.append(tuple(found))
+        return tuple(scan)
 
     def _refine_cycle(self, w: complex, period: int) -> Cycle | None:
         """Newton-polish a fixed point of f0^period starting from w."""
@@ -171,3 +179,25 @@ class FiberMap:
         # Minimal period: the orbit may close up earlier than the probed period.
         points = tuple(pts)
         return Cycle(points=points, multiplier=self.cycle_multiplier(points))
+
+
+def _parabolic(cyc: Cycle) -> bool:
+    # at refinement tolerance a multiplier within 1e-3 of 1 cannot be
+    # distinguished from exactly parabolic; keep the candidate class
+    # separate from certified attracting cycles
+    return abs(cyc.multiplier - 1.0) < 1e-3
+
+
+def _select_cycles(scan, include_parabolic: bool) -> list[Cycle]:
+    """attracting_cycles from a cycle_scan: each critical point gives its
+    first cycle (without include_parabolic, its first that is not a
+    parabolic candidate), unless a cycle already taken lies within 1e-8."""
+    cycles: list[Cycle] = []
+    for found in scan:
+        for cyc in found:
+            if not include_parabolic and _parabolic(cyc):
+                continue
+            if not any(existing.distance(cyc.points[0]) < 1e-8 for existing in cycles):
+                cycles.append(cyc)
+            break
+    return cycles

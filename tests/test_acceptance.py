@@ -53,6 +53,27 @@ def test_criterion_1_fails_on_a_drifting_cocycle(monkeypatch):
     assert result.details["worst_restart_deviation"] > result.details["tolerance"]
 
 
+def test_criterion_10_fails_when_a_child_writes_other_bytes(tmp_path, monkeypatch):
+    # a sitecustomize on the children's path appends a byte to every artifact
+    # of the child with two BLAS threads, after the CLI has written them
+    (tmp_path / "sitecustomize.py").write_text(
+        "import atexit, os, sys\n"
+        "def _append():\n"
+        "    out = sys.argv[sys.argv.index('--out') + 1]\n"
+        "    for name in os.listdir(out):\n"
+        "        with open(os.path.join(out, name), 'ab') as fh:\n"
+        "            fh.write(b'\\n')\n"
+        "if os.environ.get('OPENBLAS_NUM_THREADS') == '2':\n"
+        "    atexit.register(_append)\n")
+    monkeypatch.setenv("PYTHONPATH", str(tmp_path))
+    render = [run for run in acceptance._DETERMINISM_RUNS if run[0] == "render"]
+    monkeypatch.setattr(acceptance, "_DETERMINISM_RUNS", render)
+    result = acceptance.criterion_10()
+    assert not result.passed
+    assert result.details["mismatches"] == [
+        "render child_openblas_2: artifacts differ"]
+
+
 class TestRunner:
     def test_subset_in_numeric_order(self):
         results = acceptance.run_all([9, 2])

@@ -1,14 +1,16 @@
 """End-to-end runs of the command-line front end.
 
 Tests call main() in process with artifact directories under tmp_path;
-one subprocess test exercises the installed entry point path.
+two subprocess tests run the `python -m skewdyn.cli` entry point.
 """
 
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -1262,6 +1264,27 @@ class TestShippedConfigs:
                            capture_output=True, text=True)
         assert r.returncode == 0, r.stderr
         assert "wrote" in r.stdout
+
+    def test_cli_process_spends_no_cpu_beyond_its_wall_time(self, tmp_path):
+        # one thread cannot spend more CPU than wall time; numpy's default
+        # OpenBLAS pool did (0.30 s of CPU in 0.19 s for the import alone,
+        # 2 cores).  The pytest process has the package's variable set, so
+        # the child goes without it to see the package's own default.
+        cfg = write_config(tmp_path, {
+            "command": "orbit", "map": CHEB,
+            "params": {"z0": [0.01, 0.0], "w0": [0.1, 0.1], "n": 2000}})
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = str(CONFIG_DIR.parent / "src")
+        t0 = time.perf_counter()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "skewdyn.cli", "orbit", "--config", cfg,
+             "--out", str(tmp_path / "out")],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - t0
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 0
+        assert usage.ru_utime + usage.ru_stime <= wall + 0.05
 
     def test_every_shipped_config_parses(self):
         paths = sorted(CONFIG_DIR.glob("*.json"))

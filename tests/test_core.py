@@ -1,14 +1,19 @@
 """Map construction, orbit traces, and fiber-cycle detection."""
 
 import cmath
+import contextlib
+import io
+import json
 import math
 
 import numpy as np
 import pytest
 
 from conftest import assert_bitwise
+from skewdyn import core
 from skewdyn.binding import audit_pair_blocks, binding_time, mu_constants
 from skewdyn.bounds import trace_starts
+from skewdyn.cli import main
 from skewdyn.core import (
     OrbitTrace,
     build_map,
@@ -25,6 +30,7 @@ from skewdyn.errors import (
     SkewdynError,
 )
 from skewdyn.fatou import SliceSpec, classify_point, render_slice
+from skewdyn.fiber import FiberMap
 from skewdyn.gallery import (
     basilica_map,
     chebyshev_map,
@@ -330,6 +336,84 @@ class TestAttractingCycles:
             find_attracting_cycles(chebyshev_map(), max_period=0)
         with pytest.raises(ValueError):
             find_attracting_cycles(chebyshev_map(), max_period=13)
+
+    @pytest.mark.parametrize("map", [
+        chebyshev_map(), basilica_map(), nearfixed_map(),
+        build_map(0.5, 2, [[0.25, 1.0]]), siegel_map(),
+        build_map(0.5, 3, [[-0.5, 1.0], [-1.2, 0.3], [0.2j]], mode="general"),
+        # both critical points fall into the one fixed point 0: deduplicated
+        build_map(0.5, 3, [[0.0, 1.0], [-0.3], [0.0]], mode="general"),
+    ], ids=["chebyshev", "basilica", "c=0.2", "c=1/4", "siegel", "general3",
+            "odd_cubic"])
+    def test_shared_scan_matches_separate_searches(self, map):
+        # both variants come from one cached scan; each must equal its own
+        # uncached search and the per-variant loop the scan replaced
+        core._cached_cycles.cache_clear()
+        bound = max(1e6, map.escape_radius * 100.0)
+        for include_parabolic in (False, True):
+            separate = map.f0().attracting_cycles(12, bound, include_parabolic)
+            assert find_attracting_cycles(
+                map, include_parabolic=include_parabolic) == separate
+            assert separate == separate_search(map.f0(), 12, bound,
+                                               include_parabolic)
+        assert core._cached_cycles.cache_info().misses == 1
+
+    def test_expand_scans_once(self, tmp_path, monkeypatch):
+        # the cycle gate asks for the search without parabolic candidates,
+        # classify_point for the one with them: one scan serves both
+        scans = []
+        scan = FiberMap.cycle_scan
+
+        def counted(self, *args, **kwargs):
+            scans.append(self)
+            return scan(self, *args, **kwargs)
+
+        monkeypatch.setattr(FiberMap, "cycle_scan", counted)
+        core._cached_cycles.cache_clear()
+        cfg = tmp_path / "expand.json"
+        cfg.write_text(json.dumps({
+            "map": {"lambda": [0.5, 0.0], "degree": 2, "mode": "unicritical",
+                    "fiber_coeffs": [[[-2.0, 0.0], [1.0, 0.0]]]},
+            "params": {"z0": [0.0, 0.0], "w0": [0.3, 0.0], "delta": 0.001,
+                       "lambda0": 0.9, "n_max": 3, "fit_n": 2}}))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["expand", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 0
+        assert len(scans) == 1
+        info = core._cached_cycles.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+
+def separate_search(f0, max_period, escape_radius, include_parabolic):
+    """The cycle search as one loop per variant, before the shared scan."""
+    cycles = []
+    for w0 in f0.critical_points():
+        w = w0
+        escaped = False
+        for _ in range(10_000):
+            w = f0(w)
+            if abs(w) > escape_radius or not (abs(w) == abs(w)):
+                escaped = True
+                break
+        if escaped:
+            continue
+        tail = f0.orbit(w, max_period)
+        for p in range(1, max_period + 1):
+            if abs(tail[p] - tail[0]) > 1e-3:
+                continue
+            cyc = f0._refine_cycle(tail[0], p)
+            if cyc is None:
+                continue
+            if abs(cyc.multiplier - 1.0) < 1e-3:
+                if not include_parabolic:
+                    continue
+            elif not cyc.attracting:
+                continue
+            if any(existing.distance(cyc.points[0]) < 1e-8 for existing in cycles):
+                break
+            cycles.append(cyc)
+            break
+    return cycles
 
 
 class TestGallery:

@@ -1,6 +1,7 @@
 """Every import in the package and in the tests is used, every private
-module-level name of the package is read by the package, and the command
-line loads a layer only for the subcommand that runs it.
+module-level name of the package is read by the package, the command line
+loads a layer only for the subcommand that runs it, and importing the
+package starts no second thread.
 
 No linter ships with the project, so this walks each module's syntax tree:
 a name bound by an import must be read somewhere in the same file, or be
@@ -15,6 +16,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted(ROOT.glob("src/skewdyn/*.py"))
@@ -101,17 +104,47 @@ def test_every_private_name_is_read_in_the_package():
     assert unread_private_names(sources) == []
 
 
+def _fresh_interpreter(code: str, **env_changes) -> str:
+    """stdout of code in a new interpreter that finds the package; an
+    env_changes value of None removes that variable."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for name, value in env_changes.items():
+        env.pop(name, None)
+        if value is not None:
+            env[name] = value
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
 def test_cli_import_loads_no_subcommand_layer():
     # a fresh interpreter, so modules other tests imported do not count
     code = ("import json, sys\n"
             "import skewdyn.cli\n"
-            "print(json.dumps(sorted(m for m in sys.modules"
-            " if m.startswith('skewdyn.'))))\n")
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    loaded = set(json.loads(out))
+            "print(json.dumps(sorted(sys.modules)))\n")
+    loaded = set(json.loads(_fresh_interpreter(code)))
     assert "skewdyn.cli" in loaded
     lazy = {f"skewdyn.{m}" for m in ("binding", "bounds", "fatou", "measure",
                                      "series", "mc", "acceptance")}
     assert loaded & lazy == set()
+    # deterministic commands such as expand and render need none of these;
+    # hashlib alone adds about 3.4 MiB of peak RSS, numpy.random 5.4 MiB
+    assert loaded & {"mpmath", "hashlib", "numpy.random"} == set()
+
+
+TASKS = Path("/proc/self/task")
+
+
+@pytest.mark.skipif(not TASKS.is_dir(), reason="needs /proc/self/task")
+def test_package_import_leaves_one_thread():
+    # the pytest process has imported skewdyn, so it has the variable set:
+    # remove it to see the package's own default
+    code = ("import os\n"
+            "import skewdyn\n"
+            "print(len(os.listdir('/proc/self/task')),"
+            " os.environ['OPENBLAS_NUM_THREADS'])\n")
+    assert _fresh_interpreter(code, OPENBLAS_NUM_THREADS=None).split() == ["1", "1"]
+
+
+def test_package_import_keeps_the_callers_blas_threads():
+    code = "import os\nimport skewdyn\nprint(os.environ['OPENBLAS_NUM_THREADS'])\n"
+    assert _fresh_interpreter(code, OPENBLAS_NUM_THREADS="2").strip() == "2"
