@@ -10,23 +10,27 @@ coefficient-difference sum W.  Both facts are audited numerically here.
 
 Every pair runs through one batch kernel, `_bind`, which steps all pairs
 of a batch together; the pair audits (and the departure audit in `bounds`)
-bind BLOCK_PAIRS pairs per batch, so the histories and rows they hold at
-once are bounded by the block, not by the number of pairs.  The kernel reproduces CPython's scalar complex arithmetic
-bit for bit: numpy's complex products, np.abs, np.angle and np.exp round
-differently from CPython's complex type and math module, so the kernel
-keeps real and imaginary parts in separate float64 arrays, multiplies
-them op for op as CPython's c_prod and c_powu do, takes moduli with
-np.hypot (which abs() calls) and sends log, atan2 and exp through the
-math module.
+bind BLOCK_PAIRS pairs per batch, so the histories they hold at once are
+bounded by the block, not by the number of pairs.  Each audit is one
+vectorized reduction over a batch (`_Reduction`): per-pair columns of
+least margins and failure flags.  `audit_pair_blocks` yields those columns
+block by block (`PairBlock`), which is all the CSV and the summary need;
+BindingAudit records are built from the same columns only for the record
+API (`audit_lemma_*`, `audit_pair_batch`).
+
+The kernel reproduces CPython's scalar complex arithmetic bit for bit:
+numpy's complex products, np.abs, np.angle and np.exp round differently
+from CPython's complex type and math module, so the kernel keeps real and
+imaginary parts in separate float64 arrays, multiplies them op for op as
+CPython's c_prod and c_powu do, takes moduli with np.hypot (which abs()
+calls) and sends log, atan2 and exp through the math module.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -464,7 +468,55 @@ def binding_time(
 # the two audits, over every pair of a batch at once
 
 
-def _ratio_audits(h: _Histories) -> list[BindingAudit]:
+@dataclass
+class _Reduction:
+    """One audit over every pair of a batch, as columns.  Pair j's margins
+    are the size[j] values from sum(size[:j]) on, of which checked[j] are
+    bound steps (0 where the audit skips the pair); least is the least
+    margin (NaN where skipped), deviation the max deviation (where
+    checked), and failed marks the checked pairs that fail."""
+
+    kind: str
+    skipped_margin: float  # min_margin of a skipped pair's record
+    checked: np.ndarray
+    size: np.ndarray
+    margins: np.ndarray
+    least: np.ndarray
+    deviation: np.ndarray
+    failed: np.ndarray
+
+    def audits(self) -> list[BindingAudit]:
+        """One BindingAudit per pair, for the record API."""
+        out = []
+        first = np.cumsum(self.size) - self.size
+        for n, f, c, least, dev, failed in zip(
+                self.checked.tolist(), first.tolist(), self.size.tolist(),
+                self.least.tolist(), self.deviation.tolist(),
+                self.failed.tolist()):
+            if n == 0:
+                out.append(BindingAudit(
+                    kind=self.kind, n_checked=0, max_deviation=0.0,
+                    min_margin=self.skipped_margin, margins=np.zeros(0),
+                    passed=True, skipped=True))
+            else:
+                out.append(BindingAudit(
+                    kind=self.kind, n_checked=n, max_deviation=dev,
+                    min_margin=least, margins=self.margins[f:f + c],
+                    passed=not failed))
+        return out
+
+
+def _per_pair(ufunc, values: np.ndarray, size: np.ndarray, fill: float) -> np.ndarray:
+    """ufunc reduced over each pair's size values (values holds them pair
+    after pair), fill where a pair has none."""
+    out = np.full(len(size), fill)
+    checked = size > 0
+    if checked.any():
+        out[checked] = ufunc.reduceat(values, (np.cumsum(size) - size)[checked])
+    return out
+
+
+def _ratio_reduction(h: _Histories) -> _Reduction:
     """|Df^m(x)(v) / Df^m(y)(v) - 1| < 1/2 for m = 1..n_last of each pair."""
     counts = np.where(h.shadowing, 0, h.last)
     pos = _ranges(h.start[:-1] + 1, counts)
@@ -475,28 +527,16 @@ def _ratio_audits(h: _Histories) -> list[BindingAudit]:
         ratio = np.exp(log_ratio) * np.exp(1j * phase)
         dev = np.abs(ratio - 1.0)
     dev = np.where(np.isfinite(dev), dev, np.inf)
+    max_dev = _per_pair(np.maximum, dev, counts, 0.0)
     margins = 0.5 - dev
-    first = np.cumsum(counts) - counts
-    seg = first[counts > 0]
-    max_dev = np.maximum.reduceat(dev, seg) if len(seg) else dev
-    min_margin = np.minimum.reduceat(margins, seg) if len(seg) else margins
-    out, k = [], 0
-    for c, f in zip(counts.tolist(), first.tolist()):
-        if c == 0:
-            out.append(BindingAudit(
-                kind="derivative_ratio", n_checked=0, max_deviation=0.0,
-                min_margin=0.5, margins=np.zeros(0), passed=True, skipped=True))
-            continue
-        mx = float(max_dev[k])
-        out.append(BindingAudit(
-            kind="derivative_ratio", n_checked=c, max_deviation=mx,
-            min_margin=float(min_margin[k]), margins=margins[f:f + c],
-            passed=mx < 0.5))
-        k += 1
-    return out
+    return _Reduction(
+        kind="derivative_ratio", skipped_margin=0.5, checked=counts,
+        size=counts, margins=margins,
+        least=_per_pair(np.minimum, margins, counts, np.nan),
+        deviation=max_dev, failed=(counts > 0) & ~(max_dev < 0.5))
 
 
-def _expansion_audits(h: _Histories, mu: float, rel_slack: float = 1e-9) -> list[BindingAudit]:
+def _expansion_reduction(h: _Histories, mu: float, rel_slack: float = 1e-9) -> _Reduction:
     """|Df^n(x)(v)| >= sep_n / W(n) at each bound step n, and at a finite
     binding time b also |Df^b(x)(v)| >= mu |xi_b(x)| / (2 (b+1)^2 W(b));
     margins are relative slacks (lhs/rhs - 1)."""
@@ -521,34 +561,23 @@ def _expansion_audits(h: _Histories, mu: float, rel_slack: float = 1e-9) -> list
     extra_at, at = extra_at[kept], at[kept]
     extra = _apply(math.expm1, d["log_vder_x"][at] - _apply(math.log, rhs2[kept]))
 
-    has_extra = np.zeros(len(n_lim), dtype=int)
-    has_extra[extra_at] = 1
-    counts = n_lim + has_extra
+    counts = n_lim.copy()
+    counts[extra_at] += 1
     first = np.cumsum(counts) - counts
     margins = np.empty(int(counts.sum()))
     margins[_ranges(first, n_lim)] = main
     margins[first[extra_at] + n_lim[extra_at]] = extra
-    seg = first[counts > 0]
-    min_margin = np.minimum.reduceat(margins, seg) if len(seg) else margins
-    out, k = [], 0
-    for nl, c, f in zip(n_lim.tolist(), counts.tolist(), first.tolist()):
-        if nl == 0:
-            out.append(BindingAudit(
-                kind="derivative_expansion", n_checked=0, max_deviation=0.0,
-                min_margin=math.inf, margins=np.zeros(0), passed=True, skipped=True))
-            continue
-        mm = float(min_margin[k])
-        out.append(BindingAudit(
-            kind="derivative_expansion", n_checked=nl,
-            max_deviation=float(-min(mm, 0.0)), min_margin=mm,
-            margins=margins[f:f + c], passed=mm >= -rel_slack))
-        k += 1
-    return out
+    least = _per_pair(np.minimum, margins, counts, np.nan)
+    return _Reduction(
+        kind="derivative_expansion", skipped_margin=math.inf, checked=n_lim,
+        size=counts, margins=margins, least=least,
+        deviation=-_pymin(least, 0.0),  # Python's -min(least, 0.0)
+        failed=(n_lim > 0) & ~(least >= -rel_slack))
 
 
 def audit_lemma_ratio(record: BindingRecord) -> BindingAudit:
     """Check |Df^m(x)(v) / Df^m(y)(v) - 1| < 1/2 for every m while bound."""
-    return _ratio_audits(_Histories.of_record(record))[0]
+    return _ratio_reduction(_Histories.of_record(record)).audits()[0]
 
 
 def audit_lemma_expansion(record: BindingRecord, rel_slack: float = 1e-9) -> BindingAudit:
@@ -559,7 +588,8 @@ def audit_lemma_expansion(record: BindingRecord, rel_slack: float = 1e-9) -> Bin
     |Df^b(x)(v)| >= mu |xi_b(x)| / (2 (b+1)^2 W(b)).
     Margins are relative slacks (lhs/rhs - 1).
     """
-    return _expansion_audits(_Histories.of_record(record), record.mu, rel_slack)[0]
+    return _expansion_reduction(_Histories.of_record(record), record.mu,
+                                rel_slack).audits()[0]
 
 
 def _draw_bound_pairs(map: SkewProductMap, count: int, seed: int,
@@ -598,10 +628,26 @@ def sample_bound_pairs(
     return [((row[0], row[1]), (row[2], row[3])) for row in cols]
 
 
+class PairBlock(NamedTuple):
+    """One block of audited pairs as columns: row j is pair first_id + j.
+    binding_time is -1 where censored, W_final NaN where the pair keeps no
+    W, and a least margin NaN where its audit skips the pair."""
+
+    first_id: int
+    binding_time: np.ndarray
+    censored: np.ndarray
+    w_final: np.ndarray
+    least_lemma23: np.ndarray  # derivative ratio
+    least_lemma24: np.ndarray  # derivative expansion
+    failed_lemma23: np.ndarray
+    failed_lemma24: np.ndarray
+
+
 @dataclass
 class PairAudits:
-    """Audited pairs, bound BLOCK_PAIRS at a time.  Iterating yields each
-    block's rows in pair_id order; mu and horizon are the values used."""
+    """Audited pairs, bound BLOCK_PAIRS at a time.  Iterating yields one
+    PairBlock per block, in pair_id order; rows() gives every pair's row
+    with its audit records.  mu and horizon are the values used."""
 
     map: SkewProductMap
     points: np.ndarray  # (pairs, 4): zx, wx, zy, wy
@@ -611,31 +657,49 @@ class PairAudits:
     def __len__(self) -> int:
         return len(self.points)
 
-    def __iter__(self) -> Iterator[list[dict]]:
+    def __iter__(self) -> Iterator[PairBlock]:
         for lo in range(0, len(self.points), BLOCK_PAIRS):
-            yield self._rows(lo, self.points[lo:lo + BLOCK_PAIRS])
+            yield self._audited(lo)[0]
 
-    def _rows(self, lo: int, pts: np.ndarray) -> list[dict]:
-        mu = self.mu
-        h = _bind(self.map, pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3], mu,
-                  self.horizon)
-        w = h.data.get("w_history")
+    def rows(self) -> list[dict]:
+        """Every pair's row, with its two BindingAudit records, in pair_id
+        order."""
         rows = []
-        for j, (ratio, expansion) in enumerate(zip(_ratio_audits(h),
-                                                   _expansion_audits(h, mu))):
-            b, w_len = int(h.binding[j]), int(h.w_len[j])
-            rows.append({
-                "pair_id": lo + j,
-                "mu": mu,
-                "binding_time": None if b < 0 else b,
-                "censored": b < 0,
-                "W_final": float(w[h.start[j] + w_len]) if w_len > 0 else math.nan,
-                "min_margin_lemma23": ratio.min_margin if not ratio.skipped else math.nan,
-                "min_margin_lemma24": expansion.min_margin if not expansion.skipped else math.nan,
-                "ratio_audit": ratio,
-                "expansion_audit": expansion,
-            })
+        for lo in range(0, len(self.points), BLOCK_PAIRS):
+            block, ratio, expansion = self._audited(lo)
+            for j, (b, w, m23, m24, ra, ea) in enumerate(zip(
+                    block.binding_time.tolist(), block.w_final.tolist(),
+                    block.least_lemma23.tolist(), block.least_lemma24.tolist(),
+                    ratio.audits(), expansion.audits())):
+                rows.append({
+                    "pair_id": lo + j,
+                    "mu": self.mu,
+                    "binding_time": None if b < 0 else b,
+                    "censored": b < 0,
+                    "W_final": w,
+                    "min_margin_lemma23": m23,
+                    "min_margin_lemma24": m24,
+                    "ratio_audit": ra,
+                    "expansion_audit": ea,
+                })
         return rows
+
+    def _audited(self, lo: int) -> tuple[PairBlock, _Reduction, _Reduction]:
+        """Bind the block of pairs lo onward and reduce both audits."""
+        pts = self.points[lo:lo + BLOCK_PAIRS]
+        h = _bind(self.map, pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3],
+                  self.mu, self.horizon)
+        ratio, expansion = _ratio_reduction(h), _expansion_reduction(h, self.mu)
+        w_final = np.full(len(pts), np.nan)
+        has_w = h.w_len > 0
+        if has_w.any():
+            w_final[has_w] = h.data["w_history"][h.start[:-1][has_w] + h.w_len[has_w]]
+        block = PairBlock(
+            first_id=lo, binding_time=h.binding, censored=h.binding < 0,
+            w_final=w_final, least_lemma23=ratio.least,
+            least_lemma24=expansion.least, failed_lemma23=ratio.failed,
+            failed_lemma24=expansion.failed)
+        return block, ratio, expansion
 
 
 def audit_pair_blocks(
@@ -648,8 +712,9 @@ def audit_pair_blocks(
 
     pairs is a sequence of ((zx, wx), (zy, wy)) or a (count, 4) array; mu
     defaults to mu0.  Every pair's record depends on its own lanes only,
-    so the rows are bitwise those of one batch, while memory stays bounded
-    by the block.  The inputs are checked here, before any block binds.
+    so the columns and rows are bitwise those of one batch, while memory
+    stays bounded by the block.  The inputs are checked here, before any
+    block binds.
     """
     if mu is None:
         mu = mu_constants(map.degree)[0]
@@ -665,8 +730,7 @@ def audit_pair_batch(
     horizon: int = DEFAULT_HORIZON,
 ) -> list[dict]:
     """audit_pair_blocks' rows as one list, in input order."""
-    return [row for rows in audit_pair_blocks(map, pairs, mu, horizon)
-            for row in rows]
+    return audit_pair_blocks(map, pairs, mu, horizon).rows()
 
 
 CSV_COLUMNS = [
@@ -675,25 +739,29 @@ CSV_COLUMNS = [
 ]
 
 
-def binding_csv_chunks(blocks: Iterable[list[dict]]) -> Iterator[str]:
-    """The header, then one chunk of CSV text per block of rows."""
+def _csv_rows(ids, mus, binding_times, w_final, least23, least24) -> str:
+    """CSV rows from column lists; a binding time below 0 is censored."""
+    row = "%d,%.17g,%s,%d,%.17g,%.17g,%.17g\n"
+    return "".join([row % (i, mu, "" if b < 0 else b, b < 0, w, m23, m24)
+                    for i, mu, b, w, m23, m24 in zip(
+                        ids, mus, binding_times, w_final, least23, least24)])
+
+
+def binding_csv_chunks(blocks: Iterable[PairBlock], mu: float) -> Iterator[str]:
+    """The header, then one chunk of CSV text per block."""
     yield ",".join(CSV_COLUMNS) + "\n"
-    for rows in blocks:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        for row in rows:
-            bt = row["binding_time"]
-            writer.writerow([
-                row["pair_id"],
-                f"{row['mu']:.17g}",
-                "" if bt is None else bt,
-                int(row["censored"]),
-                f"{row['W_final']:.17g}",
-                f"{row['min_margin_lemma23']:.17g}",
-                f"{row['min_margin_lemma24']:.17g}",
-            ])
-        yield buf.getvalue()
+    for b in blocks:
+        m = len(b.binding_time)
+        yield _csv_rows(
+            range(b.first_id, b.first_id + m), [mu] * m,
+            b.binding_time.tolist(), b.w_final.tolist(),
+            b.least_lemma23.tolist(), b.least_lemma24.tolist())
 
 
 def binding_rows_to_csv(rows: list[dict]) -> str:
-    return "".join(binding_csv_chunks([rows]))
+    """audit_pair_batch's rows as the CSV binding_csv_chunks writes."""
+    return ",".join(CSV_COLUMNS) + "\n" + _csv_rows(
+        [r["pair_id"] for r in rows], [r["mu"] for r in rows],
+        [-1 if r["censored"] else r["binding_time"] for r in rows],
+        *([r[col] for r in rows]
+          for col in ("W_final", "min_margin_lemma23", "min_margin_lemma24")))

@@ -43,7 +43,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mc
-from .binding import BLOCK_PAIRS, _bind, _ranges, mu_constants
 from .core import SkewProductMap, _Orbits, find_attracting_cycles
 from .errors import (
     AttractingCyclePresent,
@@ -418,6 +417,10 @@ def audit_critical_value_departure(
     is a sequence of (z1, w1) or a (count, 2) array; they bind BLOCK_PAIRS
     at a time.
     """
+    # binding, the largest module, is loaded only by the departure audit,
+    # so the other audits' processes never compile it
+    from .binding import BLOCK_PAIRS, mu_constants
+
     if map.mode != "unicritical":
         raise PreconditionViolated(
             "the departure audit binds against c(0), the critical value of a "
@@ -441,6 +444,8 @@ def _departure_block(map: SkewProductMap, pts: np.ndarray, lo: int,
     acc: admitted starts and misses add up, and a block's least ratio
     replaces the minimum only when strictly smaller, so ties go to the
     earliest start."""
+    from .binding import _bind, _ranges
+
     c0 = map.c0_origin
     d = map.degree
     z1, w1 = pts[:, 0], pts[:, 1]

@@ -28,10 +28,10 @@ from typing import Callable, Iterable, NamedTuple
 import numpy as np
 
 from .core import (
-    iterate,
     map_from_config,
     map_to_config,
-    trace_csv_chunks,
+    orbit_chunks,
+    orbit_csv_chunks,
 )
 from .errors import ConfigInvalid, SkewdynError
 
@@ -210,20 +210,47 @@ def _pick(kw: dict, *names: str) -> dict:
 
 
 def _cmd_orbit(run: _Run, kw: dict) -> int:
-    trace = iterate(run.map, (kw["z0"], kw["w0"]), kw["n"])
-    run.emit_csv("orbit.csv", trace_csv_chunks(trace))
-    last = len(trace) - 1
+    final = []
+
+    def keep(chunk):
+        final[:] = [chunk]  # the last chunk holds orbit.json's final row
+        return chunk
+
+    # each chunk is written as it leaves the stepping loop
+    chunks = orbit_chunks(run.map, (kw["z0"], kw["w0"]), kw["n"])
+    run.emit_csv("orbit.csv", orbit_csv_chunks(keep(c) for c in chunks))
+    tail = final[0]
+    last = tail.first + len(tail.ws) - 1
     run.emit_json("orbit.json", {
         "steps": last,
-        "escape_step": trace.escape_step,
-        "final": [trace.zs[last].real, trace.zs[last].imag,
-                  trace.ws[last].real, trace.ws[last].imag],
-        "final_log_vder": trace.log_vder[last],
+        "escape_step": tail.escape_step,
+        "final": [tail.zs[-1].real, tail.zs[-1].imag,
+                  tail.ws[-1].real, tail.ws[-1].imag],
+        "final_log_vder": tail.log_vder[-1],
     })
     print(f"orbit: {last} steps, "
-          + ("no escape" if trace.escape_step is None
-             else f"escaped at n={trace.escape_step}"))
+          + ("no escape" if tail.escape_step is None
+             else f"escaped at n={tail.escape_step}"))
     return 0
+
+
+def _fold_pairs(summary: dict, block):
+    """Fold one binding PairBlock into the summary, which keeps no row, and
+    return the block.  A block's least margin is the first of its least
+    values, and it replaces the summary's only when strictly smaller, so
+    ties (-0.0 against 0.0 too) go to the earliest pair."""
+    summary["censored"] += int(block.censored.sum())
+    for key, failed in (("ratio_failures", block.failed_lemma23),
+                        ("expansion_failures", block.failed_lemma24)):
+        summary[key] += (block.first_id + np.flatnonzero(failed)).tolist()
+    for key, least in (("min_margin_lemma23", block.least_lemma23),
+                       ("min_margin_lemma24", block.least_lemma24)):
+        values = least[~np.isnan(least)]
+        if len(values):
+            low = float(values[np.argmin(values)])
+            if summary[key] is None or low < summary[key]:
+                summary[key] = low
+    return block
 
 
 def _cmd_binding(run: _Run, kw: dict) -> int:
@@ -238,23 +265,9 @@ def _cmd_binding(run: _Run, kw: dict) -> int:
     audits = audit_pair_blocks(run.map, pairs, **_pick(kw, "mu", "horizon"))
     summary = {"censored": 0, "ratio_failures": [], "expansion_failures": [],
                "min_margin_lemma23": None, "min_margin_lemma24": None}
-
-    def fold(rows: list) -> list:
-        # one block's rows into the summary, which keeps no row
-        for r in rows:
-            summary["censored"] += r["censored"]
-            for key, audit in (("ratio_failures", r["ratio_audit"]),
-                               ("expansion_failures", r["expansion_audit"])):
-                if not audit.skipped and not audit.passed:
-                    summary[key].append(r["pair_id"])
-            for col in ("min_margin_lemma23", "min_margin_lemma24"):
-                low = summary[col]
-                if not math.isnan(r[col]) and (low is None or r[col] < low):
-                    summary[col] = r[col]
-        return rows
-
     # writing the CSV folds every block into the summary
-    run.emit_csv("binding.csv", binding_csv_chunks(fold(rows) for rows in audits))
+    run.emit_csv("binding.csv", binding_csv_chunks(
+        (_fold_pairs(summary, block) for block in audits), audits.mu))
 
     run.emit_json("binding.json", {
         "mu": audits.mu,

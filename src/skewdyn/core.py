@@ -13,7 +13,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -256,41 +256,40 @@ def _search_escape_radius(coeffs, degree: int, r0: float) -> float:
     raise SkewdynError("escape radius search did not terminate")
 
 
-_CHUNK = 4096  # orbit steps per stored chunk, and rows per CSV chunk
-_ROW_DTYPES = (complex, complex, float, float)  # zs, ws, log_vder, vder_phase
+_CHUNK = 4096  # orbit steps per chunk, and rows per CSV chunk
 
 
-def _move_rows(chunks: tuple[list, ...], rows: tuple[list, ...]) -> None:
-    """Append each column's pending rows to its chunks as one array, and
-    empty the pending lists."""
-    for column, values, dtype in zip(chunks, rows, _ROW_DTYPES):
-        column.append(np.array(values, dtype=dtype))
-        values.clear()
+class OrbitChunk(NamedTuple):
+    """Rows first .. first + len(ws) - 1 of an orbit trace, columns as in
+    OrbitTrace.  escape_step is the trace's escape step if its row lies in
+    this chunk, else None."""
+
+    first: int
+    zs: np.ndarray
+    ws: np.ndarray
+    log_vder: np.ndarray
+    vder_phase: np.ndarray
+    tame_flags: np.ndarray
+    escape_step: int | None
 
 
-def _joined(column: list) -> np.ndarray:
-    """One column's chunks as one array; the chunks are released."""
-    out = np.concatenate(column)
-    column.clear()
-    return out
-
-
-def iterate(map: SkewProductMap, x0, n: int) -> OrbitTrace:
-    """Forward orbit of x0 = (z0, w0) for n steps with cocycle and tame flags.
-
-    Stops early once |w| exceeds the escape radius, recording escape_step;
-    the returned trace is then shorter than requested.
-    """
+def orbit_chunks(map: SkewProductMap, x0, n: int) -> Iterator[OrbitChunk]:
+    """iterate's trace as chunks of _CHUNK rows (the last one shorter, never
+    empty), each yielded as it leaves the stepping loop.  The inputs are
+    checked here, before the first chunk is asked for."""
     z0, w0 = complex(x0[0]), complex(x0[1])
     if n < 0:
         raise HorizonNonPositive(f"step count must be >= 0, got {n}")
     if not abs(z0) < map.r0:  # NaN fails too
         raise BaseOutsideDomain(f"|z0| = {abs(z0):.6g} >= r0 = {map.r0:.6g}")
+    return _stepped(map, z0, w0, n)
 
-    # rows wait in short lists and move into numpy chunks every _CHUNK
+
+def _stepped(map: SkewProductMap, z0: complex, w0: complex, n: int) -> Iterator[OrbitChunk]:
+    # rows wait in short lists and leave as one numpy chunk every _CHUNK
     # steps, so the Python objects alive at once stay bounded whatever n is
     zs, ws, logs, phases = [z0], [w0], [0.0], [0.0]
-    chunks: tuple[list, ...] = ([], [], [], [])
+    first = 0
     escape_step = None
     radius = map.escape_radius
     log, phase, dfdw, step = math.log, cmath.phase, map.dfdw, map.step
@@ -300,6 +299,11 @@ def iterate(map: SkewProductMap, x0, n: int) -> OrbitTrace:
         if abs(w) > radius:
             escape_step = i
             break
+        # a full chunk leaves only once its last row is known not to escape
+        if len(ws) == _CHUNK:
+            yield _chunk(map, first, zs, ws, logs, phases, None)
+            first += _CHUNK
+            zs, ws, logs, phases = [], [], [], []
         factor = dfdw(z, w)
         z, w = step(z, w)
         mag = abs(factor)
@@ -309,25 +313,42 @@ def iterate(map: SkewProductMap, x0, n: int) -> OrbitTrace:
         phases.append(phase_acc)
         zs.append(z)
         ws.append(w)
-        if len(ws) == _CHUNK:
-            _move_rows(chunks, (zs, ws, logs, phases))
     else:
         if abs(w) > radius:
             escape_step = n
+    yield _chunk(map, first, zs, ws, logs, phases, escape_step)
 
-    _move_rows(chunks, (zs, ws, logs, phases))
-    zs_arr, ws_arr, logs_arr, phases_arr = (_joined(c) for c in chunks)
+
+def _chunk(map: SkewProductMap, first: int, zs: list, ws: list, logs: list,
+           phases: list, escape_step: int | None) -> OrbitChunk:
+    zs_arr, ws_arr = np.array(zs, dtype=complex), np.array(ws, dtype=complex)
+    # elementwise, so a chunk's flags are the bits of the whole trace's
     with np.errstate(divide="ignore"):
         tame = np.abs(zs_arr) ** map.k <= np.abs(ws_arr) ** map.degree
+    return OrbitChunk(first, zs_arr, ws_arr, np.array(logs, dtype=float),
+                      np.array(phases, dtype=float), tame, escape_step)
+
+
+def iterate(map: SkewProductMap, x0, n: int) -> OrbitTrace:
+    """Forward orbit of x0 = (z0, w0) for n steps with cocycle and tame flags.
+
+    Stops early once |w| exceeds the escape radius, recording escape_step;
+    the returned trace is then shorter than requested.  The trace is
+    orbit_chunks' chunks joined.
+    """
+    chunks = list(orbit_chunks(map, x0, n))
+    zs, ws, logs, phases, tame = (
+        np.concatenate([getattr(c, name) for c in chunks])
+        for name in ("zs", "ws", "log_vder", "vder_phase", "tame_flags"))
     return OrbitTrace(
-        z0=z0,
-        w0=w0,
-        zs=zs_arr,
-        ws=ws_arr,
-        log_vder=logs_arr,
-        vder_phase=phases_arr,
+        z0=complex(x0[0]),
+        w0=complex(x0[1]),
+        zs=zs,
+        ws=ws,
+        log_vder=logs,
+        vder_phase=phases,
         tame_flags=tame,
-        escape_step=escape_step,
+        escape_step=chunks[-1].escape_step,
     )
 
 
@@ -475,21 +496,31 @@ def _config_number(name: str, pair) -> complex:
     return value
 
 
-def trace_csv_chunks(trace: OrbitTrace) -> Iterator[str]:
-    """Orbit trace as CSV text with 17-significant-digit floats: the header,
-    then one chunk per _CHUNK rows, so no text longer than a chunk is held."""
+def orbit_csv_chunks(chunks: Iterable[OrbitChunk]) -> Iterator[str]:
+    """Orbit trace chunks as CSV text with 17-significant-digit floats: the
+    header, then one text chunk per trace chunk, so no text longer than a
+    chunk is held."""
     row = "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%d,%d\n"
     yield "n,z_re,z_im,w_re,w_im,log_vder,tame,escaped\n"
-    for lo in range(0, len(trace), _CHUNK):
-        hi = lo + _CHUNK
-        zs, ws = trace.zs[lo:hi], trace.ws[lo:hi]
-        escaped = [0] * len(zs)
-        if trace.escape_step is not None and lo <= trace.escape_step < hi:
-            escaped[trace.escape_step - lo] = 1
-        rows = zip(range(lo, lo + len(zs)), zs.real.tolist(), zs.imag.tolist(),
-                   ws.real.tolist(), ws.imag.tolist(), trace.log_vder[lo:hi].tolist(),
-                   trace.tame_flags[lo:hi].tolist(), escaped)
+    for c in chunks:
+        escaped = [0] * len(c.zs)
+        if c.escape_step is not None:
+            escaped[c.escape_step - c.first] = 1
+        rows = zip(range(c.first, c.first + len(c.zs)), c.zs.real.tolist(),
+                   c.zs.imag.tolist(), c.ws.real.tolist(), c.ws.imag.tolist(),
+                   c.log_vder.tolist(), c.tame_flags.tolist(), escaped)
         yield "".join([row % r for r in rows])
+
+
+def trace_csv_chunks(trace: OrbitTrace) -> Iterator[str]:
+    """A whole trace as orbit_csv_chunks' text, in chunks of _CHUNK rows."""
+    esc = trace.escape_step
+    columns = (trace.zs, trace.ws, trace.log_vder, trace.vder_phase,
+               trace.tame_flags)
+    return orbit_csv_chunks(
+        OrbitChunk(lo, *(col[lo:lo + _CHUNK] for col in columns),
+                   esc if esc is not None and lo <= esc < lo + _CHUNK else None)
+        for lo in range(0, len(trace), _CHUNK))
 
 
 def trace_to_csv(trace: OrbitTrace) -> str:

@@ -378,28 +378,26 @@ def _overflow(step: int) -> OrbitOverflow:
         "X_l is not double-computable here")
 
 
-def _recursion(map: SkewProductMap, z0: complex, l: int, num):
-    """Orbit, recursion, denominator, and sum form in the number type num
-    (complex, or mpmath.mpc at the active precision); also tracks the
+def _denominators(map: SkewProductMap, z0: complex, l: int, num, visit=None):
+    """The fiber orbit xi_j of (z0, 0) and the vertical derivative
+    accumulated over steps 1..l-1, in the number type num (complex, or
+    mpmath.mpc at the active precision).  Returns the denominator and the
     largest intermediate derivative product, which sets the
-    finite-difference step."""
+    finite-difference step.  visit(lam^j, lam^j z0, xi_j, denominator so
+    far) runs at each step j before its update and returns further values
+    that must stay finite in doubles."""
     coeffs = tuple(num(c) for c in map.fiber_coeffs[0])
-    dcoeffs = _poly_deriv(coeffs)
     lam = num(map.lam)
     d = map.degree
     xi = num(0)
-    x = num(0)
     denom = num(1)
-    sum_form = num(0)
     lam_pow = num(1)
     max_denom = abs(num(1))
     z0 = num(z0)
     try:
         for j in range(l):
             zj = lam_pow * z0
-            cp = _poly_eval(dcoeffs, zj)
-            sum_form += lam_pow * cp / denom
-            x = d * xi ** (d - 1) * x + lam_pow * cp
+            extra = () if visit is None else visit(lam_pow, zj, xi, denom)
             xi = xi**d + _poly_eval(coeffs, zj)
             lam_pow *= lam
             if j < l - 1:
@@ -408,10 +406,29 @@ def _recursion(map: SkewProductMap, z0: complex, l: int, num):
                     raise CriticalHit(j + 1)
                 denom *= factor
                 max_denom = max(max_denom, abs(denom))
-            if num is complex and not all(cmath.isfinite(v) for v in (xi, x, denom)):
+            if num is complex and not all(cmath.isfinite(v) for v in (xi, *extra, denom)):
                 raise OverflowError  # products overflow silently, powers raise
     except OverflowError:
         raise _overflow(j + 1) from None
+    return denom, max_denom
+
+
+def _recursion(map: SkewProductMap, z0: complex, l: int, num):
+    """X_l, the denominator, and the sum form on _denominators' orbit, in
+    the number type num, with the largest intermediate derivative product."""
+    dcoeffs = _poly_deriv(tuple(num(c) for c in map.fiber_coeffs[0]))
+    d = map.degree
+    x = num(0)
+    sum_form = num(0)
+
+    def visit(lam_pow, zj, xi, denom):
+        nonlocal x, sum_form
+        cp = _poly_eval(dcoeffs, zj)
+        sum_form += lam_pow * cp / denom
+        x = d * xi ** (d - 1) * x + lam_pow * cp
+        return (x,)
+
+    denom, max_denom = _denominators(map, z0, l, num, visit)
     return x, denom, sum_form, max_denom
 
 
@@ -475,7 +492,8 @@ def fiber_base_derivative(map: SkewProductMap, z0: complex, l: int,
 
         num = mpc
         with mp.workdps(60):
-            max_denom = _recursion(map, z0, l, num)[3]
+            # only the orbit and its denominators size the step
+            max_denom = _denominators(map, z0, l, num)[1]
             max_denom_f = float(min(max_denom, mp.mpf("1e300")))
         h = abs(z0) * min(1e-9, 1e-3 / max(1.0, max_denom_f))
         dps = max(60, int(math.ceil(25.0 - math.log10(h / abs(z0)))))

@@ -430,28 +430,48 @@ def test_long_binding_regime():
 
 
 def test_pair_blocks_match_one_batch():
-    # one block and a partial one; every row must be bitwise the row of one
-    # kernel batch over all pairs, with pair_id running on across blocks
+    # one block and a partial one; every block column and every row must be
+    # bitwise those of one kernel batch over all pairs, with pair ids
+    # running on across blocks
     count, mu = B.BLOCK_PAIRS + 37, B.mu_constants(2)[0]
     pts = B._draw_bound_pairs(CHEBYSHEV, count, 3)
     audits = B.audit_pair_blocks(CHEBYSHEV, pts, horizon=300)
     assert (audits.mu, audits.horizon, len(audits)) == (mu, 300, count)
     blocks = list(audits)
-    assert [len(rows) for rows in blocks] == [B.BLOCK_PAIRS, 37]
-    rows = [row for rows in blocks for row in rows]
+    assert [(b.first_id, len(b.binding_time)) for b in blocks] == [
+        (0, B.BLOCK_PAIRS), (B.BLOCK_PAIRS, 37)]
+    rows = audits.rows()
     assert [row["pair_id"] for row in rows] == list(range(count))
 
     h = B._bind(CHEBYSHEV, pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3], mu, 300)
-    ratios, expansions = B._ratio_audits(h), B._expansion_audits(h, mu)
+    ratio, expansion = B._ratio_reduction(h), B._expansion_reduction(h, mu)
+    ratios, expansions = ratio.audits(), expansion.audits()
+    col = {name: np.concatenate([getattr(b, name) for b in blocks])
+           for name in B.PairBlock._fields[1:]}
+    for got, want in ((col["binding_time"], h.binding),
+                      (col["censored"], h.binding < 0),
+                      (col["least_lemma23"], ratio.least),
+                      (col["failed_lemma23"], ratio.failed),
+                      (col["least_lemma24"], expansion.least),
+                      (col["failed_lemma24"], expansion.failed)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     w = h.data["w_history"]
     for j, row in enumerate(rows):
         b, w_len = int(h.binding[j]), int(h.w_len[j])
         assert row["binding_time"] == (None if b < 0 else b)
         w_final = float(w[h.start[j] + w_len]) if w_len > 0 else math.nan
         assert np.float64(row["W_final"]).tobytes() == np.float64(w_final).tobytes()
+        assert col["w_final"][j].tobytes() == np.float64(w_final).tobytes()
         assert_bitwise(row["ratio_audit"], ratios[j], AUDIT_FIELDS)
         assert_bitwise(row["expansion_audit"], expansions[j], AUDIT_FIELDS)
-    # the list form and the sampled-pairs form give the same rows
+        for name, audit in (("23", ratios[j]), ("24", expansions[j])):
+            least = math.nan if audit.skipped else audit.min_margin
+            assert (np.float64(row["min_margin_lemma" + name]).tobytes()
+                    == np.float64(least).tobytes())
+            assert col["failed_lemma" + name][j] == (not audit.skipped
+                                                     and not audit.passed)
+    # the column CSV, the list form and the sampled-pairs form agree
+    assert "".join(B.binding_csv_chunks(blocks, mu)) == B.binding_rows_to_csv(rows)
     listed = B.audit_pair_batch(CHEBYSHEV, B.sample_bound_pairs(CHEBYSHEV, count, 3),
                                 mu, horizon=300)
     assert B.binding_rows_to_csv(listed) == B.binding_rows_to_csv(rows)

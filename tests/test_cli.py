@@ -12,12 +12,15 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from skewdyn import binding as B
 from skewdyn import cli
 from skewdyn.cli import main
-from skewdyn.core import map_from_config
+from skewdyn.core import _CHUNK, iterate, map_from_config, trace_to_csv
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -51,6 +54,26 @@ def tree_digest(outdir):
     for path in sorted(outdir.iterdir()):
         h[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
     return h
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """Equal texts.  A difference reports its first line only: pytest's
+    diff of two long artifacts takes minutes."""
+    a, b = got.splitlines(), want.splitlines()
+    first = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), None)
+    assert first is None, (first, a[first], b[first])
+    assert (len(a), got == want) == (len(b), True)
+
+
+def orbit_rows_csv(trace) -> str:
+    """A trace's orbit.csv formatted row by row."""
+    lines = ["n,z_re,z_im,w_re,w_im,log_vder,tame,escaped\n"]
+    for i, (z, w, lv, tame) in enumerate(zip(trace.zs, trace.ws, trace.log_vder,
+                                             trace.tame_flags)):
+        lines.append(f"{i},{z.real:.17g},{z.imag:.17g},{w.real:.17g},"
+                     f"{w.imag:.17g},{lv:.17g},{int(tame)},"
+                     f"{int(i == trace.escape_step)}\n")
+    return "".join(lines)
 
 
 class TestValidation:
@@ -511,6 +534,42 @@ class TestOrbit:
         assert hashlib.sha256(blob).hexdigest() == (
             "ce8468ddfaeeff2fd712919c590b2dfd93af85e1a5b7b6a494ff379a4a9562be")
 
+    @pytest.mark.parametrize("fiber_c, w0, n, escape_step", [
+        (-2.0, 0.3, 0, None),
+        (-2.0, 0.3, 1, None),
+        (-2.0, 0.3, _CHUNK - 1, None),
+        (-2.0, 0.3, _CHUNK, None),
+        (-2.0, 0.3, _CHUNK + 1, None),
+        (-2.0, 0.3, 3 * _CHUNK, None),
+        (0.25 + 3e-7, 0.0, 20000, 5734),             # mid-chunk
+        (0.25 + 5.88e-7, 0.0, 20000, _CHUNK - 1),    # the last row of a chunk
+        (0.25 + 5.878e-7, 0.0, 20000, _CHUNK),       # the first row of a chunk
+        (0.25 + 3e-7, 0.0, 5734, 5734),              # at step n, mid-chunk
+        (0.25 + 5.88e-7, 0.0, _CHUNK - 1, _CHUNK - 1),  # at step n, chunk end
+    ], ids=["n-0", "n-1", "n-chunk-1", "n-chunk", "n-chunk+1", "n-3chunks",
+            "escape-mid-chunk", "escape-chunk-end", "escape-chunk-start",
+            "escape-at-n", "escape-at-n-chunk-end"])
+    def test_streamed_artifacts_match_the_joined_trace(self, tmp_path, fiber_c,
+                                                       w0, n, escape_step):
+        # the CLI writes each chunk as it leaves the stepping loop; the bytes
+        # must be those of the whole trace formatted at once
+        map_cfg = dict(CHEB, fiber_coeffs=[[[fiber_c, 0.0], [1.0, 0.0]]])
+        code, out = run(tmp_path, "orbit", {
+            "map": map_cfg, "params": {"z0": [0.0, 0.0], "w0": [w0, 0.0], "n": n}})
+        assert code == 0
+        trace = iterate(map_from_config(map_cfg), (0j, complex(w0)), n)
+        assert trace.escape_step == escape_step
+        got = (out / "orbit.csv").read_text()
+        assert_same_text(got, trace_to_csv(trace))
+        assert_same_text(got, orbit_rows_csv(trace))
+        report = json.loads((out / "orbit.json").read_text())
+        last = len(trace) - 1
+        assert (report["steps"], report["escape_step"]) == (last, escape_step)
+        assert report["final"] == [trace.zs[last].real, trace.zs[last].imag,
+                                   trace.ws[last].real, trace.ws[last].imag]
+        assert report["final_log_vder"] == trace.log_vder[last]
+
+
 class TestBinding:
     def test_chebyshev_batch_passes(self, tmp_path):
         code, out = run(tmp_path, "binding",
@@ -557,6 +616,99 @@ class TestBinding:
                         {"map": CHEB, "seed": seed, "params": {"count": 5000}})
         assert code == 0
         assert tree_digest(out) == digests
+
+    @staticmethod
+    def fold_rows(rows: list) -> dict:
+        """binding.json's summary folded from audit_pair_batch's rows, one
+        row at a time."""
+        summary = {"censored": 0, "ratio_failures": [], "expansion_failures": [],
+                   "min_margin_lemma23": None, "min_margin_lemma24": None}
+        for r in rows:
+            summary["censored"] += r["censored"]
+            for key, audit in (("ratio_failures", r["ratio_audit"]),
+                               ("expansion_failures", r["expansion_audit"])):
+                if not audit.skipped and not audit.passed:
+                    summary[key].append(r["pair_id"])
+            for col in ("min_margin_lemma23", "min_margin_lemma24"):
+                low = summary[col]
+                if not math.isnan(r[col]) and (low is None or r[col] < low):
+                    summary[col] = r[col]
+        return summary
+
+    # degree 3: 3 w^2 underflows to zero at w = 1e-170, so a pair started
+    # there fails the ratio audit and skips the expansion audit
+    CUBIC = {"lambda": [0.5, 0.0], "degree": 3, "mode": "unicritical",
+             "fiber_coeffs": [[[0.3, 0.0], [1.0, 0.0]]]}
+
+    @pytest.mark.parametrize("map_cfg", [CUBIC, GENERAL3],
+                             ids=["unicritical", "general-no-W"])
+    def test_column_artifacts_match_the_rows(self, tmp_path, monkeypatch, map_cfg):
+        # three blocks, with critical hits and shadowing pairs on both sides
+        # of each block boundary and a horizon short enough to censor
+        count, horizon = 2 * B.BLOCK_PAIRS + 100, 6
+        map = map_from_config(map_cfg)
+        pts = B._draw_bound_pairs(map, count, 7)
+        hit = [0.0, 1e-170, 0.0, 1e-170 * (1 + 1e-12)]
+        for j in (5, B.BLOCK_PAIRS - 1, B.BLOCK_PAIRS, 2 * B.BLOCK_PAIRS + 3):
+            pts[j] = hit
+            pts[j + 1] = [pts[j + 1, 0], pts[j + 1, 1]] * 2  # shadowing
+        monkeypatch.setattr(B, "_draw_bound_pairs",
+                            lambda map, n, seed, **kw: pts[:n])
+        code, out = run(tmp_path, "binding", {
+            "map": map_cfg, "seed": 7, "params": {"count": count, "horizon": horizon}})
+
+        rows = B.audit_pair_batch(map, pts, horizon=horizon)
+        assert_same_text((out / "binding.csv").read_text(), B.binding_rows_to_csv(rows))
+        report = json.loads((out / "binding.json").read_text())
+        expected = self.fold_rows(rows)
+        assert json.dumps({k: report[k] for k in expected}) == json.dumps(expected)
+        assert code == (3 if expected["ratio_failures"] else 0)
+        # the cases this is meant to cover are there
+        assert 0 < expected["censored"] < count
+        assert any(math.isnan(r["min_margin_lemma23"]) for r in rows)
+        assert any(math.isnan(r["min_margin_lemma24"]) for r in rows)
+        if map.mode == "unicritical":
+            assert expected["ratio_failures"] == [
+                5, B.BLOCK_PAIRS - 1, B.BLOCK_PAIRS, 2 * B.BLOCK_PAIRS + 3]
+        else:
+            assert expected["min_margin_lemma24"] is None
+
+    def test_fold_ties_go_to_the_earliest_pair(self):
+        # -0.0 and 0.0 compare equal, so the first of them is kept, inside a
+        # block and across blocks; NaN (skipped) never counts
+        nan = math.nan
+        blocks = [
+            B.PairBlock(0, np.array([3, -1, 2]), np.array([False, True, False]),
+                        np.array([1.0, nan, 2.0]),
+                        np.array([nan, 0.0, -0.0]), np.array([-0.0, nan, 0.0]),
+                        np.array([False, True, False]),
+                        np.array([False, False, True])),
+            B.PairBlock(3, np.array([-1, 4]), np.array([True, False]),
+                        np.array([nan, 1.5]),
+                        np.array([-0.0, 0.25]), np.array([0.0, nan]),
+                        np.array([True, False]), np.array([False, True])),
+        ]
+        rows = []
+        for b in blocks:
+            for j in range(len(b.binding_time)):
+                rows.append({
+                    "pair_id": b.first_id + j, "censored": bool(b.censored[j]),
+                    "min_margin_lemma23": float(b.least_lemma23[j]),
+                    "min_margin_lemma24": float(b.least_lemma24[j]),
+                    "ratio_audit": SimpleNamespace(
+                        skipped=False, passed=not b.failed_lemma23[j]),
+                    "expansion_audit": SimpleNamespace(
+                        skipped=False, passed=not b.failed_lemma24[j])})
+        summary = {"censored": 0, "ratio_failures": [], "expansion_failures": [],
+                   "min_margin_lemma23": None, "min_margin_lemma24": None}
+        for b in blocks:
+            assert cli._fold_pairs(summary, b) is b
+        expected = self.fold_rows(rows)
+        assert json.dumps(summary) == json.dumps(expected)
+        assert (json.dumps(summary["min_margin_lemma23"]),
+                json.dumps(summary["min_margin_lemma24"])) == ("0.0", "-0.0")
+        assert summary["ratio_failures"] == [1, 3]
+        assert summary["expansion_failures"] == [2, 4]
 
 
 class TestAuditBounds:
@@ -1189,7 +1341,10 @@ class TestPeakMemory:
     batch, they peaked at 18.6 MiB (orbit), 14.8 MiB (departure), 8.3 MiB
     (binding), 7.3 MiB (exclusion) and 3.7 MiB (onedim); in fixed blocks,
     batches and streamed chunks they measured 6.4, 2.4, 5.2, 2.0 and
-    1.7 MiB (x86-64, numpy 2.4)."""
+    1.7 MiB.  With the orbit CSV written from the stepping loop and the
+    binding blocks folded as columns, orbit and binding measure 2.4 and
+    2.8 MiB in a fresh process, against 6.4 and 6.1 before (x86-64,
+    numpy 2.4)."""
 
     @staticmethod
     def cli_peak(peak_mib, tmp_path, command, cfg):
@@ -1201,7 +1356,7 @@ class TestPeakMemory:
     def test_orbit_100k_steps(self, tmp_path, peak_mib):
         assert self.cli_peak(peak_mib, tmp_path, "orbit", {
             "map": CHEB,
-            "params": {"z0": [0.0, 0.0], "w0": [0.3, 0.0], "n": 100000}}) < 9.0
+            "params": {"z0": [0.0, 0.0], "w0": [0.3, 0.0], "n": 100000}}) < 3.5
 
     def test_departure_20000_starts(self, tmp_path, peak_mib):
         assert self.cli_peak(peak_mib, tmp_path, "audit-bounds", {
@@ -1211,7 +1366,7 @@ class TestPeakMemory:
 
     def test_binding_5000_pairs(self, tmp_path, peak_mib):
         assert self.cli_peak(peak_mib, tmp_path, "binding", {
-            "map": CHEB, "seed": 3, "params": {"count": 5000}}) < 7.0
+            "map": CHEB, "seed": 3, "params": {"count": 5000}}) < 4.0
 
     def test_exclusion_50000_starts(self, tmp_path, peak_mib):
         assert self.cli_peak(peak_mib, tmp_path, "exclusion", {

@@ -1,7 +1,8 @@
 """Every import in the package and in the tests is used, every private
 module-level name of the package is read by the package, the command line
-loads a layer only for the subcommand that runs it, and importing the
-package starts no second thread.
+loads a layer only for the subcommand that runs it, the audit and measure
+layers leave the binding layer unloaded, and importing the package starts
+no second thread.
 
 No linter ships with the project, so this walks each module's syntax tree:
 a name bound by an import must be read somewhere in the same file, or be
@@ -129,6 +130,18 @@ def test_cli_import_loads_no_subcommand_layer():
     # deterministic commands such as expand and render need none of these;
     # hashlib alone adds about 3.4 MiB of peak RSS, numpy.random 5.4 MiB
     assert loaded & {"mpmath", "hashlib", "numpy.random"} == set()
+
+
+@pytest.mark.parametrize("module", ["skewdyn.bounds", "skewdyn.measure"])
+def test_layer_import_leaves_binding_unloaded(module):
+    # binding is the largest module; of the bounds audits only the
+    # departure audit binds pairs, and it imports binding when it runs
+    code = ("import json, sys\n"
+            f"import {module}\n"
+            "print(json.dumps(sorted(sys.modules)))\n")
+    loaded = set(json.loads(_fresh_interpreter(code)))
+    assert module in loaded
+    assert "skewdyn.binding" not in loaded
 
 
 TASKS = Path("/proc/self/task")
