@@ -35,7 +35,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from . import mc
-from .core import SkewProductMap
+from .core import SkewProductMap, _monic
 from .errors import (
     BaseOutsideDomain,
     HorizonNonPositive,
@@ -160,10 +160,16 @@ def _pow(re, im, n: int):
 
 
 def _poly(coeffs: tuple[complex, ...], zr, zi):
-    """core._poly_eval's Horner scheme, starting from z * 0 + c[-1]."""
-    ar, ai = _mul(zr, zi, 0.0, 0.0)
-    ar, ai = ar + coeffs[-1].real, ai + coeffs[-1].imag
-    for c in reversed(coeffs[:-1]):
+    """core._poly_eval's Horner scheme: from z + c[-2] for a monic tuple
+    (core._monic), else from z * 0 + c[-1]."""
+    if _monic(coeffs):
+        ar, ai = zr + coeffs[-2].real, zi + coeffs[-2].imag
+        rest = coeffs[:-2]
+    else:
+        ar, ai = _mul(zr, zi, 0.0, 0.0)
+        ar, ai = ar + coeffs[-1].real, ai + coeffs[-1].imag
+        rest = coeffs[:-1]
+    for c in reversed(rest):
         ar, ai = _mul(ar, ai, zr, zi)
         ar, ai = ar + c.real, ai + c.imag
     return ar, ai

@@ -19,6 +19,7 @@ precondition error, 3 when an audited property fails.
 """
 
 import argparse
+import importlib
 import json
 import math
 import os
@@ -338,6 +339,10 @@ def _suite_side(run: _Run, kw: dict) -> int:
 def _suite_departure(run: _Run, kw: dict) -> int:
     from . import mc
     from .bounds import audit_critical_value_departure
+
+    # the audit loads binding when it runs; loading it here, before the
+    # starts are drawn, compiles the module on the smaller heap
+    importlib.import_module(".binding", __package__)
 
     d = run.map.degree
     c0 = run.map.c0_origin

@@ -36,14 +36,34 @@ _GRID_RADII = 16
 _GRID_ANGLES = 512
 
 
-def _poly_eval(coeffs: tuple[complex, ...], z):
-    """Horner evaluation of a low-to-high coefficient tuple; array friendly."""
+def _poly_eval(coeffs: tuple[complex, ...], z, monic: bool | None = None):
+    """Horner evaluation of a low-to-high coefficient tuple; array friendly.
+
+    A monic tuple (see _monic) starts from z + coeffs[-2]; any other starts
+    from z * 0 + coeffs[-1].  The test costs more than a scalar step, so a
+    caller that evaluates one tuple many times passes its _monic(coeffs)."""
     if not coeffs:
         return z * 0
-    acc = z * 0 + coeffs[-1]
-    for c in reversed(coeffs[:-1]):
+    if monic is None:
+        monic = _monic(coeffs)
+    if monic:
+        acc, rest = z + coeffs[-2], coeffs[:-2]
+    else:
+        acc, rest = z * 0 + coeffs[-1], coeffs[:-1]
+    for c in reversed(rest):
         acc = acc * z + c
     return acc
+
+
+def _monic(coeffs) -> bool:
+    """Whether Horner may start from z + coeffs[-2].  With coeffs[-1] == 1
+    that equals (z * 0 + 1) * z + coeffs[-2] bit for bit for finite z,
+    unless a part of coeffs[-2] is -0.0: a zero part of z then keeps its
+    sign where the long form gives +0.0."""
+    if len(coeffs) < 2 or coeffs[-1] != 1:
+        return False
+    c = complex(coeffs[-2])
+    return not any(x == 0 and math.copysign(1.0, x) < 0 for x in (c.real, c.imag))
 
 
 def _poly_deriv(coeffs: tuple[complex, ...]) -> tuple[complex, ...]:
@@ -71,14 +91,18 @@ class SkewProductMap:
 
     # -- fiber polynomial access -------------------------------------------------
 
+    @functools.cached_property
+    def _monic_coeffs(self) -> tuple[bool, ...]:
+        return tuple(_monic(c) for c in self.fiber_coeffs)
+
     def coeff_at(self, i: int, z):
-        return _poly_eval(self.fiber_coeffs[i], z)
+        return _poly_eval(self.fiber_coeffs[i], z, self._monic_coeffs[i])
 
     def coeff_deriv_at(self, i: int, z):
         return _poly_eval(_poly_deriv(self.fiber_coeffs[i]), z)
 
     def c0_at(self, z):
-        return _poly_eval(self.fiber_coeffs[0], z)
+        return _poly_eval(self.fiber_coeffs[0], z, self._monic_coeffs[0])
 
     @property
     def c0_origin(self) -> complex:
@@ -90,15 +114,34 @@ class SkewProductMap:
             coeffs=tuple(_poly_eval(c, 0.0 + 0.0j) for c in self.fiber_coeffs),
         )
 
-    def fiber_value(self, z, w):
-        """F(z, w) = w^d + sum_i c_i(z) w^i."""
+    def fiber_value(self, z, w, out=None):
+        """F(z, w) = w^d + sum_i c_i(z) w^i.
+
+        An array caller may pass out, an array of w's shape that shares no
+        memory with w: the value is written there and returned, by the
+        ufuncs numpy runs for the operator expression, so bit for bit the
+        same as without out."""
+        if out is None:
+            if self.mode == "unicritical":
+                return w**self.degree + self.c0_at(z)
+            # Horner in w over the z-evaluated coefficients, leading coefficient 1.
+            acc = w * 0 + 1
+            for i in range(self.degree - 1, -1, -1):
+                acc = acc * w + self.coeff_at(i, z)
+            return acc
         if self.mode == "unicritical":
-            return w**self.degree + self.c0_at(z)
-        # Horner in w over the z-evaluated coefficients, leading coefficient 1.
-        acc = w * 0 + 1
+            # numpy's w**2 is np.square, which rounds apart from np.power(w, 2)
+            if self.degree == 2:
+                np.square(w, out=out)
+            else:
+                np.power(w, self.degree, out=out)
+            return np.add(out, self.c0_at(z), out=out)
+        np.multiply(w, 0, out=out)
+        np.add(out, 1, out=out)
         for i in range(self.degree - 1, -1, -1):
-            acc = acc * w + self.coeff_at(i, z)
-        return acc
+            np.multiply(out, w, out=out)
+            np.add(out, self.coeff_at(i, z), out=out)
+        return out
 
     def dfdw(self, z, w):
         """Vertical partial derivative dF/dw(z, w)."""
@@ -380,7 +423,15 @@ class _Orbits:
 
     idx holds their batch positions, counted from first (a slice of a larger
     batch keeps its positions in it), z and w their coordinates (z is None
-    for a FiberMap) and absw = |w|.  A z of length 1 is a shared base
+    for a FiberMap) and absw = |w|.  w is a copy of the caller's starts,
+    and spare a second buffer of its length: a step writes the new w into
+    spare, swaps the two and updates absw in place, so with a shared base
+    orbit and no factors a step allocates no batch-sized array (a z per
+    orbit, its c_i(z) and the factors are still new arrays each step).
+    The arrays w and absw therefore hold their values only until the next
+    step, and between steps a caller may use spare as scratch.  retire
+    moves the kept w into spare and shrinks both buffers to views of their
+    first len(idx) entries.  A z of length 1 is a shared base
     orbit: it stands for every orbit of the batch (all starts on one
     fiber), is stepped once per step, and its c_i(z) terms broadcast
     against the live w; retire leaves it alone.  Otherwise z holds one
@@ -401,7 +452,8 @@ class _Orbits:
         self.factors = factors
         self.lam_left = lam_left
         self.z = None if z is None else np.asarray(z, dtype=complex)
-        self.w = np.asarray(w, dtype=complex)
+        self.w = np.array(w, dtype=complex)
+        self.spare = np.empty_like(self.w)
         self.idx = np.arange(first, first + len(self.w))
         self.absw = np.abs(self.w)
         self.carry = carry or {}
@@ -415,13 +467,16 @@ class _Orbits:
         for n in range(1, count + 1):
             if not len(self.idx):
                 return
-            z, w = self.z, self.w
+            z, w, new = self.z, self.w, self.spare
             if self.factors:
                 self.factor = m.deriv(w) if z is None else m.dfdw(z, w)
-            self.w = m(w) if z is None else m.fiber_value(z, w)
-            if z is not None:
+            if z is None:
+                m(w, out=new)
+            else:
+                m.fiber_value(z, w, out=new)
                 self.z = m.lam * z if self.lam_left else z * m.lam
-            self.absw = np.abs(self.w)
+            self.w, self.spare = new, w
+            np.abs(new, out=self.absw)
             if self.bound is not None:
                 self.retire(~(self.absw <= self.bound))
             yield n
@@ -431,7 +486,14 @@ class _Orbits:
         if not done.any():
             return
         keep = ~done
-        self.idx, self.w, self.absw = self.idx[keep], self.w[keep], self.absw[keep]
+        live = np.count_nonzero(keep)
+        # the kept w go into spare (take's default mode would stage them in
+        # a copy), then both buffers shrink to views
+        np.take(self.w, np.flatnonzero(keep), out=self.spare[:live], mode="clip")
+        self.w, self.spare = self.spare[:live], self.w[:live]
+        # one array at a time, so each old one is freed before the next is made
+        self.idx = self.idx[keep]
+        self.absw = self.absw[keep]
         if self.z is not None and not self.shared:
             self.z = self.z[keep]
         if self.factor is not None:

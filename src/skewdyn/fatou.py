@@ -75,9 +75,24 @@ def _classify_block(map: SkewProductMap, z0s, w0s, horizon: int, cycles: list[Cy
     m = len(w)
     codes = np.zeros(m, dtype=np.int16)
     esc = np.full(m, -1, dtype=np.int32)
+    # a run ends at CYCLE_RUN, so int8 holds it
     orbits = _Orbits(map, np.asarray(z0s, dtype=complex).ravel(), w, lam_left=True,
-                     carry={"runs": np.zeros((len(cycles), m), dtype=np.int32)})
+                     carry={"runs": np.zeros((len(cycles), m), dtype=np.int8)})
     pts = [np.array(c.points, dtype=complex) for c in cycles]
+
+    def near(p: complex) -> np.ndarray:
+        # |w - p| < CYCLE_TOL for the live orbits.  It implies that |w| lies
+        # within 2 CYCLE_TOL (1 + |p|) of |p|, a margin far above the
+        # rounding of either modulus, so a step where no |w| does skips the
+        # complex test.  That test puts w - p in the orbits' spare buffer and
+        # |w - p| over its real parts: numpy gives overlapping operands the
+        # values of separate ones, here without a copy
+        r, margin = abs(p), 2 * CYCLE_TOL * (1 + abs(p))
+        hit = (orbits.absw > r - margin) & (orbits.absw < r + margin)
+        if not hit.any():
+            return hit
+        diff = np.subtract(orbits.w, p, out=orbits.spare)
+        return np.abs(diff, out=diff.real) < CYCLE_TOL
 
     def settle(n: int) -> None:
         out = ~(orbits.absw <= map.escape_radius)  # catches NaN too
@@ -87,12 +102,12 @@ def _classify_block(map: SkewProductMap, z0s, w0s, horizon: int, cycles: list[Cy
         for j, p in enumerate(pts):
             # near some point of the cycle: the OR of the per-point tests
             # is the test on their minimum distance, NaN failing both
-            near = np.abs(orbits.w - p[0]) < CYCLE_TOL
+            hit = near(p[0])
             for pk in p[1:]:
-                near |= np.abs(orbits.w - pk) < CYCLE_TOL
+                hit |= near(pk)
             runs = orbits.carry["runs"]
             runs[j] += 1
-            runs[j] *= near
+            runs[j] *= hit
             done = runs[j] >= CYCLE_RUN
             codes[orbits.idx[done]] = 2 + j
             orbits.retire(done)

@@ -44,12 +44,20 @@ class FiberMap:
     degree: int
     coeffs: tuple[complex, ...]  # c_0 .. c_{d-1}, low to high
 
-    def __call__(self, w):
-        # Horner on w^d + c_{d-1} w^{d-1} + ... + c_0; works on scalars and arrays.
-        acc = w + self.coeffs[-1] if self.degree >= 1 else w * 0 + 1
+    def __call__(self, w, out=None):
+        # Horner on w^d + c_{d-1} w^{d-1} + ... + c_0; works on scalars and
+        # arrays.  An array caller may pass out, an array of w's shape that
+        # shares no memory with w: the same ufuncs then write into it.
+        if out is None:
+            acc = w + self.coeffs[-1] if self.degree >= 1 else w * 0 + 1
+            for c in reversed(self.coeffs[:-1]):
+                acc = acc * w + c
+            return acc
+        np.add(w, self.coeffs[-1], out=out)
         for c in reversed(self.coeffs[:-1]):
-            acc = acc * w + c
-        return acc
+            np.multiply(out, w, out=out)
+            np.add(out, c, out=out)
+        return out
 
     def deriv(self, w):
         acc = w * 0 + self.degree

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SkewProductMap, _Orbits, _poly_deriv, _poly_eval
+from .core import SkewProductMap, _monic, _Orbits, _poly_deriv, _poly_eval
 from .errors import (
     BaseOutsideDomain,
     CriticalHit,
@@ -170,6 +170,7 @@ def slow_approach_stats(map: SkewProductMap, alpha: float, burn_in: int,
                 ok[orbits.idx[orbits.absw < math.exp(-alpha * n)]] = False
         kept += len(orbits.idx)
         hits += int(np.count_nonzero(ok[orbits.idx]))
+        del orbits  # its step buffers are batch-sized: free them before the next draw
     if kept == 0:
         raise EmptySample("every sampled orbit escaped within the horizon")
     frac = hits / kept
@@ -228,6 +229,7 @@ def e_set_area(map: SkewProductMap, z: complex, alpha: float, ns,
         for n in orbits.steps(grid[-1]):
             if n in hits:
                 hits[n] += int(np.count_nonzero(orbits.absw < math.exp(-alpha * n)))
+        del orbits  # its step buffers are batch-sized: free them before the next draw
     fractions = {n: hits[n] / samples for n in grid}
 
     reports = []
@@ -295,7 +297,9 @@ def exclusion_area(map: SkewProductMap, alpha: float, m: int, l_values,
 
     counts = np.zeros(horizon + 1, dtype=np.int64)  # index 0: never failed
     for _, z0 in draw_batches(seed, "exclusion", samples, draw):
-        orbits = _Orbits(map, z0, np.zeros(len(z0), dtype=complex),
+        # the orbits copy their starts, so the zero fiber starts need no
+        # array of their own
+        orbits = _Orbits(map, z0, np.broadcast_to(0j, len(z0)),
                          bound=map.escape_radius,
                          carry={"thr": np.abs(z0) ** (map.k / map.degree)})
         first_fail = np.zeros(len(z0), dtype=np.int64)
@@ -304,6 +308,7 @@ def exclusion_area(map: SkewProductMap, alpha: float, m: int, l_values,
             first_fail[orbits.idx[fail]] = l
             orbits.retire(fail)
         counts += np.bincount(first_fail, minlength=horizon + 1)
+        del orbits  # its step buffers are batch-sized: free them before the next draw
     never_fraction = counts[0] / samples
 
     reports = []
@@ -387,6 +392,7 @@ def _denominators(map: SkewProductMap, z0: complex, l: int, num, visit=None):
     far) runs at each step j before its update and returns further values
     that must stay finite in doubles."""
     coeffs = tuple(num(c) for c in map.fiber_coeffs[0])
+    monic = _monic(coeffs)
     lam = num(map.lam)
     d = map.degree
     xi = num(0)
@@ -398,7 +404,7 @@ def _denominators(map: SkewProductMap, z0: complex, l: int, num, visit=None):
         for j in range(l):
             zj = lam_pow * z0
             extra = () if visit is None else visit(lam_pow, zj, xi, denom)
-            xi = xi**d + _poly_eval(coeffs, zj)
+            xi = xi**d + _poly_eval(coeffs, zj, monic)
             lam_pow *= lam
             if j < l - 1:
                 factor = d * xi ** (d - 1)
@@ -417,13 +423,14 @@ def _recursion(map: SkewProductMap, z0: complex, l: int, num):
     """X_l, the denominator, and the sum form on _denominators' orbit, in
     the number type num, with the largest intermediate derivative product."""
     dcoeffs = _poly_deriv(tuple(num(c) for c in map.fiber_coeffs[0]))
+    monic = _monic(dcoeffs)
     d = map.degree
     x = num(0)
     sum_form = num(0)
 
     def visit(lam_pow, zj, xi, denom):
         nonlocal x, sum_form
-        cp = _poly_eval(dcoeffs, zj)
+        cp = _poly_eval(dcoeffs, zj, monic)
         sum_form += lam_pow * cp / denom
         x = d * xi ** (d - 1) * x + lam_pow * cp
         return (x,)
@@ -435,6 +442,7 @@ def _recursion(map: SkewProductMap, z0: complex, l: int, num):
 def _fd(map: SkewProductMap, z0: complex, l: int, h: float, num) -> complex:
     """Centered difference of xi_l at z0 with step h, in the number type num."""
     coeffs = tuple(num(c) for c in map.fiber_coeffs[0])
+    monic = _monic(coeffs)
     lam = num(map.lam)
     d = map.degree
 
@@ -442,7 +450,7 @@ def _fd(map: SkewProductMap, z0: complex, l: int, h: float, num) -> complex:
         w = num(0)
         try:
             for j in range(l):
-                w = w**d + _poly_eval(coeffs, z)
+                w = w**d + _poly_eval(coeffs, z, monic)
                 z = z * lam
                 if num is complex and not cmath.isfinite(w):
                     raise OverflowError

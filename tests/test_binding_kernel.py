@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from skewdyn import binding as B
 from skewdyn import bounds as BD
 from skewdyn import mc
-from skewdyn.core import build_map
+from skewdyn.core import _poly_eval, build_map
 from skewdyn.errors import BaseOutsideDomain, HorizonNonPositive, PreconditionViolated
 from skewdyn.gallery import basilica_map, chebyshev_map
 
@@ -353,6 +353,27 @@ class TestExplicitCases:
         map = build_map(0.5, 2, [[0.5, 1.0], [-1.0]], mode="general")
         rec = assert_same_pair(map, (0.0, 1.0), (0.0, 1.0 + 1e-9), self.mu0, 50)
         assert rec.critical_hit_at == 1 and rec.w_history is None
+
+
+_EDGE_PARTS = [0.0, -0.0, 0.7, -2.5, 1e300, -1e-310, 1.7e308]
+
+
+@pytest.mark.parametrize("coeffs", [
+    (-2.0 + 0j, 1 + 0j),  # monic: from z + c
+    (complex(-0.0, 0.4), 1 + 0j),  # a -0.0 part: from z * 0 + 1
+    (0.3 - 0.1j, complex(0.5, -0.0), 1 + 0j),
+    (complex(-0.0, -0.0), 0.2j, 1 + 0j),
+    (0.25 + 0j, 0j, 2.0 + 0j),  # not monic
+], ids=["monic", "neg_zero", "neg_zero_second", "monic_long", "lead_two"])
+def test_poly_follows_core_horner(coeffs):
+    # the split kernel's c(z) is CPython's core._poly_eval on each z, bit
+    # for bit, on whichever start core takes
+    zs = np.array([complex(a, b) for a in _EDGE_PARTS for b in _EDGE_PARTS])
+    with np.errstate(all="ignore"):
+        re, im = B._poly(coeffs, zs.real.copy(), zs.imag.copy())
+    want = [_poly_eval(coeffs, complex(z)) for z in zs]
+    assert re.tobytes() == np.array([c.real for c in want]).tobytes()
+    assert im.tobytes() == np.array([c.imag for c in want]).tobytes()
 
 
 def test_w_accumulator_is_the_record_history():

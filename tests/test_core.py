@@ -433,3 +433,67 @@ class TestGallery:
         # p is fixed with multiplier 2p on the unit circle
         assert sie.f0()(p) == pytest.approx(p)
         assert abs(2 * p) == pytest.approx(1.0, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Horner from z + c for monic coefficient tuples
+
+
+PARTS = [0.0, -0.0, 1.0, -1.0, 0.3, -2.5, 1e300, -1e300, 1e-310, -1e-310, 1.7e308, 5e-324]
+POINTS = [complex(a, b) for a in PARTS for b in PARTS]
+
+
+def long_horner(coeffs, z):
+    """_poly_eval before its monic start: every tuple from z * 0 + c[-1]."""
+    acc = z * 0 + coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * z + c
+    return acc
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=complex).tobytes()
+
+
+class TestMonicHorner:
+    def test_shortcut_needs_unit_lead_and_no_negative_zero(self):
+        assert core._monic((0.3 + 0j, 1.0))
+        assert core._monic((complex(-0.0, -0.0), 0.2j, 1 + 0j))
+        assert core._monic((complex(1.0, 0.5), complex(1.0, -0.0)))
+        assert not core._monic((1.0,))
+        assert not core._monic((0.3, 1.0 + 2.0**-52))
+        assert not core._monic((complex(-0.0, 0.3), 1.0))
+        assert not core._monic((complex(0.3, -0.0), 1.0))
+
+    @pytest.mark.parametrize("lead", [complex(1.0, 0.0), complex(1.0, -0.0)])
+    @pytest.mark.parametrize("tail", [(), (0.2 - 0.7j,), (complex(-0.0, 0.0), 3.0 + 1.0j)])
+    def test_bitwise_the_long_form_for_finite_z(self, lead, tail):
+        zs = np.array(POINTS)
+        with np.errstate(all="ignore"):
+            for c in POINTS:
+                coeffs = (*tail, c, lead)
+                # numpy arrays and Python complex numbers, each against itself:
+                # their complex products round apart
+                assert _bits(core._poly_eval(coeffs, zs)) == _bits(long_horner(coeffs, zs))
+                assert (_bits([core._poly_eval(coeffs, z) for z in POINTS])
+                        == _bits([long_horner(coeffs, z) for z in POINTS])), coeffs
+
+    def test_negative_zero_parts_would_differ(self):
+        # why _monic refuses them: z + c keeps a zero part's sign where
+        # (z * 0 + 1) * z + c gives +0.0
+        for c in (complex(-0.0, 0.5), complex(0.5, -0.0)):
+            assert any(_bits(z + c) != _bits(long_horner((c, 1.0), z)) for z in POINTS)
+
+    def test_mpmath_values_equal_the_long_form(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            coeffs = tuple(mpmath.mpc(c) for c in (0.25 - 0.5j, -1.3 + 0.1j, 1.0))
+            for z in (mpmath.mpc("0.001", "-0.0003"), mpmath.mpc(-2, 0), mpmath.mpc(0, 0)):
+                assert core._poly_eval(coeffs, z) == long_horner(coeffs, z)
+
+    def test_maps_use_it(self):
+        # a normalized unicritical k = 1 map has c0 = (c, 1): c0(z) is z + c
+        m = chebyshev_map()
+        assert core._monic(m.fiber_coeffs[0])
+        z = np.array([0.01 - 0.02j, complex(-0.0, 0.001)])
+        assert _bits(m.c0_at(z)) == _bits(z + m.fiber_coeffs[0][0])

@@ -299,6 +299,16 @@ class TestClassifyPoint:
                 if before != "undecided":
                     assert after == before
 
+    def test_labels_radial_starts_just_inside_the_tolerance(self):
+        # the cycle test skips its complex step when no |w| lies near |p|; a
+        # radial offset puts the whole distance into |w| - |p|, and near the
+        # parabolic point the orbit keeps its distance for many steps
+        m = parabolic_map()
+        (p,) = find_attracting_cycles(m, include_parabolic=True)[0].points
+        offset = 0.9 * fatou.CYCLE_TOL
+        for w0 in (p + offset * p / abs(p), p - offset * p / abs(p), p + 1j * offset):
+            assert classify_point(m, (0.0, w0), horizon=fatou.CYCLE_RUN + 5) == "parabolic_0"
+
 
 class TestRenderSlice:
     def test_invariant_line_matches_oracle_basilica(self):

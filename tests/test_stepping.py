@@ -135,6 +135,110 @@ def test_shared_base_steps_bitwise(name, bounded):
 
 
 # ---------------------------------------------------------------------------
+# in-place steps against the out-of-place expressions
+
+
+IN_PLACE_MAPS = {
+    "uni2": build_map(LAM, 2, [[-0.8 + 0.2j, 1.0, 0.5 - 0.3j]]),
+    "uni3": build_map(0.5, 3, [[0.3j, 1.0]]),
+    "uni4": build_map(0.6 - 0.2j, 4, [[-0.4 + 0.1j, 0.0, 1.0]]),
+    "uni5": build_map(0.5, 5, [[0.2 - 0.1j, 1.0, -0.3j]]),
+    "general2": build_map(0.5, 2, [[-0.7, 1.0], [0.2j, -0.3]], mode="general"),
+    "general3": GENERAL,
+    "general4": build_map(LAM, 4, [[0.2 + 0.1j, 1.0], [-0.5, 0.4j], [0.3], [0.1j, -0.2]],
+                          mode="general"),
+    "general5": build_map(0.7, 5, [[0.1, 1.0], [0.0], [-0.3 + 0.2j], [0.0], [0.25, 0.5j]],
+                          mode="general"),
+}
+
+
+def _edge_starts(m, count=1025):
+    """Random starts out to past the escape radius, then signed zeros, NaN,
+    inf and values whose powers sit at or past the double range."""
+    w = _shared_starts(m, count)
+    big = 1e308 ** (1.0 / m.degree)
+    w[4:18] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(np.inf, 0.0),
+               complex(-np.inf, np.nan), complex(np.nan, np.nan), complex(0.0, np.inf),
+               big, complex(0.0, -big), complex(big, big), 1.7e308, complex(-0.0, 1e-200),
+               1e-310 + 1e-310j, complex(5e-324, -0.0), -1.0]
+    return w
+
+
+def _stepped_out_of_place(m, z, w, count, bound, lam_left):
+    """The kernel's steps as plain expressions, each allocating its result:
+    (idx, z, w, |w|) after every step."""
+    idx = np.arange(len(w))
+    for _ in range(count):
+        if not len(idx):
+            return
+        w = m(w) if z is None else m.fiber_value(z, w)
+        if z is not None:
+            z = m.lam * z if lam_left else z * m.lam
+        absw = np.abs(w)
+        if bound is not None:
+            keep = absw <= bound
+            idx, w, absw = idx[keep], w[keep], absw[keep]
+            if z is not None and len(z) > 1:
+                z = z[keep]
+        yield idx, z, w, absw
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bounded", [False, True], ids=["bound_none", "bound_radius"])
+@pytest.mark.parametrize("base", ["shared", "per_orbit", "fiber"])
+@pytest.mark.parametrize("name", sorted(IN_PLACE_MAPS))
+def test_in_place_steps_bitwise(name, base, bounded):
+    m = IN_PLACE_MAPS[name]
+    w = _edge_starts(m)
+    w_before = w.copy()
+    at = complex(-0.0, 0.3 * m.r0)
+    z = {"shared": np.array([at]),
+         "per_orbit": np.full(len(w), at) * np.exp(1j * np.linspace(0, 6, len(w))),
+         "fiber": None}[base]
+    stepper = m.f0() if z is None else m
+    bound = m.escape_radius if bounded else None
+    for lam_left in (False, True):
+        orbits = _Orbits(stepper, z, w, bound=bound, lam_left=lam_left)
+        ref = _stepped_out_of_place(stepper, z, w, 60, bound, lam_left)
+        for n, (idx, zn, wn, absw) in zip(orbits.steps(60), ref):
+            where = f"{name} {base} lam_left={lam_left} n={n}"
+            assert_bitwise(orbits.idx, idx, where)
+            assert_bitwise(orbits.w, wn, where)
+            assert_bitwise(orbits.absw, absw, where)
+            if zn is not None:
+                assert_bitwise(orbits.z, zn, where)
+        assert next(ref, None) is None
+        # the kernel steps its own copy of the starts
+        assert_bitwise(w, w_before, name)
+
+
+def test_out_arguments_take_the_operator_ufuncs():
+    # numpy evaluates w**2 as np.square, which rounds apart from
+    # np.power(w, 2) on some hosts; fiber_value's out path relies on it
+    rng = np.random.default_rng(5)
+    w = 3.0 * (rng.standard_normal(4097) + 1j * rng.standard_normal(4097))
+    w[:5] = [complex(-0.0, 0.0), complex(np.inf, -0.0), complex(np.nan, 1.0), 1e154 + 1e154j,
+             complex(-1e-310, 0.0)]
+    with np.errstate(all="ignore"):
+        assert_bitwise(w**2, np.square(w), "w**2")
+        for d in (3, 4, 5):
+            assert_bitwise(w**d, np.power(w, d), f"w**{d}")
+
+
+def test_modulus_over_its_own_real_parts():
+    # fatou's cycle test writes |w - p| over the real parts of w - p
+    rng = np.random.default_rng(6)
+    d = (rng.standard_normal(4099) + 1j * rng.standard_normal(4099)) * 10.0 ** rng.uniform(
+        -300, 300, 4099)
+    d[:6] = [np.nan, complex(np.inf, np.nan), complex(-0.0, -0.0), complex(0.0, -np.inf),
+             1e308 + 1e308j, complex(5e-324, -5e-324)]
+    want = np.abs(d)
+    with np.errstate(all="ignore"):
+        got = np.abs(d, out=d.real)
+    assert_bitwise(got, want)
+
+
+# ---------------------------------------------------------------------------
 # exactness against the masked loops
 
 
