@@ -20,10 +20,12 @@ API (`audit_lemma_*`, `audit_pair_batch`).
 
 The kernel reproduces CPython's scalar complex arithmetic bit for bit:
 numpy's complex products, np.abs, np.angle and np.exp round differently
-from CPython's complex type and math module, so the kernel keeps real and
-imaginary parts in separate float64 arrays, multiplies them op for op as
-CPython's c_prod and c_powu do, takes moduli with np.hypot (which abs()
-calls) and sends log, atan2 and exp through the math module.
+from CPython's complex type and math module.  So `_Split` holds real and
+imaginary parts in separate float64 arrays with CPython's complex +, * and
+** rules, the kernel runs SkewProductMap's own dfdw, fiber_value and c0_at
+on it, and log, atan2 and exp go through the math module.  The tests check
+_Split against the running interpreter, so a CPython whose mixed
+real/complex rules change fails them loudly.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from . import mc
-from .core import SkewProductMap, _monic
+from .core import SkewProductMap
 from .errors import (
     BaseOutsideDomain,
     HorizonNonPositive,
@@ -138,53 +140,85 @@ class BindingAudit:
 # CPython's complex arithmetic on split float64 arrays
 
 
-def _mul(ar, ai, br, bi):
+class _Split:
+    """Complex numbers as float64 arrays of parts re and im, with CPython's
+    complex +, - and * elementwise (an int or float operand enters as x + 0j,
+    a product is c_prod) and ** n, for an int 0 <= n <= 100, as c_powu from
+    1 + 0j with its OverflowError where a part of the result is infinite.
+    abs() is np.hypot, as CPython's abs() on finite parts.  Scalar code
+    written with these operators runs on it unchanged; numpy defers to its
+    reflected methods."""
+
+    __array_ufunc__ = None
+
+    def __init__(self, re, im):
+        self.re, self.im = re, im
+
+    @classmethod
+    def of(cls, a: np.ndarray) -> _Split:
+        return cls(a.real.copy(), a.imag.copy())
+
+    def __getitem__(self, key) -> _Split:
+        return _Split(self.re[key], self.im[key])
+
+    def __abs__(self) -> np.ndarray:
+        return np.hypot(self.re, self.im)
+
+    def __add__(self, other) -> _Split:
+        re, im = _parts(other)
+        return _Split(self.re + re, self.im + im)
+
+    def __radd__(self, other) -> _Split:
+        re, im = _parts(other)
+        return _Split(re + self.re, im + self.im)
+
+    def __sub__(self, other) -> _Split:
+        re, im = _parts(other)
+        return _Split(self.re - re, self.im - im)
+
+    def __mul__(self, other) -> _Split:
+        return _prod(self.re, self.im, *_parts(other))
+
+    def __rmul__(self, other) -> _Split:
+        return _prod(*_parts(other), self.re, self.im)
+
+    def __pow__(self, n: int) -> _Split:
+        # n = 0 gives CPython's c_quot(1 + 0j, 1 + 0j), 1 + 0j whatever self is
+        r = _Split(np.ones(np.shape(self.re)), np.zeros(np.shape(self.im)))
+        p, mask = self, 1
+        while n >= mask:
+            if n & mask:
+                r = r * p
+            mask <<= 1
+            if n >= mask:
+                p = p * p
+        if np.isinf(r.re).any() or np.isinf(r.im).any():
+            raise OverflowError("complex exponentiation")
+        return r
+
+    def as_complex(self) -> np.ndarray:
+        out = np.empty(np.shape(self.re), dtype=complex)
+        out.real, out.imag = self.re, self.im
+        return out
+
+
+def _parts(x):
+    """x's real and imaginary parts; an int or float x as x + 0j."""
+    if isinstance(x, _Split):
+        return x.re, x.im
+    x = complex(x)
+    return x.real, x.imag
+
+
+def _prod(ar, ai, br, bi) -> _Split:
     """CPython's c_prod."""
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
-def _pow(re, im, n: int):
-    """CPython's complex ** n for 0 <= n <= 100: c_powu, squaring from
-    1 + 0j, and its OverflowError when a part of the result is infinite."""
-    rr, ri = 1.0, 0.0
-    mask = 1
-    while n >= mask:
-        if n & mask:
-            rr, ri = _mul(rr, ri, re, im)
-        mask <<= 1
-        if n >= mask:
-            re, im = _mul(re, im, re, im)
-    if np.isinf(rr).any() or np.isinf(ri).any():
-        raise OverflowError("complex exponentiation")
-    return rr, ri
-
-
-def _poly(coeffs: tuple[complex, ...], zr, zi):
-    """core._poly_eval's Horner scheme: from z + c[-2] for a monic tuple
-    (core._monic), else from z * 0 + c[-1]."""
-    if _monic(coeffs):
-        ar, ai = zr + coeffs[-2].real, zi + coeffs[-2].imag
-        rest = coeffs[:-2]
-    else:
-        ar, ai = _mul(zr, zi, 0.0, 0.0)
-        ar, ai = ar + coeffs[-1].real, ai + coeffs[-1].imag
-        rest = coeffs[:-1]
-    for c in reversed(rest):
-        ar, ai = _mul(ar, ai, zr, zi)
-        ar, ai = ar + c.real, ai + c.imag
-    return ar, ai
+    return _Split(ar * br - ai * bi, ar * bi + ai * br)
 
 
 def _apply(fn, *arrays) -> np.ndarray:
     """A math-module function on each element, with CPython's rounding
     and its exceptions."""
     return np.array(list(map(fn, *(a.tolist() for a in arrays))), dtype=float)
-
-
-def _complex(re, im) -> np.ndarray:
-    out = np.empty(np.shape(re), dtype=complex)
-    out.real, out.imag = re, im
-    return out
 
 
 def _exp(x: float) -> float:
@@ -201,60 +235,39 @@ def _pymin(a, b):
 
 
 class _Lanes:
-    """Orbits stepped together: z, w in split parts, |w|, and the
+    """Orbits stepped together: z and w as _Split arrays, |w|, and the
     accumulated log-modulus and phase of the vertical derivative.  The
     kernel keeps the x orbits of its live pairs first, then the y orbits,
     so both sides of a pair advance in the same array operations."""
 
-    _ARRAYS = ("zr", "zi", "wr", "wi", "absw", "lv", "ph")
+    _ARRAYS = ("z", "w", "absw", "lv", "ph")
 
     def __init__(self, z: np.ndarray, w: np.ndarray):
-        self.zr, self.zi = z.real.copy(), z.imag.copy()
-        self.wr, self.wi = w.real.copy(), w.imag.copy()
-        self.absw = np.hypot(self.wr, self.wi)
-        self.lv = np.zeros(len(w))
-        self.ph = np.zeros(len(w))
+        self.z, self.w = _Split.of(z), _Split.of(w)
+        self.absw = abs(self.w)
+        self.lv, self.ph = np.zeros(len(w)), np.zeros(len(w))
 
     def keep(self, mask: np.ndarray) -> None:
         for name in self._ARRAYS:
             setattr(self, name, getattr(self, name)[mask])
 
     @np.errstate(all="ignore")  # inf and NaN propagate as in scalar code
-    def step(self, map: SkewProductMap):
-        """Advance one step as SkewProductMap.dfdw, fiber_value and z * lam
-        do on scalars.  Returns |dF/dw| and, for unicritical maps, c0 at
-        the point the step started from."""
-        d, zr, zi, wr, wi = map.degree, self.zr, self.zi, self.wr, self.wi
-        # an int operand enters CPython's complex arithmetic as int + 0j; the
-        # products with 0.0 and the + 0.0 keep its signed zeros
-        fr, fi = _mul(float(d), 0.0, *_pow(wr, wi, d - 1))
-        if map.mode == "unicritical":
-            c0 = _poly(map.fiber_coeffs[0], zr, zi)
-            pr, pi = _pow(wr, wi, d)
-            self.wr, self.wi = pr + c0[0], pi + c0[1]
-        else:
-            c0 = None
-            cs = [_poly(c, zr, zi) for c in map.fiber_coeffs]
-            for i in range(1, d):
-                tr, ti = _mul(*_mul(float(i), 0.0, *cs[i]), *_pow(wr, wi, i - 1))
-                fr, fi = fr + tr, fi + ti
-            ar, ai = _mul(wr, wi, 0.0, 0.0)
-            ar, ai = ar + 1.0, ai + 0.0
-            for cr, ci in reversed(cs):
-                ar, ai = _mul(ar, ai, wr, wi)
-                ar, ai = ar + cr, ai + ci
-            self.wr, self.wi = ar, ai
-        mag = np.hypot(fr, fi)
+    def step(self, map: SkewProductMap) -> np.ndarray:
+        """Advance one step with SkewProductMap.dfdw, fiber_value and
+        z * lam, run on the split arrays.  Returns |dF/dw| at the point the
+        step started from."""
+        z, w = self.z, self.w
+        f = map.dfdw(z, w)
+        self.w = map.fiber_value(z, w)
+        self.z = z * map.lam
+        mag = abs(f)
         pos = mag > 0
-        dlog = np.full(len(mag), -np.inf)
-        dphase = np.zeros(len(mag))
+        dlog, dphase = np.full(len(mag), -np.inf), np.zeros(len(mag))
         dlog[pos] = _apply(math.log, mag[pos])
-        dphase[pos] = _apply(math.atan2, fi[pos], fr[pos])
-        self.lv = self.lv + dlog
-        self.ph = self.ph + dphase
-        self.zr, self.zi = _mul(zr, zi, map.lam.real, map.lam.imag)
-        self.absw = np.hypot(self.wr, self.wi)
-        return mag, c0
+        dphase[pos] = _apply(math.atan2, f.im[pos], f.re[pos])
+        self.lv, self.ph = self.lv + dlog, self.ph + dphase
+        self.absw = abs(self.w)
+        return mag
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +386,7 @@ def _bind(map: SkewProductMap, zx, wx, zy, wy, mu: float, horizon: int,
     lanes = _Lanes(np.concatenate([zx, zy]), np.concatenate([wx, wy]))
     idx = np.arange(m)
     crit = np.zeros(m, dtype=bool)
-    wsum = 2.0 * np.hypot(wx.real - wy.real, wx.imag - wy.imag)
+    wsum = 2.0 * abs(_Split.of(wx) - _Split.of(wy))
     steps: list[np.ndarray] = []
     hist: dict[str, list] = {f: [] for f in fields}
     n = 0
@@ -381,16 +394,16 @@ def _bind(map: SkewProductMap, zx, wx, zy, wy, mu: float, horizon: int,
         # lanes[:k] are the x orbits of the live pairs, lanes[k:] their y
         # orbits (one shared lane when shared)
         k = len(idx)
-        wr, wi, absw = lanes.wr, lanes.wi, lanes.absw
-        sep = np.hypot(wr[:k] - wr[k:], wi[:k] - wi[k:])
+        w, absw = lanes.w, lanes.absw
+        sep = abs(w[:k] - w[k:])
         thr = mu * _pymin(absw[:k], absw[k:]) / (n + 1) ** 2
         steps.append(idx)
         now = {"separations": sep, "thresholds": thr, "w_history": wsum,
                "log_vder_x": lanes.lv[:k], "log_vder_y": lanes.lv[k:],
                "phase_x": lanes.ph[:k], "phase_y": lanes.ph[k:]}
         for f in fields:
-            hist[f].append(_complex(wr[:k], wi[:k]) if f == "xi_x" else
-                           _complex(wr[k:], wi[k:]) if f == "xi_y" else now[f])
+            hist[f].append(w[:k].as_complex() if f == "xi_x" else
+                           w[k:].as_complex() if f == "xi_y" else now[f])
         bound = sep >= thr
         stop = bound | (n >= horizon)
         if n == 0:
@@ -410,13 +423,14 @@ def _bind(map: SkewProductMap, zx, wx, zy, wy, mu: float, horizon: int,
             k = len(idx)
             if not k:
                 break
-        mag, c0 = lanes.step(map)
+        c0 = map.c0_at(lanes.z) if uni else None
+        mag = lanes.step(map)
         hit = (mag[:k] == 0) & ~crit
         crit_at[idx[hit]] = n
         crit = crit | hit
         n += 1
         if uni:
-            dc = np.hypot(c0[0][:k] - c0[0][k:], c0[1][:k] - c0[1][k:])
+            dc = abs(c0[:k] - c0[k:])
             scale = np.zeros(k)
             scale[~crit] = _apply(_exp, -lanes.lv[:k][~crit])
             lost = np.isinf(scale) & np.isfinite(lanes.lv[:k])

@@ -574,17 +574,8 @@ def orbit_csv_chunks(chunks: Iterable[OrbitChunk]) -> Iterator[str]:
         yield "".join([row % r for r in rows])
 
 
-def trace_csv_chunks(trace: OrbitTrace) -> Iterator[str]:
-    """A whole trace as orbit_csv_chunks' text, in chunks of _CHUNK rows."""
-    esc = trace.escape_step
-    columns = (trace.zs, trace.ws, trace.log_vder, trace.vder_phase,
-               trace.tame_flags)
-    return orbit_csv_chunks(
-        OrbitChunk(lo, *(col[lo:lo + _CHUNK] for col in columns),
-                   esc if esc is not None and lo <= esc < lo + _CHUNK else None)
-        for lo in range(0, len(trace), _CHUNK))
-
-
 def trace_to_csv(trace: OrbitTrace) -> str:
-    """Orbit trace as one CSV string."""
-    return "".join(trace_csv_chunks(trace))
+    """Orbit trace as one CSV string: orbit_csv_chunks' text, in one chunk."""
+    return "".join(orbit_csv_chunks([OrbitChunk(
+        0, trace.zs, trace.ws, trace.log_vder, trace.vder_phase,
+        trace.tame_flags, trace.escape_step)]))

@@ -40,11 +40,10 @@ from .errors import (
     PreconditionViolated,
     SamplingCapExceeded,
 )
-from .fiber import Cycle
+from .fiber import Cycle, _parabolic
 
 CYCLE_TOL = 1e-6
 CYCLE_RUN = 50  # consecutive near-cycle steps before labeling
-PARABOLIC_TOL = 1e-3
 MIN_BOUNDARY_SAMPLES = 4096
 SAMPLE_CAP = 2**20
 GAP_FRACTION = 0.1  # consecutive image gaps must drop below radius/10
@@ -53,15 +52,11 @@ BLOCK = 2**15  # points per block in every pass over a boundary curve
 
 
 def _cycle_candidates(map: SkewProductMap) -> tuple[list[str], list[Cycle]]:
-    """Labels and cycles to classify against: parabolic candidates
-    (multiplier within 1e-3 of 1) are labeled apart from true attractors."""
+    """Labels and cycles to classify against: parabolic candidates (see
+    fiber._parabolic) are labeled apart from true attractors."""
     cycles = find_attracting_cycles(map, include_parabolic=True)
-    labels = []
-    for j, cyc in enumerate(cycles):
-        if abs(cyc.multiplier - 1.0) < PARABOLIC_TOL:
-            labels.append(f"parabolic_{j}")
-        else:
-            labels.append(f"cycle_{j}")
+    labels = [f"{'parabolic' if _parabolic(cyc) else 'cycle'}_{j}"
+              for j, cyc in enumerate(cycles)]
     return labels, cycles
 
 
@@ -593,17 +588,6 @@ class DiskExpansionReport:
         }
 
 
-def _link(map, z0, m, src_c, src_r, j, center, radius, samples, ladder):
-    """One chain link: target ball inside the j-step image of the source
-    disk over base lam^m z0.  Returns a WindingCheck or None on cap."""
-    try:
-        return disk_image_contains_ball(
-            map, z0 * map.lam**m, src_c, src_r, j, center, radius,
-            boundary_samples=samples, _ladder=ladder)
-    except SamplingCapExceeded:
-        return None
-
-
 def _fit_radius(status, n: int, r: float, max_gap0: float) -> float:
     """The fit's search at step n for a largest radius that passes.
 
@@ -715,16 +699,21 @@ def verify_radius_proposition(
     targets = f0.orbit(w0, n_max)  # centers are the unperturbed fiber orbit
     ladder = _BoundaryLadder()
 
-    def status(n: int, radius: float) -> str:
-        """"pass" / "fail" (geometry rejects) / "small" (the gap rule needs
-        more samples than the cap allows, so only a larger ball is checkable)."""
+    def check(z, src_c, src_r, j: int, n: int, radius: float) -> WindingCheck | None:
+        """B(targets[n], radius) inside the j-step image of {z} x B(src_c, src_r),
+        or None where the gap rule needs more samples than the cap allows."""
         try:
-            chk = disk_image_contains_ball(
-                map, z0, w0, delta, n, targets[n], radius,
+            return disk_image_contains_ball(
+                map, z, src_c, src_r, j, targets[n], radius,
                 boundary_samples=boundary_samples, _ladder=ladder)
         except SamplingCapExceeded:
-            return "small"
-        return "pass" if chk.verdict else "fail"
+            return None
+
+    def status(n: int, radius: float) -> str:
+        """The direct check from the original disk: "pass", "fail" or
+        "small" (no verdict: only a larger ball is checkable)."""
+        chk = check(z0, w0, delta, n, n, radius)
+        return "small" if chk is None else "pass" if chk.verdict else "fail"
 
     # fit: largest radius passing the direct check at each early step, then
     # take the worst ratio to the radius law across those steps.  The first
@@ -754,8 +743,7 @@ def verify_radius_proposition(
                 continue
             src_r = certified[m] if m == 0 else certified[m] * src_shade
             src_c = w0 if m == 0 else targets[m]
-            chk = _link(map, z0, m, src_c, src_r, n - m, targets[n], radius,
-                        boundary_samples, ladder)
+            chk = check(z0 * map.lam**m, src_c, src_r, n - m, n, radius)
             if chk is None:
                 continue
             if chk.verdict:

@@ -8,6 +8,7 @@ that one-dimensional map; the two-dimensional wrappers live in core.py.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -72,6 +73,13 @@ class FiberMap:
             acc = acc * w + i * (i - 1) * self.coeffs[i]
         return acc
 
+    def walk(self, w, n: int) -> Iterator[tuple[complex, complex]]:
+        """(f0'(w_{j-1}), w_j) for j = 1..n, where w_0 = w and w_j = f0(w_{j-1}):
+        each step's derivative factor and the point it lands on."""
+        for _ in range(n):
+            prev, w = w, self(w)
+            yield self.deriv(prev), w
+
     def orbit(self, w: complex, n: int) -> list[complex]:
         out = [w]
         for _ in range(n):
@@ -94,15 +102,8 @@ class FiberMap:
         roots = np.roots(high_to_low) if self.degree > 1 else np.array([])
         refined = []
         for r in roots:
-            w = complex(r)
-            for _ in range(60):
-                fv = self.deriv(w)
-                if abs(fv) < _REFINE_RESIDUAL:
-                    break
-                dv = self.second_deriv(w)
-                if dv == 0:
-                    break
-                w = w - fv / dv
+            w, _ = _newton(lambda v: (self.deriv(v), self.second_deriv(v)),
+                           complex(r), 60)
             if abs(self.deriv(w)) > 1e-8:
                 raise RootFindingFailed(
                     f"critical point refinement stalled at {w!r}, residual {abs(self.deriv(w)):.3e}"
@@ -138,13 +139,11 @@ class FiberMap:
         scan = []
         for w0 in self.critical_points():
             w = w0
-            escaped = False
             for _ in range(_DETECT_STEPS):
                 w = self(w)
-                if abs(w) > escape_radius or not (abs(w) == abs(w)):  # escape or nan
-                    escaped = True
+                if not abs(w) <= escape_radius:  # escaped, or NaN
                     break
-            if escaped:
+            if not abs(w) <= escape_radius:
                 continue
             tail = self.orbit(w, max_period)
             found = []
@@ -163,21 +162,17 @@ class FiberMap:
         return tuple(scan)
 
     def _refine_cycle(self, w: complex, period: int) -> Cycle | None:
-        """Newton-polish a fixed point of f0^period starting from w."""
-        for _ in range(200):
-            v = w
+        """Newton-polish a fixed point of f0^period starting from w; None
+        where Newton stops short of the residual."""
+
+        def residual(w):
             dv = 1.0 + 0.0j
-            for _ in range(period):
-                dv *= self.deriv(v)
-                v = self(v)
-            g = v - w
-            if abs(g) < _REFINE_RESIDUAL:
-                break
-            gp = dv - 1.0
-            if gp == 0:
-                return None
-            w = w - g / gp
-        else:
+            for der, v in self.walk(w, period):
+                dv *= der
+            return v - w, dv - 1.0
+
+        w, converged = _newton(residual, w, 200)
+        if not converged:
             return None
         pts = [w]
         v = self(w)
@@ -187,6 +182,20 @@ class FiberMap:
         # Minimal period: the orbit may close up earlier than the probed period.
         points = tuple(pts)
         return Cycle(points=points, multiplier=self.cycle_multiplier(points))
+
+
+def _newton(fn, w: complex, steps: int) -> tuple[complex, bool]:
+    """Newton's method on fn(w) = (g(w), g'(w)) for at most steps steps:
+    the last iterate, and whether |g| fell below 1e-12 there.  A zero g'
+    stops it unconverged."""
+    for _ in range(steps):
+        g, gp = fn(w)
+        if abs(g) < _REFINE_RESIDUAL:
+            return w, True
+        if gp == 0:
+            return w, False
+        w = w - g / gp
+    return w, False
 
 
 def _parabolic(cyc: Cycle) -> bool:

@@ -11,6 +11,7 @@ tail, so the margin is scale-free.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -98,32 +99,45 @@ def _reciprocal_derivative_terms(f0: FiberMap, c: complex, n_terms: int,
     escapes past double range the step derivative is no longer finite, and
     every term from that step on is exactly 0 with log magnitude -inf.
     """
-    terms: list[complex] = []
-    logs: list[float] = []
-    w = complex(c)
-    inv = 1.0 + 0.0j  # 1 / (f0^n)'(c), accumulated stepwise
-    log_mag = 0.0
+    terms, logs = [], []
+    inv, log_mag = 1.0 + 0.0j, 0.0  # 1 / (f0^n)'(c) and its log modulus, stepwise
     lw = math.log(abs(weight)) if weight != 0 else -math.inf
-    for n in range(1, n_terms + 1):
-        der = f0.deriv(w)
+    try:
+        for n, (der, _) in enumerate(_critical_walk(f0, c, n_terms), start=1):
+            inv /= der
+            log_mag -= math.log(abs(der))
+            if weight == 0:
+                terms.append(0.0 + 0.0j)
+                logs.append(-math.inf)
+            else:
+                terms.append(weight**n * inv)
+                logs.append(n * lw + log_mag)
+    except OrbitOverflow:
+        escaped = n_terms - len(terms)
+        terms.extend([0.0 + 0.0j] * escaped)
+        logs.extend([-math.inf] * escaped)
+    return terms, logs
+
+
+def _critical_walk(f0: FiberMap, c, n: int):
+    """f0.walk(c, n) with the checks every series along the orbit of c
+    needs: CriticalOrbitDegenerate where the orbit runs through a zero of
+    f0', OrbitOverflow where f0' is no longer finite (the orbit has left
+    double range)."""
+    for j, (der, w) in enumerate(f0.walk(complex(c), n), start=1):
         if der == 0:
             raise CriticalOrbitDegenerate(
-                f"(f0^{n})'({c!r}) vanishes: orbit step {n - 1} is critical")
+                f"(f0^{j})'({c!r}) vanishes: orbit step {j - 1} is critical")
         if not cmath.isfinite(der):
-            escaped = n_terms - n + 1
-            terms.extend([0.0 + 0.0j] * escaped)
-            logs.extend([-math.inf] * escaped)
-            break
-        inv /= der
-        log_mag -= math.log(abs(der))
-        w = f0(w)
-        if weight == 0:
-            terms.append(0.0 + 0.0j)
-            logs.append(-math.inf)
-        else:
-            terms.append(weight**n * inv)
-            logs.append(n * lw + log_mag)
-    return terms, logs
+            raise OrbitOverflow(
+                f"(f0^{j})'({c!r}) is not finite: the orbit left double range "
+                f"by step {j - 1}")
+        yield der, w
+
+
+def _partial_sums(first: complex, terms) -> list[complex]:
+    """first, then first plus each term in turn."""
+    return list(itertools.accumulate(terms, initial=first))
 
 
 def levin_series(f0: FiberMap, points, n_terms: int = DEFAULT_TERMS) -> SeriesEvaluation:
@@ -150,9 +164,7 @@ def levin_series(f0: FiberMap, points, n_terms: int = DEFAULT_TERMS) -> SeriesEv
     best = None  # (|F|, value, sums, logs, tail, point)
     for p in pts:
         terms, logs = _reciprocal_derivative_terms(f0, c, n_terms, p)
-        sums = [1.0 + 0.0j]
-        for t in terms:
-            sums.append(sums[-1] + t)
+        sums = _partial_sums(1.0 + 0.0j, terms)
         tail = geometric_tail(logs)
         value = sums[-1]
         per_point.append({
@@ -192,9 +204,7 @@ def x0_constant(map: SkewProductMap, n_terms: int = DEFAULT_TERMS) -> SeriesEval
     c = f0(0.0 + 0.0j)
     weight = map.lam**map.k
     terms, logs = _reciprocal_derivative_terms(f0, c, n_terms, weight)
-    sums = [1.0 + 0.0j]
-    for t in terms:
-        sums.append(sums[-1] + t)
+    sums = _partial_sums(1.0 + 0.0j, terms)
     tail = geometric_tail(logs)
     value = sums[-1]
     verdict = "nonzero" if abs(value) > _MARGIN * tail else "near-zero"
@@ -223,24 +233,14 @@ def lyapunov_lower(f0: FiberMap, c: complex | None = None,
         raise PreconditionViolated(f"need horizon >= 2, got {horizon}")
     if c is None:
         c = f0(0j)
-    w = complex(c)
     log_der = 0.0
     step_logs: list[float] = []
     estimates: list[float] = []  # (1/n) log |(f0^n)'(c)| for n = 1..horizon
-    for n in range(1, horizon + 1):
-        der = f0.deriv(w)
-        if der == 0:
-            raise CriticalOrbitDegenerate(
-                f"(f0^{n})'({c!r}) vanishes: orbit step {n - 1} is critical")
-        if not cmath.isfinite(der):
-            raise OrbitOverflow(
-                f"(f0^{n})'({c!r}) is not finite: the orbit left double range "
-                f"by step {n - 1}")
+    for n, (der, _) in enumerate(_critical_walk(f0, c, horizon), start=1):
         step = math.log(abs(der))
         step_logs.append(step)
         log_der += step
         estimates.append(log_der / n)
-        w = f0(w)
     lo = max(1, horizon // 2)
     window_min = min(estimates[lo - 1:])
     return SeriesEvaluation(
@@ -296,24 +296,19 @@ def nondegeneracy(map: SkewProductMap, n_terms: int = DEFAULT_TERMS,
                 tail_estimate=math.inf, verdict="not_on_julia",
                 per_point=record))
             continue
-        sums = [_poly_eval(g_coeffs, cval)]
-        logs: list[float] = []
-        w = complex(cval)
-        inv = 1.0 + 0.0j
-        log_inv = 0.0
-        for i in range(1, n_terms + 1):
-            der = f0.deriv(w)
-            if der == 0:
-                raise CriticalOrbitDegenerate(
-                    f"(f0^{i})'({cval!r}) vanishes: orbit step {i - 1} is critical")
+        terms, logs = [], []
+        inv, log_inv = 1.0 + 0.0j, 0.0
+        for i, (der, w) in enumerate(_critical_walk(f0, cval, n_terms), start=1):
+            if not cmath.isfinite(w):  # the walk checks w only at the next step
+                raise OrbitOverflow(f"f0^{i}({cval!r}) is not finite: the orbit "
+                                    f"left double range by step {i}")
             inv /= der
             log_inv -= math.log(abs(der))
-            w = f0(w)
             gval = _poly_eval(g_coeffs, w)
-            term = map.lam**i * gval * inv
-            sums.append(sums[-1] + term)
+            terms.append(map.lam**i * gval * inv)
             mag = abs(map.lam) ** i * abs(gval)
             logs.append(math.log(mag) + log_inv if mag > 0 else -math.inf)
+        sums = _partial_sums(_poly_eval(g_coeffs, cval), terms)
         value = sums[-1]
         tail = geometric_tail(logs)
         if g_zero:

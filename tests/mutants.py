@@ -1,0 +1,109 @@
+"""Single-line mutants of the kernel arithmetic and the verdict code, each
+run against the tier-1 suite on a scratch copy of the tree.
+
+    python tests/mutants.py [SCRATCH_DIR]
+
+The git-tracked files of this checkout (as they are in the working tree)
+are copied into SCRATCH_DIR, a new temporary directory by default.  For each
+mutant one line of one source file is replaced, `python -m pytest -q -x`
+runs there with PYTHONPATH=src, and the file is restored.  A mutant is
+caught when the suite fails.  One line per mutant is printed, and the exit
+status is 1 if any mutant survives.  Run it on a tree whose suite passes.
+pytest does not collect this file: its name does not start with test_.
+A caught mutant takes seconds to a minute; a survivor takes a full run.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (name, file, the line's text, its replacement); the text must occur once
+MUTANTS = [
+    ("split __rmul__ takes its operands in swapped order",
+     "src/skewdyn/binding.py",
+     "return _prod(*_parts(other), self.re, self.im)",
+     "return _prod(self.re, self.im, *_parts(other))"),
+    ("split int * x scales the parts, without the int's 0j",
+     "src/skewdyn/binding.py",
+     "return _prod(*_parts(other), self.re, self.im)",
+     "return _Split(other * self.re, other * self.im) if isinstance(other, int) "
+     "else _prod(*_parts(other), self.re, self.im)"),
+    ("split ** n never raises OverflowError",
+     "src/skewdyn/binding.py",
+     "if np.isinf(r.re).any() or np.isinf(r.im).any():",
+     "if False:"),
+    ("FiberMap.walk yields the pre-step w",
+     "src/skewdyn/fiber.py",
+     "yield self.deriv(prev), w",
+     "yield self.deriv(prev), prev"),
+    ("_newton returns the point after the step it tested",
+     "src/skewdyn/fiber.py",
+     "return w, True",
+     "return w - g / gp, True"),
+    ("the critical walk lets a non-finite f0' through",
+     "src/skewdyn/series.py",
+     "if not cmath.isfinite(der):",
+     "if False:"),
+    ("nondegeneracy sums a last term past double range",
+     "src/skewdyn/series.py",
+     "if not cmath.isfinite(w):  # the walk checks w only at the next step",
+     "if False:"),
+    ("the expansion audit never fails a pair",
+     "src/skewdyn/binding.py",
+     "failed=(n_lim > 0) & ~(least >= -rel_slack))",
+     "failed=np.zeros(len(n_lim), dtype=bool))"),
+    ("the winding check accepts image points within (r/2, r] of the center",
+     "src/skewdyn/fatou.py",
+     "distance_ok = dmin > radius",
+     "distance_ok = dmin > 0.5 * radius"),
+]
+
+
+def copy_tree(dest: Path) -> None:
+    listed = subprocess.run(["git", "ls-files", "-z"], cwd=ROOT, check=True,
+                            capture_output=True).stdout.decode().split("\0")
+    for name in filter(None, listed):
+        if (ROOT / name).is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, dest / name)
+
+
+def run_mutant(dest: Path, path: str, old: str, new: str) -> int:
+    """The suite's exit status with old replaced by new in path."""
+    target = dest / path
+    original = target.read_text()
+    if original.count(old) != 1:
+        raise SystemExit(f"{path}: expected one {old!r}, found {original.count(old)}")
+    target.write_text(original.replace(old, new))
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"],
+            cwd=dest, env={**os.environ, "PYTHONPATH": "src"},
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+    finally:
+        target.write_text(original)
+
+
+def main(argv: list[str]) -> int:
+    dest = Path(argv[0]) if argv else Path(tempfile.mkdtemp(prefix="mutants-"))
+    dest.mkdir(parents=True, exist_ok=True)
+    copy_tree(dest)
+    survivors = 0
+    for name, path, old, new in MUTANTS:
+        start = time.monotonic()
+        code = run_mutant(dest, path, old, new)
+        survivors += code == 0
+        verdict = "SURVIVED" if code == 0 else f"caught (pytest exit {code})"
+        print(f"{verdict:24s} {time.monotonic() - start:6.1f}s  {name}", flush=True)
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} caught")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from skewdyn import binding as B
 from skewdyn import bounds as BD
 from skewdyn import mc
-from skewdyn.core import _poly_eval, build_map
+from skewdyn.core import build_map
 from skewdyn.errors import BaseOutsideDomain, HorizonNonPositive, PreconditionViolated
 from skewdyn.gallery import basilica_map, chebyshev_map
 
@@ -355,25 +355,96 @@ class TestExplicitCases:
         assert rec.critical_hit_at == 1 and rec.w_history is None
 
 
-_EDGE_PARTS = [0.0, -0.0, 0.7, -2.5, 1e300, -1e-310, 1.7e308]
+# ---------------------------------------------------------------------------
+# the split type against the running interpreter: CPython's complex rules
+# are what the kernel must follow, so these tests ask CPython itself rather
+# than a copy of its rules, and a CPython that changes its mixed real/complex
+# arithmetic fails here
 
 
-@pytest.mark.parametrize("coeffs", [
-    (-2.0 + 0j, 1 + 0j),  # monic: from z + c
-    (complex(-0.0, 0.4), 1 + 0j),  # a -0.0 part: from z * 0 + 1
-    (0.3 - 0.1j, complex(0.5, -0.0), 1 + 0j),
-    (complex(-0.0, -0.0), 0.2j, 1 + 0j),
-    (0.25 + 0j, 0j, 2.0 + 0j),  # not monic
-], ids=["monic", "neg_zero", "neg_zero_second", "monic_long", "lead_two"])
-def test_poly_follows_core_horner(coeffs):
-    # the split kernel's c(z) is CPython's core._poly_eval on each z, bit
-    # for bit, on whichever start core takes
-    zs = np.array([complex(a, b) for a in _EDGE_PARTS for b in _EDGE_PARTS])
+_PARTS = [0.0, -0.0, 1.0, -2.5, 0.7, 5e-324, -1e-310, 1e154, -3e200, 1.7e308,
+          math.inf, -math.inf, math.nan]
+_VALUES = [complex(a, b) for a in _PARTS for b in _PARTS]
+_SCALARS = [0, 1, -3, 7, 0.0, -0.0, 0.5, -1e-310, 1e300, math.inf, -math.inf,
+            math.nan, 1j, complex(-0.0, 2.0), complex(math.nan, -0.0)]
+_OPS = {"+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": lambda a, b: a * b}
+
+
+def _split(values):
+    return B._Split.of(np.array(values, dtype=complex))
+
+
+def assert_same_bytes(got, want):
+    assert isinstance(got, B._Split)
+    want = np.array(want, dtype=complex)
+    assert got.re.tobytes() == want.real.tobytes()
+    assert got.im.tobytes() == want.imag.tobytes()
+
+
+@pytest.mark.parametrize("op", list(_OPS))
+def test_split_binary_ops_follow_cpython(op):
+    fn = _OPS[op]
+    xs = [a for a in _VALUES for _ in _VALUES]
+    ys = [b for _ in _VALUES for b in _VALUES]
     with np.errstate(all="ignore"):
-        re, im = B._poly(coeffs, zs.real.copy(), zs.imag.copy())
-    want = [_poly_eval(coeffs, complex(z)) for z in zs]
-    assert re.tobytes() == np.array([c.real for c in want]).tobytes()
-    assert im.tobytes() == np.array([c.imag for c in want]).tobytes()
+        assert_same_bytes(fn(_split(xs), _split(ys)), [fn(a, b) for a, b in zip(xs, ys)])
+        for c in _SCALARS:
+            assert_same_bytes(fn(_split(_VALUES), c), [fn(a, c) for a in _VALUES])
+            if op != "-":  # the kernel never subtracts a split from a scalar
+                assert_same_bytes(fn(c, _split(_VALUES)), [fn(c, a) for a in _VALUES])
+
+
+def _cpython_pow(a, n):
+    try:
+        return a**n
+    except OverflowError:
+        return None
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_split_power_follows_cpython(n):
+    want = [_cpython_pow(a, n) for a in _VALUES]
+    with np.errstate(all="ignore"):
+        for a, w in zip(_VALUES, want):
+            if w is None:
+                with pytest.raises(OverflowError, match="complex exponentiation"):
+                    _split([a]) ** n
+            else:
+                assert_same_bytes(_split([a]) ** n, [w])
+        if any(w is None for w in want):
+            with pytest.raises(OverflowError):
+                _split(_VALUES) ** n
+        ok = [a for a, w in zip(_VALUES, want) if w is not None]
+        assert_same_bytes(_split(ok) ** n, [a**n for a in ok])
+
+
+_MAP_PARTS = [0.0, -0.0, 0.3, -1.1, 2.0, 1e-310, 1e90, 1e150]
+
+
+@pytest.mark.parametrize("name", list(MAPS))
+def test_map_methods_on_the_split_type(name):
+    # the kernel runs these methods on _Split arrays: each must equal the
+    # scalar call elementwise, and raise where a scalar call raises
+    map = MAPS[name]
+    pts = [complex(a, b) for a in _MAP_PARTS for b in _MAP_PARTS]
+    zs = [z for z in pts for _ in pts]
+    ws = [w for _ in pts for w in pts]
+    calls = [map.fiber_value, map.dfdw, lambda z, w: map.c0_at(z),
+             lambda z, w: z * map.lam]
+    with np.errstate(all="ignore"):
+        for call in calls:
+            want = []
+            for z, w in zip(zs, ws):
+                try:
+                    want.append(call(z, w))
+                except OverflowError:
+                    want.append(None)
+            if any(v is None for v in want):
+                with pytest.raises(OverflowError):
+                    call(_split(zs), _split(ws))
+            ok = [j for j, v in enumerate(want) if v is not None]
+            got = call(_split([zs[j] for j in ok]), _split([ws[j] for j in ok]))
+            assert_same_bytes(got, [want[j] for j in ok])
 
 
 def test_w_accumulator_is_the_record_history():

@@ -35,6 +35,11 @@ GENERAL3 = {"lambda": [0.5, 0.0], "degree": 3, "mode": "general",
 AIRPLANEISH = {"lambda": [0.65, 0.0], "degree": 2, "mode": "unicritical",
                "fiber_coeffs": [[[-1.749, 0.0], [1.0, 0.0]]]}
 BASILICA = dict(CHEB, fiber_coeffs=[[[-1.0, 0.0], [1.0, 0.0]]])
+ESCAPING_CUBIC = {"lambda": [0.6, -0.1], "degree": 3, "mode": "unicritical",
+                  "fiber_coeffs": [[[0.0, 1.2], [1.0, 0.0]]]}
+QUARTIC = {"lambda": [0.5, 0.2], "degree": 4, "mode": "general",
+           "fiber_coeffs": [[[1.0, 0.0], [1.0, 0.0]], [[0.3, 0.0]],
+                            [[-2.6, 0.0], [0.0, 0.1]], [[0.0, 0.0]]]}
 CHEB_GENERAL = dict(CHEB, mode="general")
 
 
@@ -1235,6 +1240,51 @@ class TestSeries:
         assert code == 2
         assert "OrbitOverflow" in capsys.readouterr().err
         assert not (out / "series.json").exists()
+
+    def test_nondegeneracy_escaping_critical_value_exits_two(self, tmp_path, capsys):
+        # the critical value 0.3 of w^2 + 0.3 escapes after the 5 classifier
+        # steps but within the 60 terms; the series used to come out NaN
+        # with verdict "near-zero"
+        escaping = {"lambda": [0.5, 0.0], "degree": 2, "mode": "general",
+                    "fiber_coeffs": [[[0.3, 0.0], [1.0, 0.0]], [[0.0, 0.0]]]}
+        code, out = run(tmp_path, "series",
+                        {"map": escaping, "params": {"which": "nondegeneracy",
+                                                     "n_terms": 60, "horizon": 5}})
+        assert code == 2
+        assert "OrbitOverflow" in capsys.readouterr().err
+        assert not (out / "series.json").exists()
+
+    @pytest.mark.parametrize("map_cfg, params, digest", [
+        (CHEB, {"which": "levin", "points": [[0.5, 0.0], [-0.3, 0.7], [0.0, -0.9]],
+                "n_terms": 80},
+         "8f1e7c54c183519a7248416dc50bac3e0fa5fcc44e1b6d9c66fc970e030762f3"),
+        (CHEB, {"which": "x0", "n_terms": 120},
+         "a7d5fb27b5eb1ee5d122ae29e3949e59626e5948f4a279f412810586ce9c1c16"),
+        (CHEB, {"which": "lyapunov", "c": [0.5, 0.0], "horizon": 300},
+         "6e7e009ac09833831ad36375ac459fcf4602833020b020dd14ac883e15bc7f14"),
+        (ESCAPING_CUBIC, {"which": "levin", "points": [[0.5, 0.0], [0.1, -0.6]],
+                          "n_terms": 120},
+         "a760fb25c207e613cb0e0371d0fdf59f8edd6c6c2bfc1088ff1748eba078cc35"),
+        (ESCAPING_CUBIC, {"which": "x0", "n_terms": 120},
+         "a320fafd65b39b7b26a15944ba4b19ab67aae66abfa170f80e392e4411c8c320"),
+        (ESCAPING_CUBIC, {"which": "lyapunov", "horizon": 8},
+         "a7e0c0e32db5a22e88696aff4466abd8c059792cc10fc1dca03b21cf1831d216"),
+        (GENERAL3, {"which": "lyapunov", "c": [0.2, -0.1], "horizon": 200},
+         "e3f9f31d1a5357aca5dee9c87a211d79d305f2b86d7069c37a54a10d147938d3"),
+        (CHEB_GENERAL, {"which": "nondegeneracy", "n_terms": 90},
+         "56ee46054ffb71e4da5ea3948288685aff8cd9ee1aa0b68bb1bfd5466e8368a1"),
+        (QUARTIC, {"which": "nondegeneracy", "n_terms": 40, "horizon": 400},
+         "a4678cee03dadc27870051df0951022701cd376cbfab9bbc00aeaf40b58b8dd8"),
+    ], ids=["cheb-levin", "cheb-x0", "cheb-lyapunov", "cubic-levin", "cubic-x0",
+            "cubic-lyapunov", "general3-lyapunov", "cheb-nondegeneracy",
+            "quartic-nondegeneracy"])
+    def test_series_pins(self, tmp_path, map_cfg, params, digest):
+        # sha256 recorded on x86-64, numpy 2.4, while levin, x0, lyapunov
+        # and nondegeneracy each walked the critical orbit in their own loop;
+        # the cubic's critical orbit escapes within the levin and x0 terms
+        code, out = run(tmp_path, "series", {"map": map_cfg, "params": params})
+        assert code == 0
+        assert tree_digest(out) == {"series.json": digest}
 
     @pytest.mark.parametrize("map_cfg, params", [
         (CHEB, {"which": "x0", "n_terms": 0}),

@@ -2,6 +2,7 @@
 
 import cmath
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -19,7 +20,6 @@ from skewdyn.core import (
     build_map,
     find_attracting_cycles,
     iterate,
-    trace_csv_chunks,
 )
 from skewdyn.errors import (
     BaseOutsideDomain,
@@ -288,8 +288,7 @@ class TestIterateChunks:
             assert_bitwise(getattr(got, name), getattr(ref, name), name)
 
     def test_csv_chunks_flag_the_escape_row(self):
-        tr = iterate(SLOW_ESCAPE, (0.0, 0.0), 20000)
-        chunks = list(trace_csv_chunks(tr))
+        chunks = list(core.orbit_csv_chunks(core.orbit_chunks(SLOW_ESCAPE, (0.0, 0.0), 20000)))
         assert len(chunks) == 1 + 2  # header, then 5735 rows in 4096-row chunks
         rows = "".join(chunks[1:]).splitlines()
         flagged = [i for i, line in enumerate(rows) if line.endswith(",1")]
@@ -414,6 +413,62 @@ def separate_search(f0, max_period, escape_radius, include_parabolic):
             cycles.append(cyc)
             break
     return cycles
+
+
+def _hexes(values) -> str:
+    return ";".join(f"{complex(v).real.hex()},{complex(v).imag.hex()}" for v in values)
+
+
+def cycle_digest(map) -> str:
+    """sha256 over the bits of f0's critical points and of both variants of
+    find_attracting_cycles: every point and multiplier in hex."""
+    core._cached_cycles.cache_clear()
+    text = [_hexes(map.f0().critical_points())]
+    for include_parabolic in (False, True):
+        for cyc in find_attracting_cycles(map, include_parabolic=include_parabolic):
+            text.append(f"{include_parabolic}|{_hexes(cyc.points)}|{_hexes([cyc.multiplier])}")
+    return hashlib.sha256("\n".join(text).encode()).hexdigest()
+
+
+class TestCyclePins:
+    """Critical points, cycle points and multipliers, bit for bit; sha256
+    recorded on x86-64, numpy 2.4, while critical_points and _refine_cycle
+    each ran their own Newton loop."""
+
+    @pytest.mark.parametrize("map, digest", [
+        (chebyshev_map(),
+         "51717050f699a89fe96aefd373dbf39186bddfb16d30d04a1e08fb5363950851"),
+        (basilica_map(),
+         "129b939eaa6ef9bf0546327525f41a45371f7e7833235a7b3ea77ba546e8cd1a"),
+        (nearfixed_map(),
+         "dda90ebcb56de3624766bd96b1d72e0da023c9520cd64a3654d3f837916cc6bb"),
+        (siegel_map(),
+         "51717050f699a89fe96aefd373dbf39186bddfb16d30d04a1e08fb5363950851"),
+        (build_map(0.5, 2, [[0.25, 1.0]]),
+         "b96e2987f18dbc06088a755d1d137dd6e27908ba35451a86ee4dde108a022856"),
+        # the airplane and the rabbit: superattracting 3-cycles
+        (build_map(0.5, 2, [[-1.7548776662466927, 1.0]]),
+         "5ba39dafe594c20b2aa1834a92b3d23baba08a9317450a11ec8f62ebd1d68c7b"),
+        (build_map(0.5 + 0.1j, 2,
+                   [[-0.12256116687665361 + 0.74486176661974424j, 1.0]]),
+         "ed37a00db14a951fc6efe317dea51dbd85f9000a90747fc5e7a87e41047578ab"),
+        (build_map(0.5, 3, [[0.1, 1.0], [-0.7 + 0.2j], [0.05j]], mode="general"),
+         "f102188c010a94d74b45519b192c6d1ae4e2778e48366d86957a02d779e0c139"),
+        (build_map(0.5, 4, [[1.0, 1.0], [0.3], [-2.6], [0.0]], mode="general"),
+         "1c9903e3f9625307ee01e7ea09cd9dec41fbf223754f60cc17682f352f39f46c"),
+    ], ids=["chebyshev", "basilica", "nearfixed", "siegel", "c=1/4", "airplane",
+            "rabbit", "cubic", "quartic"])
+    def test_bits(self, map, digest):
+        assert cycle_digest(map) == digest
+
+    def test_refine_cycle_zero_newton_denominator(self):
+        # w^2 + 1 at w = 1/2: (f0)'(w) - 1 is exactly 0 while f0(w) - w is not
+        assert FiberMap(2, (1.0 + 0j, 0j))._refine_cycle(0.5 + 0j, 1) is None
+
+    def test_refine_cycle_no_convergence(self):
+        # w^2 + 1 has no real fixed point, and Newton from a real start
+        # stays on the real line for all 200 steps
+        assert FiberMap(2, (1.0 + 0j, 0j))._refine_cycle(0.3 + 0j, 1) is None
 
 
 class TestGallery:

@@ -329,6 +329,18 @@ class TestNondegeneracy:
         assert len({round(v.real, 6) for v in values}) == 3
         assert [e.verdict for e in evals] == ["nonzero"] * 3
 
+    def test_escaping_critical_value_raises_overflow(self):
+        # w^2 + 0.3: the classifier's 5 steps leave the critical value 0.3
+        # undecided, but its orbit leaves double range within the 60 terms;
+        # the series used to come out NaN with verdict "near-zero"
+        m = build_map(0.5, 2, [[0.3, 1.0], [0.0]], mode="general")
+        with pytest.raises(OrbitOverflow, match=r"\(0\.3\+0j\)\) is not finite"):
+            nondegeneracy(m, 60, horizon=5)
+        assert nondegeneracy(m, 60)[0].verdict == "not_on_julia"
+        # 21 terms end on the step that lands past double range
+        with pytest.raises(OrbitOverflow, match=r"f0\^21\(\(0\.3\+0j\)\) is not finite"):
+            nondegeneracy(m, 21, horizon=5)
+
     def test_unicritical_mode_raises(self):
         with pytest.raises(PreconditionViolated):
             nondegeneracy(chebyshev_map(0.5))
