@@ -20,10 +20,10 @@ one a fresh sampling at that level gives.  The unit-circle points of each
 level are evaluated once per process and shared by every ladder.
 
 Every pass over a boundary curve (push, gaps, distance, winding) runs in
-blocks of BLOCK points.  Memory per ladder is one curve buffer of
-SAMPLE_CAP complex points and one angle array of SAMPLE_CAP doubles, plus
-the shared unit circle and block-sized scratch; no pass makes a
-temporary the length of the curve.
+blocks of BLOCK points.  Memory per ladder is one curve buffer and one
+angle array, each the length of the finest level it has refined (at most
+SAMPLE_CAP points), plus the shared unit circle and block-sized scratch;
+no pass makes a temporary the length of the curve.
 """
 
 from __future__ import annotations
@@ -354,28 +354,38 @@ class _BoundaryLadder:
     level is bitwise the curve a fresh linspace at that level gives.
 
     The ladder keeps the finest curve computed so far, and per level its
-    max gap and whether it is finite.  The curve lives in one buffer of
-    SAMPLE_CAP complex points, allocated once with np.empty so its pages
-    are touched only as levels fill, and reused across refinements and
-    keys: select with a new key drops the levels, not the buffer.  A
-    refinement spreads the curve to the even slots in place and pushes the
-    new points into the odd ones, then takes the max gap over every edge of
-    the new curve in its own pass, all in blocks of BLOCK points.  The
-    ladder also owns the angle array of the winding (see _ring).  Its
-    memory is those two arrays (16 and 8 MiB) plus the process's shared
-    _UnitCircle and block-sized scratch.
+    max gap and whether it is finite.  The curve lives in one buffer that
+    holds the finest level any key has refined and grows only when a
+    refinement needs more: select with a new key drops the levels, not the
+    buffer.  A refinement that fits spreads the curve to the even slots in
+    place; one that does not allocates a buffer of the new level's size
+    and copies the curve to its even slots.  Either way it pushes the new
+    points into the odd slots, then takes the max gap over every edge of
+    the new curve in its own pass, all in blocks of BLOCK points.
+
+    The ladder also owns the angle array of the winding (see _ring), as
+    long as the buffer.  A growth drops it first and allocates it again
+    only at the end of the refinement, after the old buffer is released, so
+    a growth to the cap peaks at the old and new buffers (8 + 16 MiB) and a
+    check at the cap at the buffer and angle array (16 + 8 MiB).  Sizing
+    both to the cap up front costs a ladder that stays at level 0 several
+    MiB of resident memory, not its 64 KiB: numpy advises transparent huge
+    pages for allocations of 4 MiB and more, and where the kernel grants
+    them the first write to each array faults in a whole 2 MiB page.  A new
+    ladder holds empty arrays.  Besides these two, its memory is the
+    process's shared _UnitCircle and block-sized scratch.
     """
 
     def __init__(self):
         self.map = self.key = self.finest = None
         self.levels: list[tuple[float, bool]] = []  # (max_gap, finite)
-        self.buf = np.empty(SAMPLE_CAP, dtype=complex)
-        self.angles = np.empty(SAMPLE_CAP)
+        self.buf = np.empty(0, dtype=complex)
+        self.angles = np.empty(0)
 
     def select(self, map: SkewProductMap, z0: complex, w0: complex, delta: float,
                n: int, samples: int) -> None:
         """Point the ladder at a boundary; a changed key starts it afresh.
-        Level 0 must fit the buffer and carry at least MIN_BOUNDARY_SAMPLES."""
+        Level 0 must fit the cap and carry at least MIN_BOUNDARY_SAMPLES."""
         if not MIN_BOUNDARY_SAMPLES <= samples <= SAMPLE_CAP:
             raise PreconditionViolated(
                 f"need {MIN_BOUNDARY_SAMPLES} <= boundary_samples <= {SAMPLE_CAP}, "
@@ -396,7 +406,8 @@ class _BoundaryLadder:
 
     def curve(self, k: int) -> np.ndarray:
         """Level k as a view of the buffer, valid until the next refine or
-        select overwrites it."""
+        select: a refinement overwrites the buffer or, growing it, replaces
+        it, so the view no longer follows the ladder."""
         return self.finest[::len(self.finest) // self.samples(k)]
 
     def _refine(self) -> None:
@@ -406,11 +417,22 @@ class _BoundaryLadder:
         m, buf = len(unit), self.buf
         # new point j goes to slot first + step j
         first, step = (1, 2) if k else (0, 1)
-        if k:
-            # level k - 1 moves to the even slots, last block first so no
-            # source is overwritten before it is read.  numpy misses the
-            # overlap of buf[2lo:2hi:2] with buf[lo:hi] when 2 lo < hi, so
-            # such a block is copied first
+        size = step * m
+        if size > len(buf):
+            # grow to this level: level k - 1 goes straight to the even slots
+            # of the new buffer.  The angle array (and the view of the old
+            # buffer) go first; the angles come back at the end, once the old
+            # buffer and the push scratch are gone
+            self.angles, self.finest = np.empty(0), None
+            self.buf = np.empty(size, dtype=complex)
+            if k:
+                self.buf[::2] = buf[:m]
+            buf = self.buf
+        elif k:
+            # level k - 1 moves to the even slots in place, last block first
+            # so no source is overwritten before it is read.  numpy misses
+            # the overlap of buf[2lo:2hi:2] with buf[lo:hi] when 2 lo < hi,
+            # so such a block is copied first
             for lo in reversed(range(0, m, BLOCK)):
                 hi = min(lo + BLOCK, m)
                 src = buf[lo:hi]
@@ -421,7 +443,6 @@ class _BoundaryLadder:
             new = _fiber_push(self.map, z0, w0 + delta * unit[lo:hi], n)
             buf[first + step * lo:first + step * hi:step] = new
             finite = finite and bool(np.all(np.isfinite(new)))
-        size = step * m
         self.finest = curve = buf[:size]
         max_gap = math.nan
         if finite:
@@ -432,6 +453,8 @@ class _BoundaryLadder:
                 seg = curve[max(lo - 1, 0):lo + BLOCK]
                 max_gap = max(max_gap, float(np.abs(seg[1:] - seg[:-1]).max()))
         self.levels.append((max_gap, finite))
+        if len(self.angles) < size:
+            self.angles = np.empty(size)
 
 
 def disk_image_contains_ball(
@@ -467,10 +490,11 @@ def disk_image_contains_ball(
     each call starts a fresh ladder.  Every ladder takes its unit-circle
     points from one per-process cache (`_UnitCircle`), so a new disk or n
     evaluates no exponential.  Results are bitwise the same either way.
-    Memory: the ladder's curve buffer and angle array and the shared
-    circle, each of SAMPLE_CAP points, plus block-sized scratch; the
-    distance and winding passes run in blocks of BLOCK points, so
-    boundary_samples may not exceed SAMPLE_CAP.
+    Memory: the ladder's curve buffer and angle array, each the length of
+    the finest level refined, and the shared circle's levels up to it,
+    plus block-sized scratch; the distance and winding passes run in
+    blocks of BLOCK points.  boundary_samples may not exceed SAMPLE_CAP,
+    the most points any of these arrays holds.
 
     Every edge of the closed sample polygon is at most max_gap long, so
     every point of it lies within max_gap/2 of a sample.  When the nearest
@@ -663,7 +687,8 @@ def verify_radius_proposition(
     Every check goes through one boundary ladder owned by this call: the
     fit's bisection over radii at one step n reuses the refinements of
     that step's boundary image, and a check on another disk or n replaces
-    them in the same buffer, so at most one image curve is held at a time.
+    them in the same buffer, grown only when a level needs more, so at most
+    one image curve is held at a time.
     """
     z0, w0 = complex(z0), complex(w0)
     d = map.degree

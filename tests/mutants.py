@@ -1,7 +1,7 @@
 """Single-line mutants of the kernel arithmetic and the verdict code, each
 run against the tier-1 suite on a scratch copy of the tree.
 
-    python tests/mutants.py [SCRATCH_DIR]
+    python tests/mutants.py [--only TEXT ...] [SCRATCH_DIR]
 
 The git-tracked files of this checkout (as they are in the working tree)
 are copied into SCRATCH_DIR, a new temporary directory by default.  For each
@@ -11,8 +11,13 @@ caught when the suite fails.  One line per mutant is printed, and the exit
 status is 1 if any mutant survives.  Run it on a tree whose suite passes.
 pytest does not collect this file: its name does not start with test_.
 A caught mutant takes seconds to a minute; a survivor takes a full run.
+
+--only TEXT runs just the mutants whose source path or name contains TEXT
+(say `--only fatou.py` after a change to that module); given several
+times, a mutant matching any of them runs.  Without it every mutant runs.
 """
 
+import argparse
 import os
 import shutil
 import subprocess
@@ -62,6 +67,18 @@ MUTANTS = [
      "src/skewdyn/fatou.py",
      "distance_ok = dmin > radius",
      "distance_ok = dmin > 0.5 * radius"),
+    ("a grown ladder buffer is left without the previous level's points",
+     "src/skewdyn/fatou.py",
+     "self.buf[::2] = buf[:m]",
+     "pass"),
+    ("the ladder's angle array is sized to a level's new points, not its curve",
+     "src/skewdyn/fatou.py",
+     "self.angles = np.empty(size)",
+     "self.angles = np.empty(m)"),
+    ("a ladder growth keeps the old angle array alive",
+     "src/skewdyn/fatou.py",
+     "self.angles, self.finest = np.empty(0), None",
+     "self.finest = None"),
 ]
 
 
@@ -91,17 +108,26 @@ def run_mutant(dest: Path, path: str, old: str, new: str) -> int:
 
 
 def main(argv: list[str]) -> int:
-    dest = Path(argv[0]) if argv else Path(tempfile.mkdtemp(prefix="mutants-"))
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("scratch", nargs="?", help="directory to run in")
+    parser.add_argument("--only", action="append", metavar="TEXT",
+                        help="run the mutants whose path or name contains TEXT")
+    args = parser.parse_args(argv)
+    chosen = [m for m in MUTANTS
+              if not args.only or any(t in m[0] or t in m[1] for t in args.only)]
+    if not chosen:
+        parser.error(f"no mutant matches {args.only}")
+    dest = Path(args.scratch or tempfile.mkdtemp(prefix="mutants-"))
     dest.mkdir(parents=True, exist_ok=True)
     copy_tree(dest)
     survivors = 0
-    for name, path, old, new in MUTANTS:
+    for name, path, old, new in chosen:
         start = time.monotonic()
         code = run_mutant(dest, path, old, new)
         survivors += code == 0
         verdict = "SURVIVED" if code == 0 else f"caught (pytest exit {code})"
         print(f"{verdict:24s} {time.monotonic() - start:6.1f}s  {name}", flush=True)
-    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} caught")
+    print(f"{len(chosen) - survivors} of {len(chosen)} caught")
     return 1 if survivors else 0
 
 

@@ -535,6 +535,33 @@ class TestDiskImageContainsBall:
         assert chk.winding_min == 0
         assert_same_as_probe_min(chk, probe_min_check(*args, samples=samples))
 
+    def test_dent_inside_the_radius_rejected(self, monkeypatch):
+        # negative control of the distance test (a): a synthetic image curve
+        # rho(theta) e^{i theta} about the center 0, with rho = 2 except a
+        # narrow dent down to 0.75 midway between probes 0 and 1 of the unit
+        # target circle.  It winds once about the center and every probe,
+        # and its gaps resolve within the cap, so only the dent's samples
+        # at distance in (r/2, r] can reject the ball
+        mid, width = math.pi / fatou.WINDING_PROBES, 0.03
+
+        def dented(map, z0, pts, n):
+            theta = np.angle(pts)
+            rho = 2.0 - 1.25 * np.exp(-(((theta - mid) / width) ** 2))
+            return rho * np.exp(1j * theta)
+
+        monkeypatch.setattr(fatou, "_fiber_push", dented)
+        ladder = fatou._BoundaryLadder()
+        chk = disk_image_contains_ball(chebyshev_map(), 0.0, 0.0, 1.0, 1, 0.0, 1.0,
+                                       _ladder=ladder)
+        curve = ladder.finest
+        assert len(curve) == chk.samples and chk.max_gap < 0.1
+        probes = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, fatou.WINDING_PROBES,
+                                         endpoint=False))
+        assert [roll_ring(curve, p, None)[1] for p in [0j, *probes]] == [1] * (1 + fatou.WINDING_PROBES)
+        assert not chk.verdict
+        assert chk.winding_min == 1
+        assert -0.5 < chk.distance_margin <= 0.0
+
     @settings(max_examples=80, suppress_health_check=[HealthCheck.too_slow])
     @given(which=st.sampled_from(["chebyshev", "basilica", "general3"]),
            n=st.integers(0, 8), z0=st.sampled_from([0.0, 5e-13]),
@@ -605,10 +632,13 @@ class TestDiskImageContainsBall:
                                      boundary_samples=fatou.SAMPLE_CAP + 1)
 
     def test_full_cap_check_memory(self, monkeypatch):
-        # a 2^20-point check on a warm circle holds the ladder's curve
-        # buffer (16 MiB) and angle array (8 MiB) plus block scratch; the
-        # whole-curve temporaries of the distance and winding passes took
-        # the peak to 56 MiB
+        # a 2^20-point check on a warm circle grows the ladder's curve
+        # buffer level by level: the last growth holds the old and new
+        # buffers (8 + 16 MiB), and the winding the new buffer and its angle
+        # array (16 + 8 MiB) plus block scratch.  Growing without dropping
+        # the angle array first, or into a fresh buffer at every refinement,
+        # takes the peak to about 28 MiB; the whole-curve temporaries of the
+        # distance and winding passes took it to 56 MiB
         circle = fatou._UnitCircle()
         monkeypatch.setattr(fatou, "_UNIT_CIRCLE", circle)
         circle.points(4096, 8)
@@ -696,6 +726,17 @@ class TestBoundaryLadder:
             seen.add("cap" if chk is None else (chk.verdict, chk.samples))
         assert "cap" in seen and (False, samples) in seen
         assert {s for v, s in seen - {"cap"} if v} == {samples << k for k in (0, 1, 2, 4, 7)}
+
+    def test_new_ladder_allocates_no_curve(self):
+        # the buffer and the angle array grow with the levels refined
+        tracemalloc.start()
+        try:
+            ladder = fatou._BoundaryLadder()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+        assert len(ladder.buf) == len(ladder.angles) == 0
 
     def test_ladder_follows_key_changes(self):
         # the chain's pattern: a new disk or n replaces the ladder's curve
@@ -939,6 +980,20 @@ class TestSharedUnitCircle:
         assert_same_ladder(ladder, ref)
         for k, pts in enumerate(kept):
             assert_bitwise(circle.levels[k], pts, f"circle level {k}")
+
+    def test_shallow_key_refined_past_a_deeper_one(self):
+        # the buffer keeps the size of the finest level any key refined: the
+        # second key spreads its levels in place up to the first key's
+        # depth, then grows the buffer (and the angle array) level by level
+        cheb = chebyshev_map()
+        ladder, ref = fatou._BoundaryLadder(), FreshCircleLadder()
+        for key, depth, sizes in (((cheb, 5e-13, 0.3, 1e-3, 3), 3, [0, 1, 2, 3]),
+                                  ((cheb, 0.0, 0.3, 2e-3, 2), 5, [3, 3, 3, 3, 4, 5])):
+            ladder.select(*key, 4096), ref.select(*key, 4096)
+            for k in range(depth + 1):
+                ladder.level(k), ref.level(k)
+                assert len(ladder.buf) == len(ladder.angles) == 4096 << sizes[k]
+            assert_same_ladder(ladder, ref)
 
     @pytest.mark.parametrize("size", [1, 2, 3, 4096, 5001])
     def test_turns_matches_roll(self, size):
@@ -1205,6 +1260,19 @@ class TestVerifyRadiusProposition:
         for step in rep.steps:
             assert step.radius == pytest.approx(
                 rep.fitted_constant * 0.9**step.n * 1e-6, rel=1e-12)
+
+    def test_checks_at_level_zero_hold_no_cap_sized_arrays(self):
+        # the expand_skew benchmark run: every check resolves at level 0
+        # (4096 points), so its ladder holds 64 KiB of curve; a ladder
+        # sized to the cap up front held 24 MiB
+        tracemalloc.start()
+        try:
+            rep = verify_radius_proposition(chebyshev_map(), 5e-13, 0.3, 1e-3, 0.9, 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert {s.samples for s in rep.steps} == {4096}
+        assert peak < 2 * 2**20
 
     def test_monotone_in_delta_on_nested_runs(self):
         cheb = chebyshev_map()
