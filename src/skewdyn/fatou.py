@@ -20,10 +20,11 @@ one a fresh sampling at that level gives.  The unit-circle points of each
 level are evaluated once per process and shared by every ladder.
 
 Every pass over a boundary curve (push, gaps, distance, winding) runs in
-blocks of BLOCK points.  Memory per ladder is one curve buffer and one
-angle array, each the length of the finest level it has refined (at most
+blocks of BLOCK points.  Memory per ladder is its finest curve (at most
 SAMPLE_CAP points), plus the shared unit circle and block-sized scratch;
-no pass makes a temporary the length of the curve.
+a refinement also holds the level below while it copies it into the new
+one, and a check holds an angle array the length of the curve for the
+winding.  No pass makes a temporary the length of the curve.
 """
 
 from __future__ import annotations
@@ -354,33 +355,24 @@ class _BoundaryLadder:
     level is bitwise the curve a fresh linspace at that level gives.
 
     The ladder keeps the finest curve computed so far, and per level its
-    max gap and whether it is finite.  The curve lives in one buffer that
-    holds the finest level any key has refined and grows only when a
-    refinement needs more: select with a new key drops the levels, not the
-    buffer.  A refinement that fits spreads the curve to the even slots in
-    place; one that does not allocates a buffer of the new level's size
-    and copies the curve to its even slots.  Either way it pushes the new
-    points into the odd slots, then takes the max gap over every edge of
-    the new curve in its own pass, all in blocks of BLOCK points.
-
-    The ladder also owns the angle array of the winding (see _ring), as
-    long as the buffer.  A growth drops it first and allocates it again
-    only at the end of the refinement, after the old buffer is released, so
-    a growth to the cap peaks at the old and new buffers (8 + 16 MiB) and a
-    check at the cap at the buffer and angle array (16 + 8 MiB).  Sizing
-    both to the cap up front costs a ladder that stays at level 0 several
-    MiB of resident memory, not its 64 KiB: numpy advises transparent huge
-    pages for allocations of 4 MiB and more, and where the kernel grants
-    them the first write to each array faults in a whole 2 MiB page.  A new
-    ladder holds empty arrays.  Besides these two, its memory is the
-    process's shared _UnitCircle and block-sized scratch.
+    max gap and whether it is finite; select with a new key drops them.
+    Each refinement writes a new array of its level's size: level k - 1
+    goes to the even slots and the new points to the odd ones, then the
+    max gap is taken over every edge of the new curve in its own pass, all
+    in blocks of BLOCK points.  Its peak is the two levels during that
+    copy, 8 + 16 MiB for a refinement to the cap.  A new ladder holds no
+    curve, and one that stays at level 0 holds 64 KiB: a buffer sized to
+    the cap up front costs several MiB of resident memory although only
+    its head is written, because numpy advises transparent huge pages for
+    allocations of 4 MiB and more, and where the kernel grants them the
+    first write faults in a whole 2 MiB page.  Besides the curve, the
+    ladder's memory is the process's shared _UnitCircle and block-sized
+    scratch.
     """
 
     def __init__(self):
         self.map = self.key = self.finest = None
         self.levels: list[tuple[float, bool]] = []  # (max_gap, finite)
-        self.buf = np.empty(0, dtype=complex)
-        self.angles = np.empty(0)
 
     def select(self, map: SkewProductMap, z0: complex, w0: complex, delta: float,
                n: int, samples: int) -> None:
@@ -405,45 +397,30 @@ class _BoundaryLadder:
         return self.levels[k]
 
     def curve(self, k: int) -> np.ndarray:
-        """Level k as a view of the buffer, valid until the next refine or
-        select: a refinement overwrites the buffer or, growing it, replaces
-        it, so the view no longer follows the ladder."""
+        """Level k as a strided view of the finest curve.  No refinement
+        writes to an existing curve, so the view keeps its values."""
         return self.finest[::len(self.finest) // self.samples(k)]
 
     def _refine(self) -> None:
         z0, w0, delta, n, samples = self.key
         k = len(self.levels)
         unit = _UNIT_CIRCLE.points(samples, k)
-        m, buf = len(unit), self.buf
-        # new point j goes to slot first + step j
+        m = len(unit)
+        # new point j goes to slot first + step j; level k - 1 to the even ones
         first, step = (1, 2) if k else (0, 1)
         size = step * m
-        if size > len(buf):
-            # grow to this level: level k - 1 goes straight to the even slots
-            # of the new buffer.  The angle array (and the view of the old
-            # buffer) go first; the angles come back at the end, once the old
-            # buffer and the push scratch are gone
-            self.angles, self.finest = np.empty(0), None
-            self.buf = np.empty(size, dtype=complex)
-            if k:
-                self.buf[::2] = buf[:m]
-            buf = self.buf
-        elif k:
-            # level k - 1 moves to the even slots in place, last block first
-            # so no source is overwritten before it is read.  numpy misses
-            # the overlap of buf[2lo:2hi:2] with buf[lo:hi] when 2 lo < hi,
-            # so such a block is copied first
-            for lo in reversed(range(0, m, BLOCK)):
-                hi = min(lo + BLOCK, m)
-                src = buf[lo:hi]
-                buf[2 * lo:2 * hi:2] = src.copy() if 2 * lo < hi else src
+        curve = np.empty(size, dtype=complex)
+        if k:
+            curve[::2] = self.finest
+        # level k - 1 is released before the push; its even-slot copy
+        # serves every level below k
+        self.finest = curve
         finite = not self.levels or self.levels[-1][1]
         for lo in range(0, m, BLOCK):
             hi = min(lo + BLOCK, m)
             new = _fiber_push(self.map, z0, w0 + delta * unit[lo:hi], n)
-            buf[first + step * lo:first + step * hi:step] = new
+            curve[first + step * lo:first + step * hi:step] = new
             finite = finite and bool(np.all(np.isfinite(new)))
-        self.finest = curve = buf[:size]
         max_gap = math.nan
         if finite:
             # every edge of the closed polygon: the wrap-around one, then
@@ -453,8 +430,6 @@ class _BoundaryLadder:
                 seg = curve[max(lo - 1, 0):lo + BLOCK]
                 max_gap = max(max_gap, float(np.abs(seg[1:] - seg[:-1]).max()))
         self.levels.append((max_gap, finite))
-        if len(self.angles) < size:
-            self.angles = np.empty(size)
 
 
 def disk_image_contains_ball(
@@ -490,11 +465,12 @@ def disk_image_contains_ball(
     each call starts a fresh ladder.  Every ladder takes its unit-circle
     points from one per-process cache (`_UnitCircle`), so a new disk or n
     evaluates no exponential.  Results are bitwise the same either way.
-    Memory: the ladder's curve buffer and angle array, each the length of
-    the finest level refined, and the shared circle's levels up to it,
-    plus block-sized scratch; the distance and winding passes run in
-    blocks of BLOCK points.  boundary_samples may not exceed SAMPLE_CAP,
-    the most points any of these arrays holds.
+    Memory: the ladder's finest curve (two levels while a refinement
+    copies), the shared circle's levels up to it, and, once the curve
+    resolves, one angle array of its length for the winding passes, plus
+    block-sized scratch; the distance and winding passes run in blocks of
+    BLOCK points.  boundary_samples may not exceed SAMPLE_CAP, the most points
+    any of these arrays holds.
 
     Every edge of the closed sample polygon is at most max_gap long, so
     every point of it lies within max_gap/2 of a sample.  When the nearest
@@ -537,7 +513,8 @@ def disk_image_contains_ball(
         k += 1
 
     curve = ladder.curve(k)
-    dmin, winding_min = _ring(curve, center, ladder.angles)
+    angles = np.empty(len(curve))  # scratch of every _ring pass below
+    dmin, winding_min = _ring(curve, center, angles)
     distance_ok = dmin > radius
     if distance_ok and dmin - 0.5 * max_gap <= radius:
         # the polygon may cross the target disk: probe its boundary circle
@@ -545,7 +522,7 @@ def disk_image_contains_ball(
                   for a in np.linspace(0.0, 2.0 * math.pi, WINDING_PROBES,
                                        endpoint=False)]
         winding_min = min(winding_min,
-                          *(_ring(curve, p, ladder.angles)[1] for p in probes))
+                          *(_ring(curve, p, angles)[1] for p in probes))
     return WindingCheck(
         verdict=bool(distance_ok and winding_min >= 1),
         winding_min=winding_min,
@@ -686,9 +663,8 @@ def verify_radius_proposition(
 
     Every check goes through one boundary ladder owned by this call: the
     fit's bisection over radii at one step n reuses the refinements of
-    that step's boundary image, and a check on another disk or n replaces
-    them in the same buffer, grown only when a level needs more, so at most
-    one image curve is held at a time.
+    that step's boundary image, and a check on another disk or n drops
+    them, so at most one image curve is held at a time.
     """
     z0, w0 = complex(z0), complex(w0)
     d = map.degree

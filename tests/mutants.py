@@ -67,18 +67,10 @@ MUTANTS = [
      "src/skewdyn/fatou.py",
      "distance_ok = dmin > radius",
      "distance_ok = dmin > 0.5 * radius"),
-    ("a grown ladder buffer is left without the previous level's points",
+    ("a refined ladder curve is left without the previous level's points",
      "src/skewdyn/fatou.py",
-     "self.buf[::2] = buf[:m]",
+     "curve[::2] = self.finest",
      "pass"),
-    ("the ladder's angle array is sized to a level's new points, not its curve",
-     "src/skewdyn/fatou.py",
-     "self.angles = np.empty(size)",
-     "self.angles = np.empty(m)"),
-    ("a ladder growth keeps the old angle array alive",
-     "src/skewdyn/fatou.py",
-     "self.angles, self.finest = np.empty(0), None",
-     "self.finest = None"),
 ]
 
 

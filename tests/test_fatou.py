@@ -632,13 +632,13 @@ class TestDiskImageContainsBall:
                                      boundary_samples=fatou.SAMPLE_CAP + 1)
 
     def test_full_cap_check_memory(self, monkeypatch):
-        # a 2^20-point check on a warm circle grows the ladder's curve
-        # buffer level by level: the last growth holds the old and new
-        # buffers (8 + 16 MiB), and the winding the new buffer and its angle
-        # array (16 + 8 MiB) plus block scratch.  Growing without dropping
-        # the angle array first, or into a fresh buffer at every refinement,
-        # takes the peak to about 28 MiB; the whole-curve temporaries of the
-        # distance and winding passes took it to 56 MiB
+        # a 2^20-point check on a warm circle: the last refinement holds
+        # the two top levels (8 + 16 MiB) while it copies, and the winding
+        # the curve and its angle array (16 + 8 MiB), plus block scratch:
+        # about 25.5 MiB.  A 4 MiB array more, such as an angle array of the
+        # level below held through the check, reads 29.5 MiB; the
+        # whole-curve temporaries of the distance and winding passes took it
+        # to 56 MiB
         circle = fatou._UnitCircle()
         monkeypatch.setattr(fatou, "_UNIT_CIRCLE", circle)
         circle.points(4096, 8)
@@ -728,7 +728,7 @@ class TestBoundaryLadder:
         assert {s for v, s in seen - {"cap"} if v} == {samples << k for k in (0, 1, 2, 4, 7)}
 
     def test_new_ladder_allocates_no_curve(self):
-        # the buffer and the angle array grow with the levels refined
+        # each refinement allocates its own level's curve
         tracemalloc.start()
         try:
             ladder = fatou._BoundaryLadder()
@@ -736,7 +736,7 @@ class TestBoundaryLadder:
         finally:
             tracemalloc.stop()
         assert peak < 2**16
-        assert len(ladder.buf) == len(ladder.angles) == 0
+        assert ladder.finest is None
 
     def test_ladder_follows_key_changes(self):
         # the chain's pattern: a new disk or n replaces the ladder's curve
@@ -982,18 +982,21 @@ class TestSharedUnitCircle:
             assert_bitwise(circle.levels[k], pts, f"circle level {k}")
 
     def test_shallow_key_refined_past_a_deeper_one(self):
-        # the buffer keeps the size of the finest level any key refined: the
-        # second key spreads its levels in place up to the first key's
-        # depth, then grows the buffer (and the angle array) level by level
+        # a new key after a deeper one starts again from a level-0 curve,
+        # and every refinement writes an array of its own level's size, so
+        # a curve taken from the first key keeps its values
         cheb = chebyshev_map()
         ladder, ref = fatou._BoundaryLadder(), FreshCircleLadder()
-        for key, depth, sizes in (((cheb, 5e-13, 0.3, 1e-3, 3), 3, [0, 1, 2, 3]),
-                                  ((cheb, 0.0, 0.3, 2e-3, 2), 5, [3, 3, 3, 3, 4, 5])):
+        held = []
+        for key, depth in (((cheb, 5e-13, 0.3, 1e-3, 3), 3), ((cheb, 0.0, 0.3, 2e-3, 2), 5)):
             ladder.select(*key, 4096), ref.select(*key, 4096)
             for k in range(depth + 1):
                 ladder.level(k), ref.level(k)
-                assert len(ladder.buf) == len(ladder.angles) == 4096 << sizes[k]
+                assert ladder.finest.flags.owndata and len(ladder.finest) == 4096 << k
+                held.append((ladder.curve(k), ladder.curve(k).copy()))
             assert_same_ladder(ladder, ref)
+        for view, values in held:
+            assert_bitwise(view, values, "held curve")
 
     @pytest.mark.parametrize("size", [1, 2, 3, 4096, 5001])
     def test_turns_matches_roll(self, size):
@@ -1263,8 +1266,8 @@ class TestVerifyRadiusProposition:
 
     def test_checks_at_level_zero_hold_no_cap_sized_arrays(self):
         # the expand_skew benchmark run: every check resolves at level 0
-        # (4096 points), so its ladder holds 64 KiB of curve; a ladder
-        # sized to the cap up front held 24 MiB
+        # (4096 points), so its ladder holds 64 KiB of curve and each check
+        # 32 KiB of angles; a ladder sized to the cap up front held 24 MiB
         tracemalloc.start()
         try:
             rep = verify_radius_proposition(chebyshev_map(), 5e-13, 0.3, 1e-3, 0.9, 100)
