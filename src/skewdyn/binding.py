@@ -621,7 +621,7 @@ def _draw_bound_pairs(map: SkewProductMap, count: int, seed: int,
     if w_radius is None:
         w_radius = 0.45 * map.escape_radius
 
-    def draw(gen: np.random.Generator, m: int) -> np.ndarray:
+    def draw(gen: mc.Stream, m: int) -> np.ndarray:
         z = mc.uniform_disk(gen, m, 0.9 * map.r0)
         w = mc.uniform_annulus(gen, m, 0.05 * w_radius, w_radius)
         scale = 10.0 ** (-3.0 * gen.random(m))

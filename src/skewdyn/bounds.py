@@ -580,17 +580,20 @@ def _draw_starts(seed: int, tag: str, count: int, real: bool,
     """Uniform starts, one row each: (z0, w0), or w0 alone without z_radius.
 
     Complex draws fill the disks |z0| < z_radius, |w0| < w_radius; real
-    draws fill the intervals of the same half-widths.  z_radius 0 puts every
-    start on the invariant line; a w_radius of 0 would put every start on
-    the critical point.
+    draws fill the intervals of the same half-widths, whose widths 2r must
+    be finite doubles.  z_radius 0 puts every start on the invariant line;
+    a w_radius of 0 would put every start on the critical point.
     """
     if z_radius is not None and not z_radius >= 0:
         raise PreconditionViolated(f"z_radius must be >= 0, got {z_radius}")
     if not w_radius > 0:
         raise PreconditionViolated(f"w_radius must be positive, got {w_radius}")
     radii = [w_radius] if z_radius is None else [z_radius, w_radius]
+    if real and not all(math.isfinite(2.0 * r) for r in radii):
+        raise PreconditionViolated(
+            f"a real draw's interval [-r, r] needs a finite width 2r, got r in {radii}")
 
-    def draw(gen: np.random.Generator, m: int) -> np.ndarray:
+    def draw(gen: mc.Stream, m: int) -> np.ndarray:
         if real:
             return np.column_stack([gen.uniform(-r, r, m) for r in radii])
         return np.column_stack([mc.uniform_disk(gen, m, r) for r in radii])

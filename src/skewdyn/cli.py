@@ -347,7 +347,7 @@ def _suite_departure(run: _Run, kw: dict) -> int:
     d = run.map.degree
     c0 = run.map.c0_origin
 
-    def draw(gen: np.random.Generator, m: int) -> np.ndarray:
+    def draw(gen, m: int) -> np.ndarray:
         # offsets whose d-th roots span three decades keep the implied
         # scale inside the audit's admissible window
         dw = 10.0 ** gen.uniform(-4.0, -2.0, m)

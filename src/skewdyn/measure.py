@@ -34,7 +34,7 @@ from .errors import (
     RateTooLarge,
     ZeroBase,
 )
-from .mc import BLOCK_SIZE, draw_batches, uniform_annulus, uniform_disk
+from .mc import BLOCK_SIZE, Stream, draw_batches, uniform_annulus, uniform_disk
 from .series import x0_constant
 
 MEMBERSHIP_HORIZON = 1000  # first-failure search cap; later failures count as none
@@ -156,7 +156,7 @@ def slow_approach_stats(map: SkewProductMap, alpha: float, burn_in: int,
             "(0,0) returns to itself within tolerance; slow-approach "
             "statistics are undefined")
 
-    def draw(gen: np.random.Generator, count: int) -> np.ndarray:
+    def draw(gen: Stream, count: int) -> np.ndarray:
         z = uniform_disk(gen, count, map.r0)
         w = uniform_disk(gen, count, map.escape_radius)
         return np.stack([z, w], axis=1)
@@ -217,7 +217,7 @@ def e_set_area(map: SkewProductMap, z: complex, alpha: float, ns,
         raise EmptySample(f"need samples > 0, got {samples}")
     grid = _normalize_grid(ns, "n", 0)
 
-    def draw(gen: np.random.Generator, count: int) -> np.ndarray:
+    def draw(gen: Stream, count: int) -> np.ndarray:
         return uniform_disk(gen, count, map.escape_radius)
 
     # cells past the last live orbit stay empty
@@ -292,7 +292,7 @@ def exclusion_area(map: SkewProductMap, alpha: float, m: int, l_values,
     r_outer = abs(map.lam) ** m * map.r0
     r_inner = abs(map.lam) * r_outer
 
-    def draw(gen: np.random.Generator, count: int) -> np.ndarray:
+    def draw(gen: Stream, count: int) -> np.ndarray:
         return uniform_annulus(gen, count, r_inner, r_outer)
 
     counts = np.zeros(horizon + 1, dtype=np.int64)  # index 0: never failed

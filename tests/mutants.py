@@ -6,11 +6,14 @@ run against the tier-1 suite on a scratch copy of the tree.
 The git-tracked files of this checkout (as they are in the working tree)
 are copied into SCRATCH_DIR, a new temporary directory by default.  For each
 mutant one line of one source file is replaced, `python -m pytest -q -x`
-runs there with PYTHONPATH=src, and the file is restored.  A mutant is
-caught when the suite fails.  One line per mutant is printed, and the exit
-status is 1 if any mutant survives.  Run it on a tree whose suite passes.
-pytest does not collect this file: its name does not start with test_.
-A caught mutant takes seconds to a minute; a survivor takes a full run.
+runs there with PYTHONPATH=src, and the file is restored.  The mutated
+module's own test files run first (tests/test_<stem>.py and
+tests/test_<stem>_*.py, so binding.py also gets test_binding_kernel.py),
+and the whole suite runs only if they pass.  A mutant is caught when
+either run fails.  One line per mutant is printed, and the exit status is
+1 if any mutant survives.  Run it on a tree whose suite passes.  pytest
+does not collect this file: its name does not start with test_.  A mutant
+its own tests catch takes seconds; a survivor takes a full run.
 
 --only TEXT runs just the mutants whose source path or name contains TEXT
 (say `--only fatou.py` after a change to that module); given several
@@ -71,6 +74,22 @@ MUTANTS = [
      "src/skewdyn/fatou.py",
      "curve[::2] = self.finest",
      "pass"),
+    ("the Philox key schedule's first Weyl constant has a bit flipped",
+     "src/skewdyn/mc.py",
+     "_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)",
+     "_WEYL = (0x9E3779B97F4A7C14, 0xBB67AE8584CAA73B)"),
+    ("the Philox counter is not incremented before its first block",
+     "src/skewdyn/mc.py",
+     "words = _philox(self._counter + 1, blocks, self._keys)",
+     "words = _philox(self._counter, blocks, self._keys)"),
+    ("the words a call leaves unused are dropped",
+     "src/skewdyn/mc.py",
+     "self._spare = words[n - len(spare):].copy()",
+     "self._spare = words[:0].copy()"),
+    ("the tag key is a 16-byte digest",
+     "src/skewdyn/mc.py",
+     'return int.from_bytes(blake2s(tag.encode("utf-8"), digest_size=8).digest(), "little")',
+     'return int.from_bytes(blake2s(tag.encode("utf-8"), digest_size=16).digest(), "little")'),
 ]
 
 
@@ -83,18 +102,32 @@ def copy_tree(dest: Path) -> None:
             shutil.copy2(ROOT / name, dest / name)
 
 
+def own_tests(dest: Path, path: str) -> list[str]:
+    """The test files written for the module at path, in name order."""
+    stem = Path(path).stem
+    found = [*dest.glob(f"tests/test_{stem}.py"), *dest.glob(f"tests/test_{stem}_*.py")]
+    return sorted(str(p.relative_to(dest)) for p in found)
+
+
 def run_mutant(dest: Path, path: str, old: str, new: str) -> int:
-    """The suite's exit status with old replaced by new in path."""
+    """The exit status of the module's own tests with old replaced by new
+    in path, or of the whole suite if those pass."""
     target = dest / path
     original = target.read_text()
     if original.count(old) != 1:
         raise SystemExit(f"{path}: expected one {old!r}, found {original.count(old)}")
     target.write_text(original.replace(old, new))
     try:
-        return subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"],
-            cwd=dest, env={**os.environ, "PYTHONPATH": "src"},
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+        own = own_tests(dest, path)
+        for selection in ([own] if own else []) + [[]]:  # [] runs the whole suite
+            code = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                 *selection],
+                cwd=dest, env={**os.environ, "PYTHONPATH": "src"},
+                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+            if code:
+                return code
+        return 0
     finally:
         target.write_text(original)
 

@@ -281,6 +281,36 @@ class TestExpansionAudit:
                 floor = 2.0 / (1 + 2 * self.mu0) * (abs(w0) / max(abs(w0), abs(w1))) ** (d - 1) - 1
                 assert audit.margins[0] >= floor - 1e-12
 
+    @staticmethod
+    def synthetic_record(dfdw_at_2: float) -> B.BindingRecord:
+        """A censored pair bound through n = 2 with |Df^1(x)(v)| = 2,
+        |Df^2(x)(v)| = dfdw_at_2, separations 1e-4, 2e-4, 4e-4 and
+        W(1) = 1, W(2) = 1.5: step 2's bound sep_2 / W(2) is 4e-4 / 1.5."""
+        zeros = np.zeros(3)
+        return B.BindingRecord(
+            x=(0.01, 0.3), y=(0.01, 0.3001), mu=B.mu_constants(2)[0],
+            horizon=10, binding_time=None, censored=True,
+            xi_x=np.array([0.3, 0.4, 0.5], dtype=complex),
+            xi_y=np.array([0.3001, 0.4002, 0.5004], dtype=complex),
+            separations=np.array([1e-4, 2e-4, 4e-4]), thresholds=np.full(3, 0.1),
+            log_vder_x=np.log([1.0, 2.0, dfdw_at_2]), log_vder_y=zeros,
+            phase_x=zeros, phase_y=zeros, w_history=np.array([1.0, 1.5]))
+
+    def test_derivative_below_the_bound_fails(self):
+        # negative control: at step 2, |Df^2(x)(v)| = 1e-4 < 4e-4 / 1.5
+        rec = self.synthetic_record(1e-4)
+        audit = B.audit_lemma_expansion(rec)
+        assert not audit.skipped and audit.n_checked == 2
+        assert not audit.passed
+        assert audit.min_margin == pytest.approx(1e-4 * 1.5 / 4e-4 - 1.0)
+        reduction = B._expansion_reduction(B._Histories.of_record(rec), rec.mu)
+        assert reduction.failed.tolist() == [True]
+        # the same record with the derivative on the right side passes
+        rec = self.synthetic_record(1e-3)
+        assert B.audit_lemma_expansion(rec).passed
+        reduction = B._expansion_reduction(B._Histories.of_record(rec), rec.mu)
+        assert reduction.failed.tolist() == [False]
+
     def test_random_pairs_all_pass(self):
         pairs = B.sample_bound_pairs(self.map, 300, seed=13)
         for x, y in pairs:

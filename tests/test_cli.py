@@ -257,6 +257,24 @@ class TestValidation:
         assert "PreconditionViolated" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("suite, params", [
+        ("onedim", {"n_max": 20, "delta": 0.5, "w_radius": 1.5e308}),
+        ("tame", {"n": 20, "z_radius": 1.5e308}),
+        ("return", {"n": 20, "delta0": 0.05, "z_radius": 1.5e308}),
+        ("side", {"n": 20, "delta": 0.5, "z_radius": 1.5e308}),
+    ])
+    def test_real_interval_of_infinite_width_exits_two(self, tmp_path, capsys,
+                                                       suite, params):
+        # a finite radius r whose width 2r overflows: the uniform draw on
+        # [-r, r] raised OverflowError, exit 1 with a traceback
+        code, out = run(tmp_path, "audit-bounds",
+                        {"map": CHEB, "seed": 1,
+                         "params": {"suite": suite, "count": 50, "lambda0": 0.8,
+                                    "real": True, **params}})
+        assert code == 2
+        assert "PreconditionViolated" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("horizon", [0, -3])
     def test_nondegeneracy_horizon_below_one_exits_two(self, tmp_path, capsys,
                                                         horizon):

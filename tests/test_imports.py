@@ -1,8 +1,9 @@
 """Every import in the package and in the tests is used, every private
 module-level name of the package is read by the package, the command line
 loads a layer only for the subcommand that runs it, the audit and measure
-layers leave the binding layer unloaded, and importing the package starts
-no second thread.
+layers leave the binding layer unloaded, the sampling commands load
+neither numpy.random nor hashlib (so no OpenSSL), and importing the
+package starts no second thread.
 
 No linter ships with the project, so this walks each module's syntax tree:
 a name bound by an import must be read somewhere in the same file, or be
@@ -128,8 +129,46 @@ def test_cli_import_loads_no_subcommand_layer():
                                      "series", "mc", "acceptance")}
     assert loaded & lazy == set()
     # deterministic commands such as expand and render need none of these;
-    # hashlib alone adds about 3.4 MiB of peak RSS, numpy.random 5.4 MiB
+    # hashlib maps OpenSSL's libcrypto (about 3.3 MiB of peak RSS), and
+    # numpy.random adds 2-3 MiB more and loads libcrypto again via secrets
     assert loaded & {"mpmath", "hashlib", "numpy.random"} == set()
+
+
+CHEB = {"lambda": [0.5, 0.0], "degree": 2, "mode": "unicritical",
+        "fiber_coeffs": [[[-2.0, 0.0], [1.0, 0.0]]]}
+NEARFIXED = dict(CHEB, fiber_coeffs=[[[0.2, 0.0], [1.0, 0.0]]])
+SAMPLING_RUNS = [
+    ("slow", NEARFIXED, {"alpha": 0.05, "burn_in": 5, "horizon": 40, "samples": 300}),
+    ("exclusion", NEARFIXED, {"alpha": 0.1, "m": 3, "samples": 300, "horizon": 60,
+                              "l_grid": {"start": 2, "stop": 8, "step": 2}}),
+    ("binding", CHEB, {"count": 40, "horizon": 60}),
+    ("audit-bounds", CHEB, {"suite": "departure", "count": 40, "lambda0": 0.8}),
+    *[("audit-bounds", CHEB, {"suite": "onedim", "count": 60, "n_max": 20,
+                              "lambda0": 0.8, "delta": 0.5, "real": real})
+      for real in (False, True)],
+    *[("audit-bounds", CHEB, {"suite": "tame", "count": 60, "n": 20,
+                              "lambda0": 0.8, "real": real})
+      for real in (False, True)],
+]
+
+
+def test_sampling_commands_load_no_openssl_or_numpy_random(tmp_path):
+    # the draws run on mc's own Philox stream and its tags are keyed by
+    # _blake2, so no sampling run maps libcrypto or loads numpy.random
+    runs = []
+    for i, (command, map_cfg, params) in enumerate(SAMPLING_RUNS):
+        config = tmp_path / f"run{i}.json"
+        config.write_text(json.dumps({"command": command, "map": map_cfg,
+                                      "params": params, "seed": 3}))
+        runs.append([command, "--config", str(config), "--out", str(tmp_path / f"out{i}")])
+    code = ("import json, sys\n"
+            "from skewdyn.cli import main\n"
+            f"codes = [main(argv) for argv in {runs!r}]\n"
+            "print(json.dumps([codes, sorted(sys.modules)]))\n")
+    codes, loaded = json.loads(_fresh_interpreter(code).splitlines()[-1])
+    assert all(c in (0, 3) for c in codes), codes
+    assert {"skewdyn.mc", "skewdyn.binding", "skewdyn.bounds", "skewdyn.measure"} <= set(loaded)
+    assert set(loaded) & {"numpy.random", "secrets", "hashlib", "_hashlib"} == set()
 
 
 @pytest.mark.parametrize("module", ["skewdyn.bounds", "skewdyn.measure"])
