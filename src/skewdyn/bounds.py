@@ -48,6 +48,7 @@ from .errors import (
     AttractingCyclePresent,
     BaseOutsideDomain,
     EmptyGrid,
+    EmptySample,
     HorizonNonPositive,
     PreconditionViolated,
 )
@@ -178,13 +179,12 @@ def trace_starts(map: SkewProductMap, z0s, w0s, n: int) -> TraceStarts:
     return TraceStarts(z0s, w0s, n)
 
 
-def _fiber_rows(f0: FiberMap, w0: np.ndarray, n_max: int):
+def _fiber_rows(f0: FiberMap, batches, n_max: int):
     """Rows of fiber orbits, each until it passes the working cap, stepped
-    mc.BATCH_SIZE starts at a time."""
-    for lo in range(0, len(w0), mc.BATCH_SIZE):
-        batch = w0[lo:lo + mc.BATCH_SIZE]
+    one (first, w0) batch of at most mc.BATCH_SIZE starts at a time."""
+    for first, batch in batches:
         orbits = _Orbits(f0, None, batch, bound=_ABS_CAP, factors=True,
-                         carry={"logd": np.zeros(len(batch))}, first=lo)
+                         carry={"logd": np.zeros(len(batch))}, first=first)
         orbits.retire(~(orbits.absw <= _ABS_CAP))
         yield 0, orbits, np.log(orbits.absw), None
         for n in orbits.steps(n_max):
@@ -268,7 +268,11 @@ def audit_onedim(
     if f0.attracting_cycles():
         raise AttractingCyclePresent("fiber polynomial has an attracting cycle")
 
-    w0 = np.asarray(samples, dtype=complex).ravel()
+    if isinstance(samples, FiberStarts):
+        batches = samples.batches()  # drawn a batch at a time
+    else:
+        w0 = np.asarray(samples, dtype=complex).ravel()
+        batches = ((lo, w0[lo:lo + mc.BATCH_SIZE]) for lo in range(0, len(w0), mc.BATCH_SIZE))
     d = f0.degree
     log_delta = math.log(delta)
 
@@ -276,7 +280,7 @@ def audit_onedim(
     a21i = _Acc("prop21i", lambda0, delta)
     a21ii = _Acc("prop21ii", lambda0, delta, constant_one=True)
     a21iii = _Acc("prop21iii", lambda0, delta)
-    rows = _fiber_rows(f0, w0, n_max)
+    rows = _fiber_rows(f0, batches, n_max)
     with np.errstate(divide="ignore", invalid="ignore"):
         for n, idx, lw_n, base, pm0, mids, lw_0 in _scan(rows, math.log(lambda0)):
             eq.add(idx, n, base - (d - 1) * pm0)
@@ -575,9 +579,9 @@ def critical_ball_grid(map: SkewProductMap, epsilon: float, per_axis: int = 100)
 # assembly helpers
 
 
-def _draw_starts(seed: int, tag: str, count: int, real: bool,
-                 w_radius: float, z_radius: float | None = None) -> np.ndarray:
-    """Uniform starts, one row each: (z0, w0), or w0 alone without z_radius.
+def _start_draw(real: bool, w_radius: float, z_radius: float | None = None):
+    """The block draw of uniform starts, draw(gen, m) -> (m, k), one row
+    each: (z0, w0), or w0 alone without z_radius.
 
     Complex draws fill the disks |z0| < z_radius, |w0| < w_radius; real
     draws fill the intervals of the same half-widths, whose widths 2r must
@@ -598,7 +602,27 @@ def _draw_starts(seed: int, tag: str, count: int, real: bool,
             return np.column_stack([gen.uniform(-r, r, m) for r in radii])
         return np.column_stack([mc.uniform_disk(gen, m, r) for r in radii])
 
-    return mc.draw_blocks(seed, tag, count, draw).astype(complex, copy=False)
+    return draw
+
+
+class FiberStarts:
+    """The fiber starts of `sample_fiber_starts`, kept as their draw.
+
+    len() is the count.  `batches` draws them mc.BATCH_SIZE at a time as
+    (first, w0) with complex w0; a batch of whole blocks equals its slice
+    of the full draw, so `audit_onedim` steps the same starts without ever
+    holding all of them.
+    """
+
+    def __init__(self, seed: int, count: int, draw):
+        self.seed, self.count, self.draw = seed, count, draw
+
+    def __len__(self) -> int:
+        return self.count
+
+    def batches(self):
+        for first, cols in mc.draw_batches(self.seed, "bounds_onedim", self.count, self.draw):
+            yield first, cols[:, 0].astype(complex, copy=False)
 
 
 def sample_fiber_starts(
@@ -607,12 +631,16 @@ def sample_fiber_starts(
     seed: int,
     w_radius: float | None = None,
     real: bool = False,
-) -> np.ndarray:
+) -> FiberStarts:
     """Deterministic random fiber starts for `audit_onedim`, uniform over
-    |w0| < w_radius (default 0.9 R) or, with real=True, the real interval."""
+    |w0| < w_radius (default 0.9 R) or, with real=True, the real interval.
+    Nothing is drawn until they are used; the checks run here."""
     if w_radius is None:
         w_radius = 0.9 * map.escape_radius
-    return _draw_starts(seed, "bounds_onedim", count, real, w_radius)[:, 0]
+    draw = _start_draw(real, w_radius)
+    if not mc.block_counts(count):
+        raise EmptySample(f"sample count must be positive, got {count}")
+    return FiberStarts(seed, count, draw)
 
 
 def sample_traces(
@@ -643,5 +671,6 @@ def sample_traces(
     if w_radius is None:
         w_radius = 0.9 * map.escape_radius if delta0 is None else delta0
     tag = "bounds_real_traces" if real else "trace_starts"
-    cols = _draw_starts(seed, tag, count, real, w_radius, z_radius)
+    cols = mc.draw_blocks(seed, tag, count, _start_draw(real, w_radius, z_radius))
+    cols = cols.astype(complex, copy=False)
     return trace_starts(map, cols[:, 0], cols[:, 1], n)

@@ -50,6 +50,7 @@ SAMPLE_CAP = 2**20
 GAP_FRACTION = 0.1  # consecutive image gaps must drop below radius/10
 WINDING_PROBES = 16
 BLOCK = 2**15  # points per block in every pass over a boundary curve
+RENDER_BAND = 2**14  # most pixels a render classifies or encodes at once
 
 
 def _cycle_candidates(map: SkewProductMap) -> tuple[list[str], list[Cycle]]:
@@ -163,8 +164,28 @@ class RasterSlice:
         return self.labels[int(self.codes[row, col])]
 
 
+def _band_rows(res: int):
+    """Row ranges [lo, hi) of a res x res raster: whole rows, at most
+    RENDER_BAND pixels per band, and at least one row."""
+    rows = max(1, RENDER_BAND // res)
+    for lo in range(0, res, rows):
+        yield lo, min(lo + rows, res)
+
+
 def render_slice(map: SkewProductMap, spec: SliceSpec, horizon: int = 1000) -> RasterSlice:
-    """Classify every pixel center of the requested window."""
+    """Classify every pixel center of the requested window.
+
+    The window is classified in bands of whole rows, at most RENDER_BAND
+    pixels each (one row when a row is longer).  Each band's starts are
+    built from the pixel-center vectors, classified on their own, and
+    copied into their rows of the returned codes (int16) and escape_steps
+    (int32).  Those two arrays, 6 bytes per pixel, are all that the render
+    holds the size of its grid; the rest is band-sized.  Classification is
+    elementwise and a fiber slice's shared base orbit steps the same in
+    every band, so every label and escape step is the one a single band
+    gives.  A base-plane window is checked against B(0, r0) band by band,
+    all of it before the cycle search and any stepping.
+    """
     if spec.plane not in ("fiber", "base"):
         raise PreconditionViolated(f"unknown slice plane {spec.plane!r}")
     if spec.resolution < 1 or spec.extent <= 0:
@@ -180,18 +201,27 @@ def render_slice(map: SkewProductMap, spec: SliceSpec, horizon: int = 1000) -> R
     offs = (2.0 * np.arange(res) + 1.0 - res) / res * spec.extent
     re = spec.center.real + offs
     im = spec.center.imag + offs[::-1]
-    grid = re[None, :] + 1j * im[:, None]
-    if spec.plane == "fiber":
-        zs = np.array([spec.at], dtype=complex)  # one base orbit for the slice
-        ws = grid.ravel()
-    else:
-        zs = grid.ravel()
-        if np.any(~(np.abs(zs) < map.r0)):
-            raise BaseOutsideDomain("base-plane window reaches outside B(0, r0)")
-        ws = np.full(res * res, spec.at, dtype=complex)
+
+    def band(lo: int, hi: int) -> np.ndarray:
+        return (re[None, :] + 1j * im[lo:hi, None]).ravel()
+
+    if spec.plane == "base":
+        for lo, hi in _band_rows(res):
+            if np.any(~(np.abs(band(lo, hi)) < map.r0)):
+                raise BaseOutsideDomain("base-plane window reaches outside B(0, r0)")
 
     cyc_labels, cycles = _cycle_candidates(map)
-    codes, esc = _classify_block(map, zs, ws, horizon, cycles)
+    codes = np.empty(res * res, dtype=np.int16)
+    esc = np.empty(res * res, dtype=np.int32)
+    for lo, hi in _band_rows(res):
+        if spec.plane == "fiber":
+            zs = np.array([spec.at], dtype=complex)  # one base orbit for the slice
+            ws = band(lo, hi)
+        else:
+            zs = band(lo, hi)
+            ws = np.full(len(zs), spec.at, dtype=complex)
+        codes[lo * res:hi * res], esc[lo * res:hi * res] = _classify_block(
+            map, zs, ws, horizon, cycles)
     return RasterSlice(
         spec=spec,
         horizon=horizon,
@@ -201,16 +231,26 @@ def render_slice(map: SkewProductMap, spec: SliceSpec, horizon: int = 1000) -> R
     )
 
 
+def _pixel_rows(raster: RasterSlice, lo: int, hi: int) -> np.ndarray:
+    """Rows lo:hi of raster_to_pixels(raster)."""
+    codes, esc = raster.codes[lo:hi], raster.escape_steps[lo:hi]
+    px = np.zeros(codes.shape, dtype=np.uint8)
+    escaping = codes == 1
+    scaled = 1 + (253 * esc) // raster.horizon
+    px[escaping] = np.clip(scaled[escaping], 1, 254).astype(np.uint8)
+    px[codes >= 2] = 255
+    return px
+
+
 def raster_to_pixels(raster: RasterSlice) -> np.ndarray:
     """8-bit encoding: undecided 0, escaping 1..254 by scaled escape time,
     any cycle basin 255.  The horizon is at least 1, as render_slice
-    requires."""
+    requires.  Encoded in render_slice's bands, so the int32 temporaries
+    are band-sized."""
     res = raster.spec.resolution
-    px = np.zeros((res, res), dtype=np.uint8)
-    escaping = raster.codes == 1
-    scaled = 1 + (253 * raster.escape_steps) // raster.horizon
-    px[escaping] = np.clip(scaled[escaping], 1, 254).astype(np.uint8)
-    px[raster.codes >= 2] = 255
+    px = np.empty((res, res), dtype=np.uint8)
+    for lo, hi in _band_rows(res):
+        px[lo:hi] = _pixel_rows(raster, lo, hi)
     return px
 
 
@@ -219,11 +259,11 @@ def write_p5(raster: RasterSlice, path: str) -> tuple[str, str]:
 
     Returns (pixmap_path, sidecar_path).
     """
-    px = raster_to_pixels(raster)
     res = raster.spec.resolution
     with open(path, "wb") as fh:
         fh.write(f"P5\n{res} {res}\n255\n".encode("ascii"))
-        fh.write(px.tobytes())
+        for lo, hi in _band_rows(res):  # the pixel bytes, band by band
+            fh.write(_pixel_rows(raster, lo, hi).tobytes())
     sidecar = {
         "plane": raster.spec.plane,
         "center": [raster.spec.center.real, raster.spec.center.imag],

@@ -35,7 +35,6 @@ from .errors import (
     ZeroBase,
 )
 from .mc import BLOCK_SIZE, Stream, draw_batches, uniform_annulus, uniform_disk
-from .series import x0_constant
 
 MEMBERSHIP_HORIZON = 1000  # first-failure search cap; later failures count as none
 _PERIODIC_STEPS = 1000
@@ -478,6 +477,8 @@ def fiber_base_derivative(map: SkewProductMap, z0: complex, l: int,
     finite difference all run in mpmath at extended precision, with the step
     scaled down by the largest intermediate product.
     """
+    from .series import x0_constant
+
     if map.mode != "unicritical":
         raise PreconditionViolated(
             "base-derivative comparison runs on unicritical maps")

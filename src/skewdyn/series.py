@@ -22,7 +22,6 @@ from .errors import (
     OrbitOverflow,
     PreconditionViolated,
 )
-from .fatou import classify_point
 from .fiber import FiberMap
 
 DEFAULT_TERMS = 60
@@ -272,6 +271,8 @@ def nondegeneracy(map: SkewProductMap, n_terms: int = DEFAULT_TERMS,
     against the invariant line rides along as the simple-root margin of each
     critical point.
     """
+    from .fatou import classify_point
+
     if map.mode != "general":
         raise PreconditionViolated("nondegeneracy runs on general-mode maps")
     _require_terms(n_terms)

@@ -74,6 +74,14 @@ MUTANTS = [
      "src/skewdyn/fatou.py",
      "curve[::2] = self.finest",
      "pass"),
+    ("every render band ends one row early",
+     "src/skewdyn/fatou.py",
+     "yield lo, min(lo + rows, res)",
+     "yield lo, min(lo + rows, res) - 1"),
+    ("the base-plane domain check skips every band after the first",
+     "src/skewdyn/fatou.py",
+     "if np.any(~(np.abs(band(lo, hi)) < map.r0)):",
+     "if lo == 0 and np.any(~(np.abs(band(lo, hi)) < map.r0)):"),
     ("the Philox key schedule's first Weyl constant has a bit flipped",
      "src/skewdyn/mc.py",
      "_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)",

@@ -22,6 +22,7 @@ from skewdyn.core import OrbitTrace, _Orbits, build_map, iterate
 from skewdyn.errors import (
     AttractingCyclePresent,
     EmptyGrid,
+    EmptySample,
     PreconditionViolated,
 )
 from skewdyn.gallery import basilica_map, chebyshev_map
@@ -539,6 +540,38 @@ class TestOnedimBatch:
         assert audits["prop21ii"].violations == 0
         # the constant-1 statement should sit at or above 1 up to slack
         assert audits["prop21ii"].fitted_constant > 1 - 1e-9
+
+
+class TestFiberStarts:
+    """sample_fiber_starts hands over its draw, and audit_onedim draws it a
+    batch at a time: the batches are the slices of one whole draw."""
+
+    @pytest.mark.parametrize("real", [False, True])
+    def test_batches_are_slices_of_the_whole_draw(self, cheb, real):
+        starts = BD.sample_fiber_starts(cheb, 20000, seed=5, real=real)
+        radius = 0.9 * cheb.escape_radius
+        if real:
+            whole = mc.draw_blocks(5, "bounds_onedim", 20000,
+                                   lambda g, m: g.uniform(-radius, radius, m))
+        else:
+            whole = mc.draw_blocks(5, "bounds_onedim", 20000,
+                                   lambda g, m: mc.uniform_disk(g, m, radius))
+        whole = whole.astype(complex, copy=False)
+        batches = list(starts.batches())
+        assert len(starts) == 20000
+        assert [first for first, _ in batches] == [0, mc.BATCH_SIZE, 2 * mc.BATCH_SIZE]
+        assert_bitwise(np.concatenate([w for _, w in batches]), whole)
+        assert (BD.audit_onedim(cheb.f0(), starts, 30, 0.8, 1.0)
+                == BD.audit_onedim(cheb.f0(), whole, 30, 0.8, 1.0))
+
+    def test_checks_run_before_any_draw(self, cheb):
+        for count in (0, -1):
+            with pytest.raises(EmptySample):
+                BD.sample_fiber_starts(cheb, count, seed=5)
+        with pytest.raises(PreconditionViolated):
+            BD.sample_fiber_starts(cheb, 10, seed=5, w_radius=0.0)
+        with pytest.raises(PreconditionViolated):
+            BD.sample_fiber_starts(cheb, 10, seed=5, w_radius=1.5e308, real=True)
 
 
 class TestOnedimValidation:

@@ -1450,6 +1450,22 @@ class TestPeakMemory:
             "params": {"suite": "onedim", "count": 20000, "n_max": 200,
                        "lambda0": 0.8, "delta": 1.0}}) < 2.5
 
+    # a render holding the whole grid peaked at about 80 bytes per pixel:
+    # 5.2 MiB for escape_sweep's 256^2 slice and 78.9 MiB at 1024^2.  In
+    # bands of RENDER_BAND pixels they measure 1.9 and 7.4 MiB, of which the
+    # returned codes and escape steps (6 bytes per pixel) are 0.4 and 6 MiB
+    def test_render_basilica_256(self, tmp_path, peak_mib):
+        assert self.cli_peak(peak_mib, tmp_path, "render", {
+            "map": BASILICA,
+            "params": {"plane": "fiber", "center": [0.0, 0.0], "extent": 1.6,
+                       "resolution": 256, "at": [0.0, 0.0], "horizon": 300}}) < 3.0
+
+    def test_render_1024_slice(self, tmp_path, peak_mib):
+        assert self.cli_peak(peak_mib, tmp_path, "render", {
+            "map": BASILICA,
+            "params": {"plane": "fiber", "center": [0.0, 0.0], "extent": 1.6,
+                       "resolution": 1024, "at": [0.0, 0.0], "horizon": 10}}) < 10.0
+
 
 PARABOLIC = dict(CHEB, fiber_coeffs=[[[0.25, 0.0], [1.0, 0.0]]])
 # bounded_sweep's render_parabolic: every pixel stays live to the horizon

@@ -493,6 +493,80 @@ class TestP5:
         assert meta["horizon"] == 100
 
 
+# name -> (map, spec, horizon, codes that must appear in the one-band run)
+BAND_SLICES = {
+    "fiber_odd": (basilica_map(), SliceSpec("fiber", 0j, 1.6, 7, 0.01 - 0.02j), 150, {1, 2}),
+    "fiber_resolution_1": (basilica_map(), SliceSpec("fiber", 0.05 + 0j, 0.1, 1, 0.01),
+                           400, {2}),
+    "base_odd": (basilica_map(0.4 + 0.3j), SliceSpec("base", 0j, 0.1, 7, 1.2), 70, {0, 1, 2}),
+    "base_resolution_1": (basilica_map(0.4 + 0.3j), SliceSpec("base", 0.01j, 0.1, 1, 1.2),
+                          70, None),
+    "parabolic": (parabolic_map(), SliceSpec("fiber", 0.4 + 0j, 0.2, 7, complex(-0.0, 0.0)),
+                  400, {0, 1}),
+}
+
+
+class TestRenderBands:
+    """render_slice classifies in bands of whole rows and write_p5 encodes
+    over the same bands.  RENDER_BAND 15 cuts 7 rows of 7 into bands of 2, 2,
+    2 and 1 rows, and RENDER_BAND 1 gives one row per band; either must give
+    the codes, escape steps and slice.p5 bytes of a run in one band."""
+
+    @staticmethod
+    def render(monkeypatch, tmp_path, band: int, name: str):
+        m, spec, horizon, _ = BAND_SLICES[name]
+        monkeypatch.setattr(fatou, "RENDER_BAND", band)
+        ras = render_slice(m, spec, horizon=horizon)
+        path, _ = write_p5(ras, str(tmp_path / f"{name}_{band}.p5"))
+        with open(path, "rb") as fh:
+            return ras, raster_to_pixels(ras), fh.read()
+
+    @pytest.mark.parametrize("band", [1, 15])
+    @pytest.mark.parametrize("name", sorted(BAND_SLICES))
+    def test_bands_match_one_band(self, monkeypatch, tmp_path, name, band):
+        res = BAND_SLICES[name][1].resolution
+        one, one_px, one_p5 = self.render(monkeypatch, tmp_path, res * res, name)
+        ras, px, p5 = self.render(monkeypatch, tmp_path, band, name)
+        assert_bitwise(ras.codes, one.codes, "codes")
+        assert_bitwise(ras.escape_steps, one.escape_steps, "escape steps")
+        assert_bitwise(px, one_px, "pixels")
+        assert p5 == one_p5
+        assert ras.labels == one.labels
+        expected = BAND_SLICES[name][3]
+        if expected is not None:
+            assert set(np.unique(one.codes).tolist()) == expected
+
+    def test_band_rows(self, monkeypatch):
+        monkeypatch.setattr(fatou, "RENDER_BAND", 15)
+        assert list(fatou._band_rows(7)) == [(0, 2), (2, 4), (4, 6), (6, 7)]
+        assert list(fatou._band_rows(1)) == [(0, 1)]
+        assert list(fatou._band_rows(16)) == [(lo, lo + 1) for lo in range(16)]
+        monkeypatch.setattr(fatou, "RENDER_BAND", 2**14)
+        assert list(fatou._band_rows(128)) == [(0, 128)]  # bounded_sweep's renders
+
+    @pytest.mark.parametrize("band", [15, 49])
+    def test_base_window_outside_r0_in_the_last_band(self, monkeypatch, band):
+        # only the bottom row leaves B(0, r0), and with RENDER_BAND 15 it is
+        # the last band, a single row; the whole window is checked before the
+        # cycle search and before any orbit is stepped
+        cheb = chebyshev_map()
+        ext = 0.1 * cheb.r0
+        spec = SliceSpec("base", -1j * (cheb.r0 - 5 * ext / 7), ext, 7, 0.3)
+        zs, _ = slice_starts(spec)
+        outside = ~(np.abs(zs.reshape(7, 7)) < cheb.r0)
+        assert outside[6].all() and not outside[:6].any()
+
+        def never(*args, **kwargs):
+            raise AssertionError("stepped before the domain check")
+
+        monkeypatch.setattr(fatou, "RENDER_BAND", band)
+        monkeypatch.setattr(fatou, "_cycle_candidates", never)
+        monkeypatch.setattr(fatou, "_Orbits", never)
+        with pytest.raises(BaseOutsideDomain,
+                           match=r"^base-plane window reaches outside B\(0, r0\)$"):
+            render_slice(cheb, spec, horizon=10)
+
+
 class TestDiskImageContainsBall:
     def test_identity_at_n0(self):
         chk = disk_image_contains_ball(chebyshev_map(), 0.0, 0.3, 1e-3, 0, 0.3, 5e-4)

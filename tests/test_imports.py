@@ -2,8 +2,9 @@
 module-level name of the package is read by the package, the command line
 loads a layer only for the subcommand that runs it, the audit and measure
 layers leave the binding layer unloaded, the sampling commands load
-neither numpy.random nor hashlib (so no OpenSSL), and importing the
-package starts no second thread.
+neither numpy.random nor hashlib (so no OpenSSL), the samplers and `xl`
+leave series and fatou unloaded, and importing the package starts no
+second thread.
 
 No linter ships with the project, so this walks each module's syntax tree:
 a name bound by an import must be read somewhere in the same file, or be
@@ -169,6 +170,30 @@ def test_sampling_commands_load_no_openssl_or_numpy_random(tmp_path):
     assert all(c in (0, 3) for c in codes), codes
     assert {"skewdyn.mc", "skewdyn.binding", "skewdyn.bounds", "skewdyn.measure"} <= set(loaded)
     assert set(loaded) & {"numpy.random", "secrets", "hashlib", "_hashlib"} == set()
+
+
+def test_samplers_and_xl_leave_series_and_fatou_unloaded(tmp_path):
+    # measure needs series only in fiber_base_derivative (xl), and series
+    # needs fatou only in nondegeneracy; each imports the other when it runs
+    runs = [*(r for r in SAMPLING_RUNS if r[0] in ("slow", "exclusion")),
+            ("xl", CHEB, {"z0": [0.001, 0.0], "l": 12})]
+    loaded = []
+    for i, (command, map_cfg, params) in enumerate(runs):
+        config = tmp_path / f"run{i}.json"
+        config.write_text(json.dumps({"command": command, "map": map_cfg,
+                                      "params": params, "seed": 3}))
+        argv = [command, "--config", str(config), "--out", str(tmp_path / f"out{i}")]
+        code = ("import json, sys\n"
+                "from skewdyn.cli import main\n"
+                f"code = main({argv!r})\n"
+                "print(json.dumps([code, sorted(sys.modules)]))\n")
+        exit_code, modules = json.loads(_fresh_interpreter(code).splitlines()[-1])
+        assert exit_code in (0, 3), (command, exit_code)
+        loaded.append(set(modules))
+    slow, exclusion, xl = loaded
+    assert "skewdyn.measure" in slow & exclusion & xl
+    assert (slow | exclusion) & {"skewdyn.series", "skewdyn.fatou"} == set()
+    assert "skewdyn.series" in xl and "skewdyn.fatou" not in xl
 
 
 @pytest.mark.parametrize("module", ["skewdyn.bounds", "skewdyn.measure"])

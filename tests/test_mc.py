@@ -84,7 +84,6 @@ def test_tag_key_is_blake2s(tag):
 def test_every_tag_in_the_package_is_pinned():
     text = "".join(p.read_text() for p in SRC.glob("*.py"))
     found = set(re.findall(r'(?:draw_blocks|draw_batches)\([^,]+, "(\w+)"', text))
-    found |= set(re.findall(r'_draw_starts\(seed, "(\w+)"', text))
     found |= set(re.findall(r'tag = "(\w+)" if real else "(\w+)"', text)[0])
     assert found == set(TAGS)
 
