@@ -11,6 +11,9 @@ assert_bitwise`.
 
 The peak_mib fixture is the one tracemalloc harness of the memory tests.
 
+CHEB, NEARFIXED and the other map dicts are the `map` sections of the CLI
+configs that test_cli and test_pins run.
+
 iterate_block is the reference for the stepped orbit scans: the stored
 (n+1) x count orbit batch the package built before its audits stepped
 their starts themselves, copied here unchanged apart from its input checks
@@ -26,6 +29,23 @@ import pytest
 from hypothesis import settings
 
 from skewdyn.core import _Orbits
+
+CHEB = {"lambda": [0.5, 0.0], "degree": 2, "mode": "unicritical",
+        "fiber_coeffs": [[[-2.0, 0.0], [1.0, 0.0]]]}
+NEARFIXED = {"lambda": [0.5, 0.0], "degree": 2, "mode": "unicritical",
+             "fiber_coeffs": [[[0.2, 0.0], [1.0, 0.0]]]}
+GENERAL3 = {"lambda": [0.5, 0.0], "degree": 3, "mode": "general",
+            "fiber_coeffs": [[[-0.5, 0.0], [1.0, 0.0]], [[-1.2, 0.0], [0.3, 0.0]],
+                             [[0.0, 0.2]]]}
+AIRPLANEISH = {"lambda": [0.65, 0.0], "degree": 2, "mode": "unicritical",
+               "fiber_coeffs": [[[-1.749, 0.0], [1.0, 0.0]]]}
+BASILICA = dict(CHEB, fiber_coeffs=[[[-1.0, 0.0], [1.0, 0.0]]])
+ESCAPING_CUBIC = {"lambda": [0.6, -0.1], "degree": 3, "mode": "unicritical",
+                  "fiber_coeffs": [[[0.0, 1.2], [1.0, 0.0]]]}
+QUARTIC = {"lambda": [0.5, 0.2], "degree": 4, "mode": "general",
+           "fiber_coeffs": [[[1.0, 0.0], [1.0, 0.0]], [[0.3, 0.0]],
+                            [[-2.6, 0.0], [0.0, 0.1]], [[0.0, 0.0]]]}
+CHEB_GENERAL = dict(CHEB, mode="general")
 
 settings.register_profile("skewdyn", deadline=None, derandomize=True, database=None)
 settings.load_profile("skewdyn")

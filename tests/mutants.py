@@ -7,7 +7,8 @@ The git-tracked files of this checkout (as they are in the working tree)
 are copied into SCRATCH_DIR, a new temporary directory by default.  For each
 mutant one line of one source file is replaced, `python -m pytest -q -x`
 runs there with PYTHONPATH=src, and the file is restored.  The mutated
-module's own test files run first (tests/test_<stem>.py and
+module's own test files run first (tests/test_pins.py, whose artifact pins
+catch any mutant that moves an output, then tests/test_<stem>.py and
 tests/test_<stem>_*.py, so binding.py also gets test_binding_kernel.py),
 and the whole suite runs only if they pass.  A mutant is caught when
 either run fails.  One line per mutant is printed, and the exit status is
@@ -94,6 +95,10 @@ MUTANTS = [
      "src/skewdyn/mc.py",
      "self._spare = words[n - len(spare):].copy()",
      "self._spare = words[:0].copy()"),
+    ("every JSON artifact ends in one more byte",
+     "src/skewdyn/cli.py",
+     'return json.dumps(obj, indent=2, sort_keys=True, default=_plain) + "\\n"',
+     'return json.dumps(obj, indent=2, sort_keys=True, default=_plain) + " \\n"'),
     ("the tag key is a 16-byte digest",
      "src/skewdyn/mc.py",
      'return int.from_bytes(blake2s(tag.encode("utf-8"), digest_size=8).digest(), "little")',
@@ -111,10 +116,11 @@ def copy_tree(dest: Path) -> None:
 
 
 def own_tests(dest: Path, path: str) -> list[str]:
-    """The test files written for the module at path, in name order."""
+    """tests/test_pins.py, then the test files written for the module at
+    path, in name order."""
     stem = Path(path).stem
     found = [*dest.glob(f"tests/test_{stem}.py"), *dest.glob(f"tests/test_{stem}_*.py")]
-    return sorted(str(p.relative_to(dest)) for p in found)
+    return ["tests/test_pins.py", *sorted(str(p.relative_to(dest)) for p in found)]
 
 
 def run_mutant(dest: Path, path: str, old: str, new: str) -> int:
@@ -126,8 +132,7 @@ def run_mutant(dest: Path, path: str, old: str, new: str) -> int:
         raise SystemExit(f"{path}: expected one {old!r}, found {original.count(old)}")
     target.write_text(original.replace(old, new))
     try:
-        own = own_tests(dest, path)
-        for selection in ([own] if own else []) + [[]]:  # [] runs the whole suite
+        for selection in (own_tests(dest, path), []):  # [] runs the whole suite
             code = subprocess.run(
                 [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
                  *selection],

@@ -18,6 +18,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import test_pins as pins
+from conftest import AIRPLANEISH, BASILICA, CHEB, CHEB_GENERAL, GENERAL3, NEARFIXED
 from skewdyn import binding as B
 from skewdyn import cli, fatou
 from skewdyn.cli import main
@@ -25,22 +27,6 @@ from skewdyn.core import _CHUNK, iterate, map_from_config, trace_to_csv
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
-CHEB = {"lambda": [0.5, 0.0], "degree": 2, "mode": "unicritical",
-        "fiber_coeffs": [[[-2.0, 0.0], [1.0, 0.0]]]}
-NEARFIXED = {"lambda": [0.5, 0.0], "degree": 2, "mode": "unicritical",
-             "fiber_coeffs": [[[0.2, 0.0], [1.0, 0.0]]]}
-GENERAL3 = {"lambda": [0.5, 0.0], "degree": 3, "mode": "general",
-            "fiber_coeffs": [[[-0.5, 0.0], [1.0, 0.0]], [[-1.2, 0.0], [0.3, 0.0]],
-                             [[0.0, 0.2]]]}
-AIRPLANEISH = {"lambda": [0.65, 0.0], "degree": 2, "mode": "unicritical",
-               "fiber_coeffs": [[[-1.749, 0.0], [1.0, 0.0]]]}
-BASILICA = dict(CHEB, fiber_coeffs=[[[-1.0, 0.0], [1.0, 0.0]]])
-ESCAPING_CUBIC = {"lambda": [0.6, -0.1], "degree": 3, "mode": "unicritical",
-                  "fiber_coeffs": [[[0.0, 1.2], [1.0, 0.0]]]}
-QUARTIC = {"lambda": [0.5, 0.2], "degree": 4, "mode": "general",
-           "fiber_coeffs": [[[1.0, 0.0], [1.0, 0.0]], [[0.3, 0.0]],
-                            [[-2.6, 0.0], [0.0, 0.1]], [[0.0, 0.0]]]}
-CHEB_GENERAL = dict(CHEB, mode="general")
 
 
 def write_config(tmp_path, cfg, name="run.json"):
@@ -521,11 +507,7 @@ class TestCommandTable:
 
 class TestOrbit:
     def test_artifacts_and_roundtrip(self, tmp_path):
-        code, out = run(tmp_path, "orbit",
-                        {"map": CHEB,
-                         "params": {"z0": [0.01, 0.0], "w0": [0.1, 0.1],
-                                    "n": 50}})
-        assert code == 0
+        out = pins.outcome(tmp_path, "orbit/shipped").out
         csv_lines = (out / "orbit.csv").read_text().splitlines()
         assert csv_lines[0] == "n,z_re,z_im,w_re,w_im,log_vder,tame,escaped"
         report = json.loads((out / "orbit.json").read_text())
@@ -535,28 +517,10 @@ class TestOrbit:
         assert report["escape_step"] == len(csv_lines) - 2
 
     def test_shipped_config_artifact_digests(self, tmp_path):
-        # sha256 recorded on x86-64, numpy 2.4, before trace_to_csv
-        # formatted rows in chunks
-        out = tmp_path / "out"
-        assert main(["orbit", "--config", str(CONFIG_DIR / "orbit.json"),
-                     "--out", str(out)]) == 0
-        assert tree_digest(out) == {
-            "orbit.csv":
-                "5c6228c1d115d6c620830ada2e80ed6af5b19debd4c45359ec1dc59844d0a5a5",
-            "orbit.json":
-                "59f121f6fdb7e62c7a0b352d7e2344496a28806efcf0b781a9b89642ea59a81b"}
+        pins.check(tmp_path, "orbit/shipped")
 
     def test_long_orbit_csv_digest(self, tmp_path):
-        # 20001 rows, not a multiple of the 4096-row chunk; recorded as above
-        code, out = run(tmp_path, "orbit",
-                        {"map": CHEB,
-                         "params": {"z0": [0.0, 0.0], "w0": [0.3, 0.0], "n": 20000}})
-        assert code == 0
-        blob = (out / "orbit.csv").read_bytes()
-        assert len(blob) == 1081863
-        assert blob.count(b"\n") == 20002
-        assert hashlib.sha256(blob).hexdigest() == (
-            "ce8468ddfaeeff2fd712919c590b2dfd93af85e1a5b7b6a494ff379a4a9562be")
+        pins.check(tmp_path, "orbit/long")
 
     @pytest.mark.parametrize("fiber_c, w0, n, escape_step", [
         (-2.0, 0.3, 0, None),
@@ -596,9 +560,7 @@ class TestOrbit:
 
 class TestBinding:
     def test_chebyshev_batch_passes(self, tmp_path):
-        code, out = run(tmp_path, "binding",
-                        {"map": CHEB, "params": {"count": 200}, "seed": 101})
-        assert code == 0
+        out = pins.outcome(tmp_path, "binding/shipped").out
         lines = (out / "binding.csv").read_text().splitlines()
         assert lines[0].startswith("pair_id,mu,binding_time,censored")
         assert len(lines) == 201
@@ -610,36 +572,12 @@ class TestBinding:
         assert report["mu_constants"]["series_ok"] is True
 
     def test_shipped_config_artifact_digests(self, tmp_path):
-        # sha256 recorded on x86-64, numpy 2.4, with the per-pair scalar
-        # binding loop that the batch kernel replaced
-        out = tmp_path / "out"
-        assert main(["binding", "--config", str(CONFIG_DIR / "binding.json"),
-                     "--out", str(out)]) == 0
-        assert tree_digest(out) == {
-            "binding.csv":
-                "d24428e6abe584a01394d660729d30ceb4bf3830881ee6a3403b4ca4cc294a40",
-            "binding.json":
-                "33e2a37b1ff0a25cfae727fa2581ab16d8513b16807cc3e03414a69e05956fd8"}
+        pins.check(tmp_path, "binding/shipped")
 
-
-    @pytest.mark.parametrize("seed, digests", [
-        (3, {"binding.csv":
-                 "05cf7c0ca048714a97a608bd0718f389e68a7aea5abda8315f9ce21dcc597853",
-             "binding.json":
-                 "98704f8d174a7a902e1ef0c2e55230b18b0685670e811b97846355ecb07cde1a"}),
-        (5, {"binding.csv":
-                 "061ba3df884a18bd98858efd8da832b9e764ec20560f3c0a5ec38ca4eb3b34d7",
-             "binding.json":
-                 "6bb4b2f0d63718422e7f1a283ab2f1fe398bd89fd01a97d926a56a3b8c8a7b08"}),
-    ])
+    @pytest.mark.parametrize("seed, digests", pins.recorded_by_seed("pair_audits/binding"))
     def test_several_block_digests(self, tmp_path, seed, digests):
-        # the pair_audits benchmark's run, 5000 pairs over three blocks of
-        # binding.BLOCK_PAIRS; sha256 recorded on x86-64, numpy 2.4, while
-        # every pair was bound in one batch
-        code, out = run(tmp_path, "binding",
-                        {"map": CHEB, "seed": seed, "params": {"count": 5000}})
-        assert code == 0
-        assert tree_digest(out) == digests
+        # 5000 pairs over three blocks of binding.BLOCK_PAIRS
+        assert pins.outcome(tmp_path, f"pair_audits/binding@{seed}")[:2] == (0, digests)
 
     @staticmethod
     def fold_rows(rows: list) -> dict:
@@ -752,28 +690,13 @@ class TestAuditBounds:
             assert audit["violations"] == 0
 
     def test_return_suite_real_window(self, tmp_path):
-        code, out = run(tmp_path, "audit-bounds",
-                        {"map": CHEB, "seed": 5,
-                         "params": {"suite": "return", "count": 400, "n": 250,
-                                    "lambda0": 0.8, "delta0": 0.05,
-                                    "z_radius": 1e-7, "w_radius": 0.05,
-                                    "real": True}})
-        assert code == 0
-        report = json.loads((out / "bounds_return.json").read_text())
-        assert report["audits"]["lem34"]["samples"] > 100
-        assert report["audits"]["lem34"]["violations"] == 0
+        lem34 = pins.report(tmp_path, "radii/return_real",
+                            "bounds_return.json")["audits"]["lem34"]
+        assert lem34["samples"] > 100 and lem34["violations"] == 0
 
     def test_side_suite_on_line(self, tmp_path):
-        code, out = run(tmp_path, "audit-bounds",
-                        {"map": CHEB, "seed": 5,
-                         "params": {"suite": "side", "count": 200, "n": 60,
-                                    "lambda0": 0.8, "delta": 0.5,
-                                    "z_radius": 0.0, "w_radius": 0.9,
-                                    "real": True}})
-        assert code == 0
-        report = json.loads((out / "bounds_side.json").read_text())
-        assert all(report["audits"][k]["samples"] > 0
-                   for k in ("lem31", "lem32", "lem33"))
+        audits = pins.report(tmp_path, "radii/side_line", "bounds_side.json")["audits"]
+        assert all(audits[k]["samples"] > 0 for k in ("lem31", "lem32", "lem33"))
 
     def test_vacuous_audit_exits_three(self, tmp_path, capsys):
         # off-line starts cannot feed the invariant-line floor, and a
@@ -790,67 +713,25 @@ class TestAuditBounds:
         assert report["passed"] is False
         assert report["audits"]["lem33"]["samples"] == 0
 
-    @pytest.mark.parametrize("params, digest", [
-        ({"suite": "tame", "count": 5000, "n": 100, "lambda0": 0.8},
-         "ae91b45240cbb002ad0ba6cd34a7bef14732a5186605e6f61f9f9580adb5b31a"),
-        ({"suite": "onedim", "count": 20000, "n_max": 200, "lambda0": 0.8,
-          "delta": 1.0},
-         "bd56531fef9bd3b09ae2a6658433fd1f0ce2de960530f75436f56d62ac9ddfc9"),
-    ], ids=["tame", "onedim"])
-    def test_benchmark_config_digests(self, tmp_path, params, digest):
-        # the escape_sweep benchmark's audits at input seed 3; sha256
-        # recorded on x86-64, numpy 2.4, while the audits scanned stored
-        # (n+1) x count histories
-        code, out = run(tmp_path, "audit-bounds",
-                        {"map": CHEB, "seed": 3, "params": params})
-        assert code == 0
-        assert tree_digest(out) == {f"bounds_{params['suite']}.json": digest}
+    @pytest.mark.parametrize("name", ["tame", "onedim"])
+    def test_benchmark_config_digests(self, tmp_path, name):
+        pins.check(tmp_path, f"escape_sweep/{name}@3")
 
-    @pytest.mark.parametrize("seed, digest", [
-        (3, "bd56531fef9bd3b09ae2a6658433fd1f0ce2de960530f75436f56d62ac9ddfc9"),
-        (5, "88c1fbd5c635ec81678d1c0b0e27375da18a867e9e410786ef8781438fcee410"),
-    ])
+    @pytest.mark.parametrize("seed, digest",
+                             pins.recorded_by_seed("escape_sweep/onedim", "bounds_onedim.json"))
     def test_onedim_several_batch_digests(self, tmp_path, seed, digest):
-        # 20000 starts span three scan batches; sha256 recorded on x86-64,
-        # numpy 2.4, while every start was stepped in one batch
-        code, out = run(tmp_path, "audit-bounds",
-                        {"map": CHEB, "seed": seed,
-                         "params": {"suite": "onedim", "count": 20000,
-                                    "n_max": 200, "lambda0": 0.8, "delta": 1.0}})
-        assert code == 0
-        assert tree_digest(out) == {"bounds_onedim.json": digest}
+        # 20000 starts span three scan batches
+        assert pins.outcome(tmp_path, f"escape_sweep/onedim@{seed}")[:2] == (
+            0, {"bounds_onedim.json": digest})
 
-    @pytest.mark.parametrize("seed, params, code, digest", [
-        (5, {"suite": "return", "count": 400, "n": 250, "lambda0": 0.8,
-             "delta0": 0.05, "z_radius": 1e-7, "w_radius": 0.05, "real": True},
-         0, "d5381eee11e98980d1ba29f9f5eb9434787fe5dc3fd5cbb35288c6cd48bece8f"),
-        (7, {"suite": "return", "count": 3000, "n": 80, "lambda0": 0.8,
-             "delta0": 0.05, "z_radius": 0.005, "w_radius": 0.05},
-         0, "c27b1fb1ef0462e8ad5b1ad937c451b01756a72a350fec5313b8cd7872ba7d64"),
-        (5, {"suite": "side", "count": 200, "n": 60, "lambda0": 0.8,
-             "delta": 0.5, "z_radius": 0.0, "w_radius": 0.9, "real": True},
-         0, "a1c536902d395908c82058582bfd37566615efcd55a6a39c52a9d06d69e19506"),
-        (5, {"suite": "side", "count": 3000, "n": 60, "lambda0": 0.8,
-             "delta": 0.5, "z_radius": 0.01, "w_radius": 1.0},
-         3, "a7725acc4be88420e9b693ae000e502c7f77b63a9d5617318e95f72382f4ad09"),
-    ], ids=["return_real", "return_disk", "side_line", "side_disk"])
-    def test_explicit_radii_digests(self, tmp_path, seed, params, code, digest):
-        # sha256 recorded on x86-64, numpy 2.4, while the audits scanned the
-        # stored TraceBlock; explicit radii keep the draws off the defaults
-        got, out = run(tmp_path, "audit-bounds",
-                       {"map": CHEB, "seed": seed, "params": params})
-        assert got == code
-        assert tree_digest(out) == {f"bounds_{params['suite']}.json": digest}
+    @pytest.mark.parametrize("name", pins.group("radii"))
+    def test_explicit_radii_digests(self, tmp_path, name):
+        pins.check(tmp_path, f"radii/{name}")
 
     def test_return_draws_its_admissible_region_by_default(self, tmp_path):
         # over 0.9 r0 x 0.9 R (the draws before) lem34 admitted no pair here
-        code, out = run(tmp_path, "audit-bounds",
-                        {"map": CHEB, "seed": 3,
-                         "params": {"suite": "return", "count": 3000, "n": 80,
-                                    "lambda0": 0.8, "delta0": 0.05,
-                                    "real": True}})
-        assert code == 0
-        lem34 = json.loads((out / "bounds_return.json").read_text())["audits"]["lem34"]
+        lem34 = pins.report(tmp_path, "default/return_real",
+                            "bounds_return.json")["audits"]["lem34"]
         assert lem34["samples"] > 0 and lem34["violations"] == 0
 
     def test_onedim_suite_real_window(self, tmp_path):
@@ -876,33 +757,14 @@ class TestAuditBounds:
         assert report["audits"]["lem25"]["violations"] == 0
 
     def test_departure_artifact_digest(self, tmp_path):
-        # sha256 recorded on x86-64, numpy 2.4, with the per-start scalar
-        # loop that the batch kernel replaced; one start misses the bound
-        code, out = run(tmp_path, "audit-bounds",
-                        {"map": CHEB, "seed": 7,
-                         "params": {"suite": "departure", "count": 2000,
-                                    "lambda0": 0.8}})
-        assert code == 0
-        assert json.loads((out / "bounds_departure.json").read_text())[
-            "audits"]["lem25"]["violations"] == 1
-        assert tree_digest(out) == {
-            "bounds_departure.json":
-                "6bc80370d809394f00a722de8fa0d330d7117610bb66f8fe6c785e78409e9c9a"}
+        pins.check(tmp_path, "departure")
 
-    @pytest.mark.parametrize("seed, digest", [
-        (3, "df0914410783aeecf4a394665144626154838ab085e71086026797b86159199e"),
-        (5, "7e99fdad1643ac44bd0a1c361a83bae80b76edc60f49b02c8d27d16bd02096d7"),
-    ])
+    @pytest.mark.parametrize("seed, digest", pins.recorded_by_seed(
+        "pair_audits/departure", "bounds_departure.json"))
     def test_departure_several_block_digests(self, tmp_path, seed, digest):
-        # the pair_audits benchmark's run, 20000 starts over ten blocks;
-        # sha256 recorded on x86-64, numpy 2.4, while every start was bound
-        # in one batch (8 and 13 starts miss the bound)
-        code, out = run(tmp_path, "audit-bounds",
-                        {"map": CHEB, "seed": seed,
-                         "params": {"suite": "departure", "count": 20000,
-                                    "lambda0": 0.8}})
-        assert code == 0
-        assert tree_digest(out) == {"bounds_departure.json": digest}
+        # 20000 starts over ten blocks
+        assert pins.outcome(tmp_path, f"pair_audits/departure@{seed}")[:2] == (
+            0, {"bounds_departure.json": digest})
 
     def test_departure_on_attracting_cycle_map(self, tmp_path, capsys):
         # the fiber map has an attracting cycle, where the departure bound
@@ -993,17 +855,7 @@ class TestMeasureCommands:
         assert lines[0].startswith("quantity,samples,estimate")
 
     def test_slow_benchmark_digests(self, tmp_path):
-        # the escape_sweep benchmark's slow run at input seed 3; sha256
-        # recorded on x86-64, numpy 2.4, while every start was stepped in one batch
-        code, out = run(tmp_path, "slow",
-                        {"map": NEARFIXED, "seed": 3,
-                         "params": {"alpha": 0.05, "burn_in": 50,
-                                    "horizon": 500, "samples": 100000}})
-        assert code == 0
-        assert tree_digest(out) == {
-            "slow.csv": "66194e24cab58c7861c11703e73b6f36167933c6b99bd663c828bbbdac84c0bf",
-            "slow.json": "b9954868f23351db3891abba6de06f79584845707f4a53b383a5146455ab24f7",
-        }
+        pins.check(tmp_path, "escape_sweep/slow@3")
 
     def test_exclusion_outermost_annulus(self, tmp_path):
         # m = 0 is the annulus |lambda| r0 <= |z| < r0, a legal cell
@@ -1031,32 +883,15 @@ class TestMeasureCommands:
         assert decay[0] == "l,log_fraction"
         assert len(decay) > 3
 
-    @pytest.mark.parametrize("seed, digests", [
-        (3, {"exclusion.csv": "16a3c99c8885d2abc63082e37d497fd7f1289cb29fc46bacfa2f4a9ce7dbb5c6",
-             "exclusion.json": "94939e9e7021a8959f65e0403e381aac7b0c446b2c42f8b555c11c250055f83f",
-             "exclusion_decay.csv": "e240956fb1f1ce703fa6ee733cbe6834f1360607853935397ee5735270ea145f"}),
-        (5, {"exclusion.csv": "e4165ed709060c386baa12c2b91b2db4ab5db4a8d0946073708cb52933b1ed60",
-             "exclusion.json": "1861a0c052053793dfc44ca57b08c78e0351efa07cf9938e2e45bdcfca1d9436",
-             "exclusion_decay.csv": "5687cf149ebcfd097aa4cd073f58bb1c9f01511097f4696c220f82deed447c1e"}),
-    ])
+    @pytest.mark.parametrize("seed, digests", pins.recorded_by_seed("bounded_sweep/exclusion"))
     def test_exclusion_benchmark_digests(self, tmp_path, seed, digests):
-        # the bounded_sweep benchmark's exclusion run; sha256 recorded on
-        # x86-64, numpy 2.4, while all 50000 starts were stepped in one batch
-        code, out = run(tmp_path, "exclusion",
-                        {"map": AIRPLANEISH, "seed": seed,
-                         "params": {"alpha": 0.1, "m": 8,
-                                    "l_grid": {"start": 12, "stop": 78, "step": 3},
-                                    "samples": 50000}})
-        assert code == 0
-        assert tree_digest(out) == digests
+        # all 50000 starts stepped to the horizon
+        assert pins.outcome(tmp_path, f"bounded_sweep/exclusion@{seed}")[:2] == (0, digests)
 
     def test_xl_within_bound(self, tmp_path):
-        code, out = run(tmp_path, "xl",
-                        {"map": CHEB, "params": {"z0": [0.001, 0.0], "l": 40}})
-        assert code == 0
-        report = json.loads((out / "xl.json").read_text())
-        assert report["report"]["within_bound"] is True
-        assert report["report"]["fd_rel_deviation"] <= 1e-5
+        report = pins.report(tmp_path, "default/xl", "xl.json")["report"]
+        assert report["within_bound"] is True
+        assert report["fd_rel_deviation"] <= 1e-5
 
     @pytest.mark.parametrize("z0, l", [([1e-5, 0.0], 60), ([0.01, 0.003], 200),
                                        ([1e-5, 0.0], 5)],
@@ -1116,31 +951,10 @@ class TestRender:
 
 
     def test_shipped_config_artifact_digests(self, tmp_path):
-        # sha256 recorded on x86-64, numpy 2.4, when render stepped one z
-        # per pixel
-        out = tmp_path / "out"
-        assert main(["render", "--config", str(CONFIG_DIR / "render.json"),
-                     "--out", str(out)]) == 0
-        assert tree_digest(out) == {
-            "slice.p5":
-                "b8955fcb8be5f7fc7bf16facb65e08d6b9146f706a5263d061f6f5a88958ab3e",
-            "slice.p5.json":
-                "d6d87d23818aab455d336777b6ac50aa779116663dbd891b092d7a835721f171"}
+        pins.check(tmp_path, "render/shipped")
 
     def test_bounded_parabolic_digests(self, tmp_path):
-        # c = 1/4 around its parabolic basin over a complex base point: most
-        # pixels stay live to the horizon; recorded as above
-        cfg = {"map": dict(CHEB, fiber_coeffs=[[[0.25, 0.0], [1.0, 0.0]]]),
-               "params": {"plane": "fiber", "center": [0.0, 0.0],
-                          "extent": 1.0, "resolution": 32, "at": [0.001, 0.0002],
-                          "horizon": 400}}
-        code, out = run(tmp_path, "render", cfg)
-        assert code == 0
-        assert tree_digest(out) == {
-            "slice.p5":
-                "43b32ee400626b785727efbb666c67eb4874e00fe683a025f6ef80addd83bcbc",
-            "slice.p5.json":
-                "1f713363bcdf63fdadd19aa001b914702fcf8117f39008bab97b2fc372c78658"}
+        pins.check(tmp_path, "render/parabolic")
 
     @pytest.mark.parametrize("horizon", [0, -5])
     def test_horizon_below_one_exits_two(self, tmp_path, capsys, horizon):
@@ -1192,39 +1006,16 @@ class TestExpand:
         assert all(s["verified"] for s in report["report"]["steps"])
 
     def test_shipped_config_artifact_digest(self, tmp_path):
-        # sha256 recorded on x86-64, numpy 2.4, before the verifier certified
-        # with one winding; the boundary samples come from numpy's exp
-        out = tmp_path / "out"
-        assert main(["expand", "--config", str(CONFIG_DIR / "expand.json"),
-                     "--out", str(out)]) == 0
-        assert tree_digest(out) == {
-            "expand.json":
-                "fa463f8bb8fe6222d79c341790eb55386e017a5861349fb3d4014d43eb0d77ab"}
+        pins.check(tmp_path, "expand/shipped")
 
-    @pytest.mark.parametrize("z0, extra, digest", [
-        ([0.0, 0.0], {"fit_n": 4, "n_max": 60},
-         "765267346e57b6f80f1a9cad4f9cad7f21f15f370d2808a561b636e28b118e95"),
-        ([5e-13, 0.0], {"n_max": 100},
-         "73c35d51dc06ee7cadabb37a888ef576be5862e446f0357c87758420cc7596ea"),
-    ], ids=["expand_onedim", "expand_skew"])
-    def test_benchmark_config_digests(self, tmp_path, z0, extra, digest):
-        # the disk_certify benchmark's two runs; sha256 recorded on x86-64,
-        # numpy 2.4, while the fit's search still started at the radius law
-        code, out = run(tmp_path, "expand",
-                        {"command": "expand", "map": CHEB,
-                         "params": {"z0": z0, "w0": [0.3, 0.0], "delta": 0.001,
-                                    "lambda0": 0.9, **extra}})
-        assert code == 0
-        assert tree_digest(out) == {"expand.json": digest}
+    @pytest.mark.parametrize("name", ["expand_onedim", "expand_skew"])
+    def test_benchmark_config_digests(self, tmp_path, name):
+        pins.check(tmp_path, f"disk_certify/{name}@*")
 
 
 class TestSeries:
     def test_x0_closed_form(self, tmp_path):
-        code, out = run(tmp_path, "series",
-                        {"map": CHEB, "params": {"which": "x0"}})
-        assert code == 0
-        report = json.loads((out / "series.json").read_text())
-        ev = report["evaluations"][0]
+        ev = pins.report(tmp_path, "default/x0", "series.json")["evaluations"][0]
         assert ev["kind"] == "X0"
         assert abs(ev["value_re"] - 6.0 / 7.0) < 1e-10
 
@@ -1239,10 +1030,7 @@ class TestSeries:
         assert ev["verdict"] == "nonvanishing on samples"
 
     def test_lyapunov_default_start(self, tmp_path):
-        code, out = run(tmp_path, "series",
-                        {"map": CHEB, "params": {"which": "lyapunov"}})
-        assert code == 0
-        ev = json.loads((out / "series.json").read_text())["evaluations"][0]
+        ev = pins.report(tmp_path, "default/lyapunov", "series.json")["evaluations"][0]
         assert abs(ev["value_re"] - 1.3862943611198906) < 1e-12
 
     def test_levin_requires_points(self, tmp_path):
@@ -1272,37 +1060,9 @@ class TestSeries:
         assert "OrbitOverflow" in capsys.readouterr().err
         assert not (out / "series.json").exists()
 
-    @pytest.mark.parametrize("map_cfg, params, digest", [
-        (CHEB, {"which": "levin", "points": [[0.5, 0.0], [-0.3, 0.7], [0.0, -0.9]],
-                "n_terms": 80},
-         "8f1e7c54c183519a7248416dc50bac3e0fa5fcc44e1b6d9c66fc970e030762f3"),
-        (CHEB, {"which": "x0", "n_terms": 120},
-         "a7d5fb27b5eb1ee5d122ae29e3949e59626e5948f4a279f412810586ce9c1c16"),
-        (CHEB, {"which": "lyapunov", "c": [0.5, 0.0], "horizon": 300},
-         "6e7e009ac09833831ad36375ac459fcf4602833020b020dd14ac883e15bc7f14"),
-        (ESCAPING_CUBIC, {"which": "levin", "points": [[0.5, 0.0], [0.1, -0.6]],
-                          "n_terms": 120},
-         "a760fb25c207e613cb0e0371d0fdf59f8edd6c6c2bfc1088ff1748eba078cc35"),
-        (ESCAPING_CUBIC, {"which": "x0", "n_terms": 120},
-         "a320fafd65b39b7b26a15944ba4b19ab67aae66abfa170f80e392e4411c8c320"),
-        (ESCAPING_CUBIC, {"which": "lyapunov", "horizon": 8},
-         "a7e0c0e32db5a22e88696aff4466abd8c059792cc10fc1dca03b21cf1831d216"),
-        (GENERAL3, {"which": "lyapunov", "c": [0.2, -0.1], "horizon": 200},
-         "e3f9f31d1a5357aca5dee9c87a211d79d305f2b86d7069c37a54a10d147938d3"),
-        (CHEB_GENERAL, {"which": "nondegeneracy", "n_terms": 90},
-         "56ee46054ffb71e4da5ea3948288685aff8cd9ee1aa0b68bb1bfd5466e8368a1"),
-        (QUARTIC, {"which": "nondegeneracy", "n_terms": 40, "horizon": 400},
-         "a4678cee03dadc27870051df0951022701cd376cbfab9bbc00aeaf40b58b8dd8"),
-    ], ids=["cheb-levin", "cheb-x0", "cheb-lyapunov", "cubic-levin", "cubic-x0",
-            "cubic-lyapunov", "general3-lyapunov", "cheb-nondegeneracy",
-            "quartic-nondegeneracy"])
-    def test_series_pins(self, tmp_path, map_cfg, params, digest):
-        # sha256 recorded on x86-64, numpy 2.4, while levin, x0, lyapunov
-        # and nondegeneracy each walked the critical orbit in their own loop;
-        # the cubic's critical orbit escapes within the levin and x0 terms
-        code, out = run(tmp_path, "series", {"map": map_cfg, "params": params})
-        assert code == 0
-        assert tree_digest(out) == {"series.json": digest}
+    @pytest.mark.parametrize("name", pins.group("series"))
+    def test_series_pins(self, tmp_path, name):
+        pins.check(tmp_path, f"series/{name}")
 
     @pytest.mark.parametrize("map_cfg, params", [
         (CHEB, {"which": "x0", "n_terms": 0}),
@@ -1328,81 +1088,9 @@ class TestSeries:
 
 
 class TestDefaultPins:
-    """Artifacts of runs that leave optional fields out, so each one takes
-    the library's default; sha256 recorded on x86-64, numpy 2.4, while the
-    CLI still restated those defaults itself."""
-
-    @pytest.mark.parametrize("command, map_cfg, seed, params, code, digests", [
-        ("exclusion", AIRPLANEISH, 21,
-         {"alpha": 0.1, "m": 8, "l_grid": {"start": 12, "stop": 42, "step": 3},
-          "samples": 4000}, 0,
-         {"exclusion.csv":
-              "a189768a9e28e845d774485dd4c1fa1c53ef47fe2d645795a0168a003c756abd",
-          "exclusion.json":
-              "a6253d62496cc5915a78f453e0ae30bf608bf22c69e919b51763778b44ce3603",
-          "exclusion_decay.csv":
-              "6849005a151e860902d7b789e213dedc7f32369962ea16455c616b70fe2a624d"}),
-        ("xl", CHEB, None, {"z0": [0.001, 0.0], "l": 40}, 0,
-         {"xl.json": "b68a14d8cc2bfcdecb86172ef77fa26ed1911fc79ad97f5de1544a6d1ca07c49"}),
-        ("series", CHEB, None, {"which": "levin", "points": [[0.5, 0.0], [0.2, 0.1]]}, 0,
-         {"series.json":
-              "9847e0e5a32ce319c9e471beaab0a2add105bfba743c8b2bd028c0316b24d4be"}),
-        ("series", CHEB, None, {"which": "x0"}, 0,
-         {"series.json":
-              "a51d837509c12a398a48085b779fa59e0cf1128847d394f8be18784e74a9259c"}),
-        ("series", CHEB, None, {"which": "lyapunov"}, 0,
-         {"series.json":
-              "c449cf96d5ee2bbe2be9825e643d22389fd0acfb80b2191ddf0457d0be95363a"}),
-        ("series", CHEB_GENERAL, None, {"which": "nondegeneracy"}, 0,
-         {"series.json":
-              "722018dcccb5a8c005c466c95131f25a8025e4112357f21f39dcb9a544fd8f46"}),
-        ("series", GENERAL3, None, {"which": "nondegeneracy"}, 0,
-         {"series.json":
-              "376ab921df69276c47fe87bee87cb537794786489624fcca6146edba50f8ec5a"}),
-        ("audit-bounds", CHEB, 3,
-         {"suite": "return", "count": 3000, "n": 80, "lambda0": 0.8,
-          "delta0": 0.05, "real": True}, 0,
-         {"bounds_return.json":
-              "5477a703306a56cd30a1101a6523983f35bab738959627d884231913ba5984b0"}),
-        ("audit-bounds", CHEB, 3,
-         {"suite": "return", "count": 3000, "n": 80, "lambda0": 0.8,
-          "delta0": 0.3}, 0,
-         {"bounds_return.json":
-              "494ffdd87cd001bf4a193d97657e5127d69d4e06b70582b3e5436d23a5ddda9d"}),
-        ("audit-bounds", CHEB, 3,
-         {"suite": "return", "count": 3000, "n": 80, "lambda0": 0.8,
-          "delta0": 0.3, "eta0": 0.01, "real": True}, 0,
-         {"bounds_return.json":
-              "60b43431fbce622ca0d03b6daa406fbc70974ef5558466e1c18bfe17348d4813"}),
-        ("audit-bounds", CHEB, 5,
-         {"suite": "side", "count": 3000, "n": 60, "lambda0": 0.8, "delta": 0.5}, 3,
-         {"bounds_side.json":
-              "fdf5f930f5f5d9b05053a6cda2ffeabca8ece1c961ea3949b9de37471d6266f1"}),
-        ("audit-bounds", CHEB, 5,
-         {"suite": "side", "count": 3000, "n": 60, "lambda0": 0.8, "delta": 0.5,
-          "real": True}, 3,
-         {"bounds_side.json":
-              "7f248de57a8a23d8673f5d6ab9935e44b389d94865f37a159f511ea1ab2d7ce1"}),
-        ("render", BASILICA, None,
-         {"plane": "fiber", "center": [0.0, 0.0], "extent": 1.6, "resolution": 32,
-          "at": [0.0, 0.0]}, 0,
-         {"slice.p5":
-              "46da72e16cf554f7731586d9ebe2c81b8451a8d70226283327f1bcc0c3a92bf2",
-          "slice.p5.json":
-              "a61fd78c23a07df63a6633bc1cb1512a107627d22f806df10226e70c4d7cf53a"}),
-        ("audit-bounds", CHEB, None, {"suite": "przytycki", "epsilons": [0.05]}, 0,
-         {"bounds_przytycki.json":
-              "9015820046586b7f9bb32269f0852d1230ec5fd2ba9373c6fed6dda66661e47c"}),
-    ], ids=["exclusion", "xl", "levin", "x0", "lyapunov", "nondegeneracy",
-            "nondegeneracy_basins", "return_real", "return_disk", "return_eta0",
-            "side_disk", "side_real", "render", "przytycki"])
-    def test_digests(self, tmp_path, command, map_cfg, seed, params, code, digests):
-        cfg = {"map": map_cfg, "params": params}
-        if seed is not None:
-            cfg["seed"] = seed
-        got, out = run(tmp_path, command, cfg)
-        assert got == code
-        assert tree_digest(out) == digests
+    @pytest.mark.parametrize("name", pins.group("default"))
+    def test_digests(self, tmp_path, name):
+        pins.check(tmp_path, f"default/{name}")
 
 
 class TestPeakMemory:

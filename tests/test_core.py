@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+import test_pins as pins
 from conftest import assert_bitwise
 from skewdyn import core
 from skewdyn.binding import audit_pair_blocks, binding_time, mu_constants
@@ -431,35 +432,11 @@ def cycle_digest(map) -> str:
 
 
 class TestCyclePins:
-    """Critical points, cycle points and multipliers, bit for bit; sha256
-    recorded on x86-64, numpy 2.4, while critical_points and _refine_cycle
-    each ran their own Newton loop."""
+    """Critical points, cycle points and multipliers, bit for bit."""
 
-    @pytest.mark.parametrize("map, digest", [
-        (chebyshev_map(),
-         "51717050f699a89fe96aefd373dbf39186bddfb16d30d04a1e08fb5363950851"),
-        (basilica_map(),
-         "129b939eaa6ef9bf0546327525f41a45371f7e7833235a7b3ea77ba546e8cd1a"),
-        (nearfixed_map(),
-         "dda90ebcb56de3624766bd96b1d72e0da023c9520cd64a3654d3f837916cc6bb"),
-        (siegel_map(),
-         "51717050f699a89fe96aefd373dbf39186bddfb16d30d04a1e08fb5363950851"),
-        (build_map(0.5, 2, [[0.25, 1.0]]),
-         "b96e2987f18dbc06088a755d1d137dd6e27908ba35451a86ee4dde108a022856"),
-        # the airplane and the rabbit: superattracting 3-cycles
-        (build_map(0.5, 2, [[-1.7548776662466927, 1.0]]),
-         "5ba39dafe594c20b2aa1834a92b3d23baba08a9317450a11ec8f62ebd1d68c7b"),
-        (build_map(0.5 + 0.1j, 2,
-                   [[-0.12256116687665361 + 0.74486176661974424j, 1.0]]),
-         "ed37a00db14a951fc6efe317dea51dbd85f9000a90747fc5e7a87e41047578ab"),
-        (build_map(0.5, 3, [[0.1, 1.0], [-0.7 + 0.2j], [0.05j]], mode="general"),
-         "f102188c010a94d74b45519b192c6d1ae4e2778e48366d86957a02d779e0c139"),
-        (build_map(0.5, 4, [[1.0, 1.0], [0.3], [-2.6], [0.0]], mode="general"),
-         "1c9903e3f9625307ee01e7ea09cd9dec41fbf223754f60cc17682f352f39f46c"),
-    ], ids=["chebyshev", "basilica", "nearfixed", "siegel", "c=1/4", "airplane",
-            "rabbit", "cubic", "quartic"])
-    def test_bits(self, map, digest):
-        assert cycle_digest(map) == digest
+    @pytest.mark.parametrize("name", pins.CYCLES)
+    def test_bits(self, name):
+        assert cycle_digest(pins.CYCLES[name]) == pins.PINS["cycles"][name]
 
     def test_refine_cycle_zero_newton_denominator(self):
         # w^2 + 1 at w = 1/2: (f0)'(w) - 1 is exactly 0 while f0(w) - w is not

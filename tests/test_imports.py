@@ -22,6 +22,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import CHEB, NEARFIXED
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted(ROOT.glob("src/skewdyn/*.py"))
 SOURCES = sorted([*PACKAGE, *ROOT.glob("tests/*.py")])
@@ -135,9 +137,6 @@ def test_cli_import_loads_no_subcommand_layer():
     assert loaded & {"mpmath", "hashlib", "numpy.random"} == set()
 
 
-CHEB = {"lambda": [0.5, 0.0], "degree": 2, "mode": "unicritical",
-        "fiber_coeffs": [[[-2.0, 0.0], [1.0, 0.0]]]}
-NEARFIXED = dict(CHEB, fiber_coeffs=[[[0.2, 0.0], [1.0, 0.0]]])
 SAMPLING_RUNS = [
     ("slow", NEARFIXED, {"alpha": 0.05, "burn_in": 5, "horizon": 40, "samples": 300}),
     ("exclusion", NEARFIXED, {"alpha": 0.1, "m": 3, "samples": 300, "horizon": 60,
