@@ -528,14 +528,19 @@ def przytycki_return(
     if find_attracting_cycles(map):
         raise AttractingCyclePresent("fiber polynomial has an attracting cycle")
     pts = np.asarray(grid, dtype=complex).reshape(-1, 2)
+    grid_size = len(pts)
     sel = pts[(np.abs(pts[:, 0]) ** map.k <= epsilon) & (np.abs(pts[:, 1]) <= epsilon)]
-    if not len(sel):
+    del pts
+    admitted = len(sel)
+    if not admitted:
         raise EmptyGrid("no grid start satisfies the smallness hypotheses")
-    z0s, w0s = np.ascontiguousarray(sel.T)
 
-    first = np.full(len(sel), -1, dtype=int)
-    orbits = _Orbits(map, z0s, w0s, bound=max(map.escape_radius * 10.0, 100.0),
-                     lam_left=True)
+    first = np.full(admitted, -1, dtype=int)
+    # the orbits copy w, and their z is a new array after one step, so the
+    # selection is freed then
+    orbits = _Orbits(map, sel[:, 0], sel[:, 1],
+                     bound=max(map.escape_radius * 10.0, 100.0), lam_left=True)
+    del sel
     for n in orbits.steps(horizon):
         hit = orbits.absw <= epsilon
         first[orbits.idx[hit]] = n
@@ -545,14 +550,14 @@ def przytycki_return(
     if len(hits) == 0:
         return ReturnReport(
             statement="lem26", epsilon=epsilon, horizon=horizon,
-            grid_size=len(pts), admitted=len(sel),
+            grid_size=grid_size, admitted=admitted,
             n_min=None, location=None, fitted_constant=None,
         )
     n_min = int(hits.min())
     at = int(np.nonzero(first == n_min)[0][0])
     return ReturnReport(
         statement="lem26", epsilon=epsilon, horizon=horizon,
-        grid_size=len(pts), admitted=len(sel),
+        grid_size=grid_size, admitted=admitted,
         n_min=n_min,
         location={"start": at, "n": n_min},
         fitted_constant=n_min / math.log(1.0 / epsilon),

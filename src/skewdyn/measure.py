@@ -34,18 +34,11 @@ from .errors import (
     RateTooLarge,
     ZeroBase,
 )
-from .mc import BLOCK_SIZE, Stream, draw_batches, uniform_annulus, uniform_disk
+from .mc import BATCH_SIZE, Stream, draw_batches, uniform_annulus, uniform_disk
 
 MEMBERSHIP_HORIZON = 1000  # first-failure search cap; later failures count as none
 _PERIODIC_STEPS = 1000
 _PERIODIC_TOL = 1e-10
-# Slow-approach starts drawn and stepped at once: 8 blocks, not the
-# mc.BATCH_SIZE (2 blocks) of the other samplers.  Its kept orbits stay live
-# to the horizon, so every batch pays the per-step overhead over the whole
-# horizon: at mc.BATCH_SIZE a 100k x 500 call took 0.22-0.23 s against
-# 0.14-0.15 s (x86-64, numpy 2.4).  Exclusion and E-set orbits mostly fail
-# or escape within a few hundred steps, so their smaller batches cost less.
-_SLOW_BATCH = 8 * BLOCK_SIZE
 
 
 @dataclass
@@ -140,8 +133,13 @@ def slow_approach_stats(map: SkewProductMap, alpha: float, burn_in: int,
 
     Starts are uniform in B(0, r0) x B(0, escape_radius); orbits that
     escape within the horizon are discarded before the fraction is taken.
-    Starts are drawn and stepped in batches of `_SLOW_BATCH` (whole draw
-    blocks), so the working arrays stay that size whatever `samples` is.
+    No threshold is tested before step max(burn_in, 1), so the run has two
+    phases.  Each draw batch of mc.BATCH_SIZE starts steps up to that step
+    with only escapes retiring; most starts escape there.  The survivors'
+    (z, w) are pooled in draw order, and each full pool (and the last,
+    partial one) steps on to the horizon with the threshold tests.  Every
+    orbit sees the same elementwise steps as in one batch, and kept and
+    hit counts add up, so the pooling changes no value.
     """
     if alpha <= 0:
         raise PreconditionViolated(f"need alpha > 0, got {alpha}")
@@ -160,16 +158,39 @@ def slow_approach_stats(map: SkewProductMap, alpha: float, burn_in: int,
         w = uniform_disk(gen, count, map.escape_radius)
         return np.stack([z, w], axis=1)
 
+    head = max(burn_in, 1) - 1  # steps before the first threshold test
     kept = hits = 0
-    for _, pts in draw_batches(seed, "slow", samples, draw, _SLOW_BATCH):
-        orbits = _Orbits(map, pts[:, 0], pts[:, 1], bound=map.escape_radius)
-        ok = np.ones(len(pts), dtype=bool)
-        for n in orbits.steps(horizon):
-            if n >= burn_in:
-                ok[orbits.idx[orbits.absw < math.exp(-alpha * n)]] = False
+
+    def tail(z: np.ndarray, w: np.ndarray) -> None:
+        nonlocal kept, hits
+        orbits = _Orbits(map, z, w, bound=map.escape_radius)
+        ok = np.ones(len(w), dtype=bool)
+        for n in orbits.steps(horizon - head):
+            n += head
+            ok[orbits.idx[orbits.absw < math.exp(-alpha * n)]] = False
         kept += len(orbits.idx)
         hits += int(np.count_nonzero(ok[orbits.idx]))
-        del orbits  # its step buffers are batch-sized: free them before the next draw
+
+    pool = np.empty((2, BATCH_SIZE), dtype=complex)  # rows z and w
+    fill = 0
+    for _, pts in draw_batches(seed, "slow", samples, draw):
+        orbits = _Orbits(map, pts[:, 0], pts[:, 1], bound=map.escape_radius)
+        del pts  # orbits copied w; its z, a view, holds the draw only until a step
+        for _ in orbits.steps(head):
+            pass
+        live = len(orbits.idx)  # a one-start batch keeps its z of length 1
+        rest = np.stack([orbits.z[:live], orbits.w])
+        del orbits  # its step buffers are batch-sized: free them before the tail
+        while rest.shape[1]:
+            take = min(BATCH_SIZE - fill, rest.shape[1])
+            pool[:, fill:fill + take] = rest[:, :take]
+            rest = rest[:, take:]
+            fill += take
+            if fill == BATCH_SIZE:
+                tail(*pool)
+                fill = 0
+    if fill:
+        tail(*pool[:, :fill])
     if kept == 0:
         raise EmptySample("every sampled orbit escaped within the horizon")
     frac = hits / kept
@@ -385,11 +406,10 @@ def _overflow(step: int) -> OrbitOverflow:
 def _denominators(map: SkewProductMap, z0: complex, l: int, num, visit=None):
     """The fiber orbit xi_j of (z0, 0) and the vertical derivative
     accumulated over steps 1..l-1, in the number type num (complex, or
-    mpmath.mpc at the active precision).  Returns the denominator and the
-    largest intermediate derivative product, which sets the
-    finite-difference step.  visit(lam^j, lam^j z0, xi_j, denominator so
-    far) runs at each step j before its update and returns further values
-    that must stay finite in doubles."""
+    mpmath.mpc at the active precision).  Returns the denominator.
+    visit(lam^j, lam^j z0, xi_j, denominator so far, d xi_j^(d-1)) runs at
+    each step j before its update and returns further values that must stay
+    finite in doubles."""
     coeffs = tuple(num(c) for c in map.fiber_coeffs[0])
     monic = _monic(coeffs)
     lam = num(map.lam)
@@ -397,12 +417,12 @@ def _denominators(map: SkewProductMap, z0: complex, l: int, num, visit=None):
     xi = num(0)
     denom = num(1)
     lam_pow = num(1)
-    max_denom = abs(num(1))
+    factor = d * xi ** (d - 1)
     z0 = num(z0)
     try:
         for j in range(l):
             zj = lam_pow * z0
-            extra = () if visit is None else visit(lam_pow, zj, xi, denom)
+            extra = () if visit is None else visit(lam_pow, zj, xi, denom, factor)
             xi = xi**d + _poly_eval(coeffs, zj, monic)
             lam_pow *= lam
             if j < l - 1:
@@ -410,32 +430,44 @@ def _denominators(map: SkewProductMap, z0: complex, l: int, num, visit=None):
                 if factor == 0:
                     raise CriticalHit(j + 1)
                 denom *= factor
-                max_denom = max(max_denom, abs(denom))
             if num is complex and not all(cmath.isfinite(v) for v in (xi, *extra, denom)):
                 raise OverflowError  # products overflow silently, powers raise
     except OverflowError:
         raise _overflow(j + 1) from None
-    return denom, max_denom
+    return denom
+
+
+def _max_denominator(map: SkewProductMap, z0: complex, l: int, num):
+    """The largest |denominator| over steps 0..l-1 of _denominators' orbit
+    (at least 1, the empty product), which sets the finite-difference step."""
+    top = abs(num(1))
+
+    def visit(lam_pow, zj, xi, denom, factor):
+        nonlocal top
+        top = max(top, abs(denom))
+        return ()
+
+    _denominators(map, z0, l, num, visit)
+    return top
 
 
 def _recursion(map: SkewProductMap, z0: complex, l: int, num):
     """X_l, the denominator, and the sum form on _denominators' orbit, in
-    the number type num, with the largest intermediate derivative product."""
+    the number type num."""
     dcoeffs = _poly_deriv(tuple(num(c) for c in map.fiber_coeffs[0]))
     monic = _monic(dcoeffs)
-    d = map.degree
     x = num(0)
     sum_form = num(0)
 
-    def visit(lam_pow, zj, xi, denom):
+    def visit(lam_pow, zj, xi, denom, factor):
         nonlocal x, sum_form
         cp = _poly_eval(dcoeffs, zj, monic)
         sum_form += lam_pow * cp / denom
-        x = d * xi ** (d - 1) * x + lam_pow * cp
+        x = factor * x + lam_pow * cp
         return (x,)
 
-    denom, max_denom = _denominators(map, z0, l, num, visit)
-    return x, denom, sum_form, max_denom
+    denom = _denominators(map, z0, l, num, visit)
+    return x, denom, sum_form
 
 
 def _fd(map: SkewProductMap, z0: complex, l: int, h: float, num) -> complex:
@@ -502,13 +534,13 @@ def fiber_base_derivative(map: SkewProductMap, z0: complex, l: int,
         num = mpc
         with mp.workdps(60):
             # only the orbit and its denominators size the step
-            max_denom = _denominators(map, z0, l, num)[1]
+            max_denom = _max_denominator(map, z0, l, num)
             max_denom_f = float(min(max_denom, mp.mpf("1e300")))
         h = abs(z0) * min(1e-9, 1e-3 / max(1.0, max_denom_f))
         dps = max(60, int(math.ceil(25.0 - math.log10(h / abs(z0)))))
         precision = mp.workdps(dps)
     with precision:
-        x, denom, sum_form, _ = _recursion(map, z0, l, num)
+        x, denom, sum_form = _recursion(map, z0, l, num)
         fd = _fd(map, z0, l, h, num)
         x_c, denom_c, sum_c = complex(x), complex(denom), complex(sum_form)
 

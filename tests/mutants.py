@@ -95,6 +95,10 @@ MUTANTS = [
      "src/skewdyn/mc.py",
      "self._spare = words[n - len(spare):].copy()",
      "self._spare = words[:0].copy()"),
+    ("slow's tail starts one step after the burn-in",
+     "src/skewdyn/measure.py",
+     "head = max(burn_in, 1) - 1  # steps before the first threshold test",
+     "head = max(burn_in, 1)"),
     ("every JSON artifact ends in one more byte",
      "src/skewdyn/cli.py",
      'return json.dumps(obj, indent=2, sort_keys=True, default=_plain) + "\\n"',

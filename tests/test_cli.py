@@ -1138,6 +1138,24 @@ class TestPeakMemory:
             "params": {"suite": "onedim", "count": 20000, "n_max": 200,
                        "lambda0": 0.8, "delta": 1.0}}) < 2.5
 
+    # stepping batches of 2^15 starts to the horizon, the run peaked at
+    # 3.3-3.4 MiB; stepping each draw batch to the burn-in and pooling its
+    # survivors, at 1.2-1.3 MiB
+    def test_slow_100000_starts(self, tmp_path, peak_mib):
+        assert self.cli_peak(peak_mib, tmp_path, "slow", {
+            "map": NEARFIXED, "seed": 3,
+            "params": {"alpha": 0.05, "burn_in": 50, "horizon": 500,
+                       "samples": 100000}}) < 2.0
+
+    # with complex and transposed copies of each scale's grid held while
+    # stepping, the run peaked at 2.15 MiB; with views of the selection, at
+    # 1.23 MiB
+    def test_przytycki_three_scales(self, tmp_path, peak_mib):
+        assert self.cli_peak(peak_mib, tmp_path, "audit-bounds", {
+            "map": CHEB,
+            "params": {"suite": "przytycki", "epsilons": [0.1, 0.05, 0.02],
+                       "per_axis": 100}}) < 1.6
+
     # a render holding the whole grid peaked at about 80 bytes per pixel:
     # 5.2 MiB for escape_sweep's 256^2 slice and 78.9 MiB at 1024^2.  In
     # bands of RENDER_BAND pixels they measure 1.9 and 7.4 MiB, of which the

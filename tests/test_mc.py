@@ -147,10 +147,7 @@ def test_draw_batches_slice_one_draw(total, size):
 
 
 def test_batch_sizes_are_whole_blocks():
-    from skewdyn.measure import _SLOW_BATCH
-
-    for size in (mc.BATCH_SIZE, _SLOW_BATCH):
-        assert size > 0 and size % mc.BLOCK_SIZE == 0
+    assert mc.BATCH_SIZE > 0 and mc.BATCH_SIZE % mc.BLOCK_SIZE == 0
     for size in (0, -mc.BLOCK_SIZE, mc.BLOCK_SIZE + 1):
         with pytest.raises(ValueError):
             next(mc.draw_batches(3, "probe", 10, draw, size))

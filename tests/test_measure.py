@@ -6,6 +6,7 @@ rather than the sampling plumbing.
 """
 
 import cmath
+import itertools
 import json
 import math
 
@@ -34,6 +35,7 @@ from skewdyn.measure import (
     EstimateReport,
     _fd,
     _indicator_se,
+    _max_denominator,
     _recursion,
     decay_cells_csv,
     e_set_area,
@@ -105,7 +107,8 @@ def oracle_first_failures(map, alpha, m, samples, seed, horizon):
 
 
 def ref_slow_one_batch(map, alpha, burn_in, horizon, samples, seed):
-    """The sampler as it stepped every start in one batch: (kept, frac)."""
+    """The sampler as it stepped every start in one pass from step 1 to the
+    horizon, testing the threshold from the burn-in on: (kept, hits)."""
 
     def draw(gen, count):
         z = uniform_disk(gen, count, map.r0)
@@ -118,7 +121,7 @@ def ref_slow_one_batch(map, alpha, burn_in, horizon, samples, seed):
     for n in orbits.steps(horizon):
         if n >= burn_in:
             ok[orbits.idx[orbits.absw < math.exp(-alpha * n)]] = False
-    return len(orbits.idx), float(np.mean(ok[orbits.idx]))
+    return len(orbits.idx), int(np.count_nonzero(ok[orbits.idx]))
 
 
 def ref_first_fail_counts(map, alpha, m, samples, seed, horizon):
@@ -179,17 +182,48 @@ class TestSlowApproach:
 
     @pytest.mark.parametrize("samples", [1000, 32768, 70001])
     def test_batches_match_one_batch(self, samples):
-        # kept and hit counts summed over batches of 2^15 starts give the
-        # fraction of one batch; the Siegel fraction lies strictly inside (0, 1)
+        # kept and hit counts summed over draw batches and survivor pools
+        # give the fraction of one batch; the Siegel fraction lies strictly
+        # inside (0, 1)
         map = siegel_map(0.5)
         rep = slow_approach_stats(map, 0.05, 50, 100, samples, seed=6)
-        kept, frac = ref_slow_one_batch(map, 0.05, 50, 100, samples, 6)
+        kept, hits = ref_slow_one_batch(map, 0.05, 50, 100, samples, 6)
+        frac = hits / kept
         assert 0.0 < frac < 1.0
         assert (rep.samples, rep.estimate) == (kept, frac)
         assert rep.std_error == _indicator_se(frac * kept, kept)
 
+    @pytest.mark.parametrize("make", [siegel_map, nearfixed_map])
+    @pytest.mark.parametrize("burn_in", [0, 1, 2, 50])
+    @pytest.mark.parametrize("samples", [1, 1000, BATCH_SIZE + 1, 2 * BATCH_SIZE + 37])
+    def test_two_phases_match_one_pass(self, make, burn_in, samples):
+        # the burn-in steps per draw batch and the pooled tail count the
+        # same orbits as one pass; the threshold's first test is at step
+        # max(burn_in, 1), so burn-ins 0 and 1 run no burn-in steps.  At
+        # alpha 0.5 the test at the burn-in is the one that fails most
+        # orbits for the small burn-ins; at 0.05 a few fail after step 50
+        map = make(0.5)
+        for seed, alpha in itertools.product((2, 9), (0.05, 0.5)):
+            kept, hits = ref_slow_one_batch(map, alpha, burn_in, 80, samples, seed)
+            if kept == 0:
+                with pytest.raises(EmptySample):
+                    slow_approach_stats(map, alpha, burn_in, 80, samples, seed)
+                continue
+            rep = slow_approach_stats(map, alpha, burn_in, 80, samples, seed)
+            assert (rep.samples, rep.estimate) == (kept, hits / kept)
+
+    @pytest.mark.parametrize("burn_in", [0, 1, 2, 50])
+    def test_every_start_escaping_is_empty_sample(self, burn_in):
+        # c = 2: every start escapes, in the burn-in or in the tail
+        map = build_map(0.5, 2, [[2.0, 1.0]])
+        assert ref_slow_one_batch(map, 0.05, burn_in, 80, BATCH_SIZE + 1, 4)[0] == 0
+        with pytest.raises(EmptySample):
+            slow_approach_stats(map, 0.05, burn_in, 80, BATCH_SIZE + 1, seed=4)
+
     def test_memory_at_benchmark_size(self, peak_mib):
-        # one batch of 100k starts peaked at 9.3 MiB under tracemalloc
+        # one batch of 100k starts peaked at 9.3 MiB under tracemalloc,
+        # batches of 2^15 at 3.2 MiB, and draw batches with pooled
+        # survivors at 1.1 MiB
         map = nearfixed_map(0.5)
         assert peak_mib(lambda: slow_approach_stats(map, 0.05, 50, 500, 100_000, seed=3)) < 6.0
 
@@ -514,10 +548,11 @@ def test_recursion_and_difference_agree_across_number_types(map, radius, turn, l
     fd = _fd(map, z0, l, h, complex)
     with mp.workdps(60):
         extended = _recursion(map, z0, l, mpc)
+        max_denom = _max_denominator(map, z0, l, mpc)
         fd_mp = _fd(map, z0, l, h, mpc)
     for got, ref in zip(doubles, extended):
         assert abs(got - complex(ref)) <= 1e-9 * abs(complex(ref))
-    scale = EPS * float(extended[3]) * map.escape_radius / h
+    scale = EPS * float(max_denom) * map.escape_radius / h
     assert abs(fd - fd_mp) <= 4.0 * scale
 
 
