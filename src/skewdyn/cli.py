@@ -3,11 +3,12 @@
 A run is a (map, command, parameters, seed) bundle read from a strict
 JSON config; --seed and --out override the file.  Parsing is strict
 because a silently ignored parameter changes what is being tested.
-Everything runs in one thread, BLAS included: the package sets
-OPENBLAS_NUM_THREADS=1 unless the caller has set it.  --threads and the
-config field "threads" are still parsed and validated (a positive
-integer) for compatibility, then ignored.  For a fixed config and seed
-the written artifacts are byte-identical across reruns.
+Everything runs in one thread, BLAS included: unless the caller has set
+OPENBLAS_NUM_THREADS, the package sets it to 1 for numpy's import and
+removes it again afterwards.  --threads and the config field "threads"
+are still parsed and validated (a positive integer) for compatibility,
+then ignored.  For a fixed config and seed the written artifacts are
+byte-identical across reruns.
 
 Every subcommand, audit-bounds suite and series kind is declared once,
 in the command table `_COMMANDS`: its fields, seed rule and handler.  A

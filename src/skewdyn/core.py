@@ -26,7 +26,7 @@ from .errors import (
     MultiplierNotContracting,
     SkewdynError,
 )
-from .fiber import Cycle, FiberMap, _select_cycles
+from .fiber import Cycle, FiberMap, _monic, _poly_deriv, _poly_eval, _select_cycles
 
 _COEFF_ZERO_REL = 1e-13
 _R0_START = 0.5
@@ -34,40 +34,6 @@ _R0_SHRINK = 0.9
 _R0_SAFETY = 1.05
 _GRID_RADII = 16
 _GRID_ANGLES = 512
-
-
-def _poly_eval(coeffs: tuple[complex, ...], z, monic: bool | None = None):
-    """Horner evaluation of a low-to-high coefficient tuple; array friendly.
-
-    A monic tuple (see _monic) starts from z + coeffs[-2]; any other starts
-    from z * 0 + coeffs[-1].  The test costs more than a scalar step, so a
-    caller that evaluates one tuple many times passes its _monic(coeffs)."""
-    if not coeffs:
-        return z * 0
-    if monic is None:
-        monic = _monic(coeffs)
-    if monic:
-        acc, rest = z + coeffs[-2], coeffs[:-2]
-    else:
-        acc, rest = z * 0 + coeffs[-1], coeffs[:-1]
-    for c in reversed(rest):
-        acc = acc * z + c
-    return acc
-
-
-def _monic(coeffs) -> bool:
-    """Whether Horner may start from z + coeffs[-2].  With coeffs[-1] == 1
-    that equals (z * 0 + 1) * z + coeffs[-2] bit for bit for finite z,
-    unless a part of coeffs[-2] is -0.0: a zero part of z then keeps its
-    sign where the long form gives +0.0."""
-    if len(coeffs) < 2 or coeffs[-1] != 1:
-        return False
-    c = complex(coeffs[-2])
-    return not any(x == 0 and math.copysign(1.0, x) < 0 for x in (c.real, c.imag))
-
-
-def _poly_deriv(coeffs: tuple[complex, ...]) -> tuple[complex, ...]:
-    return tuple(j * coeffs[j] for j in range(1, len(coeffs)))
 
 
 def _strip(coeffs) -> tuple[complex, ...]:
@@ -121,35 +87,25 @@ class SkewProductMap:
         memory with w: the value is written there and returned, by the
         ufuncs numpy runs for the operator expression, so bit for bit the
         same as without out."""
-        if out is None:
-            if self.mode == "unicritical":
-                return w**self.degree + self.c0_at(z)
+        if self.mode == "general":
             # Horner in w over the z-evaluated coefficients, leading coefficient 1.
-            acc = w * 0 + 1
-            for i in range(self.degree - 1, -1, -1):
-                acc = acc * w + self.coeff_at(i, z)
-            return acc
-        if self.mode == "unicritical":
-            # numpy's w**2 is np.square, which rounds apart from np.power(w, 2)
-            if self.degree == 2:
-                np.square(w, out=out)
-            else:
-                np.power(w, self.degree, out=out)
-            return np.add(out, self.c0_at(z), out=out)
-        np.multiply(w, 0, out=out)
-        np.add(out, 1, out=out)
-        for i in range(self.degree - 1, -1, -1):
-            np.multiply(out, w, out=out)
-            np.add(out, self.coeff_at(i, z), out=out)
-        return out
+            cz = (*(self.coeff_at(i, z) for i in range(self.degree)), 1)
+            return _poly_eval(cz, w, False, out)
+        if out is None:
+            return w**self.degree + self.c0_at(z)
+        # numpy's w**2 is np.square, which rounds apart from np.power(w, 2)
+        if self.degree == 2:
+            np.square(w, out=out)
+        else:
+            np.power(w, self.degree, out=out)
+        return np.add(out, self.c0_at(z), out=out)
 
     def dfdw(self, z, w):
         """Vertical partial derivative dF/dw(z, w)."""
-        if self.mode == "unicritical":
-            return self.degree * w ** (self.degree - 1)
         total = self.degree * w ** (self.degree - 1)
-        for i in range(1, self.degree):
-            total = total + i * self.coeff_at(i, z) * w ** (i - 1)
+        if self.mode == "general":
+            for i in range(1, self.degree):
+                total = total + i * self.coeff_at(i, z) * w ** (i - 1)
         return total
 
     def step(self, z, w):

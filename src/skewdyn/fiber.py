@@ -7,6 +7,8 @@ that one-dimensional map; the two-dimensional wrappers live in core.py.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -17,6 +19,50 @@ from .errors import RootFindingFailed
 _REFINE_RESIDUAL = 1e-12
 _DETECT_STEPS = 10_000
 _DETECT_TOL = 1e-3
+
+
+def _poly_eval(coeffs: tuple[complex, ...], z, monic: bool | None = None, out=None):
+    """Horner evaluation of a low-to-high coefficient tuple; array friendly.
+
+    A monic tuple (see _monic) starts from z + coeffs[-2]; any other starts
+    from z * 0 + coeffs[-1].  The test costs more than a scalar step, so a
+    caller that evaluates one tuple many times passes its _monic(coeffs).
+    An array caller may pass out for a nonempty tuple, of z's shape and
+    sharing no memory with z: the same ufuncs then write into it."""
+    if not coeffs:
+        return z * 0
+    if monic is None:
+        monic = _monic(coeffs)
+    lead, rest = (coeffs[-2], coeffs[:-2]) if monic else (coeffs[-1], coeffs[:-1])
+    if out is None:
+        acc = z + lead if monic else z * 0 + lead
+        for c in reversed(rest):
+            acc = acc * z + c
+        return acc
+    if monic:
+        np.add(z, lead, out=out)
+    else:
+        np.multiply(z, 0, out=out)
+        np.add(out, lead, out=out)
+    for c in reversed(rest):
+        np.multiply(out, z, out=out)
+        np.add(out, c, out=out)
+    return out
+
+
+def _monic(coeffs) -> bool:
+    """Whether Horner may start from z + coeffs[-2].  With coeffs[-1] == 1
+    that equals (z * 0 + 1) * z + coeffs[-2] bit for bit for finite z,
+    unless a part of coeffs[-2] is -0.0: a zero part of z then keeps its
+    sign where the long form gives +0.0."""
+    if len(coeffs) < 2 or coeffs[-1] != 1:
+        return False
+    c = complex(coeffs[-2])
+    return not any(x == 0 and math.copysign(1.0, x) < 0 for x in (c.real, c.imag))
+
+
+def _poly_deriv(coeffs: tuple[complex, ...]) -> tuple[complex, ...]:
+    return tuple(j * coeffs[j] for j in range(1, len(coeffs)))
 
 
 @dataclass(frozen=True)
@@ -45,33 +91,23 @@ class FiberMap:
     degree: int
     coeffs: tuple[complex, ...]  # c_0 .. c_{d-1}, low to high
 
+    @functools.cached_property
+    def _polys(self) -> tuple[tuple, tuple, tuple]:
+        """f0, f0' and f0'' as low-to-high tuples with integer leads 1, d and
+        d (d - 1).  f0'' takes i * (i - 1) * c_i: _poly_deriv applied twice
+        gives (i - 1) * (i * c_i), which rounds apart once d reaches 7."""
+        f = (*self.coeffs, 1)
+        return f, _poly_deriv(f), tuple(i * (i - 1) * f[i] for i in range(2, len(f)))
+
     def __call__(self, w, out=None):
-        # Horner on w^d + c_{d-1} w^{d-1} + ... + c_0; works on scalars and
-        # arrays.  An array caller may pass out, an array of w's shape that
-        # shares no memory with w: the same ufuncs then write into it.
-        if out is None:
-            acc = w + self.coeffs[-1] if self.degree >= 1 else w * 0 + 1
-            for c in reversed(self.coeffs[:-1]):
-                acc = acc * w + c
-            return acc
-        np.add(w, self.coeffs[-1], out=out)
-        for c in reversed(self.coeffs[:-1]):
-            np.multiply(out, w, out=out)
-            np.add(out, c, out=out)
-        return out
+        # the short start w + c_{d-1} even where _monic refuses a -0.0 part
+        return _poly_eval(self._polys[0], w, True, out)
 
     def deriv(self, w):
-        acc = w * 0 + self.degree
-        for i in range(self.degree - 1, 0, -1):
-            acc = acc * w + i * self.coeffs[i]
-        return acc
+        return _poly_eval(self._polys[1], w, False)
 
     def second_deriv(self, w):
-        d = self.degree
-        acc = w * 0 + d * (d - 1)
-        for i in range(d - 1, 1, -1):
-            acc = acc * w + i * (i - 1) * self.coeffs[i]
-        return acc
+        return _poly_eval(self._polys[2], w, False)
 
     def walk(self, w, n: int) -> Iterator[tuple[complex, complex]]:
         """(f0'(w_{j-1}), w_j) for j = 1..n, where w_0 = w and w_j = f0(w_{j-1}):
@@ -95,10 +131,7 @@ class FiberMap:
 
     def critical_points(self) -> list[complex]:
         """Roots of f0', refined by Newton to residual below 1e-12."""
-        # High-to-low coefficients of the derivative polynomial.
-        high_to_low = [complex(self.degree)]
-        for i in range(self.degree - 1, 0, -1):
-            high_to_low.append(complex(i) * complex(self.coeffs[i]))
+        high_to_low = [complex(c) for c in reversed(self._polys[1])]  # of f0'
         roots = np.roots(high_to_low) if self.degree > 1 else np.array([])
         refined = []
         for r in roots:

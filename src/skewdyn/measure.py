@@ -19,11 +19,11 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import SkewProductMap, _monic, _Orbits, _poly_deriv, _poly_eval
+from .core import SkewProductMap, _Orbits
 from .errors import (
     BaseOutsideDomain,
     CriticalHit,
@@ -403,6 +403,15 @@ def _overflow(step: int) -> OrbitOverflow:
         "X_l is not double-computable here")
 
 
+def _in_type(map: SkewProductMap, num) -> SkewProductMap:
+    """map with lam and coefficients in the number type num, or map itself."""
+    if isinstance(map.lam, num):
+        return map
+    return replace(
+        map, lam=num(map.lam),
+        fiber_coeffs=tuple(tuple(num(c) for c in p) for p in map.fiber_coeffs))
+
+
 def _denominators(map: SkewProductMap, z0: complex, l: int, num, visit=None):
     """The fiber orbit xi_j of (z0, 0) and the vertical derivative
     accumulated over steps 1..l-1, in the number type num (complex, or
@@ -410,23 +419,21 @@ def _denominators(map: SkewProductMap, z0: complex, l: int, num, visit=None):
     visit(lam^j, lam^j z0, xi_j, denominator so far, d xi_j^(d-1)) runs at
     each step j before its update and returns further values that must stay
     finite in doubles."""
-    coeffs = tuple(num(c) for c in map.fiber_coeffs[0])
-    monic = _monic(coeffs)
-    lam = num(map.lam)
-    d = map.degree
+    map = _in_type(map, num)
     xi = num(0)
     denom = num(1)
     lam_pow = num(1)
-    factor = d * xi ** (d - 1)
     z0 = num(z0)
+    zj = lam_pow * z0
+    factor = map.dfdw(zj, xi)
     try:
         for j in range(l):
-            zj = lam_pow * z0
             extra = () if visit is None else visit(lam_pow, zj, xi, denom, factor)
-            xi = xi**d + _poly_eval(coeffs, zj, monic)
-            lam_pow *= lam
+            xi = map.fiber_value(zj, xi)
+            lam_pow *= map.lam
+            zj = lam_pow * z0
             if j < l - 1:
-                factor = d * xi ** (d - 1)
+                factor = map.dfdw(zj, xi)
                 if factor == 0:
                     raise CriticalHit(j + 1)
                 denom *= factor
@@ -454,14 +461,13 @@ def _max_denominator(map: SkewProductMap, z0: complex, l: int, num):
 def _recursion(map: SkewProductMap, z0: complex, l: int, num):
     """X_l, the denominator, and the sum form on _denominators' orbit, in
     the number type num."""
-    dcoeffs = _poly_deriv(tuple(num(c) for c in map.fiber_coeffs[0]))
-    monic = _monic(dcoeffs)
+    map = _in_type(map, num)
     x = num(0)
     sum_form = num(0)
 
     def visit(lam_pow, zj, xi, denom, factor):
         nonlocal x, sum_form
-        cp = _poly_eval(dcoeffs, zj, monic)
+        cp = map.coeff_deriv_at(0, zj)
         sum_form += lam_pow * cp / denom
         x = factor * x + lam_pow * cp
         return (x,)
@@ -472,17 +478,14 @@ def _recursion(map: SkewProductMap, z0: complex, l: int, num):
 
 def _fd(map: SkewProductMap, z0: complex, l: int, h: float, num) -> complex:
     """Centered difference of xi_l at z0 with step h, in the number type num."""
-    coeffs = tuple(num(c) for c in map.fiber_coeffs[0])
-    monic = _monic(coeffs)
-    lam = num(map.lam)
-    d = map.degree
+    map = _in_type(map, num)
 
     def xi(z):
         w = num(0)
         try:
             for j in range(l):
-                w = w**d + _poly_eval(coeffs, z, monic)
-                z = z * lam
+                w = map.fiber_value(z, w)
+                z = z * map.lam
                 if num is complex and not cmath.isfinite(w):
                     raise OverflowError
         except OverflowError:
@@ -532,6 +535,7 @@ def fiber_base_derivative(map: SkewProductMap, z0: complex, l: int,
         from mpmath import mp, mpc
 
         num = mpc
+        map = _in_type(map, num)  # one copy for all three runs
         with mp.workdps(60):
             # only the orbit and its denominators size the step
             max_denom = _max_denominator(map, z0, l, num)

@@ -15,14 +15,14 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .core import SkewProductMap, _poly_eval, find_attracting_cycles
+from .core import SkewProductMap, find_attracting_cycles
 from .errors import (
     AttractingCyclePresent,
     CriticalOrbitDegenerate,
     OrbitOverflow,
     PreconditionViolated,
 )
-from .fiber import FiberMap
+from .fiber import FiberMap, _poly_eval
 
 DEFAULT_TERMS = 60
 _MARGIN = 10.0  # verdicts need the value to clear this multiple of the tail

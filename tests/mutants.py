@@ -51,6 +51,18 @@ MUTANTS = [
      "src/skewdyn/fiber.py",
      "yield self.deriv(prev), w",
      "yield self.deriv(prev), prev"),
+    ("FiberMap passes monic=None",
+     "src/skewdyn/fiber.py",
+     "return _poly_eval(self._polys[0], w, True, out)",
+     "return _poly_eval(self._polys[0], w, None, out)"),
+    ("the out form drops its np.multiply(z, 0)",
+     "src/skewdyn/fiber.py",
+     "        np.multiply(z, 0, out=out)",
+     "        pass"),
+    ("f0'' is built by applying _poly_deriv twice",
+     "src/skewdyn/fiber.py",
+     "return f, _poly_deriv(f), tuple(i * (i - 1) * f[i] for i in range(2, len(f)))",
+     "return f, _poly_deriv(f), _poly_deriv(_poly_deriv(f))"),
     ("_newton returns the point after the step it tested",
      "src/skewdyn/fiber.py",
      "return w, True",
@@ -99,6 +111,10 @@ MUTANTS = [
      "src/skewdyn/measure.py",
      "head = max(burn_in, 1) - 1  # steps before the first threshold test",
      "head = max(burn_in, 1)"),
+    ("xl exits 0 outside its bound",
+     "src/skewdyn/cli.py",
+     "return 0 if rep.within_bound else 3",
+     "return 0"),
     ("every JSON artifact ends in one more byte",
      "src/skewdyn/cli.py",
      'return json.dumps(obj, indent=2, sort_keys=True, default=_plain) + "\\n"',

@@ -893,6 +893,23 @@ class TestMeasureCommands:
         assert report["within_bound"] is True
         assert report["fd_rel_deviation"] <= 1e-5
 
+    @pytest.mark.parametrize("l, dps, deviation", [(5, 0, 0.5541), (12, 60, 0.5509)],
+                             ids=["doubles", "mpmath"])
+    def test_xl_outside_bound_exits_three(self, tmp_path, l, dps, deviation):
+        # the negative control: on c(z) = -2 + z + z^2 the ratio at z0 = 0.405
+        # is off the leading term k X0 by more than half of it, in doubles
+        # and at extended precision alike
+        quadratic = dict(CHEB, fiber_coeffs=[[[-2.0, 0.0], [1.0, 0.0], [1.0, 0.0]]])
+        code, out = run(tmp_path, "xl", {"map": quadratic,
+                                         "params": {"z0": [0.405, 0.0], "l": l}})
+        assert code == 3
+        report = json.loads((out / "xl.json").read_text())["report"]
+        assert report["within_bound"] is False
+        assert report["fd_dps"] == dps
+        assert report["deviation"] == pytest.approx(deviation, abs=1e-4)
+        assert report["bound"] == pytest.approx(3 / 7)
+        assert report["fd_rel_deviation"] <= 1e-5
+
     @pytest.mark.parametrize("z0, l", [([1e-5, 0.0], 60), ([0.01, 0.003], 200),
                                        ([1e-5, 0.0], 5)],
                              ids=["tiny-l60", "l200", "l5"])

@@ -212,13 +212,21 @@ TASKS = Path("/proc/self/task")
 
 @pytest.mark.skipif(not TASKS.is_dir(), reason="needs /proc/self/task")
 def test_package_import_leaves_one_thread():
-    # the pytest process has imported skewdyn, so it has the variable set:
-    # remove it to see the package's own default
-    code = ("import os\n"
+    # without the variable in the environment: the package's own default
+    # gives one thread, also once BLAS has run, and the variable it set for
+    # numpy's import is gone again, so a child started later lacks it too
+    code = ("import os, subprocess, sys\n"
             "import skewdyn\n"
+            "import numpy as np\n"
+            "np.roots([1.0, 0.5, -2.0, 1.0])\n"
+            "np.polyfit([0.0, 1.0, 2.0, 3.0], [1.0, 0.2, 0.9, 3.1], 2)\n"
+            "child = subprocess.run([sys.executable, '-c', 'import os;"
+            " print(\"OPENBLAS_NUM_THREADS\" in os.environ)'],"
+            " capture_output=True, text=True).stdout.strip()\n"
             "print(len(os.listdir('/proc/self/task')),"
-            " os.environ['OPENBLAS_NUM_THREADS'])\n")
-    assert _fresh_interpreter(code, OPENBLAS_NUM_THREADS=None).split() == ["1", "1"]
+            " 'OPENBLAS_NUM_THREADS' in os.environ, child)\n")
+    assert (_fresh_interpreter(code, OPENBLAS_NUM_THREADS=None).split()
+            == ["1", "False", "False"])
 
 
 def test_package_import_keeps_the_callers_blas_threads():
