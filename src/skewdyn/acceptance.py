@@ -171,7 +171,7 @@ def criterion_4() -> CriterionResult:
     for eps in epsilons:
         grid = critical_ball_grid(map, eps, per_axis=100)
         rep = przytycki_return(map, eps, grid, horizon=1000)
-        n_mins.append(rep.n_min)
+        n_mins.append(rep.min_ratio_location and rep.min_ratio_location["n"])
         logs.append(math.log(1.0 / eps))
     monotone = all(n_mins[i] <= n_mins[i + 1] for i in range(len(n_mins) - 1))
     slope = float(np.polyfit(logs, n_mins, 1)[0]) if None not in n_mins else 0.0

@@ -3,8 +3,9 @@
 Each audit scans sampled orbits for the (start, n) pairs satisfying a
 statement's hypotheses, strips the statement's right-hand side from the
 observed derivative, and reports the minimum leftover ratio as the fitted
-constant.  Statements asserting constant 1 additionally count how often
-the ratio dips below 1 (allowing 1e-9 relative rounding slack).
+constant.  Each statement is declared once, in STATEMENTS; those asserting
+constant 1 also count how often the ratio dips below 1 (allowing 1e-9
+relative rounding slack).
 
 Every orbit statement runs on one row-streamed prefix scan (`_scan`).  It
 folds the orbits of a batch into the statements one step n at a time,
@@ -20,25 +21,13 @@ scanned to its end before the next, so the carries stay one slice long.
 Each accumulator keeps the least (ratio, start, n) in lexicographic order,
 over global start positions, so ties go to the earliest start, then the
 earliest n, whatever order the slices and rows come in.
-
-Statement tags:
-  eq_1dim_der  |Df0^n(w)| >= C lam0^n min_{j<n} |f0^j(w)|^{d-1}
-  prop21i      orbit stays >= delta through n  -> kappa lam0^n
-  prop21ii     dip below delta, first return to <= delta  -> constant 1
-  prop21iii    |f0^j(w)| >= |f0^n(w)| for j < n  -> kappa0 lam0^n
-  thm12_main   tame orbit  -> C lam0^n min_{i<n} |w_i|^{d-1}
-  thm12_min    tame + |w_n| minimal  -> C lam0^n
-  lem31/lem32  two-dimensional delta-floor variants of prop21i/iii
-  lem33        one-dimensional small-return variant (constant 1)
-  lem34        tame small-return bound (constant 1)
-  lem25        departure from the critical value at rate delta^{-(d-1)}
-  lem26        minimal return time to the critical ball (Przytycki floor)
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,18 +48,55 @@ _LOG_FLOOR = math.log1p(-REL_SLACK)
 _ABS_CAP = 1e50  # orbits past this stop contributing (ratios uncompetitive)
 
 
+class Statement(NamedTuple):
+    """An audited statement as the repo reads the paper: its constant rule,
+    "fitted" or "1" (violations counted), and inequality, hypotheses =>
+    bound, where (z_j, w_j) is the j-th iterate, Df^n the vertical
+    derivative (Df0^n on the line) and tame is |z_j|^k <= |w_j|^d, j < n."""
+
+    constant: str
+    inequality: str
+
+
+STATEMENTS = {
+    "eq_1dim_der": Statement("fitted", "|Df0^n| >= C lam0^n min_{j<n} |w_j|^(d-1)"),
+    "prop21i": Statement("fitted", "|w_j| >= delta for j < n => |Df0^n| >= C lam0^n"),
+    "prop21ii": Statement("1", "|w_0| < delta, |w_j| > delta for 0 < j < n, |w_n| <= delta"
+                               " => |Df0^n| >= lam0^n min(1, |w_0/w_n|^(d-1))"),
+    "prop21iii": Statement("fitted", "|w_j| >= |w_n| for j < n => |Df0^n| >= C lam0^n"),
+    "thm12_main": Statement("fitted", "tame => |Df^n| >= C lam0^n min_{j<n} |w_j|^(d-1)"),
+    "thm12_min": Statement("fitted", "tame, |w_j| >= |w_n| for j < n => |Df^n| >= C lam0^n"),
+    "lem31": Statement("fitted", "tame, |z_0| < eta, |w_j| >= delta for j < n"
+                                 " => |Df^n| >= C lam0^n"),
+    "lem32": Statement("fitted", "tame, |z_0| < eta, |w_j| >= delta for j < n, |w_n| <= delta"
+                                 " => |Df^n| >= C lam0^n"),
+    "lem33": Statement("1", "z_0 = 0, |w_0| < 2 delta, |w_j| > delta/2 for 0 < j < n,"
+                            " |w_n| < 2 delta => |Df^n| >= lam0^n min(1, |w_0/w_n|^(d-1))"),
+    "lem34": Statement("1", "tame, |z_0| < eta0, |w_0| <= delta0, |w_j| >= |w_n| for 0 < j < n,"
+                            " |w_n| <= delta0 => |Df^n| >= lam0^n min(1, |w_0/w_n|^(d-1))"),
+    "lem25": Statement("1", "delta = max(|w_0 - c(0)|, |z_0|^k)^(1/d) in (0, 0.05)"
+                            " => |Df^n| >= lam0^n delta^-(d-1) for some n up to binding"),
+    "lem26": Statement("fitted", "|z_0|^k <= eps, |w_0| <= eps"
+                                 " => the first n >= 1 with |w_n| <= eps is >= C log(1/eps)"),
+}
+
+
 @dataclass
 class BoundAudit:
     """Outcome of one statement's scan over a sample batch."""
 
     statement: str
-    lambda0: float
+    lambda0: float | None
     delta: float | None
     samples: int
-    fitted_constant: float
+    fitted_constant: float | None
     min_ratio_location: dict | None
     violations: int
     passed: bool
+
+    @property
+    def admitted(self) -> int:  # the name perfbench's lem26 counter reads
+        return self.samples
 
     def to_json(self) -> dict:
         return {
@@ -85,14 +111,14 @@ class BoundAudit:
 
 
 class _Acc:
-    """Running minimum over recorded (start, n) ratios, in log scale."""
+    """Running minimum over recorded (start, n) ratios, in log scale, under
+    the constant rule of the statement's STATEMENTS entry."""
 
-    def __init__(self, statement: str, lambda0: float, delta: float | None,
-                 constant_one: bool = False):
+    def __init__(self, statement: str, lambda0: float, delta: float | None):
         self.statement = statement
         self.lambda0 = lambda0
         self.delta = delta
-        self.constant_one = constant_one
+        self.rule = STATEMENTS[statement].constant
         self.count = 0
         self.violations = 0
         self.min_log = math.inf
@@ -101,8 +127,7 @@ class _Acc:
     def add(self, starts: np.ndarray, n: int, ratio_logs: np.ndarray,
             sel: np.ndarray | None = None) -> None:
         """Ratios at step n of the given starts (start positions, ascending);
-        sel marks the admitted pairs (all when None).  The minimum is the
-        least (ratio, start, n) in lexicographic order."""
+        sel marks the admitted pairs (all when None)."""
         # exact critical hits make both sides vanish; drop those pairs
         ok = ratio_logs > -np.inf
         if sel is not None:
@@ -110,17 +135,26 @@ class _Acc:
         count = int(np.count_nonzero(ok))
         if count == 0:
             return
-        self.count += count
         masked = np.where(ok, ratio_logs, np.inf)
-        c = int(np.argmin(masked))  # the first minimum: the earliest start
-        value, start = float(masked[c]), int(starts[c])
+        self.fold(count, int(np.count_nonzero(masked < _LOG_FLOOR)), masked, starts, n)
+
+    def fold(self, count: int, violations: int, logs: np.ndarray, starts: np.ndarray,
+             ns) -> None:
+        """Add count admitted pairs, and their violations under the rule "1".
+        logs are ratios at (starts, ns), starts ascending, ns an array or one
+        n for all; the minimum is the least (ratio, start, n)."""
+        self.count += count
+        if self.rule == "1":
+            self.violations += violations
+        if not len(logs):
+            return
+        c = int(np.argmin(logs))  # the first minimum: the earliest start
+        value, start, n = float(logs[c]), int(starts[c]), int(ns[c] if np.ndim(ns) else ns)
         if value < self.min_log or (
                 value == self.min_log and self.loc is not None
                 and (start, n) < (self.loc["start"], self.loc["n"])):
             self.min_log = value
-            self.loc = {"start": start, "n": int(n)}
-        if self.constant_one:
-            self.violations += int(np.count_nonzero(masked < _LOG_FLOOR))
+            self.loc = {"start": start, "n": n}
 
     def to_audit(self) -> BoundAudit:
         fitted = math.exp(self.min_log) if self.count else math.nan
@@ -278,7 +312,7 @@ def audit_onedim(
 
     eq = _Acc("eq_1dim_der", lambda0, None)
     a21i = _Acc("prop21i", lambda0, delta)
-    a21ii = _Acc("prop21ii", lambda0, delta, constant_one=True)
+    a21ii = _Acc("prop21ii", lambda0, delta)
     a21iii = _Acc("prop21iii", lambda0, delta)
     rows = _fiber_rows(f0, batches, n_max)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -347,7 +381,7 @@ def audit_return(
     eta0 = _eta(map, eta0)
     log_d0 = math.log(delta0)
     d = map.degree
-    acc = _Acc("lem34", lambda0, delta0, constant_one=True)
+    acc = _Acc("lem34", lambda0, delta0)
     near = ~(np.abs(traces.z0s) >= eta0)
     rows = _trace_rows(map, traces)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -381,7 +415,7 @@ def audit_side_lemmas(
     d = map.degree
     a31 = _Acc("lem31", lambda0, delta)
     a32 = _Acc("lem32", lambda0, delta)
-    a33 = _Acc("lem33", lambda0, delta, constant_one=True)
+    a33 = _Acc("lem33", lambda0, delta)
     near = np.abs(traces.z0s) < eta
     on_line = traces.z0s == 0
     rows = _trace_rows(map, traces)
@@ -434,7 +468,7 @@ def audit_critical_value_departure(
         raise AttractingCyclePresent("fiber polynomial has an attracting cycle")
     if mu is None:
         mu = mu_constants(map.degree)[0]
-    acc = _Acc("lem25", lambda0, 0.05, constant_one=True)
+    acc = _Acc("lem25", lambda0, 0.05)
     pts = np.asarray(starts, dtype=complex).reshape(-1, 2)
     for lo in range(0, len(pts), BLOCK_PAIRS):
         _departure_block(map, pts[lo:lo + BLOCK_PAIRS], lo, lambda0, mu,
@@ -445,9 +479,8 @@ def audit_critical_value_departure(
 def _departure_block(map: SkewProductMap, pts: np.ndarray, lo: int,
                      lambda0: float, mu: float, horizon: int, acc: _Acc) -> None:
     """Fold one block of departure starts, batch positions lo onward, into
-    acc: admitted starts and misses add up, and a block's least ratio
-    replaces the minimum only when strictly smaller, so ties go to the
-    earliest start."""
+    acc: each admitted start folds its first ratio that reaches 1 up to its
+    binding time, or counts as a violation when none does."""
     from .binding import _bind, _ranges
 
     c0 = map.c0_origin
@@ -458,7 +491,6 @@ def _departure_block(map: SkewProductMap, pts: np.ndarray, lo: int,
     radii = np.hypot(z1.real, z1.imag).tolist()
     deltas = np.array([max(g, r ** map.k) ** (1.0 / d) for g, r in zip(gaps, radii)])
     admitted = np.flatnonzero(~((deltas == 0.0) | (deltas >= 0.05)))
-    acc.count += len(admitted)
     if not len(admitted):
         return
 
@@ -475,40 +507,8 @@ def _departure_block(map: SkewProductMap, pts: np.ndarray, lo: int,
     # the first step up to the binding time that reaches the bound
     hits = np.flatnonzero(ratio_logs >= _LOG_FLOOR)
     found, first = np.unique(pair[hits], return_index=True)
-    acc.violations += len(admitted) - len(found)
-    if len(found):
-        vals = ratio_logs[hits[first]]
-        k = int(np.argmin(vals))  # ties go to the earliest start
-        if vals[k] < acc.min_log:
-            acc.min_log = float(vals[k])
-            acc.loc = {"start": lo + int(admitted[found[k]]),
-                       "n": int(ns[hits[first[k]]])}
-
-
-@dataclass
-class ReturnReport:
-    """Minimal return time of admissible starts to the critical ball."""
-
-    statement: str
-    epsilon: float
-    horizon: int
-    grid_size: int
-    admitted: int
-    n_min: int | None
-    location: dict | None
-    fitted_constant: float | None
-
-    def to_json(self) -> dict:
-        # same wire shape as BoundAudit; epsilon rides in the delta slot
-        return {
-            "statement": self.statement,
-            "lambda0": None,
-            "delta": self.epsilon,
-            "samples": self.admitted,
-            "fitted_constant": self.fitted_constant,
-            "min_ratio_location": self.location,
-            "violations": 0,
-        }
+    acc.fold(len(admitted), len(admitted) - len(found), ratio_logs[hits[first]],
+             lo + admitted[found], ns[hits[first]])
 
 
 def przytycki_return(
@@ -516,11 +516,13 @@ def przytycki_return(
     epsilon: float,
     grid,
     horizon: int = 1000,
-) -> ReturnReport:
+) -> BoundAudit:
     """Scan starts with |z0|^k <= eps, |w0| <= eps for the earliest n >= 1
-    with |xi_n| <= eps; fitted constant is n_min / log(1/eps).  n_min is
-    None when no admitted start returns within the horizon.  grid is a
-    sequence of (z0, w0) pairs or a (count, 2) array."""
+    with |xi_n| <= eps: the lem26 audit, with delta = eps and no lambda0.
+    Its least n, n_min, is the location's n and the fitted constant is
+    n_min / log(1/eps); it passes when an admitted start returns within the
+    horizon, and both are None otherwise.  grid is a sequence of (z0, w0)
+    pairs or a (count, 2) array."""
     if not 0.0 < epsilon <= 0.1:
         raise PreconditionViolated(f"epsilon must lie in (0, 0.1], got {epsilon}")
     if horizon < 1:
@@ -528,7 +530,6 @@ def przytycki_return(
     if find_attracting_cycles(map):
         raise AttractingCyclePresent("fiber polynomial has an attracting cycle")
     pts = np.asarray(grid, dtype=complex).reshape(-1, 2)
-    grid_size = len(pts)
     sel = pts[(np.abs(pts[:, 0]) ** map.k <= epsilon) & (np.abs(pts[:, 1]) <= epsilon)]
     del pts
     admitted = len(sel)
@@ -547,20 +548,14 @@ def przytycki_return(
         orbits.retire(hit)
 
     hits = first[first > 0]
-    if len(hits) == 0:
-        return ReturnReport(
-            statement="lem26", epsilon=epsilon, horizon=horizon,
-            grid_size=grid_size, admitted=admitted,
-            n_min=None, location=None, fitted_constant=None,
-        )
-    n_min = int(hits.min())
-    at = int(np.nonzero(first == n_min)[0][0])
-    return ReturnReport(
-        statement="lem26", epsilon=epsilon, horizon=horizon,
-        grid_size=grid_size, admitted=admitted,
-        n_min=n_min,
-        location={"start": at, "n": n_min},
-        fitted_constant=n_min / math.log(1.0 / epsilon),
+    loc = None
+    if len(hits):
+        n_min = int(hits.min())
+        loc = {"start": int(np.nonzero(first == n_min)[0][0]), "n": n_min}
+    return BoundAudit(
+        statement="lem26", lambda0=None, delta=epsilon, samples=admitted,
+        fitted_constant=None if loc is None else loc["n"] / math.log(1.0 / epsilon),
+        min_ratio_location=loc, violations=0, passed=loc is not None,
     )
 
 

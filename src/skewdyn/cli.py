@@ -373,12 +373,11 @@ def _suite_przytycki(run: _Run, kw: dict) -> int:
     run.emit_json("bounds_przytycki.json", {
         "suite": "przytycki", "reports": [r.to_json() for r in reports]})
     for rep in reports:
-        const = ("none" if rep.fitted_constant is None
-                 else f"{rep.fitted_constant:.4g}")
-        print(f"przytycki eps={rep.epsilon:g}: n_min={rep.n_min} "
-              f"constant={const}")
+        n_min = rep.min_ratio_location and rep.min_ratio_location["n"]
+        const = "none" if rep.fitted_constant is None else f"{rep.fitted_constant:.4g}"
+        print(f"przytycki eps={rep.delta:g}: n_min={n_min} constant={const}")
     # a scale with no return within the horizon measured nothing
-    return 3 if any(rep.n_min is None for rep in reports) else 0
+    return 3 if any(rep.min_ratio_location is None for rep in reports) else 0
 
 
 def _cmd_slow(run: _Run, kw: dict) -> int:

@@ -61,11 +61,16 @@ class SkewProductMap:
     def _monic_coeffs(self) -> tuple[bool, ...]:
         return tuple(_monic(c) for c in self.fiber_coeffs)
 
+    @functools.cached_property
+    def _deriv_coeffs(self) -> tuple[tuple[tuple[complex, ...], bool], ...]:
+        return tuple((p, _monic(p)) for p in (_poly_deriv(c) for c in self.fiber_coeffs))
+
     def coeff_at(self, i: int, z):
         return _poly_eval(self.fiber_coeffs[i], z, self._monic_coeffs[i])
 
     def coeff_deriv_at(self, i: int, z):
-        return _poly_eval(_poly_deriv(self.fiber_coeffs[i]), z)
+        deriv, monic = self._deriv_coeffs[i]
+        return _poly_eval(deriv, z, monic)
 
     def c0_at(self, z):
         return _poly_eval(self.fiber_coeffs[0], z, self._monic_coeffs[0])

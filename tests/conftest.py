@@ -24,11 +24,12 @@ import importlib
 import tracemalloc
 from dataclasses import dataclass
 
+# skewdyn first: it sets one BLAS thread, which numpy reads only as it loads
+from skewdyn.core import _Orbits  # isort: skip
+
 import numpy as np
 import pytest
 from hypothesis import settings
-
-from skewdyn.core import _Orbits
 
 CHEB = {"lambda": [0.5, 0.0], "degree": 2, "mode": "unicritical",
         "fiber_coeffs": [[[-2.0, 0.0], [1.0, 0.0]]]}

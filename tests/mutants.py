@@ -119,6 +119,14 @@ MUTANTS = [
      "src/skewdyn/cli.py",
      'return json.dumps(obj, indent=2, sort_keys=True, default=_plain) + "\\n"',
      'return json.dumps(obj, indent=2, sort_keys=True, default=_plain) + " \\n"'),
+    ("lem34's constant rule is fitted in the statement table",
+     "src/skewdyn/bounds.py",
+     '"lem34": Statement("1",',
+     '"lem34": Statement("fitted",'),
+    ("the accumulator's tie goes to the later (start, n)",
+     "src/skewdyn/bounds.py",
+     'and (start, n) < (self.loc["start"], self.loc["n"])):',
+     'and (start, n) > (self.loc["start"], self.loc["n"])):'),
     ("the tag key is a 16-byte digest",
      "src/skewdyn/mc.py",
      'return int.from_bytes(blake2s(tag.encode("utf-8"), digest_size=8).digest(), "little")',

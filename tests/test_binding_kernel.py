@@ -171,7 +171,7 @@ def reference_departure(map, starts, lambda0, mu=None, horizon=1000):
     c0 = map.c0_origin
     d = map.degree
     log_l0 = math.log(lambda0)
-    acc = BD._Acc("lem25", lambda0, 0.05, constant_one=True)
+    acc = BD._Acc("lem25", lambda0, 0.05)
     for idx, (z1, w1) in enumerate(starts):
         z1, w1 = complex(z1), complex(w1)
         delta = max(abs(w1 - c0), abs(z1) ** map.k) ** (1.0 / d)
@@ -623,4 +623,37 @@ def test_departure_least_ratio_in_a_later_block_wins():
 def test_departure_without_admitted_starts(starts):
     got = BD.audit_critical_value_departure(CHEBYSHEV, starts, 0.8)
     assert (got.samples, got.violations, got.min_ratio_location) == (0, 0, None)
+    assert got == reference_departure(CHEBYSHEV, starts, 0.8)
+
+
+@pytest.fixture(scope="module")
+def departure_mix():
+    """1500 drawn starts with excluded ones among and after them, and the
+    per-start loop's audit of them."""
+    starts = _departure_starts(CHEBYSHEV, 1500, 7)
+    for at in (0, 5, 6, 700):
+        starts.insert(at, EXCLUDED)
+    starts.append((0.0, CHEBYSHEV.c0_origin + 0.1))  # delta >= 0.05
+    return starts, reference_departure(CHEBYSHEV, starts, 0.8)
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_departure_is_the_same_across_block_sizes(block, departure_mix, monkeypatch):
+    # the default block holds all 1505 starts; these fold hundreds of blocks
+    starts, want = departure_mix
+    monkeypatch.setattr(B, "BLOCK_PAIRS", block)
+    got = BD.audit_critical_value_departure(CHEBYSHEV, starts, 0.8)
+    assert got == want
+    assert got.samples == 1500 and got.violations > 0
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_departure_tie_between_small_blocks_goes_to_the_earliest_start(block, monkeypatch):
+    # the same start at positions 2 and 3 + block, in two blocks with
+    # excluded starts between them: their ratios tie bit for bit
+    start = _departure_starts(CHEBYSHEV, 1, 7)[0]
+    starts = [EXCLUDED] * 2 + [start] + [EXCLUDED] * block + [start]
+    monkeypatch.setattr(B, "BLOCK_PAIRS", block)
+    got = BD.audit_critical_value_departure(CHEBYSHEV, starts, 0.8)
+    assert (got.samples, got.min_ratio_location["start"]) == (2, 2)
     assert got == reference_departure(CHEBYSHEV, starts, 0.8)

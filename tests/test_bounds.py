@@ -10,6 +10,8 @@ fixed point w = 2, where |Df0^n| = 4^n and every orbit magnitude is 2.
 
 import dataclasses
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -232,7 +234,7 @@ class RefAcc(BD._Acc):
         if masked[r, c] < self.min_log:
             self.min_log = float(masked[r, c])
             self.loc = {"start": start_idx + c, "n": int(ns[r])}
-        if self.constant_one:
+        if self.rule == "1":
             self.violations += int(np.count_nonzero(masked < BD._LOG_FLOOR))
 
 
@@ -269,7 +271,7 @@ def ref_block_onedim(f0, samples, n_max, lambda0, delta):
     accs = {
         "eq_1dim_der": RefAcc("eq_1dim_der", lambda0, None),
         "prop21i": RefAcc("prop21i", lambda0, delta),
-        "prop21ii": RefAcc("prop21ii", lambda0, delta, constant_one=True),
+        "prop21ii": RefAcc("prop21ii", lambda0, delta),
         "prop21iii": RefAcc("prop21iii", lambda0, delta),
     }
     for first in range(0, len(w0), mc.BLOCK_SIZE):
@@ -318,7 +320,7 @@ def ref_block_return(map, traces, lambda0, delta0, eta0=None):
         eta0 = map.r0 / 10.0
     log_d0 = math.log(delta0)
     d = map.degree
-    acc = RefAcc("lem34", lambda0, delta0, constant_one=True)
+    acc = RefAcc("lem34", lambda0, delta0)
     ns, alive, _, mids, lw_n, base, lw_0 = ref_tame_scan(traces, math.log(lambda0))
     alive &= ~(np.abs(traces.z0s) >= eta0) & ~(lw_0 > log_d0)
     with np.errstate(invalid="ignore"):
@@ -334,7 +336,7 @@ def ref_block_side(map, traces, lambda0, delta, eta=None):
     d = map.degree
     a31 = RefAcc("lem31", lambda0, delta)
     a32 = RefAcc("lem32", lambda0, delta)
-    a33 = RefAcc("lem33", lambda0, delta, constant_one=True)
+    a33 = RefAcc("lem33", lambda0, delta)
     ns, alive, pm0, mids, lw_n, base, lw_0 = ref_tame_scan(traces, math.log(lambda0))
     near = alive & (np.abs(traces.z0s) < eta)
     line = alive & (traces.z0s == 0) & (lw_0 < log_delta + math.log(2.0))
@@ -395,7 +397,7 @@ def ref_audit_return(map, traces, lambda0, delta0, eta0=None):
     log_l0 = math.log(lambda0)
     log_d0 = math.log(delta0)
     d = map.degree
-    acc = RefAcc("lem34", lambda0, delta0, constant_one=True)
+    acc = RefAcc("lem34", lambda0, delta0)
     for idx, trace in enumerate(traces):
         if abs(trace.z0) >= eta0:
             continue
@@ -425,7 +427,7 @@ def ref_audit_side_lemmas(map, traces, lambda0, delta, eta=None):
     d = map.degree
     a31 = RefAcc("lem31", lambda0, delta)
     a32 = RefAcc("lem32", lambda0, delta)
-    a33 = RefAcc("lem33", lambda0, delta, constant_one=True)
+    a33 = RefAcc("lem33", lambda0, delta)
     for idx, trace in enumerate(traces):
         logw, logd, tame_len = _ref_trace_arrays(trace)
         if tame_len < 1 or len(trace) < 2:
@@ -451,6 +453,42 @@ def ref_audit_side_lemmas(map, traces, lambda0, delta, eta=None):
 
 
 # ---------------------------------------------------------------------------
+
+
+class TestStatementTable:
+    """bounds.STATEMENTS declares every statement an audit emits, once."""
+
+    RULE_ONE = {"prop21ii", "lem33", "lem34", "lem25"}
+
+    def test_the_audits_emit_exactly_the_table(self, cheb):
+        traces = BD.trace_starts(cheb, [0.0, 0.01], [0.5, 0.3], 5)
+        starts = [(1e-9, cheb.c0_origin + 1e-6)]
+        emitted = [
+            *BD.audit_onedim(cheb.f0(), [2.0], n_max=5, lambda0=0.9, delta=0.5).values(),
+            *BD.audit_tame(cheb, traces, 0.8),
+            BD.audit_return(cheb, traces, 0.8, 0.1),
+            *BD.audit_side_lemmas(cheb, traces, 0.8, 0.5).values(),
+            BD.audit_critical_value_departure(cheb, starts, 0.8),
+            BD.przytycki_return(cheb, 1e-2, [(0.0, 0.005)], horizon=200),
+        ]
+        tags = [a.statement for a in emitted]
+        assert sorted(tags) == sorted(BD.STATEMENTS)
+        assert {t for t, st in BD.STATEMENTS.items() if st.constant != "fitted"} == self.RULE_ONE
+
+    @pytest.mark.parametrize("tag", list(BD.STATEMENTS))
+    def test_a_ratio_just_below_one_counts_only_under_rule_one(self, tag):
+        acc = BD._Acc(tag, 0.8, None)
+        acc.add(np.array([4, 9]), 3, np.array([0.0, math.log1p(-1e-6)]))
+        audit = acc.to_audit()
+        assert audit.violations == (tag in self.RULE_ONE)
+        assert (audit.samples, audit.min_ratio_location) == (2, {"start": 9, "n": 3})
+
+    def test_readme_lists_the_table(self):
+        text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = text.split("\n## Statements\n", 1)[1].split("\n## ", 1)[0]
+        listed = re.findall(r"^- `(\w+)` — constant (\S+) \(repo's reading\): `(.+)`$",
+                            section, re.M)
+        assert listed == [(tag, *st) for tag, st in BD.STATEMENTS.items()]
 
 
 class TestAuditJson:
@@ -931,7 +969,7 @@ class TestBatchedScan:
                  for lo in (0, 100, 200) for n in range(1, 6)]
 
         def fold(order):
-            acc = BD._Acc("probe", 0.8, None, constant_one=True)
+            acc = BD._Acc("lem34", 0.8, None)
             for lo in order:
                 for at, n, logs in calls:
                     if at == lo:
@@ -1138,7 +1176,8 @@ class TestCriticalValueDeparture:
 
 def ref_przytycki_lists(map, epsilon, per_axis, horizon=1000):
     """critical_ball_grid and przytycki_return as they built the lattice and
-    the admitted starts as lists of pairs: the report's fields."""
+    the admitted starts as lists of pairs: the audit's samples, n_min and
+    location."""
     rz = epsilon ** (1.0 / map.k)
     grid = [(z, w) for z in np.linspace(-rz, rz, per_axis)
             for w in np.linspace(-epsilon, epsilon, per_axis)]
@@ -1152,7 +1191,7 @@ def ref_przytycki_lists(map, epsilon, per_axis, horizon=1000):
         first[orbits.idx[hit]] = n
         orbits.retire(hit)
     n_min = int(first[first > 0].min())
-    return grid, (len(pts), len(sel), n_min,
+    return grid, (len(sel), n_min,
                   {"start": int(np.nonzero(first == n_min)[0][0]), "n": n_min})
 
 
@@ -1168,33 +1207,34 @@ class TestPrzytyckiReturn:
             assert_bitwise(got_grid, np.array(grid))
             for g in (got_grid, grid):
                 rep = BD.przytycki_return(m, eps, g)
-                assert (rep.grid_size, rep.admitted, rep.n_min, rep.location) == want
+                loc = rep.min_ratio_location
+                assert (rep.samples, loc["n"], loc) == want
 
     def test_matches_scalar_first_hit_scan(self, cheb):
         grid = BD.critical_ball_grid(cheb, 1e-2, per_axis=20)
         rep = BD.przytycki_return(cheb, 1e-2, grid, horizon=200)
         ora = oracle_first_return(
             cheb.lam, cheb.degree, cheb.fiber_coeffs[0], cheb.k, 1e-2, grid, 200)
-        assert rep.n_min is not None
-        assert rep.n_min == ora
+        assert rep.passed and rep.min_ratio_location is not None
+        assert rep.min_ratio_location["n"] == ora
 
     def test_floor_grows_with_depth(self, cheb):
         reps = [
             BD.przytycki_return(cheb, eps, BD.critical_ball_grid(cheb, eps))
             for eps in (1e-2, 1e-3, 1e-4)
         ]
-        assert [r.n_min for r in reps] == [6, 12, 19]
-        mins = [r.n_min for r in reps]
+        mins = [r.min_ratio_location["n"] for r in reps]
+        assert mins == [6, 12, 19]
         assert mins == sorted(mins)
         for r in reps:
             assert r.fitted_constant > 0
-            assert r.admitted == 10000
+            assert r.samples == 10000
 
     def test_no_return_reported_as_none(self, cheb):
         # (0, 0) maps onto the repelling fixed point 2 and never comes back
         rep = BD.przytycki_return(cheb, 1e-2, [(0.0, 0.0)], horizon=50)
-        assert rep.admitted == 1
-        assert rep.n_min is None
+        assert (rep.samples, rep.violations) == (1, 0)
+        assert rep.min_ratio_location is None and not rep.passed
         assert rep.fitted_constant is None
 
     def test_epsilon_range(self, cheb):

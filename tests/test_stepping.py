@@ -306,7 +306,8 @@ def case_przytycki():
     for m in (chebyshev_map(), chebyshev_map(LAM)):
         for eps in (0.1, 0.05):
             r = BD.przytycki_return(m, eps, BD.critical_ball_grid(m, eps, 30), horizon=1000)
-            out.append((r.admitted, r.n_min, r.location, r.fitted_constant))
+            loc = r.min_ratio_location
+            out.append((r.samples, loc and loc["n"], loc, r.fitted_constant))
     return out
 
 
