@@ -47,6 +47,7 @@ from .errors import (
 OVERFLOW_GUARD = 1e100
 DEFAULT_HORIZON = 10_000
 BLOCK_PAIRS = 2**11  # pairs bound at once by the batch audits
+EXPANSION_SLACK = 1e-9  # relative rounding slack of the expansion audit's margins
 
 
 def _overflow_guard(degree: int) -> float:
@@ -556,10 +557,11 @@ def _ratio_reduction(h: _Histories) -> _Reduction:
         deviation=max_dev, failed=(counts > 0) & ~(max_dev < 0.5))
 
 
-def _expansion_reduction(h: _Histories, mu: float, rel_slack: float = 1e-9) -> _Reduction:
+def _expansion_reduction(h: _Histories, mu: float) -> _Reduction:
     """|Df^n(x)(v)| >= sep_n / W(n) at each bound step n, and at a finite
     binding time b also |Df^b(x)(v)| >= mu |xi_b(x)| / (2 (b+1)^2 W(b));
-    margins are relative slacks (lhs/rhs - 1)."""
+    margins are relative slacks (lhs/rhs - 1); a pair fails below
+    -EXPANSION_SLACK."""
     n_lim = np.where(h.shadowing, 0, np.maximum(np.minimum(h.last, h.w_len), 0))
     pos = _ranges(h.start[:-1] + 1, n_lim)
     d = h.data
@@ -592,7 +594,7 @@ def _expansion_reduction(h: _Histories, mu: float, rel_slack: float = 1e-9) -> _
         kind="derivative_expansion", skipped_margin=math.inf, checked=n_lim,
         size=counts, margins=margins, least=least,
         deviation=-_pymin(least, 0.0),  # Python's -min(least, 0.0)
-        failed=(n_lim > 0) & ~(least >= -rel_slack))
+        failed=(n_lim > 0) & ~(least >= -EXPANSION_SLACK))
 
 
 def audit_lemma_ratio(record: BindingRecord) -> BindingAudit:
@@ -600,7 +602,7 @@ def audit_lemma_ratio(record: BindingRecord) -> BindingAudit:
     return _ratio_reduction(_Histories.of_record(record)).audits()[0]
 
 
-def audit_lemma_expansion(record: BindingRecord, rel_slack: float = 1e-9) -> BindingAudit:
+def audit_lemma_expansion(record: BindingRecord) -> BindingAudit:
     """Check the derivative lower bounds against separation / W.
 
     General form at each bound step n: |Df^n(x)(v)| >= |xi_n(x)-xi_n(y)| / W(n).
@@ -608,8 +610,7 @@ def audit_lemma_expansion(record: BindingRecord, rel_slack: float = 1e-9) -> Bin
     |Df^b(x)(v)| >= mu |xi_b(x)| / (2 (b+1)^2 W(b)).
     Margins are relative slacks (lhs/rhs - 1).
     """
-    return _expansion_reduction(_Histories.of_record(record), record.mu,
-                                rel_slack).audits()[0]
+    return _expansion_reduction(_Histories.of_record(record), record.mu).audits()[0]
 
 
 def _draw_bound_pairs(map: SkewProductMap, count: int, seed: int,

@@ -3,31 +3,28 @@
 Each audit scans sampled orbits for the (start, n) pairs satisfying a
 statement's hypotheses, strips the statement's right-hand side from the
 observed derivative, and reports the minimum leftover ratio as the fitted
-constant.  Each statement is declared once, in STATEMENTS; those asserting
-constant 1 also count how often the ratio dips below 1 (allowing 1e-9
-relative rounding slack).
+constant.  Each statement is declared once, in STATEMENTS: its constant
+rule and inequality and, for the orbit statements, the ratio it strips
+from a scan row and its admission rule.  Those asserting constant 1 also
+count how often the ratio dips below 1 (allowing 1e-9 relative rounding
+slack).
 
-Every orbit statement runs on one row-streamed prefix scan (`_scan`).  It
-folds the orbits of a batch into the statements one step n at a time,
-keeping only carry arrays over the live orbits: log |Df^n|, the running
-minima of log |w_j| over j < n and over 0 < j < n, and log |w_0|.  No
-(n+1) x count history is stored.  The rows come from stepping the starts
-in `core._Orbits`: the starts of a `TraceStarts` batch for the tame,
-return and side audits, the fiber starts for the one-dimensional ones.
-An orbit leaves the carry once it has no further pairs: a trace at the
-end of its maximal tame prefix or past the escape radius, a fiber orbit
-past the working cap.  Starts run in slices of mc.BATCH_SIZE, each
-scanned to its end before the next, so the carries stay one slice long.
-Each accumulator keeps the least (ratio, start, n) in lexicographic order,
-over global start positions, so ties go to the earliest start, then the
-earliest n, whatever order the slices and rows come in.
+Every orbit statement runs in one fold (`_fold`), a row-streamed prefix
+scan of the starts that `_rows` steps.  It keeps only carry arrays over
+the live orbits: log |Df^n|, the running minima of log |w_j| over j < n
+and over 0 < j < n, and log |w_0|; no (n+1) x count history is stored.
+Starts run in slices of mc.BATCH_SIZE, each scanned to its end before
+the next, so the carries stay one slice long.  Each accumulator keeps
+the least (ratio, start, n) in lexicographic order, over global start
+positions, so ties go to the earliest start, then the earliest n,
+whatever order the slices and rows come in.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -48,32 +45,79 @@ _LOG_FLOOR = math.log1p(-REL_SLACK)
 _ABS_CAP = 1e50  # orbits past this stop contributing (ratios uncompetitive)
 
 
+class Row(NamedTuple):
+    """What a statement reads at step n >= 1 of the live starts: lw_n =
+    log|w_n|, base = log|Df^n| - n log lam0, pm0 = min_{j<n} log|w_j|,
+    mids = min_{0<j<n} log|w_j| (inf at n = 1), lw_0 = log|w_0|, and the
+    audit's hypotheses: log_delta (of delta0 for lem34), near (|z0| within
+    its cut: r0 for tame, eta0 or eta for return and side) and on_line
+    (z0 = 0)."""
+
+    lw_n: np.ndarray
+    base: np.ndarray
+    pm0: np.ndarray
+    mids: np.ndarray
+    lw_0: np.ndarray
+    log_delta: float
+    near: np.ndarray | None
+    on_line: np.ndarray | None
+
+
+# the log ratio each right-hand side leaves of a row, with d the degree:
+# C lam0^n, C lam0^n min_{j<n} |w_j|^(d-1) and lam0^n min(1, |w_0/w_n|^(d-1))
+_RATIOS = {
+    "exp": lambda r, d: r.base,
+    "exp_min": lambda r, d: r.base - (d - 1) * r.pm0,
+    "exp_clamp": lambda r, d: r.base - (d - 1) * np.minimum(0.0, r.lw_0 - r.lw_n),
+}
+
+
 class Statement(NamedTuple):
     """An audited statement as the repo reads the paper: its constant rule,
     "fitted" or "1" (violations counted), and inequality, hypotheses =>
     bound, where (z_j, w_j) is the j-th iterate, Df^n the vertical
-    derivative (Df0^n on the line) and tame is |z_j|^k <= |w_j|^d, j < n."""
+    derivative (Df0^n on the line) and tame is |z_j|^k <= |w_j|^d, j < n.
+
+    An orbit statement also names its ratio, a key of _RATIOS, and its
+    admission rule, admit(row) -> the row's admitted pairs, or None for
+    every pair; a statement without one records no delta.  lem25 and lem26
+    run scans of their own and have neither."""
 
     constant: str
     inequality: str
+    ratio: str | None = None
+    admit: Callable[[Row], np.ndarray] | None = None
 
 
 STATEMENTS = {
-    "eq_1dim_der": Statement("fitted", "|Df0^n| >= C lam0^n min_{j<n} |w_j|^(d-1)"),
-    "prop21i": Statement("fitted", "|w_j| >= delta for j < n => |Df0^n| >= C lam0^n"),
+    "eq_1dim_der": Statement("fitted", "|Df0^n| >= C lam0^n min_{j<n} |w_j|^(d-1)", "exp_min"),
+    "prop21i": Statement("fitted", "|w_j| >= delta for j < n => |Df0^n| >= C lam0^n",
+                         "exp", lambda r: r.pm0 >= r.log_delta),
     "prop21ii": Statement("1", "|w_0| < delta, |w_j| > delta for 0 < j < n, |w_n| <= delta"
-                               " => |Df0^n| >= lam0^n min(1, |w_0/w_n|^(d-1))"),
-    "prop21iii": Statement("fitted", "|w_j| >= |w_n| for j < n => |Df0^n| >= C lam0^n"),
-    "thm12_main": Statement("fitted", "tame => |Df^n| >= C lam0^n min_{j<n} |w_j|^(d-1)"),
-    "thm12_min": Statement("fitted", "tame, |w_j| >= |w_n| for j < n => |Df^n| >= C lam0^n"),
+                               " => |Df0^n| >= lam0^n min(1, |w_0/w_n|^(d-1))",
+                          "exp_clamp", lambda r: (r.lw_0 < r.log_delta)
+                          & (r.lw_n <= r.log_delta) & (r.mids > r.log_delta)),
+    "prop21iii": Statement("fitted", "|w_j| >= |w_n| for j < n => |Df0^n| >= C lam0^n",
+                           "exp", lambda r: r.pm0 >= r.lw_n),
+    "thm12_main": Statement("fitted", "tame => |Df^n| >= C lam0^n min_{j<n} |w_j|^(d-1)",
+                            "exp_min", lambda r: r.near),
+    "thm12_min": Statement("fitted", "tame, |w_j| >= |w_n| for j < n => |Df^n| >= C lam0^n",
+                           "exp", lambda r: r.near & (r.lw_n <= r.pm0)),
     "lem31": Statement("fitted", "tame, |z_0| < eta, |w_j| >= delta for j < n"
-                                 " => |Df^n| >= C lam0^n"),
+                                 " => |Df^n| >= C lam0^n",
+                       "exp", lambda r: r.near & (r.pm0 >= r.log_delta)),
     "lem32": Statement("fitted", "tame, |z_0| < eta, |w_j| >= delta for j < n, |w_n| <= delta"
-                                 " => |Df^n| >= C lam0^n"),
+                                 " => |Df^n| >= C lam0^n",
+                       "exp", lambda r: r.near & (r.pm0 >= r.log_delta) & (r.lw_n <= r.log_delta)),
     "lem33": Statement("1", "z_0 = 0, |w_0| < 2 delta, |w_j| > delta/2 for 0 < j < n,"
-                            " |w_n| < 2 delta => |Df^n| >= lam0^n min(1, |w_0/w_n|^(d-1))"),
+                            " |w_n| < 2 delta => |Df^n| >= lam0^n min(1, |w_0/w_n|^(d-1))",
+                       "exp_clamp", lambda r: r.on_line & (r.lw_0 < r.log_delta + math.log(2.0))
+                       & (r.lw_n < r.log_delta + math.log(2.0))
+                       & (r.mids > r.log_delta - math.log(2.0))),
     "lem34": Statement("1", "tame, |z_0| < eta0, |w_0| <= delta0, |w_j| >= |w_n| for 0 < j < n,"
-                            " |w_n| <= delta0 => |Df^n| >= lam0^n min(1, |w_0/w_n|^(d-1))"),
+                            " |w_n| <= delta0 => |Df^n| >= lam0^n min(1, |w_0/w_n|^(d-1))",
+                       "exp_clamp", lambda r: r.near & ~(r.lw_0 > r.log_delta)
+                       & (r.lw_n <= r.log_delta) & (r.mids >= r.lw_n)),
     "lem25": Statement("1", "delta = max(|w_0 - c(0)|, |z_0|^k)^(1/d) in (0, 0.05)"
                             " => |Df^n| >= lam0^n delta^-(d-1) for some n up to binding"),
     "lem26": Statement("fitted", "|z_0|^k <= eps, |w_0| <= eps"
@@ -181,7 +225,7 @@ def _check_lambda0(lambda0: float, lam: complex | None = None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# the row-streamed prefix scan shared by every orbit statement
+# the row-streamed prefix scan and fold shared by every orbit statement
 
 
 @dataclass(frozen=True)
@@ -190,15 +234,22 @@ class TraceStarts:
 
     The tame, return and side audits step these themselves, one row at a
     time and mc.BATCH_SIZE starts at a time, so no orbit history is
-    stored.  len() is the number of starts.
+    stored.  len() is the number of starts.  With z0s None they are the
+    fiber starts w0 of `audit_onedim`.
     """
 
-    z0s: np.ndarray
+    z0s: np.ndarray | None
     w0s: np.ndarray
     n: int
 
     def __len__(self) -> int:
         return len(self.w0s)
+
+    def batches(self):
+        """(first, z0s, w0s) slices of mc.BATCH_SIZE starts."""
+        for lo in range(0, len(self), mc.BATCH_SIZE):
+            hi = lo + mc.BATCH_SIZE
+            yield lo, None if self.z0s is None else self.z0s[lo:hi], self.w0s[lo:hi]
 
 
 def trace_starts(map: SkewProductMap, z0s, w0s, n: int) -> TraceStarts:
@@ -213,68 +264,68 @@ def trace_starts(map: SkewProductMap, z0s, w0s, n: int) -> TraceStarts:
     return TraceStarts(z0s, w0s, n)
 
 
-def _fiber_rows(f0: FiberMap, batches, n_max: int):
-    """Rows of fiber orbits, each until it passes the working cap, stepped
-    one (first, w0) batch of at most mc.BATCH_SIZE starts at a time."""
-    for first, batch in batches:
-        orbits = _Orbits(f0, None, batch, bound=_ABS_CAP, factors=True,
-                         carry={"logd": np.zeros(len(batch))}, first=first)
-        orbits.retire(~(orbits.absw <= _ABS_CAP))
+def _rows(map, starts, n_max: int):
+    """The scan's rows (n, live, log|w_n|, log|Df^n|), n = 0 .. n_max: the
+    starts stepped one (first, z0s, w0s) batch of starts.batches() at a
+    time, as fiber orbits of the FiberMap map where z0s is None.  live is
+    the batch's `core._Orbits`; a start leaves it once `_spent`.  Starts
+    stepped for no step have no pairs, so their audits would fail on
+    nothing: they are rejected.  No starts stay legal (zero samples)."""
+    if len(starts) and n_max < 1:
+        raise PreconditionViolated(f"need a trace horizon n >= 1, got {n_max}")
+    for first, z0s, w0s in starts.batches():
+        orbits = _Orbits(map, z0s, w0s, bound=_ABS_CAP if z0s is None else None,
+                         factors=True, carry={"logd": np.zeros(len(w0s))}, first=first)
+        orbits.retire(_spent(orbits))
         yield 0, orbits, np.log(orbits.absw), None
         for n in orbits.steps(n_max):
             logd = orbits.carry["logd"] = (orbits.carry["logd"]
                                            + np.log(np.abs(orbits.factor)))
             yield n, orbits, np.log(orbits.absw), logd
+            orbits.retire(_spent(orbits))
 
 
-def _trace_rows(map: SkewProductMap, starts: TraceStarts):
-    """Rows of the starts, stepped mc.BATCH_SIZE at a time, each start cut
-    at the end of its maximal tame prefix: a pair at n needs steps 0..n-1
-    tame, and a start's last pair is at its first untame step or at its
-    escape.  Starts traced for no step have no pairs, so their audits would
-    fail on nothing: such a batch is rejected.  A batch of no starts stays
-    legal; its audits report zero samples."""
-    if len(starts) and starts.n < 1:
-        raise PreconditionViolated(f"need a trace horizon n >= 1, got {starts.n}")
-
-    def cut(orbits):
-        tame = np.abs(orbits.z) ** map.k <= orbits.absw ** map.degree
-        orbits.retire(~tame | (orbits.absw > map.escape_radius))
-
-    for lo in range(0, len(starts), mc.BATCH_SIZE):
-        w0s = starts.w0s[lo:lo + mc.BATCH_SIZE]
-        orbits = _Orbits(map, starts.z0s[lo:lo + mc.BATCH_SIZE], w0s, factors=True,
-                         carry={"logd": np.zeros(len(w0s))}, first=lo)
-        cut(orbits)
-        yield 0, orbits, np.log(orbits.absw), None
-        for n in orbits.steps(starts.n):
-            logd = orbits.carry["logd"] = (orbits.carry["logd"]
-                                           + np.log(np.abs(orbits.factor)))
-            yield n, orbits, np.log(orbits.absw), logd
-            cut(orbits)
+def _spent(orbits: _Orbits) -> np.ndarray:
+    """The live orbits with no further pairs.  A fiber orbit has none past
+    the working cap, where `steps` drops it before its row.  A trace's pair
+    at n needs steps 0..n-1 tame, so its last pair is at its first untame
+    step or at its escape."""
+    if orbits.z is None:
+        return ~(orbits.absw <= _ABS_CAP)
+    m = orbits.map
+    tame = np.abs(orbits.z) ** m.k <= orbits.absw ** m.degree
+    return ~tame | (orbits.absw > m.escape_radius)
 
 
-def _scan(rows, log_l0: float):
-    """The prefix scan over rows (n, live, log|w_n|, log|Df^n|), n = 0, 1, ...
-
-    live.idx holds the starts with a pair at n (ascending), live.carry
-    arrays aligned with them; a source drops a start from both once its
-    pairs end.  The sources step their starts in slices, starting over at
-    n = 0 with each slice's own live, and the carries start over with it.
-    Yields, for each n >= 1, (n, starts, log|w_n|, log|Df^n| - n log lam0,
-    min_{j<n} log|w_j|, min_{0<j<n} log|w_j| (inf at n = 1), log|w_0|).
-    The sources take logs of zero, so run it under
-    np.errstate(divide="ignore").
-    """
-    for n, live, logw, logd in rows:
-        c = live.carry
-        if n == 0:
-            c["lw0"] = c["pm0"] = logw
-            c["mids"] = np.full(len(logw), np.inf)
-            continue
-        yield n, live.idx, logw, logd - n * log_l0, c["pm0"], c["mids"], c["lw0"]
-        c["pm0"] = np.minimum(c["pm0"], logw)
-        c["mids"] = np.minimum(c["mids"], logw)
+def _fold(tags, rows, lambda0: float, d: int, delta: float | None = None,
+          near: np.ndarray | None = None, on_line: np.ndarray | None = None):
+    """The audits {tag: BoundAudit} of the tagged statements, for a map of
+    degree d, over the prefix scan of rows (n, live, log|w_n|, log|Df^n|):
+    at each n >= 1 each statement adds its ratio of the Row at the pairs
+    its admission rule admits.  live.idx holds the starts with a pair at n
+    (ascending), live.carry the scan's carries aligned with them; each
+    slice of starts runs from n = 0 with a live and carries of its own."""
+    log_delta, log_l0 = math.nan if delta is None else math.log(delta), math.log(lambda0)
+    # a statement that admits every pair records no delta
+    stated = [(STATEMENTS[tag], _Acc(tag, lambda0, None if STATEMENTS[tag].admit is None
+                                     else delta)) for tag in tags]
+    # the source takes logs of zero
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for n, live, logw, logd in rows:
+            c, idx = live.carry, live.idx
+            if n == 0:
+                c["lw0"] = c["pm0"] = logw
+                c["mids"] = np.full(len(logw), np.inf)
+                continue
+            row = Row(logw, logd - n * log_l0, c["pm0"], c["mids"], c["lw0"], log_delta,
+                      None if near is None else near[idx],
+                      None if on_line is None else on_line[idx])
+            for st, acc in stated:
+                acc.add(idx, n, _RATIOS[st.ratio](row, d),
+                        None if st.admit is None else st.admit(row))
+            c["pm0"] = np.minimum(c["pm0"], logw)
+            c["mids"] = np.minimum(c["mids"], logw)
+    return {acc.statement: acc.to_audit() for _, acc in stated}
 
 
 # ---------------------------------------------------------------------------
@@ -302,29 +353,10 @@ def audit_onedim(
     if f0.attracting_cycles():
         raise AttractingCyclePresent("fiber polynomial has an attracting cycle")
 
-    if isinstance(samples, FiberStarts):
-        batches = samples.batches()  # drawn a batch at a time
-    else:
-        w0 = np.asarray(samples, dtype=complex).ravel()
-        batches = ((lo, w0[lo:lo + mc.BATCH_SIZE]) for lo in range(0, len(w0), mc.BATCH_SIZE))
-    d = f0.degree
-    log_delta = math.log(delta)
-
-    eq = _Acc("eq_1dim_der", lambda0, None)
-    a21i = _Acc("prop21i", lambda0, delta)
-    a21ii = _Acc("prop21ii", lambda0, delta)
-    a21iii = _Acc("prop21iii", lambda0, delta)
-    rows = _fiber_rows(f0, batches, n_max)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for n, idx, lw_n, base, pm0, mids, lw_0 in _scan(rows, math.log(lambda0)):
-            eq.add(idx, n, base - (d - 1) * pm0)
-            a21i.add(idx, n, base, pm0 >= log_delta)
-            a21iii.add(idx, n, base, pm0 >= lw_n)
-            # dip-and-return: |w| < delta, middles > delta, |f0^n(w)| <= delta
-            clamp = (d - 1) * np.minimum(0.0, lw_0 - lw_n)
-            a21ii.add(idx, n, base - clamp,
-                      (lw_0 < log_delta) & (lw_n <= log_delta) & (mids > log_delta))
-    return {a.statement: a.to_audit() for a in (eq, a21i, a21ii, a21iii)}
+    if not isinstance(samples, FiberStarts):  # those are drawn a batch at a time
+        samples = TraceStarts(None, np.asarray(samples, dtype=complex).ravel(), n_max)
+    return _fold(("eq_1dim_der", "prop21i", "prop21ii", "prop21iii"),
+                 _rows(f0, samples, n_max), lambda0, f0.degree, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -350,17 +382,9 @@ def audit_tame(
     _check_lambda0(lambda0, map.lam)
     if find_attracting_cycles(map):
         raise AttractingCyclePresent("fiber polynomial has an attracting cycle")
-    d = map.degree
-    main = _Acc("thm12_main", lambda0, None)
-    amin = _Acc("thm12_min", lambda0, None)
-    inside = ~(np.abs(traces.z0s) >= map.r0)
-    rows = _trace_rows(map, traces)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for n, idx, lw_n, base, pm0, _, _ in _scan(rows, math.log(lambda0)):
-            sel = inside[idx]
-            main.add(idx, n, base - (d - 1) * pm0, sel)
-            amin.add(idx, n, base, sel & (lw_n <= pm0))
-    return main.to_audit(), amin.to_audit()
+    main, amin = _fold(("thm12_main", "thm12_min"), _rows(map, traces, traces.n), lambda0,
+                       map.degree, near=~(np.abs(traces.z0s) >= map.r0)).values()
+    return main, amin
 
 
 def audit_return(
@@ -378,18 +402,9 @@ def audit_return(
     _check_lambda0(lambda0, map.lam)
     if delta0 <= 0:
         raise PreconditionViolated(f"delta0 must be positive, got {delta0}")
-    eta0 = _eta(map, eta0)
-    log_d0 = math.log(delta0)
-    d = map.degree
-    acc = _Acc("lem34", lambda0, delta0)
-    near = ~(np.abs(traces.z0s) >= eta0)
-    rows = _trace_rows(map, traces)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for n, idx, lw_n, base, _, mids, lw_0 in _scan(rows, math.log(lambda0)):
-            clamp = (d - 1) * np.minimum(0.0, lw_0 - lw_n)
-            acc.add(idx, n, base - clamp,
-                    near[idx] & ~(lw_0 > log_d0) & (lw_n <= log_d0) & (mids >= lw_n))
-    return acc.to_audit()
+    near = ~(np.abs(traces.z0s) >= _eta(map, eta0))
+    return _fold(("lem34",), _rows(map, traces, traces.n), lambda0, map.degree,
+                 delta0, near)["lem34"]
 
 
 def audit_side_lemmas(
@@ -409,26 +424,8 @@ def audit_side_lemmas(
     _check_lambda0(lambda0, map.lam)
     if delta <= 0:
         raise PreconditionViolated(f"delta must be positive, got {delta}")
-    eta = _eta(map, eta)
-    log_delta = math.log(delta)
-    log_half, log_twice = log_delta - math.log(2.0), log_delta + math.log(2.0)
-    d = map.degree
-    a31 = _Acc("lem31", lambda0, delta)
-    a32 = _Acc("lem32", lambda0, delta)
-    a33 = _Acc("lem33", lambda0, delta)
-    near = np.abs(traces.z0s) < eta
-    on_line = traces.z0s == 0
-    rows = _trace_rows(map, traces)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for n, idx, lw_n, base, pm0, mids, lw_0 in _scan(rows, math.log(lambda0)):
-            floor = near[idx] & (pm0 >= log_delta)
-            a31.add(idx, n, base, floor)
-            a32.add(idx, n, base, floor & (lw_n <= log_delta))
-            line = on_line[idx] & (lw_0 < log_twice)
-            clamp = (d - 1) * np.minimum(0.0, lw_0 - lw_n)
-            a33.add(idx, n, base - clamp,
-                    line & (lw_n < log_twice) & (mids > log_half))
-    return {a.statement: a.to_audit() for a in (a31, a32, a33)}
+    return _fold(("lem31", "lem32", "lem33"), _rows(map, traces, traces.n), lambda0,
+                 map.degree, delta, np.abs(traces.z0s) < _eta(map, eta), traces.z0s == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +606,7 @@ class FiberStarts:
     """The fiber starts of `sample_fiber_starts`, kept as their draw.
 
     len() is the count.  `batches` draws them mc.BATCH_SIZE at a time as
-    (first, w0) with complex w0; a batch of whole blocks equals its slice
+    (first, None, w0) with complex w0; a batch of whole blocks equals its slice
     of the full draw, so `audit_onedim` steps the same starts without ever
     holding all of them.
     """
@@ -622,7 +619,7 @@ class FiberStarts:
 
     def batches(self):
         for first, cols in mc.draw_batches(self.seed, "bounds_onedim", self.count, self.draw):
-            yield first, cols[:, 0].astype(complex, copy=False)
+            yield first, None, cols[:, 0].astype(complex, copy=False)
 
 
 def sample_fiber_starts(

@@ -103,6 +103,11 @@ class TraceBlock:
     def __len__(self) -> int:
         return self.ws.shape[1]
 
+    @property
+    def n(self) -> int:
+        """The horizon, as bounds.TraceStarts.n: the rows past step 0."""
+        return self.ws.shape[0] - 1
+
 
 def iterate_block(map, z0s, w0s, n: int) -> TraceBlock:
     """The starts stepped n times together; an orbit stops at its escape."""

@@ -77,7 +77,7 @@ MUTANTS = [
      "if False:"),
     ("the expansion audit never fails a pair",
      "src/skewdyn/binding.py",
-     "failed=(n_lim > 0) & ~(least >= -rel_slack))",
+     "failed=(n_lim > 0) & ~(least >= -EXPANSION_SLACK))",
      "failed=np.zeros(len(n_lim), dtype=bool))"),
     ("the winding check accepts image points within (r/2, r] of the center",
      "src/skewdyn/fatou.py",
@@ -123,6 +123,18 @@ MUTANTS = [
      "src/skewdyn/bounds.py",
      '"lem34": Statement("1",',
      '"lem34": Statement("fitted",'),
+    ("lem34 admits only returns strictly below every middle",
+     "src/skewdyn/bounds.py",
+     "& (r.lw_n <= r.log_delta) & (r.mids >= r.lw_n)),",
+     "& (r.lw_n <= r.log_delta) & (r.mids > r.lw_n)),"),
+    ("prop21ii's ratio is the plain exponential",
+     "src/skewdyn/bounds.py",
+     '"exp_clamp", lambda r: (r.lw_0 < r.log_delta)',
+     '"exp", lambda r: (r.lw_0 < r.log_delta)'),
+    ("thm12_min admits every tame pair",
+     "src/skewdyn/bounds.py",
+     '"exp", lambda r: r.near & (r.lw_n <= r.pm0)),',
+     '"exp", lambda r: r.near),'),
     ("the accumulator's tie goes to the later (start, n)",
      "src/skewdyn/bounds.py",
      'and (start, n) < (self.loc["start"], self.loc["n"])):',

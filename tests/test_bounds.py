@@ -188,7 +188,9 @@ class _Columns:
 def stored(monkeypatch):
     """Hand-built traces reach the trace audits: passed a TraceBlock, they
     read its stored columns instead of stepping starts."""
-    monkeypatch.setattr(BD, "_trace_rows", lambda map, block: block_rows(block))
+    rows = BD._rows
+    monkeypatch.setattr(BD, "_rows", lambda map, starts, n: block_rows(starts)
+                        if isinstance(starts, TraceBlock) else rows(map, starts, n))
 
 
 def columns(block, map):
@@ -483,12 +485,26 @@ class TestStatementTable:
         assert audit.violations == (tag in self.RULE_ONE)
         assert (audit.samples, audit.min_ratio_location) == (2, {"start": 9, "n": 3})
 
+    def test_orbit_entries_carry_a_ratio_the_fold_knows(self, cheb):
+        # the orbit entries are the tags the four scanned audits emit
+        traces = BD.trace_starts(cheb, [0.0, 0.01], [0.5, 0.3], 5)
+        orbit = {a.statement for a in (
+            *BD.audit_onedim(cheb.f0(), [2.0], n_max=5, lambda0=0.9, delta=0.5).values(),
+            *BD.audit_tame(cheb, traces, 0.8), BD.audit_return(cheb, traces, 0.8, 0.1),
+            *BD.audit_side_lemmas(cheb, traces, 0.8, 0.5).values())}
+        assert len(orbit) == 10
+        for tag in orbit:
+            assert BD.STATEMENTS[tag].ratio in BD._RATIOS
+        for tag in set(BD.STATEMENTS) - orbit:
+            assert BD.STATEMENTS[tag].ratio is None and BD.STATEMENTS[tag].admit is None
+        assert set(BD.STATEMENTS) - orbit == {"lem25", "lem26"}
+
     def test_readme_lists_the_table(self):
         text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
         section = text.split("\n## Statements\n", 1)[1].split("\n## ", 1)[0]
         listed = re.findall(r"^- `(\w+)` — constant (\S+) \(repo's reading\): `(.+)`$",
                             section, re.M)
-        assert listed == [(tag, *st) for tag, st in BD.STATEMENTS.items()]
+        assert listed == [(tag, st.constant, st.inequality) for tag, st in BD.STATEMENTS.items()]
 
 
 class TestAuditJson:
@@ -597,8 +613,8 @@ class TestFiberStarts:
         whole = whole.astype(complex, copy=False)
         batches = list(starts.batches())
         assert len(starts) == 20000
-        assert [first for first, _ in batches] == [0, mc.BATCH_SIZE, 2 * mc.BATCH_SIZE]
-        assert_bitwise(np.concatenate([w for _, w in batches]), whole)
+        assert [first for first, _, _ in batches] == [0, mc.BATCH_SIZE, 2 * mc.BATCH_SIZE]
+        assert_bitwise(np.concatenate([w for _, _, w in batches]), whole)
         assert (BD.audit_onedim(cheb.f0(), starts, 30, 0.8, 1.0)
                 == BD.audit_onedim(cheb.f0(), whole, 30, 0.8, 1.0))
 
@@ -981,6 +997,37 @@ class TestBatchedScan:
         assert want.min_ratio_location == {"start": least[1], "n": least[2]}
         assert want.samples == 1500 and want.violations > 0
         assert fold([200, 100, 0]) == fold([100, 200, 0]) == want
+
+
+class TestBatchSizeInvariance:
+    """The orbit audits report the same whatever mc.BATCH_SIZE their starts
+    are stepped in.  The starts are given as arrays: FiberStarts draws
+    through mc.draw_batches, whose size default is bound when mc loads and
+    must be a multiple of its 4096-draw block, so patching mc.BATCH_SIZE
+    never reaches it."""
+
+    MAPS = {"unicritical": chebyshev_map(),
+            "general": build_map(0.5, 2, [[-2.0, 1.0], [0.0]], mode="general")}
+
+    @staticmethod
+    def reports(map, z0, w0):
+        traces = BD.TraceStarts(z0, w0, 40)
+        audits = [*BD.audit_tame(map, traces, 0.8),
+                  BD.audit_return(map, BD.TraceStarts(z0, w0, 60), 0.8, 0.05, 0.5 * map.r0),
+                  *BD.audit_side_lemmas(map, traces, 0.8, 0.5, 0.5 * map.r0).values(),
+                  *BD.audit_onedim(map.f0(), w0, 60, 0.8, 0.5).values()]
+        return [a.to_json() for a in audits]
+
+    @pytest.mark.parametrize("mode", sorted(MAPS))
+    def test_reports_match_the_default_batch(self, monkeypatch, mode):
+        m = self.MAPS[mode]
+        z0, w0 = TestStreamMatchesBlockScan.random_starts(m, 11)
+        z0 = np.where(np.abs(z0) < m.r0, z0, 0.0)
+        want = self.reports(m, z0, w0)
+        assert min(r["samples"] for r in want) > 0
+        for size in (1, 3, 7):
+            monkeypatch.setattr(mc, "BATCH_SIZE", size)
+            assert self.reports(m, z0, w0) == want
 
 
 class TestScanMemory:
