@@ -21,7 +21,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mc
-from .binding import audit_pair_batch, mu_constants, sample_bound_pairs
+from .binding import (
+    audit_lemma_expansion,
+    audit_lemma_ratio,
+    binding_time,
+    mu_constants,
+    sample_bound_pairs,
+)
 from .bounds import (
     audit_tame,
     critical_ball_grid,
@@ -114,25 +120,27 @@ def criterion_1() -> CriterionResult:
 
 
 def criterion_2() -> CriterionResult:
-    """Bound-pair ratio and expansion audits over a thousand pairs."""
+    """Bound-pair ratio and expansion audits over a thousand pairs, each
+    bound and audited through the per-pair record API."""
     t0 = time.perf_counter()
     map = chebyshev_map(0.5)
     mu0 = mu_constants(map.degree)[0]
     pairs = sample_bound_pairs(map, 1000, seed=13, mu=mu0)
-    rows = audit_pair_batch(map, pairs, mu0)
     max_dev, min_margin = 0.0, math.inf
     ratio_checked = expansion_checked = 0
-    for row in rows:
-        if not row["ratio_audit"].skipped:
+    for x, y in pairs:
+        rec = binding_time(map, x, y, mu0)
+        ratio, expansion = audit_lemma_ratio(rec), audit_lemma_expansion(rec)
+        if not ratio.skipped:
             ratio_checked += 1
-            max_dev = max(max_dev, row["ratio_audit"].max_deviation)
-        if not row["expansion_audit"].skipped:
+            max_dev = max(max_dev, ratio.max_deviation)
+        if not expansion.skipped:
             expansion_checked += 1
-            min_margin = min(min_margin, row["expansion_audit"].min_margin)
+            min_margin = min(min_margin, expansion.min_margin)
     ok = (ratio_checked > 0 and expansion_checked > 0
           and max_dev < 0.5 and min_margin >= -1e-9)
     return _finish(2, "binding_comparability", t0, 30.0, ok, {
-        "pairs": len(rows), "mu": mu0,
+        "pairs": len(pairs), "mu": mu0,
         "ratio_audits": ratio_checked, "expansion_audits": expansion_checked,
         "max_ratio_deviation": max_dev, "min_expansion_margin": min_margin,
     })

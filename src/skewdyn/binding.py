@@ -14,9 +14,9 @@ bind BLOCK_PAIRS pairs per batch, so the histories they hold at once are
 bounded by the block, not by the number of pairs.  Each audit is one
 vectorized reduction over a batch (`_Reduction`): per-pair columns of
 least margins and failure flags.  `audit_pair_blocks` yields those columns
-block by block (`PairBlock`), which is all the CSV and the summary need;
-BindingAudit records are built from the same columns only for the record
-API (`audit_lemma_*`, `audit_pair_batch`).
+block by block (`PairBlock`), which is all the CSV and the summary need.
+The per-pair record API (`binding_time`, `audit_lemma_*`) runs one pair
+as a batch of one and reads its BindingAudit off the same reduction.
 
 The kernel reproduces CPython's scalar complex arithmetic bit for bit:
 numpy's complex products, np.abs, np.angle and np.exp round differently
@@ -506,25 +506,17 @@ class _Reduction:
     deviation: np.ndarray
     failed: np.ndarray
 
-    def audits(self) -> list[BindingAudit]:
-        """One BindingAudit per pair, for the record API."""
-        out = []
-        first = np.cumsum(self.size) - self.size
-        for n, f, c, least, dev, failed in zip(
-                self.checked.tolist(), first.tolist(), self.size.tolist(),
-                self.least.tolist(), self.deviation.tolist(),
-                self.failed.tolist()):
-            if n == 0:
-                out.append(BindingAudit(
-                    kind=self.kind, n_checked=0, max_deviation=0.0,
-                    min_margin=self.skipped_margin, margins=np.zeros(0),
-                    passed=True, skipped=True))
-            else:
-                out.append(BindingAudit(
-                    kind=self.kind, n_checked=n, max_deviation=dev,
-                    min_margin=least, margins=self.margins[f:f + c],
-                    passed=not failed))
-        return out
+    def audit(self) -> BindingAudit:
+        """The BindingAudit of a one-pair reduction, for the record API."""
+        if self.checked[0] == 0:
+            return BindingAudit(
+                kind=self.kind, n_checked=0, max_deviation=0.0,
+                min_margin=self.skipped_margin, margins=np.zeros(0),
+                passed=True, skipped=True)
+        return BindingAudit(
+            kind=self.kind, n_checked=int(self.checked[0]),
+            max_deviation=float(self.deviation[0]), min_margin=float(self.least[0]),
+            margins=self.margins, passed=not self.failed[0])
 
 
 def _per_pair(ufunc, values: np.ndarray, size: np.ndarray, fill: float) -> np.ndarray:
@@ -599,7 +591,7 @@ def _expansion_reduction(h: _Histories, mu: float) -> _Reduction:
 
 def audit_lemma_ratio(record: BindingRecord) -> BindingAudit:
     """Check |Df^m(x)(v) / Df^m(y)(v) - 1| < 1/2 for every m while bound."""
-    return _ratio_reduction(_Histories.of_record(record)).audits()[0]
+    return _ratio_reduction(_Histories.of_record(record)).audit()
 
 
 def audit_lemma_expansion(record: BindingRecord) -> BindingAudit:
@@ -610,7 +602,7 @@ def audit_lemma_expansion(record: BindingRecord) -> BindingAudit:
     |Df^b(x)(v)| >= mu |xi_b(x)| / (2 (b+1)^2 W(b)).
     Margins are relative slacks (lhs/rhs - 1).
     """
-    return _expansion_reduction(_Histories.of_record(record), record.mu).audits()[0]
+    return _expansion_reduction(_Histories.of_record(record), record.mu).audit()
 
 
 def _draw_bound_pairs(map: SkewProductMap, count: int, seed: int,
@@ -666,9 +658,9 @@ class PairBlock(NamedTuple):
 
 @dataclass
 class PairAudits:
-    """Audited pairs, bound BLOCK_PAIRS at a time.  Iterating yields one
-    PairBlock per block, in pair_id order; rows() gives every pair's row
-    with its audit records.  mu and horizon are the values used."""
+    """Audited pairs, bound BLOCK_PAIRS at a time.  Iterating binds each
+    block and yields its PairBlock, in pair_id order.  mu and horizon are
+    the values used."""
 
     map: SkewProductMap
     points: np.ndarray  # (pairs, 4): zx, wx, zy, wy
@@ -680,33 +672,11 @@ class PairAudits:
 
     def __iter__(self) -> Iterator[PairBlock]:
         for lo in range(0, len(self.points), BLOCK_PAIRS):
-            yield self._audited(lo)[0]
+            yield self._block(lo)
 
-    def rows(self) -> list[dict]:
-        """Every pair's row, with its two BindingAudit records, in pair_id
-        order."""
-        rows = []
-        for lo in range(0, len(self.points), BLOCK_PAIRS):
-            block, ratio, expansion = self._audited(lo)
-            for j, (b, w, m23, m24, ra, ea) in enumerate(zip(
-                    block.binding_time.tolist(), block.w_final.tolist(),
-                    block.least_lemma23.tolist(), block.least_lemma24.tolist(),
-                    ratio.audits(), expansion.audits())):
-                rows.append({
-                    "pair_id": lo + j,
-                    "mu": self.mu,
-                    "binding_time": None if b < 0 else b,
-                    "censored": b < 0,
-                    "W_final": w,
-                    "min_margin_lemma23": m23,
-                    "min_margin_lemma24": m24,
-                    "ratio_audit": ra,
-                    "expansion_audit": ea,
-                })
-        return rows
-
-    def _audited(self, lo: int) -> tuple[PairBlock, _Reduction, _Reduction]:
-        """Bind the block of pairs lo onward and reduce both audits."""
+    def _block(self, lo: int) -> PairBlock:
+        """Bind the block of pairs lo onward and reduce both audits.  Its
+        histories die on return, before the next block binds."""
         pts = self.points[lo:lo + BLOCK_PAIRS]
         h = _bind(self.map, pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3],
                   self.mu, self.horizon)
@@ -715,12 +685,11 @@ class PairAudits:
         has_w = h.w_len > 0
         if has_w.any():
             w_final[has_w] = h.data["w_history"][h.start[:-1][has_w] + h.w_len[has_w]]
-        block = PairBlock(
+        return PairBlock(
             first_id=lo, binding_time=h.binding, censored=h.binding < 0,
             w_final=w_final, least_lemma23=ratio.least,
             least_lemma24=expansion.least, failed_lemma23=ratio.failed,
             failed_lemma24=expansion.failed)
-        return block, ratio, expansion
 
 
 def audit_pair_blocks(
@@ -733,9 +702,9 @@ def audit_pair_blocks(
 
     pairs is a sequence of ((zx, wx), (zy, wy)) or a (count, 4) array; mu
     defaults to mu0.  Every pair's record depends on its own lanes only,
-    so the columns and rows are bitwise those of one batch, while memory
-    stays bounded by the block.  The inputs are checked here, before any
-    block binds.
+    so the columns are bitwise those of one batch, while memory stays
+    bounded by the block.  The inputs are checked here, before any block
+    binds.
     """
     if mu is None:
         mu = mu_constants(map.degree)[0]
@@ -744,45 +713,21 @@ def audit_pair_blocks(
     return PairAudits(map, pts, mu, horizon)
 
 
-def audit_pair_batch(
-    map: SkewProductMap,
-    pairs,
-    mu: float | None = None,
-    horizon: int = DEFAULT_HORIZON,
-) -> list[dict]:
-    """audit_pair_blocks' rows as one list, in input order."""
-    return audit_pair_blocks(map, pairs, mu, horizon).rows()
-
-
 CSV_COLUMNS = [
     "pair_id", "mu", "binding_time", "censored",
     "W_final", "min_margin_lemma23", "min_margin_lemma24",
 ]
 
 
-def _csv_rows(ids, mus, binding_times, w_final, least23, least24) -> str:
-    """CSV rows from column lists; a binding time below 0 is censored."""
-    row = "%d,%.17g,%s,%d,%.17g,%.17g,%.17g\n"
-    return "".join([row % (i, mu, "" if b < 0 else b, b < 0, w, m23, m24)
-                    for i, mu, b, w, m23, m24 in zip(
-                        ids, mus, binding_times, w_final, least23, least24)])
-
-
 def binding_csv_chunks(blocks: Iterable[PairBlock], mu: float) -> Iterator[str]:
-    """The header, then one chunk of CSV text per block."""
+    """The header, then one chunk of CSV text per block; a binding time
+    below 0 is censored."""
     yield ",".join(CSV_COLUMNS) + "\n"
+    row = "%d,%.17g,%s,%d,%.17g,%.17g,%.17g\n"
     for b in blocks:
-        m = len(b.binding_time)
-        yield _csv_rows(
-            range(b.first_id, b.first_id + m), [mu] * m,
-            b.binding_time.tolist(), b.w_final.tolist(),
-            b.least_lemma23.tolist(), b.least_lemma24.tolist())
-
-
-def binding_rows_to_csv(rows: list[dict]) -> str:
-    """audit_pair_batch's rows as the CSV binding_csv_chunks writes."""
-    return ",".join(CSV_COLUMNS) + "\n" + _csv_rows(
-        [r["pair_id"] for r in rows], [r["mu"] for r in rows],
-        [-1 if r["censored"] else r["binding_time"] for r in rows],
-        *([r[col] for r in rows]
-          for col in ("W_final", "min_margin_lemma23", "min_margin_lemma24")))
+        ids = range(b.first_id, b.first_id + len(b.binding_time))
+        yield "".join([row % (i, mu, "" if t < 0 else t, t < 0, w, m23, m24)
+                       for i, t, w, m23, m24 in zip(
+                           ids, b.binding_time.tolist(),
+                           b.w_final.tolist(),
+                           b.least_lemma23.tolist(), b.least_lemma24.tolist())])

@@ -163,13 +163,15 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, default=_plain) + "\n"
 
 
-def _write(outdir: str, name: str, chunks: Iterable[str]) -> str:
-    """Write an artifact from an iterable of text chunks (a bare str would
-    be written character by character)."""
+def _write(outdir: str, name: str, chunks: Iterable[str | bytes]) -> str:
+    """Write an artifact from an iterable of chunks, each text (written as
+    UTF-8) or bytes.  A bare str or bytes is not such an iterable."""
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, name)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(chunks)
+    with open(path, "wb") as fh:
+        for chunk in chunks:
+            fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
+            del chunk  # freed before the next chunk is made
     print(f"wrote {path}")
     return path
 
@@ -193,9 +195,9 @@ class _Run:
         return head
 
     def emit_json(self, name: str, body: dict) -> None:
-        _write(self.outdir, name, [_json_text({**self.header(), **body})])
+        self.emit(name, [_json_text({**self.header(), **body})])
 
-    def emit_csv(self, name: str, chunks: Iterable[str]) -> None:
+    def emit(self, name: str, chunks: Iterable[str | bytes]) -> None:
         _write(self.outdir, name, chunks)
 
 
@@ -220,7 +222,7 @@ def _cmd_orbit(run: _Run, kw: dict) -> int:
 
     # each chunk is written as it leaves the stepping loop
     chunks = orbit_chunks(run.map, (kw["z0"], kw["w0"]), kw["n"])
-    run.emit_csv("orbit.csv", orbit_csv_chunks(keep(c) for c in chunks))
+    run.emit("orbit.csv", orbit_csv_chunks(keep(c) for c in chunks))
     tail = final[0]
     last = tail.first + len(tail.ws) - 1
     run.emit_json("orbit.json", {
@@ -268,7 +270,7 @@ def _cmd_binding(run: _Run, kw: dict) -> int:
     summary = {"censored": 0, "ratio_failures": [], "expansion_failures": [],
                "min_margin_lemma23": None, "min_margin_lemma24": None}
     # writing the CSV folds every block into the summary
-    run.emit_csv("binding.csv", binding_csv_chunks(
+    run.emit("binding.csv", binding_csv_chunks(
         (_fold_pairs(summary, block) for block in audits), audits.mu))
 
     run.emit_json("binding.json", {
@@ -384,7 +386,7 @@ def _cmd_slow(run: _Run, kw: dict) -> int:
     from .measure import reports_to_csv, slow_approach_stats
 
     rep = slow_approach_stats(run.map, seed=run.seed, **kw)
-    run.emit_csv("slow.csv", [reports_to_csv([rep])])
+    run.emit("slow.csv", [reports_to_csv([rep])])
     run.emit_json("slow.json", {"report": rep.to_json()})
     print(f"slow: fraction {rep.estimate:.6g} +- {rep.std_error:.2g} "
           f"over {rep.samples} retained starts")
@@ -395,8 +397,8 @@ def _cmd_exclusion(run: _Run, kw: dict) -> int:
     from .measure import decay_cells_csv, exclusion_area, reports_to_csv
 
     reps = exclusion_area(run.map, seed=run.seed, **kw)
-    run.emit_csv("exclusion.csv", [reports_to_csv(reps)])
-    run.emit_csv("exclusion_decay.csv", [decay_cells_csv(reps)])
+    run.emit("exclusion.csv", [reports_to_csv(reps)])
+    run.emit("exclusion_decay.csv", [decay_cells_csv(reps)])
     run.emit_json("exclusion.json", {"reports": [r.to_json() for r in reps]})
     fit = reps[-1]
     gamma = fit.fitted_exponent
@@ -418,14 +420,12 @@ def _cmd_xl(run: _Run, kw: dict) -> int:
 
 
 def _cmd_render(run: _Run, kw: dict) -> int:
-    from .fatou import SliceSpec, render_slice, write_p5
+    from .fatou import SliceSpec, p5_chunks, p5_sidecar, render_slice
 
     spec = SliceSpec(**_pick(kw, "plane", "center", "extent", "resolution", "at"))
     raster = render_slice(run.map, spec, **_pick(kw, "horizon"))
-    os.makedirs(run.outdir, exist_ok=True)
-    pix_path, side_path = write_p5(raster, os.path.join(run.outdir, "slice.p5"))
-    print(f"wrote {pix_path}")
-    print(f"wrote {side_path}")
+    run.emit("slice.p5", p5_chunks(raster))
+    run.emit("slice.p5.json", [_json_text(p5_sidecar(raster))])
     counts = {label: int((raster.codes == i).sum())
               for i, label in enumerate(raster.labels)}
     print("render: " + ", ".join(f"{k}={v}" for k, v in sorted(counts.items()) if v))

@@ -29,9 +29,9 @@ winding.  No pass makes a temporary the length of the curve.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -232,7 +232,9 @@ def render_slice(map: SkewProductMap, spec: SliceSpec, horizon: int = 1000) -> R
 
 
 def _pixel_rows(raster: RasterSlice, lo: int, hi: int) -> np.ndarray:
-    """Rows lo:hi of raster_to_pixels(raster)."""
+    """Rows lo:hi of the 8-bit encoding: undecided 0, escaping 1..254 by
+    scaled escape time, any cycle basin 255.  The horizon is at least 1, as
+    render_slice requires."""
     codes, esc = raster.codes[lo:hi], raster.escape_steps[lo:hi]
     px = np.zeros(codes.shape, dtype=np.uint8)
     escaping = codes == 1
@@ -242,34 +244,25 @@ def _pixel_rows(raster: RasterSlice, lo: int, hi: int) -> np.ndarray:
     return px
 
 
-def raster_to_pixels(raster: RasterSlice) -> np.ndarray:
-    """8-bit encoding: undecided 0, escaping 1..254 by scaled escape time,
-    any cycle basin 255.  The horizon is at least 1, as render_slice
-    requires.  Encoded in render_slice's bands, so the int32 temporaries
-    are band-sized."""
+def p5_chunks(raster: RasterSlice) -> Iterator[bytes]:
+    """The raster as a binary P5 pixmap: the header, then the pixel bytes
+    of each of render_slice's bands, so the int32 temporaries are
+    band-sized."""
     res = raster.spec.resolution
-    px = np.empty((res, res), dtype=np.uint8)
+    yield f"P5\n{res} {res}\n255\n".encode("ascii")
     for lo, hi in _band_rows(res):
-        px[lo:hi] = _pixel_rows(raster, lo, hi)
-    return px
+        yield _pixel_rows(raster, lo, hi).tobytes()
 
 
-def write_p5(raster: RasterSlice, path: str) -> tuple[str, str]:
-    """Write the raster as a binary P5 pixmap plus a JSON sidecar.
-
-    Returns (pixmap_path, sidecar_path).
-    """
-    res = raster.spec.resolution
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{res} {res}\n255\n".encode("ascii"))
-        for lo, hi in _band_rows(res):  # the pixel bytes, band by band
-            fh.write(_pixel_rows(raster, lo, hi).tobytes())
-    sidecar = {
-        "plane": raster.spec.plane,
-        "center": [raster.spec.center.real, raster.spec.center.imag],
-        "extent": raster.spec.extent,
-        "resolution": res,
-        "at": [complex(raster.spec.at).real, complex(raster.spec.at).imag],
+def p5_sidecar(raster: RasterSlice) -> dict:
+    """The pixmap's JSON sidecar: the slice, the horizon and the labels."""
+    spec = raster.spec
+    return {
+        "plane": spec.plane,
+        "center": [spec.center.real, spec.center.imag],
+        "extent": spec.extent,
+        "resolution": spec.resolution,
+        "at": [complex(spec.at).real, complex(spec.at).imag],
         "horizon": raster.horizon,
         "labels": raster.labels,
         "encoding": {
@@ -278,11 +271,6 @@ def write_p5(raster: RasterSlice, path: str) -> tuple[str, str]:
             "255": "cycle basin",
         },
     }
-    side_path = path + ".json"
-    with open(side_path, "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path, side_path
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +292,9 @@ def _fiber_push(map: SkewProductMap, z0: complex, pts: np.ndarray, n: int) -> np
     """Map fiber points over base z0 through n steps of the skew product.
 
     pts is not written to, but for n = 0 it is returned as is."""
-    w = pts
-    z = complex(z0)
+    z, w = complex(z0), pts
     for _ in range(n):
-        w = map.fiber_value(z, w)
-        z = map.lam * z
+        z, w = map.step(z, w)
     return w
 
 

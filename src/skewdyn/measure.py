@@ -116,9 +116,9 @@ def _decay_fit_row(populated, params: dict, samples: int,
 
 def _origin_periodic(map: SkewProductMap) -> bool:
     # the base coordinate of (0,0) stays 0, so return means |w_n| small
-    w = 0.0 + 0.0j
+    z, w = 0.0, 0.0 + 0.0j
     for _ in range(_PERIODIC_STEPS):
-        w = map.fiber_value(0.0, w)
+        z, w = map.step(z, w)
         if abs(w) < _PERIODIC_TOL:
             return True
         if abs(w) > map.escape_radius:
@@ -484,8 +484,7 @@ def _fd(map: SkewProductMap, z0: complex, l: int, h: float, num) -> complex:
         w = num(0)
         try:
             for j in range(l):
-                w = map.fiber_value(z, w)
-                z = z * map.lam
+                z, w = map.step(z, w)
                 if num is complex and not cmath.isfinite(w):
                     raise OverflowError
         except OverflowError:

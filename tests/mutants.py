@@ -79,6 +79,18 @@ MUTANTS = [
      "src/skewdyn/binding.py",
      "failed=(n_lim > 0) & ~(least >= -EXPANSION_SLACK))",
      "failed=np.zeros(len(n_lim), dtype=bool))"),
+    ("binding.csv's W_final is written from the ratio audit's least margin",
+     "src/skewdyn/binding.py",
+     "                           b.w_final.tolist(),",
+     "                           b.least_lemma23.tolist(),"),
+    ("the ratio audit passes a pair whose deviation is exactly 1/2",
+     "src/skewdyn/binding.py",
+     "deviation=max_dev, failed=(counts > 0) & ~(max_dev < 0.5))",
+     "deviation=max_dev, failed=(counts > 0) & ~(max_dev <= 0.5))"),
+    ("p5_chunks drops its last band",
+     "src/skewdyn/fatou.py",
+     "        yield _pixel_rows(raster, lo, hi).tobytes()",
+     '        yield _pixel_rows(raster, lo, hi).tobytes() if hi < res else b""'),
     ("the winding check accepts image points within (r/2, r] of the center",
      "src/skewdyn/fatou.py",
      "distance_ok = dmin > radius",

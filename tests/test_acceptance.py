@@ -2,9 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from skewdyn import acceptance
+from skewdyn import acceptance, binding
 from skewdyn.cli import main
 from skewdyn.errors import PreconditionViolated
 
@@ -51,6 +52,26 @@ def test_criterion_1_fails_on_a_drifting_cocycle(monkeypatch):
     assert not result.passed
     assert result.details["worst_split_deviation"] > result.details["tolerance"]
     assert result.details["worst_restart_deviation"] > result.details["tolerance"]
+
+
+def test_criterion_2_fails_when_one_pair_fails_its_ratio_audit(monkeypatch):
+    # the kernel's ratio reduction reads 0.6 more deviation on the first
+    # pair it checks, so that pair alone fails its ratio audit
+    reduce, shifted = binding._ratio_reduction, []
+
+    def deviating(h):
+        red = reduce(h)
+        if not shifted and red.checked.any():
+            first = int(np.argmax(red.checked > 0))
+            red.deviation[first] += 0.6
+            shifted.append(first)
+        return red
+
+    monkeypatch.setattr(binding, "_ratio_reduction", deviating)
+    result = acceptance.criterion_2()
+    assert len(shifted) == 1 and not result.passed
+    assert result.details["max_ratio_deviation"] >= 0.6
+    assert result.details["ratio_audits"] == result.details["pairs"]
 
 
 def test_criterion_10_fails_when_a_child_writes_other_bytes(tmp_path, monkeypatch):

@@ -255,6 +255,18 @@ class TestRatioAudit:
                 assert audit.passed
                 assert audit.max_deviation < 0.5
 
+    def test_deviation_of_one_half_fails(self):
+        # negative control at the edge: Df^1(x)(v) / Df^1(y)(v) = 1/2 exactly,
+        # so the deviation is 1/2 and the strict bound < 1/2 fails
+        rec = TestExpansionAudit.synthetic_record(1.0)
+        rec.log_vder_x = np.log([1.0, 0.5, 1.0])
+        audit = B.audit_lemma_ratio(rec)
+        assert audit.n_checked == 2 and audit.max_deviation == 0.5
+        assert not audit.passed
+        # a deviation of 1/4 passes
+        rec.log_vder_x = np.log([1.0, 0.75, 1.0])
+        assert B.audit_lemma_ratio(rec).passed
+
 
 class TestExpansionAudit:
     def setup_method(self):
@@ -396,12 +408,17 @@ class TestBatchAndCsv:
 
     def test_columns_and_order(self):
         pairs = B.sample_bound_pairs(self.map, 10, seed=3)
-        rows = B.audit_pair_batch(self.map, pairs, self.mu0, horizon=200)
-        text = B.binding_rows_to_csv(rows)
+        audits = B.audit_pair_blocks(self.map, pairs, self.mu0, horizon=200)
+        text = "".join(B.binding_csv_chunks(audits, audits.mu))
         lines = text.strip().split("\n")
         assert lines[0] == "pair_id,mu,binding_time,censored,W_final,min_margin_lemma23,min_margin_lemma24"
         assert len(lines) == 11
         assert [int(l.split(",")[0]) for l in lines[1:]] == list(range(10))
+        # each row's binding time is the one the pair's own record gives
+        for (x, y), line in zip(pairs, lines[1:]):
+            rec = B.binding_time(self.map, x, y, self.mu0, horizon=200)
+            b = "" if rec.binding_time is None else str(rec.binding_time)
+            assert line.split(",")[2:4] == [b, str(int(rec.censored))]
 
     def test_seed_changes_pairs(self):
         a = B.sample_bound_pairs(self.map, 50, seed=1)

@@ -9,6 +9,7 @@ payloads count.
 """
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -243,6 +244,32 @@ def assert_same_pair(map, x, y, mu, horizon):
     return got
 
 
+def pair_audit(red, j):
+    """Pair j's BindingAudit: the batch reduction cut to pair j, read as the
+    record API reads a batch of one."""
+    first, one = int(red.size[:j].sum()), slice(j, j + 1)
+    return dataclasses.replace(
+        red, checked=red.checked[one], size=red.size[one],
+        margins=red.margins[first:first + red.size[j]], least=red.least[one],
+        deviation=red.deviation[one], failed=red.failed[one]).audit()
+
+
+def assert_row_is_the_record(block, j, map, x, y, mu, horizon):
+    """Row j of a PairBlock against the pair's own record and audits, which
+    assert_same_pair checks against the scalar loop.  Returns the record."""
+    rec = assert_same_pair(map, x, y, mu, horizon)
+    assert block.binding_time[j] == (-1 if rec.censored else rec.binding_time)
+    assert block.censored[j] == rec.censored
+    assert block.w_final[j].tobytes() == np.float64(rec.w_final).tobytes()
+    for least, failed, audit in (
+            (block.least_lemma23, block.failed_lemma23, B.audit_lemma_ratio(rec)),
+            (block.least_lemma24, block.failed_lemma24, B.audit_lemma_expansion(rec))):
+        want = math.nan if audit.skipped else audit.min_margin
+        assert least[j].tobytes() == np.float64(want).tobytes()
+        assert failed[j] == (not audit.skipped and not audit.passed)
+    return rec
+
+
 def _polar(radius):
     return st.builds(lambda r, t: radius * r * cmath.exp(2j * math.pi * t),
                      st.floats(0.0, 1.0), st.floats(0.0, 1.0))
@@ -265,19 +292,21 @@ def test_record_matches_scalar_loop(data):
 
 @pytest.mark.parametrize("name", sorted(MAPS))
 def test_batch_rows_match_scalar_loop(name):
+    # every row of the block's columns, and every pair's audits cut from the
+    # batch reductions, against the scalar loop
     map = MAPS[name]
     mu = B.mu_constants(map.degree)[0]
     pairs = B.sample_bound_pairs(map, 300, seed=3, mu=mu, w_radius=0.6 * map.escape_radius)
-    rows = B.audit_pair_batch(map, pairs, mu, horizon=300)
-    assert [r["pair_id"] for r in rows] == list(range(len(pairs)))
-    for (x, y), row in zip(pairs, rows):
-        rec = reference_binding_time(map, x, y, mu, 300)
-        assert row["binding_time"] == rec.binding_time
-        assert row["censored"] == rec.censored
-        assert np.float64(row["W_final"]).tobytes() == np.float64(rec.w_final).tobytes()
-        assert_bitwise(row["ratio_audit"], reference_audit_ratio(rec), AUDIT_FIELDS)
-        assert_bitwise(row["expansion_audit"], reference_audit_expansion(rec), AUDIT_FIELDS)
-        assert "record" not in row
+    (block,) = B.audit_pair_blocks(map, pairs, mu, horizon=300)
+    assert block.first_id == 0 and len(block.binding_time) == len(pairs)
+    pts = np.asarray(pairs, dtype=complex).reshape(-1, 4)
+    h = B._bind(map, pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3], mu, 300)
+    ratio, expansion = B._ratio_reduction(h), B._expansion_reduction(h, mu)
+    for j, (x, y) in enumerate(pairs):
+        rec = assert_row_is_the_record(block, j, map, x, y, mu, 300)
+        assert_bitwise(pair_audit(ratio, j), reference_audit_ratio(rec), AUDIT_FIELDS)
+        assert_bitwise(pair_audit(expansion, j), reference_audit_expansion(rec),
+                       AUDIT_FIELDS)
 
 
 class TestExplicitCases:
@@ -509,12 +538,13 @@ def test_long_binding_regime():
     dw = sep * np.abs(w) * np.exp(2j * np.pi * gen.random(count))
     dz = sep * CHEBYSHEV.r0 * np.exp(2j * np.pi * gen.random(count))
     pairs = [((a, b), (a + c, b + e)) for a, b, c, e in zip(z, w, dz, dw)]
-    rows = B.audit_pair_batch(CHEBYSHEV, pairs, B.mu_constants(2)[0], horizon=2000)
-    assert all(r["ratio_audit"].passed and r["expansion_audit"].passed for r in rows)
-    checked = [r for r in rows if not r["expansion_audit"].skipped]
-    assert len(checked) > count // 2
-    times = [r["binding_time"] for r in rows if r["binding_time"] is not None]
-    assert max(times) > 20
+    mu = B.mu_constants(2)[0]
+    (block,) = B.audit_pair_blocks(CHEBYSHEV, pairs, mu, horizon=2000)
+    assert not block.failed_lemma23.any() and not block.failed_lemma24.any()
+    assert (~np.isnan(block.least_lemma24)).sum() > count // 2
+    assert block.binding_time.max() > 20
+    for j in range(0, count, 20):
+        assert_row_is_the_record(block, j, CHEBYSHEV, *pairs[j], mu, 2000)
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +552,7 @@ def test_long_binding_regime():
 
 
 def test_pair_blocks_match_one_batch():
-    # one block and a partial one; every block column and every row must be
+    # one block and a partial one; every block column and the CSV must be
     # bitwise those of one kernel batch over all pairs, with pair ids
     # running on across blocks
     count, mu = B.BLOCK_PAIRS + 37, B.mu_constants(2)[0]
@@ -532,49 +562,49 @@ def test_pair_blocks_match_one_batch():
     blocks = list(audits)
     assert [(b.first_id, len(b.binding_time)) for b in blocks] == [
         (0, B.BLOCK_PAIRS), (B.BLOCK_PAIRS, 37)]
-    rows = audits.rows()
-    assert [row["pair_id"] for row in rows] == list(range(count))
 
     h = B._bind(CHEBYSHEV, pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3], mu, 300)
     ratio, expansion = B._ratio_reduction(h), B._expansion_reduction(h, mu)
-    ratios, expansions = ratio.audits(), expansion.audits()
+    w = h.data["w_history"]
+    w_final = np.array([w[h.start[j] + n] if n > 0 else math.nan
+                        for j, n in enumerate(h.w_len.tolist())])
     col = {name: np.concatenate([getattr(b, name) for b in blocks])
            for name in B.PairBlock._fields[1:]}
     for got, want in ((col["binding_time"], h.binding),
                       (col["censored"], h.binding < 0),
+                      (col["w_final"], w_final),
                       (col["least_lemma23"], ratio.least),
                       (col["failed_lemma23"], ratio.failed),
                       (col["least_lemma24"], expansion.least),
                       (col["failed_lemma24"], expansion.failed)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    w = h.data["w_history"]
-    for j, row in enumerate(rows):
-        b, w_len = int(h.binding[j]), int(h.w_len[j])
-        assert row["binding_time"] == (None if b < 0 else b)
-        w_final = float(w[h.start[j] + w_len]) if w_len > 0 else math.nan
-        assert np.float64(row["W_final"]).tobytes() == np.float64(w_final).tobytes()
-        assert col["w_final"][j].tobytes() == np.float64(w_final).tobytes()
-        assert_bitwise(row["ratio_audit"], ratios[j], AUDIT_FIELDS)
-        assert_bitwise(row["expansion_audit"], expansions[j], AUDIT_FIELDS)
-        for name, audit in (("23", ratios[j]), ("24", expansions[j])):
-            least = math.nan if audit.skipped else audit.min_margin
-            assert (np.float64(row["min_margin_lemma" + name]).tobytes()
-                    == np.float64(least).tobytes())
-            assert col["failed_lemma" + name][j] == (not audit.skipped
-                                                     and not audit.passed)
-    # the column CSV, the list form and the sampled-pairs form agree
-    assert "".join(B.binding_csv_chunks(blocks, mu)) == B.binding_rows_to_csv(rows)
-    listed = B.audit_pair_batch(CHEBYSHEV, B.sample_bound_pairs(CHEBYSHEV, count, 3),
-                                mu, horizon=300)
-    assert B.binding_rows_to_csv(listed) == B.binding_rows_to_csv(rows)
+
+    # the CSV holds the one batch's values, read back exactly
+    lines = "".join(B.binding_csv_chunks(blocks, mu)).splitlines()
+    assert lines[0] == ",".join(B.CSV_COLUMNS) and len(lines) == count + 1
+    for j, line in enumerate(lines[1:]):
+        i, m, b, cens, *floats = line.split(",")
+        t = int(h.binding[j])
+        assert (int(i), float(m), b, cens) == (j, mu, "" if t < 0 else str(t), str(int(t < 0)))
+        assert [repr(float(v)) for v in floats] == [
+            repr(float(c[j])) for c in (w_final, ratio.least, expansion.least)]
+    # the sampled-pairs form writes the same CSV
+    listed = B.audit_pair_blocks(CHEBYSHEV, B.sample_bound_pairs(CHEBYSHEV, count, 3),
+                                 mu, horizon=300)
+    assert ("".join(B.binding_csv_chunks(listed, mu))
+            == "".join(B.binding_csv_chunks(blocks, mu)))
+    # pairs on both sides of the block boundary, against their own records
+    for j in (0, B.BLOCK_PAIRS - 1, B.BLOCK_PAIRS, count - 1):
+        x, y = (pts[j, 0], pts[j, 1]), (pts[j, 2], pts[j, 3])
+        assert_row_is_the_record(blocks[j // B.BLOCK_PAIRS], j % B.BLOCK_PAIRS,
+                                 CHEBYSHEV, x, y, mu, 300)
 
 
 def test_empty_pair_batches():
     audits = B.audit_pair_blocks(CHEBYSHEV, [])
     assert (len(audits), list(audits)) == (0, [])
     assert (audits.mu, audits.horizon) == (B.mu_constants(2)[0], B.DEFAULT_HORIZON)
-    assert B.audit_pair_batch(CHEBYSHEV, [], 0.01) == []
-    assert B.binding_rows_to_csv([]) == ",".join(B.CSV_COLUMNS) + "\n"
+    assert "".join(B.binding_csv_chunks(audits, audits.mu)) == ",".join(B.CSV_COLUMNS) + "\n"
 
 
 def test_pair_blocks_check_inputs_before_binding():

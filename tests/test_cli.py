@@ -580,9 +580,35 @@ class TestBinding:
         assert pins.outcome(tmp_path, f"pair_audits/binding@{seed}")[:2] == (0, digests)
 
     @staticmethod
+    def record_rows(map, pts, horizon: int) -> list:
+        """One row per pair from its own record and audits (the per-pair
+        record API), with the CSV's columns and both audits."""
+        mu = B.mu_constants(map.degree)[0]
+        rows = []
+        for j, (zx, wx, zy, wy) in enumerate(pts.tolist()):
+            rec = B.binding_time(map, (zx, wx), (zy, wy), mu, horizon)
+            ratio, expansion = B.audit_lemma_ratio(rec), B.audit_lemma_expansion(rec)
+            rows.append({
+                "pair_id": j, "mu": mu, "binding_time": rec.binding_time,
+                "censored": rec.censored, "W_final": rec.w_final,
+                "min_margin_lemma23": math.nan if ratio.skipped else ratio.min_margin,
+                "min_margin_lemma24": math.nan if expansion.skipped else expansion.min_margin,
+                "ratio_audit": ratio, "expansion_audit": expansion})
+        return rows
+
+    @staticmethod
+    def rows_csv(rows: list) -> str:
+        """binding.csv written from the rows."""
+        return "".join([",".join(B.CSV_COLUMNS) + "\n"] + [
+            "%d,%.17g,%s,%d,%.17g,%.17g,%.17g\n" % (
+                r["pair_id"], r["mu"],
+                "" if r["binding_time"] is None else r["binding_time"], r["censored"],
+                r["W_final"], r["min_margin_lemma23"], r["min_margin_lemma24"])
+            for r in rows])
+
+    @staticmethod
     def fold_rows(rows: list) -> dict:
-        """binding.json's summary folded from audit_pair_batch's rows, one
-        row at a time."""
+        """binding.json's summary folded from the rows, one row at a time."""
         summary = {"censored": 0, "ratio_failures": [], "expansion_failures": [],
                    "min_margin_lemma23": None, "min_margin_lemma24": None}
         for r in rows:
@@ -619,8 +645,8 @@ class TestBinding:
         code, out = run(tmp_path, "binding", {
             "map": map_cfg, "seed": 7, "params": {"count": count, "horizon": horizon}})
 
-        rows = B.audit_pair_batch(map, pts, horizon=horizon)
-        assert_same_text((out / "binding.csv").read_text(), B.binding_rows_to_csv(rows))
+        rows = self.record_rows(map, pts, horizon)
+        assert_same_text((out / "binding.csv").read_text(), self.rows_csv(rows))
         report = json.loads((out / "binding.json").read_text())
         expected = self.fold_rows(rows)
         assert json.dumps({k: report[k] for k in expected}) == json.dumps(expected)

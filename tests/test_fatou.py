@@ -29,10 +29,10 @@ from skewdyn.fatou import (
     SliceSpec,
     classify_point,
     disk_image_contains_ball,
-    raster_to_pixels,
+    p5_chunks,
+    p5_sidecar,
     render_slice,
     verify_radius_proposition,
-    write_p5,
 )
 from skewdyn.gallery import basilica_map, chebyshev_map, nearfixed_map, siegel_map
 
@@ -401,15 +401,11 @@ class TestRenderSlice:
         with pytest.raises(PreconditionViolated):
             render_slice(cheb, SliceSpec("fiber", 0j, -1.0, 4, 0j), horizon=5)
 
-    def test_rerun_byte_identical_512(self, tmp_path):
+    def test_rerun_byte_identical_512(self):
         bas = basilica_map()
         spec = SliceSpec(plane="fiber", center=0j, extent=1.6, resolution=512, at=0.01)
-        blobs = []
-        for tag in ("a", "b"):
-            ras = render_slice(bas, spec, horizon=300)
-            p, _ = write_p5(ras, str(tmp_path / f"r{tag}.pgm"))
-            with open(p, "rb") as fh:
-                blobs.append(fh.read())
+        blobs = [b"".join(p5_chunks(render_slice(bas, spec, horizon=300)))
+                 for _ in range(2)]
         assert blobs[0] == blobs[1]
         assert len(blobs[0]) == len(b"P5\n512 512\n255\n") + 512 * 512
 
@@ -463,6 +459,13 @@ class TestSharedBase:
             assert classify_point(RABBIT, (z0, w0), horizon=200) == label
 
 
+def pixels(raster: RasterSlice) -> np.ndarray:
+    """The pixmap's pixel bytes as a resolution x resolution array."""
+    res = raster.spec.resolution
+    body = b"".join(list(p5_chunks(raster))[1:])
+    return np.frombuffer(body, dtype=np.uint8).reshape(res, res)
+
+
 class TestP5:
     def _tiny_raster(self):
         spec = SliceSpec(plane="fiber", center=0j, extent=1.0, resolution=2, at=0j)
@@ -475,17 +478,15 @@ class TestP5:
         )
 
     def test_pixel_encoding(self):
-        px = raster_to_pixels(self._tiny_raster())
+        px = pixels(self._tiny_raster())
         # undecided 0; escape step 0 -> 1; escape step == horizon -> 254; cycle 255
         assert px.tolist() == [[0, 1], [254, 255]]
 
-    def test_header_and_sidecar(self, tmp_path):
-        path = str(tmp_path / "tiny.pgm")
-        p, side = write_p5(self._tiny_raster(), path)
-        raw = open(p, "rb").read()
+    def test_header_and_sidecar(self):
+        raw = b"".join(p5_chunks(self._tiny_raster()))
         assert raw.startswith(b"P5\n2 2\n255\n")
         assert len(raw) == len(b"P5\n2 2\n255\n") + 4
-        meta = json.loads(open(side).read())
+        meta = p5_sidecar(self._tiny_raster())
         assert meta["resolution"] == 2
         assert meta["plane"] == "fiber"
         assert meta["labels"] == ["undecided", "escaping", "cycle_0"]
@@ -507,26 +508,27 @@ BAND_SLICES = {
 
 
 class TestRenderBands:
-    """render_slice classifies in bands of whole rows and write_p5 encodes
-    over the same bands.  RENDER_BAND 15 cuts 7 rows of 7 into bands of 2, 2,
-    2 and 1 rows, and RENDER_BAND 1 gives one row per band; either must give
-    the codes, escape steps and slice.p5 bytes of a run in one band."""
+    """render_slice classifies in bands of whole rows and p5_chunks encodes
+    over the same bands, one chunk each after the header.  RENDER_BAND 15
+    cuts 7 rows of 7 into bands of 2, 2, 2 and 1 rows, and RENDER_BAND 1
+    gives one row per band; either must give the codes, escape steps and
+    slice.p5 bytes of a run in one band."""
 
     @staticmethod
-    def render(monkeypatch, tmp_path, band: int, name: str):
+    def render(monkeypatch, band: int, name: str):
         m, spec, horizon, _ = BAND_SLICES[name]
         monkeypatch.setattr(fatou, "RENDER_BAND", band)
         ras = render_slice(m, spec, horizon=horizon)
-        path, _ = write_p5(ras, str(tmp_path / f"{name}_{band}.p5"))
-        with open(path, "rb") as fh:
-            return ras, raster_to_pixels(ras), fh.read()
+        chunks = list(p5_chunks(ras))
+        assert len(chunks) == 1 + len(list(fatou._band_rows(spec.resolution)))
+        return ras, pixels(ras), b"".join(chunks)
 
     @pytest.mark.parametrize("band", [1, 15])
     @pytest.mark.parametrize("name", sorted(BAND_SLICES))
-    def test_bands_match_one_band(self, monkeypatch, tmp_path, name, band):
+    def test_bands_match_one_band(self, monkeypatch, name, band):
         res = BAND_SLICES[name][1].resolution
-        one, one_px, one_p5 = self.render(monkeypatch, tmp_path, res * res, name)
-        ras, px, p5 = self.render(monkeypatch, tmp_path, band, name)
+        one, one_px, one_p5 = self.render(monkeypatch, res * res, name)
+        ras, px, p5 = self.render(monkeypatch, band, name)
         assert_bitwise(ras.codes, one.codes, "codes")
         assert_bitwise(ras.escape_steps, one.escape_steps, "escape steps")
         assert_bitwise(px, one_px, "pixels")
